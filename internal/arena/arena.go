@@ -1,10 +1,11 @@
-// Package arena owns the zero-copy story for snapshot serving: a
-// bounds-checked binary Reader over an in-memory byte range that can
-// either copy values onto the Go heap (the compatible default, used
-// for legacy snapshot formats and for untrusted input) or alias bulk
-// numeric arrays directly into the backing bytes (the serve path over
-// an mmap'd snapshot file), plus the refcounted Mapping that keeps the
-// backing bytes alive until the last reader releases them.
+// Package arena owns the reading half of the binary codecs and the
+// zero-copy story for snapshot serving: the repository's one
+// bounds-checked binary Reader over an in-memory byte range, which can
+// either copy values onto the Go heap (the default: heap loads, WAL
+// records, untrusted input) or alias bulk numeric arrays directly into
+// the backing bytes (the serve path over an mmap'd snapshot file),
+// plus the refcounted Mapping that keeps the backing bytes alive until
+// the last reader releases them.
 //
 // This package is the ONLY place in the repository allowed to import
 // unsafe (enforced by tools/unsafecheck). Everything outside sees
@@ -14,14 +15,13 @@
 // read-only pages) or corrupt the snapshot file for every process
 // sharing its page cache.
 //
-// The wire format matches internal/binio exactly (fixed-width
+// The wire format is what internal/binio's Writer emits (fixed-width
 // little-endian scalars, u32-length-prefixed strings, u64-count-
-// prefixed slices), with one addition used by the aligned snapshot
-// codecs: Align8, which skips/emits padding so bulk arrays start on an
-// 8-byte boundary relative to the section payload. Zero-copy aliasing
+// prefixed slices, and Align8 padding so bulk arrays start on an
+// 8-byte boundary relative to the section payload). Zero-copy aliasing
 // engages only when the host is little-endian and the array body is
 // 8-aligned; every other case falls back to copying (and is counted),
-// so the same decode functions serve both old and new formats.
+// so the same decode functions serve both backings.
 package arena
 
 import (
@@ -30,7 +30,8 @@ import (
 )
 
 // MaxLen bounds any single declared string/slice element count a
-// Reader will accept, mirroring binio.MaxLen.
+// Reader will accept. Codecs that read a bare count themselves (to
+// size a loop rather than a slice) check it against the same bound.
 const MaxLen = 1 << 31
 
 // hostLittleEndian reports whether native byte order matches the wire

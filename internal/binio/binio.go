@@ -1,29 +1,20 @@
-// Package binio provides small error-sticky little-endian binary codec
-// helpers shared by the binary serializers (graph CSR, TIC model,
-// keyword model and the persistence subsystem). A Writer or Reader
-// records the first error and turns every subsequent call into a no-op,
-// so codecs read as straight-line field lists with a single error check
-// at the end.
+// Package binio is the writing half of the binary codecs shared by the
+// serializers (graph CSR, TIC model, keyword model, the online indexes
+// and the persistence subsystem): a small error-sticky little-endian
+// Writer that records the first error and turns every subsequent call
+// into a no-op, so codecs read as straight-line field lists with a
+// single error check at the end. The reading half is arena.Reader.
 //
 // All integers are fixed-width little-endian; strings and slices are
-// length-prefixed with a uint32/uint64 count. Readers bound every
-// declared length against MaxLen — and, when the input exposes its size
-// (bytes.Reader and friends), against the bytes actually remaining —
-// before allocating, so a corrupt or adversarial stream cannot trigger
-// an enormous allocation.
+// length-prefixed with a uint32/uint64 count.
 package binio
 
 import (
 	"bufio"
 	"encoding/binary"
-	"fmt"
 	"io"
 	"math"
 )
-
-// MaxLen bounds any single declared string/slice length (elements, not
-// bytes) a Reader will accept.
-const MaxLen = 1 << 31
 
 // Writer encodes fixed-width little-endian values with sticky errors.
 type Writer struct {
@@ -158,156 +149,4 @@ func (w *Writer) Strs(vs []string) {
 	for _, v := range vs {
 		w.Str(v)
 	}
-}
-
-// Reader decodes values written by Writer with sticky errors.
-type Reader struct {
-	r   *bufio.Reader
-	buf [8]byte
-	err error
-	// remain bounds the bytes the stream can still yield (-1 unknown).
-	// When known, declared lengths are validated against it BEFORE
-	// allocating, so a corrupt count cannot demand more memory than the
-	// input could possibly fill.
-	remain int64
-}
-
-// NewReader wraps r in a buffered binary reader. If r exposes its
-// unread size (bytes.Reader, bytes.Buffer, strings.Reader — anything
-// with Len() int), declared lengths are bounded by it.
-func NewReader(r io.Reader) *Reader {
-	br := &Reader{r: bufio.NewReader(r), remain: -1}
-	if l, ok := r.(interface{ Len() int }); ok {
-		br.remain = int64(l.Len())
-	}
-	return br
-}
-
-// Err returns the first error encountered.
-func (r *Reader) Err() error { return r.err }
-
-func (r *Reader) read(n int) []byte {
-	if r.err == nil {
-		if _, err := io.ReadFull(r.r, r.buf[:n]); err != nil {
-			if err == io.ErrUnexpectedEOF {
-				err = io.EOF
-			}
-			r.err = err
-		} else if r.remain >= 0 {
-			r.remain -= int64(n)
-		}
-	}
-	if r.err != nil {
-		clear(r.buf[:n])
-	}
-	return r.buf[:n]
-}
-
-// U8 reads one byte.
-func (r *Reader) U8() uint8 { return r.read(1)[0] }
-
-// U16 reads a uint16.
-func (r *Reader) U16() uint16 { return binary.LittleEndian.Uint16(r.read(2)) }
-
-// U32 reads a uint32.
-func (r *Reader) U32() uint32 { return binary.LittleEndian.Uint32(r.read(4)) }
-
-// U64 reads a uint64.
-func (r *Reader) U64() uint64 { return binary.LittleEndian.Uint64(r.read(8)) }
-
-// I32 reads an int32.
-func (r *Reader) I32() int32 { return int32(r.U32()) }
-
-// I64 reads an int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// F32 reads a float32.
-func (r *Reader) F32() float32 { return math.Float32frombits(r.U32()) }
-
-// F64 reads a float64.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// length validates a declared count of elements at least width bytes
-// wide, bounding it by the input's remaining size when known.
-func (r *Reader) length(n uint64, width int64) int {
-	if r.err == nil && n > MaxLen {
-		r.err = fmt.Errorf("binio: declared length %d exceeds limit", n)
-	}
-	if r.err == nil && r.remain >= 0 && int64(n)*width > r.remain {
-		r.err = fmt.Errorf("binio: declared length %d×%dB exceeds remaining input (%dB)",
-			n, width, r.remain)
-	}
-	if r.err != nil {
-		return 0
-	}
-	return int(n)
-}
-
-// Str reads a uint32-length-prefixed string.
-func (r *Reader) Str() string {
-	n := r.length(uint64(r.U32()), 1)
-	if n == 0 {
-		return ""
-	}
-	b := make([]byte, n)
-	if r.err == nil {
-		if _, err := io.ReadFull(r.r, b); err != nil {
-			r.err = err
-			return ""
-		}
-		if r.remain >= 0 {
-			r.remain -= int64(n)
-		}
-	}
-	return string(b)
-}
-
-// I32s reads a uint64-count-prefixed []int32.
-func (r *Reader) I32s() []int32 {
-	n := r.length(r.U64(), 4)
-	vs := make([]int32, n)
-	for i := range vs {
-		vs[i] = r.I32()
-	}
-	return vs
-}
-
-// U16s reads a uint64-count-prefixed []uint16.
-func (r *Reader) U16s() []uint16 {
-	n := r.length(r.U64(), 2)
-	vs := make([]uint16, n)
-	for i := range vs {
-		vs[i] = r.U16()
-	}
-	return vs
-}
-
-// F32s reads a uint64-count-prefixed []float32.
-func (r *Reader) F32s() []float32 {
-	n := r.length(r.U64(), 4)
-	vs := make([]float32, n)
-	for i := range vs {
-		vs[i] = r.F32()
-	}
-	return vs
-}
-
-// F64s reads a uint64-count-prefixed []float64.
-func (r *Reader) F64s() []float64 {
-	n := r.length(r.U64(), 8)
-	vs := make([]float64, n)
-	for i := range vs {
-		vs[i] = r.F64()
-	}
-	return vs
-}
-
-// Strs reads a uint64-count-prefixed []string.
-func (r *Reader) Strs() []string {
-	n := r.length(r.U64(), 4)
-	vs := make([]string, n)
-	for i := range vs {
-		vs[i] = r.Str()
-	}
-	return vs
 }

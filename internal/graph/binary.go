@@ -12,12 +12,9 @@ import (
 // boundary (relative to the payload start) and serializes the reverse
 // adjacency explicitly, so a zero-copy reader can alias all five
 // arrays straight out of a mapped snapshot section without the O(m)
-// counting rebuild. Version 1 (forward arrays only, reverse rebuilt on
-// load) is still read for old snapshots.
-const (
-	graphBinaryVersion   = 2
-	graphBinaryVersionV1 = 1
-)
+// counting rebuild. Any other version is rejected: snapshots are
+// regenerated, not migrated.
+const graphBinaryVersion = 2
 
 // WriteBinary serializes g's CSR representation in the current
 // (aligned, version 2) format.
@@ -44,34 +41,6 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// WriteBinaryV1 emits the legacy version-1 payload (forward CSR only,
-// unaligned). Kept for the cross-version compatibility tests and for
-// downgrade tooling.
-func WriteBinaryV1(w io.Writer, g *Graph) error {
-	bw := binio.NewWriter(w)
-	bw.U8(graphBinaryVersionV1)
-	bw.I32(g.n)
-	bw.I32s(g.outOff)
-	bw.I32s(g.outDst)
-	if g.names != nil {
-		bw.U8(1)
-		bw.Strs(g.names)
-	} else {
-		bw.U8(0)
-	}
-	return bw.Flush()
-}
-
-// ReadBinary parses a payload produced by WriteBinary (any version)
-// from a stream, always copying onto the heap.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("graph: read binary: %w", err)
-	}
-	return ReadView(arena.NewReader(data))
-}
-
 // ReadView parses a binary payload through an arena reader. In
 // zero-copy mode the five CSR arrays alias the reader's backing bytes
 // (the caller keeps them alive) and the O(m) content revalidation is
@@ -79,27 +48,21 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 // when written; only name index maps are built on the heap.
 func ReadView(br *arena.Reader) (*Graph, error) {
 	version := br.U8()
-	if br.Err() == nil && version != graphBinaryVersion && version != graphBinaryVersionV1 {
-		return nil, fmt.Errorf("graph: unsupported binary version %d", version)
+	if br.Err() == nil && version != graphBinaryVersion {
+		return nil, fmt.Errorf("graph: snapshot generation %d is not supported; regenerate with `octopus build`", version)
 	}
 	g := &Graph{}
 	g.n = br.I32()
-	switch version {
-	case graphBinaryVersionV1:
-		g.outOff = br.I32s()
-		g.outDst = br.I32s()
-	default:
-		br.Align8()
-		g.outOff = br.I32s()
-		br.Align8()
-		g.outDst = br.I32s()
-		br.Align8()
-		g.inOff = br.I32s()
-		br.Align8()
-		g.inSrc = br.I32s()
-		br.Align8()
-		g.inEdge = br.I32s()
-	}
+	br.Align8()
+	g.outOff = br.I32s()
+	br.Align8()
+	g.outDst = br.I32s()
+	br.Align8()
+	g.inOff = br.I32s()
+	br.Align8()
+	g.inSrc = br.I32s()
+	br.Align8()
+	g.inEdge = br.I32s()
 	if hasNames := br.U8(); br.Err() == nil && hasNames == 1 {
 		g.names = br.Strs()
 	}
@@ -116,18 +79,12 @@ func ReadView(br *arena.Reader) (*Graph, error) {
 	if err := checkOffsets("out", g.outOff, g.n, m); err != nil {
 		return nil, err
 	}
-	if version == graphBinaryVersionV1 {
-		if err := g.rebuildReverse(); err != nil {
-			return nil, err
-		}
-	} else {
-		if len(g.inOff) != int(g.n)+1 || len(g.inSrc) != m || len(g.inEdge) != m {
-			return nil, fmt.Errorf("graph: binary payload reverse arrays sized %d/%d/%d for %d nodes, %d edges",
-				len(g.inOff), len(g.inSrc), len(g.inEdge), g.n, m)
-		}
-		if err := checkOffsets("in", g.inOff, g.n, m); err != nil {
-			return nil, err
-		}
+	if len(g.inOff) != int(g.n)+1 || len(g.inSrc) != m || len(g.inEdge) != m {
+		return nil, fmt.Errorf("graph: binary payload reverse arrays sized %d/%d/%d for %d nodes, %d edges",
+			len(g.inOff), len(g.inSrc), len(g.inEdge), g.n, m)
+	}
+	if err := checkOffsets("in", g.inOff, g.n, m); err != nil {
+		return nil, err
 	}
 	if g.names != nil {
 		g.nameIdx = make(map[string]NodeID, g.n)
@@ -158,36 +115,6 @@ func checkOffsets(kind string, off []int32, n int32, m int) error {
 	for u := int32(0); u < n; u++ {
 		if off[u] > off[u+1] {
 			return fmt.Errorf("graph: binary payload %s-offsets not monotone at node %d", kind, u)
-		}
-	}
-	return nil
-}
-
-// rebuildReverse reconstructs the reverse adjacency with a counting
-// pass — the version-1 load path.
-func (g *Graph) rebuildReverse() error {
-	m := len(g.outDst)
-	g.inOff = make([]int32, g.n+1)
-	g.inSrc = make([]NodeID, m)
-	g.inEdge = make([]EdgeID, m)
-	for _, v := range g.outDst {
-		if v < 0 || v >= g.n {
-			return fmt.Errorf("graph: binary payload edge destination %d out of range", v)
-		}
-		g.inOff[v+1]++
-	}
-	for i := int32(0); i < g.n; i++ {
-		g.inOff[i+1] += g.inOff[i]
-	}
-	cursor := make([]int32, g.n)
-	copy(cursor, g.inOff[:g.n])
-	for u := int32(0); u < g.n; u++ {
-		for e := g.outOff[u]; e < g.outOff[u+1]; e++ {
-			v := g.outDst[e]
-			slot := cursor[v]
-			cursor[v]++
-			g.inSrc[slot] = u
-			g.inEdge[slot] = e
 		}
 	}
 	return nil

@@ -3,6 +3,8 @@ package graph
 import (
 	"bytes"
 	"testing"
+
+	"octopus/internal/arena"
 )
 
 func buildSample() *Graph {
@@ -23,7 +25,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := WriteBinary(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadBinary(&buf)
+	g2, err := ReadView(arena.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +39,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 			t.Fatalf("edge (%d,%d) id %d -> (%d,%v)", u, v, e, e2, ok)
 		}
 	})
-	// Reverse adjacency was reconstructed, not copied.
+	// Reverse adjacency survives.
 	if g2.InDegree(2) != g.InDegree(2) {
 		t.Fatalf("in-degree(2) = %d, want %d", g2.InDegree(2), g.InDegree(2))
 	}
@@ -60,7 +62,7 @@ func TestBinaryRoundTripNoNames(t *testing.T) {
 	if err := WriteBinary(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadBinary(&buf)
+	g2, err := ReadView(arena.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,19 +83,20 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	full := buf.Bytes()
 	// Truncation at every prefix must error, never panic.
 	for cut := 0; cut < len(full); cut += 7 {
-		if _, err := ReadBinary(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := ReadView(arena.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
 	// An out-of-range destination must be caught.
 	bad := append([]byte(nil), full...)
-	// outDst entries start after: version(1) + n(4) + offLen(8) + offs + dstLen(8).
-	off := 1 + 4 + 8 + 4*(g.NumNodes()+1) + 8
+	// outDst entries start after: version(1) + n(4) + pad(3) + offLen(8)
+	// + offs (6×4, already 8-aligned) + dstLen(8).
+	off := 8 + 8 + 4*(g.NumNodes()+1) + 8
 	bad[off] = 0xff
 	bad[off+1] = 0xff
 	bad[off+2] = 0xff
 	bad[off+3] = 0x7f
-	if _, err := ReadBinary(bytes.NewReader(bad)); err == nil {
+	if _, err := ReadView(arena.NewReader(bad)); err == nil {
 		t.Fatal("corrupt destination accepted")
 	}
 }

@@ -16,56 +16,38 @@ import (
 // to a TIC model instead of repeating the per-node MIA precomputation.
 // Version 3 places every bulk array (including the per-sample seed and
 // spread metadata) on an 8-byte boundary so a zero-copy reader aliases
-// them out of a mapped snapshot; version 2 (unaligned) is still read
-// for old snapshots.
-const (
-	otimBinaryVersion   = 3
-	otimBinaryVersionV2 = 2
-)
+// them out of a mapped snapshot. Any other version is rejected:
+// snapshots are regenerated, not migrated.
+const otimBinaryVersion = 3
 
 // WriteBinary serializes the index arrays in the current (aligned,
-// version 3) format. The model is serialized separately; ReadBinary
+// version 3) format. The model is serialized separately; ReadView
 // re-binds to it.
 func WriteBinary(w io.Writer, ix *Index) error {
-	return writeBinary(w, ix, otimBinaryVersion)
-}
-
-// WriteBinaryV2 emits the legacy version-2 payload, kept for the
-// cross-version compatibility tests and downgrade tooling.
-func WriteBinaryV2(w io.Writer, ix *Index) error {
-	return writeBinary(w, ix, otimBinaryVersionV2)
-}
-
-func writeBinary(w io.Writer, ix *Index, version uint8) error {
 	bw := binio.NewWriter(w)
-	align := func() {
-		if version >= otimBinaryVersion {
-			bw.Align8()
-		}
-	}
-	bw.U8(version)
+	bw.U8(otimBinaryVersion)
 	bw.F64(ix.thetaPre)
 	bw.F64(ix.delta)
-	align()
+	bw.Align8()
 	bw.F64s(ix.sigmaMax)
-	align()
+	bw.Align8()
 	bw.I32s(ix.treeSize)
-	align()
+	bw.Align8()
 	bw.F64s(ix.aggr)
-	align()
+	bw.Align8()
 	bw.F64s(ix.wdeg)
 	bw.U64(uint64(len(ix.samples)))
 	for _, s := range ix.samples {
-		align()
+		bw.Align8()
 		bw.F64s(s.Gamma)
-		align()
+		bw.Align8()
 		bw.I32s(s.Seeds)
-		align()
+		bw.Align8()
 		bw.F64s(s.Spreads)
-		align()
+		bw.Align8()
 		bw.F64s(s.Gains)
 	}
-	align()
+	bw.Align8()
 	bw.F64s(ix.sampleStop)
 	ties := make([]int32, len(ix.sampleTie))
 	for i, tie := range ix.sampleTie {
@@ -73,24 +55,13 @@ func writeBinary(w io.Writer, ix *Index, version uint8) error {
 			ties[i] = 1
 		}
 	}
-	align()
+	bw.Align8()
 	bw.I32s(ties)
 	for _, ru := range ix.sampleRU {
-		align()
+		bw.Align8()
 		bw.F64s(ru)
 	}
 	return bw.Flush()
-}
-
-// ReadBinary parses a payload produced by WriteBinary (any version)
-// from a stream, always copying onto the heap, and binds the index to
-// model m.
-func ReadBinary(r io.Reader, m *tic.Model) (*Index, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("otim: read binary: %w", err)
-	}
-	return ReadView(arena.NewReader(data), m)
 }
 
 // ReadView parses a binary payload through an arena reader. Zero-copy
@@ -101,45 +72,40 @@ func ReadBinary(r io.Reader, m *tic.Model) (*Index, error) {
 // (they are stored widened to int32).
 func ReadView(br *arena.Reader, m *tic.Model) (*Index, error) {
 	version := br.U8()
-	if br.Err() == nil && version != otimBinaryVersion && version != otimBinaryVersionV2 {
-		return nil, fmt.Errorf("otim: unsupported binary version %d (want %d): snapshots from older builds must be regenerated, e.g. octopus build", version, otimBinaryVersion)
-	}
-	align := func() {
-		if version >= otimBinaryVersion {
-			br.Align8()
-		}
+	if br.Err() == nil && version != otimBinaryVersion {
+		return nil, fmt.Errorf("otim: snapshot generation %d is not supported; regenerate with `octopus build`", version)
 	}
 	ix := &Index{model: m}
 	ix.thetaPre = br.F64()
 	ix.delta = br.F64()
-	align()
+	br.Align8()
 	ix.sigmaMax = br.F64s()
-	align()
+	br.Align8()
 	ix.treeSize = br.I32s()
-	align()
+	br.Align8()
 	ix.aggr = br.F64s()
-	align()
+	br.Align8()
 	ix.wdeg = br.F64s()
 	numSamples := int(br.U64())
-	if br.Err() == nil && (numSamples < 0 || numSamples > binio.MaxLen) {
+	if br.Err() == nil && (numSamples < 0 || numSamples > arena.MaxLen) {
 		return nil, fmt.Errorf("otim: binary payload sample count out of range")
 	}
 	for i := 0; i < numSamples && br.Err() == nil; i++ {
-		align()
+		br.Align8()
 		gamma := topic.Dist(br.F64s())
-		align()
+		br.Align8()
 		seeds := br.I32s()
-		align()
+		br.Align8()
 		spreads := br.F64s()
-		align()
+		br.Align8()
 		gains := br.F64s()
 		ix.samples = append(ix.samples, TopicSample{
 			Gamma: gamma, Seeds: seeds, Spreads: spreads, Gains: gains,
 		})
 	}
-	align()
+	br.Align8()
 	ix.sampleStop = br.F64s()
-	align()
+	br.Align8()
 	ties := br.I32s()
 	ix.sampleTie = make([]bool, len(ties))
 	for i, tv := range ties {
@@ -147,7 +113,7 @@ func ReadView(br *arena.Reader, m *tic.Model) (*Index, error) {
 	}
 	ix.sampleRU = make([][]float64, len(ix.samples))
 	for i := 0; i < len(ix.samples) && br.Err() == nil; i++ {
-		align()
+		br.Align8()
 		ix.sampleRU[i] = br.F64s()
 	}
 	if err := br.Err(); err != nil {

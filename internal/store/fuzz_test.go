@@ -34,7 +34,9 @@ func tinySnapshotBytes(f *testing.F) []byte {
 
 // FuzzSnapshotReadParts: the snapshot decoder must never panic —
 // corrupt, truncated, bit-flipped or adversarial input is answered with
-// an error, and a success yields structurally consistent parts.
+// an error, and a success yields structurally consistent parts. The
+// two checked-in OCTSNAP1 seeds predate the single format generation;
+// they now exercise the magic rejection.
 func FuzzSnapshotReadParts(f *testing.F) {
 	snap := tinySnapshotBytes(f)
 	f.Add(snap)

@@ -1,23 +1,15 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"strings"
 	"sync"
 
-	"octopus/internal/actionlog"
 	"octopus/internal/arena"
 	"octopus/internal/core"
-	"octopus/internal/graph"
-	"octopus/internal/otim"
-	"octopus/internal/tags"
-	"octopus/internal/tic"
-	"octopus/internal/topic"
 )
 
 // mmapEnv is the environment knob that disables zero-copy mapping.
@@ -77,7 +69,6 @@ type Mapped struct {
 	fileSize  int64
 	backing   string
 	fallbacks int
-	fv        uint32
 	warmed    int64
 	closeOnce sync.Once
 }
@@ -95,7 +86,7 @@ func (m *Mapped) Stats() MapStats {
 		FileSize:      m.fileSize,
 		ResidentBytes: m.mapping.Resident(),
 		CopyFallbacks: m.fallbacks,
-		FormatVersion: m.fv,
+		FormatVersion: formatVersion,
 		WarmedBytes:   m.warmed,
 	}
 	if m.mapping.Mapped() {
@@ -120,17 +111,11 @@ func mappedSection(data []byte, pos int64, want [4]byte, verify bool) ([]byte, i
 	if pos+16 > int64(len(data)) {
 		return nil, 0, fmt.Errorf("store: truncated before %s section", name)
 	}
-	hdr := data[pos : pos+16]
-	var tag [4]byte
-	copy(tag[:], hdr[0:4])
-	if tag != want {
-		return nil, 0, fmt.Errorf("store: expected %s section, found %q", name, tag[:])
+	n, err := sectionLen(data[pos:pos+16], want, int64(len(data)))
+	if err != nil {
+		return nil, 0, err
 	}
-	n := binary.LittleEndian.Uint64(hdr[8:16])
-	if n > maxSectionLen || n > uint64(len(data)) {
-		return nil, 0, fmt.Errorf("store: %s section declares %d bytes (limit %d)", name, n, maxSectionLen)
-	}
-	end := pos + sectionFrameLen(int(n), false)
+	end := pos + sectionFrameLen(int(n))
 	if end > int64(len(data)) {
 		return nil, 0, fmt.Errorf("store: truncated %s section", name)
 	}
@@ -151,10 +136,9 @@ func mappedSection(data []byte, pos int64, want [4]byte, verify bool) ([]byte, i
 // serving). The action log is not decoded — Parts.LogFn decodes it on
 // first use, off the mapped (CRC-verified) bytes.
 //
-// When mapping is unavailable — legacy-format file, unsupported
-// platform, big-endian host, or OCTOPUS_MMAP=off — MapParts falls back
-// to the copying path and returns a heap-backed handle whose Stats
-// name the reason.
+// When mapping is unavailable — OCTOPUS_MMAP=off, unsupported
+// platform, or big-endian host — MapParts falls back to the copying
+// path and returns a heap-backed handle whose Stats name the reason.
 func MapParts(path string, opt MapOptions) (*Parts, *Mapped, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -165,16 +149,9 @@ func MapParts(path string, opt MapOptions) (*Parts, *Mapped, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: map: %w", err)
 	}
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return nil, nil, fmt.Errorf("store: read magic: %w", err)
-	}
+	m := &Mapped{path: path, fileSize: st.Size()}
 	fallback := ""
 	switch {
-	case string(magic[:]) == legacyMagic:
-		fallback = "legacy-format"
-	case string(magic[:]) != snapshotMagic:
-		return nil, nil, fmt.Errorf("store: bad magic %q (not a snapshot file)", magic[:])
 	case !mmapEnabled():
 		fallback = "mmap-disabled"
 	case !arena.MapSupported():
@@ -183,24 +160,12 @@ func MapParts(path string, opt MapOptions) (*Parts, *Mapped, error) {
 		fallback = "big-endian-host"
 	}
 	if fallback != "" {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, nil, fmt.Errorf("store: map: %w", err)
-		}
 		p, err := ReadParts(f)
 		if err != nil {
 			return nil, nil, err
 		}
-		fv := uint32(formatVersion)
-		if fallback == "legacy-format" {
-			fv = legacyFormatVersion
-		}
-		m := &Mapped{
-			mapping:  arena.NewHeapMapping(nil),
-			path:     path,
-			fileSize: st.Size(),
-			backing:  "heap (" + fallback + ")",
-			fv:       fv,
-		}
+		m.mapping = arena.NewHeapMapping(nil)
+		m.backing = "heap (" + fallback + ")"
 		return p, m, nil
 	}
 
@@ -208,128 +173,48 @@ func MapParts(path string, opt MapOptions) (*Parts, *Mapped, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: map: %w", err)
 	}
-	p, m, err := mapParts(mapping.Bytes(), opt)
+	p, fallbacks, err := mapParts(mapping.Bytes(), opt.Verify)
 	if err != nil {
 		mapping.Release()
 		return nil, nil, err
 	}
 	m.mapping = mapping
-	m.path = path
-	m.fileSize = st.Size()
 	m.backing = "mmap"
+	m.fallbacks = fallbacks
 	if opt.Warmup {
 		m.warmed = mapping.Warmup()
 	}
 	return p, m, nil
 }
 
-// mapParts decodes the aligned framing out of mapped (or any) bytes
-// with zero-copy readers. The returned Mapped has its decode-derived
-// fields set; the caller fills in the mapping and identity.
-func mapParts(data []byte, opt MapOptions) (*Parts, *Mapped, error) {
-	if int64(len(data)) < int64(len(snapshotMagic)) || string(data[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, nil, fmt.Errorf("store: bad magic (not a snapshot file)")
+// mapParts decodes a snapshot out of mapped (or any) bytes with
+// zero-copy readers, returning the parts and the copy-fallback count.
+// Sections are subsliced, not read. Unless verifyAll, the bulk-array
+// sections skip their CRC (see MapOptions.Verify); META, CONF, DONE
+// and — because its decode is deferred, and core treats a LogFn
+// failure as a programming error — ALOG are always checked.
+func mapParts(data []byte, verifyAll bool) (*Parts, int, error) {
+	if len(data) < len(snapshotMagic) {
+		return nil, 0, fmt.Errorf("store: read magic: file is %d bytes", len(data))
+	}
+	if err := checkMagic(data[:len(snapshotMagic)]); err != nil {
+		return nil, 0, err
 	}
 	pos := int64(len(snapshotMagic))
-	fallbacks := 0
-	next := func(want [4]byte, verify bool) ([]byte, int64, error) {
+	next := func(want [4]byte) ([]byte, int64, error) {
+		verify := verifyAll
+		switch want {
+		case tagMeta, tagLog, tagConf, tagDone:
+			verify = true
+		}
 		start := pos
-		payload, end, err := mappedSection(data, pos, want, verify || opt.Verify)
+		payload, end, err := mappedSection(data, pos, want, verify)
 		if err == nil {
 			pos = end
 		}
 		return payload, start, err
 	}
-	meta, metaAt, err := next(tagMeta, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	mr := arena.NewReader(meta)
-	fv := mr.U32()
-	version := mr.U64()
-	if err := mr.Err(); err != nil {
-		return nil, nil, decodeErr(tagMeta, metaAt, err)
-	}
-	if fv != formatVersion {
-		return nil, nil, fmt.Errorf("store: unsupported snapshot format version %d (want %d)", fv, formatVersion)
-	}
-	p := &Parts{Version: version}
-	grph, at, err := next(tagGraph, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	gr := arena.NewZeroCopy(grph)
-	if p.Graph, err = graph.ReadView(gr); err != nil {
-		return nil, nil, decodeErr(tagGraph, at, err)
-	}
-	fallbacks += gr.Fallbacks()
-	// The log decode is deferred to first use (core ensures it at most
-	// once); verifying its CRC now — a sequential, allocation-free pass —
-	// guarantees the deferred decode never encounters corruption, which
-	// is what lets core treat a LogFn failure as a programming error.
-	alog, at, err := next(tagLog, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	logAt := at
-	p.LogFn = func() (*actionlog.Log, error) {
-		l, err := readLog(bytes.NewReader(alog))
-		if err != nil {
-			return nil, decodeErr(tagLog, logAt, err)
-		}
-		return l, nil
-	}
-	ticm, at, err := next(tagTIC, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	tr := arena.NewZeroCopy(ticm)
-	if p.Prop, err = tic.ReadView(tr, p.Graph); err != nil {
-		return nil, nil, decodeErr(tagTIC, at, err)
-	}
-	fallbacks += tr.Fallbacks()
-	topc, at, err := next(tagTopic, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	wr := arena.NewZeroCopy(topc)
-	if p.Words, err = topic.ReadView(wr); err != nil {
-		return nil, nil, decodeErr(tagTopic, at, err)
-	}
-	fallbacks += wr.Fallbacks()
-	otimIdx, at, err := next(tagOTIM, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	or := arena.NewZeroCopy(otimIdx)
-	if p.OTIM, err = otim.ReadView(or, p.Prop); err != nil {
-		return nil, nil, decodeErr(tagOTIM, at, err)
-	}
-	fallbacks += or.Fallbacks()
-	tagsIdx, at, err := next(tagTags, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	xr := arena.NewZeroCopy(tagsIdx)
-	if p.Tags, err = tags.ReadView(xr, p.Prop); err != nil {
-		return nil, nil, decodeErr(tagTags, at, err)
-	}
-	fallbacks += xr.Fallbacks()
-	conf, at, err := next(tagConf, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	if p.Config, err = readConfig(bytes.NewReader(conf)); err != nil {
-		return nil, nil, decodeErr(tagConf, at, err)
-	}
-	if _, _, err := next(tagDone, true); err != nil {
-		return nil, nil, err
-	}
-	if p.Prop.NumTopics() != p.Words.NumTopics() {
-		return nil, nil, fmt.Errorf("store: tic model has %d topics, keyword model %d",
-			p.Prop.NumTopics(), p.Words.NumTopics())
-	}
-	return p, &Mapped{fallbacks: fallbacks, fv: fv}, nil
+	return decodeParts(next, arena.NewZeroCopy, true)
 }
 
 // Map opens a snapshot for in-place serving and builds the system over

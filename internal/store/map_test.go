@@ -113,73 +113,6 @@ func TestMapVerifyOption(t *testing.T) {
 	}
 }
 
-func TestMapLegacyFallsBackToCopy(t *testing.T) {
-	sys := buildSystem(t, 200, 5)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "legacy.oct")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteLegacy(f, sys, 7); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The copying loader accepts it...
-	heap, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSystemsEquivalent(t, sys, heap)
-	// ...and the mapping opener falls back to the same copy path.
-	mappedSys, m, err := Map(path, MapOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	st := m.Stats()
-	if st.Backing != "heap (legacy-format)" {
-		t.Fatalf("backing = %q, want heap (legacy-format)", st.Backing)
-	}
-	if st.MappedBytes != 0 {
-		t.Fatalf("legacy fallback reports %d mapped bytes", st.MappedBytes)
-	}
-	if st.FormatVersion != legacyFormatVersion {
-		t.Fatalf("format version %d, want %d", st.FormatVersion, legacyFormatVersion)
-	}
-	assertSystemsEquivalent(t, sys, mappedSys)
-}
-
-// TestMapReservedV2Loads exercises the version row of the cross-version
-// matrix that never shipped: format version 2 in legacy framing is
-// accepted by the copy path, so a downgrade tool emitting it stays
-// loadable.
-func TestMapReservedV2Loads(t *testing.T) {
-	sys := buildSystem(t, 120, 9)
-	var buf bytes.Buffer
-	if err := WriteLegacy(&buf, sys, 7); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	// Legacy META frame: 12-byte header at offset 8, payload (fv u32 +
-	// version u64) at 20, crc at 32. Patch fv 1 -> 2 and fix the crc.
-	const payloadAt = 8 + 12
-	if got := binary.LittleEndian.Uint32(data[payloadAt:]); got != legacyFormatVersion {
-		t.Fatalf("legacy META fv = %d, want %d", got, legacyFormatVersion)
-	}
-	binary.LittleEndian.PutUint32(data[payloadAt:], legacyFormatVersion+1)
-	crc := crc32.Checksum(data[payloadAt:payloadAt+12], crcTable)
-	binary.LittleEndian.PutUint32(data[payloadAt+12:], crc)
-
-	sys2, _, err := Read(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSystemsEquivalent(t, sys, sys2)
-}
-
 func TestMapEnvDisabled(t *testing.T) {
 	t.Setenv(mmapEnv, "off")
 	sys := buildSystem(t, 120, 3)
@@ -225,12 +158,84 @@ func walkV3(t *testing.T, data []byte) map[string]v3Section {
 		}
 		n := int64(binary.LittleEndian.Uint64(data[pos+8 : pos+16]))
 		secs[want] = v3Section{frameAt: pos, payloadAt: pos + 16, n: n}
-		pos += sectionFrameLen(int(n), false)
+		pos += sectionFrameLen(int(n))
 	}
 	if pos != int64(len(data)) {
 		t.Fatalf("file is %d bytes, frames cover %d", len(data), pos)
 	}
 	return secs
+}
+
+// patchSection overwrites one byte of a section's payload and rewrites
+// the section CRC, so the change reaches the decoder rather than the
+// checksum.
+func patchSection(data []byte, s v3Section, off int64, val byte) {
+	data[s.payloadAt+off] = val
+	crcAt := s.payloadAt + s.n + int64(pad8(int(s.n)))
+	crc := crc32.Checksum(data[s.payloadAt:s.payloadAt+s.n], crcTable)
+	binary.LittleEndian.PutUint32(data[crcAt:], crc)
+}
+
+// TestRejectsOtherGenerations: there is one snapshot generation. A file
+// with the previous magic, another META format version, or another
+// version byte on any section payload is rejected by every reader that
+// gets as far as the skew — Load and Map always, PeekVersion for the
+// magic and META it reads — with an error that names the section and
+// says how to get a loadable file.
+func TestRejectsOtherGenerations(t *testing.T) {
+	sys := buildSystem(t, 120, 3)
+	var buf bytes.Buffer
+	if err := Write(&buf, sys, 1); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.Bytes()
+	secs := walkV3(t, valid)
+	type skew struct {
+		name  string
+		patch func(data []byte)
+		want  string // names what is skewed
+		peek  bool   // PeekVersion reads far enough to see it
+	}
+	cases := []skew{
+		{"magic", func(d []byte) { copy(d, "OCTSNAP1") }, `"OCTSNAP1"`, true},
+		{"META", func(d []byte) { patchSection(d, secs["META"], 0, formatVersion-1) }, "META", true},
+	}
+	for _, name := range []string{"GRPH", "TICM", "TOPC", "OTIM", "TAGS"} {
+		s := secs[name]
+		cases = append(cases, skew{name, func(d []byte) { patchSection(d, s, 0, d[s.payloadAt]-1) }, name, false})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			data := append([]byte(nil), valid...)
+			c.patch(data)
+			path := filepath.Join(t.TempDir(), "old.oct")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			check := func(reader string, err error) {
+				t.Helper()
+				if err == nil {
+					t.Fatalf("%s accepted the file", reader)
+				}
+				for _, sub := range []string{c.want, "is not supported; regenerate with `octopus build`"} {
+					if !strings.Contains(err.Error(), sub) {
+						t.Fatalf("%s error %q does not contain %q", reader, err, sub)
+					}
+				}
+			}
+			_, err := Load(path)
+			check("Load", err)
+			_, m, err := Map(path, MapOptions{})
+			if err == nil {
+				m.Close()
+			}
+			check("Map", err)
+			if c.peek {
+				_, err := PeekVersion(path)
+				check("PeekVersion", err)
+			}
+		})
+	}
 }
 
 // TestAlignmentGolden pins the v3 framing invariant the zero-copy
@@ -252,8 +257,8 @@ func TestAlignmentGolden(t *testing.T) {
 		if s.payloadAt%8 != 0 {
 			t.Errorf("%s payload at %d: not 8-aligned", name, s.payloadAt)
 		}
-		if sectionFrameLen(int(s.n), false)%8 != 0 {
-			t.Errorf("%s frame length %d: not a multiple of 8", name, sectionFrameLen(int(s.n), false))
+		if sectionFrameLen(int(s.n))%8 != 0 {
+			t.Errorf("%s frame length %d: not a multiple of 8", name, sectionFrameLen(int(s.n)))
 		}
 	}
 	// The golden offsets of the fixed-size prefix: META's frame directly
@@ -334,7 +339,7 @@ func FuzzMapParts(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:9])
 	f.Add([]byte(snapshotMagic))
-	f.Add([]byte(legacyMagic))
+	f.Add([]byte("OCTSNAP1")) // old generation: rejected at the magic
 	truncTail := append([]byte(nil), valid[:len(valid)-3]...)
 	f.Add(truncTail)
 	flipped := append([]byte(nil), valid...)

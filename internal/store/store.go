@@ -26,18 +26,18 @@
 //	           | payload | pad to 8 | crc32c(payload) u32 | pad[4]
 //	sections, in order: META GRPH ALOG TICM TOPC OTIM TAGS CONF DONE
 //
-// The previous format ("OCTSNAP1" magic, 12-byte unpadded headers) is
-// still read — the magic selects the framing — but always through the
-// copying path.
+// This is the only generation there is: a file with another magic, META
+// format version or section payload version is rejected — snapshots are
+// regenerated with `octopus build`, never migrated.
 //
 // All integers are little-endian. Section payloads are the binary
 // codecs of the owning packages (graph.WriteBinary, tic.WriteBinary,
 // topic.WriteBinary, otim.WriteBinary, tags.WriteBinary) plus
-// store-local codecs for the action log and the build configuration. A corrupt, truncated or version-skewed file is
-// rejected with a descriptive error naming the section and its byte
-// offset; Save writes through a temp file
-// and renames, so a crash mid-save never clobbers the previous
-// snapshot.
+// store-local codecs for the action log and the build configuration.
+// A corrupt, truncated or version-skewed file is rejected with a
+// descriptive error naming the section and its byte offset; Save
+// writes through a temp file and renames, so a crash mid-save never
+// clobbers the previous snapshot.
 //
 // # Durability semantics
 //
@@ -70,20 +70,11 @@ import (
 )
 
 // formatVersion is the snapshot format version recorded in META (the
-// aligned, mappable framing). legacyFormatVersion opened every
-// pre-alignment snapshot; such files still load via the copying path.
-const (
-	formatVersion       = 3
-	legacyFormatVersion = 1
-)
+// aligned, mappable framing).
+const formatVersion = 3
 
-// snapshotMagic opens every current snapshot file; the magic doubles
-// as the framing selector, so legacy files (legacyMagic) are detected
-// before any header is parsed.
-const (
-	snapshotMagic = "OCTSNAP3"
-	legacyMagic   = "OCTSNAP1"
-)
+// snapshotMagic opens every snapshot file.
+const snapshotMagic = "OCTSNAP3"
 
 // maxSectionLen bounds a declared section payload length (8 GiB).
 const maxSectionLen = 8 << 30
@@ -107,10 +98,7 @@ var (
 func pad8(n int) int { return (8 - n%8) % 8 }
 
 // sectionFrameLen returns the on-disk size of one framed section.
-func sectionFrameLen(payloadLen int, legacy bool) int64 {
-	if legacy {
-		return int64(12 + payloadLen + 4)
-	}
+func sectionFrameLen(payloadLen int) int64 {
 	return int64(16 + payloadLen + pad8(payloadLen) + 8)
 }
 
@@ -137,63 +125,52 @@ func writeSection(w io.Writer, tag [4]byte, payload []byte) error {
 	return err
 }
 
-// writeSectionLegacy frames one section in the pre-alignment format:
-// a 12-byte header and no padding.
-func writeSectionLegacy(w io.Writer, tag [4]byte, payload []byte) error {
-	var hdr [12]byte
-	copy(hdr[0:4], tag[:])
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+// checkMagic rejects a file that does not open with snapshotMagic.
+func checkMagic(magic []byte) error {
+	if string(magic) != snapshotMagic {
+		return fmt.Errorf("store: snapshot generation %q is not supported; regenerate with `octopus build`", magic)
 	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.Checksum(payload, crcTable))
-	_, err := w.Write(sum[:])
-	return err
+	return nil
 }
 
-// readSection reads one framed section from a stream, picking the
-// framing by the legacy flag. limit, when non-negative, is the total
-// stream size — an upper bound no honest section can exceed, so a
-// corrupt length field fails before allocating.
-func readSection(r io.Reader, want [4]byte, limit int64, legacy bool) ([]byte, error) {
-	name := string(want[:])
-	hdrLen := 16
-	if legacy {
-		hdrLen = 12
+// sectionLen validates a 16-byte section header against the wanted tag
+// and returns the declared payload length. size is the total stream or
+// file size when known (negative otherwise) — an upper bound no honest
+// section can exceed, so a corrupt length field fails before anything
+// is allocated or sliced.
+func sectionLen(hdr []byte, want [4]byte, size int64) (uint64, error) {
+	if [4]byte(hdr[0:4]) != want {
+		return 0, fmt.Errorf("store: expected %s section, found %q", want[:], hdr[0:4])
 	}
-	var hdrBuf [16]byte
-	hdr := hdrBuf[:hdrLen]
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	n := binary.LittleEndian.Uint64(hdr[8:16])
+	limit := uint64(maxSectionLen)
+	if size >= 0 && uint64(size) < limit {
+		limit = uint64(size)
+	}
+	if n > limit {
+		return 0, fmt.Errorf("store: %s section declares %d bytes (limit %d)", want[:], n, limit)
+	}
+	return n, nil
+}
+
+// readSection reads one framed section from a stream, checking its
+// CRC. size is the total stream size when known (see sectionLen).
+func readSection(r io.Reader, want [4]byte, size int64) ([]byte, error) {
+	name := string(want[:])
+	var hdr [16]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("store: truncated before %s section: %w", name, err)
 	}
-	var tag [4]byte
-	copy(tag[:], hdr[0:4])
-	if tag != want {
-		return nil, fmt.Errorf("store: expected %s section, found %q", name, tag[:])
+	n, err := sectionLen(hdr[:], want, size)
+	if err != nil {
+		return nil, err
 	}
-	n := binary.LittleEndian.Uint64(hdr[hdrLen-8:])
-	if n > maxSectionLen || (limit >= 0 && n > uint64(limit)) {
-		return nil, fmt.Errorf("store: %s section declares %d bytes (limit %d)", name, n, maxSectionLen)
-	}
-	pad := 0
-	if !legacy {
-		pad = pad8(int(n))
-	}
-	payload := make([]byte, int(n)+pad)
+	payload := make([]byte, int(n)+pad8(int(n)))
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("store: truncated %s section: %w", name, err)
 	}
-	tailLen := 4
-	if !legacy {
-		tailLen = 8
-	}
-	var tailBuf [8]byte
-	tail := tailBuf[:tailLen]
-	if _, err := io.ReadFull(r, tail); err != nil {
+	var tail [8]byte // crc u32 + pad[4]
+	if _, err := io.ReadFull(r, tail[:]); err != nil {
 		return nil, fmt.Errorf("store: truncated %s checksum: %w", name, err)
 	}
 	payload = payload[:n:n]
@@ -271,66 +248,6 @@ func Write(w io.Writer, sys *core.System, version uint64) error {
 	return nil
 }
 
-// WriteLegacy serializes sys in the pre-alignment snapshot format
-// (OCTSNAP1 framing, version-1/2 section codecs) that Map cannot
-// serve zero-copy. It exists for the cross-version compatibility
-// tests and for producing snapshots older deployments can read.
-func WriteLegacy(w io.Writer, sys *core.System, version uint64) error {
-	if _, err := io.WriteString(w, legacyMagic); err != nil {
-		return err
-	}
-	meta, err := section(func(w io.Writer) error {
-		bw := binio.NewWriter(w)
-		bw.U32(legacyFormatVersion)
-		bw.U64(version)
-		return bw.Flush()
-	})
-	if err != nil {
-		return fmt.Errorf("store: encode meta: %w", err)
-	}
-	grph, err := section(func(w io.Writer) error { return graph.WriteBinaryV1(w, sys.Graph()) })
-	if err != nil {
-		return fmt.Errorf("store: encode graph: %w", err)
-	}
-	alog, err := section(func(w io.Writer) error { return writeLog(w, sys.ActionLog()) })
-	if err != nil {
-		return fmt.Errorf("store: encode action log: %w", err)
-	}
-	ticm, err := section(func(w io.Writer) error { return tic.WriteBinaryV1(w, sys.Propagation()) })
-	if err != nil {
-		return fmt.Errorf("store: encode tic model: %w", err)
-	}
-	topc, err := section(func(w io.Writer) error { return topic.WriteBinaryV1(w, sys.Keywords()) })
-	if err != nil {
-		return fmt.Errorf("store: encode topic model: %w", err)
-	}
-	otimIdx, err := section(func(w io.Writer) error { return otim.WriteBinaryV2(w, sys.OTIMIndex()) })
-	if err != nil {
-		return fmt.Errorf("store: encode otim index: %w", err)
-	}
-	tagsIdx, err := section(func(w io.Writer) error { return tags.WriteBinaryV2(w, sys.TagsIndex()) })
-	if err != nil {
-		return fmt.Errorf("store: encode tags index: %w", err)
-	}
-	conf, err := section(func(w io.Writer) error { return writeConfig(w, sys.BuildConfig()) })
-	if err != nil {
-		return fmt.Errorf("store: encode config: %w", err)
-	}
-	for _, s := range []struct {
-		tag     [4]byte
-		payload []byte
-	}{
-		{tagMeta, meta}, {tagGraph, grph}, {tagLog, alog},
-		{tagTIC, ticm}, {tagTopic, topc}, {tagOTIM, otimIdx}, {tagTags, tagsIdx},
-		{tagConf, conf}, {tagDone, nil},
-	} {
-		if err := writeSectionLegacy(w, s.tag, s.payload); err != nil {
-			return fmt.Errorf("store: write %s section: %w", s.tag[:], err)
-		}
-	}
-	return nil
-}
-
 // Parts are the decoded components of a snapshot, before the system is
 // rebuilt from them. Recovery uses them to merge the WAL tail in before
 // paying the single index rebuild.
@@ -356,123 +273,140 @@ func decodeErr(tag [4]byte, start int64, err error) error {
 	return fmt.Errorf("store: decode %s section at byte offset %d: %w", tag[:], start, err)
 }
 
+// readMeta decodes the META payload, rejecting any format version but
+// the current one, and returns the snapshot generation counter.
+func readMeta(meta []byte) (uint64, error) {
+	mr := arena.NewReader(meta)
+	fv := mr.U32()
+	version := mr.U64()
+	if err := mr.Err(); err != nil {
+		return 0, err
+	}
+	if fv != formatVersion {
+		return 0, fmt.Errorf("snapshot generation %d is not supported; regenerate with `octopus build`", fv)
+	}
+	return version, nil
+}
+
+// decodeParts is the one section-by-section decode both backings
+// share. next frames the following section (from a stream or out of
+// mapped bytes) and reports the file offset its frame starts at; open
+// turns a bulk-array payload into a reader — copying or aliasing —
+// whose copy fallbacks are summed into the second return. With
+// deferLog the action log is not decoded here: Parts.LogFn decodes it
+// on first use (the log is the largest decode on the cold-start path
+// and pure IM queries never need it), which requires next to have
+// CRC-verified the ALOG payload.
+func decodeParts(next func(want [4]byte) ([]byte, int64, error), open func([]byte) *arena.Reader, deferLog bool) (*Parts, int, error) {
+	p := &Parts{}
+	fallbacks := 0
+	// bulk adapts a codec's ReadView to a section payload. The reader
+	// lives only as long as the decode, so a heap load never holds more
+	// than one raw payload at a time.
+	bulk := func(read func(*arena.Reader) error) func([]byte, int64) error {
+		return func(b []byte, _ int64) error {
+			r := open(b)
+			err := read(r)
+			fallbacks += r.Fallbacks()
+			return err
+		}
+	}
+	for _, s := range []struct {
+		tag    [4]byte
+		decode func(b []byte, at int64) error
+	}{
+		{tagMeta, func(b []byte, _ int64) (err error) {
+			p.Version, err = readMeta(b)
+			return err
+		}},
+		{tagGraph, bulk(func(r *arena.Reader) (err error) {
+			p.Graph, err = graph.ReadView(r)
+			return err
+		})},
+		{tagLog, func(b []byte, at int64) (err error) {
+			if deferLog {
+				p.LogFn = func() (*actionlog.Log, error) {
+					l, err := readLog(b)
+					if err != nil {
+						return nil, decodeErr(tagLog, at, err)
+					}
+					return l, nil
+				}
+				return nil
+			}
+			p.Log, err = readLog(b)
+			return err
+		}},
+		{tagTIC, bulk(func(r *arena.Reader) (err error) {
+			p.Prop, err = tic.ReadView(r, p.Graph)
+			return err
+		})},
+		{tagTopic, bulk(func(r *arena.Reader) (err error) {
+			p.Words, err = topic.ReadView(r)
+			return err
+		})},
+		{tagOTIM, bulk(func(r *arena.Reader) (err error) {
+			p.OTIM, err = otim.ReadView(r, p.Prop)
+			return err
+		})},
+		{tagTags, bulk(func(r *arena.Reader) (err error) {
+			p.Tags, err = tags.ReadView(r, p.Prop)
+			return err
+		})},
+		{tagConf, func(b []byte, _ int64) (err error) {
+			p.Config, err = readConfig(b)
+			return err
+		}},
+		{tagDone, func([]byte, int64) error { return nil }},
+	} {
+		payload, at, err := next(s.tag)
+		if err != nil {
+			return nil, 0, err
+		}
+		if err := s.decode(payload, at); err != nil {
+			return nil, 0, decodeErr(s.tag, at, err)
+		}
+	}
+	if p.Prop.NumTopics() != p.Words.NumTopics() {
+		return nil, 0, fmt.Errorf("store: tic model has %d topics, keyword model %d",
+			p.Prop.NumTopics(), p.Words.NumTopics())
+	}
+	return p, fallbacks, nil
+}
+
 // ReadParts decodes a snapshot stream into its components without
-// building the system, accepting both the current aligned framing and
-// the legacy one. Everything is copied onto the heap; the mapped
-// (zero-copy) equivalent is MapParts.
+// building the system. Everything is copied onto the heap, one section
+// at a time; the mapped (zero-copy) equivalent is MapParts.
 func ReadParts(r io.Reader) (*Parts, error) {
 	// Total stream size, when knowable — bounds every section's declared
 	// payload length before allocation.
-	limit := int64(-1)
+	size := int64(-1)
 	switch v := r.(type) {
 	case interface{ Len() int }:
-		limit = int64(v.Len())
+		size = int64(v.Len())
 	case *os.File:
 		if st, err := v.Stat(); err == nil {
-			limit = st.Size()
+			size = st.Size()
 		}
 	}
 	magic := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, fmt.Errorf("store: read magic: %w", err)
 	}
-	var legacy bool
-	switch string(magic) {
-	case snapshotMagic:
-	case legacyMagic:
-		legacy = true
-	default:
-		return nil, fmt.Errorf("store: bad magic %q (not a snapshot file)", magic)
+	if err := checkMagic(magic); err != nil {
+		return nil, err
 	}
-	// pos tracks the file offset of the next section's frame, purely for
-	// error reporting.
 	pos := int64(len(magic))
 	next := func(want [4]byte) ([]byte, int64, error) {
 		start := pos
-		payload, err := readSection(r, want, limit, legacy)
+		payload, err := readSection(r, want, size)
 		if err == nil {
-			pos += sectionFrameLen(len(payload), legacy)
+			pos += sectionFrameLen(len(payload))
 		}
 		return payload, start, err
 	}
-	meta, metaAt, err := next(tagMeta)
-	if err != nil {
-		return nil, err
-	}
-	mr := arena.NewReader(meta)
-	fv := mr.U32()
-	version := mr.U64()
-	if err := mr.Err(); err != nil {
-		return nil, decodeErr(tagMeta, metaAt, err)
-	}
-	// Legacy-framed files may carry META versions 1 or 2 (2 was never
-	// shipped but is reserved for matrix tests); the aligned framing
-	// requires exactly formatVersion.
-	if legacy {
-		if fv != legacyFormatVersion && fv != legacyFormatVersion+1 {
-			return nil, fmt.Errorf("store: unsupported legacy snapshot format version %d", fv)
-		}
-	} else if fv != formatVersion {
-		return nil, fmt.Errorf("store: unsupported snapshot format version %d (want %d)", fv, formatVersion)
-	}
-	p := &Parts{Version: version}
-	grph, at, err := next(tagGraph)
-	if err != nil {
-		return nil, err
-	}
-	if p.Graph, err = graph.ReadView(arena.NewReader(grph)); err != nil {
-		return nil, decodeErr(tagGraph, at, err)
-	}
-	alog, at, err := next(tagLog)
-	if err != nil {
-		return nil, err
-	}
-	if p.Log, err = readLog(bytes.NewReader(alog)); err != nil {
-		return nil, decodeErr(tagLog, at, err)
-	}
-	ticm, at, err := next(tagTIC)
-	if err != nil {
-		return nil, err
-	}
-	if p.Prop, err = tic.ReadView(arena.NewReader(ticm), p.Graph); err != nil {
-		return nil, decodeErr(tagTIC, at, err)
-	}
-	topc, at, err := next(tagTopic)
-	if err != nil {
-		return nil, err
-	}
-	if p.Words, err = topic.ReadView(arena.NewReader(topc)); err != nil {
-		return nil, decodeErr(tagTopic, at, err)
-	}
-	otimIdx, at, err := next(tagOTIM)
-	if err != nil {
-		return nil, err
-	}
-	if p.OTIM, err = otim.ReadView(arena.NewReader(otimIdx), p.Prop); err != nil {
-		return nil, decodeErr(tagOTIM, at, err)
-	}
-	tagsIdx, at, err := next(tagTags)
-	if err != nil {
-		return nil, err
-	}
-	if p.Tags, err = tags.ReadView(arena.NewReader(tagsIdx), p.Prop); err != nil {
-		return nil, decodeErr(tagTags, at, err)
-	}
-	conf, at, err := next(tagConf)
-	if err != nil {
-		return nil, err
-	}
-	if p.Config, err = readConfig(bytes.NewReader(conf)); err != nil {
-		return nil, decodeErr(tagConf, at, err)
-	}
-	if _, _, err := next(tagDone); err != nil {
-		return nil, err
-	}
-	if p.Prop.NumTopics() != p.Words.NumTopics() {
-		return nil, fmt.Errorf("store: tic model has %d topics, keyword model %d",
-			p.Prop.NumTopics(), p.Words.NumTopics())
-	}
-	return p, nil
+	p, _, err := decodeParts(next, arena.NewReader, false)
+	return p, err
 }
 
 // Build assembles the system from decoded parts: no model learning and
@@ -535,23 +469,16 @@ func PeekVersion(path string) (uint64, error) {
 	if _, err := io.ReadFull(f, magic); err != nil {
 		return 0, fmt.Errorf("store: peek version: %w", err)
 	}
-	var legacy bool
-	switch string(magic) {
-	case snapshotMagic:
-	case legacyMagic:
-		legacy = true
-	default:
-		return 0, fmt.Errorf("store: bad snapshot magic %q", magic)
+	if err := checkMagic(magic); err != nil {
+		return 0, err
 	}
-	meta, err := readSection(f, tagMeta, -1, legacy)
+	meta, err := readSection(f, tagMeta, -1)
 	if err != nil {
 		return 0, err
 	}
-	mr := binio.NewReader(bytes.NewReader(meta))
-	mr.U32() // format version, validated by full reads
-	version := mr.U64()
-	if err := mr.Err(); err != nil {
-		return 0, fmt.Errorf("store: peek version: %w", err)
+	version, err := readMeta(meta)
+	if err != nil {
+		return 0, decodeErr(tagMeta, int64(len(magic)), err)
 	}
 	return version, nil
 }
@@ -623,14 +550,14 @@ func writeLog(w io.Writer, l *actionlog.Log) error {
 	return bw.Flush()
 }
 
-func readLog(r io.Reader) (*actionlog.Log, error) {
-	br := binio.NewReader(r)
+func readLog(b []byte) (*actionlog.Log, error) {
+	br := arena.NewReader(b)
 	numUsers := int(br.U64())
 	numEps := int(br.U64())
 	if err := br.Err(); err != nil {
 		return nil, err
 	}
-	if numUsers < 0 || numEps < 0 || numEps > binio.MaxLen {
+	if numUsers < 0 || numEps < 0 || numEps > arena.MaxLen {
 		return nil, fmt.Errorf("actionlog payload dimensions out of range")
 	}
 	// The payload was written from an already-built log, so episodes are
@@ -647,7 +574,7 @@ func readLog(r io.Reader) (*actionlog.Log, error) {
 		if br.Err() != nil {
 			break
 		}
-		if n < 0 || n > binio.MaxLen {
+		if n < 0 || n > arena.MaxLen {
 			return nil, fmt.Errorf("actionlog payload action count out of range")
 		}
 		if _, dup := seenItems[id]; dup {
@@ -707,8 +634,8 @@ func writeConfig(w io.Writer, cfg core.Config) error {
 	return bw.Flush()
 }
 
-func readConfig(r io.Reader) (core.Config, error) {
-	br := binio.NewReader(r)
+func readConfig(b []byte) (core.Config, error) {
+	br := arena.NewReader(b)
 	var cfg core.Config
 	if v := br.U8(); br.Err() == nil && v != configVersion {
 		return cfg, fmt.Errorf("unsupported config version %d", v)

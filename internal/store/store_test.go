@@ -2,14 +2,19 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"octopus/internal/core"
 	"octopus/internal/datagen"
 	"octopus/internal/graph"
 	"octopus/internal/otim"
+	"octopus/internal/tags"
 )
 
 func buildSystem(t *testing.T, authors int, seed uint64) *core.System {
@@ -154,6 +159,81 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		if _, _, err := Read(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
+	}
+	// A section claiming 1 MiB inside a 10 KiB file is rejected against
+	// the file size, and the error prints that bound, not the 8 GiB cap.
+	bad = append([]byte(nil), full[:10<<10]...)
+	binary.LittleEndian.PutUint64(bad[len(snapshotMagic)+40+8:], 1<<20) // GRPH header length field
+	wantSub := "GRPH section declares 1048576 bytes (limit 10240)"
+	if _, _, err := Read(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), wantSub) {
+		t.Fatalf("stream reader: error %v does not contain %q", err, wantSub)
+	}
+	if _, _, err := mapParts(bad, false); err == nil || !strings.Contains(err.Error(), wantSub) {
+		t.Fatalf("mapped reader: error %v does not contain %q", err, wantSub)
+	}
+}
+
+// TestGoldenSnapshot freezes the on-disk format. testdata/golden-v3.oct
+// was written by the commit before the codecs were collapsed to one
+// generation, from buildSystem(30, 21) saved, loaded and saved again (a
+// first save is not a byte fixpoint: CONF drops TopicNames on load; the
+// second is). Any change to framing or a payload layout fails here
+// before it strands deployed snapshots. The byte comparison is an array
+// round trip with no float math, so it is architecture-stable.
+func TestGoldenSnapshot(t *testing.T) {
+	path := filepath.Join("testdata", "golden-v3.oct")
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, m, err := Map(path, MapOptions{Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if st := m.Stats(); st.CopyFallbacks != 0 {
+		t.Fatalf("%d arrays of the golden file are misaligned", st.CopyFallbacks)
+	}
+
+	// One answer per scenario, identical between the two backings.
+	im := func(sys *core.System) any {
+		r, err := sys.DiscoverInfluencers([]string{"mining", "data"}, core.DiscoverOptions{K: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	suggest := func(sys *core.System) any {
+		r, err := sys.SuggestKeywords(1, 2, tags.SuggestOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	paths := func(sys *core.System) any {
+		r, err := sys.InfluencePaths(1, core.PathOptions{Keywords: []string{"learning"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	for name, q := range map[string]func(*core.System) any{"im": im, "suggest": suggest, "paths": paths} {
+		if h, mp := q(heap), q(mapped); !reflect.DeepEqual(h, mp) {
+			t.Errorf("%s: heap answer %+v, mapped answer %+v", name, h, mp)
+		}
+	}
+
+	var again bytes.Buffer
+	if err := Write(&again, heap, 1); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), golden) {
+		t.Fatalf("re-saving the golden snapshot produced %d bytes that differ from the %d on disk: the format changed",
+			again.Len(), len(golden))
 	}
 }
 

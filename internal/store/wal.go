@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"octopus/internal/arena"
 	"octopus/internal/binio"
 	"octopus/internal/graph"
 	"octopus/internal/obs"
@@ -106,7 +107,7 @@ func encodeRecord(buf *bytes.Buffer, rec *Record) error {
 }
 
 func decodeRecord(body []byte) (*Record, error) {
-	br := binio.NewReader(bytes.NewReader(body))
+	br := arena.NewReader(body)
 	rec := &Record{Kind: br.U8()}
 	switch rec.Kind {
 	case RecEdge:

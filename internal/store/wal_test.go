@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -143,5 +144,24 @@ func TestWALRejectsBadMagic(t *testing.T) {
 	}
 	if _, err := ReplayWAL(path, nil); err == nil {
 		t.Fatal("bad magic accepted by ReplayWAL")
+	}
+}
+
+// TestDecodeRecordAllocs pins the per-record cost of recovery and of
+// the follower tail: decoding an action allocates the Record and
+// nothing else (no reader, no buffer).
+func TestDecodeRecordAllocs(t *testing.T) {
+	var body bytes.Buffer
+	if err := encodeRecord(&body, &Record{Kind: RecAction, User: 3, Item: 9, Time: 77}); err != nil {
+		t.Fatal(err)
+	}
+	b := body.Bytes()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := decodeRecord(b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("decodeRecord(RecAction) = %v allocs/op, want 1", allocs)
 	}
 }

@@ -22,15 +22,12 @@ import (
 // Edge — To explicit now) indexed by a per-slot offset array, so a
 // zero-copy reader aliases a whole tree's coins out of a mapped
 // snapshot in one step and the in-memory lists become subslices of the
-// pool. Version 2 (jagged lists, To implicit) is still read for old
-// snapshots.
-const (
-	tagsBinaryVersion   = 3
-	tagsBinaryVersionV2 = 2
-)
+// pool. Any other version is rejected: snapshots are regenerated, not
+// migrated.
+const tagsBinaryVersion = 3
 
 // WriteBinary serializes the influencer index in the current (aligned,
-// version 3) format. The model is serialized separately; ReadBinary
+// version 3) format. The model is serialized separately; ReadView
 // re-binds to it.
 func WriteBinary(w io.Writer, ix *Index) error {
 	bw := binio.NewWriter(w)
@@ -55,48 +52,13 @@ func WriteBinary(w io.Writer, ix *Index) error {
 		for i, edges := range t.inEdges {
 			for _, e := range edges {
 				bw.I32(e.From)
-				bw.I32(int32(i)) // To, explicit in v3
+				bw.I32(int32(i)) // To
 				bw.F32(e.Lambda)
 				bw.I32(e.Edge)
 			}
 		}
 	}
 	return bw.Flush()
-}
-
-// WriteBinaryV2 emits the legacy version-2 payload (jagged per-slot
-// lists, To implicit), kept for the cross-version compatibility tests
-// and downgrade tooling.
-func WriteBinaryV2(w io.Writer, ix *Index) error {
-	bw := binio.NewWriter(w)
-	bw.U8(tagsBinaryVersionV2)
-	bw.U64(uint64(len(ix.trees)))
-	for ti := range ix.trees {
-		t := &ix.trees[ti]
-		bw.I32(ix.polls[ti])
-		bw.I32(ix.pollCoins[ti])
-		bw.I32s(t.nodes)
-		for _, edges := range t.inEdges {
-			bw.U64(uint64(len(edges)))
-			for _, e := range edges {
-				bw.I32(e.From)
-				bw.F32(e.Lambda)
-				bw.I32(e.Edge)
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary parses a payload produced by WriteBinary (any version)
-// from a stream, always copying onto the heap, and binds the index to
-// model m.
-func ReadBinary(r io.Reader, m *tic.Model) (*Index, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("tags: read binary: %w", err)
-	}
-	return ReadView(arena.NewReader(data), m)
 }
 
 // ReadView parses a binary payload through an arena reader, rebuilding
@@ -106,27 +68,20 @@ func ReadBinary(r io.Reader, m *tic.Model) (*Index, error) {
 // (offset-array shape checks still run — they guard the subslicing).
 func ReadView(br *arena.Reader, m *tic.Model) (*Index, error) {
 	version := br.U8()
-	if br.Err() == nil && version != tagsBinaryVersion && version != tagsBinaryVersionV2 {
-		return nil, fmt.Errorf("tags: unsupported binary version %d (want %d): snapshots from older builds must be regenerated, e.g. octopus build", version, tagsBinaryVersion)
+	if br.Err() == nil && version != tagsBinaryVersion {
+		return nil, fmt.Errorf("tags: snapshot generation %d is not supported; regenerate with `octopus build`", version)
 	}
 	g := m.Graph()
 	n := g.NumNodes()
 	ix := &Index{m: m, contains: make([][]int32, n)}
 	numTrees := int(br.U64())
-	if br.Err() == nil && (numTrees <= 0 || numTrees > binio.MaxLen) {
+	if br.Err() == nil && (numTrees <= 0 || numTrees > arena.MaxLen) {
 		return nil, fmt.Errorf("tags: binary payload poll count %d out of range", numTrees)
 	}
 	for p := 0; p < numTrees && br.Err() == nil; p++ {
 		root := br.I32()
 		pollCoins := br.I32()
-		var t revTree
-		var edges int
-		var err error
-		if version == tagsBinaryVersionV2 {
-			t, edges, err = readTreeV2(br, root, p, n, g.NumEdges())
-		} else {
-			t, edges, err = readTreeV3(br, root, p, n, g.NumEdges())
-		}
+		t, edges, err := readTree(br, root, p, n, g.NumEdges())
 		if err != nil {
 			return nil, err
 		}
@@ -174,9 +129,9 @@ func readNodes(br *arena.Reader, root int32, p, n int) (revTree, error) {
 	return t, nil
 }
 
-// readTreeV3 decodes one aligned tree: node list, per-slot offset
+// readTree decodes one aligned tree: node list, per-slot offset
 // array, then the flat coin pool (aliased when the reader allows).
-func readTreeV3(br *arena.Reader, root int32, p, n, numEdges int) (revTree, int, error) {
+func readTree(br *arena.Reader, root int32, p, n, numEdges int) (revTree, int, error) {
 	br.Align8()
 	t, err := readNodes(br, root, p, n)
 	if err != nil || br.Err() != nil {
@@ -189,7 +144,7 @@ func readTreeV3(br *arena.Reader, root int32, p, n, numEdges int) (revTree, int,
 	if br.Err() != nil {
 		return t, 0, nil
 	}
-	if cnt < 0 || cnt > binio.MaxLen {
+	if cnt < 0 || cnt > arena.MaxLen {
 		return t, 0, fmt.Errorf("tags: binary payload tree %d edge count out of range", p)
 	}
 	// The offset array guards the pool subslicing below, so its shape is
@@ -233,38 +188,4 @@ func readTreeV3(br *arena.Reader, root int32, p, n, numEdges int) (revTree, int,
 		t.inEdges[i] = pool[edgeOff[i]:edgeOff[i+1]:edgeOff[i+1]]
 	}
 	return t, cnt, nil
-}
-
-// readTreeV2 decodes one legacy jagged tree (To implicit).
-func readTreeV2(br *arena.Reader, root int32, p, n, numEdges int) (revTree, int, error) {
-	t, err := readNodes(br, root, p, n)
-	if err != nil || br.Err() != nil {
-		return t, 0, err
-	}
-	total := 0
-	t.inEdges = make([][]revEdge, len(t.nodes))
-	for i := range t.nodes {
-		cnt := int(br.U64())
-		if br.Err() != nil {
-			break
-		}
-		if cnt < 0 || cnt > binio.MaxLen {
-			return t, 0, fmt.Errorf("tags: binary payload tree %d edge count out of range", p)
-		}
-		for k := 0; k < cnt && br.Err() == nil; k++ {
-			e := revEdge{From: br.I32(), To: int32(i), Lambda: br.F32(), Edge: br.I32()}
-			if br.Err() != nil {
-				break
-			}
-			if e.From < 0 || int(e.From) >= len(t.nodes) {
-				return t, 0, fmt.Errorf("tags: binary payload tree %d edge source out of range", p)
-			}
-			if e.Edge < 0 || int(e.Edge) >= numEdges {
-				return t, 0, fmt.Errorf("tags: binary payload tree %d graph edge out of range", p)
-			}
-			t.inEdges[i] = append(t.inEdges[i], e)
-			total++
-		}
-	}
-	return t, total, nil
 }

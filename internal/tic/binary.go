@@ -12,16 +12,13 @@ import (
 // Binary payload format. Version 2 aligns every bulk array on an
 // 8-byte boundary and serializes the derived maxP bound, so a
 // zero-copy reader aliases all four arrays out of a mapped snapshot
-// with no per-edge derivation pass. Version 1 (unaligned, maxP
-// recomputed on load) is still read for old snapshots.
-const (
-	ticBinaryVersion   = 2
-	ticBinaryVersionV1 = 1
-)
+// with no per-edge derivation pass. Any other version is rejected:
+// snapshots are regenerated, not migrated.
+const ticBinaryVersion = 2
 
 // WriteBinary serializes the model's sparse probability arrays in the
 // current (aligned, version 2) format. The graph is serialized
-// separately; ReadBinary re-binds to it.
+// separately; ReadView re-binds to it.
 func WriteBinary(w io.Writer, m *Model) error {
 	bw := binio.NewWriter(w)
 	bw.U8(ticBinaryVersion)
@@ -38,59 +35,27 @@ func WriteBinary(w io.Writer, m *Model) error {
 	return bw.Flush()
 }
 
-// WriteBinaryV1 emits the legacy version-1 payload, kept for the
-// cross-version compatibility tests and downgrade tooling.
-func WriteBinaryV1(w io.Writer, m *Model) error {
-	bw := binio.NewWriter(w)
-	bw.U8(ticBinaryVersionV1)
-	bw.U32(uint32(m.z))
-	bw.U64(uint64(m.g.NumEdges()))
-	bw.I32s(m.off)
-	bw.U16s(m.topicIdx)
-	bw.F32s(m.topicP)
-	return bw.Flush()
-}
-
-// ReadBinary parses a payload produced by WriteBinary (any version)
-// from a stream, always copying onto the heap, and binds the model to
-// g, which must have exactly the edge count recorded in the payload.
-func ReadBinary(r io.Reader, g *graph.Graph) (*Model, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("tic: read binary: %w", err)
-	}
-	return ReadView(arena.NewReader(data), g)
-}
-
 // ReadView parses a binary payload through an arena reader. Zero-copy
 // mode aliases the probability arrays into the reader's backing bytes
 // and skips the O(entries) content revalidation (shape and offset
 // checks still run), since mapped snapshots were CRC-framed when
-// written.
+// written. The model is bound to g, which must have exactly the edge
+// count recorded in the payload.
 func ReadView(br *arena.Reader, g *graph.Graph) (*Model, error) {
 	version := br.U8()
-	if br.Err() == nil && version != ticBinaryVersion && version != ticBinaryVersionV1 {
-		return nil, fmt.Errorf("tic: unsupported binary version %d", version)
+	if br.Err() == nil && version != ticBinaryVersion {
+		return nil, fmt.Errorf("tic: snapshot generation %d is not supported; regenerate with `octopus build`", version)
 	}
 	z := int(br.U32())
 	edges := int(br.U64())
-	var off []int32
-	var topicIdx []uint16
-	var topicP, maxP []float32
-	if version == ticBinaryVersionV1 {
-		off = br.I32s()
-		topicIdx = br.U16s()
-		topicP = br.F32s()
-	} else {
-		br.Align8()
-		off = br.I32s()
-		br.Align8()
-		topicIdx = br.U16s()
-		br.Align8()
-		topicP = br.F32s()
-		br.Align8()
-		maxP = br.F32s()
-	}
+	br.Align8()
+	off := br.I32s()
+	br.Align8()
+	topicIdx := br.U16s()
+	br.Align8()
+	topicP := br.F32s()
+	br.Align8()
+	maxP := br.F32s()
 	if err := br.Err(); err != nil {
 		return nil, fmt.Errorf("tic: read binary: %w", err)
 	}
@@ -104,7 +69,7 @@ func ReadView(br *arena.Reader, g *graph.Graph) (*Model, error) {
 		return nil, fmt.Errorf("tic: binary payload arrays inconsistent (%d offsets, %d idx, %d p)",
 			len(off), len(topicIdx), len(topicP))
 	}
-	if maxP != nil && len(maxP) != edges {
+	if len(maxP) != edges {
 		return nil, fmt.Errorf("tic: binary payload has %d maxP entries for %d edges", len(maxP), edges)
 	}
 	if off[0] != 0 || off[edges] != int32(len(topicIdx)) {
@@ -117,13 +82,12 @@ func ReadView(br *arena.Reader, g *graph.Graph) (*Model, error) {
 		}
 	}
 	m := &Model{g: g, z: z, off: off, topicIdx: topicIdx, topicP: topicP, maxP: maxP}
-	if br.ZeroCopy() && maxP != nil {
+	if br.ZeroCopy() {
 		return m, nil
 	}
-	// Copying path: validate every entry and (re)derive maxP, exactly
-	// as version-1 loads always have. A serialized maxP is cross-checked
-	// against the recomputation, catching corrupt-but-well-shaped files.
-	derived := make([]float32, edges)
+	// Copying path: validate every entry and cross-check the serialized
+	// maxP against a recomputation, catching corrupt-but-well-shaped
+	// files.
 	for e := 0; e < edges; e++ {
 		var mx float32
 		for i := off[e]; i < off[e+1]; i++ {
@@ -137,11 +101,9 @@ func ReadView(br *arena.Reader, g *graph.Graph) (*Model, error) {
 				mx = topicP[i]
 			}
 		}
-		if maxP != nil && maxP[e] != mx {
+		if maxP[e] != mx {
 			return nil, fmt.Errorf("tic: binary payload maxP[%d]=%v disagrees with entries (%v)", e, maxP[e], mx)
 		}
-		derived[e] = mx
 	}
-	m.maxP = derived
 	return m, nil
 }

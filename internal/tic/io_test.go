@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"octopus/internal/arena"
 	"octopus/internal/graph"
 	"octopus/internal/rng"
 	"octopus/internal/topic"
@@ -110,7 +111,7 @@ func TestRemappedModelBinaryRoundTrip(t *testing.T) {
 	if err := WriteBinary(&buf, m2); err != nil {
 		t.Fatal(err)
 	}
-	m3, err := ReadBinary(&buf, m2.Graph())
+	m3, err := ReadView(arena.NewReader(buf.Bytes()), m2.Graph())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestRemappedModelBinaryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	small := lineModel(t).Graph()
-	if _, err := ReadBinary(&buf2, small); err == nil {
+	if _, err := ReadView(arena.NewReader(buf2.Bytes()), small); err == nil {
 		t.Fatal("binary read bound to wrong graph succeeded")
 	}
 }
@@ -163,7 +164,7 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for cut := 0; cut < len(full); cut += 3 {
-		if _, err := ReadBinary(bytes.NewReader(full[:cut]), m.Graph()); err == nil {
+		if _, err := ReadView(arena.NewReader(full[:cut]), m.Graph()); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}

@@ -11,14 +11,11 @@ import (
 // Binary payload format. Version 2 stores the per-topic keyword rows
 // as one contiguous 8-aligned pool of z×|V| float64s, so a zero-copy
 // reader aliases the whole probability table out of a mapped snapshot
-// and the in-memory rows become subslices of it. Version 1 (one array
-// per row, unaligned) is still read for old snapshots. Probabilities
-// round-trip exactly (raw float64 bits) in both versions, so a model
-// loaded from a snapshot infers byte-identical γ distributions.
-const (
-	topicBinaryVersion   = 2
-	topicBinaryVersionV1 = 1
-)
+// and the in-memory rows become subslices of it. Probabilities
+// round-trip exactly (raw float64 bits), so a model loaded from a
+// snapshot infers byte-identical γ distributions. Any other version is
+// rejected: snapshots are regenerated, not migrated.
+const topicBinaryVersion = 2
 
 // WriteBinary serializes the keyword/topic model in the current
 // (aligned, version 2) format.
@@ -45,74 +42,33 @@ func WriteBinary(w io.Writer, m *Model) error {
 	return bw.Flush()
 }
 
-// WriteBinaryV1 emits the legacy version-1 payload, kept for the
-// cross-version compatibility tests and downgrade tooling.
-func WriteBinaryV1(w io.Writer, m *Model) error {
-	bw := binio.NewWriter(w)
-	bw.U8(topicBinaryVersionV1)
-	bw.U32(uint32(m.z))
-	bw.Strs(m.vocab)
-	bw.F64s(m.prior)
-	for _, row := range m.pwz {
-		bw.F64s(row)
-	}
-	if m.topicNames != nil {
-		bw.U8(1)
-		bw.Strs(m.topicNames)
-	} else {
-		bw.U8(0)
-	}
-	return bw.Flush()
-}
-
-// ReadBinary parses a payload produced by WriteBinary (any version)
-// from a stream, always copying onto the heap.
-func ReadBinary(r io.Reader) (*Model, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("topic: read binary: %w", err)
-	}
-	return ReadView(arena.NewReader(data))
-}
-
 // ReadView parses a binary payload through an arena reader. Zero-copy
 // mode aliases the p(w|z) pool into the reader's backing bytes and
 // skips the O(z×|V|) probability revalidation; the vocabulary map is
 // always rebuilt on the heap.
 func ReadView(br *arena.Reader) (*Model, error) {
 	version := br.U8()
-	if br.Err() == nil && version != topicBinaryVersion && version != topicBinaryVersionV1 {
-		return nil, fmt.Errorf("topic: unsupported binary version %d", version)
+	if br.Err() == nil && version != topicBinaryVersion {
+		return nil, fmt.Errorf("topic: snapshot generation %d is not supported; regenerate with `octopus build`", version)
 	}
 	z := int(br.U32())
 	if br.Err() == nil && (z <= 0 || z > 1<<16) {
 		return nil, fmt.Errorf("topic: binary payload topic count %d out of range", z)
 	}
 	vocab := br.Strs()
-	if version == topicBinaryVersion {
-		br.Align8()
-	}
+	br.Align8()
 	prior := Dist(br.F64s())
+	br.Align8()
+	pool := br.F64s()
 	var pwz [][]float64
 	if br.Err() == nil {
-		if version == topicBinaryVersionV1 {
-			pwz = make([][]float64, 0, z)
-			for zi := 0; zi < z; zi++ {
-				pwz = append(pwz, br.F64s())
-			}
-		} else {
-			br.Align8()
-			pool := br.F64s()
-			if br.Err() == nil {
-				if len(pool) != z*len(vocab) {
-					return nil, fmt.Errorf("topic: binary payload pool has %d entries for %d topics × %d keywords",
-						len(pool), z, len(vocab))
-				}
-				pwz = make([][]float64, z)
-				for zi := 0; zi < z; zi++ {
-					pwz[zi] = pool[zi*len(vocab) : (zi+1)*len(vocab)]
-				}
-			}
+		if len(pool) != z*len(vocab) {
+			return nil, fmt.Errorf("topic: binary payload pool has %d entries for %d topics × %d keywords",
+				len(pool), z, len(vocab))
+		}
+		pwz = make([][]float64, z)
+		for zi := 0; zi < z; zi++ {
+			pwz[zi] = pool[zi*len(vocab) : (zi+1)*len(vocab)]
 		}
 	}
 	var names []string
@@ -143,12 +99,6 @@ func ReadView(br *arena.Reader) (*Model, error) {
 			return nil, fmt.Errorf("topic: binary payload duplicate keyword %q", w)
 		}
 		m.vocabID[w] = i
-	}
-	for zi, row := range pwz {
-		if len(row) != len(vocab) {
-			return nil, fmt.Errorf("topic: binary payload row %d has %d entries for %d keywords",
-				zi, len(row), len(vocab))
-		}
 	}
 	if !br.ZeroCopy() {
 		for zi, row := range pwz {

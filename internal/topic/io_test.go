@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"octopus/internal/arena"
 )
 
 func TestModelIORoundTrip(t *testing.T) {
@@ -100,7 +102,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := WriteBinary(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := ReadBinary(&buf)
+	m2, err := ReadView(arena.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +136,7 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for cut := 0; cut < len(full); cut += 5 {
-		if _, err := ReadBinary(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := ReadView(arena.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}

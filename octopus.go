@@ -213,7 +213,7 @@ func LoadSystem(path string) (*System, error) {
 // log decodes lazily on first use. The returned MappedSystem owns the
 // mapping — keep it for the system's lifetime and Close it when done.
 // Falls back transparently to the copying path (heap-backed, identical
-// query results) for legacy-format files, unsupported platforms, or
+// query results) on platforms without mmap, on big-endian hosts, or
 // when OCTOPUS_MMAP=off.
 func MapSystem(path string) (*System, *MappedSystem, error) {
 	return store.Map(path, store.MapOptions{})

@@ -48,6 +48,39 @@ func TestMaxRoundCarried(t *testing.T) {
 	}
 }
 
+// Fill's bottom-up heapify pops exactly the sequence that pushing the
+// same items one by one does, ties on Key included, and the heap keeps
+// working normally afterwards.
+func TestMaxFillMatchesPushes(t *testing.T) {
+	f := func(keys []uint8, extra []uint8) bool {
+		items := make([]Item, len(keys))
+		for i, k := range keys {
+			items[i] = Item{ID: int32(i), Key: float64(k % 7), Round: int32(i % 3)}
+		}
+		var filled Max
+		filled.Push(Item{ID: -1, Key: 100}) // replaced by Fill
+		filled.Fill(len(items), func(i int) Item { return items[i] })
+		pushed := NewMax(0)
+		for _, it := range items {
+			pushed.Push(it)
+		}
+		for j, k := range extra {
+			it := Item{ID: int32(len(keys) + j), Key: float64(k % 7)}
+			filled.Push(it)
+			pushed.Push(it)
+		}
+		for pushed.Len() > 0 {
+			if filled.Len() != pushed.Len() || filled.Pop() != pushed.Pop() {
+				return false
+			}
+		}
+		return filled.Len() == 0
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMaxQuickSortedOutput(t *testing.T) {
 	f := func(keys []float64) bool {
 		h := NewMax(len(keys))

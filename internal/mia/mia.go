@@ -22,7 +22,6 @@ import (
 	"sort"
 
 	"octopus/internal/graph"
-	"octopus/internal/heaps"
 	"octopus/internal/obs"
 )
 
@@ -35,8 +34,8 @@ type TreeNode struct {
 	ID     graph.NodeID
 	Parent int32        // index into Tree.Nodes, -1 for the root
 	Edge   graph.EdgeID // graph edge linking parent and this node
-	Prob   float64      // max path probability from/to the root
 	Depth  int32
+	Prob   float64 // max path probability from/to the root
 }
 
 // Tree is a maximum influence arborescence. Nodes[0] is the root;
@@ -110,14 +109,35 @@ func (t *Tree) SubtreeWeights() []float64 {
 
 // Calc holds reusable state for building arborescences on one graph.
 // Not safe for concurrent use; create one per goroutine.
+//
+// The Dijkstra frontier is a binary max-heap of (key, id) entries with
+// lazy deletion: improving a node's tentative probability pushes a new
+// entry rather than moving the old one, and a popped entry whose node
+// is already finalized this build ("done") is skipped. Trees come out
+// node for node identical to an indexed heap holding only each node's
+// best entry, because (key desc, id asc) is a strict total order:
+//
+//   - a node's best entry outranks every stale entry of the same node
+//     (relaxation demands strict improvement, so stale keys are strictly
+//     smaller), hence it pops first and finalizes the node, and every
+//     stale entry popped later is skipped without side effects;
+//   - among the live entries — one per tentative node, the same set an
+//     indexed heap holds — the maximum of a strict total order is
+//     unique, so both heaps pop the same node at every step.
+//
+// The frontier holds up to one entry per improving relaxation instead
+// of one per node, and its backing array is reused across builds.
 type Calc struct {
-	g      *graph.Graph
-	heap   *heaps.Indexed
-	best   []float64
-	parent []int32
-	pedge  []graph.EdgeID
-	stamp  []uint32
-	epoch  uint32
+	g        *graph.Graph
+	frontier []frontierEntry
+	best     []float64
+	parent   []int32
+	pedge    []graph.EdgeID
+	// stamp[v] == epoch: v holds a tentative probability this build.
+	// done[v] == epoch: v is finalized in the tree being built.
+	stamp []uint32
+	done  []uint32
+	epoch uint32
 	// popAt[v] = index of v in the tree being built, set when v is
 	// popped. It is only ever read for a node's parent — which was
 	// necessarily popped earlier in the same build — so stale entries
@@ -131,16 +151,31 @@ type Calc struct {
 	cost *obs.Cost
 }
 
+// frontierEntry is one (key, id) entry of the lazy Dijkstra heap.
+type frontierEntry struct {
+	key float64
+	id  graph.NodeID
+}
+
+// outranks orders the frontier: larger key first, equal keys broken by
+// smaller id — the same strict total order heaps.Indexed pops in.
+func (a frontierEntry) outranks(b frontierEntry) bool {
+	if a.key != b.key {
+		return a.key > b.key
+	}
+	return a.id < b.id
+}
+
 // NewCalc returns a Calc for graph g.
 func NewCalc(g *graph.Graph) *Calc {
 	n := g.NumNodes()
 	return &Calc{
 		g:      g,
-		heap:   heaps.NewIndexed(n),
 		best:   make([]float64, n),
 		parent: make([]int32, n),
 		pedge:  make([]graph.EdgeID, n),
 		stamp:  make([]uint32, n),
+		done:   make([]uint32, n),
 		popAt:  make([]int32, n),
 	}
 }
@@ -163,41 +198,65 @@ func (c *Calc) MIIA(prob EdgeProb, root graph.NodeID, theta float64, maxNodes in
 	return c.build(prob, root, theta, maxNodes, false)
 }
 
+// AppendMIOA builds the same arborescence as MIOA but appends its nodes
+// to dst instead of allocating a Tree: the tree is the returned slice
+// from len(dst) on, with Parent indices relative to that start. A
+// caller that builds many short-lived trees keeps one slab and recycles
+// it, so building allocates nothing once the slab has grown.
+func (c *Calc) AppendMIOA(dst []TreeNode, prob EdgeProb, root graph.NodeID, theta float64, maxNodes int) []TreeNode {
+	return c.grow(dst, prob, root, defaultTheta(theta), maxNodes, true)
+}
+
 func (c *Calc) build(prob EdgeProb, root graph.NodeID, theta float64, maxNodes int, forward bool) *Tree {
+	theta = defaultTheta(theta)
+	return &Tree{Root: root, Forward: forward, Theta: theta, Nodes: c.grow(nil, prob, root, theta, maxNodes, forward)}
+}
+
+func defaultTheta(theta float64) float64 {
 	if theta <= 0 {
-		theta = 1e-9 // a zero threshold would make dense graphs explode
+		return 1e-9 // a zero threshold would make dense graphs explode
 	}
+	return theta
+}
+
+// grow runs the max-probability Dijkstra from root and appends the
+// tree's nodes to dst in pop order.
+func (c *Calc) grow(dst []TreeNode, prob EdgeProb, root graph.NodeID, theta float64, maxNodes int, forward bool) []TreeNode {
 	c.epoch++
 	if c.epoch == 0 {
-		for i := range c.stamp {
-			c.stamp[i] = 0
-		}
+		clear(c.stamp)
+		clear(c.done)
 		c.epoch = 1
 	}
-	t := &Tree{Root: root, Forward: forward, Theta: theta}
-	c.heap.Clear()
+	base := len(dst)
+	c.frontier = c.frontier[:0]
 	c.best[root] = 1
 	c.parent[root] = -1
 	c.stamp[root] = c.epoch
-	c.heap.Push(root, 1)
+	c.push(frontierEntry{1, root})
 
 	var edges uint64
-	for c.heap.Len() > 0 {
-		u, p := c.heap.PopMax()
+	for len(c.frontier) > 0 {
+		top := c.pop()
+		u, p := top.id, top.key
+		if c.done[u] == c.epoch {
+			continue // stale: u was finalized through a better entry
+		}
 		if p < theta {
 			break
 		}
+		c.done[u] = c.epoch
 		var parentIdx int32 = -1
 		var edge graph.EdgeID
 		var depth int32
 		if u != root {
 			parentIdx = c.popAt[c.parent[u]]
 			edge = c.pedge[u]
-			depth = t.Nodes[parentIdx].Depth + 1
+			depth = dst[base+int(parentIdx)].Depth + 1
 		}
-		c.popAt[u] = int32(len(t.Nodes))
-		t.Nodes = append(t.Nodes, TreeNode{ID: u, Parent: parentIdx, Edge: edge, Prob: p, Depth: depth})
-		if maxNodes > 0 && len(t.Nodes) >= maxNodes {
+		c.popAt[u] = int32(len(dst) - base)
+		dst = append(dst, TreeNode{ID: u, Parent: parentIdx, Edge: edge, Prob: p, Depth: depth})
+		if maxNodes > 0 && len(dst)-base >= maxNodes {
 			break
 		}
 		if forward {
@@ -214,49 +273,99 @@ func (c *Calc) build(prob EdgeProb, root graph.NodeID, theta float64, maxNodes i
 			}
 		}
 	}
-	c.heap.Clear()
 	if c.cost != nil {
 		c.cost.MIA.Trees++
-		c.cost.MIA.Nodes += uint64(len(t.Nodes))
+		c.cost.MIA.Nodes += uint64(len(dst) - base)
 		c.cost.MIA.Edges += edges
 	}
-	return t
+	return dst
 }
 
 func (c *Calc) relax(u, v graph.NodeID, e graph.EdgeID, p, theta float64) {
-	if p < theta {
+	if p < theta || c.done[v] == c.epoch {
 		return
 	}
-	if c.stamp[v] == c.epoch {
-		if _, inHeap := c.heap.Key(v); !inHeap {
-			return // already finalized in the tree
-		}
-		if p <= c.best[v] {
-			return
-		}
+	if c.stamp[v] == c.epoch && p <= c.best[v] {
+		return
 	}
 	c.stamp[v] = c.epoch
 	c.best[v] = p
 	c.parent[v] = u
 	c.pedge[v] = e
-	c.heap.Update(v, p)
+	c.push(frontierEntry{p, v})
+}
+
+// push inserts x into the frontier heap (sift-up with a moving hole).
+func (c *Calc) push(x frontierEntry) {
+	h := append(c.frontier, x)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.outranks(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = x
+	c.frontier = h
+}
+
+// pop removes and returns the frontier's top entry (sift-down with a
+// moving hole). The frontier must be non-empty.
+func (c *Calc) pop() frontierEntry {
+	h := c.frontier
+	top := h[0]
+	last := h[len(h)-1]
+	h = h[:len(h)-1]
+	if n := len(h); n > 0 {
+		i := 0
+		for {
+			l := 2*i + 1
+			if l >= n {
+				break
+			}
+			if r := l + 1; r < n && h[r].outranks(h[l]) {
+				l = r
+			}
+			if !h[l].outranks(last) {
+				break
+			}
+			h[i] = h[l]
+			i = l
+		}
+		h[i] = last
+	}
+	c.frontier = h
+	return top
 }
 
 // Cover tracks per-node activation probabilities for a growing seed set
 // under the MIA independence approximation: a node reached by several
 // seeds' arborescences with probabilities p₁..pⱼ is activated with
-// probability 1−Π(1−pᵢ).
+// probability 1−Π(1−pᵢ). It is dense — one float64 per graph node plus
+// the list of nodes touched since the last Reset — so Gain and Add are
+// array walks and a reused Cover allocates nothing.
 type Cover struct {
-	probs map[graph.NodeID]float64
-	// spread is maintained incrementally in tree-node order by Add.
-	// Summing the map on demand would visit nodes in Go's randomized
-	// map order and make the floating-point total jitter run-to-run —
-	// query spreads must be reproducible for a fixed seed.
+	probs   []float64
+	touched []graph.NodeID
+	// spread is maintained incrementally in tree-node order by Add, so
+	// the floating-point total is a pure function of the trees added and
+	// their order — query spreads must be reproducible for a fixed seed.
 	spread float64
 }
 
-// NewCover returns an empty cover.
-func NewCover() *Cover { return &Cover{probs: make(map[graph.NodeID]float64)} }
+// NewCover returns an empty cover over a graph of n nodes.
+func NewCover(n int) *Cover { return &Cover{probs: make([]float64, n)} }
+
+// Reset empties the cover in O(nodes touched), keeping its storage.
+func (c *Cover) Reset() {
+	for _, v := range c.touched {
+		c.probs[v] = 0
+	}
+	c.touched = c.touched[:0]
+	c.spread = 0
+}
 
 // Spread returns the current MIA spread Σ_v ap(v).
 func (c *Cover) Spread() float64 { return c.spread }
@@ -264,20 +373,23 @@ func (c *Cover) Spread() float64 { return c.spread }
 // Prob returns the current activation probability of v.
 func (c *Cover) Prob(v graph.NodeID) float64 { return c.probs[v] }
 
-// Gain returns the marginal MIA spread of adding tree's root:
-// Σ_v ap_tree(v)·(1−cover(v)).
-func (c *Cover) Gain(t *Tree) float64 {
+// Gain returns the marginal MIA spread of adding the tree with the given
+// nodes: Σ_v ap_tree(v)·(1−cover(v)).
+func (c *Cover) Gain(nodes []TreeNode) float64 {
 	g := 0.0
-	for _, n := range t.Nodes {
+	for _, n := range nodes {
 		g += n.Prob * (1 - c.probs[n.ID])
 	}
 	return g
 }
 
-// Add merges tree into the cover.
-func (c *Cover) Add(t *Tree) {
-	for _, n := range t.Nodes {
+// Add merges the tree with the given nodes into the cover.
+func (c *Cover) Add(nodes []TreeNode) {
+	for _, n := range nodes {
 		cur := c.probs[n.ID]
+		if cur == 0 {
+			c.touched = append(c.touched, n.ID)
+		}
 		next := 1 - (1-cur)*(1-n.Prob)
 		c.probs[n.ID] = next
 		c.spread += next - cur

@@ -2,10 +2,12 @@ package mia
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"octopus/internal/graph"
+	"octopus/internal/heaps"
 	"octopus/internal/rng"
 	"octopus/internal/tic"
 	"octopus/internal/topic"
@@ -139,23 +141,23 @@ func TestCoverGainAndAdd(t *testing.T) {
 	g, ep := diamond(t)
 	c := NewCalc(g)
 	t0 := c.MIOA(ep, 0, 0.01, 0)
-	cover := NewCover()
-	gain0 := cover.Gain(t0)
+	cover := NewCover(g.NumNodes())
+	gain0 := cover.Gain(t0.Nodes)
 	if math.Abs(gain0-t0.Spread()) > 1e-12 {
 		t.Fatalf("first gain = %v, want full spread %v", gain0, t0.Spread())
 	}
-	cover.Add(t0)
+	cover.Add(t0.Nodes)
 	if math.Abs(cover.Spread()-t0.Spread()) > 1e-12 {
 		t.Fatalf("cover spread = %v", cover.Spread())
 	}
 	// Adding the same tree again gains only the complement mass.
-	gainAgain := cover.Gain(t0)
+	gainAgain := cover.Gain(t0.Nodes)
 	if gainAgain >= gain0 {
 		t.Fatalf("repeat gain %v not diminished from %v", gainAgain, gain0)
 	}
 	// Submodularity corner: gain of a disjoint node's tree unchanged.
 	t3 := c.MIOA(ep, 3, 0.01, 0)
-	if got := cover.Gain(t3); math.Abs(got-(1-cover.Prob(3))) > 1e-12 {
+	if got := cover.Gain(t3.Nodes); math.Abs(got-(1-cover.Prob(3))) > 1e-12 {
 		t.Fatalf("gain(t3) = %v", got)
 	}
 }
@@ -260,6 +262,184 @@ func TestMIASpreadAgainstMCOnTree(t *testing.T) {
 	}
 }
 
+// indexedBuild is the pre-lazy-heap construction — an indexed heap with
+// decrease-key holding each tentative node once — kept as the reference
+// the lazy-deletion frontier must reproduce node for node.
+func indexedBuild(g *graph.Graph, prob EdgeProb, root graph.NodeID, theta float64, maxNodes int, forward bool) []TreeNode {
+	n := g.NumNodes()
+	h := heaps.NewIndexed(n)
+	best := make([]float64, n)
+	parent := make([]graph.NodeID, n)
+	pedge := make([]graph.EdgeID, n)
+	seen := make([]bool, n)
+	popAt := make([]int32, n)
+	var nodes []TreeNode
+	relax := func(u, v graph.NodeID, e graph.EdgeID, p float64) {
+		if p < theta {
+			return
+		}
+		if seen[v] {
+			if _, inHeap := h.Key(v); !inHeap || p <= best[v] {
+				return
+			}
+		}
+		seen[v], best[v], parent[v], pedge[v] = true, p, u, e
+		h.Update(v, p)
+	}
+	seen[root], best[root] = true, 1
+	h.Push(root, 1)
+	for h.Len() > 0 {
+		u, p := h.PopMax()
+		if p < theta {
+			break
+		}
+		nd := TreeNode{ID: u, Parent: -1, Prob: p}
+		if u != root {
+			nd.Parent = popAt[parent[u]]
+			nd.Edge = pedge[u]
+			nd.Depth = nodes[nd.Parent].Depth + 1
+		}
+		popAt[u] = int32(len(nodes))
+		nodes = append(nodes, nd)
+		if maxNodes > 0 && len(nodes) >= maxNodes {
+			break
+		}
+		if forward {
+			lo, hi := g.OutEdges(u)
+			for e := lo; e < hi; e++ {
+				relax(u, g.Dst(e), e, p*prob(e))
+			}
+		} else {
+			lo, hi := g.InSlots(u)
+			for s := lo; s < hi; s++ {
+				relax(u, g.InSrc(s), g.InEdgeID(s), p*prob(g.InEdgeID(s)))
+			}
+		}
+	}
+	return nodes
+}
+
+// randomWorld draws a random graph whose edge probabilities come from a
+// handful of values, so equal path products — ties the frontier must
+// break by node id — are common.
+func randomWorld(seed uint64) (*graph.Graph, EdgeProb) {
+	r := rng.New(seed)
+	n := 5 + r.Intn(60)
+	b := graph.NewBuilder(n)
+	for i := 0; i < n*4; i++ {
+		b.AddEdge(int32(r.Intn(n)), int32(r.Intn(n)))
+	}
+	g := b.Build()
+	levels := []float64{0.25, 0.5, 0.8, 1, 0.125 + 0.8*r.Float64()}
+	w := make([]float64, g.NumEdges())
+	for e := range w {
+		w[e] = levels[r.Intn(len(levels))]
+	}
+	return g, func(e graph.EdgeID) float64 { return w[e] }
+}
+
+// Property: the lazy-deletion frontier builds exactly the trees of an
+// indexed heap — same nodes, same order, same parents and bitwise-equal
+// probabilities — in both directions, with and without a size cap, on
+// one reused Calc.
+func TestLazyFrontierMatchesIndexedHeap(t *testing.T) {
+	f := func(seed uint64) bool {
+		g, ep := randomWorld(seed)
+		r := rng.New(seed ^ 0x9e37)
+		c := NewCalc(g)
+		for i := 0; i < 8; i++ {
+			root := graph.NodeID(r.Intn(g.NumNodes()))
+			theta := []float64{0.001, 0.01, 0.1, 0.3}[r.Intn(4)]
+			maxNodes := []int{0, 0, 3, 10}[r.Intn(4)]
+			fwd := c.MIOA(ep, root, theta, maxNodes)
+			if !reflect.DeepEqual(fwd.Nodes, indexedBuild(g, ep, root, theta, maxNodes, true)) {
+				t.Logf("seed %d: MIOA(%d, θ=%v, cap %d) differs", seed, root, theta, maxNodes)
+				return false
+			}
+			rev := c.MIIA(ep, root, theta, maxNodes)
+			if !reflect.DeepEqual(rev.Nodes, indexedBuild(g, ep, root, theta, maxNodes, false)) {
+				t.Logf("seed %d: MIIA(%d, θ=%v, cap %d) differs", seed, root, theta, maxNodes)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCalcEpochWrap forces the build epoch to wrap: the tentative and
+// finalized stamps left by earlier builds must be cleared, or a node
+// finalized at epoch 1 long ago would look finalized again right after
+// the wrap and drop out of the tree.
+func TestCalcEpochWrap(t *testing.T) {
+	g, ep := randomWorld(11)
+	c := NewCalc(g)
+	if c.MIOA(ep, 0, 0.01, 0).Size() < 3 { // epoch 1 stamps every node it reaches
+		t.Fatal("test graph too sparse to exercise the stamps")
+	}
+	c.epoch = math.MaxUint32
+	for root := graph.NodeID(0); root < 4; root++ {
+		got := c.MIOA(ep, root, 0.01, 0)
+		want := NewCalc(g).MIOA(ep, root, 0.01, 0)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("root %d after epoch wrap: %d nodes, fresh Calc %d", root, got.Size(), want.Size())
+		}
+	}
+}
+
+// AppendMIOA appends the same nodes MIOA returns, with parents relative
+// to the tree's own start, and allocates nothing into a grown slab.
+func TestAppendMIOAIntoSlab(t *testing.T) {
+	g, ep := randomWorld(5)
+	c := NewCalc(g)
+	slab := []TreeNode{{ID: 99}, {ID: 98}} // unrelated prefix
+	for root := graph.NodeID(0); int(root) < g.NumNodes(); root++ {
+		at := len(slab)
+		slab = c.AppendMIOA(slab, ep, root, 0.01, 0)
+		if want := c.MIOA(ep, root, 0.01, 0).Nodes; !reflect.DeepEqual(slab[at:], want) {
+			t.Fatalf("root %d: appended tree differs from MIOA", root)
+		}
+	}
+	slab = slab[:0]
+	allocs := testing.AllocsPerRun(20, func() {
+		slab = c.AppendMIOA(slab[:0], ep, 0, 0.01, 0)
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendMIOA into a grown slab allocated %v times per build", allocs)
+	}
+}
+
+// A reset cover is indistinguishable from a fresh one, bit for bit.
+func TestCoverReset(t *testing.T) {
+	g, ep := randomWorld(3)
+	c := NewCalc(g)
+	trees := make([][]TreeNode, 6)
+	for i := range trees {
+		trees[i] = c.MIOA(ep, graph.NodeID(i%g.NumNodes()), 0.01, 0).Nodes
+	}
+	reused := NewCover(g.NumNodes())
+	for _, tr := range trees {
+		reused.Add(tr)
+	}
+	reused.Reset()
+	if reused.Spread() != 0 {
+		t.Fatalf("spread after Reset = %v", reused.Spread())
+	}
+	fresh := NewCover(g.NumNodes())
+	for _, tr := range trees {
+		if a, b := reused.Gain(tr), fresh.Gain(tr); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("gain %v after Reset, %v fresh", a, b)
+		}
+		reused.Add(tr)
+		fresh.Add(tr)
+		if a, b := reused.Spread(), fresh.Spread(); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("spread %v after Reset, %v fresh", a, b)
+		}
+	}
+}
+
 func BenchmarkMIOA(b *testing.B) {
 	r := rng.New(1)
 	const n = 20000
@@ -274,6 +454,7 @@ func BenchmarkMIOA(b *testing.B) {
 	}
 	ep := func(e graph.EdgeID) float64 { return w[e] }
 	c := NewCalc(g)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tree := c.MIOA(ep, graph.NodeID(i%n), 0.01, 0)

@@ -441,17 +441,17 @@ func repairSample(nix *Index, calc *mia.Calc, s *TopicSample, dirty []graph.Node
 	seedTrees := make([]*mia.Tree, k)
 	gains := make([]float64, k)
 	spreads := make([]float64, k)
-	cover := mia.NewCover()
+	cover := mia.NewCover(m.Graph().NumNodes())
 	bar := math.Inf(1)
 	for r, seed := range s.Seeds {
 		seedTrees[r] = calc.MIOA(prob, seed, opt.SampleTheta, 0)
-		g := cover.Gain(seedTrees[r])
+		g := cover.Gain(seedTrees[r].Nodes)
 		if g <= oldRU[r] {
 			// The selection margin is gone: an unchanged candidate could
 			// now win this round. Cannot certify cheaply.
 			return TopicSample{}, 0, nil, false
 		}
-		cover.Add(seedTrees[r])
+		cover.Add(seedTrees[r].Nodes)
 		gains[r] = g
 		spreads[r] = cover.Spread()
 		if g < bar {
@@ -493,7 +493,7 @@ func repairSample(nix *Index, calc *mia.Calc, s *TopicSample, dirty []graph.Node
 		for i, c := range crossers {
 			active[i] = cand{c, calc.MIOA(prob, c, opt.SampleTheta, 0)}
 		}
-		cover = mia.NewCover()
+		cover.Reset()
 		for r := range s.Seeds {
 			keep := active[:0]
 			for _, c := range active {
@@ -501,7 +501,7 @@ func repairSample(nix *Index, calc *mia.Calc, s *TopicSample, dirty []graph.Node
 					keep = append(keep, c) // its own selection round
 					continue
 				}
-				g := cover.Gain(c.tree)
+				g := cover.Gain(c.tree.Nodes)
 				if g >= gains[r] {
 					return TopicSample{}, 0, nil, false
 				}
@@ -513,7 +513,7 @@ func repairSample(nix *Index, calc *mia.Calc, s *TopicSample, dirty []graph.Node
 				}
 			}
 			active = keep
-			cover.Add(seedTrees[r])
+			cover.Add(seedTrees[r].Nodes)
 		}
 	}
 	// Keep the runner-up bounds sound for FUTURE folds: dirty candidates

@@ -1,0 +1,195 @@
+package otim
+
+import (
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+
+	"octopus/internal/graph"
+	"octopus/internal/rng"
+	"octopus/internal/topic"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden-queries.txt from the current engine")
+
+const goldenPath = "testdata/golden-queries.txt"
+
+type goldenQuery struct {
+	name  string
+	gamma topic.Dist
+	opt   QueryOptions
+}
+
+// goldenWorld is the fixed model and sample-bearing index every golden
+// query runs against.
+func goldenWorld(t testing.TB) *Index {
+	return buildIdx(t, testWorld(t, 400, 4, 22), 6)
+}
+
+// goldenQueries covers every branch of the best-effort loop: K from 1 to
+// 20 under exact greedy, ε-approximate picks, the skipped local tier,
+// the neighborhood first bound, other θ and tree caps, and topic-sample
+// hits and misses (SampleK is 5, so K > 5 falls through even on an
+// exact γ match).
+func goldenQueries(ix *Index) []goldenQuery {
+	r := rng.New(7)
+	draw := func() topic.Dist { return topic.Dist(r.DirichletSym(0.5, 2)) }
+	var qs []goldenQuery
+	add := func(name string, gamma topic.Dist, opt QueryOptions) {
+		qs = append(qs, goldenQuery{name, gamma, opt})
+	}
+	for k := 1; k <= 20; k++ {
+		add(fmt.Sprintf("exact-k%d", k), draw(), QueryOptions{K: k})
+	}
+	for _, k := range []int{3, 7, 12, 20} {
+		add(fmt.Sprintf("eps0.1-k%d", k), draw(), QueryOptions{K: k, Epsilon: 0.1})
+	}
+	for _, k := range []int{4, 10} {
+		add(fmt.Sprintf("skiplocal-k%d", k), draw(), QueryOptions{K: k, SkipLocalBound: true})
+	}
+	for _, k := range []int{5, 15} {
+		add(fmt.Sprintf("neighborhood-k%d", k), draw(), QueryOptions{K: k, FirstBound: BoundNeighborhood})
+	}
+	add("neighborhood-skiplocal-eps-k8", draw(),
+		QueryOptions{K: 8, Epsilon: 0.1, SkipLocalBound: true, FirstBound: BoundNeighborhood})
+	add("theta0.005-k6", draw(), QueryOptions{K: 6, Theta: 0.005})
+	add("maxnodes50-k6", draw(), QueryOptions{K: 6, MaxTreeNodes: 50})
+	add("theta0.02-eps-maxnodes30-k10", draw(), QueryOptions{K: 10, Theta: 0.02, Epsilon: 0.1, MaxTreeNodes: 30})
+	add("sample-hit-pure0-k3", topic.Pure(0, 2), QueryOptions{K: 3, UseSamples: true})
+	add("sample-hit-pure1-k5", topic.Pure(1, 2), QueryOptions{K: 5, UseSamples: true})
+	add("sample-hit-s2-k4", ix.Sample(2).Gamma, QueryOptions{K: 4, UseSamples: true})
+	add("sample-hit-s3-k5-maxnodes40", ix.Sample(3).Gamma, QueryOptions{K: 5, UseSamples: true, MaxTreeNodes: 40})
+	add("sample-hit-near-pure0-k2", topic.Dist{0.97, 0.03}, QueryOptions{K: 2, UseSamples: true})
+	add("sample-miss-far-k3", topic.Dist{0.5, 0.5}, QueryOptions{K: 3, UseSamples: true, SampleTolerance: 0.01})
+	add("sample-miss-k9-beyond-samplek", topic.Pure(0, 2), QueryOptions{K: 9, UseSamples: true})
+	return qs
+}
+
+func goldenBits(fs []float64) string {
+	parts := make([]string, len(fs))
+	for i, f := range fs {
+		parts[i] = fmt.Sprintf("%016x", math.Float64bits(f))
+	}
+	return strings.Join(parts, ",")
+}
+
+func goldenIDs(ids []graph.NodeID) string {
+	parts := make([]string, len(ids))
+	for i, id := range ids {
+		parts[i] = strconv.Itoa(int(id))
+	}
+	return strings.Join(parts, ",")
+}
+
+// goldenLines renders the index's topic samples (produced by the engine
+// at build time) and every golden query's full answer, floats as their
+// IEEE-754 bits.
+func goldenLines(t testing.TB, ix *Index) []string {
+	var out []string
+	for i := 0; i < ix.NumSamples(); i++ {
+		s := ix.Sample(i)
+		out = append(out, fmt.Sprintf("sample-%d gamma=%s seeds=%s spreads=%s gains=%s",
+			i, goldenBits(s.Gamma), goldenIDs(s.Seeds), goldenBits(s.Spreads), goldenBits(s.Gains)))
+	}
+	eng := NewEngine(ix)
+	for _, q := range goldenQueries(ix) {
+		res, err := eng.Query(q.gamma, q.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", q.name, err)
+		}
+		st := res.Stats
+		out = append(out, fmt.Sprintf(
+			"%s seeds=%s spreads=%s gains=%s runnerups=%s cheap=%d local=%d exact=%d pruned=%d hit=%t dist=%s stop=%s tie=%t",
+			q.name, goldenIDs(res.Seeds), goldenBits(res.Spreads), goldenBits(res.Gains), goldenBits(res.RunnerUps),
+			st.CheapBounds, st.LocalBounds, st.ExactEvals, st.Pruned, st.SampleHit,
+			goldenBits([]float64{st.SampleDist}), goldenBits([]float64{st.StopKey}), st.SelectionTie))
+	}
+	return out
+}
+
+// goldenFloatKeys are the fields holding float bits; everything else
+// compares exactly on every architecture.
+var goldenFloatKeys = map[string]bool{
+	"gamma": true, "spreads": true, "gains": true, "runnerups": true, "dist": true, "stop": true,
+}
+
+// sameGoldenLine compares two rendered lines: bitwise on amd64, where
+// the golden file was generated, and with a 1e-12 relative tolerance on
+// float fields elsewhere (arm64 may fuse multiply-adds).
+func sameGoldenLine(want, got string) bool {
+	if want == got {
+		return true
+	}
+	if runtime.GOARCH == "amd64" {
+		return false
+	}
+	wf, gf := strings.Fields(want), strings.Fields(got)
+	if len(wf) != len(gf) {
+		return false
+	}
+	for i := range wf {
+		if wf[i] == gf[i] {
+			continue
+		}
+		wk, wv, _ := strings.Cut(wf[i], "=")
+		gk, gv, _ := strings.Cut(gf[i], "=")
+		if wk != gk || !goldenFloatKeys[wk] {
+			return false
+		}
+		ws, gs := strings.Split(wv, ","), strings.Split(gv, ",")
+		if len(ws) != len(gs) {
+			return false
+		}
+		for j := range ws {
+			wb, err1 := strconv.ParseUint(ws[j], 16, 64)
+			gb, err2 := strconv.ParseUint(gs[j], 16, 64)
+			if err1 != nil || err2 != nil {
+				return false
+			}
+			w, g := math.Float64frombits(wb), math.Float64frombits(gb)
+			if math.Abs(w-g) > 1e-12*math.Max(math.Abs(w), math.Abs(g)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestGoldenQueries pins the engine's answers — seeds, the bits of every
+// spread, gain and runner-up bound, and the work statistics — to the
+// checked-in file, so a change to how exact evaluation is computed
+// (storage, memoization, heap mechanics) cannot move a single answer bit.
+// Regenerate only for an intended answer change:
+//
+//	go test ./internal/otim -run TestGoldenQueries -update
+func TestGoldenQueries(t *testing.T) {
+	got := goldenLines(t, goldenWorld(t))
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(want) != len(got) {
+		t.Fatalf("%d golden lines, engine produced %d", len(want), len(got))
+	}
+	for i := range want {
+		if !sameGoldenLine(want[i], got[i]) {
+			t.Errorf("line %d differs\nwant %s\ngot  %s", i+1, want[i], got[i])
+		}
+	}
+}

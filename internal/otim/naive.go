@@ -63,7 +63,7 @@ func NaiveQuery(m *tic.Model, gamma topic.Dist, k int, method NaiveMethod, theta
 	case NaiveMIAGreedy:
 		calc := mia.NewCalc(g)
 		prob := func(e graph.EdgeID) float64 { return w[e] }
-		cover := mia.NewCover()
+		cover := mia.NewCover(g.NumNodes())
 		chosen := make([]bool, g.NumNodes())
 		for len(res.Seeds) < k {
 			var best graph.NodeID = -1
@@ -74,7 +74,7 @@ func NaiveQuery(m *tic.Model, gamma topic.Dist, k int, method NaiveMethod, theta
 					continue
 				}
 				tree := calc.MIOA(prob, graph.NodeID(u), theta, 0)
-				if gain := cover.Gain(tree); gain > bestGain {
+				if gain := cover.Gain(tree.Nodes); gain > bestGain {
 					best, bestGain, bestTree = graph.NodeID(u), gain, tree
 				}
 			}
@@ -82,7 +82,7 @@ func NaiveQuery(m *tic.Model, gamma topic.Dist, k int, method NaiveMethod, theta
 				break
 			}
 			chosen[best] = true
-			cover.Add(bestTree)
+			cover.Add(bestTree.Nodes)
 			res.Seeds = append(res.Seeds, best)
 		}
 
@@ -96,10 +96,10 @@ func NaiveQuery(m *tic.Model, gamma topic.Dist, k int, method NaiveMethod, theta
 	// Evaluate prefixes under the same MIA semantics as the engine.
 	calc := mia.NewCalc(g)
 	prob := func(e graph.EdgeID) float64 { return w[e] }
-	cover := mia.NewCover()
+	cover := mia.NewCover(g.NumNodes())
 	res.Spreads = make([]float64, len(res.Seeds))
 	for i, s := range res.Seeds {
-		cover.Add(calc.MIOA(prob, s, theta, 0))
+		cover.Add(calc.MIOA(prob, s, theta, 0).Nodes)
 		res.Spreads[i] = cover.Spread()
 	}
 	return res, nil

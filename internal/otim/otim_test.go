@@ -493,6 +493,101 @@ func TestEngineReuse(t *testing.T) {
 	_ = prev
 }
 
+// A warm engine allocates only the answer itself: exact evaluation
+// builds its trees into the recycled slab and reuses its memos, heap and
+// cover, so the count is a constant however many trees a query builds
+// (before, every tree cost several allocations of its own).
+func TestQueryAllocationsConstant(t *testing.T) {
+	m := testWorld(t, 400, 4, 40)
+	ix := buildIdx(t, m, 0)
+	eng := NewEngine(ix)
+	gamma := topic.Dist{0.35, 0.65}
+	opt := QueryOptions{K: 10, Theta: 0.01}
+	res, err := eng.Query(gamma, opt) // warm: grow the slab once
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.ExactEvals < 50 {
+		t.Fatalf("only %d exact evaluations: the query does not exercise tree building", res.Stats.ExactEvals)
+	}
+	// The Result and its four per-round slices.
+	const maxAllocs = 5
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := eng.Query(gamma, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxAllocs {
+		t.Fatalf("warm Query allocated %v times (%d exact evaluations), want ≤ %d",
+			allocs, res.Stats.ExactEvals, maxAllocs)
+	}
+}
+
+// TestEngineGenerationWrap forces the query generation to wrap. Every
+// stamped memo (refinement marks, B_γ rows, edge probabilities, trees)
+// still holds entries stamped 1 by the engine's first query under
+// another γ; unless the wrap clears them they would pass as current for
+// the query that runs right after it. Answers must equal a fresh
+// engine's.
+func TestEngineGenerationWrap(t *testing.T) {
+	m := testWorld(t, 150, 4, 41)
+	ix := buildIdx(t, m, 4)
+	queries := []struct {
+		gamma topic.Dist
+		opt   QueryOptions
+	}{
+		{topic.Dist{0.2, 0.8}, QueryOptions{K: 6, Theta: 0.01}},
+		{topic.Dist{1, 0}, QueryOptions{K: 3, Theta: 0.01, UseSamples: true}},
+	}
+	eng := NewEngine(ix)
+	if _, err := eng.Query(topic.Dist{0.9, 0.1}, QueryOptions{K: 6, Theta: 0.01}); err != nil {
+		t.Fatal(err) // generation 1 under another γ
+	}
+	eng.curGen = math.MaxUint32
+	for i, q := range queries {
+		got, err := eng.Query(q.gamma, q.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewEngine(ix).Query(q.gamma, q.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d after the generation wrap:\n got %+v\nwant %+v", i, got, want)
+		}
+	}
+}
+
+// The tree slab is recycled per query: repeating a query — sample hit or
+// full search — never grows it past what the first run needed.
+func TestSlabBoundedAcrossQueries(t *testing.T) {
+	m := testWorld(t, 150, 4, 42)
+	ix := buildIdx(t, m, 4)
+	eng := NewEngine(ix)
+	for _, opt := range []QueryOptions{
+		{K: 3, Theta: 0.01, UseSamples: true},
+		{K: 5, Theta: 0.01},
+	} {
+		res, err := eng.Query(topic.Pure(0, 2), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.SampleHit != opt.UseSamples {
+			t.Fatalf("UseSamples=%v but SampleHit=%v", opt.UseSamples, res.Stats.SampleHit)
+		}
+		first := cap(eng.slab)
+		for i := 0; i < 50; i++ {
+			if _, err := eng.Query(topic.Pure(0, 2), opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cap(eng.slab) != first {
+			t.Fatalf("UseSamples=%v: slab grew from %d to %d over repeated queries", opt.UseSamples, first, cap(eng.slab))
+		}
+	}
+}
+
 func BenchmarkBuildIndex(b *testing.B) {
 	m := testWorld(b, 2000, 5, 20)
 	b.ResetTimer()
@@ -510,6 +605,7 @@ func BenchmarkQuery(b *testing.B) {
 		b.Fatal(err)
 	}
 	eng := NewEngine(ix)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gamma := topic.Dist{0.3, 0.7}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -234,6 +235,45 @@ func TestGoldenSnapshot(t *testing.T) {
 	if !bytes.Equal(again.Bytes(), golden) {
 		t.Fatalf("re-saving the golden snapshot produced %d bytes that differ from the %d on disk: the format changed",
 			again.Len(), len(golden))
+	}
+}
+
+// TestGoldenSnapshotRebuilds rebuilds the golden file's system from
+// scratch — datagen, models, the OTIM index with its engine-computed
+// topic samples, the tags index — and requires the second-generation
+// save to reproduce testdata/golden-v3.oct byte for byte. Where
+// TestGoldenSnapshot freezes the format, this freezes what a build
+// computes: a change to how the engine or an index pass evaluates that
+// moves a single bit of a stored spread, gain or seed fails here. Float
+// results may differ in the last bit where multiply-adds fuse, so the
+// check runs on amd64, where the file was generated.
+func TestGoldenSnapshotRebuilds(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden build bytes were generated on amd64")
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden-v3.oct"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first bytes.Buffer
+	if err := Write(&first, buildSystem(t, 30, 21), 1); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "first.oct")
+	if err := os.WriteFile(path, first.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var second bytes.Buffer
+	if err := Write(&second, loaded, 1); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(second.Bytes(), golden) {
+		t.Fatalf("rebuilding the golden system saved %d bytes that differ from the %d on disk",
+			second.Len(), len(golden))
 	}
 }
 

@@ -4,9 +4,9 @@
 // it builds on (E13: streaming ingestion; E14: persistence and
 // crash-recovery costs; E15: build-pipeline parallelism; E16: the
 // query-serving layer — result cache, request coalescing and admission
-// control under a Zipf-skewed closed-loop workload; E17: incremental
-// snapshot folds — swap latency vs delta size with a query-level
-// identity check against full rebuilds; E18: zero-copy mapped snapshot
+// control under a Zipf-skewed closed-loop workload; E17: index-reusing
+// snapshot folds — swap latency of a graph-unchanged delta with a
+// query-level identity check against a full rebuild; E18: zero-copy mapped snapshot
 // serving — cold-start-to-first-query, memory deltas and a mapped-vs-
 // heap query identity check; E19: read-replica fleet — follower
 // catch-up throughput, steady-state replication lag and leader query
@@ -56,7 +56,7 @@ type sizes struct {
 	serveClients    int   // closed-loop load-generator clients
 	serveRequests   int   // requests per client per configuration
 	servePool       int   // distinct queries in the Zipf-skewed pool
-	foldAuthors     int   // incremental-fold experiment dataset size
+	foldAuthors     int   // index-reusing fold experiment dataset size
 	replAuthors     int   // replication experiment dataset size
 	replBacklog     int   // feed units (3 WAL records each) in the catch-up backlog
 	replRounds      int   // steady-state lag measurement rounds
@@ -160,7 +160,7 @@ func main() {
 		{"E14", "Persistence: snapshot cold-start speedup and WAL ingest overhead", runE14},
 		{"E15", "Build/fold parallelism: pipeline speedup vs workers, determinism check", runE15},
 		{"E16", "Query-serving layer: result cache, coalescing, admission control under Zipf load", runE16},
-		{"E17", "Incremental snapshot folds: swap latency vs delta size, identity vs full rebuild", runE17},
+		{"E17", "Index-reusing snapshot folds: action-delta swap latency, identity vs full rebuild", runE17},
 		{"E18", "Zero-copy snapshot serving: mapped vs heap cold-start-to-first-query, memory, identity", runE18},
 		{"E19", "Read-replica fleet: snapshot shipping + WAL tailing — catch-up, lag, leader overhead", runE19},
 		{"E20", "Sharded scatter-gather: coordinator latency, merge overhead, corpus density vs fleet size", runE20},

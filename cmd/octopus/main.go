@@ -11,7 +11,7 @@
 //	              [-follow http://leader:8080]
 //	              [-shard k/N] [-strategy hash|community]
 //	              [-coordinator -shard-addrs URL,URL,...] [-shard-timeout D] [-probe-interval D]
-//	              [-rebuild-events N] [-rebuild-interval D] [-incremental-fold]
+//	              [-rebuild-events N] [-rebuild-interval D]
 //	              [-cache-entries N] [-max-inflight N] [-admin-addr 127.0.0.1:6060]
 //	              [-slow-query D] [-trace-ring N] [-log-format text|json]
 //	              [-slo-availability F] [-slo-p99 D] [-slo-staleness D]
@@ -64,11 +64,10 @@
 // With -ingest, serve wraps the system in the streaming subsystem: the
 // /api/ingest endpoints accept live actions/edges and the serving
 // snapshot is rebuilt and atomically swapped after every N events (or D
-// of staleness) without taking queries offline. -incremental-fold (on
-// by default) delta-maintains the precomputed indexes at each swap so
-// the rebuild cost scales with the delta, not the corpus; the result is
-// query-identical to a full rebuild, and oversized deltas fall back to
-// one automatically. Adding -wal DIR makes
+// of staleness) without taking queries offline. A swap whose delta
+// leaves the graph unchanged (items and actions only) reuses the
+// precomputed indexes and pays only the log-derived structures; a delta
+// that touches the graph rebuilds them. Adding -wal DIR makes
 // ingestion durable: accepted events are written ahead to DIR/wal.log,
 // every swap checkpoints DIR/snapshot.oct, and a restarted serve -wal
 // recovers snapshot + WAL tail automatically. SIGINT/SIGTERM trigger a
@@ -173,7 +172,6 @@ type options struct {
 	follow          string
 	rebuildEvents   int
 	rebuildInterval time.Duration
-	incrementalFold bool
 
 	cacheEntries int
 	maxInflight  int
@@ -225,7 +223,6 @@ func main() {
 	fs.StringVar(&opt.follow, "follow", "", "serve as a read replica of the leader at this base URL; requires -wal DIR, conflicts with -ingest and -load (serve)")
 	fs.IntVar(&opt.rebuildEvents, "rebuild-events", 4096, "fold the ingest overlay into a new snapshot after this many events (serve -ingest)")
 	fs.DurationVar(&opt.rebuildInterval, "rebuild-interval", 30*time.Second, "also fold when pending events are older than this; 0 disables (serve -ingest)")
-	fs.BoolVar(&opt.incrementalFold, "incremental-fold", true, "delta-maintain the indexes at fold time so swap latency scales with the delta; query-identical to a full rebuild, which large deltas automatically fall back to (serve -ingest)")
 	fs.IntVar(&opt.cacheEntries, "cache-entries", server.DefaultCacheEntries, "result-cache entries, invalidated per snapshot generation; negative disables the cache (serve)")
 	fs.IntVar(&opt.maxInflight, "max-inflight", 4*runtime.GOMAXPROCS(0), "concurrent query-engine bound; excess requests get 429 + Retry-After, 0 = unlimited (serve)")
 	fs.StringVar(&opt.adminAddr, "admin-addr", "", "optional operator listener for pprof + /metrics + /api/debug/traces; keep it loopback or firewalled, e.g. 127.0.0.1:6060 (serve)")
@@ -647,7 +644,7 @@ func serve(opt options, sys *core.System, mapped *store.Mapped, dir *store.Dir) 
 			RebuildEvents:   opt.rebuildEvents,
 			RebuildInterval: opt.rebuildInterval,
 			Workers:         opt.workers,
-			IncrementalFold: opt.incrementalFold,
+			IncrementalFold: true,
 			Store:           dir,
 			Logger:          logger,
 		})

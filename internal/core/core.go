@@ -61,12 +61,6 @@ type Config struct {
 	// knob is a runtime tuning, not part of the model: snapshots do not
 	// persist it.
 	Workers int
-	// FoldMaxDirtyFrac caps how large a fraction of the nodes the dirty
-	// set of an incremental Fold may reach before it gives up with
-	// ErrFoldDeltaTooLarge (a full rebuild amortizes better past that
-	// point). 0 means the default 0.25. Like Workers it is a runtime
-	// tuning, not part of the model: snapshots do not persist it.
-	FoldMaxDirtyFrac float64
 }
 
 // System is a fully built OCTOPUS instance.
@@ -130,8 +124,8 @@ func (s *System) Backing() Backing { return s.backing }
 
 // SetBacking records (without retaining) the backing of the hot
 // arrays. Fold paths propagate it from predecessor to successor
-// conservatively: folds share undirtied arrays wholesale, so any
-// descendant of a mapped system may still alias mapped bytes.
+// conservatively: folds share the graph, models and indexes wholesale,
+// so any descendant of a mapped system may still alias mapped bytes.
 func (s *System) SetBacking(b Backing) { s.backing = b }
 
 // Build constructs the system from a graph and an action log.
@@ -288,16 +282,14 @@ func assemble(g *graph.Graph, log *actionlog.Log, prop *tic.Model, words *topic.
 func (s *System) finish() { s.finishFrom(nil) }
 
 // finishFrom is finish with structure reuse from a predecessor system:
-// the keyword pools are shared when the action log is the same object
-// (an edges-only fold), and the completion trie when the graph is (an
-// action-only fold — the trie ranks by out-degree, so any edge growth
-// invalidates it). Reused structures are immutable and identical to
-// what a fresh build computes, keeping folds query-for-query equal to
-// full rebuilds while the derived-structure cost scales with the delta.
+// the completion trie is shared when the graph is (a fold — the trie
+// ranks by out-degree, so any edge growth invalidates it). The shared
+// trie is immutable and identical to what a fresh build computes, so
+// folds stay query-for-query equal to full rebuilds.
 func (s *System) finishFrom(old *System) {
 	s.ensureEngines()
 	s.ensureNames(old)
-	s.ensureKeywordPools(old)
+	s.ensureKeywordPools()
 }
 
 // ensureEngines arms the per-query scratch pools (index-bound only —
@@ -328,18 +320,14 @@ func (s *System) ensureNames(old *System) {
 	})
 }
 
-// ensureKeywordPools builds (or adopts from old) the per-user keyword
-// pools and the suggestion engine. This is the one derived stage that
-// needs the action log, so on a deferred system it is what triggers
-// the lazy log decode.
-func (s *System) ensureKeywordPools(old *System) {
+// ensureKeywordPools builds the per-user keyword pools and the
+// suggestion engine. This is the one derived stage that needs the
+// action log, so on a deferred system it is what triggers the lazy log
+// decode.
+func (s *System) ensureKeywordPools() {
 	s.poolsOnce.Do(func() {
 		log := s.ensureLog()
-		if old != nil && old.ensureLog() == log && old.userKeywords != nil {
-			s.userKeywords = old.userKeywords
-		} else {
-			s.userKeywords = buildUserKeywords(log, log.UserItems(), s.g.NumNodes())
-		}
+		s.userKeywords = buildUserKeywords(log, log.UserItems(), s.g.NumNodes())
 		s.sugg = tags.NewSuggester(s.tagsIdx, s.words, s.userKeywords)
 	})
 }
@@ -455,7 +443,7 @@ func (s *System) TagsIndex() *tags.Index { return s.tagsIdx }
 
 // UserKeywords returns the candidate keyword pool of a user.
 func (s *System) UserKeywords(u graph.NodeID) []string {
-	s.ensureKeywordPools(nil)
+	s.ensureKeywordPools()
 	if int(u) >= len(s.userKeywords) {
 		return nil
 	}
@@ -629,7 +617,7 @@ func (s *System) SuggestKeywords(user graph.NodeID, k int, opt tags.SuggestOptio
 		return nil, fmt.Errorf("core: user %d out of range", user)
 	}
 	opt.K = k
-	s.ensureKeywordPools(nil)
+	s.ensureKeywordPools()
 	return s.sugg.Suggest(user, opt)
 }
 
@@ -644,7 +632,7 @@ func (s *System) RankUserKeywordsCost(user graph.NodeID, limit int, cost *obs.Co
 	if int(user) < 0 || int(user) >= s.g.NumNodes() {
 		return nil, fmt.Errorf("core: user %d out of range", user)
 	}
-	s.ensureKeywordPools(nil)
+	s.ensureKeywordPools()
 	return s.sugg.RankKeywordsCost(user, limit, cost), nil
 }
 

@@ -1,156 +1,50 @@
-// fold.go is the incremental-maintenance path of system construction:
-// instead of re-running the whole offline pipeline after a small graph
-// delta, the precomputed indexes are delta-maintained (otim.Index.Fold,
-// tags.Index.Fold) and the cheap derived structures rebuilt. The result
-// is query-for-query identical to Build at the same seed — the fold is
-// an optimization, never a different model.
+// fold.go is the cheap path of live system construction. A delta that
+// leaves the graph unchanged (new items and actions only) changes
+// neither the propagation model nor the two indexes — both are pure
+// functions of (model, options, seed) — so the next system shares all
+// of them and rebuilds only the log-derived structures. A delta that
+// touches the graph takes Build instead; no index is maintained
+// incrementally.
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"octopus/internal/actionlog"
-	"octopus/internal/graph"
-	"octopus/internal/otim"
-	"octopus/internal/tic"
 )
 
-// ErrFoldDeltaTooLarge is returned by Fold when the dirty set exceeds
-// Config.FoldMaxDirtyFrac of the nodes — past that point a full Build
-// amortizes better than incremental maintenance.
-var ErrFoldDeltaTooLarge = errors.New("core: fold delta too large, full rebuild amortizes better")
-
-// FoldStats reports what an incremental Fold actually did.
-type FoldStats struct {
-	// DirtyNodes is the size of the θ_pre reverse ball around the new
-	// edges — the nodes whose precomputed spreads were recomputed.
-	DirtyNodes int
-	// AddedEdges is the number of distinct new edges folded in.
-	AddedEdges int
-	// Timings breaks the fold down by stage (OTIM/Tags index folds,
-	// Derived rebuild); also available as the folded system's Timings.
-	Timings BuildTimings
-}
-
-// Fold builds the next System from an old one plus a small graph delta,
-// delta-maintaining the precomputed indexes instead of rebuilding them:
-//
-//   - g must be old's graph extended with new edges only (same node
-//     count; names may change), prop the old propagation model remapped
-//     onto g (tic.Remap) with the new edges' probabilities filled in,
-//     and log the merged action log.
-//   - addedSrcs/addedDsts are the parallel endpoint lists of the new
-//     edges (order irrelevant, duplicates tolerated).
-//   - cfg must be old.BuildConfig() — in particular cfg.Seed must be
-//     the seed old's indexes were built with, because reused per-sample
-//     and per-poll state was drawn from it.
-//
-// The keyword model is carried over unchanged (folds never relearn EM —
-// callers wanting fresh topics run Build). On success the returned
-// system is query-for-query identical to Build(g, log, cfg) with
-// cfg.GroundTruth = prop at the same seed, for a fraction of the cost
-// proportional to the delta rather than the corpus.
-func Fold(old *System, g *graph.Graph, log *actionlog.Log, prop *tic.Model,
-	addedSrcs, addedDsts []graph.NodeID, cfg Config) (*System, FoldStats, error) {
-
-	var fs FoldStats
-	fs.Timings.Incremental = true
-	foldStart := time.Now()
+// Fold builds the next System over old's graph from the merged action
+// log, sharing old's graph, models and both indexes wholesale and
+// rebuilding only the derived structures. cfg must be old.BuildConfig()
+// (Workers and TopicNames may differ): the result is query-for-query
+// identical to Build over the same graph and log with old's models as
+// ground truth at cfg.Seed. log must cover exactly old's nodes; a delta
+// that grows or rewires the graph needs Build.
+func Fold(old *System, log *actionlog.Log, cfg Config) (*System, error) {
+	start := time.Now()
 	if old == nil {
-		return nil, fs, fmt.Errorf("core: fold from nil system")
+		return nil, fmt.Errorf("core: fold from nil system")
 	}
-	if g == nil || prop == nil {
-		return nil, fs, fmt.Errorf("core: fold needs a graph and a model")
+	if n := old.g.NumNodes(); log != nil && log.NumUsers != n {
+		return nil, fmt.Errorf("core: fold: log covers %d users, graph has %d nodes (rebuild required)",
+			log.NumUsers, n)
 	}
-	n := old.g.NumNodes()
-	if g.NumNodes() != n {
-		return nil, fs, fmt.Errorf("core: fold: node count changed %d → %d (rebuild required)",
-			n, g.NumNodes())
-	}
-	fs.AddedEdges = g.NumEdges() - old.g.NumEdges()
-
-	// Action/item-only fast path: the graph and model are untouched, so
-	// both indexes — pure functions of (model, options, seed) — are
-	// shared wholesale and only the derived structures are rebuilt.
-	if g == old.g && prop == old.prop {
-		cfg.GroundTruth = prop
-		cfg.GroundTruthWords = old.words
-		sys, err := assemble(g, log, prop, old.words, old.otimIdx, old.tagsIdx, cfg)
-		if err != nil {
-			return nil, fs, err
-		}
-		stageStart := time.Now()
-		sys.finishFrom(old)
-		fs.Timings.Derived = time.Since(stageStart)
-		fs.Timings.Total = time.Since(foldStart)
-		sys.timings = fs.Timings
-		return sys, fs, nil
-	}
-
-	// Derive per-index options exactly as Build does, so the reused
-	// pre-drawn state (sample mixtures, poll roots, coin streams) lines
-	// up with what a from-scratch Build at cfg.Seed would draw.
-	otimOpt := cfg.OTIM
-	otimOpt.Seed = cfg.Seed ^ 0x9e37
-	if otimOpt.Workers == 0 {
-		otimOpt.Workers = cfg.Workers
-	}
-	tagsOpt := cfg.Tags
-	tagsOpt.Seed = cfg.Seed ^ 0x79b9
-	if tagsOpt.Workers == 0 {
-		tagsOpt.Workers = cfg.Workers
-	}
-
-	// The θ_pre reverse ball: the cap gauge and the sample-triage dirty
-	// set. otim.Fold later runs a second, tighter per-source sweep
-	// (threshold θ/p̄ per edge) for the sigma recompute; the two serve
-	// different thresholds and per-source attributions, so they are not
-	// merged — discovery is milliseconds against index work.
-	dirty := otim.DirtySet(prop, addedSrcs, old.otimIdx.ThetaPre())
-	fs.DirtyNodes = len(dirty)
-	maxFrac := cfg.FoldMaxDirtyFrac
-	if maxFrac <= 0 {
-		maxFrac = 0.25
-	}
-	if float64(len(dirty)) > maxFrac*float64(n) {
-		return nil, fs, fmt.Errorf("core: %d of %d nodes dirty (cap %.0f%%): %w",
-			len(dirty), n, 100*maxFrac, ErrFoldDeltaTooLarge)
-	}
-
-	// The same knob also caps the genuine recompute mass inside the
-	// index fold — the node-count ball above is only the coarse guard.
-	otimOpt.FoldMaxCostFrac = maxFrac
-	stageStart := time.Now()
-	oix, err := old.otimIdx.Fold(prop, dirty, addedSrcs, addedDsts, otimOpt)
-	if err != nil {
-		if errors.Is(err, otim.ErrDeltaTooLarge) {
-			err = fmt.Errorf("%v: %w", err, ErrFoldDeltaTooLarge)
-		}
-		return nil, fs, err
-	}
-	fs.Timings.OTIM = time.Since(stageStart)
-	stageStart = time.Now()
-	tix, err := old.tagsIdx.Fold(prop, addedDsts, tagsOpt)
-	if err != nil {
-		return nil, fs, err
-	}
-	fs.Timings.Tags = time.Since(stageStart)
-	// Record the adopted models in the stored config, exactly as a full
-	// carry-over Build(g, log, cfg) would have seen them — the folded
-	// system's BuildConfig stays a valid basis for the next fold or a
-	// full rebuild.
-	cfg.GroundTruth = prop
+	// Record the shared models in the stored config exactly as a
+	// carry-over Build would see them, so the folded system's
+	// BuildConfig stays a valid basis for the next fold or rebuild.
+	cfg.GroundTruth = old.prop
 	cfg.GroundTruthWords = old.words
-	sys, err := assemble(g, log, prop, old.words, oix, tix, cfg)
+	sys, err := assemble(old.g, log, old.prop, old.words, old.otimIdx, old.tagsIdx, cfg)
 	if err != nil {
-		return nil, fs, err
+		return nil, err
 	}
-	stageStart = time.Now()
+	stageStart := time.Now()
 	sys.finishFrom(old)
-	fs.Timings.Derived = time.Since(stageStart)
-	fs.Timings.Total = time.Since(foldStart)
-	sys.timings = fs.Timings
-	return sys, fs, nil
+	sys.timings = BuildTimings{
+		Derived:     time.Since(stageStart),
+		Total:       time.Since(start),
+		Incremental: true,
+	}
+	return sys, nil
 }

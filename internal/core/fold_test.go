@@ -1,20 +1,19 @@
 package core
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 
+	"octopus/internal/actionlog"
 	"octopus/internal/datagen"
 	"octopus/internal/graph"
 	"octopus/internal/otim"
-	"octopus/internal/tic"
+	"octopus/internal/rng"
 )
 
-// foldWorld splits a generated dataset into a base system missing every
-// 25th edge and the held-out edge list, mimicking a live system about
-// to fold a streamed delta.
-func foldWorld(t *testing.T) (*System, *datagen.Dataset, [][2]graph.NodeID) {
+// foldWorld builds the base system a live deployment would fold
+// action deltas into.
+func foldWorld(t *testing.T) *System {
 	t.Helper()
 	ds, err := datagen.Citation(datagen.CitationConfig{
 		Authors: 350, Topics: 4, Papers: 500, Seed: 33,
@@ -22,29 +21,8 @@ func foldWorld(t *testing.T) (*System, *datagen.Dataset, [][2]graph.NodeID) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := graph.NewBuilder(ds.Graph.NumNodes())
-	var held [][2]graph.NodeID
-	i := 0
-	ds.Graph.EachEdge(func(_ graph.EdgeID, u, v graph.NodeID) {
-		if i%25 == 24 {
-			held = append(held, [2]graph.NodeID{u, v})
-		} else {
-			b.AddEdge(u, v)
-		}
-		i++
-	})
-	for u, nm := range ds.Graph.Names() {
-		if nm != "" {
-			b.SetName(graph.NodeID(u), nm)
-		}
-	}
-	baseG := b.Build()
-	baseModel, err := tic.Remap(ds.Truth, baseG, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := Build(baseG, ds.Log, Config{
-		GroundTruth:      baseModel,
+	base, err := Build(ds.Graph, ds.Log, Config{
+		GroundTruth:      ds.Truth,
 		GroundTruthWords: ds.TruthWords,
 		TopicNames:       ds.TopicNames,
 		OTIM:             otim.BuildOptions{Samples: 8, SampleK: 5},
@@ -53,31 +31,42 @@ func foldWorld(t *testing.T) (*System, *datagen.Dataset, [][2]graph.NodeID) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return base, ds, held
+	return base
 }
 
-// grow merges a prefix of the held edges back in, remapping the model
-// with the ground-truth probabilities as the "prior" for new edges.
-func grow(t *testing.T, base *System, ds *datagen.Dataset, delta [][2]graph.NodeID) (*graph.Graph, *tic.Model) {
-	t.Helper()
-	b := graph.NewBuilder(base.Graph().NumNodes())
-	b.AddGraph(base.Graph())
-	for _, e := range delta {
-		b.AddEdge(e[0], e[1])
+// actionDelta merges a batch of new items, each acted on by a few
+// random users, into from's log — the shape of a graph-unchanged delta.
+func actionDelta(from *System, seed uint64) *actionlog.Log {
+	r := rng.New(seed)
+	n := from.Graph().NumNodes()
+	next := int32(0)
+	for _, ep := range from.ActionLog().Episodes {
+		next = max(next, ep.Item.ID+1)
 	}
-	g := b.Build()
-	prop, err := tic.Remap(base.Propagation(), g, func(u, v graph.NodeID) []float64 {
-		if e, ok := ds.Graph.FindEdge(u, v); ok {
-			probs := make([]float64, ds.Truth.NumTopics())
-			ds.Truth.EdgeTopics(e, func(z int, p float64) { probs[z] = p })
-			return probs
+	var items []actionlog.Item
+	var acts []actionlog.Action
+	for i := int32(0); i < 12; i++ {
+		items = append(items, actionlog.Item{ID: next + i, Keywords: []string{"mining", "fresh"}})
+		for a := 0; a < 5; a++ {
+			acts = append(acts, actionlog.Action{User: graph.NodeID(r.Intn(n)), Item: next + i, Time: int64(a)})
 		}
-		return nil
-	})
+	}
+	return actionlog.Merge(from.ActionLog(), n, items, acts)
+}
+
+// rebuildFrom is the reference a fold must match: Build over base's
+// graph and the given log, adopting base's models at base's seed.
+func rebuildFrom(t *testing.T, base *System, log *actionlog.Log) *System {
+	t.Helper()
+	cfg := base.BuildConfig()
+	cfg.TopicNames = nil
+	cfg.GroundTruth = base.Propagation()
+	cfg.GroundTruthWords = base.Keywords()
+	full, err := Build(base.Graph(), log, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g, prop
+	return full
 }
 
 // requireSystemsEqual compares two systems query-by-query across every
@@ -126,107 +115,50 @@ func requireSystemsEqual(t *testing.T, a, b *System) {
 	}
 }
 
-// The system-level tentpole guarantee: Fold is query-for-query
-// identical to Build at the same seed, for every analysis service.
+// Fold over a graph-unchanged delta shares the graph, the models and
+// both indexes, and answers every service exactly like Build at the
+// same seed.
 func TestFoldMatchesBuild(t *testing.T) {
-	base, ds, held := foldWorld(t)
-	for _, deltaSize := range []int{1, len(held) / 2, len(held)} {
-		delta := held[:deltaSize]
-		g, prop := grow(t, base, ds, delta)
-		cfg := base.BuildConfig()
-		cfg.FoldMaxDirtyFrac = 1 // equality is the point here, not the cap
-		srcs := make([]graph.NodeID, len(delta))
-		dsts := make([]graph.NodeID, len(delta))
-		for i, e := range delta {
-			srcs[i], dsts[i] = e[0], e[1]
-		}
-		folded, fs, err := Fold(base, g, ds.Log, prop, srcs, dsts, cfg)
-		if err != nil {
-			t.Fatalf("delta=%d: %v", deltaSize, err)
-		}
-		if fs.DirtyNodes == 0 || fs.AddedEdges != len(delta) {
-			t.Fatalf("delta=%d: fold stats %+v", deltaSize, fs)
-		}
-
-		cfg.GroundTruth = prop
-		cfg.GroundTruthWords = base.Keywords()
-		full, err := Build(g, ds.Log, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSystemsEqual(t, full, folded)
+	base := foldWorld(t)
+	log := actionDelta(base, 1)
+	folded, err := Fold(base, log, base.BuildConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
+	if folded.Graph() != base.Graph() || folded.Propagation() != base.Propagation() ||
+		folded.OTIMIndex() != base.OTIMIndex() || folded.TagsIndex() != base.TagsIndex() {
+		t.Fatal("fold rebuilt a structure it must share")
+	}
+	if tm := folded.Timings(); !tm.Incremental || tm.OTIM != 0 || tm.Tags != 0 {
+		t.Fatalf("fold timings = %+v", tm)
+	}
+	requireSystemsEqual(t, rebuildFrom(t, base, log), folded)
 }
 
 // Folding twice in a row (each fold's output is the next fold's base)
 // must still match a single Build over the union — the live system
 // folds repeatedly against folded bases.
 func TestFoldChains(t *testing.T) {
-	base, ds, held := foldWorld(t)
-	mid := len(held) / 2
-
-	fold := func(from *System, delta [][2]graph.NodeID) *System {
-		g, prop := grow(t, from, ds, delta)
-		srcs := make([]graph.NodeID, len(delta))
-		dsts := make([]graph.NodeID, len(delta))
-		for i, e := range delta {
-			srcs[i], dsts[i] = e[0], e[1]
-		}
-		cfg := from.BuildConfig()
-		cfg.FoldMaxDirtyFrac = 1
-		sys, _, err := Fold(from, g, ds.Log, prop, srcs, dsts, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sys
-	}
-	step1 := fold(base, held[:mid])
-	step2 := fold(step1, held[mid:])
-
-	g, prop := grow(t, base, ds, held)
-	cfg := base.BuildConfig()
-	cfg.GroundTruth = prop
-	cfg.GroundTruthWords = base.Keywords()
-	full, err := Build(g, ds.Log, cfg)
+	base := foldWorld(t)
+	step1, err := Fold(base, actionDelta(base, 2), base.BuildConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSystemsEqual(t, full, step2)
+	log := actionDelta(step1, 3)
+	step2, err := Fold(step1, log, step1.BuildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSystemsEqual(t, rebuildFrom(t, base, log), step2)
 }
 
-func TestFoldDeltaTooLarge(t *testing.T) {
-	base, ds, held := foldWorld(t)
-	g, prop := grow(t, base, ds, held)
-	cfg := base.BuildConfig()
-	cfg.FoldMaxDirtyFrac = 1e-9 // every node is over this cap
-	srcs := make([]graph.NodeID, len(held))
-	dsts := make([]graph.NodeID, len(held))
-	for i, e := range held {
-		srcs[i], dsts[i] = e[0], e[1]
-	}
-	_, fs, err := Fold(base, g, ds.Log, prop, srcs, dsts, cfg)
-	if !errors.Is(err, ErrFoldDeltaTooLarge) {
-		t.Fatalf("err = %v, want ErrFoldDeltaTooLarge", err)
-	}
-	if fs.DirtyNodes == 0 {
-		t.Fatal("refusal must still report the dirty size")
-	}
-}
-
+// A log over more users than the graph has nodes is a delta that grew
+// the graph: Fold must refuse it rather than share stale indexes.
 func TestFoldRejectsNodeGrowth(t *testing.T) {
-	base, ds, _ := foldWorld(t)
-	n := graph.NodeID(base.Graph().NumNodes())
-	b := graph.NewBuilder(int(n))
-	b.AddGraph(base.Graph())
-	b.AddEdge(0, n) // introduces node n
-	g := b.Build()
-	prop, err := tic.Remap(base.Propagation(), g, func(u, v graph.NodeID) []float64 {
-		return []float64{0.1, 0.1, 0.1, 0.1}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Fold(base, g, ds.Log, prop, []graph.NodeID{0}, []graph.NodeID{n}, base.BuildConfig()); err == nil {
+	base := foldWorld(t)
+	n := base.Graph().NumNodes()
+	grown := actionlog.Merge(base.ActionLog(), n+1, nil, nil)
+	if _, err := Fold(base, grown, base.BuildConfig()); err == nil {
 		t.Fatal("fold across node growth must be refused")
 	}
 }

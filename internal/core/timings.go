@@ -6,23 +6,22 @@ import "time"
 // the numbers behind the fold-pipeline metrics in /metrics and the
 // bench harness's BENCH_*.json context. For a full Build the stages are
 // EM learning (Model), the two index builds (OTIM, Tags) and the
-// derived structures (Derived); for an incremental Fold the same slots
-// hold the delta-maintenance costs and Incremental is true. Assemble
-// (the snapshot load path) only pays Derived.
+// derived structures (Derived). Fold shares the models and indexes, so
+// it pays only Derived and sets Incremental; Assemble (the snapshot
+// load path) likewise only pays Derived.
 type BuildTimings struct {
-	// Model is the EM learning stage (≈0 when ground truth was adopted
-	// or a fold carried the model over).
+	// Model is the EM learning stage (≈0 when ground truth was adopted).
 	Model time.Duration
-	// OTIM is the keyword-IM index build or fold.
+	// OTIM is the keyword-IM index build.
 	OTIM time.Duration
-	// Tags is the influencer index build or fold.
+	// Tags is the influencer index build.
 	Tags time.Duration
 	// Derived is stage 3: keyword pools, suggester, completion trie.
 	Derived time.Duration
 	// Total is wall-clock for the whole construction.
 	Total time.Duration
-	// Incremental reports whether the system came from Fold rather than
-	// Build/Assemble.
+	// Incremental reports whether the system came from Fold (indexes
+	// shared with its predecessor) rather than Build/Assemble.
 	Incremental bool
 }
 

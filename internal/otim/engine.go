@@ -3,7 +3,6 @@ package otim
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"octopus/internal/graph"
 	"octopus/internal/heaps"
@@ -114,39 +113,13 @@ type Stats struct {
 	Pruned      int // users never refined beyond the cheap bound
 	SampleHit   bool
 	SampleDist  float64 // L1 distance to the nearest sample (-1 if none)
-	// StopKey is the smallest heap key the best-effort loop ever popped
-	// (0 when the query was answered without refinement, e.g. from a
-	// topic sample). With exact greedy (ε = 0) it equals the last
-	// seed's marginal gain — the selection bar no new candidate can
-	// cross without a gain of at least this much. Candidates whose
-	// bounds stay strictly below it can never alter the seed set, the
-	// pruning frontier incremental index folds use to decide whether a
-	// precomputed sample must be re-run.
-	StopKey float64
-	// SelectionTie reports that some seed was selected while another
-	// heap entry carried a bitwise-equal key (or via the ε-approximate
-	// early pick): the choice was made by heap order, not by value, so
-	// the result is not provably a pure function of gains. Incremental
-	// folds refuse to reuse tie-decided samples whenever the index
-	// changed at all.
-	SelectionTie bool
 }
 
 // Result is the answer to a keyword-IM query.
 type Result struct {
 	Seeds   []graph.NodeID
 	Spreads []float64 // MIA spread after each seed
-	// Gains is each seed's exact marginal gain at selection time — the
-	// bitwise selection bar of its round (Spreads deltas re-associate
-	// the float additions and are not exact).
-	Gains []float64
-	// RunnerUps is, per round, the largest heap key remaining right
-	// after the seed was selected: a sound upper bound on every
-	// non-selected candidate's marginal gain that round. The gap to
-	// Gains is the selection margin incremental folds certify repaired
-	// samples against.
-	RunnerUps []float64
-	Stats     Stats
+	Stats   Stats
 }
 
 // Engine answers topic-aware IM queries against an Index. Not safe for
@@ -375,30 +348,21 @@ func (e *Engine) bestEffort(gamma topic.Dist, opt QueryOptions, res *Result) {
 	chosen := e.chosen
 	clear(chosen)
 	round := 0
-	minPopped := math.Inf(1)
 	// bestFresh tracks the best exact gain seen this round for ε-early
 	// selection.
 	bestFreshID := int32(-1)
 	bestFreshGain := -1.0
 
-	selectSeed := func(id int32, gain float64) {
+	selectSeed := func(id int32) {
 		chosen[id] = true
 		cover.Add(e.tree(id, prob, &opt))
 		if res.Seeds == nil {
 			k := min(opt.K, n)
 			res.Seeds = make([]graph.NodeID, 0, k)
 			res.Spreads = make([]float64, 0, k)
-			res.Gains = make([]float64, 0, k)
-			res.RunnerUps = make([]float64, 0, k)
 		}
 		res.Seeds = append(res.Seeds, id)
 		res.Spreads = append(res.Spreads, cover.Spread())
-		res.Gains = append(res.Gains, gain)
-		ru := 0.0
-		if h.Len() > 0 {
-			ru = h.Peek().Key
-		}
-		res.RunnerUps = append(res.RunnerUps, ru)
 		round++
 		bestFreshID, bestFreshGain = -1, -1
 	}
@@ -409,9 +373,6 @@ func (e *Engine) bestEffort(gamma topic.Dist, opt QueryOptions, res *Result) {
 		}
 		top := h.Pop()
 		heapOps++
-		if top.Key < minPopped {
-			minPopped = top.Key
-		}
 		if chosen[top.ID] {
 			continue // stale entry of an already-selected seed
 		}
@@ -423,19 +384,13 @@ func (e *Engine) bestEffort(gamma topic.Dist, opt QueryOptions, res *Result) {
 			bestFreshGain >= (1-opt.Epsilon)*top.Key {
 			h.Push(top) // put the candidate back
 			heapOps++
-			res.Stats.SelectionTie = true // ε picks are order-, not value-determined
-			selectSeed(bestFreshID, bestFreshGain)
+			selectSeed(bestFreshID)
 			continue
 		}
 
 		switch {
 		case topTier == tierExact && topRound == round:
-			// A bitwise-equal runner-up key means heap order, not the
-			// gain, decided this pick.
-			if h.Len() > 0 && h.Peek().Key == top.Key {
-				res.Stats.SelectionTie = true
-			}
-			selectSeed(top.ID, top.Key)
+			selectSeed(top.ID)
 
 		case topTier == tierExact: // stale marginal gain: rewalk cached tree
 			gain := cover.Gain(e.tree(top.ID, prob, &opt))
@@ -466,10 +421,6 @@ func (e *Engine) bestEffort(gamma topic.Dist, opt QueryOptions, res *Result) {
 			heapOps++
 			e.refinedGen[top.ID] = e.curGen
 		}
-	}
-
-	if !math.IsInf(minPopped, 1) {
-		res.Stats.StopKey = minPopped
 	}
 
 	// Pruned = users whose refinement never went past the cheap bound.

@@ -59,11 +59,6 @@ type BuildOptions struct {
 	// for every worker count: sample topic mixtures are pre-drawn
 	// serially, and every parallel pass writes disjoint locations.
 	Workers int
-	// FoldMaxCostFrac only affects Fold: the fraction of the
-	// precomputed tree mass an incremental fold may recompute before it
-	// refuses with ErrDeltaTooLarge (0 = default 0.25; ≥1 disables the
-	// guard). It is a runtime tuning, not part of the built index.
-	FoldMaxCostFrac float64
 }
 
 func (o *BuildOptions) fill(z int) {
@@ -84,7 +79,10 @@ func (o *BuildOptions) fill(z int) {
 	}
 }
 
-// Index is the offline precomputation consumed by query Engines.
+// Index is the offline precomputation consumed by query Engines: pure
+// function of (model, options, seed), built once per model and shared
+// wholesale by every system over that model (a live fold whose delta
+// leaves the graph unchanged reuses it; any graph change rebuilds it).
 // Immutable after Build; safe for concurrent readers.
 type Index struct {
 	model    *tic.Model
@@ -94,10 +92,6 @@ type Index struct {
 	// at ThetaPre. Because IC/MIA spread is monotone in edge
 	// probabilities, sigmaMax[v] ≥ σ^MIA_γ({v}) for every γ.
 	sigmaMax []float64
-	// treeSize[v] = node count of v's upper-envelope MIOA — the cost
-	// model incremental folds use to decide when recomputing the dirty
-	// set would approach a full rebuild and a fallback amortizes better.
-	treeSize []int32
 	// delta = max_v sigmaMax[v], the global cap of the neighborhood bound.
 	delta float64
 	// aggr[u*Z+z] = A_z(u) = Σ_{v ∈ N⁺(u)} ppᶻ_{u,v}·sigmaMax[v]; the
@@ -108,24 +102,9 @@ type Index struct {
 	wdeg []float64
 
 	samples []TopicSample
-	// sampleStop[i] is the selection bar (Stats.StopKey) of the query
-	// that produced samples[i], and sampleTie[i] its tie certificate
-	// (Stats.SelectionTie). Fold reuses a stored sample only when it
-	// was tie-free and no node whose MIA tree changed can raise a gain
-	// to the bar — below it, the sample's greedy selection provably
-	// cannot change.
-	sampleStop []float64
-	sampleTie  []bool
-	// sampleRU[i][r] upper-bounds every non-selected candidate's
-	// marginal gain at round r of sample i (Result.RunnerUps, kept
-	// conservative across folds). Unlike the fields above it is
-	// certificate state, not part of the query-visible result: a folded
-	// index may carry looser (older) bounds than a from-scratch build
-	// without affecting any answer.
-	sampleRU [][]float64
 
-	// buildStats records per-pass build durations (zero on folded or
-	// deserialized indexes — only BuildIndex fills it).
+	// buildStats records per-pass build durations (zero on deserialized
+	// indexes — only BuildIndex fills it).
 	buildStats BuildStats
 }
 
@@ -146,10 +125,6 @@ type TopicSample struct {
 	Gamma   topic.Dist
 	Seeds   []graph.NodeID
 	Spreads []float64 // MIA spread after each seed prefix
-	// Gains is each seed's exact marginal gain at selection — the
-	// per-round selection bars incremental folds verify reused samples
-	// against.
-	Gains []float64
 }
 
 // Model returns the underlying TIC model.
@@ -185,7 +160,6 @@ func BuildIndex(m *tic.Model, opt BuildOptions) (*Index, error) {
 		model:    m,
 		thetaPre: opt.ThetaPre,
 		sigmaMax: make([]float64, n),
-		treeSize: make([]int32, n),
 		aggr:     make([]float64, n*z),
 		wdeg:     make([]float64, n*z),
 	}
@@ -202,9 +176,7 @@ func BuildIndex(m *tic.Model, opt BuildOptions) (*Index, error) {
 			calc = mia.NewCalc(g)
 			calcs[w] = calc
 		}
-		tree := calc.MIOA(maxProb, graph.NodeID(v), opt.ThetaPre, 0)
-		ix.sigmaMax[v] = tree.Spread()
-		ix.treeSize[v] = int32(tree.Size())
+		ix.sigmaMax[v] = calc.MIOA(maxProb, graph.NodeID(v), opt.ThetaPre, 0).Spread()
 	})
 	for _, s := range ix.sigmaMax {
 		if s > ix.delta {
@@ -237,9 +209,6 @@ func BuildIndex(m *tic.Model, opt BuildOptions) (*Index, error) {
 			}
 		}
 		ix.samples = make([]TopicSample, opt.Samples)
-		ix.sampleStop = make([]float64, opt.Samples)
-		ix.sampleTie = make([]bool, opt.Samples)
-		ix.sampleRU = make([][]float64, opt.Samples)
 		engines := make([]*Engine, par.Resolve(opt.Workers))
 		errs := make([]error, opt.Samples)
 		par.Each(opt.Workers, opt.Samples, func(w, i int) {
@@ -261,8 +230,8 @@ func BuildIndex(m *tic.Model, opt BuildOptions) (*Index, error) {
 }
 
 // runSample precomputes topic sample i: the seed set for gamma under the
-// sample query options, plus the pruning frontier the run stopped at.
-// Writes only slot i; safe to fan out over disjoint slots.
+// sample query options. Writes only slot i; safe to fan out over
+// disjoint slots.
 func (ix *Index) runSample(eng *Engine, i int, gamma topic.Dist, opt BuildOptions) error {
 	res, err := eng.Query(gamma, QueryOptions{
 		K:          opt.SampleK,
@@ -272,23 +241,15 @@ func (ix *Index) runSample(eng *Engine, i int, gamma topic.Dist, opt BuildOption
 	if err != nil {
 		return err
 	}
-	ix.samples[i] = TopicSample{Gamma: gamma, Seeds: res.Seeds, Spreads: res.Spreads, Gains: res.Gains}
-	ix.sampleStop[i] = res.Stats.StopKey
-	ix.sampleTie[i] = res.Stats.SelectionTie
-	ix.sampleRU[i] = res.RunnerUps
+	ix.samples[i] = TopicSample{Gamma: gamma, Seeds: res.Seeds, Spreads: res.Spreads}
 	return nil
 }
 
-// computeRow fills u's aggr and wdeg rows from the model and the current
-// sigmaMax values, zeroing them first (the arrays may hold stale values
-// during an incremental fold). The summation order is u's CSR out-edge
-// order, so a recomputed row is bit-identical to a full build's.
+// computeRow fills u's (zeroed) aggr and wdeg rows from the model and
+// the sigmaMax values, summing in u's CSR out-edge order.
 func (ix *Index) computeRow(u int) {
 	m, g, z := ix.model, ix.model.Graph(), ix.model.NumTopics()
 	aggr, wdeg := ix.aggr[u*z:(u+1)*z], ix.wdeg[u*z:(u+1)*z]
-	for zi := 0; zi < z; zi++ {
-		aggr[zi], wdeg[zi] = 0, 0
-	}
 	lo, hi := g.OutEdges(graph.NodeID(u))
 	for e := lo; e < hi; e++ {
 		dst := g.Dst(e)

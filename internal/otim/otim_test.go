@@ -510,8 +510,8 @@ func TestQueryAllocationsConstant(t *testing.T) {
 	if res.Stats.ExactEvals < 50 {
 		t.Fatalf("only %d exact evaluations: the query does not exercise tree building", res.Stats.ExactEvals)
 	}
-	// The Result and its four per-round slices.
-	const maxAllocs = 5
+	// The Result, its Seeds and its Spreads.
+	const maxAllocs = 3
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := eng.Query(gamma, opt); err != nil {
 			t.Fatal(err)

@@ -301,7 +301,6 @@ func (f *Follower) bootstrap(ctx context.Context, forceFetch bool) error {
 	scfg.IncrementalFold = st.Fold.IncrementalFold
 	scfg.RelearnEM = st.Fold.RelearnEM
 	scfg.Topics = st.Fold.Topics
-	scfg.FoldMaxDirtyFrac = st.Fold.FoldMaxDirtyFrac
 	ls, err := stream.NewLiveSystem(sys, scfg)
 	if err != nil {
 		mapped.Close()

@@ -1,7 +1,8 @@
 // health.go is the server's SLO surface: GET /api/health reports
 // ready | degraded | failing from multi-window burn rates over the
 // serving objectives (availability, p99 latency, ingest staleness),
-// and a diagnostics watchdog captures a rate-limited bundle (goroutine
+// degraded by replication lag, missing shards or a WAL failure, and a
+// diagnostics watchdog captures a rate-limited bundle (goroutine
 // + heap profiles, recent traces, a registry dump) into Options.DiagDir
 // whenever a burn threshold is crossed. GET /api/debug/diag lists the
 // captured bundles.
@@ -93,6 +94,17 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			}
 			resp.Reasons = append(resp.Reasons, fmt.Sprintf(
 				"replication_lag: replica not caught up with %s (%.0fms behind)", fst.Leader, fst.LagMillis))
+		}
+	}
+	// A failed WAL append or fsync leaves applied events off disk while
+	// ingestion keeps accepting: degraded until a checkpoint closes the
+	// gap, on a leader and a follower alike.
+	if ls := s.liveSys(); ls != nil {
+		if err := ls.WALFailure(); err != nil {
+			if resp.State == obs.StateReady {
+				resp.State = obs.StateDegraded
+			}
+			resp.Reasons = append(resp.Reasons, "wal_failed: "+err.Error())
 		}
 	}
 	// A coordinator folds its fleet view in: a missing shard means

@@ -172,7 +172,6 @@ func (s *Server) collectLive(w *obs.MetricWriter) {
 	w.Counter("octopus_folds_total", "Snapshot folds by maintenance path.", fullFolds, "path", "full")
 	w.Counter("octopus_fold_fallbacks_total", "Incremental folds that fell back to a full rebuild.", float64(st.FoldFallbacks))
 	w.Counter("octopus_fold_failures_total", "Folds that failed and will be retried.", float64(st.FoldFailures))
-	w.Gauge("octopus_fold_last_dirty_nodes", "Dirty-set size of the most recent incremental fold.", float64(st.LastFoldDirtyNodes))
 	w.Gauge("octopus_fold_stage_seconds", "Per-stage duration of the last fold.", st.LastFoldModelMillis/1e3, "stage", "model")
 	w.Gauge("octopus_fold_stage_seconds", "Per-stage duration of the last fold.", st.LastFoldOTIMMillis/1e3, "stage", "otim")
 	w.Gauge("octopus_fold_stage_seconds", "Per-stage duration of the last fold.", st.LastFoldTagsMillis/1e3, "stage", "tags")

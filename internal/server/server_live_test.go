@@ -186,3 +186,62 @@ func TestIngestStatsExposeCheckpoints(t *testing.T) {
 		t.Fatalf("WAL not rotated after checkpoint: %v", body)
 	}
 }
+
+// TestHealthDegradedOnWALFailure: once a WAL append fails, ingestion
+// keeps acknowledging, so /api/health must stop reporting ready and
+// name the failure, and /api/ingest/stats must carry it.
+func TestHealthDegradedOnWALFailure(t *testing.T) {
+	ds, err := datagen.Citation(datagen.CitationConfig{Authors: 150, Topics: 4, Seed: 37})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.Build(ds.Graph, ds.Log, core.Config{
+		GroundTruth:      ds.Truth,
+		GroundTruthWords: ds.TruthWords,
+		Seed:             7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, err := stream.NewLiveSystem(sys, stream.Config{RebuildEvents: 1 << 20, Store: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ls.Kill) // the store is closed below; Close would re-close it
+	s := NewLive(ls)
+	if _, body := get(t, s, "/api/health"); body["state"] != "ready" {
+		t.Fatalf("health before the failure = %v", body)
+	}
+
+	// Sever the WAL out from under the system (simulates a dead disk).
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, body := postJSON(t, s, "/api/ingest/edges", fmt.Sprintf(
+		`{"edges":[{"src":0,"dst":%d}]}`, sys.Graph().NumNodes()))
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("edges status = %d body = %v", rec.Code, body)
+	}
+	if err := ls.Flush(); err == nil {
+		t.Fatal("Flush returned nil with a dead WAL")
+	}
+
+	rec, body = get(t, s, "/api/health")
+	if rec.Code != http.StatusOK || body["state"] != "degraded" {
+		t.Fatalf("health after the WAL failure = %d %v", rec.Code, body)
+	}
+	found := false
+	for _, r := range body["reasons"].([]any) {
+		found = found || strings.HasPrefix(r.(string), "wal_failed: ")
+	}
+	if !found {
+		t.Fatalf("no wal_failed reason in %v", body["reasons"])
+	}
+	if _, body = get(t, s, "/api/ingest/stats"); body["walFailed"] == "" {
+		t.Fatalf("ingest stats do not carry the WAL failure: %v", body)
+	}
+}

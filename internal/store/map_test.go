@@ -176,12 +176,25 @@ func patchSection(data []byte, s v3Section, off int64, val byte) {
 	binary.LittleEndian.PutUint32(data[crcAt:], crc)
 }
 
+// replaceSection returns data with one section's payload swapped for
+// another, reframed (length, padding and CRC) so only the payload's
+// content can be rejected.
+func replaceSection(data []byte, s v3Section, payload []byte) []byte {
+	var out bytes.Buffer
+	out.Write(data[:s.frameAt])
+	_ = writeSection(&out, [4]byte(data[s.frameAt:s.frameAt+4]), payload) // bytes.Buffer writes cannot fail
+	out.Write(data[s.frameAt+sectionFrameLen(int(s.n)):])
+	return out.Bytes()
+}
+
 // TestRejectsOtherGenerations: there is one snapshot generation. A file
 // with the previous magic, another META format version, or another
 // version byte on any section payload is rejected by every reader that
 // gets as far as the skew — Load and Map always, PeekVersion for the
 // magic and META it reads — with an error that names the section and
-// says how to get a loadable file.
+// says how to get a loadable file. testdata/otim-v3.payload is the OTIM
+// payload the previous (version 3) codec wrote for the golden system,
+// the per-sample fold certificates included.
 func TestRejectsOtherGenerations(t *testing.T) {
 	sys := buildSystem(t, 120, 3)
 	var buf bytes.Buffer
@@ -190,24 +203,28 @@ func TestRejectsOtherGenerations(t *testing.T) {
 	}
 	valid := buf.Bytes()
 	secs := walkV3(t, valid)
+	otimV3, err := os.ReadFile(filepath.Join("testdata", "otim-v3.payload"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	type skew struct {
 		name  string
-		patch func(data []byte)
+		patch func(data []byte) []byte
 		want  string // names what is skewed
 		peek  bool   // PeekVersion reads far enough to see it
 	}
 	cases := []skew{
-		{"magic", func(d []byte) { copy(d, "OCTSNAP1") }, `"OCTSNAP1"`, true},
-		{"META", func(d []byte) { patchSection(d, secs["META"], 0, formatVersion-1) }, "META", true},
+		{"magic", func(d []byte) []byte { copy(d, "OCTSNAP1"); return d }, `"OCTSNAP1"`, true},
+		{"META", func(d []byte) []byte { patchSection(d, secs["META"], 0, formatVersion-1); return d }, "META", true},
+		{"OTIM-v3-payload", func(d []byte) []byte { return replaceSection(d, secs["OTIM"], otimV3) }, "OTIM", false},
 	}
 	for _, name := range []string{"GRPH", "TICM", "TOPC", "OTIM", "TAGS"} {
 		s := secs[name]
-		cases = append(cases, skew{name, func(d []byte) { patchSection(d, s, 0, d[s.payloadAt]-1) }, name, false})
+		cases = append(cases, skew{name, func(d []byte) []byte { patchSection(d, s, 0, d[s.payloadAt]-1); return d }, name, false})
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			data := append([]byte(nil), valid...)
-			c.patch(data)
+			data := c.patch(append([]byte(nil), valid...))
 			path := filepath.Join(t.TempDir(), "old.oct")
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)

@@ -175,10 +175,11 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 }
 
 // TestGoldenSnapshot freezes the on-disk format. testdata/golden-v3.oct
-// was written by the commit before the codecs were collapsed to one
-// generation, from buildSystem(30, 21) saved, loaded and saved again (a
-// first save is not a byte fixpoint: CONF drops TopicNames on load; the
-// second is). Any change to framing or a payload layout fails here
+// (named for its OCTSNAP3 framing) is buildSystem(30, 21) saved, loaded
+// and saved again (a first save is not a byte fixpoint: CONF drops
+// TopicNames on load; the second is); it was last regenerated when the
+// OTIM payload moved to version 4, which changed no other section's
+// bytes. Any change to framing or a payload layout fails here
 // before it strands deployed snapshots. The byte comparison is an array
 // round trip with no float math, so it is architecture-stable.
 func TestGoldenSnapshot(t *testing.T) {
@@ -244,7 +245,7 @@ func TestGoldenSnapshot(t *testing.T) {
 // save to reproduce testdata/golden-v3.oct byte for byte. Where
 // TestGoldenSnapshot freezes the format, this freezes what a build
 // computes: a change to how the engine or an index pass evaluates that
-// moves a single bit of a stored spread, gain or seed fails here. Float
+// moves a single bit of a stored spread or seed fails here. Float
 // results may differ in the last bit where multiply-adds fuse, so the
 // check runs on amd64, where the file was generated.
 func TestGoldenSnapshotRebuilds(t *testing.T) {

@@ -30,12 +30,15 @@
 //     re-CSR'd with the new edges, the TIC model is remapped onto the new
 //     edge ids (tic.Remap) with overlay priors filling the new edges, the
 //     action log is merged with the new items/actions
-//     (actionlog.Merge, cost proportional to the delta), and the OTIM
-//     and tags indexes are either delta-maintained (core.Fold, with
-//     Config.IncrementalFold — query-for-query identical to a rebuild
-//     at the same seed, falling back to a full rebuild when node count
-//     grows or the dirty caps trip) or rebuilt with the tuning of the
-//     base system. The finished snapshot is installed with a single
+//     (actionlog.Merge, cost proportional to the delta). One path per
+//     kind of delta: with Config.IncrementalFold, a delta that leaves
+//     the graph unchanged (items and actions only) reuses the graph,
+//     the model and both indexes (core.Fold — query-for-query identical
+//     to a rebuild at the unchanged seed) and pays only the log-derived
+//     structures; a delta that touches the graph rebuilds the OTIM and
+//     tags indexes (core.Build) with the tuning of the base system at a
+//     per-generation perturbed seed. No index is maintained
+//     incrementally. The finished snapshot is installed with a single
 //     atomic.Pointer store.
 //
 // # Concurrency and the staleness model
@@ -83,10 +86,12 @@
 // to the overlay, appends the accepted events (edges with their
 // assigned priors) to the WAL and fsyncs once per group — before any
 // marker in the group is answered, so Flush doubles as a durability
-// barrier: if a WAL write or fsync failed, Flush and ForceSnapshot
-// return that error (sticky, until a successful checkpoint persists
-// the full state and closes the gap) while ingestion itself keeps
-// running. Every snapshot swap checkpoints (snapshot write, then WAL
+// barrier. Ingest calls themselves return once the batch is queued, so
+// they acknowledge acceptance, not durability. If a WAL write or fsync
+// failed, Flush and ForceSnapshot return that error and Stats.WALFailed
+// carries it (sticky, until a successful checkpoint persists the full
+// state and closes the gap) while ingestion itself keeps running; the
+// server reports it as a wal_failed health reason. Every snapshot swap checkpoints (snapshot write, then WAL
 // rotation), Close drains + folds + checkpoints one final time, and
 // Kill stops dead to mimic a crash. store.Recover replays the WAL tail
 // over the latest checkpoint and reproduces the exact live state; see

@@ -57,19 +57,15 @@ type Config struct {
 	// snapshot-swap latency; a serving host sharing cores with queries
 	// may want fewer than a dedicated builder.
 	Workers int
-	// IncrementalFold delta-maintains the OTIM and influencer indexes at
-	// fold time (core.Fold) instead of rebuilding them from scratch, so
-	// swap latency scales with the delta rather than the corpus. The
-	// folded snapshot is query-for-query identical to a full rebuild at
-	// the same seed; the fold silently falls back to a full rebuild (and
-	// counts it in Stats.FoldFallbacks) when the delta grows the node
-	// count, the dirty set exceeds FoldMaxDirtyFrac of the nodes, or
-	// RelearnEM is set.
+	// IncrementalFold reuses the graph, the model and both indexes
+	// (core.Fold) when a delta leaves the graph unchanged — items and
+	// actions only — so such a swap costs only the log-derived
+	// structures. The folded snapshot is query-for-query identical to a
+	// full rebuild at the unchanged seed. A delta that touches the graph,
+	// or any fold with RelearnEM, rebuilds at the per-generation
+	// perturbed seed and counts in Stats.FoldFallbacks. Without it every
+	// fold rebuilds.
 	IncrementalFold bool
-	// FoldMaxDirtyFrac overrides core.Config.FoldMaxDirtyFrac for
-	// incremental folds (0 inherits the base system's setting, default
-	// 0.25).
-	FoldMaxDirtyFrac float64
 	// foldHook, when non-nil, runs at the start of every fold rebuild
 	// and aborts it by returning an error — the failure-injection seam
 	// fold-retry tests use.
@@ -79,12 +75,14 @@ type Config struct {
 	// checkpoint errors. nil discards them.
 	Logger *slog.Logger
 	// Store, when non-nil, makes the ingester durable: every drained
-	// batch is appended to the write-ahead log and fsynced (group
-	// commit) before it is acknowledged, every snapshot swap checkpoints
-	// (snapshot write + WAL rotation), and Close drains, folds and
-	// checkpoints one final time. The LiveSystem takes ownership and
-	// closes the store. Open the directory with store.Open, which also
-	// recovers any previous state.
+	// batch group is appended to the write-ahead log and fsynced once
+	// (group commit), every snapshot swap checkpoints (snapshot write +
+	// WAL rotation), and Close drains, folds and checkpoints one final
+	// time. Ingest calls return once their batch is queued, before the
+	// fsync; Flush and ForceSnapshot wait for it, so a nil return from
+	// either is the durability acknowledgement. The LiveSystem takes
+	// ownership and closes the store. Open the directory with
+	// store.Open, which also recovers any previous state.
 	Store *store.Dir
 }
 
@@ -204,17 +202,14 @@ type Stats struct {
 	LastSwapMillis  float64   `json:"lastSwapMillis"`
 	TotalSwapMillis float64   `json:"totalSwapMillis"`
 	LastSwapAt      time.Time `json:"lastSwapAt,omitempty"`
-	// IncrementalFolds counts snapshot swaps served by the
-	// delta-maintenance path; FoldFallbacks counts the incremental
-	// attempts that fell back to a full rebuild (node growth, dirty set
-	// over the cap). LastFoldDirtyNodes is the dirty-set size of the
-	// most recent incremental fold.
-	IncrementalFolds   uint64 `json:"incrementalFolds"`
-	FoldFallbacks      uint64 `json:"foldFallbacks"`
-	LastFoldDirtyNodes int64  `json:"lastFoldDirtyNodes"`
+	// With Config.IncrementalFold, IncrementalFolds counts the swaps
+	// that reused the indexes (graph-unchanged deltas) and FoldFallbacks
+	// the ones that rebuilt (the delta touched the graph, or RelearnEM).
+	IncrementalFolds uint64 `json:"incrementalFolds"`
+	FoldFallbacks    uint64 `json:"foldFallbacks"`
 	// Per-stage durations of the last fold's construction (model
-	// carry-over/relearn, index maintenance, derived structures) — where
-	// the swap latency went.
+	// carry-over/relearn, index builds, derived structures) — where the
+	// swap latency went.
 	LastFoldModelMillis   float64 `json:"lastFoldModelMillis"`
 	LastFoldOTIMMillis    float64 `json:"lastFoldOtimMillis"`
 	LastFoldTagsMillis    float64 `json:"lastFoldTagsMillis"`
@@ -233,6 +228,10 @@ type Stats struct {
 	WALErrors             uint64 `json:"walErrors"`
 	Checkpoints           uint64 `json:"checkpoints"`
 	LastCheckpointVersion uint64 `json:"lastCheckpointVersion,omitempty"`
+	// WALFailed is the sticky WAL failure (empty while every applied
+	// event is on disk): set when an append or fsync fails, cleared by
+	// the next successful checkpoint.
+	WALFailed string `json:"walFailed"`
 }
 
 // LiveSystem serves an immutable core.System snapshot while absorbing a
@@ -258,12 +257,12 @@ type LiveSystem struct {
 	itemIDs     map[int32]struct{}
 	since       time.Time // arrival of ov's oldest event
 	lastErr     error     // last fold failure, if any
-	// walFailure (apply goroutine only) is the sticky durability gap: a
-	// WAL append/sync failed, so some applied events are not on disk.
-	// Flush and ForceSnapshot surface it until a successful checkpoint
-	// persists the full state (snapshot includes the overlay), which
-	// closes the gap and clears it.
-	walFailure error
+	// walFailure is the sticky durability gap: a WAL append/sync failed,
+	// so some applied events are not on disk. Only the apply goroutine
+	// writes it; Flush, ForceSnapshot, Stats and health probes read it
+	// until a successful checkpoint persists the full state (snapshot
+	// includes the overlay), which closes the gap and clears it.
+	walFailure atomic.Pointer[error]
 	// foldRetryAt (apply goroutine only) paces automatic retries after a
 	// failed fold: the restored delta keeps tripping its thresholds, so
 	// without a floor every batch arrival or deadline recheck would
@@ -283,7 +282,7 @@ type LiveSystem struct {
 	walErrors                              atomic.Uint64
 	buffered                               atomic.Int64
 	lastSwapNanos, totalSwapNanos          atomic.Int64
-	lastSwapAtNanos, lastFoldDirty         atomic.Int64
+	lastSwapAtNanos                        atomic.Int64
 	lastFoldModelNanos, lastFoldOTIMNanos  atomic.Int64
 	lastFoldTagsNanos, lastFoldDerivNanos  atomic.Int64
 }
@@ -564,9 +563,8 @@ func (ls *LiveSystem) Stats() Stats {
 		TotalSwapMillis: float64(ls.totalSwapNanos.Load()) / 1e6,
 		StalenessMillis: float64(staleness) / 1e6,
 
-		IncrementalFolds:   ls.incrementalFolds.Load(),
-		FoldFallbacks:      ls.foldFallbacks.Load(),
-		LastFoldDirtyNodes: ls.lastFoldDirty.Load(),
+		IncrementalFolds: ls.incrementalFolds.Load(),
+		FoldFallbacks:    ls.foldFallbacks.Load(),
 
 		LastFoldModelMillis:   float64(ls.lastFoldModelNanos.Load()) / 1e6,
 		LastFoldOTIMMillis:    float64(ls.lastFoldOTIMNanos.Load()) / 1e6,
@@ -583,6 +581,9 @@ func (ls *LiveSystem) Stats() Stats {
 		st.WALBytes = d.WALSize()
 		st.WALBytesLogged = d.WALBytesLogged()
 		st.WALErrors = ls.walErrors.Load()
+		if err := ls.WALFailure(); err != nil {
+			st.WALFailed = err.Error()
+		}
 		st.Checkpoints = d.Checkpoints()
 		st.LastCheckpointVersion = d.LastCheckpointVersion()
 	}
@@ -602,22 +603,30 @@ func (ls *LiveSystem) Store() *store.Dir { return ls.cfg.Store }
 // deliberately: build parallelism is bit-identical at any worker
 // count, so each side may pick its own.
 type FoldConfig struct {
-	MaxNodes         int     `json:"maxNodes"`
-	IncrementalFold  bool    `json:"incrementalFold"`
-	RelearnEM        bool    `json:"relearnEM"`
-	Topics           int     `json:"topics"`
-	FoldMaxDirtyFrac float64 `json:"foldMaxDirtyFrac"`
+	MaxNodes        int  `json:"maxNodes"`
+	IncrementalFold bool `json:"incrementalFold"`
+	RelearnEM       bool `json:"relearnEM"`
+	Topics          int  `json:"topics"`
 }
 
 // FoldConfig reports the settings a replica of this system must mirror.
 func (ls *LiveSystem) FoldConfig() FoldConfig {
 	return FoldConfig{
-		MaxNodes:         ls.cfg.MaxNodes,
-		IncrementalFold:  ls.cfg.IncrementalFold,
-		RelearnEM:        ls.cfg.RelearnEM,
-		Topics:           ls.cfg.Topics,
-		FoldMaxDirtyFrac: ls.cfg.FoldMaxDirtyFrac,
+		MaxNodes:        ls.cfg.MaxNodes,
+		IncrementalFold: ls.cfg.IncrementalFold,
+		RelearnEM:       ls.cfg.RelearnEM,
+		Topics:          ls.cfg.Topics,
 	}
+}
+
+// WALFailure returns the sticky WAL failure: non-nil from a failed
+// append or fsync until a successful checkpoint closes the gap (always
+// nil without a Store).
+func (ls *LiveSystem) WALFailure() error {
+	if p := ls.walFailure.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // LastFoldError returns the most recent fold failure (nil if none).
@@ -761,7 +770,7 @@ func (ls *LiveSystem) process(batches [][]event) {
 		case m.kind == evSnapshot && foldErr != nil:
 			m.done <- foldErr
 		default:
-			m.done <- ls.walFailure
+			m.done <- ls.WALFailure()
 		}
 	}
 }
@@ -817,7 +826,7 @@ func (ls *LiveSystem) logRecords(recs []store.Record) {
 	}
 	if err != nil {
 		ls.walErrors.Add(1)
-		ls.walFailure = err
+		ls.walFailure.Store(&err)
 		ls.cfg.Logger.Error("wal write failed", slog.Int("records", len(recs)), slog.Any("error", err))
 		ls.mu.Lock()
 		ls.lastErr = err
@@ -1049,11 +1058,12 @@ func (ls *LiveSystem) fold() error {
 		return err
 	}
 	elapsed := time.Since(start)
-	// Folded systems share structure with their predecessor (the graph
-	// fast path, carry-over models, incrementally maintained indexes), so
-	// a descendant of a mapped base may still alias mapped arrays.
-	// Propagate the backing pointer conservatively: every generation in
-	// the lineage keeps the mapping alive until it is itself retired.
+	// Folded systems share structure with their predecessor (the graph,
+	// model and indexes of a graph-unchanged fold, the carried-over
+	// models of a rebuild), so a descendant of a mapped base may still
+	// alias mapped arrays. Propagate the backing pointer conservatively:
+	// every generation in the lineage keeps the mapping alive until it is
+	// itself retired.
 	if b := old.Sys.Backing(); b != nil && sys.Backing() == nil {
 		sys.SetBacking(b)
 	}
@@ -1097,7 +1107,6 @@ func (ls *LiveSystem) fold() error {
 		slog.Uint64("version", old.Version+1),
 		slog.Int("events", ov.events),
 		slog.Bool("incremental", incremental),
-		slog.Int64("dirtyNodes", ls.lastFoldDirty.Load()),
 		slog.Duration("swap", elapsed),
 		slog.Duration("model", timings.Model),
 		slog.Duration("otim", timings.OTIM),
@@ -1122,17 +1131,23 @@ func (ls *LiveSystem) fold() error {
 				slog.Int64("bytes", st.LastCheckpointBytes()))
 			// The snapshot persists everything applied so far, including any
 			// events a failed WAL write left off disk — durability restored.
-			ls.walFailure = nil
+			ls.walFailure.Store(nil)
 		}
 	}
 	return nil
 }
 
+// foldSeed is the build seed of a rebuilt generation: the base seed
+// perturbed per generation, so successive rebuilds draw fresh topic
+// samples and poll trees.
+func foldSeed(base, version uint64) uint64 { return base ^ version*0x9e3779b97f4a7c15 }
+
 // rebuild merges the overlay into the old snapshot's graph, model and
-// log, and produces the next system with the base index tuning — via
-// incremental index maintenance (core.Fold) when Config.IncrementalFold
-// allows it, falling back to a full core.Build otherwise. The second
-// return reports which path built the snapshot.
+// log, and produces the next system with the base index tuning. A
+// delta that leaves the graph unchanged reuses the graph, the model and
+// both indexes (core.Fold) when Config.IncrementalFold allows it;
+// everything else runs core.Build at the perturbed seed. The second
+// return reports whether the indexes were reused.
 func (ls *LiveSystem) rebuild(old *Snapshot, ov *overlay) (*core.System, bool, error) {
 	if h := ls.cfg.foldHook; h != nil {
 		if err := h(); err != nil {
@@ -1142,8 +1157,8 @@ func (ls *LiveSystem) rebuild(old *Snapshot, ov *overlay) (*core.System, bool, e
 	oldSys := old.Sys
 	oldG := oldSys.Graph()
 
-	// Graph fast path: an action/item-only delta leaves the graph — and
-	// therefore the model and both indexes — untouched.
+	// An action/item-only delta leaves the graph — and therefore the
+	// model and both indexes — untouched.
 	newG := oldG
 	if len(ov.edges) > 0 || len(ov.names) > 0 {
 		b := graph.NewBuilder(oldG.NumNodes())
@@ -1168,83 +1183,48 @@ func (ls *LiveSystem) rebuild(old *Snapshot, ov *overlay) (*core.System, bool, e
 	if ls.cfg.Workers != 0 {
 		cfg.Workers = ls.cfg.Workers
 	}
-	if ls.cfg.FoldMaxDirtyFrac != 0 {
-		cfg.FoldMaxDirtyFrac = ls.cfg.FoldMaxDirtyFrac
-	}
 	// Carry-over folds share the keyword model with serving snapshots, so
 	// its topic names must never be re-touched from the fold goroutine;
 	// RelearnEM folds learn fresh, uncorrelated topics the base names
 	// would mislabel (and a changed Topics count would reject them).
 	cfg.TopicNames = nil
-	if ls.cfg.RelearnEM {
-		if ls.cfg.IncrementalFold {
-			// The documented contract: RelearnEM always takes the full
-			// pipeline, and an enabled-but-bypassed incremental path counts
-			// as a fallback so operators can see it never engages.
-			ls.foldFallbacks.Add(1)
-		}
-		cfg.Seed ^= (old.Version + 1) * 0x9e3779b97f4a7c15
-		cfg.GroundTruth, cfg.GroundTruthWords = nil, nil
-		cfg.Topics = ls.cfg.Topics
-		sys, err := core.Build(newG, newLog, cfg)
-		if err != nil {
-			return nil, false, fmt.Errorf("stream: fold rebuild: %w", err)
-		}
-		return sys, false, nil
-	}
 
-	// Carry the learned model onto the grown graph, overlay priors
-	// filling the new edges. (RelearnEM skips this: EM relearns every
-	// edge from the merged log anyway.)
-	model := oldSys.Propagation()
-	if newG != oldG {
-		var err error
-		model, err = tic.Remap(model, newG, func(u, v graph.NodeID) []float64 {
-			if probs, ok := ov.edges[edgeKey{u, v}]; ok {
-				return probs
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, false, fmt.Errorf("stream: fold model: %w", err)
-		}
-	}
-
-	// Incremental path: delta-maintain the indexes. The seed is NOT
-	// perturbed — the fold reuses per-sample and per-poll state drawn
-	// from the seed the current indexes were built with, and the result
-	// is query-for-query identical to a full rebuild at that same seed.
 	if ls.cfg.IncrementalFold {
-		if newG.NumNodes() == oldG.NumNodes() {
-			srcs := make([]graph.NodeID, 0, len(ov.edges))
-			dsts := make([]graph.NodeID, 0, len(ov.edges))
-			for key := range ov.edges {
-				srcs = append(srcs, key.u)
-				dsts = append(dsts, key.v)
+		if newG == oldG && !ls.cfg.RelearnEM {
+			// The seed is NOT perturbed: the indexes it drew are reused.
+			sys, err := core.Fold(oldSys, newLog, cfg)
+			if err != nil {
+				return nil, false, fmt.Errorf("stream: fold: %w", err)
 			}
-			sys, fs, err := core.Fold(oldSys, newG, newLog, model, srcs, dsts, cfg)
-			if err == nil {
-				ls.lastFoldDirty.Store(int64(fs.DirtyNodes))
-				return sys, true, nil
-			}
-			if !errors.Is(err, core.ErrFoldDeltaTooLarge) {
-				// Over-the-cap refusals are routine policy; anything else
-				// (seed/shape mismatch) means the incremental path is broken
-				// and deserves surfacing, not just a fallback counter.
-				ls.mu.Lock()
-				ls.lastErr = fmt.Errorf("stream: incremental fold fell back: %w", err)
-				ls.mu.Unlock()
-			}
+			return sys, true, nil
 		}
-		// Any fold refusal — node growth, dirty set over the caps, shape
-		// mismatch — falls back to the full pipeline below; the delta is
-		// never lost.
 		ls.foldFallbacks.Add(1)
 	}
 
-	cfg.Seed ^= (old.Version + 1) * 0x9e3779b97f4a7c15
-	cfg.GroundTruth = model
-	cfg.GroundTruthWords = oldSys.Keywords()
+	cfg.Seed = foldSeed(cfg.Seed, old.Version+1)
+	if ls.cfg.RelearnEM {
+		cfg.GroundTruth, cfg.GroundTruthWords = nil, nil
+		cfg.Topics = ls.cfg.Topics
+	} else {
+		// Carry the learned model onto the grown graph, overlay priors
+		// filling the new edges. (RelearnEM skips this: EM relearns every
+		// edge from the merged log anyway.)
+		model := oldSys.Propagation()
+		if newG != oldG {
+			var err error
+			model, err = tic.Remap(model, newG, func(u, v graph.NodeID) []float64 {
+				if probs, ok := ov.edges[edgeKey{u, v}]; ok {
+					return probs
+				}
+				return nil
+			})
+			if err != nil {
+				return nil, false, fmt.Errorf("stream: fold model: %w", err)
+			}
+		}
+		cfg.GroundTruth = model
+		cfg.GroundTruthWords = oldSys.Keywords()
+	}
 	sys, err := core.Build(newG, newLog, cfg)
 	if err != nil {
 		return nil, false, fmt.Errorf("stream: fold rebuild: %w", err)

@@ -12,8 +12,8 @@ import (
 
 // Binary payload format: the poll roots and stored reverse trees with
 // their materialized coins, plus the per-poll flipped-coin counts
-// incremental folds need to keep totals exact while regrowing only
-// dirty polls. Loading re-binds the trees to a TIC model instead of
+// (pollCoins), which only feed the CoinsFlipped total. Loading re-binds
+// the trees to a TIC model instead of
 // re-sampling, so query results over the loaded index are identical to
 // the saved one's (the coins ARE the index).
 //

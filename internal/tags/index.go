@@ -94,13 +94,12 @@ type Index struct {
 	contains [][]int32
 	edges    int // total materialized coins
 	coins    int // total coins flipped during build (incl. pruned edges)
-	// pollCoins[p] = coins flipped growing poll p's tree. Incremental
-	// folds need the per-poll split to keep the totals exact while
-	// regrowing only a subset of the polls.
+	// pollCoins[p] = coins flipped growing poll p's tree. The snapshot
+	// stores this per-poll split; it only feeds the CoinsFlipped total.
 	pollCoins []int32
 
-	// buildStats records the build-pass durations (zero on folded or
-	// deserialized indexes — only BuildIndex fills it).
+	// buildStats records the build-pass durations (zero on deserialized
+	// indexes — only BuildIndex fills it).
 	buildStats BuildStats
 }
 

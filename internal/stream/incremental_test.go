@@ -141,10 +141,10 @@ func TestIncrementalFoldFallbackOnNodeGrowth(t *testing.T) {
 	}
 }
 
-// A delta that touches the graph rebuilds: the snapshot answers
-// exactly like core.Build at the per-generation perturbed seed, and the
-// swap counts as one fallback.
-func TestIncrementalFoldEdgeDeltaRebuilds(t *testing.T) {
+// The stream-level guarantee for a mixed delta: a LiveSystem with
+// IncrementalFold swaps in a snapshot query-for-query identical to
+// core.Build over the grown inputs at the per-generation perturbed seed.
+func TestIncrementalFoldMatchesFullRebuild(t *testing.T) {
 	sys, _ := buildBase(t, 250, 29)
 	n := graph.NodeID(sys.Graph().NumNodes())
 	ls, err := NewLiveSystem(sys, Config{RebuildEvents: 1 << 20, IncrementalFold: true})
@@ -176,15 +176,33 @@ func TestIncrementalFoldEdgeDeltaRebuilds(t *testing.T) {
 	if err := ls.ForceSnapshot(); err != nil {
 		t.Fatal(err)
 	}
+	want := expectedFold(t, sys, foldSeed(sys.BuildConfig().Seed, 2), edges, items, acts)
+	compareSystems(t, want, ls.System())
+}
+
+// A delta that touches the graph rebuilds rather than reusing the
+// indexes, and the swap counts as one fallback.
+func TestIncrementalFoldEdgeDeltaRebuilds(t *testing.T) {
+	sys, _ := buildBase(t, 150, 41)
+	n := graph.NodeID(sys.Graph().NumNodes())
+	ls, err := NewLiveSystem(sys, Config{RebuildEvents: 1 << 20, IncrementalFold: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+	if err := ls.IngestEdges([]EdgeEvent{{Src: 0, Dst: n - 1}, {Src: 5, Dst: 9}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ls.ForceSnapshot(); err != nil {
+		t.Fatal(err)
+	}
 	if st := ls.Stats(); st.IncrementalFolds != 0 || st.FoldFallbacks != 1 || st.Snapshots != 1 {
 		t.Fatalf("fold counters = %+v", st)
 	}
 	got := ls.System()
-	if got.OTIMIndex() == sys.OTIMIndex() || got.Timings().Incremental {
+	if got.OTIMIndex() == sys.OTIMIndex() || got.TagsIndex() == sys.TagsIndex() || got.Timings().Incremental {
 		t.Fatal("edge-bearing fold reused the indexes")
 	}
-	want := expectedFold(t, sys, foldSeed(sys.BuildConfig().Seed, 2), edges, items, acts)
-	compareSystems(t, want, got)
 }
 
 // The item-dedup memory must be bounded by live state: after a fold the

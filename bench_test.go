@@ -1,5 +1,5 @@
-// Benchmarks regenerating every experiment row of DESIGN.md §4 (E1–E12)
-// as testing.B targets. cmd/octopus-bench prints the corresponding full
+// Benchmarks regenerating the paper-claim experiments E1–E12 as
+// testing.B targets. cmd/octopus-bench prints the corresponding full
 // tables; these targets provide per-operation numbers with allocation
 // profiles. Sizes are kept moderate so the full suite completes quickly;
 // the table harness runs the larger sweeps.

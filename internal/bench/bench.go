@@ -1,13 +1,13 @@
-// Package bench provides the small harness utilities shared by the
-// experiment runner (cmd/octopus-bench) and the testing.B benchmarks:
-// wall-clock timers with percentile summaries and fixed-width table
-// rendering that mirrors how the backing papers report results.
+// Package bench provides the small utilities of the in-process experiment
+// runner (cmd/octopus-bench): wall-clock timers with mean summaries,
+// fixed-width table rendering that mirrors how the backing papers report
+// results, and runtime-observability deltas. Its tables are printed, not
+// evidence; the repo's performance ledger is benchmark/.
 package bench
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 )
@@ -32,10 +32,6 @@ func (t *Timer) Add(d time.Duration) { t.samples = append(t.samples, d) }
 // N returns the sample count.
 func (t *Timer) N() int { return len(t.samples) }
 
-// Samples returns the recorded durations in insertion order (the
-// backing slice; callers must not mutate it).
-func (t *Timer) Samples() []time.Duration { return t.samples }
-
 // Mean returns the mean duration.
 func (t *Timer) Mean() time.Duration {
 	if len(t.samples) == 0 {
@@ -46,23 +42,6 @@ func (t *Timer) Mean() time.Duration {
 		total += d
 	}
 	return total / time.Duration(len(t.samples))
-}
-
-// Percentile returns the p-th percentile (0 < p ≤ 100).
-func (t *Timer) Percentile(p float64) time.Duration {
-	if len(t.samples) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), t.samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(p/100*float64(len(s))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
 }
 
 // Table renders fixed-width experiment tables.

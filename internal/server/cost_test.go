@@ -229,3 +229,32 @@ func TestInstrumentZeroAllocWhenTracingDisabled(t *testing.T) {
 		t.Errorf("instrument allocates %.1f objects per request with tracing off, want 0", allocs)
 	}
 }
+
+// maxExplainAllocs is what ?explain=1 may add to an uncached, untraced
+// query: the cost carrier and its context, the request copy, the
+// X-Octopus-Cost header, the JSON breakdown and the envelope buffer.
+// Measured at 11 on every query of the test system; the engine-side
+// counters are plain adds and allocate nothing, so growth here is a leak.
+const maxExplainAllocs = 11
+
+// TestExplainAllocationOverhead bounds what cost accounting adds to a
+// query as a fixed allocation count instead of a wall-clock ratio: the
+// same warm uncached /api/im request with and without &explain=1.
+func TestExplainAllocationOverhead(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	_, sys := testServer(t)
+	s := NewWith(sys, Options{CacheEntries: -1, TraceRing: -1})
+	path := "/api/im?q=" + vocabKeyword(sys) + "&k=5"
+	allocs := func(path string) float64 {
+		w := &nopResponseWriter{h: make(http.Header)}
+		r := httptest.NewRequest(http.MethodGet, path, nil)
+		return testing.AllocsPerRun(50, func() { s.ServeHTTP(w, r) })
+	}
+	plain, explained := allocs(path), allocs(path+"&explain=1")
+	if extra := explained - plain; extra > maxExplainAllocs {
+		t.Errorf("explain adds %.1f allocations per query (%.1f vs %.1f plain), want ≤ %d",
+			extra, explained, plain, maxExplainAllocs)
+	}
+}

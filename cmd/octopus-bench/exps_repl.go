@@ -22,17 +22,17 @@ import (
 	"octopus/internal/stream"
 )
 
-// E19 — read-replica fleet: a durable leader ships its checkpoint
-// snapshot and tails its WAL to followers over /api/replicate. Three
+// E19 — read-replica fleet: a durable leader checkpoints at every fold
+// and followers mirror those checkpoints over /api/replicate. Three
 // claims are measured:
 //
-//  1. catch-up — a follower bootstrapping against a leader with a WAL
-//     backlog maps the snapshot zero-copy (no copy fallbacks asserted)
-//     and replays the backlog; reported as records/sec from Start to
-//     the first caught-up observation;
-//  2. steady-state lag — with followers tailing, each ingest round's
-//     time from leader append to follower apply (median and p90 over
-//     the rounds);
+//  1. bootstrap — a follower maps the shipped snapshot zero-copy (no
+//     copy fallbacks asserted);
+//  2. per-fold lag — for each leader fold of an edge-bearing delta, the
+//     time from the leader's ForceSnapshot return (its checkpoint is on
+//     disk) until the follower serves that version (median and p90 over
+//     the folds), next to the snapshot bytes each fold ships and the WAL
+//     bytes it wrote on the leader;
 //  3. leader overhead — the leader's query p50 with two caught-up
 //     followers long-polling vs with none, on an identical folded
 //     system. The overhead must stay within 10% (plus a 500µs noise
@@ -76,10 +76,6 @@ func runE19(e *env) error {
 		return err
 	}
 	defer ls.Close()
-	// First checkpoint: the snapshot followers bootstrap from.
-	if err := ls.ForceSnapshot(); err != nil {
-		return err
-	}
 	// The cache would answer repeated queries without running the engine,
 	// hiding any replication overhead — disable it for the measurement.
 	srv := server.NewLiveWith(ls, server.Options{CacheEntries: -1})
@@ -87,8 +83,8 @@ func runE19(e *env) error {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// feed appends one edge + one item + one action per unit: three WAL
-	// records through the leader's synchronous ingest path.
+	// feed ingests one edge + one item + one action per unit through the
+	// leader's synchronous ingest path.
 	nodes := int32(sys.Graph().NumNodes())
 	round := int32(0)
 	feed := func(units int) error {
@@ -120,25 +116,24 @@ func runE19(e *env) error {
 			RetryBackoff: 50 * time.Millisecond,
 		})
 	}
-	// caughtUp waits until the follower's applied position reaches the
-	// leader's current durable frontier.
-	caughtUp := func(f *repl.Follower) error {
-		epoch, durable := d.WALEpoch(), d.WALDurable()
+	// serves waits until the follower serves the leader's current version.
+	serves := func(f *repl.Follower) error {
+		want := ls.Version()
 		deadline := time.Now().Add(60 * time.Second)
-		for {
-			st := f.Stats()
-			if st.CaughtUp && st.Epoch == epoch && st.Offset >= durable {
-				return nil
-			}
+		for f.Version() != want {
 			if time.Now().After(deadline) {
-				return fmt.Errorf("follower stuck behind: %+v (leader epoch %d durable %d)", st, epoch, durable)
+				return fmt.Errorf("follower stuck at version %d, leader at %d: %+v", f.Version(), want, f.Stats())
 			}
-			time.Sleep(2 * time.Millisecond)
+			time.Sleep(100 * time.Microsecond)
 		}
+		return nil
 	}
 
-	// ---- 1. Catch-up: a WAL backlog exists before the follower starts.
-	if err := feed(e.sizes.replBacklog); err != nil {
+	// ---- 1. Bootstrap: the first checkpoint is the snapshot followers map.
+	if err := feed(20); err != nil {
+		return err
+	}
+	if err := ls.ForceSnapshot(); err != nil {
 		return err
 	}
 	t0 := time.Now()
@@ -147,55 +142,51 @@ func runE19(e *env) error {
 		return err
 	}
 	defer f1.Close()
-	if err := caughtUp(f1); err != nil {
+	if err := serves(f1); err != nil {
 		return err
 	}
-	catchup := time.Since(t0)
-	st1 := f1.Stats()
-	if ms, ok := f1.MapStats(); !ok {
-		return fmt.Errorf("follower serving without a mapped snapshot")
-	} else if ms.CopyFallbacks != 0 {
+	bootstrap := time.Since(t0)
+	if ms := f1.MapStats(); ms.CopyFallbacks != 0 {
 		return fmt.Errorf("%d copy fallbacks mapping the shipped snapshot", ms.CopyFallbacks)
 	}
-	rate := float64(st1.RecordsQueued) / catchup.Seconds()
-
-	// ---- 2. Steady-state lag: per-round leader-append → follower-apply.
 	f2, err := startFollower("follower-2")
 	if err != nil {
 		return err
 	}
 	defer f2.Close()
-	if err := caughtUp(f2); err != nil {
+	if err := serves(f2); err != nil {
 		return err
 	}
+
+	// ---- 2. Per-fold lag: leader ForceSnapshot return → follower serves it.
+	bytes0, wal0 := f1.Stats().SnapshotBytes, d.WALBytesLogged()
 	lags := make([]time.Duration, 0, e.sizes.replRounds)
 	for i := 0; i < e.sizes.replRounds; i++ {
-		t := time.Now()
 		if err := feed(20); err != nil {
 			return err
 		}
-		if err := caughtUp(f1); err != nil {
+		if err := ls.ForceSnapshot(); err != nil {
+			return err
+		}
+		t := time.Now()
+		if err := serves(f1); err != nil {
 			return err
 		}
 		lags = append(lags, time.Since(t))
+		if err := serves(f2); err != nil {
+			return err
+		}
 	}
 	sort.Slice(lags, func(i, j int) bool { return lags[i] < lags[j] })
 	lagP50 := lags[len(lags)/2]
 	lagP90 := lags[len(lags)*9/10]
+	folds := int64(e.sizes.replRounds)
+	snapPerFold := (f1.Stats().SnapshotBytes - bytes0) / folds
+	walPerFold := (d.WALBytesLogged() - wal0) / folds
 
 	// ---- 3. Leader overhead: query p50 with two caught-up followers
-	// long-polling vs none. Fold first so both windows run over the same
-	// overlay-free system; no ingest happens inside the windows, so the
+	// long-polling vs none. No ingest happens inside the windows, so the
 	// only difference is the parked replication traffic.
-	if err := ls.ForceSnapshot(); err != nil {
-		return err
-	}
-	if err := caughtUp(f1); err != nil {
-		return err
-	}
-	if err := caughtUp(f2); err != nil {
-		return err
-	}
 	queries := []string{"mining+data", "learning", "systems", "retrieval+information"}
 	measureP50 := func() (time.Duration, error) {
 		lat := make([]time.Duration, 0, e.sizes.replQueries)
@@ -235,23 +226,24 @@ func runE19(e *env) error {
 	overhead := p50With.Seconds() / p50Without.Seconds()
 
 	tab := bench.NewTable(
-		"E19: read-replica fleet — catch-up, steady-state lag, leader overhead (2 followers)",
+		"E19: read-replica fleet — bootstrap, per-fold lag, leader overhead (2 followers)",
 		"metric", "value")
-	tab.Row("backlog catch-up", fmt.Sprintf("%d records in %s (%.0f records/s)",
-		st1.RecordsQueued, catchup.Round(time.Millisecond), rate))
-	tab.Row("snapshot transfer", fmt.Sprintf("%.1f MiB fetched, backing zero-copy", float64(st1.SnapshotBytes)/(1<<20)))
-	tab.Row("steady-state lag p50", lagP50.Round(time.Millisecond))
-	tab.Row("steady-state lag p90", lagP90.Round(time.Millisecond))
+	tab.Row("bootstrap", fmt.Sprintf("%.1f MiB snapshot mapped in %s, backing zero-copy",
+		float64(f1.MapStats().FileSize)/(1<<20), bootstrap.Round(time.Millisecond)))
+	tab.Row("per-fold lag p50", lagP50.Round(10*time.Microsecond))
+	tab.Row("per-fold lag p90", lagP90.Round(10*time.Microsecond))
+	tab.Row("snapshot bytes shipped per fold", fmt.Sprintf("%.1f KiB", float64(snapPerFold)/1024))
+	tab.Row("leader WAL bytes per fold (not shipped)", fmt.Sprintf("%.1f KiB", float64(walPerFold)/1024))
 	tab.Row("leader query p50, 2 followers", p50With.Round(time.Microsecond))
 	tab.Row("leader query p50, 0 followers", p50Without.Round(time.Microsecond))
 	tab.Row("overhead", fmt.Sprintf("%.2f× (target ≤%.2f×)", overhead, e19OverheadRatio))
 	tab.Render(e.out)
 
-	e.record("catchup_records", st1.RecordsQueued)
-	e.record("catchup_records_per_sec", rate)
-	e.record("snapshot_bytes", st1.SnapshotBytes)
+	e.record("bootstrap_ms", float64(bootstrap)/1e6)
 	e.record("lag_p50_ms", float64(lagP50)/1e6)
 	e.record("lag_p90_ms", float64(lagP90)/1e6)
+	e.record("snapshot_bytes_per_fold", snapPerFold)
+	e.record("wal_bytes_per_fold", walPerFold)
 	e.record("leader_p50_with_followers_ms", float64(p50With)/1e6)
 	e.record("leader_p50_without_followers_ms", float64(p50Without)/1e6)
 	e.record("leader_overhead_ratio", overhead)

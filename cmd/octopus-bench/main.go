@@ -50,8 +50,7 @@ type sizes struct {
 	snapshotNodes   []int // cold-start experiment dataset sizes
 	parAuthors      int   // build-parallelism experiment dataset size
 	replAuthors     int   // replication experiment dataset size
-	replBacklog     int   // feed units (3 WAL records each) in the catch-up backlog
-	replRounds      int   // steady-state lag measurement rounds
+	replRounds      int   // leader folds the follower lag is measured over
 	replQueries     int   // leader queries per overhead window
 }
 
@@ -70,7 +69,6 @@ func defaultSizes(quick bool) sizes {
 			snapshotNodes:   []int{1000, 2000},
 			parAuthors:      700,
 			replAuthors:     800,
-			replBacklog:     500,
 			replRounds:      8,
 			replQueries:     40,
 		}
@@ -88,7 +86,6 @@ func defaultSizes(quick bool) sizes {
 		snapshotNodes:   []int{3000, 8000},
 		parAuthors:      2500,
 		replAuthors:     2500,
-		replBacklog:     2000,
 		replRounds:      15,
 		replQueries:     120,
 	}
@@ -116,7 +113,7 @@ var experiments = []experiment{
 	{"E13", "Streaming ingestion: replay throughput, swap latency, staleness", runE13},
 	{"E14", "Persistence: snapshot cold-start speedup and WAL ingest overhead", runE14},
 	{"E15", "Build/fold parallelism: pipeline speedup vs workers, determinism check", runE15},
-	{"E19", "Read-replica fleet: snapshot shipping + WAL tailing — catch-up, lag, leader overhead", runE19},
+	{"E19", "Read-replica fleet: checkpoint mirroring — bootstrap, per-fold lag, leader overhead", runE19},
 }
 
 // selectExperiments returns the experiments named in only (comma-separated,

@@ -75,18 +75,19 @@
 // and checkpoints one final time.
 //
 // With -follow, serve runs as a read replica of another octopus serve
-// -ingest -wal instance: it downloads the leader's checkpoint snapshot
-// into its own -wal DIR (resuming partial downloads), maps it in place
-// (zero-copy, like -load -mmap), then tails the leader's WAL over
-// long-poll GET /api/replicate and replays it through the streaming
-// subsystem — folding exactly at the leader's checkpoint fences, so at
-// equal versions replica and leader serve byte-identical answers. The
+// -ingest -wal instance. It mirrors the leader's checkpoints: it
+// long-polls GET /api/replicate?what=status, and whenever the leader's
+// checkpoint version moves it downloads that snapshot into its own -wal
+// DIR (resuming partial downloads), maps it in place (zero-copy, like
+// -load -mmap) and swaps it in. The replica never folds and never sees
+// the leader's WAL: a checkpoint version names one file, byte for byte,
+// so at equal versions replica and leader serve identical answers. The
 // replica serves the same read API; ingest endpoints answer 403 (writes
 // go to the leader), /api/health stays degraded with a replication_lag
-// reason until it has caught up, and a restarted replica resumes from
-// its local state without re-downloading the snapshot. Leader loss is
-// retried with backoff forever; a leader that restarted from crash
-// recovery signals the replica to re-bootstrap automatically.
+// reason until it has caught up, and a restarted replica maps its local
+// copy without re-downloading while the leader has not checkpointed
+// since. Leader loss is retried with backoff forever; a leader that
+// restarts from crash recovery is just another checkpoint to mirror.
 //
 // serve always runs the query-serving layer: a generation-tagged result
 // cache (-cache-entries, invalidated implicitly by snapshot swaps),
@@ -219,7 +220,7 @@ func main() {
 	fs.DurationVar(&opt.shardTimeout, "shard-timeout", 5*time.Second, "per-shard fan-out bound; a slower shard is treated as missing for that request (serve -coordinator)")
 	fs.DurationVar(&opt.probeInterval, "probe-interval", 2*time.Second, "background shard health-probe cadence (serve -coordinator)")
 	fs.BoolVar(&opt.ingest, "ingest", false, "enable streaming ingestion endpoints (serve)")
-	fs.StringVar(&opt.walDir, "wal", "", "durability directory for serve -ingest: WAL + checkpoint snapshots, with crash recovery on start (with -follow: the replica's local state)")
+	fs.StringVar(&opt.walDir, "wal", "", "durability directory for serve -ingest: WAL + checkpoint snapshots, with crash recovery on start (with -follow: where the replica keeps its mirrored checkpoint)")
 	fs.StringVar(&opt.follow, "follow", "", "serve as a read replica of the leader at this base URL; requires -wal DIR, conflicts with -ingest and -load (serve)")
 	fs.IntVar(&opt.rebuildEvents, "rebuild-events", 4096, "fold the ingest overlay into a new snapshot after this many events (serve -ingest)")
 	fs.DurationVar(&opt.rebuildInterval, "rebuild-interval", 30*time.Second, "also fold when pending events are older than this; 0 disables (serve -ingest)")
@@ -587,10 +588,10 @@ func serverOptions(opt options, logger *slog.Logger) server.Options {
 	}
 }
 
-// serveFollower runs serve -follow: bootstrap a read replica from the
-// leader's checkpoint snapshot (mapped in place), tail its WAL, and
-// serve the read-only API. -wal names the replica's local state
-// directory; ingestion and dataset construction are the leader's job.
+// serveFollower runs serve -follow: mirror the leader's checkpoints
+// (each mapped in place) and serve the read-only API. -wal names the
+// replica's local directory; ingestion, folds and dataset construction
+// are the leader's job.
 func serveFollower(opt options) error {
 	if opt.walDir == "" {
 		return errors.New("serve -follow requires -wal DIR for the replica's local state")
@@ -609,7 +610,6 @@ func serveFollower(opt options) error {
 	f, err := repl.Start(ctx, repl.Config{
 		Leader: opt.follow,
 		Dir:    opt.walDir,
-		Stream: stream.Config{Workers: opt.workers},
 		Logger: logger,
 	})
 	if err != nil {
@@ -619,7 +619,7 @@ func serveFollower(opt options) error {
 	logger.Info("listening", slog.String("addr", opt.addr),
 		slog.String("mode", "replica"), slog.String("leader", opt.follow))
 	return runHTTP(ctx, opt, logger, srv, func() error {
-		logger.Info("stopping replication", slog.Uint64("version", f.Live().Version()))
+		logger.Info("stopping replication", slog.Uint64("version", f.Version()))
 		return f.Close()
 	})
 }

@@ -22,7 +22,7 @@ type Client struct {
 }
 
 // NewClient targets a leader at base (e.g. "http://host:8080"). The
-// optional http.Client must not set a global Timeout: tail requests
+// optional http.Client must not set a global Timeout: status requests
 // long-poll and snapshot downloads can be large — per-request contexts
 // bound each call instead.
 func NewClient(base string, hc *http.Client) *Client {
@@ -49,9 +49,16 @@ func errorBody(resp *http.Response) error {
 	return fmt.Errorf("repl: leader returned %s: %s", resp.Status, strings.TrimSpace(string(body)))
 }
 
-// Status fetches the leader's replication handshake.
-func (c *Client) Status(ctx context.Context) (Status, error) {
-	resp, err := c.get(ctx, url.Values{"what": {"status"}}, nil)
+// Status fetches the leader's replication handshake. With wait > 0 it
+// long-polls: the leader answers as soon as its checkpoint version
+// differs from after, or when wait runs out.
+func (c *Client) Status(ctx context.Context, after uint64, wait time.Duration) (Status, error) {
+	q := url.Values{"what": {"status"}}
+	if wait > 0 {
+		q.Set("after", strconv.FormatUint(after, 10))
+		q.Set("wait_ms", strconv.FormatInt(wait.Milliseconds(), 10))
+	}
+	resp, err := c.get(ctx, q, nil)
 	if err != nil {
 		return Status{}, err
 	}
@@ -171,42 +178,4 @@ func (c *Client) FetchSnapshot(ctx context.Context, dest string) (version uint64
 		os.Remove(verFile)
 		return version, transferred, off > 0, nil
 	}
-}
-
-// Tail fetches WAL bytes at (epoch, offset), long-polling up to wait on
-// the leader when caught up.
-func (c *Client) Tail(ctx context.Context, epoch uint64, offset, maxBytes int64, wait time.Duration) (TailResult, error) {
-	q := url.Values{
-		"what":   {"wal"},
-		"epoch":  {strconv.FormatUint(epoch, 10)},
-		"offset": {strconv.FormatInt(offset, 10)},
-	}
-	if wait > 0 {
-		q.Set("wait_ms", strconv.FormatInt(wait.Milliseconds(), 10))
-	}
-	if maxBytes > 0 {
-		q.Set("max_bytes", strconv.FormatInt(maxBytes, 10))
-	}
-	resp, err := c.get(ctx, q, nil)
-	if err != nil {
-		return TailResult{}, err
-	}
-	defer resp.Body.Close()
-	res := TailResult{Epoch: epoch, Offset: offset}
-	res.LeaderEpoch, _ = strconv.ParseUint(resp.Header.Get(HeaderLeaderEpoch), 10, 64)
-	res.LeaderDurable, _ = strconv.ParseInt(resp.Header.Get(HeaderDurable), 10, 64)
-	res.SnapshotVersion, _ = strconv.ParseUint(resp.Header.Get(HeaderSnapshotVersion), 10, 64)
-	if resp.StatusCode == http.StatusConflict && resp.Header.Get(HeaderRestart) == "1" {
-		res.Restart = true
-		return res, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return TailResult{}, errorBody(resp)
-	}
-	res.Sealed = resp.Header.Get(HeaderSealed) == "1"
-	res.Data, err = io.ReadAll(resp.Body)
-	if err != nil {
-		return TailResult{}, err
-	}
-	return res, nil
 }

@@ -1,53 +1,43 @@
 // Package repl implements leader→follower replication for the live
-// OCTOPUS system: snapshot shipping plus WAL tailing, so a fleet of
-// read replicas can serve the paper's query scenarios at near-leader
-// freshness without re-running EM or index builds.
+// OCTOPUS system by checkpoint mirroring: the leader builds every index
+// once and checkpoints it; a fleet of read replicas maps those
+// checkpoints and serves the paper's query scenarios from them without
+// re-running EM, folds or index builds.
 //
 // # Protocol
 //
-// A leader exposes one endpoint, GET /api/replicate, with three forms:
+// A leader exposes one endpoint, GET /api/replicate, with two forms:
 //
-//	?what=status    → JSON Status: snapshot version, WAL epoch and
-//	                  durable length, and the FoldConfig a replica
-//	                  must mirror.
+//	?what=status    → JSON Status: the latest checkpoint version, the
+//	                  serving version and the snapshot size.
+//	                  &after=V&wait_ms=W long-polls: the leader answers
+//	                  as soon as its checkpoint version differs from V,
+//	                  or after W milliseconds.
 //	?what=snapshot  → the latest checkpoint snapshot file, served with
-//	                  Range support so an interrupted bootstrap resumes
+//	                  Range support so an interrupted download resumes
 //	                  where it left off instead of starting over.
-//	?what=wal&epoch=E&offset=O
-//	                → raw WAL frames from epoch E starting at byte O
-//	                  (&wait_ms long-polls when caught up, &max_bytes
-//	                  caps the response). Responses carry the position
-//	                  headers defined in source.go.
 //
-// A position is (epoch, offset): epoch E is the checkpoint version the
-// WAL bytes build on, offset is a byte position past the 8-byte WAL
-// header. The leader's live WAL serves only the fsync'd prefix
-// ([offset, durable)); rotated epochs are retained as sealed wal.<E>.log
-// archives so a follower that is a few checkpoints behind can still
-// catch up record-for-record. When the requested position is not
-// resumable — the epoch was pruned, the leader restarted and rebuilt
-// through recovery (not fold-equivalent to streaming), or the follower
-// claims bytes the leader never wrote — the leader answers with a
-// restart signal (HTTP 409 + X-Octopus-Repl-Restart) and the follower
-// re-bootstraps from the current snapshot.
+// The rule the protocol rests on is "same version ⇒ same bytes": the
+// leader writes one checkpoint per fold (store.Dir.Checkpoint), and a
+// checkpoint version names exactly one snapshot file. A follower that
+// maps the file of version V answers every query exactly like the
+// leader serving V — the mapped ≡ heap identity of internal/store — so
+// no fold settings, WAL positions or restart signals cross the wire. A
+// leader that crash-restarts recovers its WAL tail into a new
+// checkpoint version, which followers mirror like any other.
 //
 // # Follower lifecycle
 //
-// Start fetches the leader's status, downloads (or reuses) the
-// snapshot, opens the local durability directory with store.OpenRaw,
-// maps the snapshot in place with store.Map (zero-copy: the replica
-// serves straight from the page cache), wraps it in a stream.LiveSystem
-// that mirrors the leader's FoldConfig with automatic folds disabled,
-// and then tails the WAL. Data records are replayed through the normal
-// ingest path — edges carry the leader's recorded priors so both sides
-// fold the same model — and fence records trigger ForceSnapshot, so the
-// follower folds exactly at the leader's checkpoint boundaries with the
-// same version numbers. At equal versions, leader and follower serve
-// query-for-query identical answers; the follower's extra staleness is
-// only its replication lag (Follower.Lag), which the serving layer
-// feeds into the health SLOs.
-//
-// Each follower fold checkpoints locally, so a restarted follower
-// resumes from its own snapshot — re-tailing from the last fence —
-// without re-downloading the leader's snapshot.
+// Start asks the leader for its status, reuses the checkpoint in its
+// local directory when that already holds the leader's version (a
+// restart against an unchanged leader fetches nothing), downloads it
+// otherwise, maps it in place with store.Map (zero-copy: the replica
+// serves straight from the page cache) and publishes it as a
+// stream.Snapshot. The poll loop then long-polls status after the
+// served version and repeats the download-map-swap for every new
+// checkpoint. Readers pin the served generation with Acquire — the pin
+// protocol of stream.Snapshot — so a swap never waits for them and an
+// old mapping is unmapped after its last reader releases. The
+// follower's extra staleness is its replication lag (Follower.Lag),
+// which the serving layer feeds into the health SLOs.
 package repl

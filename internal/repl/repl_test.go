@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"octopus/internal/actionlog"
+	"octopus/internal/arena"
 	"octopus/internal/core"
 	"octopus/internal/datagen"
 	"octopus/internal/graph"
@@ -42,7 +43,7 @@ func buildBase(tb testing.TB, authors int, seed uint64) *core.System {
 }
 
 // leader bundles a durable live system behind an httptest replication
-// endpoint whose Source can be swapped to simulate a leader restart.
+// endpoint whose Source is swapped when the leader crash-restarts.
 type leader struct {
 	tb    testing.TB
 	dir   string
@@ -89,7 +90,7 @@ func (l *leader) open(fallback *core.System) {
 }
 
 // crashRestart kills the leader mid-stream and reopens it through
-// recovery — the scenario that invalidates every follower's lineage.
+// recovery, which compacts any WAL tail into a new checkpoint version.
 func (l *leader) crashRestart() {
 	l.tb.Helper()
 	l.ls.Kill()
@@ -182,13 +183,37 @@ func startFollower(tb testing.TB, leaderURL, dir string) *repl.Follower {
 	return f
 }
 
-// converged waits until the follower has fetched everything durable and
-// folded to the leader's version.
+// checkpoint returns the leader's latest checkpoint version — the one
+// a caught-up follower serves.
+func (l *leader) checkpoint() uint64 { return l.ls.Store().LastCheckpointVersion() }
+
+// converged waits until the follower serves the leader's latest
+// checkpoint and knows it.
 func converged(tb testing.TB, f *repl.Follower, l *leader) {
 	tb.Helper()
 	waitFor(tb, 20*time.Second, "follower convergence", func() bool {
-		return f.CaughtUp() && f.Live().Version() == l.ls.Version()
+		return f.CaughtUp() && f.Version() == l.checkpoint()
 	})
+}
+
+// served fingerprints the generation the follower serves, under a pin.
+func served(tb testing.TB, f *repl.Follower) string {
+	tb.Helper()
+	sn, release := f.Acquire()
+	defer release()
+	return fingerprint(tb, sn.Sys)
+}
+
+// assertMirrors checks the follower serves the leader's current version
+// with byte-identical answers.
+func assertMirrors(tb testing.TB, f *repl.Follower, l *leader) {
+	tb.Helper()
+	if fv, lv := f.Version(), l.ls.Version(); fv != lv {
+		tb.Fatalf("follower serves version %d, leader %d", fv, lv)
+	}
+	if got, want := served(tb, f), fingerprint(tb, l.ls.System()); got != want {
+		tb.Fatalf("answers diverge at version %d:\n got %s\nwant %s", f.Version(), got, want)
+	}
 }
 
 func TestFollowerBootstrapConverges(t *testing.T) {
@@ -197,9 +222,9 @@ func TestFollowerBootstrapConverges(t *testing.T) {
 	for r := 0; r < 5; r++ {
 		feed(t, l, r)
 	}
-	force(t, l.ls) // fence → v2, seals epoch 1
+	force(t, l.ls) // v2
 	for r := 5; r < 8; r++ {
-		feed(t, l, r) // live, unfenced tail
+		feed(t, l, r) // an unfenced tail the follower never sees
 	}
 	if err := l.ls.Flush(); err != nil {
 		t.Fatal(err)
@@ -208,53 +233,37 @@ func TestFollowerBootstrapConverges(t *testing.T) {
 	f := startFollower(t, l.srv.URL, t.TempDir())
 	defer f.Close()
 	converged(t, f, l)
-
-	fls := f.Live()
-	if v := fls.Version(); v != 2 {
+	if v := f.Version(); v != 2 {
 		t.Fatalf("follower version = %d, want 2", v)
 	}
-	if got, want := fingerprint(t, fls.System()), fingerprint(t, l.ls.System()); got != want {
-		t.Fatalf("answers diverge at version %d:\n got %s\nwant %s", fls.Version(), got, want)
-	}
-	// The unfenced tail must be visible in the follower's overlay with
-	// the leader's recorded priors.
-	if err := fls.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for r := 5; r < 8; r++ {
-		src := graph.NodeID(r % 20)
-		lp, _ := json.Marshal(l.ls.PendingOutEdges(src))
-		fp, _ := json.Marshal(fls.PendingOutEdges(src))
-		if string(lp) != string(fp) {
-			t.Fatalf("overlay for node %d diverges:\n got %s\nwant %s", src, fp, lp)
-		}
-	}
+	assertMirrors(t, f, l)
 	// Bootstrap must be zero-copy on the happy path.
-	ms, ok := f.MapStats()
-	if !ok {
-		t.Fatal("no map stats after bootstrap")
-	}
+	ms := f.MapStats()
 	if ms.CopyFallbacks != 0 {
 		t.Fatalf("bootstrap mapping had %d copy fallbacks", ms.CopyFallbacks)
 	}
 	if os.Getenv("OCTOPUS_MMAP") != "off" && ms.Backing != "mmap" {
 		t.Fatalf("bootstrap backing = %q, want mmap", ms.Backing)
 	}
-	if st := f.Stats(); st.SnapshotFetches != 1 {
-		t.Fatalf("snapshot fetches = %d, want 1", st.SnapshotFetches)
+	if st := f.Stats(); st.SnapshotFetches != 1 || !st.Ready {
+		t.Fatalf("after bootstrap: %+v, want 1 fetch and ready", st)
 	}
 	if lag := f.Lag(); lag != 0 {
 		t.Fatalf("caught-up follower reports lag %v", lag)
 	}
 
-	// The next leader fold reaches the follower through its fence.
-	force(t, l.ls)
-	converged(t, f, l)
-	if v := f.Live().Version(); v != 3 {
-		t.Fatalf("follower version = %d, want 3", v)
-	}
-	if got, want := fingerprint(t, f.Live().System()), fingerprint(t, l.ls.System()); got != want {
-		t.Fatalf("answers diverge at version 3")
+	// Every later leader checkpoint reaches the follower as one fetch.
+	for want := uint64(3); want <= 4; want++ {
+		feed(t, l, int(want)*10)
+		force(t, l.ls)
+		converged(t, f, l)
+		if v := f.Version(); v != want {
+			t.Fatalf("follower version = %d, want %d", v, want)
+		}
+		assertMirrors(t, f, l)
+		if st := f.Stats(); st.SnapshotFetches != want-1 {
+			t.Fatalf("snapshot fetches = %d at version %d, want %d", st.SnapshotFetches, want, want-1)
+		}
 	}
 }
 
@@ -272,24 +281,36 @@ func TestFollowerRestartResumesWithoutRefetch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The leader moves on while the follower is down.
-	for r := 4; r < 9; r++ {
-		feed(t, l, r)
-	}
-	force(t, l.ls) // v3
-
+	// The leader has not checkpointed since: the restart maps the local
+	// copy and fetches nothing.
 	f2 := startFollower(t, l.srv.URL, fdir)
-	defer f2.Close()
 	converged(t, f2, l)
 	if st := f2.Stats(); st.SnapshotFetches != 0 {
-		t.Fatalf("restarted follower refetched the snapshot (%d fetches); want resume from local checkpoint", st.SnapshotFetches)
+		t.Fatalf("restart against an unchanged leader fetched %d snapshots, want 0", st.SnapshotFetches)
 	}
-	if got, want := fingerprint(t, f2.Live().System()), fingerprint(t, l.ls.System()); got != want {
-		t.Fatalf("answers diverge after restart:\n got %s\nwant %s", got, want)
+	assertMirrors(t, f2, l)
+	if err := f2.Close(); err != nil {
+		t.Fatal(err)
 	}
+
+	// Three checkpoints later the restart fetches once: the newest.
+	for r := 4; r < 7; r++ {
+		feed(t, l, r)
+		force(t, l.ls)
+	}
+	f3 := startFollower(t, l.srv.URL, fdir)
+	defer f3.Close()
+	converged(t, f3, l)
+	if st := f3.Stats(); st.SnapshotFetches != 1 || st.Version != 5 {
+		t.Fatalf("restart 3 checkpoints behind: %d fetches at version %d, want 1 at 5", st.SnapshotFetches, st.Version)
+	}
+	assertMirrors(t, f3, l)
 }
 
-func TestLeaderRestartForcesRebootstrap(t *testing.T) {
+// TestLeaderCrashRestartConverges crashes the leader with a WAL tail.
+// Recovery compacts the tail into a new checkpoint version, which the
+// follower mirrors like any other: no restart signal, same bytes.
+func TestLeaderCrashRestartConverges(t *testing.T) {
 	sys := buildBase(t, 150, 11)
 	l := newLeader(t, sys)
 	for r := 0; r < 4; r++ {
@@ -300,9 +321,6 @@ func TestLeaderRestartForcesRebootstrap(t *testing.T) {
 	defer f.Close()
 	converged(t, f, l)
 
-	// Crash the leader with an unfenced tail: recovery rebuilds (and
-	// compacts) through a path that is not fold-equivalent, so the
-	// follower's lineage is invalid and it must re-bootstrap.
 	for r := 4; r < 7; r++ {
 		feed(t, l, r)
 	}
@@ -310,32 +328,75 @@ func TestLeaderRestartForcesRebootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.crashRestart()
-
-	waitFor(t, 20*time.Second, "re-bootstrap", func() bool {
-		return f.Stats().Rebootstraps >= 1
-	})
-	converged(t, f, l)
-	if st := f.Stats(); st.SnapshotFetches < 2 {
-		t.Fatalf("snapshot fetches = %d after leader restart, want >= 2", st.SnapshotFetches)
+	if v := l.checkpoint(); v != 3 {
+		t.Fatalf("recovered leader checkpoint = %d, want 3 (compacted tail)", v)
 	}
-	if got, want := fingerprint(t, f.Live().System()), fingerprint(t, l.ls.System()); got != want {
-		t.Fatalf("answers diverge after leader restart:\n got %s\nwant %s", got, want)
+	converged(t, f, l)
+	assertMirrors(t, f, l)
+	if st := f.Stats(); st.SnapshotFetches != 2 {
+		t.Fatalf("snapshot fetches = %d after the leader restart, want 2", st.SnapshotFetches)
 	}
 }
 
-// TestFollowerKillRestartSoak streams continuously while the follower
-// is killed and restarted mid-stream, with concurrent readers hammering
-// whatever serving handle is current — the -race soak for the
-// swap-under-read paths. It ends by asserting byte-identical answers at
-// the same version.
+// TestFollowerKillRestartSoak streams continuously while the leader
+// checkpoints and the follower is killed and restarted mid-stream on
+// its own directory. It ends by asserting byte-identical answers at the
+// same version.
 func TestFollowerKillRestartSoak(t *testing.T) {
 	sys := buildBase(t, 150, 13)
 	l := newLeader(t, sys)
 	fdir := t.TempDir()
+	f := startFollower(t, l.srv.URL, fdir)
 
-	var cur atomic.Pointer[repl.Follower]
-	cur.Store(startFollower(t, l.srv.URL, fdir))
+	const rounds = 30
+	for r := 0; r < rounds; r++ {
+		feed(t, l, r)
+		if r%5 == 4 {
+			force(t, l.ls)
+		}
+		if r == 9 || r == 19 {
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			f = startFollower(t, l.srv.URL, fdir)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	force(t, l.ls)
+	converged(t, f, l)
+	defer f.Close()
+	if !f.Ready() {
+		t.Fatal("follower not ready after convergence")
+	}
+	assertMirrors(t, f, l)
+}
 
+// TestSwapReleasesRetiredMappings runs concurrent readers across several
+// checkpoint swaps (the -race soak of the follower's pin/retire path)
+// and then checks no generation leaked its mapping: each retired one is
+// fully released, and the served one holds exactly its snapshot's
+// reference.
+func TestSwapReleasesRetiredMappings(t *testing.T) {
+	if os.Getenv("OCTOPUS_MMAP") == "off" {
+		t.Skip("heap-backed snapshots hold no mapping reference")
+	}
+	sys := buildBase(t, 150, 15)
+	l := newLeader(t, sys)
+	f := startFollower(t, l.srv.URL, t.TempDir())
+	defer f.Close()
+
+	var mu sync.Mutex
+	seen := map[*arena.Mapping]bool{}
+	note := func(sn *stream.Snapshot) {
+		m, ok := sn.Sys.Backing().(*arena.Mapping)
+		if !ok {
+			t.Error("served snapshot has no mapped backing")
+			return
+		}
+		mu.Lock()
+		seen[m] = true
+		mu.Unlock()
+	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
@@ -348,9 +409,9 @@ func TestFollowerKillRestartSoak(t *testing.T) {
 					return
 				default:
 				}
-				ls := cur.Load().Live()
-				snap, release := ls.Acquire()
-				if _, err := snap.Sys.DiscoverInfluencers([]string{"mining"}, core.DiscoverOptions{K: 3}); err != nil {
+				sn, release := f.Acquire()
+				note(sn)
+				if _, err := sn.Sys.DiscoverInfluencers([]string{"mining"}, core.DiscoverOptions{K: 3}); err != nil {
 					t.Error(err)
 				}
 				release()
@@ -358,43 +419,89 @@ func TestFollowerKillRestartSoak(t *testing.T) {
 		}()
 	}
 
-	const rounds = 30
-	for r := 0; r < rounds; r++ {
+	const swaps = 6
+	for r := 0; r < swaps; r++ {
 		feed(t, l, r)
-		if r%5 == 4 {
-			force(t, l.ls)
-		}
-		if r == 9 || r == 19 {
-			// Kill the follower mid-stream and restart it from its own
-			// checkpoint directory.
-			f := cur.Load()
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
-			}
-			cur.Store(startFollower(t, l.srv.URL, fdir))
-		}
-		time.Sleep(2 * time.Millisecond)
+		force(t, l.ls)
+		converged(t, f, l)
+		sn, release := f.Acquire()
+		note(sn)
+		release()
 	}
-	force(t, l.ls)
-
-	f := cur.Load()
-	converged(t, f, l)
 	close(stop)
 	wg.Wait()
-	defer f.Close()
 
-	if !f.Ready() {
-		t.Fatal("follower not ready after convergence")
+	sn, release := f.Acquire()
+	current := sn.Sys.Backing().(*arena.Mapping)
+	release()
+	if len(seen) != swaps+1 {
+		t.Fatalf("readers saw %d generations, want %d", len(seen), swaps+1)
 	}
-	fv, lv := f.Live().Version(), l.ls.Version()
-	if fv != lv {
-		t.Fatalf("versions diverge: follower %d, leader %d", fv, lv)
+	for m := range seen {
+		want := int64(0)
+		if m == current {
+			want = 1
+		}
+		if got := m.Refs(); got != want {
+			t.Errorf("mapping refs = %d, want %d (current: %v)", got, want, m == current)
+		}
 	}
-	if got, want := fingerprint(t, f.Live().System()), fingerprint(t, l.ls.System()); got != want {
-		t.Fatalf("answers diverge at version %d:\n got %s\nwant %s", fv, got, want)
+}
+
+// TestStatusLongPoll pins the status long-poll: a request parked after
+// the current version returns as soon as a checkpoint lands, and at
+// wait_ms when none does.
+func TestStatusLongPoll(t *testing.T) {
+	sys := buildBase(t, 150, 19)
+	l := newLeader(t, sys)
+	c := repl.NewClient(l.srv.URL, nil)
+	ctx := context.Background()
+	v := l.checkpoint()
+
+	type answer struct {
+		st  repl.Status
+		err error
+		at  time.Time
 	}
-	if st := f.Stats(); st.SnapshotFetches != 0 {
-		t.Fatalf("soak restarts refetched the snapshot %d times; want checkpoint resume", st.SnapshotFetches)
+	got := make(chan answer, 1)
+	go func() {
+		st, err := c.Status(ctx, v, 20*time.Second)
+		got <- answer{st, err, time.Now()}
+	}()
+	time.Sleep(100 * time.Millisecond)
+	feed(t, l, 0)
+	force(t, l.ls)
+	landed := time.Now()
+	a := <-got
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	if a.st.SnapshotVersion != v+1 {
+		t.Fatalf("long-poll answered version %d, want %d", a.st.SnapshotVersion, v+1)
+	}
+	if d := a.at.Sub(landed); d > time.Second {
+		t.Fatalf("long-poll answered %v after the checkpoint landed", d)
+	}
+
+	start := time.Now()
+	st, err := c.Status(ctx, v+1, 150*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d < 150*time.Millisecond || d > 5*time.Second {
+		t.Fatalf("idle long-poll returned after %v, want ≈150ms", d)
+	}
+	if st.SnapshotVersion != v+1 {
+		t.Fatalf("idle long-poll answered version %d, want %d", st.SnapshotVersion, v+1)
+	}
+
+	// A follower already behind gets its answer without parking.
+	start = time.Now()
+	if _, err := c.Status(ctx, v, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("behind follower parked %v", d)
 	}
 }
 
@@ -451,57 +558,5 @@ func TestFetchSnapshotResume(t *testing.T) {
 	}
 	if got, _ := os.ReadFile(dest); string(got) != string(want) {
 		t.Fatal("refetched download differs from the leader's snapshot")
-	}
-}
-
-func TestSourceTailSignals(t *testing.T) {
-	sys := buildBase(t, 150, 19)
-	l := newLeader(t, sys)
-	src := l.src.Load()
-	ctx := context.Background()
-	cur := l.ls.Store().WALEpoch()
-
-	// The initial checkpoint sealed epoch 0 (fence only): it serves and
-	// reports Sealed.
-	res, err := src.Tail(ctx, 0, store.WALHeaderLen, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Restart || !res.Sealed || len(res.Data) == 0 {
-		t.Fatalf("sealed epoch tail: %+v", res)
-	}
-	recs, n, err := store.ParseWALRecords(res.Data)
-	if err != nil || n != int64(len(res.Data)) || len(recs) != 1 || recs[0].Kind != store.RecFence {
-		t.Fatalf("sealed epoch content: recs=%v n=%d err=%v", recs, n, err)
-	}
-
-	for _, bad := range []struct {
-		name   string
-		epoch  uint64
-		offset int64
-	}{
-		{"future epoch", cur + 5, store.WALHeaderLen},
-		{"offset inside header", cur, 2},
-		{"offset past durable", cur, l.ls.Store().WALDurable() + 100},
-	} {
-		res, err := src.Tail(ctx, bad.epoch, bad.offset, 0, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", bad.name, err)
-		}
-		if !res.Restart {
-			t.Fatalf("%s: want restart signal, got %+v", bad.name, res)
-		}
-	}
-
-	// A pruned (missing) sealed epoch also signals restart.
-	if err := os.Remove(filepath.Join(l.dir, "wal.0.log")); err != nil {
-		t.Fatal(err)
-	}
-	res, err = src.Tail(ctx, 0, store.WALHeaderLen, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Restart {
-		t.Fatalf("missing sealed epoch: want restart, got %+v", res)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"strconv"
@@ -19,86 +18,42 @@ import (
 // ReplicatePath is the leader's replication endpoint.
 const ReplicatePath = "/api/replicate"
 
-// Response headers carrying replication positions. Epoch/Offset echo
-// the requested position; LeaderEpoch/Durable report the leader's
-// current write frontier (for lag accounting); Sealed marks a response
-// that exhausts a sealed epoch; Restart marks a position the leader
-// cannot resume, telling the follower to re-bootstrap.
-const (
-	HeaderEpoch           = "X-Octopus-Repl-Epoch"
-	HeaderOffset          = "X-Octopus-Repl-Offset"
-	HeaderSealed          = "X-Octopus-Repl-Sealed"
-	HeaderRestart         = "X-Octopus-Repl-Restart"
-	HeaderLeaderEpoch     = "X-Octopus-Repl-Leader-Epoch"
-	HeaderDurable         = "X-Octopus-Repl-Durable"
-	HeaderSnapshotVersion = "X-Octopus-Snapshot-Version"
-)
+// HeaderSnapshotVersion carries the version of a shipped snapshot, so a
+// resuming download can tell its partial bytes belong to a superseded
+// checkpoint.
+const HeaderSnapshotVersion = "X-Octopus-Snapshot-Version"
 
-const (
-	defaultTailBytes = 1 << 20 // per-response cap when the client sends none
-	maxTailBytes     = 8 << 20
-	maxTailWait      = 30 * time.Second
-	// tailPoll paces the long-poll loop while a follower is caught up.
-	// It is one hop of the replication lag (see stream/doc.go).
-	tailPoll = 15 * time.Millisecond
-)
+// maxStatusWait caps one status long-poll, whatever wait_ms asks for.
+const maxStatusWait = 30 * time.Second
 
-// Status is the leader's replication handshake: where its durable state
-// stands and the fold settings a replica must mirror to stay
-// query-identical.
+// Status is the leader's replication handshake: the checkpoint a
+// replica should serve and what it costs to ship.
 type Status struct {
-	SnapshotVersion uint64            `json:"snapshotVersion"`
-	ServingVersion  uint64            `json:"servingVersion"`
-	WALEpoch        uint64            `json:"walEpoch"`
-	WALDurable      int64             `json:"walDurable"`
-	SnapshotBytes   int64             `json:"snapshotBytes"`
-	Fold            stream.FoldConfig `json:"fold"`
-}
-
-// TailResult is one WAL tail response. Data holds raw WAL frames
-// (ParseWALRecords decodes them); it may end mid-frame when the byte
-// cap truncates a record — the follower simply re-requests the
-// remainder. Sealed means Data reaches the end of a sealed epoch and
-// the follower should continue at (its post-fold version, WALHeaderLen).
-// Restart means the position is not resumable and the follower must
-// re-bootstrap from the leader's current snapshot.
-type TailResult struct {
-	Epoch           uint64
-	Offset          int64
-	Data            []byte
-	Sealed          bool
-	Restart         bool
-	LeaderEpoch     uint64
-	LeaderDurable   int64
-	SnapshotVersion uint64
+	SnapshotVersion uint64 `json:"snapshotVersion"`
+	ServingVersion  uint64 `json:"servingVersion"`
+	SnapshotBytes   int64  `json:"snapshotBytes"`
 }
 
 // SourceStats are the leader-side replication counters.
 type SourceStats struct {
-	TailRequests     uint64 `json:"tailRequests"`
-	TailBytes        int64  `json:"tailBytes"`
+	StatusRequests   uint64 `json:"statusRequests"`
 	SnapshotRequests uint64 `json:"snapshotRequests"`
-	Restarts         uint64 `json:"restartsSignaled"`
-	WALEpoch         uint64 `json:"walEpoch"`
-	WALDurable       int64  `json:"walDurable"`
 }
 
-// Source serves a durable LiveSystem's snapshot and WAL to followers.
-// It is an http.Handler for ReplicatePath and is safe for concurrent
-// use: all reads go through the store's atomics plus per-request file
-// handles, so serving followers never blocks the ingest pipeline.
+// Source serves a durable LiveSystem's checkpoints to followers. It is
+// an http.Handler for ReplicatePath and is safe for concurrent use:
+// reads go through the store's atomics plus per-request file handles,
+// so serving followers never blocks the ingest pipeline.
 type Source struct {
 	live *stream.LiveSystem
 	dir  *store.Dir
 
-	tailRequests     atomic.Uint64
-	tailBytes        atomic.Int64
+	statusRequests   atomic.Uint64
 	snapshotRequests atomic.Uint64
-	restarts         atomic.Uint64
 }
 
 // NewSource wraps a durable LiveSystem. It fails when the system has no
-// store: there is nothing to replicate without a WAL.
+// store: without checkpoints there is nothing to replicate.
 func NewSource(live *stream.LiveSystem) (*Source, error) {
 	if live == nil || live.Store() == nil {
 		return nil, errors.New("repl: source requires a durable (store-backed) live system")
@@ -111,9 +66,6 @@ func (s *Source) Status() Status {
 	st := Status{
 		SnapshotVersion: s.dir.LastCheckpointVersion(),
 		ServingVersion:  s.live.Version(),
-		WALEpoch:        s.dir.WALEpoch(),
-		WALDurable:      s.dir.WALDurable(),
-		Fold:            s.live.FoldConfig(),
 	}
 	if fi, err := os.Stat(s.dir.SnapshotPath()); err == nil {
 		st.SnapshotBytes = fi.Size()
@@ -121,156 +73,37 @@ func (s *Source) Status() Status {
 	return st
 }
 
+// WaitStatus is the long-poll form of Status: it returns as soon as the
+// checkpoint version differs from after, or once wait has elapsed (at
+// most maxStatusWait), whichever comes first.
+func (s *Source) WaitStatus(ctx context.Context, after uint64, wait time.Duration) Status {
+	if wait > maxStatusWait {
+		wait = maxStatusWait
+	}
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	for {
+		landed := s.dir.CheckpointLanded()
+		st := s.Status()
+		if st.SnapshotVersion != after {
+			return st
+		}
+		select {
+		case <-landed:
+		case <-timer.C:
+			return s.Status()
+		case <-ctx.Done():
+			return st
+		}
+	}
+}
+
 // Stats reports leader-side replication counters.
 func (s *Source) Stats() SourceStats {
 	return SourceStats{
-		TailRequests:     s.tailRequests.Load(),
-		TailBytes:        s.tailBytes.Load(),
+		StatusRequests:   s.statusRequests.Load(),
 		SnapshotRequests: s.snapshotRequests.Load(),
-		Restarts:         s.restarts.Load(),
-		WALEpoch:         s.dir.WALEpoch(),
-		WALDurable:       s.dir.WALDurable(),
 	}
-}
-
-// Tail serves WAL bytes at (epoch, offset). The epoch chain decides the
-// backing file: the live epoch serves the fsync'd prefix of wal.log
-// (long-polling up to wait when caught up), older epochs serve their
-// sealed wal.<E>.log archive, and positions the leader cannot resume
-// come back with Restart set.
-//
-// Rotation racing a live read is handled by re-checking the epoch after
-// every volatile load: the epoch counter is stored only after the
-// rename that seals the old file, and appends to the successor file
-// resume only after the checkpoint returns on the same apply goroutine,
-// so bytes read under an unchanged epoch are genuine old-epoch content.
-// Any observed change simply retries the loop, which then takes the
-// sealed-epoch path.
-func (s *Source) Tail(ctx context.Context, epoch uint64, offset, maxBytes int64, wait time.Duration) (TailResult, error) {
-	s.tailRequests.Add(1)
-	if maxBytes <= 0 {
-		maxBytes = defaultTailBytes
-	}
-	if maxBytes > maxTailBytes {
-		maxBytes = maxTailBytes
-	}
-	if wait > maxTailWait {
-		wait = maxTailWait
-	}
-	deadline := time.Now().Add(wait)
-	for {
-		cur := s.dir.WALEpoch()
-		res := TailResult{
-			Epoch:           epoch,
-			Offset:          offset,
-			LeaderEpoch:     cur,
-			LeaderDurable:   s.dir.WALDurable(),
-			SnapshotVersion: s.dir.LastCheckpointVersion(),
-		}
-		if offset < store.WALHeaderLen || epoch > cur {
-			return s.restart(res), nil
-		}
-		if epoch < cur {
-			data, size, err := readRange(s.dir.SealedEpochPath(epoch), offset, maxBytes)
-			if err != nil {
-				if errors.Is(err, os.ErrNotExist) {
-					// Pruned, or dropped by a leader restart: either way the
-					// follower's base no longer chains to ours.
-					return s.restart(res), nil
-				}
-				return res, err
-			}
-			if offset > size {
-				return s.restart(res), nil
-			}
-			res.Data = data
-			res.Sealed = offset+int64(len(data)) == size
-			s.tailBytes.Add(int64(len(data)))
-			return res, nil
-		}
-		// Live epoch. Load durable, then confirm the epoch did not move
-		// underneath it — after a rotation the durable counter belongs to
-		// the successor file.
-		durable := s.dir.WALDurable()
-		if s.dir.WALEpoch() != cur {
-			continue
-		}
-		if offset > durable {
-			// Epoch is stable, so the follower claims bytes this WAL never
-			// durably held (e.g. the leader lost an unsynced tail in a
-			// crash). Its state may diverge from ours: re-bootstrap.
-			return s.restart(res), nil
-		}
-		if offset < durable {
-			n := durable - offset
-			if n > maxBytes {
-				n = maxBytes
-			}
-			buf := make([]byte, n)
-			f, err := os.Open(s.dir.WALPath())
-			if err != nil {
-				return res, err
-			}
-			m, rerr := f.ReadAt(buf, offset)
-			f.Close()
-			if s.dir.WALEpoch() != cur {
-				continue // may have opened/read the successor file
-			}
-			if rerr != nil && rerr != io.EOF {
-				return res, rerr
-			}
-			if m > 0 {
-				res.Data = buf[:m]
-				res.LeaderDurable = durable
-				s.tailBytes.Add(int64(m))
-				return res, nil
-			}
-			// durable said bytes exist but the stable-epoch file did not
-			// show them; fall through to the poll pause and retry.
-		}
-		if wait <= 0 || !time.Now().Before(deadline) {
-			return res, nil // caught up: empty, not sealed
-		}
-		select {
-		case <-ctx.Done():
-			return TailResult{}, ctx.Err()
-		case <-time.After(tailPoll):
-		}
-	}
-}
-
-func (s *Source) restart(res TailResult) TailResult {
-	s.restarts.Add(1)
-	res.Restart = true
-	return res
-}
-
-// readRange reads up to maxBytes of path starting at offset, returning
-// the bytes and the file's total size.
-func readRange(path string, offset, maxBytes int64) ([]byte, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, 0, err
-	}
-	size := fi.Size()
-	if offset >= size {
-		return nil, size, nil
-	}
-	n := size - offset
-	if n > maxBytes {
-		n = maxBytes
-	}
-	buf := make([]byte, n)
-	m, err := f.ReadAt(buf, offset)
-	if err != nil && err != io.EOF {
-		return nil, size, err
-	}
-	return buf[:m], size, nil
 }
 
 // ServeHTTP implements the /api/replicate endpoint.
@@ -281,23 +114,44 @@ func (s *Source) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	switch what := r.URL.Query().Get("what"); what {
 	case "", "status":
-		s.serveStatus(w)
+		s.serveStatus(w, r)
 	case "snapshot":
 		s.serveSnapshot(w, r)
-	case "wal":
-		s.serveTail(w, r)
 	default:
-		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("unknown what=%q (want status, snapshot or wal)", what))
+		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("unknown what=%q (want status or snapshot)", what))
 	}
 }
 
-func (s *Source) serveStatus(w http.ResponseWriter) {
+// serveStatus answers the handshake. With wait_ms it long-polls: the
+// request is held until the checkpoint version differs from after
+// (default 0) or the wait runs out.
+func (s *Source) serveStatus(w http.ResponseWriter, r *http.Request) {
+	s.statusRequests.Add(1)
+	q := r.URL.Query()
+	var after uint64
+	if v := q.Get("after"); v != "" {
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			writeJSONError(w, http.StatusBadRequest, "bad after")
+			return
+		}
+		after = n
+	}
+	var wait time.Duration
+	if v := q.Get("wait_ms"); v != "" {
+		ms, err := strconv.ParseInt(v, 10, 64)
+		if err != nil || ms < 0 {
+			writeJSONError(w, http.StatusBadRequest, "bad wait_ms")
+			return
+		}
+		wait = time.Duration(ms) * time.Millisecond
+	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(s.Status())
+	_ = json.NewEncoder(w).Encode(s.WaitStatus(r.Context(), after, wait))
 }
 
 // serveSnapshot streams the checkpoint snapshot with Range support, so
-// an interrupted bootstrap resumes. The open file handle pins one
+// an interrupted download resumes. The open file handle pins one
 // consistent snapshot even if a checkpoint renames a fresh one into
 // place mid-transfer; the version header is advisory (the follower
 // verifies the downloaded file itself) and lets a resuming client
@@ -324,62 +178,6 @@ func (s *Source) serveSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(HeaderSnapshotVersion, strconv.FormatUint(version, 10))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	http.ServeContent(w, r, "snapshot.oct", fi.ModTime(), f)
-}
-
-func (s *Source) serveTail(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	epoch, err := strconv.ParseUint(q.Get("epoch"), 10, 64)
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, "bad epoch")
-		return
-	}
-	offset, err := strconv.ParseInt(q.Get("offset"), 10, 64)
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, "bad offset")
-		return
-	}
-	var wait time.Duration
-	if v := q.Get("wait_ms"); v != "" {
-		ms, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || ms < 0 {
-			writeJSONError(w, http.StatusBadRequest, "bad wait_ms")
-			return
-		}
-		wait = time.Duration(ms) * time.Millisecond
-	}
-	var maxBytes int64
-	if v := q.Get("max_bytes"); v != "" {
-		maxBytes, err = strconv.ParseInt(v, 10, 64)
-		if err != nil || maxBytes < 0 {
-			writeJSONError(w, http.StatusBadRequest, "bad max_bytes")
-			return
-		}
-	}
-	res, err := s.Tail(r.Context(), epoch, offset, maxBytes, wait)
-	if err != nil {
-		if r.Context().Err() != nil {
-			return // client went away mid-poll
-		}
-		writeJSONError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	h := w.Header()
-	h.Set(HeaderEpoch, strconv.FormatUint(res.Epoch, 10))
-	h.Set(HeaderOffset, strconv.FormatInt(res.Offset, 10))
-	h.Set(HeaderLeaderEpoch, strconv.FormatUint(res.LeaderEpoch, 10))
-	h.Set(HeaderDurable, strconv.FormatInt(res.LeaderDurable, 10))
-	h.Set(HeaderSnapshotVersion, strconv.FormatUint(res.SnapshotVersion, 10))
-	if res.Restart {
-		h.Set(HeaderRestart, "1")
-		writeJSONError(w, http.StatusConflict, "position not resumable: re-bootstrap from the current snapshot")
-		return
-	}
-	if res.Sealed {
-		h.Set(HeaderSealed, "1")
-	}
-	h.Set("Content-Type", "application/octet-stream")
-	h.Set("Content-Length", strconv.Itoa(len(res.Data)))
-	_, _ = w.Write(res.Data)
 }
 
 func writeJSONError(w http.ResponseWriter, code int, msg string) {

@@ -13,7 +13,8 @@ import (
 )
 
 // The HTTP conformance suite: one table covering every route, run
-// against both a static (New) and a live (NewLive) server — happy paths
+// against a static (New), a live (NewLive) and a replica (NewReplica)
+// server — happy paths
 // with golden JSON field checks, missing and malformed parameters,
 // unknown-entity 404s, 405 + Allow on wrong methods, and HEAD
 // piggybacking on GET.
@@ -57,6 +58,9 @@ type confCase struct {
 	want   int // expected status on the static server
 	// wantLive overrides want on the live server (0 = same).
 	wantLive int
+	// wantReplica overrides want on the replica server (0 = wantLive,
+	// or want when that is 0 too).
+	wantReplica int
 	// allow is the expected Allow header for 405 cases.
 	allow string
 	// keys must be present in a JSON-object response body.
@@ -223,16 +227,16 @@ func conformanceCases() []confCase {
 		// ---- ingest (live-only; 404 on static) ----
 		{name: "ingest actions", method: "POST", path: confPath("/api/ingest/actions"),
 			body: `{"items":[{"id":770001,"keywords":["conformance"]}],"actions":[{"user":0,"item":770001,"time":5}]}`,
-			want: 404, wantLive: 202},
+			want: 404, wantLive: 202, wantReplica: 403},
 		{name: "ingest actions bad json", method: "POST", path: confPath("/api/ingest/actions"),
-			body: `{oops`, want: 404, wantLive: 400},
+			body: `{oops`, want: 404, wantLive: 400, wantReplica: 403},
 		{name: "ingest actions empty", method: "POST", path: confPath("/api/ingest/actions"),
-			body: `{"items":[],"actions":[]}`, want: 404, wantLive: 400},
+			body: `{"items":[],"actions":[]}`, want: 404, wantLive: 400, wantReplica: 403},
 		{name: "ingest actions 405", method: "GET", path: confPath("/api/ingest/actions"), want: 405, allow: "POST"},
 		{name: "ingest edges", method: "POST", path: confPath("/api/ingest/edges"),
-			body: `{"edges":[{"src":0,"dst":190}]}`, want: 404, wantLive: 202},
+			body: `{"edges":[{"src":0,"dst":190}]}`, want: 404, wantLive: 202, wantReplica: 403},
 		{name: "ingest edges empty", method: "POST", path: confPath("/api/ingest/edges"),
-			body: `{"edges":[]}`, want: 404, wantLive: 400},
+			body: `{"edges":[]}`, want: 404, wantLive: 400, wantReplica: 403},
 		{name: "ingest edges 405", method: "GET", path: confPath("/api/ingest/edges"), want: 405, allow: "POST"},
 		{name: "ingest stats", method: "GET", path: confPath("/api/ingest/stats"),
 			want: 404, wantLive: 200},
@@ -261,8 +265,11 @@ func runConformance(t *testing.T, label string, s *Server, sys *core.System) {
 			s.ServeHTTP(rec, req)
 
 			want := tc.want
-			if label == "live" && tc.wantLive != 0 {
+			if label != "static" && tc.wantLive != 0 {
 				want = tc.wantLive
+			}
+			if label == "replica" && tc.wantReplica != 0 {
+				want = tc.wantReplica
 			}
 			if rec.Code != want {
 				t.Fatalf("%s %s = %d, want %d (body: %s)", tc.method, path, rec.Code, want, rec.Body.String())
@@ -334,6 +341,12 @@ func TestConformanceStatic(t *testing.T) {
 func TestConformanceLive(t *testing.T) {
 	s, _, sys := liveServer(t)
 	runConformance(t, "live", s, sys)
+}
+
+func TestConformanceReplica(t *testing.T) {
+	_, ls, s, f := replicaPair(t)
+	waitReady(t, f)
+	runConformance(t, "replica", s, ls.System())
 }
 
 // TestConformanceCasesCoverEveryRoute pins the sweep to the route

@@ -1,7 +1,7 @@
 // health.go is the server's SLO surface: GET /api/health reports
 // ready | degraded | failing from multi-window burn rates over the
-// serving objectives (availability, p99 latency, ingest staleness),
-// degraded by replication lag, missing shards or a WAL failure, and a
+// serving objectives (availability, p99 latency, staleness), degraded
+// by replication lag, missing shards or a leader's WAL failure, and a
 // diagnostics watchdog captures a rate-limited bundle (goroutine
 // + heap profiles, recent traces, a registry dump) into Options.DiagDir
 // whenever a burn threshold is crossed. GET /api/debug/diag lists the
@@ -40,27 +40,18 @@ type healthResponse struct {
 }
 
 // staleness returns the serving staleness feeding the SLO staleness
-// objective: the ingest staleness of a live server (0 on a static one,
-// where snapshots cannot age), and on a replica the worse of the local
-// ingest staleness and the replication lag — a follower that cannot
-// reach its leader is serving answers that age exactly like a leader
-// whose overlay outruns its folds.
+// objective: the ingest staleness of a live server, the replication lag
+// of a replica — a follower that cannot reach its leader is serving
+// answers that age exactly like a leader whose overlay outruns its
+// folds — and 0 on a static server, where snapshots cannot age.
 func (s *Server) staleness() time.Duration {
-	var stale time.Duration
-	if s.live != nil {
-		stale = s.live.Staleness()
+	switch {
+	case s.live != nil:
+		return s.live.Staleness()
+	case s.follower != nil:
+		return s.follower.Lag()
 	}
-	if s.follower != nil {
-		if ls := s.follower.Live(); ls != nil {
-			if v := ls.Staleness(); v > stale {
-				stale = v
-			}
-		}
-		if lag := s.follower.Lag(); lag > stale {
-			stale = lag
-		}
-	}
-	return stale
+	return 0
 }
 
 // handleHealth reports the SLO state. ready and degraded answer 200 so
@@ -98,9 +89,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	// A failed WAL append or fsync leaves applied events off disk while
 	// ingestion keeps accepting: degraded until a checkpoint closes the
-	// gap, on a leader and a follower alike.
-	if ls := s.liveSys(); ls != nil {
-		if err := ls.WALFailure(); err != nil {
+	// gap. Only a leader has a WAL.
+	if s.live != nil {
+		if err := s.live.WALFailure(); err != nil {
 			if resp.State == obs.StateReady {
 				resp.State = obs.StateDegraded
 			}

@@ -34,7 +34,7 @@ func (s *Server) newRegistry() *obs.Registry {
 	reg.Register(s.costs)
 	reg.RegisterFunc(s.collectServing)
 	reg.RegisterFunc(s.collectSLO)
-	if s.live != nil || s.follower != nil {
+	if s.live != nil {
 		reg.RegisterFunc(s.collectLive)
 	}
 	if s.replSrc != nil || s.follower != nil {
@@ -44,30 +44,20 @@ func (s *Server) newRegistry() *obs.Registry {
 }
 
 // collectRepl emits the octopus_repl_* instruments: source counters on
-// a leader shipping its WAL to followers, pipeline state on a replica.
+// a leader shipping its checkpoints, mirror state on a replica.
 func (s *Server) collectRepl(w *obs.MetricWriter) {
 	if s.replSrc != nil {
 		st := s.replSrc.Stats()
-		w.Counter("octopus_repl_tail_requests_total", "WAL tail requests served to followers.", float64(st.TailRequests))
-		w.Counter("octopus_repl_tail_bytes_total", "WAL bytes shipped to followers.", float64(st.TailBytes))
+		w.Counter("octopus_repl_status_requests_total", "Status handshakes and long-polls served to followers.", float64(st.StatusRequests))
 		w.Counter("octopus_repl_snapshot_requests_total", "Snapshot downloads served to followers.", float64(st.SnapshotRequests))
-		w.Counter("octopus_repl_restarts_total", "Restart signals sent at positions the leader cannot resume.", float64(st.Restarts))
-		w.Gauge("octopus_repl_wal_epoch", "Epoch of the live WAL being shipped.", float64(st.WALEpoch))
-		w.Gauge("octopus_repl_wal_durable_bytes", "Durable (fsync'd) size of the live WAL.", float64(st.WALDurable))
 	}
 	if s.follower != nil {
 		st := s.follower.Stats()
-		w.Gauge("octopus_repl_follower_ready", "1 once the replica has caught up with the leader at least once.", boolGauge(st.Ready))
-		w.Gauge("octopus_repl_follower_caught_up", "1 while no durable leader bytes remain unfetched.", boolGauge(st.CaughtUp))
-		w.Gauge("octopus_repl_follower_lag_seconds", "Time behind the leader's durable frontier (0 while caught up).", st.LagMillis/1e3)
-		w.Gauge("octopus_repl_follower_lag_bytes", "Durable WAL bytes not yet applied locally.", float64(st.LagBytes))
-		w.Gauge("octopus_repl_follower_epoch", "WAL epoch the replica is tailing.", float64(st.Epoch))
-		w.Gauge("octopus_repl_follower_version", "Snapshot version the replica serves.", float64(st.Version))
-		w.Counter("octopus_repl_follower_records_total", "WAL records replayed through the ingest path.", float64(st.RecordsQueued))
-		w.Counter("octopus_repl_follower_bytes_total", "WAL bytes applied.", float64(st.BytesApplied))
-		w.Counter("octopus_repl_follower_folds_total", "Folds executed at leader checkpoint fences.", float64(st.Folds))
-		w.Counter("octopus_repl_follower_reconnects_total", "Tail connections re-established after an error.", float64(st.Reconnects))
-		w.Counter("octopus_repl_follower_rebootstraps_total", "Full re-syncs forced by leader restart signals.", float64(st.Rebootstraps))
+		w.Gauge("octopus_repl_follower_ready", "1 once the replica has served the leader's latest checkpoint at least once.", boolGauge(st.Ready))
+		w.Gauge("octopus_repl_follower_caught_up", "1 while the replica serves the leader's latest checkpoint.", boolGauge(st.CaughtUp))
+		w.Gauge("octopus_repl_follower_lag_seconds", "Time the replica has known it is behind the leader (0 while caught up).", st.LagMillis/1e3)
+		w.Gauge("octopus_repl_follower_version", "Checkpoint version the replica serves.", float64(st.Version))
+		w.Counter("octopus_repl_follower_reconnects_total", "Leader requests retried after an error.", float64(st.Reconnects))
 		w.Counter("octopus_repl_follower_snapshot_fetches_total", "Snapshot downloads performed.", float64(st.SnapshotFetches))
 		w.Counter("octopus_repl_follower_snapshot_bytes_total", "Snapshot bytes downloaded.", float64(st.SnapshotBytes))
 	}
@@ -145,13 +135,9 @@ func (s *Server) collectServing(w *obs.MetricWriter) {
 }
 
 // collectLive emits the ingestion-pipeline and durability instruments
-// of the underlying LiveSystem — the server's own on a leader, the
-// follower's current one on a replica.
+// of a live server's LiveSystem.
 func (s *Server) collectLive(w *obs.MetricWriter) {
-	ls := s.liveSys()
-	if ls == nil {
-		return
-	}
+	ls := s.live
 	st := ls.Stats()
 	w.Counter("octopus_ingest_events_total", "Events accepted into the ingest buffer.", float64(st.Accepted), "outcome", "accepted")
 	w.Counter("octopus_ingest_events_total", "Events accepted into the ingest buffer.", float64(st.Dropped), "outcome", "dropped")

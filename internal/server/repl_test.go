@@ -3,22 +3,26 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
 
+	"octopus/internal/actionlog"
 	"octopus/internal/repl"
+	"octopus/internal/stream"
 )
 
 // replicaPair builds a durable leader server behind an httptest
-// listener and a follower replicating from it, fronted by a replica
-// Server. The leader has checkpointed once so a snapshot exists to
-// ship.
-func replicaPair(t *testing.T) (leader *Server, replica *Server, f *repl.Follower) {
+// listener and a follower mirroring its checkpoints, fronted by a
+// replica Server. The leader has checkpointed once so a snapshot exists
+// to ship.
+func replicaPair(t *testing.T) (leader *Server, ls *stream.LiveSystem, replica *Server, f *repl.Follower) {
 	t.Helper()
-	leader, ls := durableLiveServer(t, Options{})
+	leader, ls = durableLiveServer(t, Options{})
 	if err := ls.ForceSnapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +40,7 @@ func replicaPair(t *testing.T) (leader *Server, replica *Server, f *repl.Followe
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = f.Close() })
-	return leader, NewReplicaWith(f, Options{}), f
+	return leader, ls, NewReplicaWith(f, Options{}), f
 }
 
 func waitReady(t *testing.T, f *repl.Follower) {
@@ -57,10 +61,14 @@ func TestReplicateRouteMounting(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("leader /api/replicate = %d body = %v", rec.Code, body)
 	}
-	if _, ok := body["walEpoch"]; !ok {
-		t.Fatalf("status payload missing walEpoch: %v", body)
+	if _, ok := body["snapshotVersion"]; !ok {
+		t.Fatalf("status payload missing snapshotVersion: %v", body)
 	}
-	// ...while a static server, having nothing durable to ship, 404s.
+	// ...in two forms only: the WAL never leaves the leader.
+	if rec, _ := get(t, leader, "/api/replicate?what=wal&epoch=1&offset=8"); rec.Code != http.StatusBadRequest {
+		t.Fatalf("leader what=wal = %d, want 400", rec.Code)
+	}
+	// A static server, having nothing durable to ship, 404s.
 	static, _ := testServer(t)
 	rec, _ = get(t, static, "/api/replicate?what=status")
 	if rec.Code != http.StatusNotFound {
@@ -69,7 +77,7 @@ func TestReplicateRouteMounting(t *testing.T) {
 }
 
 func TestReplicaServesQueriesReadOnly(t *testing.T) {
-	_, replica, f := replicaPair(t)
+	_, _, replica, f := replicaPair(t)
 	waitReady(t, f)
 
 	rec, body := get(t, replica, "/api/status")
@@ -90,22 +98,87 @@ func TestReplicaServesQueriesReadOnly(t *testing.T) {
 		t.Fatalf("replica ingest error = %q", body["error"])
 	}
 
-	// The stats endpoint reports the replication pipeline.
+	// The stats endpoint reports the served version, its mapping and
+	// the follower's counters.
 	rec, body = get(t, replica, "/api/ingest/stats")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("replica /api/ingest/stats = %d", rec.Code)
+	}
+	if v, _ := body["version"].(float64); uint64(v) != f.Version() {
+		t.Fatalf("replica stats version = %v, want %d", body["version"], f.Version())
+	}
+	if _, ok := body["store"].(map[string]any); !ok {
+		t.Fatalf("ingest/stats missing store section: %v", body)
 	}
 	rp, ok := body["repl"].(map[string]any)
 	if !ok {
 		t.Fatalf("ingest/stats missing repl section: %v", body)
 	}
-	if rp["ready"] != true {
-		t.Fatalf("repl section not ready: %v", rp)
+	if rp["ready"] != true || rp["snapshotFetches"] != 1.0 {
+		t.Fatalf("repl section = %v, want ready after 1 fetch", rp)
+	}
+}
+
+// TestReplicaByteIdenticalToLeader: at every generation both sides
+// serve, the replica's /api/im, /api/suggest and /api/paths bodies are
+// the leader's, byte for byte.
+func TestReplicaByteIdenticalToLeader(t *testing.T) {
+	leader, ls, replica, f := replicaPair(t)
+	waitReady(t, f)
+	sys := ls.System()
+	paths := []string{
+		"/api/im?q=" + url.QueryEscape(vocabKeyword(sys)) + "&k=5",
+		"/api/im?q=data+mining&k=3&samples=1",
+		"/api/suggest?user=" + url.QueryEscape(richUser(sys)) + "&k=2",
+		"/api/paths?user=" + url.QueryEscape(hubName(sys)) + "&theta=0.005",
+	}
+	compare := func() {
+		t.Helper()
+		for _, p := range paths {
+			lrec, _ := get(t, leader, p)
+			rrec, _ := get(t, replica, p)
+			if lrec.Code != http.StatusOK || rrec.Code != http.StatusOK {
+				t.Fatalf("%s: leader %d, replica %d", p, lrec.Code, rrec.Code)
+			}
+			lg, rg := lrec.Header().Get("X-Octopus-Generation"), rrec.Header().Get("X-Octopus-Generation")
+			if lg != rg {
+				t.Fatalf("%s: leader generation %s, replica %s", p, lg, rg)
+			}
+			if lrec.Body.String() != rrec.Body.String() {
+				t.Fatalf("%s at generation %s differs:\nleader  %s\nreplica %s", p, lg, lrec.Body.String(), rrec.Body.String())
+			}
+		}
+	}
+	compare()
+
+	// An edge-bearing fold (rebuild) and an action-only fold (index reuse).
+	n := int32(sys.Graph().NumNodes())
+	if err := ls.IngestEdges([]stream.EdgeEvent{{Src: 1, Dst: n, DstName: "Replica Probe"}}); err != nil {
+		t.Fatal(err)
+	}
+	for round, item := range []int32{880001, 880002} {
+		if err := ls.IngestActions(
+			[]actionlog.Item{{ID: item, Keywords: []string{vocabKeyword(sys)}}},
+			[]actionlog.Action{{User: 2, Item: item, Time: int64(9000 + round)}},
+		); err != nil {
+			t.Fatal(err)
+		}
+		if err := ls.ForceSnapshot(); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(15 * time.Second)
+		for f.Version() != ls.Version() || !f.CaughtUp() {
+			if time.Now().After(deadline) {
+				t.Fatalf("replica stuck at %d, leader at %d", f.Version(), ls.Version())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		compare()
 	}
 }
 
 func TestReplicaHealthAndMetrics(t *testing.T) {
-	leader, replica, f := replicaPair(t)
+	leader, _, replica, f := replicaPair(t)
 	waitReady(t, f)
 
 	rec, body := get(t, replica, "/api/health")
@@ -122,17 +195,33 @@ func TestReplicaHealthAndMetrics(t *testing.T) {
 	fams := scrape(t, replica)
 	for _, name := range []string{
 		"octopus_repl_follower_ready",
+		"octopus_repl_follower_caught_up",
 		"octopus_repl_follower_lag_seconds",
-		"octopus_ingest_applied_total", // collectLive resolves the follower's system
+		"octopus_repl_follower_version",
+		"octopus_repl_follower_reconnects_total",
+		"octopus_repl_follower_snapshot_fetches_total",
+		"octopus_repl_follower_snapshot_bytes_total",
+		"octopus_store_mmap",
 	} {
 		if famByName(fams, name) == nil {
 			t.Errorf("replica /metrics missing %s", name)
 		}
 	}
+	// A replica has no ingest pipeline, WAL or fold of its own.
+	for _, name := range []string{
+		"octopus_ingest_applied_total",
+		"octopus_wal_records_total",
+		"octopus_repl_follower_folds_total",
+		"octopus_repl_follower_epoch",
+	} {
+		if famByName(fams, name) != nil {
+			t.Errorf("replica /metrics still exports %s", name)
+		}
+	}
 	fams = scrape(t, leader)
 	for _, name := range []string{
-		"octopus_repl_tail_requests_total",
-		"octopus_repl_wal_durable_bytes",
+		"octopus_repl_status_requests_total",
+		"octopus_repl_snapshot_requests_total",
 	} {
 		if famByName(fams, name) == nil {
 			t.Errorf("leader /metrics missing %s", name)
@@ -148,24 +237,27 @@ func TestReplicaHealthAndMetrics(t *testing.T) {
 	if !ok {
 		t.Fatalf("leader ingest/stats missing repl section: %v", body)
 	}
-	if v, _ := rp["tailRequests"].(float64); v == 0 {
-		t.Fatalf("leader served no tail requests: %v", rp)
+	if v, _ := rp["statusRequests"].(float64); v == 0 {
+		t.Fatalf("leader served no status requests: %v", rp)
+	}
+	if v, _ := rp["snapshotRequests"].(float64); v != 1 {
+		t.Fatalf("leader served %v snapshot downloads, want 1", rp["snapshotRequests"])
 	}
 }
 
 // TestReplicaHealthGatesOnCatchUp pins the follower behind a leader
-// whose tail endpoint always fails: bootstrap succeeds (status +
-// snapshot work) but the replica can never catch up, so health must
-// refuse to report ready and name replication_lag.
+// that advertises a checkpoint it never ships: bootstrap succeeds (the
+// snapshot it does ship maps fine) but the replica can never catch up,
+// so health must refuse to report ready and name replication_lag.
 func TestReplicaHealthGatesOnCatchUp(t *testing.T) {
 	leader, ls := durableLiveServer(t, Options{})
 	if err := ls.ForceSnapshot(); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("what") == "wal" {
-			w.WriteHeader(http.StatusInternalServerError)
-			_, _ = w.Write([]byte(`{"error":"tail disabled for test"}`))
+		if r.URL.Query().Get("what") == "status" {
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = fmt.Fprint(w, `{"snapshotVersion":99}`)
 			return
 		}
 		leader.ServeHTTP(w, r)
@@ -203,6 +295,9 @@ func TestReplicaHealthGatesOnCatchUp(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no replication_lag reason in %v", reasons)
+	}
+	if f.Lag() <= 0 {
+		t.Fatal("stalled replica reports no lag")
 	}
 	// Queries still work against the bootstrapped snapshot meanwhile.
 	rec, _ = get(t, replica, "/api/status")

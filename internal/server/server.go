@@ -28,15 +28,19 @@
 //	GET  /api/ingest/stats                   ingestion pipeline statistics
 //
 // A durable live Server (one whose LiveSystem has a store) additionally
-// serves its snapshot and WAL to read replicas:
+// ships its checkpoints to read replicas:
 //
-//	GET  /api/replicate                      snapshot shipping + WAL tailing (internal/repl)
+//	GET  /api/replicate?what=status          checkpoint handshake (&after=V&wait_ms=W long-polls)
+//	GET  /api/replicate?what=snapshot        the checkpoint file, Range-resumable (internal/repl)
 //
 // A Server created with NewReplica fronts a replication follower: the
-// same read endpoints, answered from the follower's replicated system;
-// ingest endpoints return 403 (writes go to the leader); /api/health
+// same read endpoints, answered from the leader's latest checkpoint as
+// the follower maps it — same version, same bytes, so a replica and its
+// leader answer identically at equal generations. Ingest endpoints
+// return 403 (writes go to the leader); /api/ingest/stats reports the
+// served version, the mapping and the follower's counters; /api/health
 // reports degraded with a replication_lag reason until the follower has
-// caught up, and the follower's lag feeds the staleness objective.
+// caught up, and the follower's lag is its staleness.
 //
 // # Query serving
 //
@@ -248,21 +252,18 @@ func NewLiveWith(ls *stream.LiveSystem, opt Options) *Server {
 func NewReplica(f *repl.Follower) *Server { return NewReplicaWith(f, Options{}) }
 
 // NewReplicaWith creates a read-only Server over a replication
-// follower. Each query pins the follower's current system — resolved
-// per request, because its identity changes when a leader restart
-// forces a re-bootstrap. Ingest endpoints answer 403 (writes go to the
-// leader), /api/health refuses to report ready until the follower has
-// caught up at least once, and the replication lag feeds the staleness
-// objective so a stalled replica degrades like a stalled leader.
+// follower. Each query pins the checkpoint generation the follower
+// serves; a swap to the next checkpoint waits for no reader. Ingest
+// endpoints answer 403 (writes go to the leader), /api/health refuses
+// to report ready until the follower has caught up at least once, and
+// the replication lag feeds the staleness objective so a stalled
+// replica degrades like a stalled leader.
 func NewReplicaWith(f *repl.Follower, opt Options) *Server {
 	if opt.StoreStats == nil {
-		opt.StoreStats = func() store.MapStats {
-			ms, _ := f.MapStats()
-			return ms
-		}
+		opt.StoreStats = f.MapStats
 	}
 	return newServer(func() (*core.System, uint64, func()) {
-		sn, rel := f.Live().Acquire()
+		sn, rel := f.Acquire()
 		return sn.Sys, sn.Version, rel
 	}, nil, f, opt)
 }
@@ -334,7 +335,7 @@ func newServerWith(mkEngine func(*Server) engine, live *stream.LiveSystem, follo
 	s.mux.HandleFunc("/api/ingest/actions", s.instrument("ingest/actions", allow(http.MethodPost, s.handleIngestActions)))
 	s.mux.HandleFunc("/api/ingest/edges", s.instrument("ingest/edges", allow(http.MethodPost, s.handleIngestEdges)))
 	s.mux.HandleFunc("/api/ingest/stats", s.instrument("ingest/stats", allow(http.MethodGet, s.handleIngestStats)))
-	// /api/replicate bypasses instrument: tail requests long-poll for
+	// /api/replicate bypasses instrument: status requests long-poll for
 	// seconds by design, which would poison the latency SLO, the trace
 	// ring and the per-endpoint quantiles. The Source keeps its own
 	// counters (octopus_repl_* on /metrics).
@@ -803,53 +804,42 @@ func (s *Server) handleIngestEdges(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleIngestStats(w http.ResponseWriter, r *http.Request) {
-	// A static server with a mapped snapshot still has mapping stats to
-	// report — only the pure static case (nothing to say) stays a 404.
-	ls := s.liveSys()
-	if ls == nil {
-		if s.storeStats == nil {
-			s.requireLive(w)
-			return
-		}
-		writeJSON(w, http.StatusOK, struct {
-			Live  bool           `json:"live"`
-			Store store.MapStats `json:"store"`
-		}{false, s.storeStats()})
-		return
-	}
 	var ms *store.MapStats
 	if s.storeStats != nil {
 		v := s.storeStats()
 		ms = &v
 	}
-	writeJSON(w, http.StatusOK, struct {
-		stream.Stats
-		Store *store.MapStats `json:"store,omitempty"`
-		Repl  any             `json:"repl,omitempty"`
-	}{ls.Stats(), ms, s.replStats()})
-}
-
-// liveSys resolves the stream system behind this server: the leader's
-// own on a live server, the follower's current one on a replica (per
-// call — its identity changes across re-bootstraps), nil on a static
-// server.
-func (s *Server) liveSys() *stream.LiveSystem {
-	if s.live != nil {
-		return s.live
-	}
-	if s.follower != nil {
-		return s.follower.Live()
-	}
-	return nil
-}
-
-// replStats is the replication section of /api/ingest/stats: the
-// leader's source counters, or the replica's pipeline state.
-func (s *Server) replStats() any {
 	switch {
+	case s.live != nil:
+		writeJSON(w, http.StatusOK, struct {
+			stream.Stats
+			Store *store.MapStats `json:"store,omitempty"`
+			Repl  any             `json:"repl,omitempty"`
+		}{s.live.Stats(), ms, s.replStats()})
 	case s.follower != nil:
-		return s.follower.Stats()
-	case s.replSrc != nil:
+		st := s.follower.Stats()
+		writeJSON(w, http.StatusOK, struct {
+			Live    bool            `json:"live"`
+			Version uint64          `json:"version"`
+			Store   *store.MapStats `json:"store"`
+			Repl    repl.Stats      `json:"repl"`
+		}{false, st.Version, ms, st})
+	case ms != nil:
+		// A static server with a mapped snapshot still has mapping stats
+		// to report — only the pure static case (nothing to say) 404s.
+		writeJSON(w, http.StatusOK, struct {
+			Live  bool            `json:"live"`
+			Store *store.MapStats `json:"store"`
+		}{false, ms})
+	default:
+		s.requireLive(w)
+	}
+}
+
+// replStats is the replication section of a leader's
+// /api/ingest/stats: its source counters when it ships checkpoints.
+func (s *Server) replStats() any {
+	if s.replSrc != nil {
 		return s.replSrc.Stats()
 	}
 	return nil

@@ -5,8 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -21,15 +20,13 @@ import (
 //
 //	<dir>/snapshot.oct   latest checkpoint (atomically replaced)
 //	<dir>/wal.log        events accepted since that checkpoint
-//	<dir>/wal.<E>.log    sealed epochs kept for replica tailing
+//
+// Read replicas mirror snapshot.oct alone: a checkpoint version names
+// one file, byte for byte, so the WAL never leaves the leader.
 
 const (
 	snapshotFile = "snapshot.oct"
 	walFile      = "wal.log"
-	// walKeepEpochs bounds how many sealed epoch files checkpoints
-	// retain for replication tailing. A follower further behind than
-	// this re-bootstraps from the snapshot instead.
-	walKeepEpochs = 8
 )
 
 // Dir is an open durability directory: the latest checkpoint snapshot
@@ -42,11 +39,10 @@ type Dir struct {
 	wal         *WAL
 	checkpoints atomic.Uint64
 	lastVersion atomic.Uint64
-	// epoch is the checkpoint version the live WAL tail follows: every
-	// record in wal.log was accepted on top of snapshot `epoch`. Stored
-	// only after the rotation that starts the new tail, so concurrent
-	// tail readers can detect a rotation that raced their read.
-	epoch atomic.Uint64
+	// landed is closed (and dropped) by every checkpoint, waking the
+	// replication long-polls parked in CheckpointLanded.
+	landedMu sync.Mutex
+	landed   chan struct{}
 
 	// testHookAfterSnapshot (tests only) runs between the snapshot write
 	// and the WAL rotation — the crash window the checkpoint fence
@@ -86,7 +82,6 @@ func Open(dirPath string) (*Dir, *RecoverResult, error) {
 	d := &Dir{path: dirPath, wal: wal}
 	if res != nil {
 		d.lastVersion.Store(res.SnapshotVersion)
-		d.epoch.Store(res.SnapshotVersion)
 		if res.Replayed > 0 {
 			// Compact: fold the replayed tail into a fresh checkpoint so the
 			// next recovery starts from the merged state. The merged state is
@@ -102,56 +97,13 @@ func Open(dirPath string) (*Dir, *RecoverResult, error) {
 			// checkpoint fence whose rotation never ran, or invalid
 			// records recovery would skip again): drop it so the log once
 			// more starts exactly at the snapshot.
-			if err := wal.Rotate(""); err != nil {
+			if err := wal.Rotate(); err != nil {
 				wal.Close()
 				return nil, nil, err
 			}
 		}
 	}
-	// Sealed epoch files from a previous process are not resumable: a
-	// recovery rebuild is not byte-for-byte the fold a replica tailing
-	// those epochs would perform, so followers must re-bootstrap from
-	// the fresh snapshot. Dropping the archives is what signals that.
-	d.dropSealedEpochs()
 	return d, res, nil
-}
-
-// OpenRaw opens a durability directory without recovering or
-// compacting: the snapshot (if any) is left exactly as found, its
-// version becomes the directory's checkpoint version and WAL epoch,
-// and any stale WAL tail is dropped rather than replayed. This is the
-// follower-side open: a replica's state is defined by its snapshot
-// plus the records it re-fetches from the leader's matching epoch, so
-// replaying (and compacting) a local tail would advance the version
-// counter past the leader's and break the fold-for-fold alignment
-// replication depends on.
-func OpenRaw(dirPath string) (*Dir, error) {
-	if err := os.MkdirAll(dirPath, 0o755); err != nil {
-		return nil, fmt.Errorf("store: open dir: %w", err)
-	}
-	var version uint64
-	if _, err := os.Stat(filepath.Join(dirPath, snapshotFile)); err == nil {
-		version, err = PeekVersion(filepath.Join(dirPath, snapshotFile))
-		if err != nil {
-			return nil, err
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("store: open dir: %w", err)
-	}
-	wal, err := OpenWAL(filepath.Join(dirPath, walFile))
-	if err != nil {
-		return nil, err
-	}
-	if wal.Records() > 0 {
-		if err := wal.Rotate(""); err != nil {
-			wal.Close()
-			return nil, err
-		}
-	}
-	d := &Dir{path: dirPath, wal: wal}
-	d.lastVersion.Store(version)
-	d.epoch.Store(version)
-	return d, nil
 }
 
 // Path returns the directory path.
@@ -161,9 +113,8 @@ func (d *Dir) Path() string { return d.path }
 func (d *Dir) SnapshotPath() string { return SnapshotPathIn(d.path) }
 
 // SnapshotPathIn returns the checkpoint snapshot path inside dirPath
-// without opening the directory. Replication bootstrap decides whether
-// a local snapshot is reusable — and fetches the leader's if not —
-// before any Dir handle exists.
+// without opening the directory — a read replica keeps its mirrored
+// checkpoint under the same name but never opens a Dir.
 func SnapshotPathIn(dirPath string) string { return filepath.Join(dirPath, snapshotFile) }
 
 // HasSnapshot reports whether a checkpoint snapshot exists.
@@ -183,8 +134,7 @@ func (d *Dir) Sync() error { return d.wal.Sync() }
 //
 //  1. A fence record naming the new version is appended and fsynced.
 //  2. The snapshot is written atomically (temp + rename).
-//  3. The WAL is sealed under its epoch name (kept for replica
-//     tailing) and a fresh, empty log takes its place.
+//  3. The WAL is truncated back to its header.
 //
 // A crash between (2) and (3) used to double-apply the stale tail on
 // recovery — edges and items deduplicate against snapshot state, but
@@ -207,87 +157,34 @@ func (d *Dir) Checkpoint(sys *core.System, version uint64) error {
 			return err
 		}
 	}
-	sealed := d.epoch.Load()
-	if err := d.wal.Rotate(d.SealedEpochPath(sealed)); err != nil {
+	if err := d.wal.Rotate(); err != nil {
 		return err
 	}
-	d.epoch.Store(version)
-	d.pruneSealedEpochs(version)
 	d.checkpointLat.ObserveSince(start)
 	if st, err := os.Stat(d.SnapshotPath()); err == nil {
 		d.lastCheckpoint.Store(st.Size())
 	}
 	d.checkpoints.Add(1)
 	d.lastVersion.Store(version)
+	d.landedMu.Lock()
+	if d.landed != nil {
+		close(d.landed)
+		d.landed = nil
+	}
+	d.landedMu.Unlock()
 	return nil
 }
 
-// WALEpoch returns the checkpoint version the live WAL tail follows:
-// every record currently in wal.log was accepted on top of snapshot
-// WALEpoch(). It is stored after the rotation that starts the tail, so
-// a tail reader that re-checks the epoch after reading can detect a
-// rotation racing its read.
-func (d *Dir) WALEpoch() uint64 { return d.epoch.Load() }
-
-// WALDurable returns the fsync'd prefix length of the live WAL file —
-// the offset a concurrent tail reader must stop at.
-func (d *Dir) WALDurable() int64 { return d.wal.Durable() }
-
-// WALPath returns the live WAL file path.
-func (d *Dir) WALPath() string { return d.wal.Path() }
-
-// SealedEpochPath returns the file that holds epoch's sealed WAL: the
-// records accepted on top of snapshot version epoch, ending with the
-// fence of the checkpoint that sealed it. Sealed epochs are retained
-// for walKeepEpochs checkpoints so replicas can tail across
-// rotations without re-downloading the snapshot.
-func (d *Dir) SealedEpochPath(epoch uint64) string {
-	return filepath.Join(d.path, fmt.Sprintf("wal.%d.log", epoch))
-}
-
-// sealedEpoch parses a sealed-epoch filename, returning ok=false for
-// anything else (including the live wal.log).
-func sealedEpoch(name string) (uint64, bool) {
-	if name == walFile || !strings.HasPrefix(name, "wal.") || !strings.HasSuffix(name, ".log") {
-		return 0, false
+// CheckpointLanded returns a channel the next checkpoint closes. Take
+// it before reading LastCheckpointVersion, so a checkpoint landing in
+// between still wakes the waiter.
+func (d *Dir) CheckpointLanded() <-chan struct{} {
+	d.landedMu.Lock()
+	defer d.landedMu.Unlock()
+	if d.landed == nil {
+		d.landed = make(chan struct{})
 	}
-	mid := strings.TrimSuffix(strings.TrimPrefix(name, "wal."), ".log")
-	e, err := strconv.ParseUint(mid, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return e, true
-}
-
-// pruneSealedEpochs removes sealed epochs too old for any follower to
-// resume from (best-effort; a vanished file is the restart signal).
-func (d *Dir) pruneSealedEpochs(version uint64) {
-	if version <= walKeepEpochs {
-		return
-	}
-	cut := version - walKeepEpochs
-	ents, err := os.ReadDir(d.path)
-	if err != nil {
-		return
-	}
-	for _, ent := range ents {
-		if e, ok := sealedEpoch(ent.Name()); ok && e < cut {
-			os.Remove(filepath.Join(d.path, ent.Name()))
-		}
-	}
-}
-
-// dropSealedEpochs removes every sealed epoch file (best-effort).
-func (d *Dir) dropSealedEpochs() {
-	ents, err := os.ReadDir(d.path)
-	if err != nil {
-		return
-	}
-	for _, ent := range ents {
-		if _, ok := sealedEpoch(ent.Name()); ok {
-			os.Remove(filepath.Join(d.path, ent.Name()))
-		}
-	}
+	return d.landed
 }
 
 // Checkpoints returns the number of checkpoints taken through this Dir.

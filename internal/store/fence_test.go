@@ -2,8 +2,6 @@ package store
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -128,218 +126,6 @@ func TestCrashBeforeSnapshotKeepsTail(t *testing.T) {
 		t.Fatalf("episodes = %d, want %d", got, len(sys.ActionLog().Episodes)+1)
 	}
 	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestWALDurableStopsAtFsyncedPrefix pins the contract concurrent tail
-// readers rely on: Durable only advances on fsync, so bytes past it
-// may be torn and must never be served.
-func TestWALDurableStopsAtFsyncedPrefix(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Durable() != WALHeaderLen {
-		t.Fatalf("fresh durable = %d, want %d", w.Durable(), WALHeaderLen)
-	}
-	if err := w.Append(sampleRecords()); err != nil {
-		t.Fatal(err)
-	}
-	if w.Durable() != WALHeaderLen {
-		t.Fatalf("durable advanced past the fsync'd prefix: %d", w.Durable())
-	}
-	if w.Size() == WALHeaderLen {
-		t.Fatal("append did not grow the log")
-	}
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Durable() != w.Size() {
-		t.Fatalf("durable = %d after sync, want size %d", w.Durable(), w.Size())
-	}
-	// The durable prefix is frame-complete: it parses cleanly and
-	// consumes every byte.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, consumed, err := ParseWALRecords(data[WALHeaderLen:w.Durable()])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 || consumed != w.Durable()-WALHeaderLen {
-		t.Fatalf("parsed %d records, %d bytes of %d", len(recs), consumed, w.Durable()-WALHeaderLen)
-	}
-	if err := w.Rotate(""); err != nil {
-		t.Fatal(err)
-	}
-	if w.Durable() != WALHeaderLen {
-		t.Fatalf("durable after rotate = %d, want %d", w.Durable(), WALHeaderLen)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestParseWALRecordsPartialAndCorrupt covers the two tail shapes the
-// replication wire can carry: a partial trailing frame (wait for more
-// bytes) and a corrupt complete frame (hard error).
-func TestParseWALRecordsPartialAndCorrupt(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(sampleRecords()); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames := data[WALHeaderLen:]
-
-	recs, consumed, err := ParseWALRecords(frames)
-	if err != nil || len(recs) != 3 || consumed != int64(len(frames)) {
-		t.Fatalf("full parse: %d recs, %d/%d bytes, err %v", len(recs), consumed, len(frames), err)
-	}
-	// Chop mid-frame: the complete prefix parses, the partial frame is
-	// left unconsumed without error.
-	recs, consumed, err = ParseWALRecords(frames[:len(frames)-5])
-	if err != nil || len(recs) != 2 {
-		t.Fatalf("partial parse: %d recs, err %v", len(recs), err)
-	}
-	if consumed == int64(len(frames)) || consumed != mustReparse(t, frames[:consumed]) {
-		t.Fatalf("partial parse consumed %d bytes", consumed)
-	}
-	// Flip a payload byte: the frame is complete but its CRC fails.
-	bad := append([]byte(nil), frames...)
-	bad[6] ^= 0xff
-	if _, _, err := ParseWALRecords(bad); err == nil {
-		t.Fatal("corrupt frame parsed without error")
-	}
-}
-
-// mustReparse re-parses a frame run and returns the consumed length,
-// asserting it is frame-complete.
-func mustReparse(t *testing.T, frames []byte) int64 {
-	t.Helper()
-	_, consumed, err := ParseWALRecords(frames)
-	if err != nil || consumed != int64(len(frames)) {
-		t.Fatalf("reparse: consumed %d of %d, err %v", consumed, len(frames), err)
-	}
-	return consumed
-}
-
-// TestSealedEpochsRetainedAndDropped checks the replication retention
-// contract: checkpoints seal the previous epoch's WAL under its epoch
-// name, and reopening the directory (a restarted leader whose recovery
-// path is not fold-equivalent) drops every sealed epoch.
-func TestSealedEpochsRetainedAndDropped(t *testing.T) {
-	sys := buildSystem(t, 150, 7)
-	dir := t.TempDir()
-	d, _, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Checkpoint(sys, 1); err != nil {
-		t.Fatal(err)
-	}
-	recs := []Record{
-		{Kind: RecItem, ItemID: 7000, Keywords: []string{"streams"}},
-		{Kind: RecAction, User: 1, Item: 7000, Time: 30},
-	}
-	if err := d.Append(recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if d.WALEpoch() != 1 {
-		t.Fatalf("epoch = %d, want 1", d.WALEpoch())
-	}
-	if err := d.Checkpoint(sys, 2); err != nil {
-		t.Fatal(err)
-	}
-	if d.WALEpoch() != 2 || d.WALRecords() != 0 {
-		t.Fatalf("after checkpoint: epoch %d, %d records", d.WALEpoch(), d.WALRecords())
-	}
-	// The sealed epoch-1 file is a complete WAL: the two records plus
-	// the fence of the checkpoint that sealed it.
-	var kinds []uint8
-	n, err := ReplayWAL(d.SealedEpochPath(1), func(r *Record) error {
-		kinds = append(kinds, r.Kind)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 || kinds[2] != RecFence {
-		t.Fatalf("sealed epoch 1: %d records, kinds %v", n, kinds)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A reopened directory drops sealed epochs: its recovery rebuild is
-	// not the fold a tailing replica performs, so replicas must
-	// re-bootstrap rather than resume.
-	d2, _, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range []uint64{0, 1} {
-		if _, err := os.Stat(d2.SealedEpochPath(e)); !errors.Is(err, os.ErrNotExist) {
-			t.Fatalf("sealed epoch %d survived reopen (err %v)", e, err)
-		}
-	}
-	if err := d2.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestOpenRawResumesAtSnapshot checks the follower-side open: the
-// snapshot version is adopted without replay or compaction, and a
-// stale local tail is dropped (its records are re-fetched from the
-// leader's matching epoch instead).
-func TestOpenRawResumesAtSnapshot(t *testing.T) {
-	sys := buildSystem(t, 150, 7)
-	dir := t.TempDir()
-	d, _, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Checkpoint(sys, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Append([]Record{{Kind: RecItem, ItemID: 9000}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := PeekVersion(filepath.Join(dir, snapshotFile)); err != nil || v != 3 {
-		t.Fatalf("PeekVersion = %d, %v, want 3", v, err)
-	}
-	raw, err := OpenRaw(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw.LastCheckpointVersion() != 3 || raw.WALEpoch() != 3 {
-		t.Fatalf("raw open: version %d, epoch %d, want 3/3", raw.LastCheckpointVersion(), raw.WALEpoch())
-	}
-	if raw.WALRecords() != 0 {
-		t.Fatalf("raw open kept %d stale tail records", raw.WALRecords())
-	}
-	if err := raw.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"sync/atomic"
 	"time"
 
@@ -32,10 +31,9 @@ import (
 // that tail so later appends stay readable.
 const walMagic = "OCTWAL01"
 
-// WALHeaderLen is the byte offset of the first record frame in a WAL
-// file — the length of the magic header. Replication offsets are file
-// offsets, so a tail at the start of an epoch begins here.
-const WALHeaderLen = int64(len(walMagic))
+// walHeaderLen is the byte offset of the first record frame in a WAL
+// file — the length of the magic header.
+const walHeaderLen = int64(len(walMagic))
 
 // maxWALRecordLen bounds a declared record body length (64 MiB).
 const maxWALRecordLen = 64 << 20
@@ -138,8 +136,7 @@ func decodeRecord(body []byte) (*Record, error) {
 // be called from a single goroutine (the live apply loop); the counter
 // accessors are safe from any goroutine.
 type WAL struct {
-	f    *os.File
-	path string
+	f *os.File
 	// broken is set when a failed append could not be rolled back to the
 	// last record boundary; further appends would land after a torn
 	// frame and be unrecoverable, so they are refused instead.
@@ -148,11 +145,6 @@ type WAL struct {
 	records atomic.Uint64
 	syncs   atomic.Uint64
 	size    atomic.Int64
-	// durable is the fsync'd prefix length: every byte below it is on
-	// disk and frame-complete. Concurrent readers (the replication tail
-	// handler) must stop here — bytes in [durable, size) may still be
-	// torn by a crash or mid-write.
-	durable atomic.Int64
 	// Cumulative across rotations (observability only).
 	totalRecords atomic.Uint64
 	totalBytes   atomic.Int64
@@ -170,7 +162,7 @@ func OpenWAL(path string) (*WAL, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: open WAL: %w", err)
 	}
-	w := &WAL{f: f, path: path}
+	w := &WAL{f: f}
 	st, err := f.Stat()
 	if err != nil {
 		f.Close()
@@ -185,8 +177,7 @@ func OpenWAL(path string) (*WAL, error) {
 			f.Close()
 			return nil, fmt.Errorf("store: init WAL: %w", err)
 		}
-		w.size.Store(WALHeaderLen)
-		w.durable.Store(WALHeaderLen)
+		w.size.Store(walHeaderLen)
 		return w, nil
 	}
 	// Scan the existing log to find the valid prefix.
@@ -207,12 +198,8 @@ func OpenWAL(path string) (*WAL, error) {
 	}
 	w.records.Store(uint64(n))
 	w.size.Store(end)
-	w.durable.Store(end)
 	return w, nil
 }
-
-// Path returns the log's file path.
-func (w *WAL) Path() string { return w.path }
 
 // Records returns the number of records in the log (existing plus
 // appended this session).
@@ -223,12 +210,6 @@ func (w *WAL) Syncs() uint64 { return w.syncs.Load() }
 
 // Size returns the current log size in bytes.
 func (w *WAL) Size() int64 { return w.size.Load() }
-
-// Durable returns the fsync'd prefix length: the byte offset up to
-// which the log is both on disk and frame-complete. A concurrent
-// reader of the log file (the replication tail) must never read past
-// it — appended-but-unsynced bytes may be torn.
-func (w *WAL) Durable() int64 { return w.durable.Load() }
 
 // TotalRecords returns the records appended across all rotations.
 func (w *WAL) TotalRecords() uint64 { return w.totalRecords.Load() }
@@ -292,58 +273,26 @@ func (w *WAL) Sync() error {
 	}
 	w.syncLat.ObserveSince(start)
 	w.syncs.Add(1)
-	w.durable.Store(w.size.Load())
 	return nil
 }
 
-// Rotate resets the log to an empty header — called right after a
-// checkpoint snapshot lands, so the log only carries events newer than
-// the snapshot. With archive == "" the file is truncated in place; a
-// non-empty archive path instead seals the current file under that
-// name (atomic rename) and starts a fresh log, preserving the sealed
-// epoch's bytes for replication tailing. (If a crash lands between
-// snapshot and rotation, the stale records are cut at the checkpoint
-// fence during recovery — see Dir.Checkpoint.)
-func (w *WAL) Rotate(archive string) error {
-	if archive == "" {
-		if err := w.f.Truncate(WALHeaderLen); err != nil {
-			return fmt.Errorf("store: WAL rotate: %w", err)
-		}
-		if _, err := w.f.Seek(WALHeaderLen, io.SeekStart); err != nil {
-			return fmt.Errorf("store: WAL rotate: %w", err)
-		}
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("store: WAL rotate: %w", err)
-		}
-	} else {
-		if err := os.Rename(w.path, archive); err != nil {
-			return fmt.Errorf("store: WAL rotate: %w", err)
-		}
-		nf, err := os.OpenFile(w.path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-		if err != nil {
-			// The old fd now points at the archived file: appending through
-			// it would corrupt a sealed epoch, so refuse further appends.
-			w.broken = true
-			return fmt.Errorf("store: WAL rotate: %w", err)
-		}
-		if _, err := nf.WriteString(walMagic); err != nil {
-			nf.Close()
-			w.broken = true
-			return fmt.Errorf("store: WAL rotate: %w", err)
-		}
-		if err := nf.Sync(); err != nil {
-			nf.Close()
-			w.broken = true
-			return fmt.Errorf("store: WAL rotate: %w", err)
-		}
-		old := w.f
-		w.f = nf
-		old.Close()
-		syncDir(filepath.Dir(w.path))
+// Rotate truncates the log back to an empty header — called right
+// after a checkpoint snapshot lands, so the log only carries events
+// newer than the snapshot. (If a crash lands between snapshot and
+// rotation, the stale records are cut at the checkpoint fence during
+// recovery — see Dir.Checkpoint.)
+func (w *WAL) Rotate() error {
+	if err := w.f.Truncate(walHeaderLen); err != nil {
+		return fmt.Errorf("store: WAL rotate: %w", err)
+	}
+	if _, err := w.f.Seek(walHeaderLen, io.SeekStart); err != nil {
+		return fmt.Errorf("store: WAL rotate: %w", err)
+	}
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("store: WAL rotate: %w", err)
 	}
 	w.records.Store(0)
-	w.size.Store(WALHeaderLen)
-	w.durable.Store(WALHeaderLen)
+	w.size.Store(walHeaderLen)
 	return nil
 }
 
@@ -420,43 +369,6 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n += int64(n)
 	return n, err
-}
-
-// ParseWALRecords decodes frame-aligned records from data — a byte run
-// cut from a WAL file past its header, e.g. a replication tail
-// response. It returns the decoded records and the number of bytes the
-// complete frames consumed. A trailing partial frame is left
-// unconsumed without error (the next read continues there); a complete
-// frame that fails its CRC or decode returns an error, because the
-// sender only ships fsync'd frame-complete bytes — mid-stream
-// corruption means the transfer, not the log, is damaged.
-func ParseWALRecords(data []byte) ([]*Record, int64, error) {
-	var recs []*Record
-	off := int64(0)
-	for {
-		rest := data[off:]
-		if len(rest) < 4 {
-			return recs, off, nil
-		}
-		n := binary.LittleEndian.Uint32(rest[:4])
-		if n > maxWALRecordLen {
-			return recs, off, fmt.Errorf("store: WAL frame declares %d bytes (limit %d)", n, maxWALRecordLen)
-		}
-		if uint64(len(rest)) < 4+uint64(n)+4 {
-			return recs, off, nil
-		}
-		body := rest[4 : 4+n]
-		sum := binary.LittleEndian.Uint32(rest[4+n : 4+n+4])
-		if crc32.Checksum(body, crcTable) != sum {
-			return recs, off, fmt.Errorf("store: WAL frame checksum mismatch at offset %d", off)
-		}
-		rec, err := decodeRecord(body)
-		if err != nil {
-			return recs, off, err
-		}
-		recs = append(recs, rec)
-		off += 4 + int64(n) + 4
-	}
 }
 
 // ReplayWAL reads the log at path and calls fn for every valid record

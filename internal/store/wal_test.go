@@ -104,7 +104,7 @@ func TestWALRotate(t *testing.T) {
 	if err := w.Append(sampleRecords()); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Rotate(""); err != nil {
+	if err := w.Rotate(); err != nil {
 		t.Fatal(err)
 	}
 	if w.Records() != 0 {

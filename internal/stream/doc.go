@@ -100,17 +100,18 @@
 // # Follower lag
 //
 // A read replica (internal/repl) extends the staleness model by one
-// hop: the follower's LiveSystem ingests the leader's WAL records
-// instead of client events, so an event becomes visible on a follower
-// after (a) the leader's own overlay latency, (b) one WAL group-commit
-// fsync, (c) the tail poll interval, and (d) the follower's apply
-// latency — overlay peeks on the follower then see it, just as on the
-// leader. Snapshot visibility is pinned, not merely bounded: followers
-// fold exactly at the leader's checkpoint fences with the same version
-// numbers and the same FoldConfig, so at equal versions the two serve
-// query-for-query identical answers, and a follower's extra staleness
-// is only the replication lag (surfaced in repl.Stats and the
-// follower's /api/health via the SLO staleness objective — a follower
-// that falls behind degrades exactly like a leader whose overlay
-// outruns its folds).
+// hop. It runs no LiveSystem: it mirrors the leader's checkpoints, and
+// the leader checkpoints at every fold. An event therefore becomes
+// visible on a follower after (a) the leader's fold latency above,
+// (b) the checkpoint write, (c) the status long-poll answer, which the
+// checkpoint wakes at once, and (d) the follower's download + map of
+// the snapshot — milliseconds per MiB on a local network; the follower
+// never repeats the leader's rebuild. Overlay peeks never reach a
+// follower: it only ever serves checkpoints. Same
+// version ⇒ same bytes: a follower serving version V maps the file the
+// leader wrote for V, so the two answer query-for-query identically,
+// and a follower's extra staleness is only the replication lag
+// (surfaced in repl.Stats and the follower's /api/health via the SLO
+// staleness objective — a follower that falls behind degrades exactly
+// like a leader whose overlay outruns its folds).
 package stream

@@ -14,11 +14,6 @@ type EdgeEvent struct {
 	Dst     graph.NodeID `json:"dst"`
 	SrcName string       `json:"srcName,omitempty"`
 	DstName string       `json:"dstName,omitempty"`
-	// Probs, when non-nil, is the per-topic prior to assign instead of
-	// computing one with Config.Prior. It is how a replica reuses the
-	// prior its leader assigned (and logged) at apply time, so both
-	// sides fold the same model. Not accepted over the ingest HTTP API.
-	Probs []float64 `json:"-"`
 }
 
 // Event kinds carried through the ingest buffer. Flush and snapshot

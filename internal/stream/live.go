@@ -132,9 +132,12 @@ type Snapshot struct {
 	backing core.Backing
 }
 
-// newSnapshot publishes sys as a serving generation, taking a reference
-// on its mapped backing (if any) for the snapshot's lifetime.
-func newSnapshot(sys *core.System, version uint64, swap time.Duration) *Snapshot {
+// NewSnapshot publishes sys as a serving generation, taking a reference
+// on its mapped backing (if any) for the snapshot's lifetime. Besides
+// the LiveSystem's own folds, a read replica publishes each mapped
+// checkpoint through it (internal/repl); swap is the time the
+// generation took to produce.
+func NewSnapshot(sys *core.System, version uint64, swap time.Duration) *Snapshot {
 	s := &Snapshot{Sys: sys, Version: version, BuiltAt: time.Now(), SwapLatency: swap}
 	if b := sys.Backing(); b != nil {
 		b.Retain()
@@ -165,9 +168,10 @@ func (s *Snapshot) unpin() {
 	}
 }
 
-// retire marks the snapshot as no longer current; the backing reference
-// is released now if unpinned, else by the last unpin.
-func (s *Snapshot) retire() {
+// Retire marks the snapshot as no longer current; the backing reference
+// is released now if unpinned, else by the last unpin. Call it once,
+// after a successor has replaced it wherever Pin loads from.
+func (s *Snapshot) Retire() {
 	s.retired.Store(true)
 	s.tryRelease()
 }
@@ -315,7 +319,7 @@ func NewLiveSystem(sys *core.System, cfg Config) (*LiveSystem, error) {
 			version = v
 		}
 	}
-	ls.cur.Store(newSnapshot(sys, version, 0))
+	ls.cur.Store(NewSnapshot(sys, version, 0))
 	ls.wg.Add(1)
 	go ls.run()
 	return ls, nil
@@ -336,18 +340,24 @@ func (ls *LiveSystem) Snapshot() *Snapshot { return ls.cur.Load() }
 // against shutdown still get the final snapshot (its arrays remain
 // valid for as long as the process owner keeps the store handle open);
 // the release is then a no-op.
-func (ls *LiveSystem) Acquire() (*Snapshot, func()) {
+func (ls *LiveSystem) Acquire() (*Snapshot, func()) { return Pin(ls.cur.Load) }
+
+// Pin pins the generation current returns — the one pin protocol behind
+// LiveSystem.Acquire and a read replica's Acquire. current must load the
+// serving generation from wherever its publisher swaps it; a snapshot
+// retired between the load and the pin is skipped for its successor.
+func Pin(current func() *Snapshot) (*Snapshot, func()) {
 	for {
-		s := ls.cur.Load()
+		s := current()
 		if s.tryPin() {
 			var once sync.Once
 			return s, func() { once.Do(s.unpin) }
 		}
-		if ls.cur.Load() == s {
+		if current() == s {
 			// Released already (post-shutdown): nothing left to pin.
 			return s, func() {}
 		}
-		// A fold swapped generations mid-race; pin the new one.
+		// A swap replaced the generation mid-race; pin the new one.
 	}
 }
 
@@ -595,30 +605,6 @@ func (ls *LiveSystem) Stats() Stats {
 // checkpoint instruments from.
 func (ls *LiveSystem) Store() *store.Dir { return ls.cfg.Store }
 
-// FoldConfig is the effective (post-default) subset of Config that
-// determines what a fold produces. A replica must mirror its leader's
-// FoldConfig — with the same base snapshot, the same events in the
-// same order, and the same fold boundaries, equal settings here make
-// the folded snapshots query-for-query identical. Workers is excluded
-// deliberately: build parallelism is bit-identical at any worker
-// count, so each side may pick its own.
-type FoldConfig struct {
-	MaxNodes        int  `json:"maxNodes"`
-	IncrementalFold bool `json:"incrementalFold"`
-	RelearnEM       bool `json:"relearnEM"`
-	Topics          int  `json:"topics"`
-}
-
-// FoldConfig reports the settings a replica of this system must mirror.
-func (ls *LiveSystem) FoldConfig() FoldConfig {
-	return FoldConfig{
-		MaxNodes:        ls.cfg.MaxNodes,
-		IncrementalFold: ls.cfg.IncrementalFold,
-		RelearnEM:       ls.cfg.RelearnEM,
-		Topics:          ls.cfg.Topics,
-	}
-}
-
 // WALFailure returns the sticky WAL failure: non-nil from a failed
 // append or fsync until a successful checkpoint closes the gap (always
 // nil without a Store).
@@ -860,7 +846,7 @@ func (ls *LiveSystem) shutdown() {
 			// backing reference is dropped once in-flight pins release.
 			// (Kill skips this, like everything else — the process is
 			// pretending to have crashed.)
-			ls.cur.Load().retire()
+			ls.cur.Load().Retire()
 			return
 		}
 	}
@@ -899,10 +885,7 @@ func (ls *LiveSystem) applyEdge(base *core.System, ev EdgeEvent) (store.Record, 
 		return store.Record{}, false
 	}
 	ls.noteFirstEvent()
-	prior := ev.Probs
-	if prior == nil {
-		prior = ls.cfg.Prior(base, ev.Src, ev.Dst)
-	}
+	prior := ls.cfg.Prior(base, ev.Src, ev.Dst)
 	ls.ov.addEdge(ev, prior)
 	ls.applied.Add(1)
 	return store.Record{
@@ -1076,7 +1059,7 @@ func (ls *LiveSystem) fold() error {
 	// section so locked readers (Stats, PendingOutEdges) never see the
 	// same events both in the new snapshot and as pending.
 	ls.mu.Lock()
-	ls.cur.Store(newSnapshot(sys, old.Version+1, elapsed))
+	ls.cur.Store(NewSnapshot(sys, old.Version+1, elapsed))
 	ls.folding = nil
 	// Shrink the overlay-item map back to whatever the replacement
 	// overlay holds (normally nothing — applies and folds share this
@@ -1089,7 +1072,7 @@ func (ls *LiveSystem) fold() error {
 	ls.mu.Unlock()
 	// The old generation is no longer current: drop its backing reference
 	// once its last pinned reader (if any) finishes.
-	old.retire()
+	old.Retire()
 	ls.foldRetryAt = time.Time{} // a success ends any retry pacing
 	ls.snapshots.Add(1)
 	if incremental {

@@ -3,109 +3,23 @@ package main
 import (
 	"fmt"
 	"os"
-	"path/filepath"
-	"time"
 
 	"octopus/internal/bench"
-	"octopus/internal/core"
-	"octopus/internal/datagen"
-	"octopus/internal/otim"
-	"octopus/internal/store"
 )
 
-// E14 — persistence: (a) cold-start speedup of loading a binary system
-// snapshot versus rebuilding from raw data with EM, across dataset
-// sizes; (b) the ingest-throughput cost of write-ahead logging with
-// per-drain fsync and per-swap checkpoints, against the in-memory
-// pipeline of E13.
+// E14 — persistence: the ingest-throughput cost of write-ahead logging
+// with per-drain fsync and per-swap checkpoints, against the in-memory
+// pipeline of E13. Snapshot load against a full EM rebuild is the
+// benchmark's store.load_ms / store.map_ms against em.learn_s +
+// otim.build_s.
 func runE14(e *env) error {
-	if err := runE14ColdStart(e); err != nil {
-		return err
-	}
-	return runE14WALOverhead(e)
-}
-
-func runE14ColdStart(e *env) error {
-	dir, err := os.MkdirTemp("", "octopus-e14-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	tab := bench.NewTable(
-		"E14a: cold start on the citation dataset — snapshot load vs full rebuild (EM)",
-		"authors", "rebuild(EM)", "save", "size", "load", "speedup")
-	worst := 0.0
-	for i, n := range e.sizes.snapshotNodes {
-		ds, err := datagen.Citation(datagen.CitationConfig{
-			Authors: n, Topics: 6, Seed: e.seed ^ 0xe14,
-		})
-		if err != nil {
-			return err
-		}
-		cfg := core.Config{
-			Topics: 6, // learn with EM: the cost -load amortizes away
-			OTIM:   otim.BuildOptions{Samples: 12},
-			Seed:   e.seed ^ 0x14e,
-		}
-		t0 := time.Now()
-		sys, err := core.Build(ds.Graph, ds.Log, cfg)
-		if err != nil {
-			return err
-		}
-		buildDur := time.Since(t0)
-
-		path := filepath.Join(dir, fmt.Sprintf("model-%d.oct", i))
-		t1 := time.Now()
-		if err := store.Save(path, sys); err != nil {
-			return err
-		}
-		saveDur := time.Since(t1)
-		fi, err := os.Stat(path)
-		if err != nil {
-			return err
-		}
-
-		// Best of 3: the steady-state cold-start cost, excluding one-off
-		// first-touch noise (page cache, GC from the build above).
-		var sys2 *core.System
-		var loadDur time.Duration
-		for rep := 0; rep < 3; rep++ {
-			t2 := time.Now()
-			if sys2, err = store.Load(path); err != nil {
-				return err
-			}
-			if d := time.Since(t2); rep == 0 || d < loadDur {
-				loadDur = d
-			}
-		}
-		if got, want := sys2.Stats(), sys.Stats(); got.Edges != want.Edges || got.Vocabulary != want.Vocabulary {
-			return fmt.Errorf("loaded system differs: %+v vs %+v", got, want)
-		}
-		speedup := buildDur.Seconds() / loadDur.Seconds()
-		if worst == 0 || speedup < worst {
-			worst = speedup
-		}
-		tab.Row(n, buildDur.Round(time.Millisecond), saveDur.Round(time.Millisecond),
-			fmt.Sprintf("%.1fMiB", float64(fi.Size())/(1<<20)),
-			loadDur.Round(time.Millisecond), fmt.Sprintf("%.0f×", speedup))
-	}
-	tab.Render(e.out)
-	fmt.Fprintf(e.out, "worst-case cold-start speedup: %.0f× (target ≥10×)\n", worst)
-	if worst < 10 {
-		return fmt.Errorf("cold-start speedup %.1f× below the 10× target", worst)
-	}
-	return nil
-}
-
-func runE14WALOverhead(e *env) error {
 	h, err := buildStreamHoldout(e)
 	if err != nil {
 		return err
 	}
 	rebuildEvents := e.sizes.streamBatch * 8
 	tab := bench.NewTable(
-		fmt.Sprintf("E14b: WAL overhead on ingest replay (%d-author stream, rebuild@%d, batch=%d)",
+		fmt.Sprintf("E14: WAL overhead on ingest replay (%d-author stream, rebuild@%d, batch=%d)",
 			e.sizes.streamAuthors, rebuildEvents, e.sizes.streamBatch),
 		"mode", "events", "events/s", "fsyncs", "checkpoints", "wal bytes", "overhead")
 

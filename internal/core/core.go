@@ -35,7 +35,7 @@ type Config struct {
 	// Topics is Z for model learning (required unless ground-truth
 	// models are supplied).
 	Topics int
-	// EMIterations controls the learner (default 15).
+	// EMIterations controls the learner (default 20, em's default).
 	EMIterations int
 	// EMRestarts runs several EM initializations and keeps the best
 	// likelihood (default 1).

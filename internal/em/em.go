@@ -11,6 +11,15 @@
 // trace; the M-step refits p(z), p(w|z) and ppᶻᵤᵥ from
 // responsibility-weighted counts, with the classic Saito-style credit
 // split among a node's possible activators.
+//
+// Within one iteration the parameters are fixed, so every log term the
+// E-step needs is shared across trials: log p(z), log p(w|z), and per
+// (edge, topic) the failure and one-parent success terms. Learn
+// computes each of them once per iteration into tables, and the E-step
+// adds table entries in each trial's reference order — the same values
+// in the same order as taking every log per reference, so every learned
+// bit is the same. Only success groups with several parents still take
+// a log per trial.
 package em
 
 import (
@@ -75,6 +84,12 @@ type Config struct {
 func (c *Config) fill() error {
 	if c.Topics <= 0 {
 		return fmt.Errorf("em: Topics must be positive")
+	}
+	if c.Iterations < 0 {
+		return fmt.Errorf("em: Iterations must not be negative, got %d", c.Iterations)
+	}
+	if c.Restarts < 0 {
+		return fmt.Errorf("em: Restarts must not be negative, got %d", c.Restarts)
 	}
 	if c.filled {
 		return nil
@@ -277,37 +292,103 @@ func (a *emAcc) reset(ch *emChunk, Z int) {
 	a.ll = 0
 }
 
+// logTables holds every log term the E-step shares between trials,
+// recomputed once per EM iteration from the current parameters:
+// prior[z] = log p(z), word[z·V+w] = log(p(w|z) + 1e-300) and, for the
+// joint iterations, the per-(edge, topic) failure term
+// fail[e·Z+z] = log(1 − pp + 1e-12) and one-parent success term
+// succ1[e·Z+z] = log(1 − (1 − pp) + 1e-12). The edge tables are
+// edge-major, so one reference reads all Z topics from one cache line.
+//
+// Each entry is the exact float64 a per-reference math.Log call would
+// return (for one parent, 1.0·(1 − pp) == 1 − pp), so adding table rows
+// in the trial's reference order reproduces every per-topic sum bit for
+// bit.
+type logTables struct {
+	prior, word []float64
+	fail, succ1 []float64
+}
+
+// logEdgeBlock is the par.Each unit of the edge-table fill.
+const logEdgeBlock = 4096
+
+func newLogTables(Z, V, M int) *logTables {
+	return &logTables{
+		prior: make([]float64, Z),
+		word:  make([]float64, Z*V),
+		fail:  make([]float64, M*Z),
+		succ1: make([]float64, M*Z),
+	}
+}
+
+// fill recomputes the tables from the current parameters; the edge
+// tables only when useProp is set. Every entry is a pure function of
+// its parameter, so the fan-out cannot change a bit.
+func (t *logTables) fill(pp, pwz, prior []float64, useProp bool, Z, M, workers int) {
+	for z, p := range prior {
+		t.prior[z] = math.Log(p)
+	}
+	for i, p := range pwz {
+		t.word[i] = math.Log(p + 1e-300)
+	}
+	if !useProp {
+		return
+	}
+	par.Each(workers, (M+logEdgeBlock-1)/logEdgeBlock, func(_, b int) {
+		for e := b * logEdgeBlock; e < min((b+1)*logEdgeBlock, M); e++ {
+			fail, succ1 := t.fail[e*Z:(e+1)*Z], t.succ1[e*Z:(e+1)*Z]
+			for z := range fail {
+				p := pp[z*M+e]
+				fail[z] = math.Log(1 - p + 1e-12)
+				succ1[z] = math.Log(1 - (1 - p) + 1e-12)
+			}
+		}
+	})
+}
+
 // eStepChunk runs the E-step plus M-step accumulation for one chunk of
 // trials, writing responsibilities (disjoint per trial) and the
-// chunk-local accumulator. It reads the shared parameters (pp, pwz,
-// prior) which are immutable within one EM iteration.
+// chunk-local accumulator. It reads the shared parameters (pp) and their
+// log tables, which are immutable within one EM iteration.
 func eStepChunk(acc *emAcc, ch *emChunk, trials []episodeTrials, resp []topic.Dist,
-	pp, pwz, prior, logL []float64, useProp bool, Z, M, V int) {
+	pp []float64, lt *logTables, logL []float64, useProp bool, Z, M, V int) {
 
 	lenE, lenW := len(ch.edges), len(ch.words)
 	for ti := ch.lo; ti < ch.hi; ti++ {
 		tr := &trials[ti]
-		// E-step: log responsibility per topic.
-		for z := 0; z < Z; z++ {
-			ll := math.Log(prior[z])
-			rowW := pwz[z*V : (z+1)*V]
-			for _, w := range tr.words {
-				ll += math.Log(rowW[w] + 1e-300)
+		// E-step: log responsibility per topic. Each logL[z] adds the
+		// prior, then words, success groups and failures in the trial's
+		// reference order; only multi-parent groups take a log here.
+		copy(logL, lt.prior)
+		for _, w := range tr.words {
+			for z := range logL {
+				logL[z] += lt.word[z*V+w]
 			}
-			if useProp {
-				rowP := pp[z*M : (z+1)*M]
-				for _, sg := range tr.successes {
+		}
+		if useProp {
+			for _, sg := range tr.successes {
+				if len(sg.parents) == 1 {
+					row := lt.succ1[int(sg.parents[0])*Z:][:Z]
+					for z := range logL {
+						logL[z] += row[z]
+					}
+					continue
+				}
+				for z := range logL {
+					rowP := pp[z*M : (z+1)*M]
 					pNone := 1.0
 					for _, e := range sg.parents {
 						pNone *= 1 - rowP[e]
 					}
-					ll += math.Log(1 - pNone + 1e-12)
-				}
-				for _, e := range tr.failures {
-					ll += math.Log(1 - rowP[e] + 1e-12)
+					logL[z] += math.Log(1 - pNone + 1e-12)
 				}
 			}
-			logL[z] = ll
+			for _, e := range tr.failures {
+				row := lt.fail[int(e)*Z:][:Z]
+				for z := range logL {
+					logL[z] += row[z]
+				}
+			}
 		}
 		maxv := math.Inf(-1)
 		for _, v := range logL {
@@ -372,6 +453,12 @@ func eStepChunk(acc *emAcc, ch *emChunk, trials []episodeTrials, resp []topic.Di
 // Learn runs EM over the log and graph. With cfg.Restarts > 1 it runs
 // that many independent initializations and returns the one with the
 // best final log-likelihood.
+//
+// Memory is dominated by Z×M float64 arrays (M = edges): the parameters
+// pp, the two M-step accumulators, and the per-iteration log tables of
+// the failure and one-parent success terms — five in all, the tables
+// 2·Z·M·8 bytes of them (≈8 MiB at 64 k edges and Z = 8). None of it
+// outlives the call.
 func Learn(g *graph.Graph, log *actionlog.Log, cfg Config) (*Result, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -445,8 +532,8 @@ func Learn(g *graph.Graph, log *actionlog.Log, cfg Config) (*Result, error) {
 	var llHist []float64
 
 	// The E-step is embarrassingly parallel over trials — within one
-	// iteration it only reads pp/pwz/prior and writes resp[ti] — but the
-	// M-step accumulators are floating-point sums whose value depends on
+	// iteration it only reads pp and the log tables and writes resp[ti] —
+	// but the M-step accumulators are floating-point sums whose value depends on
 	// addition order. Trials are therefore sharded into fixed-size
 	// chunks (boundaries independent of the worker count), each chunk
 	// accumulates locally, and chunk accumulators are merged into the
@@ -467,6 +554,7 @@ func Learn(g *graph.Graph, log *actionlog.Log, cfg Config) (*Result, error) {
 	accTrial := make([]float64, Z*M)
 	accWord := make([]float64, Z*V)
 	accPrior := make([]float64, Z)
+	lt := newLogTables(Z, V, M)
 
 	// Iteration 0 is the keyword-anchoring pass (not recorded in the
 	// likelihood history); iterations 1..Iterations are fully joint.
@@ -489,12 +577,13 @@ func Learn(g *graph.Graph, log *actionlog.Log, cfg Config) (*Result, error) {
 		// topics. Anchor the first E-step to keywords only; subsequent
 		// iterations are fully joint.
 		useProp := iter > 0
+		lt.fill(pp, pwz, prior, useProp, Z, M, cfg.Workers)
 
 		par.OrderedMerge(cfg.Workers, len(chunks),
 			func(w, ci int) *emAcc {
 				acc := accPool.Get().(*emAcc)
 				acc.reset(&chunks[ci], Z)
-				eStepChunk(acc, &chunks[ci], trials, resp, pp, pwz, prior, logLs[w], useProp, Z, M, V)
+				eStepChunk(acc, &chunks[ci], trials, resp, pp, lt, logLs[w], useProp, Z, M, V)
 				return acc
 			},
 			func(ci int, acc *emAcc) {
@@ -610,14 +699,18 @@ func collectVocab(log *actionlog.Log) []string {
 // never acted, the edge (u,v) is a failure trial.
 func extractTrials(g *graph.Graph, log *actionlog.Log, vocabID map[string]int) []episodeTrials {
 	var out []episodeTrials
-	actTime := make(map[graph.NodeID]int64)
+	// actTime[u] is u's action time in the episode whose index+1 is
+	// actStamp[u]; any other stamp means u did not act in it.
+	actTime := make([]int64, g.NumNodes())
+	actStamp := make([]int, g.NumNodes())
 	for ei, ep := range log.Episodes {
 		if len(ep.Actions) == 0 {
 			continue
 		}
-		clear(actTime)
+		stamp := ei + 1
 		for _, a := range ep.Actions {
 			actTime[a.User] = a.Time
+			actStamp[a.User] = stamp
 		}
 		tr := episodeTrials{item: ei}
 		for _, w := range ep.Item.Keywords {
@@ -631,7 +724,7 @@ func extractTrials(g *graph.Graph, log *actionlog.Log, vocabID map[string]int) [
 			var parents []graph.EdgeID
 			for s := lo; s < hi; s++ {
 				u := g.InSrc(s)
-				if tu, ok := actTime[u]; ok && tu < a.Time {
+				if actStamp[u] == stamp && actTime[u] < a.Time {
 					parents = append(parents, g.InEdgeID(s))
 				}
 			}
@@ -640,7 +733,7 @@ func extractTrials(g *graph.Graph, log *actionlog.Log, vocabID map[string]int) [
 			}
 			elo, ehi := g.OutEdges(v)
 			for e := elo; e < ehi; e++ {
-				if _, acted := actTime[g.Dst(e)]; !acted {
+				if actStamp[g.Dst(e)] != stamp {
 					tr.failures = append(tr.failures, e)
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"octopus/internal/actionlog"
+	"octopus/internal/datagen"
 	"octopus/internal/graph"
 	"octopus/internal/rng"
 	"octopus/internal/tic"
@@ -159,6 +160,17 @@ func TestLearnErrors(t *testing.T) {
 	g, _, log := synthetic(t, 10, 5, 2)
 	if _, err := Learn(g, log, Config{Topics: 0}); err == nil {
 		t.Fatal("Topics=0 accepted")
+	}
+	// A negative Iterations used to return the random initialization
+	// (Restarts 1) or panic indexing an empty likelihood history
+	// (Restarts 2).
+	for _, restarts := range []int{1, 2} {
+		if _, err := Learn(g, log, Config{Topics: 2, Iterations: -1, Restarts: restarts}); err == nil {
+			t.Fatalf("Iterations=-1 accepted with Restarts=%d", restarts)
+		}
+	}
+	if _, err := Learn(g, log, Config{Topics: 2, Restarts: -1}); err == nil {
+		t.Fatal("Restarts=-1 accepted")
 	}
 	bad := &actionlog.Log{NumUsers: 99}
 	if _, err := Learn(g, bad, Config{Topics: 2}); err == nil {
@@ -324,6 +336,23 @@ func BenchmarkLearn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Learn(g, log, Config{Topics: 4, Iterations: 5, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLearnCitation learns the citation corpus at a size where the
+// E-step's per-reference terms dominate: 2 000 authors, Z = 8, default
+// iterations.
+func BenchmarkLearnCitation(b *testing.B) {
+	ds, err := datagen.Citation(datagen.CitationConfig{Authors: 2000, Topics: 8, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Learn(ds.Graph, ds.Log, Config{Topics: 8, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

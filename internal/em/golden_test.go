@@ -1,0 +1,154 @@
+package em
+
+import (
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+
+	"octopus/internal/graph"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden-learn.txt from the current learner")
+
+const goldenPath = "testdata/golden-learn.txt"
+
+func goldenBits(fs []float64) string {
+	parts := make([]string, len(fs))
+	for i, f := range fs {
+		parts[i] = fmt.Sprintf("%016x", math.Float64bits(f))
+	}
+	return strings.Join(parts, ",")
+}
+
+// goldenLines learns the fixed golden world — more than two E-step
+// chunks of trials, with one-parent and multi-parent success groups and
+// failure edges, at Z = 3 on one worker — and renders every learned
+// number as its IEEE-754 bits: the likelihood history, the prior, each
+// p(w|z) row, each edge's per-topic probability (unpruned) and each
+// episode's responsibilities.
+func goldenLines(t *testing.T) []string {
+	g, _, log := synthetic(t, 80, 600, 42)
+	vocabID := map[string]int{}
+	for i, w := range collectVocab(log) {
+		vocabID[w] = i
+	}
+	trials := extractTrials(g, log, vocabID)
+	var single, multi, fails int
+	for _, tr := range trials {
+		for _, sg := range tr.successes {
+			if len(sg.parents) == 1 {
+				single++
+			} else {
+				multi++
+			}
+		}
+		fails += len(tr.failures)
+	}
+	if len(trials) <= 2*chunkTrials || single == 0 || multi == 0 || fails == 0 {
+		t.Fatalf("golden world lost coverage: %d trials, %d one-parent and %d multi-parent groups, %d failures",
+			len(trials), single, multi, fails)
+	}
+
+	const Z = 3
+	res, err := Learn(g, log, Config{Topics: Z, Seed: 7, Workers: 1, MinProb: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	km := res.Keywords
+	out := []string{
+		"ll " + goldenBits(res.LogLikelihood),
+		"prior " + goldenBits(km.Prior()),
+	}
+	for z := 0; z < Z; z++ {
+		row := make([]float64, km.VocabSize())
+		for w := range row {
+			row[w] = km.PWZ(z, w)
+		}
+		out = append(out, fmt.Sprintf("pwz%d %s", z, goldenBits(row)))
+	}
+	for e := 0; e < g.NumEdges(); e++ {
+		row := make([]float64, Z)
+		for z := range row {
+			row[z] = res.Propagation.TopicProb(graph.EdgeID(e), z)
+		}
+		out = append(out, fmt.Sprintf("pp%d %s", e, goldenBits(row)))
+	}
+	for i, r := range res.Responsibilities {
+		out = append(out, fmt.Sprintf("resp%d %s", i, goldenBits(r)))
+	}
+	return out
+}
+
+// sameGoldenLine compares two rendered lines: bitwise on amd64, where
+// the golden file was generated, and with a 1e-12 relative tolerance
+// elsewhere (arm64 may fuse multiply-adds).
+func sameGoldenLine(want, got string) bool {
+	if want == got {
+		return true
+	}
+	if runtime.GOARCH == "amd64" {
+		return false
+	}
+	wk, wv, _ := strings.Cut(want, " ")
+	gk, gv, _ := strings.Cut(got, " ")
+	ws, gs := strings.Split(wv, ","), strings.Split(gv, ",")
+	if wk != gk || len(ws) != len(gs) {
+		return false
+	}
+	for j := range ws {
+		wb, err1 := strconv.ParseUint(ws[j], 16, 64)
+		gb, err2 := strconv.ParseUint(gs[j], 16, 64)
+		if err1 != nil || err2 != nil {
+			return false
+		}
+		w, g := math.Float64frombits(wb), math.Float64frombits(gb)
+		if math.Abs(w-g) > 1e-12*math.Max(math.Abs(w), math.Abs(g)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestGoldenLearn pins every bit EM learns on a fixed world to the
+// checked-in file, so a change to how the E-step or M-step computes its
+// sums (precomputed tables, layout, loop order) cannot move a single
+// learned number. Regenerate only for an intended model change:
+//
+//	go test ./internal/em -run TestGoldenLearn -update
+func TestGoldenLearn(t *testing.T) {
+	got := goldenLines(t)
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(want) != len(got) {
+		t.Fatalf("%d golden lines, learner produced %d", len(want), len(got))
+	}
+	bad := 0
+	for i := range want {
+		if !sameGoldenLine(want[i], got[i]) {
+			if bad++; bad <= 10 {
+				t.Errorf("line %d differs\nwant %s\ngot  %s", i+1, want[i], got[i])
+			}
+		}
+	}
+	if bad > 10 {
+		t.Errorf("%d lines differ in all", bad)
+	}
+}

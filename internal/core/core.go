@@ -703,6 +703,13 @@ func (s *System) InfluencePaths(user graph.NodeID, opt PathOptions) (*PathGraph,
 	if opt.Theta == 0 {
 		opt.Theta = 0.01
 	}
+	// Written so that NaN fails the range check too.
+	if !(opt.Theta > 0 && opt.Theta < 1) {
+		return nil, fmt.Errorf("core: path theta %v out of (0,1)", opt.Theta)
+	}
+	if opt.MaxNodes < 0 {
+		return nil, fmt.Errorf("core: path MaxNodes %d is negative", opt.MaxNodes)
+	}
 	if opt.MaxNodes == 0 {
 		opt.MaxNodes = 200
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -364,6 +365,24 @@ func TestInfluencePathsKeywordContext(t *testing.T) {
 	_ = pg2 // trees may differ; both must be valid payloads
 	if _, err := s.InfluencePaths(-1, PathOptions{}); err == nil {
 		t.Fatal("invalid user accepted")
+	}
+}
+
+// Out-of-range path options are errors, not silently widened: θ ≤ 0
+// used to reach the MIA walk as a near-zero threshold (the whole
+// reachable graph) and a negative MaxNodes lifted the payload cap.
+func TestInfluencePathsRejectsBadOptions(t *testing.T) {
+	s, _ := testSystem(t)
+	for _, opt := range []PathOptions{
+		{Theta: -1},
+		{Theta: 1},
+		{Theta: 2},
+		{Theta: math.NaN()},
+		{MaxNodes: -1},
+	} {
+		if _, err := s.InfluencePaths(0, opt); err == nil {
+			t.Errorf("InfluencePaths accepted %+v", opt)
+		}
 	}
 }
 

@@ -16,22 +16,19 @@ import (
 // array (including the per-sample metadata) sits on an 8-byte boundary
 // so a zero-copy reader aliases it out of a mapped snapshot. Any other
 // version is rejected: snapshots are regenerated, not migrated.
-const otimBinaryVersion = 4
+const otimBinaryVersion = 5
 
 // WriteBinary serializes the index arrays in the current (aligned,
-// version 4) format. The model is serialized separately; ReadView
+// version 5) format. The model is serialized separately; ReadView
 // re-binds to it.
 func WriteBinary(w io.Writer, ix *Index) error {
 	bw := binio.NewWriter(w)
 	bw.U8(otimBinaryVersion)
 	bw.F64(ix.thetaPre)
-	bw.F64(ix.delta)
 	bw.Align8()
 	bw.F64s(ix.sigmaMax)
 	bw.Align8()
 	bw.F64s(ix.aggr)
-	bw.Align8()
-	bw.F64s(ix.wdeg)
 	bw.U64(uint64(len(ix.samples)))
 	for _, s := range ix.samples {
 		bw.Align8()
@@ -56,13 +53,10 @@ func ReadView(br *arena.Reader, m *tic.Model) (*Index, error) {
 	}
 	ix := &Index{model: m}
 	ix.thetaPre = br.F64()
-	ix.delta = br.F64()
 	br.Align8()
 	ix.sigmaMax = br.F64s()
 	br.Align8()
 	ix.aggr = br.F64s()
-	br.Align8()
-	ix.wdeg = br.F64s()
 	numSamples := int(br.U64())
 	if br.Err() == nil && (numSamples < 0 || numSamples > arena.MaxLen) {
 		return nil, fmt.Errorf("otim: binary payload sample count out of range")
@@ -83,9 +77,9 @@ func ReadView(br *arena.Reader, m *tic.Model) (*Index, error) {
 	if ix.thetaPre <= 0 || ix.thetaPre >= 1 {
 		return nil, fmt.Errorf("otim: binary payload thetaPre %v out of (0,1)", ix.thetaPre)
 	}
-	if len(ix.sigmaMax) != n || len(ix.aggr) != n*z || len(ix.wdeg) != n*z {
-		return nil, fmt.Errorf("otim: binary payload arrays sized (%d,%d,%d) for n=%d z=%d",
-			len(ix.sigmaMax), len(ix.aggr), len(ix.wdeg), n, z)
+	if len(ix.sigmaMax) != n || len(ix.aggr) != n*z {
+		return nil, fmt.Errorf("otim: binary payload arrays sized (%d,%d) for n=%d z=%d",
+			len(ix.sigmaMax), len(ix.aggr), n, z)
 	}
 	for i, s := range ix.samples {
 		if len(s.Gamma) != z || len(s.Seeds) != len(s.Spreads) {

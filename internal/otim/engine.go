@@ -14,36 +14,6 @@ import (
 
 func newSampleRNG(seed uint64) *rng.Source { return rng.New(seed) }
 
-// Bound identifies one of the engine's upper-bound estimators.
-type Bound int
-
-const (
-	// BoundPrecomputed is UB_P(u) = 1 + Σ_z γ_z·A_z(u): O(Z) per user,
-	// always at least as tight as the neighborhood bound.
-	BoundPrecomputed Bound = iota
-	// BoundNeighborhood is UB_N(u) = 1 + Δ·Σ_z γ_z·wdeg_z(u): O(Z) per
-	// user with a single global cap; kept for the bound-quality ablation.
-	BoundNeighborhood
-	// BoundLocalGraph evaluates the MIA tree of u under γ truncated at
-	// LocalDepth and adds the escaped mass through frontier nodes:
-	// tightest, costs one truncated Dijkstra.
-	BoundLocalGraph
-)
-
-// String names the bound for error messages and experiment tables.
-func (b Bound) String() string {
-	switch b {
-	case BoundPrecomputed:
-		return "precomputed"
-	case BoundNeighborhood:
-		return "neighborhood"
-	case BoundLocalGraph:
-		return "local-graph"
-	default:
-		return fmt.Sprintf("Bound(%d)", int(b))
-	}
-}
-
 // QueryOptions configures a keyword-IM query.
 type QueryOptions struct {
 	// K is the number of seeds (required).
@@ -54,14 +24,9 @@ type QueryOptions struct {
 	// Epsilon permits (1−ε)-approximate seed picks for earlier
 	// termination; 0 demands exact greedy.
 	Epsilon float64
-	// FirstBound chooses the cheap first-tier bound: BoundPrecomputed
-	// (the default) or BoundNeighborhood. BoundLocalGraph is a
-	// refinement tier, not a first-tier bound — it is evaluated lazily
-	// per candidate and cannot seed the whole heap — so requesting it
-	// here is rejected rather than silently downgraded.
-	FirstBound Bound
 	// SkipLocalBound drops the middle refinement tier, escalating cheap
-	// bounds straight to exact evaluation (for the E5 ablation).
+	// bounds straight to exact evaluation: the reference the local tier
+	// is tested against (same answers, no more exact evaluations).
 	SkipLocalBound bool
 	// MaxTreeNodes caps exact-evaluation tree sizes (0 = unlimited).
 	MaxTreeNodes int
@@ -86,14 +51,12 @@ func (o *QueryOptions) fill() error {
 	if o.Theta == 0 {
 		o.Theta = 0.01
 	}
-	if o.Theta <= 0 || o.Theta >= 1 {
+	// Written so that NaN fails the range checks too.
+	if !(o.Theta > 0 && o.Theta < 1) {
 		return fmt.Errorf("otim: Theta %v out of (0,1)", o.Theta)
 	}
-	if o.Epsilon < 0 || o.Epsilon >= 1 {
+	if !(o.Epsilon >= 0 && o.Epsilon < 1) {
 		return fmt.Errorf("otim: Epsilon %v out of [0,1)", o.Epsilon)
-	}
-	if o.FirstBound != BoundPrecomputed && o.FirstBound != BoundNeighborhood {
-		return fmt.Errorf("otim: FirstBound %v is not a supported first-tier bound (use BoundPrecomputed or BoundNeighborhood)", o.FirstBound)
 	}
 	if o.SampleTolerance == 0 {
 		o.SampleTolerance = 0.1
@@ -104,8 +67,7 @@ func (o *QueryOptions) fill() error {
 	return nil
 }
 
-// Stats reports the work a query performed — the quantities Experiment
-// E5 tabulates.
+// Stats reports the work a query performed, per bound tier.
 type Stats struct {
 	CheapBounds int // first-tier bound evaluations (all n, vectorized)
 	LocalBounds int // local-graph bound evaluations
@@ -320,23 +282,14 @@ func (e *Engine) bestEffort(gamma topic.Dist, opt QueryOptions, res *Result) {
 		}()
 	}
 
-	// Tier-0 bounds for every user, heapified in one O(n) pass.
+	// Tier-0 bounds UB_P(u) = 1 + Σ_z γ_z·A_z(u) for every user,
+	// heapified in one O(n) pass.
 	h := &e.heap
-	useP := opt.FirstBound != BoundNeighborhood
 	h.Fill(n, func(u int) heaps.Item {
 		var ub float64
-		if useP {
-			row := e.ix.aggr[u*z : (u+1)*z]
-			for zi := 0; zi < z; zi++ {
-				ub += gamma[zi] * row[zi]
-			}
-		} else {
-			row := e.ix.wdeg[u*z : (u+1)*z]
-			s := 0.0
-			for zi := 0; zi < z; zi++ {
-				s += gamma[zi] * row[zi]
-			}
-			ub = s * e.ix.delta
+		row := e.ix.aggr[u*z : (u+1)*z]
+		for zi := 0; zi < z; zi++ {
+			ub += gamma[zi] * row[zi]
 		}
 		return heaps.Item{ID: int32(u), Key: 1 + ub, Round: pack(0, tierCheap)}
 	})

@@ -9,10 +9,13 @@
 // The engine answers queries online with a best-effort framework: it
 // estimates an upper bound of the influence spread for each user, then
 // preferentially computes exact spreads for users with the largest bounds,
-// pruning insignificant users. Three bound estimators are provided —
-// precomputation-based, neighborhood-based and local-graph-based — plus a
-// topic-sample index that precomputes seed sets for offline-sampled topic
-// distributions and answers (or warm-starts) nearby queries.
+// pruning insignificant users. Two bound tiers are used: the
+// precomputation bound seeds the heap for every user in O(Z) each, and
+// the local-graph bound refines the candidates that reach the top. (The
+// paper's neighborhood bound is dominated by the precomputation bound by
+// construction, so it is not offered.) A topic-sample index precomputes
+// seed sets for offline-sampled topic distributions and answers nearby
+// queries.
 //
 // Spread semantics. Exact evaluation uses the maximum influence
 // arborescence (MIA) spread at the query threshold θ, the same
@@ -79,7 +82,9 @@ func (o *BuildOptions) fill(z int) {
 	}
 }
 
-// Index is the offline precomputation consumed by query Engines: pure
+// Index is the offline precomputation consumed by query Engines — the
+// per-node upper-envelope spreads, the per-topic rows of the
+// precomputation bound, and the topic samples. It is a pure
 // function of (model, options, seed), built once per model and shared
 // wholesale by every system over that model (a live fold whose delta
 // leaves the graph unchanged reuses it; any graph change rebuilds it).
@@ -92,14 +97,9 @@ type Index struct {
 	// at ThetaPre. Because IC/MIA spread is monotone in edge
 	// probabilities, sigmaMax[v] ≥ σ^MIA_γ({v}) for every γ.
 	sigmaMax []float64
-	// delta = max_v sigmaMax[v], the global cap of the neighborhood bound.
-	delta float64
 	// aggr[u*Z+z] = A_z(u) = Σ_{v ∈ N⁺(u)} ppᶻ_{u,v}·sigmaMax[v]; the
 	// precomputation bound is UB_P(u) = 1 + Σ_z γ_z·A_z(u).
 	aggr []float64
-	// wdeg[u*Z+z] = Σ_{v ∈ N⁺(u)} ppᶻ_{u,v}; the neighborhood bound is
-	// UB_N(u) = 1 + Δ·Σ_z γ_z·wdeg_z(u).
-	wdeg []float64
 
 	samples []TopicSample
 
@@ -136,9 +136,6 @@ func (ix *Index) ThetaPre() float64 { return ix.thetaPre }
 // SigmaMax returns the precomputed upper-envelope spread of v.
 func (ix *Index) SigmaMax(v graph.NodeID) float64 { return ix.sigmaMax[v] }
 
-// Delta returns the global spread cap Δ.
-func (ix *Index) Delta() float64 { return ix.delta }
-
 // NumSamples returns the topic-sample count.
 func (ix *Index) NumSamples() int { return len(ix.samples) }
 
@@ -161,12 +158,11 @@ func BuildIndex(m *tic.Model, opt BuildOptions) (*Index, error) {
 		thetaPre: opt.ThetaPre,
 		sigmaMax: make([]float64, n),
 		aggr:     make([]float64, n*z),
-		wdeg:     make([]float64, n*z),
 	}
 
 	// Pass 1: σ̄max via MIOA under p̄ for every node. Each worker owns a
 	// mia.Calc (the Dijkstra scratch is not shareable); sigmaMax writes
-	// are disjoint per node, and the delta reduction runs serially after.
+	// are disjoint per node.
 	passStart := time.Now()
 	maxProb := func(e graph.EdgeID) float64 { return m.MaxProb(e) }
 	calcs := make([]*mia.Calc, par.Resolve(opt.Workers))
@@ -178,15 +174,10 @@ func BuildIndex(m *tic.Model, opt BuildOptions) (*Index, error) {
 		}
 		ix.sigmaMax[v] = calc.MIOA(maxProb, graph.NodeID(v), opt.ThetaPre, 0).Spread()
 	})
-	for _, s := range ix.sigmaMax {
-		if s > ix.delta {
-			ix.delta = s
-		}
-	}
 	ix.buildStats.Sigma = time.Since(passStart)
 
 	// Pass 2: per-topic aggregates, sharded by node — each iteration
-	// writes only u's own aggr/wdeg rows.
+	// writes only u's own aggr row.
 	passStart = time.Now()
 	par.Each(opt.Workers, n, func(_, u int) { ix.computeRow(u) })
 	ix.buildStats.Aggr = time.Since(passStart)
@@ -245,17 +236,16 @@ func (ix *Index) runSample(eng *Engine, i int, gamma topic.Dist, opt BuildOption
 	return nil
 }
 
-// computeRow fills u's (zeroed) aggr and wdeg rows from the model and
-// the sigmaMax values, summing in u's CSR out-edge order.
+// computeRow fills u's (zeroed) aggr row from the model and the
+// sigmaMax values, summing in u's CSR out-edge order.
 func (ix *Index) computeRow(u int) {
 	m, g, z := ix.model, ix.model.Graph(), ix.model.NumTopics()
-	aggr, wdeg := ix.aggr[u*z:(u+1)*z], ix.wdeg[u*z:(u+1)*z]
+	aggr := ix.aggr[u*z : (u+1)*z]
 	lo, hi := g.OutEdges(graph.NodeID(u))
 	for e := lo; e < hi; e++ {
 		dst := g.Dst(e)
 		m.EdgeTopics(e, func(zi int, p float64) {
 			aggr[zi] += p * ix.sigmaMax[dst]
-			wdeg[zi] += p
 		})
 	}
 }

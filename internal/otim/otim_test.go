@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -60,7 +59,7 @@ func TestIndexSigmaMaxDominatesGammaSpread(t *testing.T) {
 }
 
 // The central soundness property: every bound tier dominates the exact
-// MIA spread, and the tiers are ordered UB_N ≥ UB_P ≥ UB_L ≥ σ.
+// MIA spread, and the tiers are ordered UB_P ≥ UB_L ≥ σ.
 func TestQuickBoundSoundnessAndOrdering(t *testing.T) {
 	m := testWorld(t, 80, 4, 2)
 	ix := buildIdx(t, m, 0)
@@ -84,18 +83,12 @@ func TestQuickBoundSoundnessAndOrdering(t *testing.T) {
 			bp += gamma[zi] * ix.aggr[int(u)*z+zi]
 		}
 		ubP := 1 + bp
-		// UB_N
-		var wd float64
-		for zi := 0; zi < z; zi++ {
-			wd += gamma[zi] * ix.wdeg[int(u)*z+zi]
-		}
-		ubN := 1 + ix.delta*wd
 		// UB_L
 		eng.curGen++ // fresh memo generation
 		ubL := eng.localBound(gamma, u)
 
 		const tol = 1e-9
-		return ubN+tol >= ubP && ubP+tol >= ubL && ubL+tol >= exact
+		return ubP+tol >= ubL && ubL+tol >= exact
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -216,26 +209,6 @@ func TestSkipLocalBoundStillCorrect(t *testing.T) {
 	if with.Stats.ExactEvals > without.Stats.ExactEvals {
 		t.Fatalf("local bound increased exact evals: %d vs %d",
 			with.Stats.ExactEvals, without.Stats.ExactEvals)
-	}
-}
-
-func TestNeighborhoodFirstBound(t *testing.T) {
-	m := testWorld(t, 100, 4, 8)
-	ix := buildIdx(t, m, 0)
-	eng := NewEngine(ix)
-	gamma := topic.Dist{0.7, 0.3}
-	a, err := eng.Query(gamma, QueryOptions{K: 3, Theta: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := eng.Query(gamma, QueryOptions{K: 3, Theta: 0.01, FirstBound: BoundNeighborhood})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Spreads {
-		if math.Abs(a.Spreads[i]-b.Spreads[i]) > 1e-6 {
-			t.Fatalf("first-bound choice changed answer: %v vs %v", a.Spreads, b.Spreads)
-		}
 	}
 }
 
@@ -391,7 +364,11 @@ func TestQueryValidation(t *testing.T) {
 	cases := []QueryOptions{
 		{K: 0},
 		{K: 1, Theta: 2},
+		{K: 1, Theta: -1},
+		{K: 1, Theta: math.NaN()},
 		{K: 1, Epsilon: 1},
+		{K: 1, Epsilon: -0.1},
+		{K: 1, Epsilon: math.NaN()},
 		{K: 1, Theta: 0.0001}, // below θ_pre
 	}
 	for i, opt := range cases {
@@ -646,38 +623,11 @@ func TestBuildIndexWorkerEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(base.sigmaMax, ix.sigmaMax) {
 			t.Fatalf("workers=%d: sigmaMax differs", w)
 		}
-		if base.delta != ix.delta {
-			t.Fatalf("workers=%d: delta %v != %v", w, ix.delta, base.delta)
-		}
-		if !reflect.DeepEqual(base.aggr, ix.aggr) || !reflect.DeepEqual(base.wdeg, ix.wdeg) {
+		if !reflect.DeepEqual(base.aggr, ix.aggr) {
 			t.Fatalf("workers=%d: aggregates differ", w)
 		}
 		if !reflect.DeepEqual(base.samples, ix.samples) {
 			t.Fatalf("workers=%d: topic samples differ", w)
-		}
-	}
-}
-
-// FirstBound values the engine cannot seed the heap with must be
-// rejected, not silently treated as BoundPrecomputed.
-func TestFirstBoundUnsupportedRejected(t *testing.T) {
-	m := testWorld(t, 40, 3, 1)
-	ix := buildIdx(t, m, 0)
-	eng := NewEngine(ix)
-	gamma := topic.Dist{0.5, 0.5}
-	for _, b := range []Bound{BoundLocalGraph, Bound(7)} {
-		_, err := eng.Query(gamma, QueryOptions{K: 3, FirstBound: b})
-		if err == nil {
-			t.Fatalf("FirstBound %v accepted", b)
-		}
-		if !strings.Contains(err.Error(), "FirstBound") {
-			t.Fatalf("unhelpful error for FirstBound %v: %v", b, err)
-		}
-	}
-	// The two supported bounds still work.
-	for _, b := range []Bound{BoundPrecomputed, BoundNeighborhood} {
-		if _, err := eng.Query(gamma, QueryOptions{K: 3, FirstBound: b}); err != nil {
-			t.Fatalf("FirstBound %v rejected: %v", b, err)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -559,4 +560,48 @@ func TestFetchSnapshotResume(t *testing.T) {
 	if got, _ := os.ReadFile(dest); string(got) != string(want) {
 		t.Fatal("refetched download differs from the leader's snapshot")
 	}
+}
+
+// BenchmarkFollowerFoldLag measures checkpoint mirroring end to end.
+// Each iteration is one leader fold of an edge-bearing delta (20 feed
+// rounds, then ForceSnapshot, which returns once the checkpoint is on
+// disk) followed by the wait until the follower serves that version.
+// Reported per fold: the p50 lag from ForceSnapshot's return to the
+// follower serving the version, the snapshot bytes the follower
+// fetched, and the WAL bytes the leader wrote (which are not shipped).
+func BenchmarkFollowerFoldLag(b *testing.B) {
+	const roundsPerFold = 20
+	l := newLeader(b, buildBase(b, 800, 19))
+	f := startFollower(b, l.srv.URL, b.TempDir())
+	defer f.Close()
+	converged(b, f, l)
+
+	snap0, wal0 := f.Stats().SnapshotBytes, l.ls.Store().WALBytesLogged()
+	lags := make([]time.Duration, 0, b.N)
+	round := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for range roundsPerFold {
+			feed(b, l, round)
+			round++
+		}
+		b.StartTimer()
+		force(b, l.ls)
+		landed, want := time.Now(), l.ls.Version()
+		for f.Version() != want {
+			if time.Since(landed) > 60*time.Second {
+				b.Fatalf("follower stuck at version %d, leader at %d: %+v", f.Version(), want, f.Stats())
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		lags = append(lags, time.Since(landed))
+	}
+	b.StopTimer()
+
+	slices.Sort(lags)
+	folds := float64(b.N)
+	b.ReportMetric(float64(lags[len(lags)/2])/1e6, "p50-lag-ms")
+	b.ReportMetric(float64(f.Stats().SnapshotBytes-snap0)/folds, "snapshot-B/fold")
+	b.ReportMetric(float64(l.ls.Store().WALBytesLogged()-wal0)/folds, "wal-B/fold")
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -14,9 +15,9 @@ import (
 
 // FuzzQParams throws arbitrary raw query strings at the typed parameter
 // reader. The contract: no panic; bad() fires exactly when a present
-// value fails to parse (with a 400 naming the parameter); and when
-// nothing is malformed, every returned value either equals the default
-// or round-trips through strconv.
+// value fails to parse or is a non-finite number (with a 400 naming the
+// parameter); and when nothing is malformed, every returned value either
+// equals the default or round-trips through strconv.
 func FuzzQParams(f *testing.F) {
 	f.Add("k=10&theta=0.5&q=data+mining")
 	f.Add("k=ten")
@@ -25,6 +26,7 @@ func FuzzQParams(f *testing.F) {
 	f.Add("%gh&;=&k=1e9")
 	f.Add("k=10&k=11")
 	f.Add("highlight=-1&max=0")
+	f.Add("theta=NaN&coherence=-Inf")
 
 	f.Fuzz(func(t *testing.T, rawQuery string) {
 		r := &http.Request{URL: &url.URL{RawQuery: rawQuery}}
@@ -73,10 +75,10 @@ func FuzzQParams(f *testing.F) {
 				return
 			}
 			x, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				t.Fatalf("%s=%q unparseable yet not flagged", name, v)
+			if err != nil || math.IsNaN(x) || math.IsInf(x, 0) {
+				t.Fatalf("%s=%q unparseable or not finite, yet not flagged", name, v)
 			}
-			if got != x && !(got != got && x != x) { // NaN-safe
+			if got != x {
 				t.Fatalf("%s = %v, want %v", name, got, x)
 			}
 		}

@@ -92,6 +92,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -450,13 +451,14 @@ func (q *qparams) Flag(name string) bool {
 	}
 }
 
+// Float reads a finite number: NaN and ±Inf parse but are malformed.
 func (q *qparams) Float(name string, def float64) float64 {
 	v := q.q.Get(name)
 	if v == "" {
 		return def
 	}
 	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
+	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
 		q.fail(name, "number", v)
 		return def
 	}

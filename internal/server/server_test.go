@@ -336,10 +336,14 @@ func TestMalformedParamsRejected(t *testing.T) {
 	cases := []string{
 		"/api/im?q=data&k=ten",
 		"/api/im?q=data&theta=0..5",
+		"/api/im?q=data&theta=NaN",
+		"/api/im?q=data&theta=Inf",
 		"/api/suggest?user=" + user + "&k=three",
 		"/api/suggest?user=" + user + "&coherence=x",
+		"/api/suggest?user=" + user + "&coherence=NaN",
 		"/api/keywords?user=" + user + "&limit=many",
 		"/api/paths?user=" + user + "&theta=high",
+		"/api/paths?user=" + user + "&theta=NaN",
 		"/api/paths?user=" + user + "&max=1e",
 		"/api/paths?user=" + user + "&highlight=first",
 		"/api/complete?prefix=a&k=1.5",
@@ -352,6 +356,25 @@ func TestMalformedParamsRejected(t *testing.T) {
 		}
 		if msg, _ := body["error"].(string); !strings.Contains(msg, "parameter") {
 			t.Errorf("GET %s: error payload %q does not name the parameter", path, msg)
+		}
+	}
+}
+
+// Well-formed but out-of-range path options are 400s: θ ≤ 0 used to be
+// widened to a near-zero threshold (the whole reachable graph) and a
+// negative max lifted the node cap.
+func TestPathsOutOfRangeRejected(t *testing.T) {
+	s, sys := testServer(t)
+	user := url.QueryEscape(sys.Graph().Name(0))
+	for _, q := range []string{"theta=-1", "theta=1", "max=-1"} {
+		path := "/api/paths?user=" + user + "&" + q
+		rec, body := get(t, s, path)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("GET %s = %d, want 400", path, rec.Code)
+			continue
+		}
+		if msg, _ := body["error"].(string); msg == "" {
+			t.Errorf("GET %s: no error message", path)
 		}
 	}
 }

@@ -192,9 +192,10 @@ func replaceSection(data []byte, s v3Section, payload []byte) []byte {
 // version byte on any section payload is rejected by every reader that
 // gets as far as the skew — Load and Map always, PeekVersion for the
 // magic and META it reads — with an error that names the section and
-// says how to get a loadable file. testdata/otim-v3.payload is the OTIM
-// payload the previous (version 3) codec wrote for the golden system,
-// the per-sample fold certificates included.
+// says how to get a loadable file. testdata/otim-v3.payload and
+// otim-v4.payload are the OTIM payloads the two previous codecs wrote for
+// the golden system: version 3 with the per-sample fold certificates,
+// version 4 with the neighborhood bound's cap and weighted degrees.
 func TestRejectsOtherGenerations(t *testing.T) {
 	sys := buildSystem(t, 120, 3)
 	var buf bytes.Buffer
@@ -204,6 +205,10 @@ func TestRejectsOtherGenerations(t *testing.T) {
 	valid := buf.Bytes()
 	secs := walkV3(t, valid)
 	otimV3, err := os.ReadFile(filepath.Join("testdata", "otim-v3.payload"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	otimV4, err := os.ReadFile(filepath.Join("testdata", "otim-v4.payload"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,6 +222,7 @@ func TestRejectsOtherGenerations(t *testing.T) {
 		{"magic", func(d []byte) []byte { copy(d, "OCTSNAP1"); return d }, `"OCTSNAP1"`, true},
 		{"META", func(d []byte) []byte { patchSection(d, secs["META"], 0, formatVersion-1); return d }, "META", true},
 		{"OTIM-v3-payload", func(d []byte) []byte { return replaceSection(d, secs["OTIM"], otimV3) }, "OTIM", false},
+		{"OTIM-v4-payload", func(d []byte) []byte { return replaceSection(d, secs["OTIM"], otimV4) }, "OTIM", false},
 	}
 	for _, name := range []string{"GRPH", "TICM", "TOPC", "OTIM", "TAGS"} {
 		s := secs[name]

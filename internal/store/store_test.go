@@ -178,7 +178,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 // (named for its OCTSNAP3 framing) is buildSystem(30, 21) saved, loaded
 // and saved again (a first save is not a byte fixpoint: CONF drops
 // TopicNames on load; the second is); it was last regenerated when the
-// OTIM payload moved to version 4, which changed no other section's
+// OTIM payload moved to version 5, which changed no other section's
 // bytes. Any change to framing or a payload layout fails here
 // before it strands deployed snapshots. The byte comparison is an array
 // round trip with no float math, so it is architecture-stable.

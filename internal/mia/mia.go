@@ -19,6 +19,8 @@ package mia
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 
 	"octopus/internal/graph"
@@ -110,74 +112,79 @@ func (t *Tree) SubtreeWeights() []float64 {
 // Calc holds reusable state for building arborescences on one graph.
 // Not safe for concurrent use; create one per goroutine.
 //
-// The Dijkstra frontier is a binary max-heap of (key, id) entries with
-// lazy deletion: improving a node's tentative probability pushes a new
-// entry rather than moving the old one, and a popped entry whose node
-// is already finalized this build ("done") is skipped. Trees come out
-// node for node identical to an indexed heap holding only each node's
-// best entry, because (key desc, id asc) is a strict total order:
+// Precondition: every edge probability lies in [0, 1] (tic validates
+// stored probabilities and EdgeProb caps mixtures at 1). A path
+// probability then never grows along a path — fl(p·w) ≤ p for w ≤ 1,
+// because rounding is monotone — so every key the Dijkstra pushes is
+// at least the key it last popped. That makes the frontier a monotone
+// radix heap: keys are ^math.Float64bits(p), which for p ∈ [0, 1]
+// orders larger probabilities first, and an entry sits in bucket
+// bits.Len64(key ^ last), where last is the key popped most recently.
+// Bucket 0 holds exactly the entries whose key equals last; bucket b > 0
+// holds keys that first differ from last at bit b−1, so every key in a
+// lower bucket is smaller than every key in a higher one. A 64-bit
+// occupancy mask finds the lowest non-empty bucket in O(1); emptying it
+// moves last to its smallest key and spreads its entries over lower
+// buckets.
+//
+// The frontier deletes lazily: improving a node's tentative probability
+// pushes a new entry rather than moving the old one, and a popped entry
+// whose node is already finalized this build ("done") is skipped. Trees
+// come out node for node identical to an indexed heap holding only each
+// node's best entry, because the radix heap pops in the strict total
+// order (key asc, id asc) — (probability desc, id asc) — that such a
+// heap pops in: keys come out in ascending order, and bucket 0, whose
+// keys are all equal, pops its smallest id first. Hence
 //
 //   - a node's best entry outranks every stale entry of the same node
 //     (relaxation demands strict improvement, so stale keys are strictly
-//     smaller), hence it pops first and finalizes the node, and every
-//     stale entry popped later is skipped without side effects;
+//     larger), so it pops first and finalizes the node, and every stale
+//     entry popped later is skipped without side effects;
 //   - among the live entries — one per tentative node, the same set an
-//     indexed heap holds — the maximum of a strict total order is
+//     indexed heap holds — the minimum of a strict total order is
 //     unique, so both heaps pop the same node at every step.
 //
-// The frontier holds up to one entry per improving relaxation instead
-// of one per node, and its backing array is reused across builds.
+// Per-node build state is one 32-byte record, and the frontier's
+// buckets are reused across builds. Forward builds can read edge
+// weights from per-node rows instead of calling an EdgeProb per edge;
+// see Weigh.
 type Calc struct {
-	g        *graph.Graph
-	frontier []frontierEntry
-	best     []float64
-	parent   []int32
-	pedge    []graph.EdgeID
-	// stamp[v] == epoch: v holds a tentative probability this build.
-	// done[v] == epoch: v is finalized in the tree being built.
-	stamp []uint32
-	done  []uint32
+	g     *graph.Graph
+	nodes []nodeState
 	epoch uint32
-	// popAt[v] = index of v in the tree being built, set when v is
-	// popped. It is only ever read for a node's parent — which was
-	// necessarily popped earlier in the same build — so stale entries
-	// from previous builds are never observed and no epoch stamp is
-	// needed. Reusing the slice removes the per-build map allocation
-	// that dominated small-tree builds.
-	popAt []int32
+	front radixHeap
+	// Weight rows (see Weigh): when nodes[u].wgen == wgen, w[OutEdges(u)]
+	// holds prob of each of u's out-edges. w stays nil until the first
+	// Weigh, so Calcs that only build one-shot trees hold no per-edge
+	// storage.
+	prob EdgeProb
+	w    []float64
+	wgen uint32
 	// cost, when non-nil, accumulates ball-walk work (trees built, nodes
 	// popped, edges examined) for the query that owns this Calc. Set per
 	// query with SetCost and cleared afterwards — Calcs are pooled.
 	cost *obs.Cost
 }
 
-// frontierEntry is one (key, id) entry of the lazy Dijkstra heap.
-type frontierEntry struct {
-	key float64
-	id  graph.NodeID
-}
-
-// outranks orders the frontier: larger key first, equal keys broken by
-// smaller id — the same strict total order heaps.Indexed pops in.
-func (a frontierEntry) outranks(b frontierEntry) bool {
-	if a.key != b.key {
-		return a.key > b.key
-	}
-	return a.id < b.id
+// nodeState is one node's build state, packed into 32 bytes so a
+// relaxation touches one cache line per node.
+type nodeState struct {
+	best   float64      // tentative path probability; valid when seen == epoch
+	parent graph.NodeID // tree predecessor on the best path so far
+	pedge  graph.EdgeID // graph edge from parent
+	// popAt is the node's index in the tree being built, set when it is
+	// popped. It is only ever read for a node's parent — which was
+	// necessarily popped earlier in the same build — so values left by
+	// previous builds are never observed and need no stamp.
+	popAt int32
+	seen  uint32 // == epoch: best/parent/pedge belong to this build
+	done  uint32 // == epoch: finalized in the tree being built
+	wgen  uint32 // == Calc.wgen: the node's weight row is filled
 }
 
 // NewCalc returns a Calc for graph g.
 func NewCalc(g *graph.Graph) *Calc {
-	n := g.NumNodes()
-	return &Calc{
-		g:      g,
-		best:   make([]float64, n),
-		parent: make([]int32, n),
-		pedge:  make([]graph.EdgeID, n),
-		stamp:  make([]uint32, n),
-		done:   make([]uint32, n),
-		popAt:  make([]int32, n),
-	}
+	return &Calc{g: g, nodes: make([]nodeState, g.NumNodes())}
 }
 
 // SetCost directs ball-walk accounting into c's counters (nil
@@ -185,9 +192,54 @@ func NewCalc(g *graph.Graph) *Calc {
 // Calc returns to a pool.
 func (c *Calc) SetCost(cost *obs.Cost) { c.cost = cost }
 
+// Weigh opens a weight generation for prob: until the next Weigh,
+// AppendMIOA and OutWeights read prob through per-node rows. The first
+// time a node's out-edges are needed in the generation, prob is called
+// once per out-edge and the values are stored; later expansions of the
+// node — in any tree of the generation — read the row. Rows cost one
+// float64 per graph edge, allocated by the first Weigh. prob must be
+// deterministic and stay valid until the next Weigh.
+func (c *Calc) Weigh(prob EdgeProb) {
+	if c.w == nil {
+		c.w = make([]float64, c.g.NumEdges())
+	}
+	c.prob = prob
+	c.wgen++
+	if c.wgen == 0 {
+		// Rows stamped 2³² generations ago must not pass as current.
+		for i := range c.nodes {
+			c.nodes[i].wgen = 0
+		}
+		c.wgen = 1
+	}
+}
+
+// OutWeights returns the weights of u's out-edges under the current
+// weight generation, in CSR order: element i belongs to edge lo+i where
+// lo, _ = OutEdges(u). The slice aliases the Calc's rows and is valid
+// until the next Weigh.
+func (c *Calc) OutWeights(u graph.NodeID) []float64 {
+	lo, hi := c.g.OutEdges(u)
+	return c.row(u, lo, hi)
+}
+
+// row returns w[lo:hi] for node u, filling it on u's first use in the
+// current weight generation.
+func (c *Calc) row(u graph.NodeID, lo, hi graph.EdgeID) []float64 {
+	w := c.w[lo:hi:hi]
+	if s := &c.nodes[u]; s.wgen != c.wgen {
+		for i := range w {
+			w[i] = c.prob(lo + graph.EdgeID(i))
+		}
+		s.wgen = c.wgen
+	}
+	return w
+}
+
 // MIOA builds the maximum influence out-arborescence of root: all nodes
 // reachable with max path probability ≥ theta, capped at maxNodes nodes
-// (0 means unlimited).
+// (0 means unlimited). It calls prob per relaxed edge and does not
+// touch the weight rows.
 func (c *Calc) MIOA(prob EdgeProb, root graph.NodeID, theta float64, maxNodes int) *Tree {
 	return c.build(prob, root, theta, maxNodes, true)
 }
@@ -198,13 +250,15 @@ func (c *Calc) MIIA(prob EdgeProb, root graph.NodeID, theta float64, maxNodes in
 	return c.build(prob, root, theta, maxNodes, false)
 }
 
-// AppendMIOA builds the same arborescence as MIOA but appends its nodes
-// to dst instead of allocating a Tree: the tree is the returned slice
-// from len(dst) on, with Parent indices relative to that start. A
-// caller that builds many short-lived trees keeps one slab and recycles
-// it, so building allocates nothing once the slab has grown.
-func (c *Calc) AppendMIOA(dst []TreeNode, prob EdgeProb, root graph.NodeID, theta float64, maxNodes int) []TreeNode {
-	return c.grow(dst, prob, root, defaultTheta(theta), maxNodes, true)
+// AppendMIOA builds the arborescence MIOA would build under the current
+// weight generation's prob (Weigh must have been called) and appends
+// its nodes to dst instead of allocating a Tree: the tree is the
+// returned slice from len(dst) on, with Parent indices relative to
+// that start. A caller that builds many short-lived trees under one
+// prob weighs once and keeps one slab, so building allocates nothing
+// once the slab has grown.
+func (c *Calc) AppendMIOA(dst []TreeNode, root graph.NodeID, theta float64, maxNodes int) []TreeNode {
+	return c.grow(dst, nil, root, defaultTheta(theta), maxNodes, true)
 }
 
 func (c *Calc) build(prob EdgeProb, root graph.NodeID, theta float64, maxNodes int, forward bool) *Tree {
@@ -220,56 +274,71 @@ func defaultTheta(theta float64) float64 {
 }
 
 // grow runs the max-probability Dijkstra from root and appends the
-// tree's nodes to dst in pop order.
+// tree's nodes to dst in pop order. A nil prob reads forward weights
+// from the current weight generation's rows.
 func (c *Calc) grow(dst []TreeNode, prob EdgeProb, root graph.NodeID, theta float64, maxNodes int, forward bool) []TreeNode {
 	c.epoch++
 	if c.epoch == 0 {
-		clear(c.stamp)
-		clear(c.done)
+		for i := range c.nodes {
+			c.nodes[i].seen, c.nodes[i].done = 0, 0
+		}
 		c.epoch = 1
 	}
+	g, ns, epoch := c.g, c.nodes, c.epoch
 	base := len(dst)
-	c.frontier = c.frontier[:0]
-	c.best[root] = 1
-	c.parent[root] = -1
-	c.stamp[root] = c.epoch
-	c.push(frontierEntry{1, root})
+	rs := &ns[root]
+	rs.best, rs.parent, rs.seen = 1, -1, epoch
+	c.front.reset(probKey(1))
+	c.front.push(probKey(1), root)
 
 	var edges uint64
-	for len(c.frontier) > 0 {
-		top := c.pop()
-		u, p := top.id, top.key
-		if c.done[u] == c.epoch {
+	for {
+		u, ok := c.front.pop()
+		if !ok {
+			break
+		}
+		s := &ns[u]
+		if s.done == epoch {
 			continue // stale: u was finalized through a better entry
 		}
+		// The first entry of u to pop is its best one, so best is the
+		// probability it was pushed with.
+		p := s.best
 		if p < theta {
 			break
 		}
-		c.done[u] = c.epoch
-		var parentIdx int32 = -1
-		var edge graph.EdgeID
-		var depth int32
+		s.done = epoch
+		nd := TreeNode{ID: u, Parent: -1, Prob: p}
 		if u != root {
-			parentIdx = c.popAt[c.parent[u]]
-			edge = c.pedge[u]
-			depth = dst[base+int(parentIdx)].Depth + 1
+			nd.Parent = ns[s.parent].popAt
+			nd.Edge = s.pedge
+			nd.Depth = dst[base+int(nd.Parent)].Depth + 1
 		}
-		c.popAt[u] = int32(len(dst) - base)
-		dst = append(dst, TreeNode{ID: u, Parent: parentIdx, Edge: edge, Prob: p, Depth: depth})
+		s.popAt = int32(len(dst) - base)
+		dst = append(dst, nd)
 		if maxNodes > 0 && len(dst)-base >= maxNodes {
 			break
 		}
-		if forward {
-			lo, hi := c.g.OutEdges(u)
+		switch {
+		case !forward:
+			lo, hi := g.InSlots(u)
+			edges += uint64(hi - lo)
+			for sl := lo; sl < hi; sl++ {
+				e := g.InEdgeID(sl)
+				c.relax(u, g.InSrc(sl), e, p*prob(e), theta)
+			}
+		case prob != nil:
+			lo, hi := g.OutEdges(u)
 			edges += uint64(hi - lo)
 			for e := lo; e < hi; e++ {
-				c.relax(u, c.g.Dst(e), e, p*prob(e), theta)
+				c.relax(u, g.Dst(e), e, p*prob(e), theta)
 			}
-		} else {
-			lo, hi := c.g.InSlots(u)
+		default:
+			lo, hi := g.OutEdges(u)
 			edges += uint64(hi - lo)
-			for s := lo; s < hi; s++ {
-				c.relax(u, c.g.InSrc(s), c.g.InEdgeID(s), p*prob(c.g.InEdgeID(s)), theta)
+			for i, w := range c.row(u, lo, hi) {
+				e := lo + graph.EdgeID(i)
+				c.relax(u, g.Dst(e), e, p*w, theta)
 			}
 		}
 	}
@@ -281,63 +350,103 @@ func (c *Calc) grow(dst []TreeNode, prob EdgeProb, root graph.NodeID, theta floa
 	return dst
 }
 
+// relax offers v the path through u with probability p. A NaN p is
+// refused like one below theta, so no key outside the heap's range is
+// ever pushed.
 func (c *Calc) relax(u, v graph.NodeID, e graph.EdgeID, p, theta float64) {
-	if p < theta || c.done[v] == c.epoch {
+	if !(p >= theta) {
 		return
 	}
-	if c.stamp[v] == c.epoch && p <= c.best[v] {
+	s := &c.nodes[v]
+	if s.done == c.epoch || (s.seen == c.epoch && p <= s.best) {
 		return
 	}
-	c.stamp[v] = c.epoch
-	c.best[v] = p
-	c.parent[v] = u
-	c.pedge[v] = e
-	c.push(frontierEntry{p, v})
+	s.best, s.parent, s.pedge, s.seen = p, u, e, c.epoch
+	c.front.push(probKey(p), v)
 }
 
-// push inserts x into the frontier heap (sift-up with a moving hole).
-func (c *Calc) push(x frontierEntry) {
-	h := append(c.frontier, x)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !x.outranks(h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = x
-	c.frontier = h
+// probKey maps a probability in [0, 1] to a radix-heap key: larger
+// probabilities get smaller keys, and equal probabilities equal keys.
+func probKey(p float64) uint64 { return ^math.Float64bits(p) }
+
+// radixHeap is the Dijkstra frontier: a monotone min radix heap of
+// (key, id) entries that pops in (key asc, id asc) order, provided no
+// pushed key is smaller than the last popped one (see Calc).
+type radixHeap struct {
+	last uint64 // the key popped last; every entry's key is ≥ last
+	// mask bit b is set iff buckets[b] is non-empty. Keys of probabilities
+	// in [0, 1] all have their top two bits set, so bucket indexes stay
+	// below 63.
+	mask    uint64
+	buckets [64][]frontierEntry
 }
 
-// pop removes and returns the frontier's top entry (sift-down with a
-// moving hole). The frontier must be non-empty.
-func (c *Calc) pop() frontierEntry {
-	h := c.frontier
-	top := h[0]
-	last := h[len(h)-1]
-	h = h[:len(h)-1]
-	if n := len(h); n > 0 {
-		i := 0
-		for {
-			l := 2*i + 1
-			if l >= n {
-				break
-			}
-			if r := l + 1; r < n && h[r].outranks(h[l]) {
-				l = r
-			}
-			if !h[l].outranks(last) {
-				break
-			}
-			h[i] = h[l]
-			i = l
-		}
-		h[i] = last
+// frontierEntry is one entry of the radix heap.
+type frontierEntry struct {
+	key uint64
+	id  graph.NodeID
+}
+
+// reset empties the heap, keeping bucket storage, with every future key
+// at least floor.
+func (h *radixHeap) reset(floor uint64) {
+	for m := h.mask; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		h.buckets[b] = h.buckets[b][:0]
 	}
-	c.frontier = h
-	return top
+	h.mask, h.last = 0, floor
+}
+
+func (h *radixHeap) push(key uint64, id graph.NodeID) {
+	b := bits.Len64(key ^ h.last)
+	h.buckets[b] = append(h.buckets[b], frontierEntry{key, id})
+	h.mask |= 1 << b
+}
+
+// pop removes the entry with the smallest key, smallest id among equal
+// keys, and returns its id; ok is false when the heap is empty.
+func (h *radixHeap) pop() (id graph.NodeID, ok bool) {
+	if h.mask == 0 {
+		return 0, false
+	}
+	if h.mask&1 == 0 {
+		// Bucket 0 is empty: the next key is the smallest one in the
+		// lowest non-empty bucket. Make it last and respread the bucket;
+		// its entries all land in lower buckets, the minima in bucket 0.
+		b := bits.TrailingZeros64(h.mask)
+		src := h.buckets[b]
+		h.buckets[b] = src[:0]
+		h.mask &^= 1 << b
+		if len(src) == 1 {
+			h.last = src[0].key // a lone minimum pops without a respread
+			return src[0].id, true
+		}
+		last := src[0].key
+		for _, x := range src[1:] {
+			last = min(last, x.key)
+		}
+		h.last = last
+		for _, x := range src {
+			nb := bits.Len64(x.key ^ last)
+			h.buckets[nb] = append(h.buckets[nb], x)
+			h.mask |= 1 << nb
+		}
+	}
+	// Every key in bucket 0 equals last: pop the smallest id.
+	b0 := h.buckets[0]
+	at := 0
+	for i := 1; i < len(b0); i++ {
+		if b0[i].id < b0[at].id {
+			at = i
+		}
+	}
+	id = b0[at].id
+	b0[at] = b0[len(b0)-1]
+	h.buckets[0] = b0[:len(b0)-1]
+	if len(b0) == 1 {
+		h.mask &^= 1
+	}
+	return id, true
 }
 
 // Cover tracks per-node activation probabilities for a growing seed set

@@ -394,20 +394,89 @@ func TestCalcEpochWrap(t *testing.T) {
 func TestAppendMIOAIntoSlab(t *testing.T) {
 	g, ep := randomWorld(5)
 	c := NewCalc(g)
+	c.Weigh(ep)
 	slab := []TreeNode{{ID: 99}, {ID: 98}} // unrelated prefix
 	for root := graph.NodeID(0); int(root) < g.NumNodes(); root++ {
 		at := len(slab)
-		slab = c.AppendMIOA(slab, ep, root, 0.01, 0)
+		slab = c.AppendMIOA(slab, root, 0.01, 0)
 		if want := c.MIOA(ep, root, 0.01, 0).Nodes; !reflect.DeepEqual(slab[at:], want) {
 			t.Fatalf("root %d: appended tree differs from MIOA", root)
 		}
 	}
 	slab = slab[:0]
 	allocs := testing.AllocsPerRun(20, func() {
-		slab = c.AppendMIOA(slab[:0], ep, 0, 0.01, 0)
+		slab = c.AppendMIOA(slab[:0], 0, 0.01, 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("AppendMIOA into a grown slab allocated %v times per build", allocs)
+	}
+}
+
+// relevel returns ep with every probability scaled by f ≤ 1: the same
+// graph under a different weighting, so trees change shape.
+func relevel(ep EdgeProb, f float64) EdgeProb {
+	return func(e graph.EdgeID) float64 { return f * ep(e) }
+}
+
+// One Calc alternating two weightings through Weigh builds exactly the
+// trees fresh Calcs build, in node order, parents and probability bits
+// — and so does the indexed-heap reference — and OutWeights returns
+// the current weighting's values.
+func TestWeighAlternatesLikeFreshCalcs(t *testing.T) {
+	f := func(seed uint64) bool {
+		g, ep := randomWorld(seed)
+		probs := []EdgeProb{ep, relevel(ep, 0.6)}
+		r := rng.New(seed ^ 0x5bd1)
+		c := NewCalc(g)
+		var slab []TreeNode
+		for i := 0; i < 6; i++ {
+			prob := probs[i%2]
+			c.Weigh(prob)
+			for j := 0; j < 4; j++ {
+				root := graph.NodeID(r.Intn(g.NumNodes()))
+				theta := []float64{0.001, 0.01, 0.1}[r.Intn(3)]
+				maxNodes := []int{0, 0, 5}[r.Intn(3)]
+				slab = c.AppendMIOA(slab[:0], root, theta, maxNodes)
+				if !reflect.DeepEqual(slab, NewCalc(g).MIOA(prob, root, theta, maxNodes).Nodes) ||
+					!reflect.DeepEqual(slab, indexedBuild(g, prob, root, theta, maxNodes, true)) {
+					t.Logf("seed %d: weighing %d, root %d: tree differs from a fresh build", seed, i, root)
+					return false
+				}
+				lo, _ := g.OutEdges(root)
+				for k, w := range c.OutWeights(root) {
+					if w != prob(lo+graph.EdgeID(k)) {
+						t.Logf("seed %d: weighing %d: OutWeights(%d)[%d] = %v", seed, i, root, k, w)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCalcWeightGenerationWrap forces the weight generation to wrap:
+// rows filled under one weighting in generation 1 must be refilled
+// after the wrap, or the next weighting's trees would read them.
+func TestCalcWeightGenerationWrap(t *testing.T) {
+	g, ep := randomWorld(11)
+	other := relevel(ep, 0.5)
+	c := NewCalc(g)
+	c.Weigh(ep) // generation 1 fills every row its trees expand
+	for root := graph.NodeID(0); int(root) < g.NumNodes(); root++ {
+		c.AppendMIOA(nil, root, 0.001, 0)
+	}
+	c.wgen = math.MaxUint32
+	c.Weigh(other)
+	for root := graph.NodeID(0); root < 4; root++ {
+		got := c.AppendMIOA(nil, root, 0.001, 0)
+		want := NewCalc(g).MIOA(other, root, 0.001, 0).Nodes
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("root %d after the weight-generation wrap: %d nodes, fresh Calc %d", root, len(got), len(want))
+		}
 	}
 }
 
@@ -453,11 +522,21 @@ func BenchmarkMIOA(b *testing.B) {
 		w[e] = 0.01 + 0.2*r.Float64()
 	}
 	ep := func(e graph.EdgeID) float64 { return w[e] }
-	c := NewCalc(g)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tree := c.MIOA(ep, graph.NodeID(i%n), 0.01, 0)
-		_ = tree
-	}
+	b.Run("oneshot", func(b *testing.B) {
+		c := NewCalc(g)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchNodes = c.MIOA(ep, graph.NodeID(i%n), 0.01, 0).Nodes
+		}
+	})
+	b.Run("weighed", func(b *testing.B) {
+		c := NewCalc(g)
+		c.Weigh(ep)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchNodes = c.AppendMIOA(benchNodes[:0], graph.NodeID(i%n), 0.01, 0)
+		}
+	})
 }
+
+var benchNodes []TreeNode

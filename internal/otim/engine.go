@@ -36,7 +36,8 @@ type QueryOptions struct {
 	// SampleTolerance is the L1 radius for direct sample answers
 	// (default 0.1).
 	SampleTolerance float64
-	// Context cancels long queries between refinement steps.
+	// Context cancels long queries between refinement steps. A query
+	// it stops returns the context's error, never a partial seed set.
 	Context context.Context
 	// Cost, when non-nil, accumulates the query's engine work (bound
 	// tiers, heap traffic, sample consultations, and — through the MIA
@@ -90,16 +91,24 @@ type Result struct {
 //
 // Exact evaluation allocates nothing once an engine is warm: every
 // per-query memo is a dense array stamped with the query generation
-// curGen (a new query invalidates them all in O(1)), the query's MIOA
-// trees are built into one recycled node slab, and the tier-0 heap,
-// the cover and the chosen set are reused buffers. The scratch costs
-// about 85 B per node (57 B here, 28 B in the mia.Calc) and 12 B per
-// edge — ≈1.6 MB at 10 000 nodes and 64 000 edges — plus the slab: 24 B
-// per tree node of the largest query so far, ≈1.1 MB for the 46 500
-// nodes a typical 10-seed query builds on that graph.
+// curGen (a new query invalidates them all in O(1)), p_e(γ) is read
+// through the mia.Calc's weight rows (weighed once per query, each
+// node's row filled on first use), the query's MIOA trees are built
+// into one recycled node slab, and the tier-0 heap, the cover and the
+// chosen set are reused buffers. The scratch costs about 89 B per node
+// (57 B here, 32 B in the mia.Calc) and 8 B per edge (the Calc's weight
+// rows) — ≈1.4 MB at 10 000 nodes and 64 000 edges — plus the
+// frontier buckets and the slab: 24 B per tree node of the largest
+// query so far, ≈1.1 MB for the 46 500 nodes a typical 10-seed query
+// builds on that graph.
 type Engine struct {
 	ix   *Index
 	calc *mia.Calc
+	// gamma is the current query's topic mixture, read by prob — the
+	// p_e(γ) closure, allocated once, that each query weighs the calc
+	// with.
+	gamma topic.Dist
+	prob  mia.EdgeProb
 	// curGen is the current query generation; a slot of a …Gen array
 	// equal to it is valid for this query, anything else is stale.
 	curGen uint32
@@ -109,10 +118,6 @@ type Engine struct {
 	// bMemo caches B_γ(v) = Σ_z γ_z·A_z(v) within one query.
 	bMemo    []float64
 	bMemoGen []uint32
-	// pMemo caches p_e(γ) per edge within one query: exact evaluations
-	// relax the same edges under the same γ again and again.
-	pMemo    []float64
-	pMemoGen []uint32
 	// slab holds the query's MIOA trees; when treeGen[u] is current,
 	// u's tree is slab[treeAt[u] : treeAt[u]+treeLen[u]]. It is
 	// recycled at the start of every query, so no tree outlives one.
@@ -129,59 +134,48 @@ type Engine struct {
 // NewEngine creates a query engine over ix.
 func NewEngine(ix *Index) *Engine {
 	g := ix.model.Graph()
-	n, edges := g.NumNodes(), g.NumEdges()
-	return &Engine{
+	n := g.NumNodes()
+	e := &Engine{
 		ix:         ix,
 		calc:       mia.NewCalc(g),
 		refinedGen: make([]uint32, n),
 		bMemo:      make([]float64, n),
 		bMemoGen:   make([]uint32, n),
-		pMemo:      make([]float64, edges),
-		pMemoGen:   make([]uint32, edges),
 		treeAt:     make([]int32, n),
 		treeLen:    make([]int32, n),
 		treeGen:    make([]uint32, n),
 		cover:      mia.NewCover(n),
 		chosen:     make([]bool, n),
 	}
+	e.prob = func(ed graph.EdgeID) float64 { return ix.model.EdgeProb(ed, e.gamma) }
+	return e
 }
 
-// begin opens a new query generation: every memo entry and tree of the
-// previous query becomes stale at once. When the stamp wraps, the
-// stamp arrays are zeroed so no entry from 2³² queries ago can pass as
-// current.
-func (e *Engine) begin() {
+// begin opens a new query generation under γ: every memo entry and tree
+// of the previous query becomes stale at once, and the calc is weighed
+// with p_e(γ). When the stamp wraps, the stamp arrays are zeroed so no
+// entry from 2³² queries ago can pass as current.
+func (e *Engine) begin(gamma topic.Dist) {
 	e.curGen++
 	if e.curGen == 0 {
 		clear(e.refinedGen)
 		clear(e.bMemoGen)
-		clear(e.pMemoGen)
 		clear(e.treeGen)
 		e.curGen = 1
 	}
 	e.slab = e.slab[:0]
-}
-
-// edgeProb returns p_e(γ) for the current query, computing it once per
-// edge and query.
-func (e *Engine) edgeProb(ed graph.EdgeID, gamma topic.Dist) float64 {
-	if e.pMemoGen[ed] == e.curGen {
-		return e.pMemo[ed]
-	}
-	p := e.ix.model.EdgeProb(ed, gamma)
-	e.pMemo[ed] = p
-	e.pMemoGen[ed] = e.curGen
-	return p
+	e.gamma = gamma
+	e.calc.Weigh(e.prob)
 }
 
 // tree returns u's MIOA under the current query, building it into the
 // slab on first use. Within one query γ is fixed, so a candidate's tree
 // never changes across seed rounds — only the cover does — and stale
 // re-evaluations are O(tree) gain walks instead of Dijkstras.
-func (e *Engine) tree(u graph.NodeID, prob mia.EdgeProb, opt *QueryOptions) []mia.TreeNode {
+func (e *Engine) tree(u graph.NodeID, opt *QueryOptions) []mia.TreeNode {
 	if e.treeGen[u] != e.curGen {
 		at := len(e.slab)
-		e.slab = e.calc.AppendMIOA(e.slab, prob, u, opt.Theta, opt.MaxTreeNodes)
+		e.slab = e.calc.AppendMIOA(e.slab, u, opt.Theta, opt.MaxTreeNodes)
 		e.treeAt[u], e.treeLen[u], e.treeGen[u] = int32(at), int32(len(e.slab)-at), e.curGen
 	}
 	at := e.treeAt[u]
@@ -197,7 +191,8 @@ func (e *Engine) QueryKeywords(km *topic.Model, keywords []string, opt QueryOpti
 }
 
 // Query finds the K seeds with maximum topic-aware influence spread
-// under γ using the best-effort framework.
+// under γ using the best-effort framework. If opt.Context ends first,
+// Query returns an error wrapping the context's and no result.
 func (e *Engine) Query(gamma topic.Dist, opt QueryOptions) (*Result, error) {
 	if err := opt.fill(); err != nil {
 		return nil, err
@@ -214,7 +209,7 @@ func (e *Engine) Query(gamma topic.Dist, opt QueryOptions) (*Result, error) {
 			opt.Theta, e.ix.thetaPre)
 	}
 	res := &Result{Stats: Stats{SampleDist: -1}}
-	e.begin()
+	e.begin(gamma)
 	if opt.Cost != nil {
 		e.calc.SetCost(opt.Cost)
 		defer e.calc.SetCost(nil)
@@ -233,21 +228,22 @@ func (e *Engine) Query(gamma topic.Dist, opt QueryOptions) (*Result, error) {
 			res.Stats.SampleHit = true
 			res.Seeds = append([]graph.NodeID(nil), s.Seeds[:opt.K]...)
 			// Report honest spreads for the actual query γ.
-			res.Spreads = e.spreadsFor(res.Seeds, gamma, opt)
+			res.Spreads = e.spreadsFor(res.Seeds, opt)
 			return res, nil
 		}
 	}
-	e.bestEffort(gamma, opt, res)
+	if err := e.bestEffort(gamma, opt, res); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
 // spreadsFor computes MIA cover spreads of seed prefixes under γ.
-func (e *Engine) spreadsFor(seeds []graph.NodeID, gamma topic.Dist, opt QueryOptions) []float64 {
-	prob := func(ed graph.EdgeID) float64 { return e.edgeProb(ed, gamma) }
+func (e *Engine) spreadsFor(seeds []graph.NodeID, opt QueryOptions) []float64 {
 	e.cover.Reset()
 	out := make([]float64, len(seeds))
 	for i, s := range seeds {
-		e.cover.Add(e.tree(s, prob, &opt))
+		e.cover.Add(e.tree(s, &opt))
 		out[i] = e.cover.Spread()
 	}
 	return out
@@ -264,11 +260,12 @@ const (
 func pack(round int, tier int) int32   { return int32(round<<2 | tier) }
 func unpack(v int32) (round, tier int) { return int(v >> 2), int(v & 3) }
 
-func (e *Engine) bestEffort(gamma topic.Dist, opt QueryOptions, res *Result) {
+// bestEffort runs the greedy seed selection into res. It stops early
+// only when opt.Context ends, and then returns the context's error.
+func (e *Engine) bestEffort(gamma topic.Dist, opt QueryOptions, res *Result) error {
 	m := e.ix.model
 	n := m.Graph().NumNodes()
 	z := m.NumTopics()
-	prob := func(ed graph.EdgeID) float64 { return e.edgeProb(ed, gamma) }
 
 	var heapOps uint64
 	if opt.Cost != nil {
@@ -308,7 +305,7 @@ func (e *Engine) bestEffort(gamma topic.Dist, opt QueryOptions, res *Result) {
 
 	selectSeed := func(id int32) {
 		chosen[id] = true
-		cover.Add(e.tree(id, prob, &opt))
+		cover.Add(e.tree(id, &opt))
 		if res.Seeds == nil {
 			k := min(opt.K, n)
 			res.Seeds = make([]graph.NodeID, 0, k)
@@ -322,7 +319,7 @@ func (e *Engine) bestEffort(gamma topic.Dist, opt QueryOptions, res *Result) {
 
 	for len(res.Seeds) < opt.K && h.Len() > 0 {
 		if err := opt.Context.Err(); err != nil {
-			return // cancelled: return seeds found so far
+			return fmt.Errorf("otim: query stopped after %d of %d seeds: %w", len(res.Seeds), opt.K, err)
 		}
 		top := h.Pop()
 		heapOps++
@@ -346,7 +343,7 @@ func (e *Engine) bestEffort(gamma topic.Dist, opt QueryOptions, res *Result) {
 			selectSeed(top.ID)
 
 		case topTier == tierExact: // stale marginal gain: rewalk cached tree
-			gain := cover.Gain(e.tree(top.ID, prob, &opt))
+			gain := cover.Gain(e.tree(top.ID, &opt))
 			res.Stats.ExactEvals++
 			if gain > bestFreshGain {
 				bestFreshID, bestFreshGain = top.ID, gain
@@ -365,7 +362,7 @@ func (e *Engine) bestEffort(gamma topic.Dist, opt QueryOptions, res *Result) {
 			e.refinedGen[top.ID] = e.curGen
 
 		default: // cheap (skipping local) or local: escalate to exact
-			gain := cover.Gain(e.tree(top.ID, prob, &opt))
+			gain := cover.Gain(e.tree(top.ID, &opt))
 			res.Stats.ExactEvals++
 			if gain > bestFreshGain {
 				bestFreshID, bestFreshGain = top.ID, gain
@@ -384,6 +381,7 @@ func (e *Engine) bestEffort(gamma topic.Dist, opt QueryOptions, res *Result) {
 		}
 	}
 	res.Stats.Pruned = n - refined
+	return nil
 }
 
 // localBound computes the local-graph bound
@@ -401,13 +399,12 @@ func (e *Engine) localBound(gamma topic.Dist, u int32) float64 {
 	g := m.Graph()
 	z := m.NumTopics()
 	ub := 1.0
-	lo, hi := g.OutEdges(u)
-	for ed := lo; ed < hi; ed++ {
-		p := e.edgeProb(ed, gamma)
+	lo, _ := g.OutEdges(u)
+	for i, p := range e.calc.OutWeights(u) {
 		if p == 0 {
 			continue
 		}
-		v := g.Dst(ed)
+		v := g.Dst(lo + graph.EdgeID(i))
 		var bv float64
 		if e.bMemoGen[v] == e.curGen {
 			bv = e.bMemo[v]

@@ -161,18 +161,24 @@ func BuildIndex(m *tic.Model, opt BuildOptions) (*Index, error) {
 	}
 
 	// Pass 1: σ̄max via MIOA under p̄ for every node. Each worker owns a
-	// mia.Calc (the Dijkstra scratch is not shareable); sigmaMax writes
+	// mia.Calc weighed with p̄ once (the Dijkstra scratch is not
+	// shareable) and a tree whose node slab it recycles; sigmaMax writes
 	// are disjoint per node.
 	passStart := time.Now()
 	maxProb := func(e graph.EdgeID) float64 { return m.MaxProb(e) }
-	calcs := make([]*mia.Calc, par.Resolve(opt.Workers))
+	workers := par.Resolve(opt.Workers)
+	calcs := make([]*mia.Calc, workers)
+	trees := make([]mia.Tree, workers)
 	par.Each(opt.Workers, n, func(w, v int) {
 		calc := calcs[w]
 		if calc == nil {
 			calc = mia.NewCalc(g)
+			calc.Weigh(maxProb)
 			calcs[w] = calc
 		}
-		ix.sigmaMax[v] = calc.MIOA(maxProb, graph.NodeID(v), opt.ThetaPre, 0).Spread()
+		t := &trees[w]
+		t.Nodes = calc.AppendMIOA(t.Nodes[:0], graph.NodeID(v), opt.ThetaPre, 0)
+		ix.sigmaMax[v] = t.Spread()
 	})
 	ix.buildStats.Sigma = time.Since(passStart)
 

@@ -58,6 +58,22 @@ func TestCacheHitIsByteIdentical(t *testing.T) {
 	}
 }
 
+// An IM query that runs out of time is a 503, not a 200 carrying the
+// seeds found so far, and it is never cached: the repeat runs again.
+func TestTimedOutIMIsUnavailableAndUncached(t *testing.T) {
+	s, _ := freshServer(t, Options{QueryTimeout: time.Nanosecond})
+	const path = "/api/im?q=data+mining&k=10"
+	for i := 0; i < 2; i++ {
+		rec, body := get(t, s, path)
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("request %d: status = %d, want 503; body=%v", i, rec.Code, body)
+		}
+		if got := rec.Header().Get("X-Octopus-Cache"); got != "miss" {
+			t.Fatalf("request %d: X-Octopus-Cache = %q, want miss", i, got)
+		}
+	}
+}
+
 func TestCacheKeyNormalization(t *testing.T) {
 	s, _ := freshServer(t, Options{})
 	// Parameter order and free-text shape must not defeat the cache:

@@ -518,7 +518,13 @@ func (s *Server) handleIM(sys *core.System, w http.ResponseWriter, r *http.Reque
 		Cost:       costFrom(r),
 	})
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		// A query stopped by its deadline (or a departed client) has no
+		// answer: 503, which the serving layer never caches.
+		status := http.StatusBadRequest
+		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+			status = http.StatusServiceUnavailable
+		}
+		writeErr(w, status, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, newIMResponse(sys, keywords, res))

@@ -34,8 +34,8 @@
 // processes mapping the same file reuse. Query results are identical
 // either way. OCTOPUS_MMAP=off forces the copying path. Adding
 // -mmap-warmup prefaults the mapping at open (madvise + one touch per
-// page), moving the page-fault cost off the first queries; -mmap-warmup
-// without -mmap is an error.
+// page), moving the page-fault cost off the first queries. -mmap
+// without -load, and -mmap-warmup without -mmap, are errors.
 //
 // # Sharded serving
 //
@@ -89,6 +89,9 @@
 // since. Leader loss is retried with backoff forever; a leader that
 // restarts from crash recovery is just another checkpoint to mirror.
 //
+// serve refuses illegal flag combinations (see checkServe) before it
+// builds anything or binds a port.
+//
 // serve always runs the query-serving layer: a generation-tagged result
 // cache (-cache-entries, invalidated implicitly by snapshot swaps),
 // request coalescing, and admission control (-max-inflight; excess
@@ -127,6 +130,7 @@ import (
 	"syscall"
 	"time"
 
+	"octopus"
 	"octopus/internal/actionlog"
 	"octopus/internal/core"
 	"octopus/internal/datagen"
@@ -139,8 +143,6 @@ import (
 	"octopus/internal/store"
 	"octopus/internal/stream"
 	"octopus/internal/tags"
-	"octopus/internal/tic"
-	"octopus/internal/topic"
 )
 
 type options struct {
@@ -195,7 +197,44 @@ func main() {
 		os.Exit(2)
 	}
 	cmd := os.Args[1]
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	opt, err := parseFlags(cmd, os.Args[2:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2) // the flag package has printed the error and the flag list
+	}
+
+	switch cmd {
+	case "demo":
+		run(opt, demo)
+	case "serve":
+		if err := serveMain(opt); err != nil {
+			log.Fatal(err)
+		}
+	case "query":
+		run(opt, oneShot)
+	case "train":
+		opt.useEM = true
+		run(opt, train)
+	case "build":
+		run(opt, buildSnapshot)
+	case "split":
+		run(opt, splitFleet)
+	default:
+		usage()
+		os.Exit(2)
+	}
+}
+
+func usage() {
+	fmt.Fprintln(os.Stderr, "usage: octopus <demo|serve|query|train|build|split> [flags]")
+}
+
+// parseFlags parses one subcommand's flags. Every subcommand shares the
+// flag set; each flag's help names the commands it applies to.
+func parseFlags(cmd string, args []string) (options, error) {
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	opt := options{}
 	fs.StringVar(&opt.dataset, "dataset", "citation", "citation or social")
 	fs.IntVar(&opt.n, "n", 3000, "number of users/authors")
@@ -235,30 +274,8 @@ func main() {
 	fs.Float64Var(&opt.sloAvailability, "slo-availability", 0.99, "availability objective: target fraction of non-error responses (serve)")
 	fs.DurationVar(&opt.sloP99, "slo-p99", 2*time.Second, "latency objective: requests slower than this count against the p99 budget (serve)")
 	fs.DurationVar(&opt.sloStaleness, "slo-staleness", 0, "ingest-staleness objective for serve -ingest; 0 disables (serve)")
-	_ = fs.Parse(os.Args[2:])
-
-	switch cmd {
-	case "demo":
-		run(opt, demo)
-	case "serve":
-		serveMain(opt)
-	case "query":
-		run(opt, oneShot)
-	case "train":
-		opt.useEM = true
-		run(opt, train)
-	case "build":
-		run(opt, buildSnapshot)
-	case "split":
-		run(opt, splitFleet)
-	default:
-		usage()
-		os.Exit(2)
-	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: octopus <demo|serve|query|train|build|split> [flags]")
+	err := fs.Parse(args)
+	return opt, err
 }
 
 // splitFleet partitions the full system into shard snapshots — the
@@ -312,30 +329,14 @@ func train(opt options, sys *core.System, ds *datagen.Dataset) error {
 	if ds == nil {
 		return fmt.Errorf("train needs a generated dataset; -load is not supported here")
 	}
-	if err := os.MkdirAll(opt.out, 0o755); err != nil {
+	// SaveModels creates the output directory the other two write into.
+	if err := octopus.SaveModels(opt.out, sys); err != nil {
 		return err
 	}
-	write := func(name string, fn func(f *os.File) error) error {
-		f, err := os.Create(filepath.Join(opt.out, name))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := fn(f); err != nil {
-			return err
-		}
-		return f.Close()
-	}
-	if err := write("graph.txt", func(f *os.File) error { return graph.WriteText(f, ds.Graph) }); err != nil {
+	if err := octopus.SaveGraph(filepath.Join(opt.out, "graph.txt"), ds.Graph); err != nil {
 		return err
 	}
-	if err := write("log.txt", func(f *os.File) error { return actionlog.Write(f, ds.Log) }); err != nil {
-		return err
-	}
-	if err := write("propagation.tic", func(f *os.File) error { return tic.Write(f, sys.Propagation()) }); err != nil {
-		return err
-	}
-	if err := write("keywords.topics", func(f *os.File) error { return topic.Write(f, sys.Keywords()) }); err != nil {
+	if err := octopus.SaveLog(filepath.Join(opt.out, "log.txt"), ds.Log); err != nil {
 		return err
 	}
 	ll := sys.LearnDiag
@@ -345,6 +346,9 @@ func train(opt options, sys *core.System, ds *datagen.Dataset) error {
 }
 
 func run(opt options, fn func(options, *core.System, *datagen.Dataset) error) {
+	if err := checkLoad(opt); err != nil {
+		log.Fatal(err)
+	}
 	sys, mapped, ds, err := buildSystem(opt)
 	if err != nil {
 		log.Fatal(err)
@@ -358,9 +362,6 @@ func run(opt options, fn func(options, *core.System, *datagen.Dataset) error) {
 }
 
 func buildSystem(opt options) (*core.System, *store.Mapped, *datagen.Dataset, error) {
-	if opt.warmup && !opt.mmap {
-		return nil, nil, nil, errors.New("-mmap-warmup prefaults a mapping; it requires -mmap")
-	}
 	if opt.load != "" {
 		start := time.Now()
 		if opt.mmap {
@@ -430,39 +431,145 @@ func buildSystem(opt options) (*core.System, *store.Mapped, *datagen.Dataset, er
 	return sys, nil, ds, nil
 }
 
-// serveMain builds (or loads, or recovers) the system and serves it.
-// Unlike the other commands it controls system construction itself:
-// with -wal, a durability directory that already holds state wins over
-// both -load and dataset generation.
-func serveMain(opt options) {
-	if opt.coordinator {
-		if err := serveCoordinator(opt); err != nil {
-			log.Fatal(err)
-		}
-		return
+// checkLoad rejects snapshot flags that would otherwise be ignored.
+func checkLoad(opt options) error {
+	switch {
+	case opt.warmup && !opt.mmap:
+		return errors.New("-mmap-warmup prefaults a mapping; it requires -mmap")
+	case opt.mmap && opt.load == "":
+		return errors.New("-mmap maps a snapshot file; it requires -load")
+	}
+	return nil
+}
+
+// checkServe rejects every illegal serve flag combination, before
+// anything is built, recovered, fetched or bound.
+func checkServe(opt options) error {
+	switch {
+	case opt.coordinator && opt.shardAddrs == "":
+		return errors.New("serve -coordinator requires -shard-addrs=URL,URL,...")
+	case opt.coordinator && (opt.ingest || opt.walDir != "" || opt.follow != "" || opt.load != "" || opt.shardSpec != ""):
+		return errors.New("serve -coordinator has no local corpus; drop -ingest/-wal/-follow/-load/-shard")
+	case opt.shardSpec != "" && (opt.ingest || opt.walDir != "" || opt.follow != ""):
+		return errors.New("serve -shard is a static read-only shard; drop -ingest/-wal/-follow")
+	case opt.follow != "" && opt.ingest:
+		return errors.New("serve -follow is read-only; -ingest belongs on the leader")
+	case opt.follow != "" && opt.walDir == "":
+		return errors.New("serve -follow requires -wal DIR for the replica's local state")
+	case opt.follow != "" && opt.load != "":
+		return errors.New("serve -follow bootstraps from the leader's snapshot; drop -load")
+	case opt.walDir != "" && !opt.ingest && opt.follow == "":
+		return errors.New("serve -wal requires -ingest")
 	}
 	if opt.shardSpec != "" {
-		if err := serveShard(opt); err != nil {
-			log.Fatal(err)
+		if _, _, err := parseShardSpec(opt.shardSpec); err != nil {
+			return err
 		}
-		return
+		if _, err := shard.ParseStrategy(opt.strategy, opt.seed); err != nil {
+			return err
+		}
 	}
-	if opt.follow != "" {
-		if err := serveFollower(opt); err != nil {
-			log.Fatal(err)
+	return checkLoad(opt)
+}
+
+// serveMain is serve's one path: check the flags, pick the source, build
+// the server, and serve it until SIGINT/SIGTERM. Shutdown drains HTTP
+// first, then closes the source (the live ingester's final fold and
+// checkpoint, or the follower), then the snapshot mapping it aliases.
+func serveMain(opt options) error {
+	if err := checkServe(opt); err != nil {
+		return err
+	}
+	logger := newLogger(opt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	src, err := openSource(ctx, opt, logger)
+	if err != nil {
+		return err
+	}
+	srvOpt := serverOptions(opt, logger)
+	if src.mapped != nil {
+		// Deferred here, so the owning reference drops only after runHTTP
+		// has drained the HTTP server and closed the source: late
+		// in-flight requests never touch unmapped memory. Folded
+		// generations hold their own retained references via the
+		// snapshot backing chain.
+		defer src.mapped.Close()
+		srvOpt.StoreStats = src.mapped.Stats
+	}
+	var srv *server.Server
+	if opt.coordinator {
+		var addrs []string
+		for _, a := range strings.Split(opt.shardAddrs, ",") {
+			if a = strings.TrimSpace(a); a != "" {
+				addrs = append(addrs, a)
+			}
 		}
-		return
+		srv, err = server.NewCoordinator(addrs, srvOpt, server.CoordinatorOptions{
+			ShardTimeout:  opt.shardTimeout,
+			ProbeInterval: opt.probeInterval,
+		})
+		if err != nil {
+			return err
+		}
+	} else {
+		srv = server.NewWith(src.sys, srvOpt)
+	}
+	// Report the effective settings (0 cache entries means the default
+	// size; only a negative value disables the cache).
+	cacheDesc := fmt.Sprint(opt.cacheEntries)
+	if opt.cacheEntries == 0 {
+		cacheDesc = fmt.Sprint(server.DefaultCacheEntries)
+	} else if opt.cacheEntries < 0 {
+		cacheDesc = "off"
+	}
+	logger.Info("listening", slog.String("addr", opt.addr), slog.String("mode", src.mode))
+	logger.Info("serving layer", slog.String("cacheEntries", cacheDesc),
+		slog.Int("maxInflight", opt.maxInflight),
+		slog.Duration("slowQuery", opt.slowQuery))
+	return runHTTP(ctx, opt, logger, srv, src.close)
+}
+
+// source is what one serve process answers from, and what it must
+// release once its HTTP server has drained.
+type source struct {
+	sys    server.Source // nil on a coordinator: its engine is remote
+	mode   string        // coordinator, replica, shard, static or live
+	mapped *store.Mapped // the snapshot mapping sys aliases, if any
+	close  func() error  // stops the live ingester or the follower
+}
+
+// openSource picks what serve answers from: nothing local for a
+// coordinator; the leader's mirrored checkpoints for -follow; shard k
+// of the full corpus for -shard; otherwise the system recovered from
+// -wal, loaded or built, wrapped live under -ingest. A -wal directory
+// that already holds state wins over both -load and dataset generation.
+func openSource(ctx context.Context, opt options, logger *slog.Logger) (source, error) {
+	src := source{close: func() error { return nil }}
+	switch {
+	case opt.coordinator:
+		src.mode = "coordinator"
+		return src, nil
+	case opt.follow != "":
+		logger.Info("bootstrapping replica",
+			slog.String("leader", opt.follow), slog.String("dir", opt.walDir))
+		f, err := repl.Start(ctx, repl.Config{Leader: opt.follow, Dir: opt.walDir, Logger: logger})
+		if err != nil {
+			return src, err
+		}
+		src.sys, src.mode = f, "replica"
+		src.close = func() error {
+			logger.Info("stopping replication", slog.Uint64("version", f.Version()))
+			return f.Close()
+		}
+		return src, nil
 	}
 	var dir *store.Dir
 	var sys *core.System
-	var mapped *store.Mapped
 	if opt.walDir != "" {
-		if !opt.ingest {
-			log.Fatal("serve: -wal requires -ingest")
-		}
 		d, recovered, err := store.Open(opt.walDir)
 		if err != nil {
-			log.Fatal(err)
+			return src, err
 		}
 		dir = d
 		if recovered != nil {
@@ -474,80 +581,72 @@ func serveMain(opt options) {
 	}
 	if sys == nil {
 		var err error
-		if sys, mapped, _, err = buildSystem(opt); err != nil {
-			log.Fatal(err)
+		if sys, src.mapped, _, err = buildSystem(opt); err != nil {
+			return src, err
 		}
 	}
-	if err := serve(opt, sys, mapped, dir); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// serveCoordinator runs serve -coordinator: no local engine at all —
-// queries fan out to the shard fleet and merge. The coordinator is
-// read-only (ingest endpoints answer 404); writes go to whatever feeds
-// the shard corpora.
-func serveCoordinator(opt options) error {
-	if opt.shardAddrs == "" {
-		return errors.New("serve -coordinator requires -shard-addrs=URL,URL,...")
-	}
-	if opt.ingest || opt.walDir != "" || opt.follow != "" || opt.load != "" || opt.shardSpec != "" {
-		return errors.New("serve -coordinator has no local corpus; drop -ingest/-wal/-follow/-load/-shard")
-	}
-	var addrs []string
-	for _, a := range strings.Split(opt.shardAddrs, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
+	if opt.shardSpec != "" {
+		shardSys, err := cutShard(opt, sys)
+		if err != nil {
+			return src, err
 		}
+		src.sys, src.mode = shardSys, "shard"
+		return src, nil
 	}
-	logger := newLogger(opt)
-	srv, err := server.NewCoordinator(addrs, serverOptions(opt, logger), server.CoordinatorOptions{
-		ShardTimeout:  opt.shardTimeout,
-		ProbeInterval: opt.probeInterval,
+	if !opt.ingest {
+		src.sys, src.mode = sys, "static"
+		return src, nil
+	}
+	ls, err := stream.NewLiveSystem(sys, stream.Config{
+		RebuildEvents:   opt.rebuildEvents,
+		RebuildInterval: opt.rebuildInterval,
+		Workers:         opt.workers,
+		IncrementalFold: true,
+		Store:           dir,
+		Logger:          logger,
 	})
 	if err != nil {
-		return err
+		return src, err
 	}
-	logger.Info("listening", slog.String("addr", opt.addr),
-		slog.String("mode", "coordinator"), slog.Int("shards", len(addrs)),
-		slog.Duration("shardTimeout", opt.shardTimeout))
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	return runHTTP(ctx, opt, logger, srv, func() error { return nil })
+	src.sys, src.mode = ls, "live"
+	src.close = func() error {
+		if err := ls.Close(); err != nil {
+			return fmt.Errorf("closing ingester: %w", err)
+		}
+		if dir != nil {
+			logger.Info("final checkpoint",
+				slog.Uint64("version", dir.LastCheckpointVersion()),
+				slog.String("dir", dir.Path()))
+		}
+		return nil
+	}
+	return src, nil
 }
 
-// serveShard runs serve -shard k/N: build or load the FULL corpus, cut
-// shard k of N in memory (same strategy and seed as octopus split, so
-// a mixed fleet of pre-split and on-the-fly shards agrees), and serve
-// that shard as a static read-only server.
-func serveShard(opt options) error {
-	if opt.ingest || opt.walDir != "" || opt.follow != "" {
-		return errors.New("serve -shard is a static read-only shard; drop -ingest/-wal/-follow")
-	}
+// cutShard cuts shard k of N out of the full corpus with the same
+// strategy and seed as octopus split, so a mixed fleet of pre-split and
+// on-the-fly shards agrees.
+func cutShard(opt options, full *core.System) (*core.System, error) {
 	k, n, err := parseShardSpec(opt.shardSpec)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	strat, err := shard.ParseStrategy(opt.strategy, opt.seed)
 	if err != nil {
-		return err
-	}
-	full, mapped, _, err := buildSystem(opt)
-	if err != nil {
-		return err
+		return nil, err
 	}
 	corpora, err := shard.SplitSystem(full, strat, n)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	sys, err := shard.BuildSystem(full, corpora[k])
 	if err != nil {
-		return err
+		return nil, err
 	}
 	st := sys.Stats()
 	fmt.Fprintf(os.Stderr, "shard %d/%d (%s strategy): %d edges, %d episodes, %d actions of the full corpus\n",
 		k, n, strat.Name(), st.Edges, st.Episodes, st.Actions)
-	return serve(opt, sys, mapped, nil)
+	return sys, nil
 }
 
 // parseShardSpec parses the -shard k/N argument (0-based).
@@ -570,7 +669,7 @@ func newLogger(opt options) *slog.Logger {
 }
 
 // serverOptions assembles the serving-layer options shared by every
-// serve mode (static, live, replica).
+// serve mode.
 func serverOptions(opt options, logger *slog.Logger) server.Options {
 	return server.Options{
 		CacheEntries: opt.cacheEntries,
@@ -586,113 +685,6 @@ func serverOptions(opt options, logger *slog.Logger) server.Options {
 		DiagDir:         opt.diagDir,
 		DiagMinInterval: opt.diagInterval,
 	}
-}
-
-// serveFollower runs serve -follow: mirror the leader's checkpoints
-// (each mapped in place) and serve the read-only API. -wal names the
-// replica's local directory; ingestion, folds and dataset construction
-// are the leader's job.
-func serveFollower(opt options) error {
-	if opt.walDir == "" {
-		return errors.New("serve -follow requires -wal DIR for the replica's local state")
-	}
-	if opt.ingest {
-		return errors.New("serve -follow is read-only; -ingest belongs on the leader")
-	}
-	if opt.load != "" {
-		return errors.New("serve -follow bootstraps from the leader's snapshot; drop -load")
-	}
-	logger := newLogger(opt)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	logger.Info("bootstrapping replica",
-		slog.String("leader", opt.follow), slog.String("dir", opt.walDir))
-	f, err := repl.Start(ctx, repl.Config{
-		Leader: opt.follow,
-		Dir:    opt.walDir,
-		Logger: logger,
-	})
-	if err != nil {
-		return err
-	}
-	srv := server.NewReplicaWith(f, serverOptions(opt, logger))
-	logger.Info("listening", slog.String("addr", opt.addr),
-		slog.String("mode", "replica"), slog.String("leader", opt.follow))
-	return runHTTP(ctx, opt, logger, srv, func() error {
-		logger.Info("stopping replication", slog.Uint64("version", f.Version()))
-		return f.Close()
-	})
-}
-
-func serve(opt options, sys *core.System, mapped *store.Mapped, dir *store.Dir) error {
-	logger := newLogger(opt)
-	if mapped != nil {
-		// The mapping's owning reference drops only after the HTTP server
-		// has drained (serve returns post-Shutdown), so late in-flight
-		// requests never touch unmapped memory. Folded generations hold
-		// their own retained references via the snapshot backing chain.
-		defer mapped.Close()
-	}
-	var srv *server.Server
-	var live *stream.LiveSystem
-	srvOpt := serverOptions(opt, logger)
-	if mapped != nil {
-		srvOpt.StoreStats = mapped.Stats
-	}
-	if opt.ingest {
-		ls, err := stream.NewLiveSystem(sys, stream.Config{
-			RebuildEvents:   opt.rebuildEvents,
-			RebuildInterval: opt.rebuildInterval,
-			Workers:         opt.workers,
-			IncrementalFold: true,
-			Store:           dir,
-			Logger:          logger,
-		})
-		if err != nil {
-			return err
-		}
-		live = ls
-		srv = server.NewLiveWith(ls, srvOpt)
-		durable := ""
-		if dir != nil {
-			durable = dir.Path()
-		}
-		logger.Info("listening", slog.String("addr", opt.addr), slog.Bool("live", true),
-			slog.String("durable", durable))
-	} else {
-		srv = server.NewWith(sys, srvOpt)
-		logger.Info("listening", slog.String("addr", opt.addr), slog.Bool("live", false))
-	}
-	// Report the effective settings (0 cache entries means the default
-	// size; only a negative value disables the cache).
-	cacheDesc := fmt.Sprintf("%d", opt.cacheEntries)
-	if opt.cacheEntries == 0 {
-		cacheDesc = fmt.Sprintf("%d", server.DefaultCacheEntries)
-	} else if opt.cacheEntries < 0 {
-		cacheDesc = "off"
-	}
-	logger.Info("serving layer", slog.String("cacheEntries", cacheDesc),
-		slog.Int("maxInflight", opt.maxInflight),
-		slog.Duration("slowQuery", opt.slowQuery))
-
-	// Graceful shutdown: on SIGINT/SIGTERM stop accepting, drain in-flight
-	// requests (bounded), then drain + checkpoint the live ingester so the
-	// final WAL state flushes cleanly.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	return runHTTP(ctx, opt, logger, srv, func() error {
-		if live != nil {
-			if err := live.Close(); err != nil {
-				return fmt.Errorf("closing ingester: %w", err)
-			}
-			if dir != nil {
-				logger.Info("final checkpoint",
-					slog.Uint64("version", dir.LastCheckpointVersion()),
-					slog.String("dir", dir.Path()))
-			}
-		}
-		return nil
-	})
 }
 
 // runHTTP serves srv on opt.addr with hardened timeouts and the
@@ -904,11 +896,4 @@ func bar(v float64, width int) string {
 		n = width
 	}
 	return strings.Repeat("█", n) + strings.Repeat("░", width-n)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -41,7 +41,7 @@ func main() {
 	}
 
 	// Serve the JSON API exactly as `octopus serve` would.
-	ts := httptest.NewServer(octopus.NewServer(sys))
+	ts := httptest.NewServer(octopus.NewServer(sys, octopus.ServerOptions{}))
 	defer ts.Close()
 
 	// The most-cited author is our "Michael Jordan".

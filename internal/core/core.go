@@ -408,6 +408,14 @@ func buildUserKeywords(log *actionlog.Log, userItems [][]int32, n int) [][]strin
 	return out
 }
 
+// Acquire makes a built System a serving source of its own (the shape
+// a live system's and a read replica's Acquire share): it has exactly
+// one generation, 1, and its arrays live as long as it does, so there
+// is nothing to pin and the release is a no-op.
+func (s *System) Acquire() (*System, uint64, func()) { return s, 1, noRelease }
+
+func noRelease() {}
+
 // Graph returns the social graph.
 func (s *System) Graph() *graph.Graph { return s.g }
 

@@ -146,10 +146,14 @@ func Start(ctx context.Context, cfg Config) (*Follower, error) {
 	return f, nil
 }
 
-// Acquire pins the generation the follower serves and returns it with
-// a release callback (idempotent). A swap only retires the generation
-// it replaces; that mapping is unmapped after its last release.
-func (f *Follower) Acquire() (*stream.Snapshot, func()) { return stream.Pin(f.current) }
+// Acquire pins the generation the follower serves and returns its
+// system and checkpoint version with a release callback (idempotent).
+// A swap only retires the generation it replaces; that mapping is
+// unmapped after its last release.
+func (f *Follower) Acquire() (*core.System, uint64, func()) {
+	sn, rel := stream.Pin(f.current)
+	return sn.Sys, sn.Version, rel
+}
 
 func (f *Follower) current() *stream.Snapshot { return f.cur.Load().snap }
 
@@ -194,7 +198,7 @@ func (f *Follower) setBehind() { f.behindSince.CompareAndSwap(0, time.Now().Unix
 func (f *Follower) MapStats() store.MapStats {
 	for {
 		g := f.cur.Load()
-		sn, release := f.Acquire()
+		sn, release := stream.Pin(f.current)
 		if sn == g.snap {
 			defer release()
 			return g.mapped.Stats()

@@ -200,9 +200,9 @@ func converged(tb testing.TB, f *repl.Follower, l *leader) {
 // served fingerprints the generation the follower serves, under a pin.
 func served(tb testing.TB, f *repl.Follower) string {
 	tb.Helper()
-	sn, release := f.Acquire()
+	sys, _, release := f.Acquire()
 	defer release()
-	return fingerprint(tb, sn.Sys)
+	return fingerprint(tb, sys)
 }
 
 // assertMirrors checks the follower serves the leader's current version
@@ -388,8 +388,8 @@ func TestSwapReleasesRetiredMappings(t *testing.T) {
 
 	var mu sync.Mutex
 	seen := map[*arena.Mapping]bool{}
-	note := func(sn *stream.Snapshot) {
-		m, ok := sn.Sys.Backing().(*arena.Mapping)
+	note := func(cur *core.System) {
+		m, ok := cur.Backing().(*arena.Mapping)
 		if !ok {
 			t.Error("served snapshot has no mapped backing")
 			return
@@ -410,9 +410,9 @@ func TestSwapReleasesRetiredMappings(t *testing.T) {
 					return
 				default:
 				}
-				sn, release := f.Acquire()
-				note(sn)
-				if _, err := sn.Sys.DiscoverInfluencers([]string{"mining"}, core.DiscoverOptions{K: 3}); err != nil {
+				cur, _, release := f.Acquire()
+				note(cur)
+				if _, err := cur.DiscoverInfluencers([]string{"mining"}, core.DiscoverOptions{K: 3}); err != nil {
 					t.Error(err)
 				}
 				release()
@@ -425,15 +425,15 @@ func TestSwapReleasesRetiredMappings(t *testing.T) {
 		feed(t, l, r)
 		force(t, l.ls)
 		converged(t, f, l)
-		sn, release := f.Acquire()
-		note(sn)
+		cur, _, release := f.Acquire()
+		note(cur)
 		release()
 	}
 	close(stop)
 	wg.Wait()
 
-	sn, release := f.Acquire()
-	current := sn.Sys.Backing().(*arena.Mapping)
+	cur, _, release := f.Acquire()
+	current := cur.Backing().(*arena.Mapping)
 	release()
 	if len(seen) != swaps+1 {
 		t.Fatalf("readers saw %d generations, want %d", len(seen), swaps+1)

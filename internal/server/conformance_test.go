@@ -13,8 +13,8 @@ import (
 )
 
 // The HTTP conformance suite: one table covering every route, run
-// against a static (New), a live (NewLive) and a replica (NewReplica)
-// server — happy paths
+// against servers NewWith builds over a static *core.System, a
+// *stream.LiveSystem and a *repl.Follower — happy paths
 // with golden JSON field checks, missing and malformed parameters,
 // unknown-entity 404s, 405 + Allow on wrong methods, and HEAD
 // piggybacking on GET.

@@ -17,7 +17,8 @@
 // When every reachable shard but one is down — or the fleet has one
 // shard — the coordinator replays the single success byte-for-byte,
 // which is what makes a 1-shard coordinator indistinguishable from the
-// process behind it. Partial answers (some shards unreachable) carry
+// process behind it. Partial answers (some shards unreachable, or
+// answering 429/5xx beside another shard's 200) carry
 // the X-Octopus-Shards-Missing header, a shards_missing payload field
 // on merged object payloads, and are never cached; see
 // internal/shard's package documentation for the contract.
@@ -96,10 +97,9 @@ func NewCoordinator(addrs []string, opt Options, copt CoordinatorOptions) (*Serv
 	}
 	copt.fill()
 	f := newFleet(addrs, copt)
-	s := newServerWith(func(s *Server) engine {
-		s.coord = f
-		return &remoteEngine{s: s, f: f}
-	}, nil, nil, opt)
+	s := &Server{coord: f}
+	s.engine = &remoteEngine{s: s, f: f}
+	s.assemble(opt)
 	f.probeOnce()
 	go f.probeLoop(s.done, copt.ProbeInterval)
 	return s, nil
@@ -282,6 +282,10 @@ func (e *remoteEngine) Acquire() (engineView, uint64, func()) {
 	return &remoteView{s: e.s, f: e.f, up: up}, fgen, noopRelease
 }
 
+// noopRelease is a remote view's release: the roster is a copy, so
+// there is nothing to pin.
+func noopRelease() {}
+
 // remoteView answers queries from one pinned roster: only shards up at
 // pin time are consulted, so the response is a pure function of (view,
 // request) — the same property localView gets from its pinned
@@ -400,17 +404,25 @@ func (v *remoteView) unwrapCosts(replies []shardReply, qc *queryCost) {
 	}
 }
 
-// merge classifies the fan-out and writes the coordinator's answer.
+// merge classifies the fan-out and writes the coordinator's answer. An
+// unreachable shard is missing, and so is one that answered 429 or 5xx
+// while another answered 200: it contributed nothing, so the answer is
+// partial — marked, and never cached. With no 200 at all the best
+// failure replays verbatim, which keeps a 1-shard fleet byte-identical
+// to its shard on errors too.
 func (v *remoteView) merge(endpoint string, w http.ResponseWriter, replies []shardReply) {
 	var successes, failures []shardReply
+	for _, rp := range replies {
+		if rp.err == nil && rp.status == http.StatusOK {
+			successes = append(successes, rp)
+		}
+	}
 	var missing []int
 	for _, rp := range replies {
 		switch {
-		case rp.err != nil:
+		case rp.err != nil, len(successes) > 0 && shardFailed(rp.status):
 			missing = append(missing, rp.shard)
-		case rp.status == http.StatusOK:
-			successes = append(successes, rp)
-		default:
+		case rp.status != http.StatusOK:
 			failures = append(failures, rp)
 		}
 	}
@@ -443,6 +455,13 @@ func (v *remoteView) merge(endpoint string, w http.ResponseWriter, replies []sha
 	default:
 		v.mergeSuccesses(endpoint, w, successes, missing)
 	}
+}
+
+// shardFailed reports a status that says the shard could not answer —
+// shed (429) or broken (5xx) — rather than an answer about the request
+// every shard would give, like a 400 or a 404.
+func shardFailed(status int) bool {
+	return status == http.StatusTooManyRequests || status >= http.StatusInternalServerError
 }
 
 // replayRaw writes a shard's body verbatim. Only the body is copied:

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -73,7 +74,7 @@ func startCoordinator(t *testing.T, shards []*core.System, copt CoordinatorOptio
 	backends := make([]*httptest.Server, len(shards))
 	addrs := make([]string, len(shards))
 	for i, sys := range shards {
-		srv := New(sys)
+		srv := NewWith(sys, Options{})
 		t.Cleanup(srv.Close)
 		backends[i] = httptest.NewServer(srv)
 		addrs[i] = backends[i].URL
@@ -322,6 +323,60 @@ func TestCoordinatorShardDownDegrades(t *testing.T) {
 	}
 	if got := rec.Header().Get(shardsMissingHeader); got != "0,1" {
 		t.Fatalf("%s = %q, want \"0,1\"", shardsMissingHeader, got)
+	}
+}
+
+// TestCoordinatorShardErrorIsMissing: a shard answering 503 beside
+// another shard's 200 contributed nothing, so the answer is partial —
+// marked like a dead shard's, and never cached.
+func TestCoordinatorShardErrorIsMissing(t *testing.T) {
+	_, sys := testServer(t)
+	var addrs []string
+	for i, shardSys := range twoShardSystems(t) {
+		srv := NewWith(shardSys, Options{})
+		t.Cleanup(srv.Close)
+		var h http.Handler = srv
+		if i == 1 {
+			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/api/im" {
+					writeErr(w, http.StatusServiceUnavailable, errors.New("query deadline exceeded"))
+					return
+				}
+				srv.ServeHTTP(w, r)
+			})
+		}
+		backend := httptest.NewServer(h)
+		t.Cleanup(backend.Close)
+		addrs = append(addrs, backend.URL)
+	}
+	coord, err := NewCoordinator(addrs, Options{}, CoordinatorOptions{ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+
+	path := "/api/im?q=" + url.QueryEscape(vocabKeyword(sys)) + "&k=4"
+	for range 2 {
+		rec := do(t, coord, "GET", path, "")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("im = %d: %s", rec.Code, rec.Body.String())
+		}
+		if got := rec.Header().Get(shardsMissingHeader); got != "1" {
+			t.Fatalf("%s = %q, want \"1\"", shardsMissingHeader, got)
+		}
+		var partial struct {
+			ShardsMissing []int `json:"shards_missing"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &partial); err != nil {
+			t.Fatal(err)
+		}
+		if len(partial.ShardsMissing) != 1 || partial.ShardsMissing[0] != 1 {
+			t.Fatalf("shards_missing = %v, want [1]", partial.ShardsMissing)
+		}
+		// Never cached, so the repeat computes again.
+		if got := rec.Header().Get("X-Octopus-Cache"); got != "miss" {
+			t.Fatalf("X-Octopus-Cache = %q, want miss", got)
+		}
 	}
 }
 

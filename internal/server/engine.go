@@ -46,16 +46,16 @@ type engineView interface {
 	GammaKey(words []string) string
 }
 
-// localEngine is the in-process implementation: views are pinned
-// (snapshot, generation) pairs from a snap function — a constant on a
-// static server, an atomic load on a live one.
+// localEngine is the in-process implementation: views are the
+// (system, generation) pairs its Source pins — a constant on a static
+// server, the current snapshot on a live or replica one.
 type localEngine struct {
-	s    *Server
-	snap func() (*core.System, uint64, func())
+	s   *Server
+	src Source
 }
 
 func (e *localEngine) Acquire() (engineView, uint64, func()) {
-	sys, gen, rel := e.snap()
+	sys, gen, rel := e.src.Acquire()
 	return localView{s: e.s, sys: sys}, gen, rel
 }
 

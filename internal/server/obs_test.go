@@ -46,7 +46,7 @@ func durableLiveServer(t *testing.T, opt Options) (*Server, *stream.LiveSystem) 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = ls.Close() })
-	return NewLiveWith(ls, opt), ls
+	return NewWith(ls, opt), ls
 }
 
 func scrape(t *testing.T, h http.Handler) []obs.Family {

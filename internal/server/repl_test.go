@@ -40,7 +40,7 @@ func replicaPair(t *testing.T) (leader *Server, ls *stream.LiveSystem, replica *
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = f.Close() })
-	return leader, ls, NewReplicaWith(f, Options{}), f
+	return leader, ls, NewWith(f, Options{}), f
 }
 
 func waitReady(t *testing.T, f *repl.Follower) {
@@ -275,7 +275,7 @@ func TestReplicaHealthGatesOnCatchUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = f.Close() })
-	replica := NewReplicaWith(f, Options{})
+	replica := NewWith(f, Options{})
 
 	rec, body := get(t, replica, "/api/health")
 	if rec.Code != http.StatusOK {

@@ -20,8 +20,8 @@
 //	GET  /api/debug/traces?n=50              recent request traces, newest first
 //	GET  /api/debug/diag                     captured diagnostics bundles
 //
-// A Server created with NewLive additionally accepts streaming events
-// (the live-ingestion subsystem of internal/stream):
+// A Server over a *stream.LiveSystem additionally accepts streaming
+// events (the live-ingestion subsystem of internal/stream):
 //
 //	POST /api/ingest/actions                 new items + actions (JSON body)
 //	POST /api/ingest/edges                   new follow edges (JSON body)
@@ -33,7 +33,7 @@
 //	GET  /api/replicate?what=status          checkpoint handshake (&after=V&wait_ms=W long-polls)
 //	GET  /api/replicate?what=snapshot        the checkpoint file, Range-resumable (internal/repl)
 //
-// A Server created with NewReplica fronts a replication follower: the
+// A Server over a *repl.Follower is a read replica: the
 // same read endpoints, answered from the leader's latest checkpoint as
 // the follower maps it — same version, same bytes, so a replica and its
 // leader answer identically at equal generations. Ingest endpoints
@@ -193,8 +193,8 @@ type Server struct {
 	replSrc    *repl.Source       // non-nil only on a durable leader
 	storeStats func() store.MapStats
 	mux        *http.ServeMux
-	// QueryTimeout bounds each analysis request (default 10s).
-	QueryTimeout time.Duration
+	// queryTimeout bounds each analysis request (Options.QueryTimeout).
+	queryTimeout time.Duration
 
 	cache         *qcache.Cache // nil when caching is disabled
 	flight        qcache.Flight
@@ -212,98 +212,70 @@ type Server struct {
 	done      chan struct{}
 }
 
-// New creates a Server for a static (immutable) system with default
-// serving options.
-func New(sys *core.System) *Server { return NewWith(sys, Options{}) }
-
-// NewWith creates a Server for a static system with explicit serving
-// options. A static system has exactly one generation (1), so cached
-// entries never go stale.
-func NewWith(sys *core.System, opt Options) *Server {
-	return newServer(func() (*core.System, uint64, func()) { return sys, 1, noopRelease }, nil, nil, opt)
+// Source is what a local Server answers from. Acquire pins one
+// immutable (system, generation) pair and returns it with a release
+// callback (idempotent, never nil) that the request calls once it is
+// done with the system. A *core.System (one generation, nothing to
+// pin), a *stream.LiveSystem and a *repl.Follower (the current
+// snapshot, pinned so a swap cannot unmap it mid-query) are sources.
+type Source interface {
+	Acquire() (*core.System, uint64, func())
 }
 
-// noopRelease is the release callback of a static server's snap: a
-// static system's arrays live for the whole process, so there is
-// nothing to pin.
-func noopRelease() {}
-
-// NewLive creates a Server over a LiveSystem with default serving
-// options: every query runs against the current snapshot, and the
-// ingest endpoints are enabled.
-func NewLive(ls *stream.LiveSystem) *Server { return NewLiveWith(ls, Options{}) }
-
-// NewLiveWith creates a live Server with explicit serving options.
-// Cache entries are tagged with the snapshot generation they were
-// computed from, so every snapshot swap implicitly invalidates the
-// whole cache.
-func NewLiveWith(ls *stream.LiveSystem, opt Options) *Server {
-	// One pin yields both the system and the generation (stream.Generation
-	// pins the same counter); loading them separately could tear across a
-	// swap. The pin also keeps a mapped snapshot's backing alive until
-	// the request releases it, even if a fold swaps it out mid-query.
-	return newServer(func() (*core.System, uint64, func()) {
-		sn, rel := ls.Acquire()
-		return sn.Sys, sn.Version, rel
-	}, ls, nil, opt)
-}
-
-// NewReplica creates a read-only Server over a replication follower
-// with default serving options.
-func NewReplica(f *repl.Follower) *Server { return NewReplicaWith(f, Options{}) }
-
-// NewReplicaWith creates a read-only Server over a replication
-// follower. Each query pins the checkpoint generation the follower
-// serves; a swap to the next checkpoint waits for no reader. Ingest
-// endpoints answer 403 (writes go to the leader), /api/health refuses
-// to report ready until the follower has caught up at least once, and
-// the replication lag feeds the staleness objective so a stalled
-// replica degrades like a stalled leader.
-func NewReplicaWith(f *repl.Follower, opt Options) *Server {
-	if opt.StoreStats == nil {
-		opt.StoreStats = f.MapStats
+// NewWith creates a Server over a local source with explicit serving
+// options (the zero Options are the defaults). Cache entries are tagged
+// with the generation each request pins, so a snapshot swap implicitly
+// invalidates the whole cache; a static system's entries never go
+// stale. The source's type decides what else the server offers:
+//
+//   - *stream.LiveSystem: the ingest endpoints and, when the live
+//     system is durable, the /api/replicate checkpoint source.
+//   - *repl.Follower: a read-only replica. Ingest endpoints answer 403
+//     (writes go to the leader), /api/health refuses to report ready
+//     until the follower has caught up at least once, the replication
+//     lag feeds the staleness objective so a stalled replica degrades
+//     like a stalled leader, and Options.StoreStats defaults to the
+//     follower's mapping stats.
+func NewWith(src Source, opt Options) *Server {
+	s := &Server{}
+	switch src := src.(type) {
+	case *stream.LiveSystem:
+		s.live = src
+		if src.Store() != nil {
+			if rs, err := repl.NewSource(src); err == nil {
+				s.replSrc = rs
+			}
+		}
+	case *repl.Follower:
+		s.follower = src
+		if opt.StoreStats == nil {
+			opt.StoreStats = src.MapStats
+		}
 	}
-	return newServer(func() (*core.System, uint64, func()) {
-		sn, rel := f.Acquire()
-		return sn.Sys, sn.Version, rel
-	}, nil, f, opt)
+	s.engine = &localEngine{s: s, src: src}
+	return s.assemble(opt)
 }
 
-func newServer(snap func() (*core.System, uint64, func()), live *stream.LiveSystem, follower *repl.Follower, opt Options) *Server {
-	return newServerWith(func(s *Server) engine { return &localEngine{s: s, snap: snap} },
-		live, follower, opt)
-}
-
-// newServerWith builds the shared serving shell around any engine. The
-// engine is constructed against the half-built server (it may need the
-// gate, tracer or coordinator state), before any route can run.
-func newServerWith(mkEngine func(*Server) engine, live *stream.LiveSystem, follower *repl.Follower, opt Options) *Server {
+// assemble builds the serving shell every constructor shares — cache,
+// coalescing, admission, metrics, tracing, SLO, watchdog — around the
+// engine and capabilities the constructor set, and mounts the routes.
+func (s *Server) assemble(opt Options) *Server {
 	opt.fill()
-	s := &Server{
-		live:          live,
-		follower:      follower,
-		storeStats:    opt.StoreStats,
-		mux:           http.NewServeMux(),
-		QueryTimeout:  opt.QueryTimeout,
-		gate:          qcache.NewGate(opt.MaxInflight),
-		metrics:       qcache.NewMetrics(),
-		queryHandlers: make(map[string]queryHandler),
-		costs:         newCostMetrics(),
-		slo:           obs.NewSLOTracker(opt.SLO),
-		watchdog:      obs.NewWatchdog(opt.DiagDir, opt.DiagMinInterval, opt.Logger),
-		done:          make(chan struct{}),
-	}
+	s.storeStats = opt.StoreStats
+	s.mux = http.NewServeMux()
+	s.queryTimeout = opt.QueryTimeout
+	s.gate = qcache.NewGate(opt.MaxInflight)
+	s.metrics = qcache.NewMetrics()
+	s.queryHandlers = make(map[string]queryHandler)
+	s.costs = newCostMetrics()
+	s.slo = obs.NewSLOTracker(opt.SLO)
+	s.watchdog = obs.NewWatchdog(opt.DiagDir, opt.DiagMinInterval, opt.Logger)
+	s.done = make(chan struct{})
 	if opt.CacheEntries > 0 {
 		s.cache = qcache.New(opt.CacheEntries)
 	}
 	if opt.TraceRing > 0 {
 		s.tracer = obs.NewTracer(opt.TraceRing, opt.SlowQuery, opt.Logger)
-	}
-	s.engine = mkEngine(s)
-	if live != nil && live.Store() != nil {
-		if src, err := repl.NewSource(live); err == nil {
-			s.replSrc = src
-		}
 	}
 	s.registry = s.newRegistry()
 	if s.watchdog != nil {
@@ -476,7 +448,7 @@ func (q *qparams) bad(w http.ResponseWriter) bool {
 }
 
 func (s *Server) queryCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(r.Context(), s.QueryTimeout)
+	return context.WithTimeout(r.Context(), s.queryTimeout)
 }
 
 type imResponse struct {

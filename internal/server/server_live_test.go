@@ -34,7 +34,7 @@ func liveServer(t *testing.T) (*Server, *stream.LiveSystem, *core.System) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = ls.Close() })
-	return NewLive(ls), ls, sys
+	return NewWith(ls, Options{}), ls, sys
 }
 
 func postJSON(t *testing.T, s *Server, path, body string) (*httptest.ResponseRecorder, map[string]any) {
@@ -152,7 +152,7 @@ func TestIngestStatsExposeCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = ls.Close() })
-	s := NewLive(ls)
+	s := NewWith(ls, Options{})
 
 	rec, body := postJSON(t, s, "/api/ingest/edges", fmt.Sprintf(
 		`{"edges":[{"src":0,"dst":%d,"dstName":"Durable Newcomer"}]}`, sys.Graph().NumNodes()))
@@ -212,7 +212,7 @@ func TestHealthDegradedOnWALFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(ls.Kill) // the store is closed below; Close would re-close it
-	s := NewLive(ls)
+	s := NewWith(ls, Options{})
 	if _, body := get(t, s, "/api/health"); body["state"] != "ready" {
 		t.Fatalf("health before the failure = %v", body)
 	}

@@ -42,7 +42,7 @@ func testServer(t *testing.T) (*Server, *core.System) {
 			return
 		}
 		srvSys = sys
-		srvVal = New(sys)
+		srvVal = NewWith(sys, Options{})
 	})
 	if srvErr != nil {
 		t.Fatal(srvErr)

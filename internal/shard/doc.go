@@ -28,8 +28,9 @@
 // # Partial-results contract
 //
 // The coordinator (internal/server) fans a query out to every live
-// shard and merges. When one or more shards are down or time out, the
-// coordinator still answers with what the remaining shards returned,
+// shard and merges. When one or more shards are down, time out, or
+// answer 429/5xx while another shard answers 200, the coordinator
+// still answers with what the remaining shards returned,
 // and marks the response as partial in a machine-readable way:
 //
 //   - the X-Octopus-Shards-Missing response header lists the missing
@@ -37,7 +38,7 @@
 //   - object-shaped payloads carry a "shards_missing" field with the
 //     same list (omitted when complete);
 //   - GET /api/health reports state "degraded" with one
-//     "shards_missing: ..." reason per missing shard.
+//     "shards_missing: ..." reason per shard that is down.
 //
 // Partial responses are never cached, so a recovered shard is
 // reflected by the very next uncached query. Spread estimates merged

@@ -405,11 +405,11 @@ func TestIncrementalFoldSoak(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := ls.DiscoverInfluencers(queries[(w+i)%len(queries)], core.DiscoverOptions{K: 4}); err != nil {
+				if _, err := ls.System().DiscoverInfluencers(queries[(w+i)%len(queries)], core.DiscoverOptions{K: 4}); err != nil {
 					t.Errorf("query: %v", err)
 					return
 				}
-				if _, err := ls.InfluencePaths(graph.NodeID((w*31+i*7)%int(n)), core.PathOptions{MaxNodes: 30}); err != nil {
+				if _, err := ls.System().InfluencePaths(graph.NodeID((w*31+i*7)%int(n)), core.PathOptions{MaxNodes: 30}); err != nil {
 					t.Errorf("paths: %v", err)
 					return
 				}

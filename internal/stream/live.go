@@ -333,14 +333,18 @@ func (ls *LiveSystem) System() *core.System { return ls.cur.Load().Sys }
 func (ls *LiveSystem) Snapshot() *Snapshot { return ls.cur.Load() }
 
 // Acquire pins the current serving snapshot for the duration of a read
-// and returns it with a release callback (idempotent). While any pin is
-// held the snapshot's mapped backing cannot be unmapped, even if a fold
-// swaps the generation out concurrently — the swap only retires it, and
-// the munmap waits for the last release. Callers that miss the pin race
-// against shutdown still get the final snapshot (its arrays remain
-// valid for as long as the process owner keeps the store handle open);
-// the release is then a no-op.
-func (ls *LiveSystem) Acquire() (*Snapshot, func()) { return Pin(ls.cur.Load) }
+// and returns its system and version with a release callback
+// (idempotent). One pin yields both, so they never tear across a swap.
+// While any pin is held the snapshot's mapped backing cannot be
+// unmapped, even if a fold swaps the generation out concurrently — the
+// swap only retires it, and the munmap waits for the last release.
+// Callers that miss the pin race against shutdown still get the final
+// snapshot (its arrays remain valid for as long as the process owner
+// keeps the store handle open); the release is then a no-op.
+func (ls *LiveSystem) Acquire() (*core.System, uint64, func()) {
+	sn, rel := Pin(ls.cur.Load)
+	return sn.Sys, sn.Version, rel
+}
 
 // Pin pins the generation current returns — the one pin protocol behind
 // LiveSystem.Acquire and a read replica's Acquire. current must load the
@@ -362,29 +366,12 @@ func Pin(current func() *Snapshot) (*Snapshot, func()) {
 }
 
 // Version returns the current snapshot version (monotonically
-// increasing, starting at 1). It doubles as the serving generation —
-// see Generation.
+// increasing, starting at 1, bumped by exactly one per swap). It doubles
+// as the serving generation, the query-serving layer's cache
+// invalidation signal: a result cached under version g is valid only
+// while the live system still serves g, so a fold implicitly
+// invalidates every cached answer.
 func (ls *LiveSystem) Version() uint64 { return ls.cur.Load().Version }
-
-// Generation returns the serving generation the current snapshot
-// belongs to — a monotonically increasing counter that every snapshot
-// swap bumps by exactly one. It is the cache-invalidation signal of the
-// query-serving layer: a result cached under generation g is valid only
-// while Generation() still returns g, so a fold implicitly invalidates
-// every cached answer. Within one process Generation equals Version;
-// the distinct name pins the contract (monotone, bumps per swap) that
-// the server's result cache depends on.
-func (ls *LiveSystem) Generation() uint64 { return ls.cur.Load().Version }
-
-// DiscoverInfluencers runs Scenario 1 on the current snapshot.
-func (ls *LiveSystem) DiscoverInfluencers(keywords []string, opt core.DiscoverOptions) (*core.DiscoverResult, error) {
-	return ls.System().DiscoverInfluencers(keywords, opt)
-}
-
-// InfluencePaths runs Scenario 3 on the current snapshot.
-func (ls *LiveSystem) InfluencePaths(user graph.NodeID, opt core.PathOptions) (*core.PathGraph, error) {
-	return ls.System().InfluencePaths(user, opt)
-}
 
 // IngestEdges enqueues edge events, blocking while the buffer is full.
 func (ls *LiveSystem) IngestEdges(edges []EdgeEvent) error {

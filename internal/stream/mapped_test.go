@@ -57,8 +57,8 @@ func TestMappedBaseFoldSwapSoak(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			for !stop.Load() {
-				snap, rel := ls.Acquire()
-				g := snap.Sys.Graph()
+				cur, version, rel := ls.Acquire()
+				g := cur.Graph()
 				// Touch mapped arrays: degree scan plus an influence
 				// query every few iterations.
 				deg := 0
@@ -69,8 +69,8 @@ func TestMappedBaseFoldSwapSoak(t *testing.T) {
 					t.Error("negative degree sum")
 				}
 				if r == 0 {
-					if _, err := snap.Sys.DiscoverInfluencers([]string{"mining"}, core.DiscoverOptions{K: 3}); err != nil {
-						t.Errorf("query on generation %d: %v", snap.Version, err)
+					if _, err := cur.DiscoverInfluencers([]string{"mining"}, core.DiscoverOptions{K: 3}); err != nil {
+						t.Errorf("query on generation %d: %v", version, err)
 					}
 				}
 				rel()

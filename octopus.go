@@ -98,8 +98,16 @@ type (
 	SocialConfig = datagen.SocialConfig
 )
 
-// Server is the JSON HTTP API over a System.
+// Server is the JSON HTTP API over a ServerSource; see NewServer.
 type Server = server.Server
+
+// ServerSource is what a Server answers from; each request pins one
+// (system, generation) pair through Acquire. A *System is a static
+// source with one generation; a *LiveSystem adds the /api/ingest
+// endpoints and, when durable, ships its checkpoints to read replicas;
+// a replication follower (internal/repl) serves the leader's
+// checkpoints read-only.
+type ServerSource = server.Source
 
 // ServerOptions tunes the query-serving layer of a Server: result-cache
 // size (generation-tagged, so snapshot swaps invalidate implicitly),
@@ -158,31 +166,17 @@ func GenerateCitation(cfg CitationConfig) (*Dataset, error) { return datagen.Cit
 // GenerateSocial synthesizes the QQ-style marketing dataset.
 func GenerateSocial(cfg SocialConfig) (*Dataset, error) { return datagen.Social(cfg) }
 
-// NewServer wraps a System in the JSON HTTP API with default serving
-// options (result cache on, no in-flight bound).
-func NewServer(sys *System) *Server { return server.New(sys) }
-
-// NewServerWith wraps a System in the JSON HTTP API with explicit
-// serving options.
-func NewServerWith(sys *System, opt ServerOptions) *Server { return server.NewWith(sys, opt) }
+// NewServer wraps a source in the JSON HTTP API. The zero ServerOptions
+// are the defaults (result cache on, no in-flight bound). Cached results
+// are tagged with the generation each request pins, so every snapshot
+// swap of a live source invalidates the cache implicitly.
+func NewServer(src ServerSource, opt ServerOptions) *Server { return server.NewWith(src, opt) }
 
 // NewLiveSystem turns a built System into a live one that ingests
 // streamed events and periodically swaps in rebuilt snapshots. Callers
 // must Close the returned LiveSystem.
 func NewLiveSystem(sys *System, cfg StreamConfig) (*LiveSystem, error) {
 	return stream.NewLiveSystem(sys, cfg)
-}
-
-// NewLiveServer wraps a LiveSystem in the JSON HTTP API with the
-// /api/ingest endpoints enabled.
-func NewLiveServer(ls *LiveSystem) *Server { return server.NewLive(ls) }
-
-// NewLiveServerWith wraps a LiveSystem in the JSON HTTP API with
-// explicit serving options. Cached results are tagged with the serving
-// snapshot's generation, so every ingest-driven swap invalidates the
-// cache implicitly.
-func NewLiveServerWith(ls *LiveSystem, opt ServerOptions) *Server {
-	return server.NewLiveWith(ls, opt)
 }
 
 // SaveSystem writes a complete built system — graph, action log,

@@ -1,5 +1,5 @@
-// Benchmarks for the paper's scenarios and engine claims (E1–E12) as
-// testing.B targets: per-operation numbers with allocation profiles on
+// Benchmarks for the paper's scenarios and engine claims (E1–E3,
+// E5–E11) as testing.B targets: per-operation numbers with allocation profiles on
 // one moderate 2 000-author world, so the suite completes quickly. The
 // claims each experiment once asserted are ordinary tests in the
 // packages (e.g. otim.TestQueryMatchesExhaustiveGreedy,
@@ -17,7 +17,6 @@ import (
 	"octopus/internal/datagen"
 	"octopus/internal/em"
 	"octopus/internal/graph"
-	"octopus/internal/im"
 	"octopus/internal/mia"
 	"octopus/internal/otim"
 	"octopus/internal/ris"
@@ -105,52 +104,6 @@ func BenchmarkE3PathExploration(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// E4 — online best-effort vs the naive per-query baselines, k=10.
-func BenchmarkE4OnlineVsNaive(b *testing.B) {
-	sys, _ := benchWorld(b)
-	gamma := topic.Dist(rng.New(7).DirichletSym(0.3, 8))
-	eng := otim.NewEngine(sys.OTIMIndex())
-	m := sys.Propagation()
-
-	b.Run("BestEffort", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Query(gamma, otim.QueryOptions{K: 10, Theta: 0.01}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("BestEffortSamples", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Query(gamma, otim.QueryOptions{
-				K: 10, Theta: 0.01, UseSamples: true,
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("NaiveIMM", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := otim.NaiveQuery(m, gamma, 10, otim.NaiveIMM, 0.01, uint64(i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("NaiveDegreeDiscount", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := otim.NaiveQuery(m, gamma, 10, otim.NaiveDegreeDiscount, 0.01, uint64(i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("NaiveMIAGreedy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := otim.NaiveQuery(m, gamma, 10, otim.NaiveMIAGreedy, 0.01, uint64(i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // E5 — bound configuration ablation, k=10.
@@ -275,7 +228,7 @@ func BenchmarkE9MIATheta(b *testing.B) {
 	}
 }
 
-// E10 — substrate throughput: cascades, RR sets, IMM.
+// E10 — substrate throughput: cascades and RR sets.
 func BenchmarkE10Scalability(b *testing.B) {
 	_, ds := benchWorld(b)
 	m := ds.Truth
@@ -287,19 +240,13 @@ func BenchmarkE10Scalability(b *testing.B) {
 			sim.Cascade([]graph.NodeID{graph.NodeID(i % ds.Graph.NumNodes())}, gamma, r, nil)
 		}
 	})
+	all := make([]graph.NodeID, ds.Graph.NumNodes())
+	for v := range all {
+		all[v] = graph.NodeID(v)
+	}
 	b.Run("RRSet", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			col := ris.Generate(m, gamma, 10, rng.New(uint64(i)))
-			_ = col
-		}
-	})
-	b.Run("IMMk10", func(b *testing.B) {
-		w := m.Weights(gamma)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := ris.IMM(ds.Graph, w, ris.IMMOptions{K: 10, Epsilon: 0.3, Seed: uint64(i)}); err != nil {
-				b.Fatal(err)
-			}
+			ris.GenerateTargeted(m, gamma, all, 10, rng.New(uint64(i)), nil)
 		}
 	})
 }
@@ -320,37 +267,6 @@ func BenchmarkE11EMRecovery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// E12 — classical IM baselines at k=20.
-func BenchmarkE12Baselines(b *testing.B) {
-	_, ds := benchWorld(b)
-	m := ds.Truth
-	gamma := topic.Uniform(8)
-	w := m.Weights(gamma)
-	g := ds.Graph
-	b.Run("IMM", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ris.IMM(g, w, ris.IMMOptions{K: 20, Epsilon: 0.3, Seed: uint64(i)}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("DegreeDiscount", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			im.DegreeDiscount(g, w, 20)
-		}
-	})
-	b.Run("SingleDiscount", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			im.SingleDiscount(g, w, 20)
-		}
-	})
-	b.Run("PageRank", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			im.PageRank(g, w, 20, 30, 0.85)
-		}
-	})
 }
 
 func hubNode(ds *datagen.Dataset) graph.NodeID {

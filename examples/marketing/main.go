@@ -11,10 +11,10 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	"octopus"
 	"octopus/internal/graph"
-	"octopus/internal/im"
 	"octopus/internal/rng"
 	"octopus/internal/tags"
 	"octopus/internal/tic"
@@ -61,9 +61,25 @@ func main() {
 	for _, s := range res.Seeds {
 		octopusSeeds = append(octopusSeeds, s.User)
 	}
+	// Weighted degree: the expected number of directly activated
+	// neighbours, Σ of a node's outgoing edge probabilities.
 	w := ds.Truth.Weights(gamma)
-	degSeeds := im.TopWeightedDegree(ds.Graph, w, k)
-	rndSeeds := im.Random(ds.Graph, k, rng.New(5))
+	n := ds.Graph.NumNodes()
+	wdeg := make([]float64, n)
+	byDeg := make([]graph.NodeID, n)
+	for u := range byDeg {
+		byDeg[u] = graph.NodeID(u)
+		lo, hi := ds.Graph.OutEdges(graph.NodeID(u))
+		for e := lo; e < hi; e++ {
+			wdeg[u] += w[e]
+		}
+	}
+	sort.SliceStable(byDeg, func(a, b int) bool { return wdeg[byDeg[a]] > wdeg[byDeg[b]] })
+	degSeeds := byDeg[:k]
+	rndSeeds := make([]graph.NodeID, 0, k)
+	for _, u := range rng.New(5).Sample(n, k) {
+		rndSeeds = append(rndSeeds, graph.NodeID(u))
+	}
 
 	fmt.Printf("\nSimulated campaign reach (IC cascades, budget k=%d):\n", k)
 	fmt.Printf("  OCTOPUS topic-aware seeds: %8.1f users\n", evaluate(octopusSeeds))

@@ -602,7 +602,7 @@ func (s *System) DiscoverTargetedInfluencersCost(keywords []string, audience []g
 		rrSamples = 20000
 	}
 	gamma, _ := s.words.InferGamma(keywords)
-	col := ris.GenerateTargetedCost(s.prop, gamma, audience, rrSamples, rng.New(seed), cost)
+	col := ris.GenerateTargeted(s.prop, gamma, audience, rrSamples, rng.New(seed), cost)
 	seeds, spread := col.SelectSeeds(k)
 	res := &TargetedResult{Gamma: gamma, AudienceSpread: spread}
 	for _, u := range seeds {

@@ -8,10 +8,10 @@ import (
 // many upper-bound evaluations the OTIM heap burned versus full exact
 // evaluations, how many nodes and edges the MIA ball walks touched,
 // how many stored polls the influencer index scanned, and how many
-// reverse-reachable or Monte-Carlo samples were mixed. A nil *Cost is
-// the disabled state — every producer guards its increments with a nil
-// check, so queries that did not ask for accounting allocate nothing
-// and pay only an untaken branch.
+// reverse-reachable samples were mixed. A nil *Cost is the disabled
+// state — every producer guards its increments with a nil check, so
+// queries that did not ask for accounting allocate nothing and pay only
+// an untaken branch.
 //
 // Counters are plain uint64 fields incremented by exactly one
 // goroutine (the engine runs a query serially), so no atomics are
@@ -27,7 +27,6 @@ type Cost struct {
 	MIA  MIACost  `json:"mia"`
 	Tags TagsCost `json:"tags"`
 	RIS  RISCost  `json:"ris"`
-	IM   IMCost   `json:"im"`
 }
 
 // OTIMCost is the best-effort keyword-IM engine's ledger: the three
@@ -66,13 +65,6 @@ type RISCost struct {
 	Edges   uint64 `json:"edges"`
 }
 
-// IMCost counts classical-baseline work: CELF spread evaluations and
-// the Monte-Carlo cascades behind them.
-type IMCost struct {
-	SpreadEvals uint64 `json:"spreadEvals"`
-	Cascades    uint64 `json:"cascades"`
-}
-
 // Merge adds d's counters into c. Both nils are tolerated.
 func (c *Cost) Merge(d *Cost) {
 	if c == nil || d == nil {
@@ -92,8 +84,6 @@ func (c *Cost) Merge(d *Cost) {
 	c.RIS.Samples += d.RIS.Samples
 	c.RIS.Nodes += d.RIS.Nodes
 	c.RIS.Edges += d.RIS.Edges
-	c.IM.SpreadEvals += d.IM.SpreadEvals
-	c.IM.Cascades += d.IM.Cascades
 }
 
 // IsZero reports whether no work was recorded.
@@ -111,12 +101,12 @@ func (c *Cost) NodesTouched() uint64 {
 }
 
 // SamplesMixed is the total sample traffic of the query: topic-sample
-// consultations, poll-tree walks and RR/MC sample draws.
+// consultations, poll-tree walks and RR sample draws.
 func (c *Cost) SamplesMixed() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.OTIM.SamplesMixed + c.Tags.Trees + c.RIS.Samples + c.IM.Cascades
+	return c.OTIM.SamplesMixed + c.Tags.Trees + c.RIS.Samples
 }
 
 // Compact renders the non-zero counters as space-separated
@@ -152,7 +142,5 @@ func (c *Cost) Compact() string {
 	app("ris.samples", c.RIS.Samples)
 	app("ris.nodes", c.RIS.Nodes)
 	app("ris.edges", c.RIS.Edges)
-	app("im.evals", c.IM.SpreadEvals)
-	app("im.cascades", c.IM.Cascades)
 	return string(b)
 }

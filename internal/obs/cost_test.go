@@ -12,7 +12,6 @@ func sampleCost() *Cost {
 		MIA:  MIACost{Trees: 7, Nodes: 210, Edges: 940},
 		Tags: TagsCost{Polls: 64, Trees: 128, Coins: 4096},
 		RIS:  RISCost{Samples: 1000, Nodes: 5200, Edges: 17000},
-		IM:   IMCost{SpreadEvals: 9, Cascades: 1800},
 	}
 }
 
@@ -32,7 +31,7 @@ func TestCostIsZero(t *testing.T) {
 func TestCostMerge(t *testing.T) {
 	c := sampleCost()
 	c.Merge(sampleCost())
-	if c.OTIM.CheapBounds != 600 || c.MIA.Edges != 1880 || c.RIS.Samples != 2000 || c.IM.Cascades != 3600 {
+	if c.OTIM.CheapBounds != 600 || c.MIA.Edges != 1880 || c.RIS.Samples != 2000 {
 		t.Errorf("merge did not double counters: %+v", c)
 	}
 	// Nil receiver and nil argument are both no-ops, not panics.
@@ -50,7 +49,7 @@ func TestCostTotals(t *testing.T) {
 	if got, want := c.NodesTouched(), uint64(210+5200); got != want {
 		t.Errorf("NodesTouched = %d, want %d", got, want)
 	}
-	if got, want := c.SamplesMixed(), uint64(12+128+1000+1800); got != want {
+	if got, want := c.SamplesMixed(), uint64(12+128+1000); got != want {
 		t.Errorf("SamplesMixed = %d, want %d", got, want)
 	}
 	var nilCost *Cost
@@ -78,7 +77,6 @@ func TestCostCompact(t *testing.T) {
 		"mia.trees=", "mia.nodes=", "mia.edges=",
 		"tags.polls=", "tags.trees=", "tags.coins=",
 		"ris.samples=", "ris.nodes=", "ris.edges=",
-		"im.evals=", "im.cascades=",
 	}
 	pos := -1
 	for _, key := range order {
@@ -102,7 +100,7 @@ func TestCostJSONShape(t *testing.T) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatalf("cost JSON is not two-level numeric: %v\n%s", err, data)
 	}
-	if doc["otim"]["cheapBounds"] != 300 || doc["ris"]["samples"] != 1000 || doc["im"]["cascades"] != 1800 {
+	if doc["otim"]["cheapBounds"] != 300 || doc["ris"]["samples"] != 1000 {
 		t.Errorf("unexpected JSON values: %s", data)
 	}
 	var back Cost

@@ -96,6 +96,44 @@ func TestQuickBoundSoundnessAndOrdering(t *testing.T) {
 	}
 }
 
+// exhaustiveGreedy is the reference the engine's pruning must match:
+// the straw-man of Section I, which materialises every edge probability
+// for the query and then runs MIA greedy with an exact evaluation of
+// every user per round and no bounds. It returns the seeds and the MIA
+// spread of each seed prefix.
+func exhaustiveGreedy(m *tic.Model, gamma topic.Dist, k int, theta float64) ([]graph.NodeID, []float64) {
+	w := m.Weights(gamma)
+	g := m.Graph()
+	prob := func(e graph.EdgeID) float64 { return w[e] }
+	calc := mia.NewCalc(g)
+	cover := mia.NewCover(g.NumNodes())
+	chosen := make([]bool, g.NumNodes())
+	var seeds []graph.NodeID
+	var spreads []float64
+	for len(seeds) < k {
+		var best graph.NodeID = -1
+		bestGain := -1.0
+		var bestTree *mia.Tree
+		for u := 0; u < g.NumNodes(); u++ {
+			if chosen[u] {
+				continue
+			}
+			tree := calc.MIOA(prob, graph.NodeID(u), theta, 0)
+			if gain := cover.Gain(tree.Nodes); gain > bestGain {
+				best, bestGain, bestTree = graph.NodeID(u), gain, tree
+			}
+		}
+		if best < 0 {
+			break
+		}
+		chosen[best] = true
+		cover.Add(bestTree.Nodes)
+		seeds = append(seeds, best)
+		spreads = append(spreads, cover.Spread())
+	}
+	return seeds, spreads
+}
+
 func TestQueryMatchesExhaustiveGreedy(t *testing.T) {
 	m := testWorld(t, 120, 4, 3)
 	ix := buildIdx(t, m, 0)
@@ -105,19 +143,16 @@ func TestQueryMatchesExhaustiveGreedy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive, err := NaiveQuery(m, gamma, 5, NaiveMIAGreedy, 0.01, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		naiveSeeds, naiveSpreads := exhaustiveGreedy(m, gamma, 5, 0.01)
 		if len(res.Seeds) != 5 {
 			t.Fatalf("engine returned %d seeds", len(res.Seeds))
 		}
 		// Identical greedy semantics must give identical spreads
 		// (seed sets may differ only on exact ties).
 		for i := range res.Spreads {
-			if math.Abs(res.Spreads[i]-naive.Spreads[i]) > 1e-6 {
+			if math.Abs(res.Spreads[i]-naiveSpreads[i]) > 1e-6 {
 				t.Fatalf("γ=%v prefix %d: engine σ=%v naive σ=%v (seeds %v vs %v)",
-					gamma, i, res.Spreads[i], naive.Spreads[i], res.Seeds, naive.Seeds)
+					gamma, i, res.Spreads[i], naiveSpreads[i], res.Seeds, naiveSeeds)
 			}
 		}
 	}
@@ -429,29 +464,6 @@ func TestQueryKeywords(t *testing.T) {
 	}
 }
 
-func TestNaiveMethods(t *testing.T) {
-	m := testWorld(t, 60, 3, 15)
-	gamma := topic.Dist{0.5, 0.5}
-	for _, method := range []NaiveMethod{NaiveIMM, NaiveMIAGreedy, NaiveDegreeDiscount} {
-		res, err := NaiveQuery(m, gamma, 3, method, 0.01, 7)
-		if err != nil {
-			t.Fatalf("method %d: %v", method, err)
-		}
-		if len(res.Seeds) != 3 || len(res.Spreads) != 3 {
-			t.Fatalf("method %d: seeds=%v spreads=%v", method, res.Seeds, res.Spreads)
-		}
-		if res.EdgesMaterialized != m.Graph().NumEdges() {
-			t.Fatalf("method %d: materialized %d edges", method, res.EdgesMaterialized)
-		}
-	}
-	if _, err := NaiveQuery(m, gamma, 0, NaiveIMM, 0.01, 1); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-	if _, err := NaiveQuery(m, gamma, 1, NaiveMethod(99), 0.01, 1); err == nil {
-		t.Fatal("unknown method accepted")
-	}
-}
-
 func TestEngineReuse(t *testing.T) {
 	m := testWorld(t, 100, 4, 16)
 	ix := buildIdx(t, m, 0)
@@ -588,17 +600,6 @@ func BenchmarkQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		gamma := topic.Dist{0.3, 0.7}
 		if _, err := eng.Query(gamma, QueryOptions{K: 10, Theta: 0.01}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkNaiveIMM(b *testing.B) {
-	m := testWorld(b, 5000, 5, 21)
-	gamma := topic.Dist{0.3, 0.7}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NaiveQuery(m, gamma, 10, NaiveIMM, 0.01, uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,7 @@
 // Package par provides the shared bounded worker-pool helpers behind
-// the offline build pipeline (em, otim, tags), modeled on
-// ris.GenerateParallel: bounded fan-out with deterministic merges, so a
-// parallel build is bit-identical to a serial one for a fixed seed.
+// the offline build pipeline (em, otim, tags): bounded fan-out with
+// deterministic merges, so a parallel build is bit-identical to a
+// serial one for a fixed seed.
 //
 // Two primitives cover every build stage:
 //

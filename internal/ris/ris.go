@@ -1,8 +1,7 @@
-// Package ris implements reverse-influence sampling (Borgs et al.) and
-// the IMM algorithm of Tang, Xiao and Shi (SIGMOD 2014/2015), reference
-// [8] of the OCTOPUS paper: the scalable spread-estimation and influence-
-// maximization substrate used as the strong offline baseline and as the
-// refinement oracle inside the online engines.
+// Package ris implements reverse-influence sampling (Borgs et al.)
+// rooted in a target audience: the spread estimator and greedy
+// max-coverage seed picker behind the targeted-IM service
+// (core.DiscoverTargetedInfluencers).
 //
 // A reverse-reachable (RR) set for root v under edge probabilities p is
 // the random set of nodes that can reach v in the graph where each edge e
@@ -11,9 +10,6 @@
 package ris
 
 import (
-	"fmt"
-	"math"
-
 	"octopus/internal/graph"
 	"octopus/internal/obs"
 	"octopus/internal/rng"
@@ -26,9 +22,8 @@ import (
 type Collection struct {
 	// n is the node-id space (graph node count) used for indexing.
 	n int
-	// scale is the estimate numerator: the size of the universe RR roots
-	// were drawn from (n for uniform sampling; |targets| for targeted
-	// collections).
+	// scale is the estimate numerator: the size of the target universe
+	// RR roots were drawn from.
 	scale int
 	sets  [][]graph.NodeID
 }
@@ -110,27 +105,28 @@ func (s *sampler) sampleRR(root graph.NodeID, prob func(graph.EdgeID) float64, r
 	return out
 }
 
-// Generate draws count RR sets under the TIC model mixed by gamma.
-func Generate(m *tic.Model, gamma topic.Dist, count int, r *rng.Source) *Collection {
+// GenerateTargeted draws count RR sets whose roots are sampled uniformly
+// from the given target users — the substrate for targeted influence
+// maximization (Li, Zhang, Tan, PVLDB 2015, reference [7] of the
+// OCTOPUS paper): maximizing influence *over a target audience* (for
+// example one community, or users interested in a product category)
+// rather than the whole network. For a collection built this way,
+// EstimateSpread approximates the expected number of activated TARGET
+// users scaled by |targets| instead of n. cost, when non-nil,
+// accumulates the sampling work.
+func GenerateTargeted(m *tic.Model, gamma topic.Dist, targets []graph.NodeID,
+	count int, r *rng.Source, cost *obs.Cost) *Collection {
+
+	if len(targets) == 0 {
+		return &Collection{n: 0, scale: 0}
+	}
 	g := m.Graph()
 	s := newSampler(g)
-	c := &Collection{n: g.NumNodes(), scale: g.NumNodes(), sets: make([][]graph.NodeID, 0, count)}
+	s.cost = cost
 	prob := func(e graph.EdgeID) float64 { return m.EdgeProb(e, gamma) }
+	c := &Collection{n: g.NumNodes(), scale: len(targets), sets: make([][]graph.NodeID, 0, count)}
 	for i := 0; i < count; i++ {
-		root := graph.NodeID(r.Intn(g.NumNodes()))
-		c.sets = append(c.sets, s.sampleRR(root, prob, r))
-	}
-	return c
-}
-
-// GenerateWeighted draws count RR sets under explicit edge weights
-// (indexed by EdgeID).
-func GenerateWeighted(g *graph.Graph, w []float64, count int, r *rng.Source) *Collection {
-	s := newSampler(g)
-	c := &Collection{n: g.NumNodes(), scale: g.NumNodes(), sets: make([][]graph.NodeID, 0, count)}
-	prob := func(e graph.EdgeID) float64 { return w[e] }
-	for i := 0; i < count; i++ {
-		root := graph.NodeID(r.Intn(g.NumNodes()))
+		root := targets[r.Intn(len(targets))]
 		c.sets = append(c.sets, s.sampleRR(root, prob, r))
 	}
 	return c
@@ -161,11 +157,12 @@ func (c *Collection) EstimateSpread(seeds []graph.NodeID) float64 {
 // SelectSeeds greedily picks k seeds maximizing RR-set coverage and
 // returns them with the RIS spread estimate of the chosen set. Greedy
 // max-coverage gives the standard (1−1/e) guarantee on the sampled
-// universe.
+// universe. k is clamped to the node count.
 func (c *Collection) SelectSeeds(k int) ([]graph.NodeID, float64) {
 	if k <= 0 || len(c.sets) == 0 {
 		return nil, 0
 	}
+	k = min(k, c.n)
 	// Inverted index: node -> RR set ids.
 	index := make([][]int32, c.n)
 	for si, set := range c.sets {
@@ -208,108 +205,4 @@ func (c *Collection) SelectSeeds(k int) ([]graph.NodeID, float64) {
 	}
 	spread := float64(c.scale) * float64(covered) / float64(len(c.sets))
 	return seeds, spread
-}
-
-// IMMOptions configures IMM.
-type IMMOptions struct {
-	K       int     // number of seeds
-	Epsilon float64 // approximation parameter (default 0.2)
-	Ell     float64 // confidence parameter ℓ (default 1)
-	Seed    uint64
-	// MaxSets caps total RR sets as a safety valve (default 2_000_000).
-	MaxSets int
-}
-
-// IMMResult reports the chosen seeds and sampling statistics.
-type IMMResult struct {
-	Seeds      []graph.NodeID
-	SpreadEst  float64
-	SetsUsed   int
-	LowerBound float64 // LB on OPT_k found in phase 1
-}
-
-// IMM runs the two-phase IMM algorithm under explicit edge weights.
-func IMM(g *graph.Graph, w []float64, opt IMMOptions) (*IMMResult, error) {
-	n := g.NumNodes()
-	if n == 0 {
-		return nil, fmt.Errorf("ris: empty graph")
-	}
-	if opt.K <= 0 || opt.K > n {
-		return nil, fmt.Errorf("ris: k=%d out of range (n=%d)", opt.K, n)
-	}
-	if opt.Epsilon == 0 {
-		opt.Epsilon = 0.2
-	}
-	if opt.Epsilon <= 0 || opt.Epsilon >= 1 {
-		return nil, fmt.Errorf("ris: epsilon=%v out of (0,1)", opt.Epsilon)
-	}
-	if opt.Ell == 0 {
-		opt.Ell = 1
-	}
-	if opt.MaxSets == 0 {
-		opt.MaxSets = 2_000_000
-	}
-	r := rng.New(opt.Seed)
-	s := newSampler(g)
-	prob := func(e graph.EdgeID) float64 { return w[e] }
-
-	nf := float64(n)
-	k := opt.K
-	eps := opt.Epsilon
-	ell := opt.Ell
-	logcnk := logChoose(n, k)
-	logn := math.Log(nf)
-
-	col := &Collection{n: n, scale: n}
-	grow := func(target int) {
-		if target > opt.MaxSets {
-			target = opt.MaxSets
-		}
-		for len(col.sets) < target {
-			root := graph.NodeID(r.Intn(n))
-			col.sets = append(col.sets, s.sampleRR(root, prob, r))
-		}
-	}
-
-	// Phase 1: estimate a lower bound LB on OPT_k.
-	epsPrime := math.Sqrt2 * eps
-	lambdaPrime := (2 + 2*epsPrime/3) * (logcnk + ell*logn + math.Log(math.Log2(nf))) * nf / (epsPrime * epsPrime)
-	LB := 1.0
-	maxRounds := int(math.Log2(nf))
-	if maxRounds < 1 {
-		maxRounds = 1
-	}
-	for i := 1; i < maxRounds; i++ {
-		x := nf / math.Pow(2, float64(i))
-		thetaI := int(math.Ceil(lambdaPrime / x))
-		grow(thetaI)
-		_, cov := col.SelectSeeds(k)
-		if cov >= (1+epsPrime)*x {
-			LB = cov / (1 + epsPrime)
-			break
-		}
-	}
-
-	// Phase 2: θ = λ*/LB RR sets, then greedy selection.
-	alpha := math.Sqrt(ell*logn + math.Log(2))
-	beta := math.Sqrt((1 - 1/math.E) * (logcnk + ell*logn + math.Log(2)))
-	lambdaStar := 2 * nf * (alpha + beta) * (alpha + beta) / (eps * eps)
-	theta := int(math.Ceil(lambdaStar / LB))
-	grow(theta)
-	seeds, spread := col.SelectSeeds(k)
-	return &IMMResult{Seeds: seeds, SpreadEst: spread, SetsUsed: col.NumSets(), LowerBound: LB}, nil
-}
-
-// IMMModel runs IMM under the TIC model mixed by gamma.
-func IMMModel(m *tic.Model, gamma topic.Dist, opt IMMOptions) (*IMMResult, error) {
-	return IMM(m.Graph(), m.Weights(gamma), opt)
-}
-
-// logChoose returns ln C(n,k) via lgamma.
-func logChoose(n, k int) float64 {
-	lg := func(x float64) float64 {
-		v, _ := math.Lgamma(x)
-		return v
-	}
-	return lg(float64(n+1)) - lg(float64(k+1)) - lg(float64(n-k+1))
 }

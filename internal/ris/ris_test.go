@@ -34,10 +34,20 @@ func hubGraph(t testing.TB) (*tic.Model, *graph.Graph) {
 	return mb.Build(), g
 }
 
+// generateAll draws count RR sets rooted uniformly over every node: the
+// untargeted RIS estimator of σ.
+func generateAll(m *tic.Model, gamma topic.Dist, count int, r *rng.Source) *Collection {
+	all := make([]graph.NodeID, m.Graph().NumNodes())
+	for v := range all {
+		all[v] = graph.NodeID(v)
+	}
+	return GenerateTargeted(m, gamma, all, count, r, nil)
+}
+
 func TestRISEstimateMatchesMC(t *testing.T) {
 	m, _ := hubGraph(t)
 	gamma := topic.Dist{1}
-	col := Generate(m, gamma, 30000, rng.New(1))
+	col := generateAll(m, gamma, 30000, rng.New(1))
 	est := col.EstimateSpread([]graph.NodeID{0})
 	sim := tic.NewSimulator(m)
 	mc := sim.EstimateSpread([]graph.NodeID{0}, gamma, 20000, rng.New(2))
@@ -48,7 +58,7 @@ func TestRISEstimateMatchesMC(t *testing.T) {
 
 func TestRISSingletonAvgSize(t *testing.T) {
 	m, g := hubGraph(t)
-	col := Generate(m, topic.Dist{1}, 20000, rng.New(3))
+	col := generateAll(m, topic.Dist{1}, 20000, rng.New(3))
 	// E[RR size] = average singleton spread = (1/n)Σ_u σ({u}).
 	sim := tic.NewSimulator(m)
 	total := 0.0
@@ -63,7 +73,7 @@ func TestRISSingletonAvgSize(t *testing.T) {
 
 func TestSelectSeedsPrefersHub(t *testing.T) {
 	m, _ := hubGraph(t)
-	col := Generate(m, topic.Dist{1}, 5000, rng.New(4))
+	col := generateAll(m, topic.Dist{1}, 5000, rng.New(4))
 	seeds, spread := col.SelectSeeds(1)
 	if len(seeds) != 1 || seeds[0] != 0 {
 		t.Fatalf("seeds = %v, want [0]", seeds)
@@ -75,7 +85,7 @@ func TestSelectSeedsPrefersHub(t *testing.T) {
 
 func TestSelectSeedsZeroAndOverflow(t *testing.T) {
 	m, _ := hubGraph(t)
-	col := Generate(m, topic.Dist{1}, 100, rng.New(5))
+	col := generateAll(m, topic.Dist{1}, 100, rng.New(5))
 	if s, _ := col.SelectSeeds(0); s != nil {
 		t.Fatalf("k=0 seeds = %v", s)
 	}
@@ -88,7 +98,7 @@ func TestSelectSeedsZeroAndOverflow(t *testing.T) {
 
 func TestEstimateSpreadMonotone(t *testing.T) {
 	m, _ := hubGraph(t)
-	col := Generate(m, topic.Dist{1}, 3000, rng.New(6))
+	col := generateAll(m, topic.Dist{1}, 3000, rng.New(6))
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		k1 := 1 + r.Intn(5)
@@ -104,10 +114,10 @@ func TestEstimateSpreadMonotone(t *testing.T) {
 	}
 }
 
-func TestGenerateWeightedZeroProbs(t *testing.T) {
+func TestZeroProbsGiveSingletonSets(t *testing.T) {
 	_, g := hubGraph(t)
-	w := make([]float64, g.NumEdges())
-	col := GenerateWeighted(g, w, 500, rng.New(7))
+	m := tic.NewBuilder(g, 1).Build()
+	col := generateAll(m, topic.Dist{1}, 500, rng.New(7))
 	for i := 0; i < col.NumSets(); i++ {
 		if len(col.Set(i)) != 1 {
 			t.Fatalf("zero-prob RR set has %d nodes", len(col.Set(i)))
@@ -132,7 +142,7 @@ func TestGreedyMatchesExhaustiveTiny(t *testing.T) {
 		_ = mb.SetProb(graph.EdgeID(e), 0, 0.8)
 	}
 	m := mb.Build()
-	col := Generate(m, topic.Dist{1}, 20000, rng.New(8))
+	col := generateAll(m, topic.Dist{1}, 20000, rng.New(8))
 	seeds, spread := col.SelectSeeds(2)
 
 	best := 0.0
@@ -149,83 +159,41 @@ func TestGreedyMatchesExhaustiveTiny(t *testing.T) {
 	}
 }
 
-func TestIMMFindsHub(t *testing.T) {
-	m, g := hubGraph(t)
-	res, err := IMM(g, m.Weights(topic.Dist{1}), IMMOptions{K: 2, Epsilon: 0.3, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, s := range res.Seeds {
-		if s == 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("IMM seeds %v missing hub 0", res.Seeds)
-	}
-	if res.SetsUsed == 0 || res.SpreadEst <= 0 {
-		t.Fatalf("degenerate result: %+v", res)
-	}
-}
-
-func TestIMMModelWrapper(t *testing.T) {
+func TestGenerateTargeted(t *testing.T) {
 	m, _ := hubGraph(t)
-	res, err := IMMModel(m, topic.Dist{1}, IMMOptions{K: 1, Epsilon: 0.3, Seed: 10})
-	if err != nil {
-		t.Fatal(err)
+	gamma := topic.Dist{1}
+	// Targets: the leaves 1..20 of the hub. Node 0 covers all targeted
+	// RR sets whose root it reaches.
+	targets := make([]graph.NodeID, 0, 20)
+	for v := int32(1); v <= 20; v++ {
+		targets = append(targets, v)
 	}
-	if res.Seeds[0] != 0 {
-		t.Fatalf("IMMModel seed = %v", res.Seeds)
+	col := GenerateTargeted(m, gamma, targets, 20000, rng.New(3), nil)
+	if col.NumNodes() != len(targets) {
+		t.Fatalf("target universe = %d", col.NumNodes())
 	}
-}
-
-func TestIMMErrors(t *testing.T) {
-	m, g := hubGraph(t)
-	w := m.Weights(topic.Dist{1})
-	if _, err := IMM(g, w, IMMOptions{K: 0}); err == nil {
-		t.Fatal("k=0 accepted")
+	// σ_T({0}) = expected #targets activated by 0 = 20·0.9 = 18.
+	got := col.EstimateSpread([]graph.NodeID{0})
+	if math.Abs(got-18) > 0.5 {
+		t.Fatalf("targeted spread = %v, want ~18", got)
 	}
-	if _, err := IMM(g, w, IMMOptions{K: 1000}); err == nil {
-		t.Fatal("k>n accepted")
+	// A node outside the hub's reach activates only itself if targeted.
+	got21 := col.EstimateSpread([]graph.NodeID{21})
+	if got21 > 0.5 {
+		t.Fatalf("non-influencer targeted spread = %v", got21)
 	}
-	if _, err := IMM(g, w, IMMOptions{K: 1, Epsilon: 1.5}); err == nil {
-		t.Fatal("epsilon>1 accepted")
-	}
-	empty := graph.NewBuilder(0).Build()
-	if _, err := IMM(empty, nil, IMMOptions{K: 1}); err == nil {
-		t.Fatal("empty graph accepted")
-	}
-}
-
-func TestIMMDeterministic(t *testing.T) {
-	m, g := hubGraph(t)
-	w := m.Weights(topic.Dist{1})
-	a, err := IMM(g, w, IMMOptions{K: 3, Epsilon: 0.3, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := IMM(g, w, IMMOptions{K: 3, Epsilon: 0.3, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.SetsUsed != b.SetsUsed || len(a.Seeds) != len(b.Seeds) {
-		t.Fatalf("nondeterministic IMM: %+v vs %+v", a, b)
-	}
-	for i := range a.Seeds {
-		if a.Seeds[i] != b.Seeds[i] {
-			t.Fatalf("seed %d differs", i)
-		}
+	// Seed selection restricted to targets' influencers finds the hub.
+	seeds, _ := col.SelectSeeds(1)
+	if seeds[0] != 0 {
+		t.Fatalf("targeted seed = %v", seeds)
 	}
 }
 
-func TestLogChoose(t *testing.T) {
-	// ln C(5,2) = ln 10
-	if got := logChoose(5, 2); math.Abs(got-math.Log(10)) > 1e-9 {
-		t.Fatalf("logChoose(5,2) = %v", got)
-	}
-	if got := logChoose(100, 0); math.Abs(got) > 1e-9 {
-		t.Fatalf("logChoose(100,0) = %v", got)
+func TestGenerateTargetedEmpty(t *testing.T) {
+	m, _ := hubGraph(t)
+	col := GenerateTargeted(m, topic.Dist{1}, nil, 100, rng.New(1), nil)
+	if col.NumSets() != 0 || col.NumNodes() != 0 {
+		t.Fatalf("empty targets produced %d sets", col.NumSets())
 	}
 }
 
@@ -244,14 +212,14 @@ func BenchmarkGenerateRR(b *testing.B) {
 	gamma := topic.Uniform(4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		col := Generate(m, gamma, 100, rng.New(uint64(i)))
+		col := generateAll(m, gamma, 100, rng.New(uint64(i)))
 		_ = col
 	}
 }
 
 func BenchmarkSelectSeeds(b *testing.B) {
 	m, _ := hubGraph(b)
-	col := Generate(m, topic.Dist{1}, 20000, rng.New(2))
+	col := generateAll(m, topic.Dist{1}, 20000, rng.New(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		col.SelectSeeds(5)

@@ -445,6 +445,20 @@ func TestTargetedEndpoint(t *testing.T) {
 	}
 }
 
+// A k far beyond the node count is clamped to it, not used to size the
+// seed list: it once panicked in the allocation.
+func TestTargetedHugeKClamped(t *testing.T) {
+	s, sys := freshServer(t, Options{})
+	rec, body := postJSON(t, s, "/api/im/targeted",
+		`{"q":"data mining","audience":[0,1,2,3,4,5,6,7],"k":4000000000000000000,"rrSamples":500}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d body = %v", rec.Code, body)
+	}
+	if seeds := body["seeds"].([]any); len(seeds) == 0 || len(seeds) > sys.Graph().NumNodes() {
+		t.Fatalf("got %d seeds for a graph of %d nodes", len(seeds), sys.Graph().NumNodes())
+	}
+}
+
 func TestTargetedRejectsBadRequests(t *testing.T) {
 	s, sys := freshServer(t, Options{})
 	for _, tc := range []struct {

@@ -63,10 +63,9 @@
 //     up-to-1.5× a coarser periodic check would allow. (Only a failing
 //     fold stretches it: retries are then paced one interval apart.)
 //   - Keyword vocabulary is the one dimension that stays frozen across
-//     carry-over folds: the topic model is reused, so keywords unseen at
-//     build time remain "unknown" to gamma inference until a fold with
-//     Config.RelearnEM (which re-runs EM over the merged log off the hot
-//     path and grows the vocabulary).
+//     folds: the topic model is carried over, so keywords unseen at
+//     build time remain "unknown" to gamma inference. The vocabulary
+//     grows only through a fresh `octopus build` over the merged log.
 //
 // Ingestion ordering matters only across dependent events: an edge that
 // introduces a brand-new node must be ingested before actions by that
@@ -74,7 +73,7 @@
 // counted in Stats.Invalid and dropped, never applied partially.
 //
 // If a fold fails (it cannot in practice unless a custom Prior emits
-// out-of-range probabilities or RelearnEM is misconfigured), the
+// out-of-range probabilities), the
 // previous snapshot keeps serving, the failure is recorded in Stats
 // (and returned by ForceSnapshot), and the delta is merged back into
 // the pending overlay to be retried at the next fold.

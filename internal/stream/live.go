@@ -44,13 +44,6 @@ type Config struct {
 	// to, guarding against a malformed event allocating an enormous CSR
 	// at fold time. Default 4×base nodes + 1024.
 	MaxNodes int
-	// RelearnEM re-runs EM over the merged action log at every fold
-	// instead of carrying the model over with priors. Far more expensive
-	// (still off the hot path) but grows the keyword vocabulary. Topics
-	// defaults to the base model's topic count.
-	RelearnEM bool
-	// Topics is Z for RelearnEM folds.
-	Topics int
 	// Workers overrides the build parallelism of fold rebuilds — the
 	// EM/index pipeline behind every snapshot swap (0 inherits the base
 	// system's build config, 1 forces serial). More workers shrink
@@ -61,10 +54,9 @@ type Config struct {
 	// (core.Fold) when a delta leaves the graph unchanged — items and
 	// actions only — so such a swap costs only the log-derived
 	// structures. The folded snapshot is query-for-query identical to a
-	// full rebuild at the unchanged seed. A delta that touches the graph,
-	// or any fold with RelearnEM, rebuilds at the per-generation
-	// perturbed seed and counts in Stats.FoldFallbacks. Without it every
-	// fold rebuilds.
+	// full rebuild at the unchanged seed. A delta that touches the graph
+	// rebuilds at the per-generation perturbed seed and counts in
+	// Stats.FoldFallbacks. Without it every fold rebuilds.
 	IncrementalFold bool
 	// foldHook, when non-nil, runs at the start of every fold rebuild
 	// and aborts it by returning an error — the failure-injection seam
@@ -98,9 +90,6 @@ func (c *Config) fill(base *core.System) {
 	}
 	if c.MaxNodes <= 0 {
 		c.MaxNodes = 4*base.Graph().NumNodes() + 1024
-	}
-	if c.Topics <= 0 {
-		c.Topics = base.Keywords().NumTopics()
 	}
 	if c.Logger == nil {
 		c.Logger = obs.NopLogger()
@@ -208,11 +197,11 @@ type Stats struct {
 	LastSwapAt      time.Time `json:"lastSwapAt,omitempty"`
 	// With Config.IncrementalFold, IncrementalFolds counts the swaps
 	// that reused the indexes (graph-unchanged deltas) and FoldFallbacks
-	// the ones that rebuilt (the delta touched the graph, or RelearnEM).
+	// the ones that rebuilt (the delta touched the graph).
 	IncrementalFolds uint64 `json:"incrementalFolds"`
 	FoldFallbacks    uint64 `json:"foldFallbacks"`
 	// Per-stage durations of the last fold's construction (model
-	// carry-over/relearn, index builds, derived structures) — where the
+	// carry-over, index builds, derived structures) — where the
 	// swap latency went.
 	LastFoldModelMillis   float64 `json:"lastFoldModelMillis"`
 	LastFoldOTIMMillis    float64 `json:"lastFoldOtimMillis"`
@@ -1153,14 +1142,12 @@ func (ls *LiveSystem) rebuild(old *Snapshot, ov *overlay) (*core.System, bool, e
 	if ls.cfg.Workers != 0 {
 		cfg.Workers = ls.cfg.Workers
 	}
-	// Carry-over folds share the keyword model with serving snapshots, so
-	// its topic names must never be re-touched from the fold goroutine;
-	// RelearnEM folds learn fresh, uncorrelated topics the base names
-	// would mislabel (and a changed Topics count would reject them).
+	// Folds share the keyword model with serving snapshots, so its topic
+	// names must never be re-touched from the fold goroutine.
 	cfg.TopicNames = nil
 
 	if ls.cfg.IncrementalFold {
-		if newG == oldG && !ls.cfg.RelearnEM {
+		if newG == oldG {
 			// The seed is NOT perturbed: the indexes it drew are reused.
 			sys, err := core.Fold(oldSys, newLog, cfg)
 			if err != nil {
@@ -1172,29 +1159,23 @@ func (ls *LiveSystem) rebuild(old *Snapshot, ov *overlay) (*core.System, bool, e
 	}
 
 	cfg.Seed = foldSeed(cfg.Seed, old.Version+1)
-	if ls.cfg.RelearnEM {
-		cfg.GroundTruth, cfg.GroundTruthWords = nil, nil
-		cfg.Topics = ls.cfg.Topics
-	} else {
-		// Carry the learned model onto the grown graph, overlay priors
-		// filling the new edges. (RelearnEM skips this: EM relearns every
-		// edge from the merged log anyway.)
-		model := oldSys.Propagation()
-		if newG != oldG {
-			var err error
-			model, err = tic.Remap(model, newG, func(u, v graph.NodeID) []float64 {
-				if probs, ok := ov.edges[edgeKey{u, v}]; ok {
-					return probs
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, false, fmt.Errorf("stream: fold model: %w", err)
+	// Carry the learned model onto the grown graph, overlay priors
+	// filling the new edges.
+	model := oldSys.Propagation()
+	if newG != oldG {
+		var err error
+		model, err = tic.Remap(model, newG, func(u, v graph.NodeID) []float64 {
+			if probs, ok := ov.edges[edgeKey{u, v}]; ok {
+				return probs
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, false, fmt.Errorf("stream: fold model: %w", err)
 		}
-		cfg.GroundTruth = model
-		cfg.GroundTruthWords = oldSys.Keywords()
 	}
+	cfg.GroundTruth = model
+	cfg.GroundTruthWords = oldSys.Keywords()
 	sys, err := core.Build(newG, newLog, cfg)
 	if err != nil {
 		return nil, false, fmt.Errorf("stream: fold rebuild: %w", err)

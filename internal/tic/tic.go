@@ -7,7 +7,7 @@
 // Per-edge topic probabilities are stored sparsely (most edges are active
 // in a handful of topics) in a CSR-like layout aligned with graph edge
 // ids. The package also provides the Monte-Carlo cascade machinery used
-// by the naive baselines and by ground-truth spread measurement.
+// for ground-truth spread measurement.
 package tic
 
 import (
@@ -74,9 +74,9 @@ func (m *Model) EdgeTopics(e graph.EdgeID, fn func(z int, p float64)) {
 	}
 }
 
-// Weights materializes p_e(γ) for every edge — the expensive step the
-// naive query baseline must pay per query (Section I: "a straightforward
-// solution … is extremely expensive"). The result is indexed by EdgeID.
+// Weights materializes p_e(γ) for every edge — the per-query step the
+// online engines avoid (Section I: "a straightforward solution … is
+// extremely expensive"). The result is indexed by EdgeID.
 func (m *Model) Weights(gamma topic.Dist) []float64 {
 	w := make([]float64, m.g.NumEdges())
 	for e := range w {
@@ -302,8 +302,8 @@ func (s *Simulator) Cascade(seeds []graph.NodeID, gamma topic.Dist, r *rng.Sourc
 	return activated
 }
 
-// CascadeWeighted is Cascade with pre-materialized edge weights (used by
-// the naive baseline after it pays the Weights cost).
+// CascadeWeighted is Cascade with pre-materialized edge weights (from
+// Weights).
 func (s *Simulator) CascadeWeighted(seeds []graph.NodeID, w []float64, r *rng.Source) int {
 	s.epoch++
 	if s.epoch == 0 {

@@ -196,7 +196,7 @@ func BenchmarkE8InfluencerIndex(b *testing.B) {
 	hub := hubNode(ds)
 	b.Run("QueryIndexed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ix.SpreadEstimate(hub, gamma)
+			ix.SpreadEstimate(hub, gamma, nil)
 		}
 	})
 	sim := tic.NewSimulator(ds.Truth)

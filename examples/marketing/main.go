@@ -96,7 +96,7 @@ func main() {
 		}
 	}
 	if len(audience) > 0 {
-		tres, err := sys.DiscoverTargetedInfluencers([]string{"game"}, audience, 5, 20000, 9)
+		tres, err := sys.DiscoverTargetedInfluencers([]string{"game"}, audience, 5, 20000, 9, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func main() {
 	}
 	fmt.Printf("\n%s is most influential for products tagged %v (est. σ=%.1f)\n",
 		ds.Graph.Name(target), sug.Keywords, sug.Spread)
-	ranked, err := sys.RankUserKeywords(target, 6)
+	ranked, err := sys.RankUserKeywords(target, 6, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

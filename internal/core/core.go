@@ -576,17 +576,10 @@ type TargetedResult struct {
 // target audience rather than the whole network — the targeted-IM
 // service of the advertising deployment (reference [7]: real-time
 // targeted influence maximization for online advertisements). Spread is
-// estimated with reverse-reachable sets rooted in the audience.
+// estimated with reverse-reachable sets rooted in the audience; the
+// RR-sampling work is accounted into cost (nil disables it).
 func (s *System) DiscoverTargetedInfluencers(keywords []string, audience []graph.NodeID,
-	k, rrSamples int, seed uint64) (*TargetedResult, error) {
-	return s.DiscoverTargetedInfluencersCost(keywords, audience, k, rrSamples, seed, nil)
-}
-
-// DiscoverTargetedInfluencersCost is DiscoverTargetedInfluencers with
-// RR-sampling work accounted into cost (nil disables it).
-func (s *System) DiscoverTargetedInfluencersCost(keywords []string, audience []graph.NodeID,
 	k, rrSamples int, seed uint64, cost *obs.Cost) (*TargetedResult, error) {
-
 	if k <= 0 {
 		return nil, fmt.Errorf("core: k must be positive")
 	}
@@ -629,19 +622,14 @@ func (s *System) SuggestKeywords(user graph.NodeID, k int, opt tags.SuggestOptio
 	return s.sugg.Suggest(user, opt)
 }
 
-// RankUserKeywords lists a user's keywords by estimated influence.
-func (s *System) RankUserKeywords(user graph.NodeID, limit int) ([]tags.KeywordScore, error) {
-	return s.RankUserKeywordsCost(user, limit, nil)
-}
-
-// RankUserKeywordsCost is RankUserKeywords with index-work accounting
-// into cost (nil disables it).
-func (s *System) RankUserKeywordsCost(user graph.NodeID, limit int, cost *obs.Cost) ([]tags.KeywordScore, error) {
+// RankUserKeywords lists a user's keywords by estimated influence,
+// accounting the index work into cost (nil disables it).
+func (s *System) RankUserKeywords(user graph.NodeID, limit int, cost *obs.Cost) ([]tags.KeywordScore, error) {
 	if int(user) < 0 || int(user) >= s.g.NumNodes() {
 		return nil, fmt.Errorf("core: user %d out of range", user)
 	}
 	s.ensureKeywordPools()
-	return s.sugg.RankKeywordsCost(user, limit, cost), nil
+	return s.sugg.RankKeywords(user, limit, cost), nil
 }
 
 // Radar returns the per-topic profile of one keyword with display names

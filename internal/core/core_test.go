@@ -163,7 +163,7 @@ func TestDiscoverTargetedInfluencers(t *testing.T) {
 	if len(audience) < 10 {
 		t.Skipf("tiny audience: %d", len(audience))
 	}
-	res, err := s.DiscoverTargetedInfluencers([]string{"mining"}, audience, 5, 8000, 7)
+	res, err := s.DiscoverTargetedInfluencers([]string{"mining"}, audience, 5, 8000, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,13 +182,13 @@ func TestDiscoverTargetedInfluencers(t *testing.T) {
 
 func TestDiscoverTargetedValidation(t *testing.T) {
 	s, _ := testSystem(t)
-	if _, err := s.DiscoverTargetedInfluencers([]string{"mining"}, nil, 3, 100, 1); err == nil {
+	if _, err := s.DiscoverTargetedInfluencers([]string{"mining"}, nil, 3, 100, 1, nil); err == nil {
 		t.Fatal("empty audience accepted")
 	}
-	if _, err := s.DiscoverTargetedInfluencers([]string{"mining"}, []graph.NodeID{0}, 0, 100, 1); err == nil {
+	if _, err := s.DiscoverTargetedInfluencers([]string{"mining"}, []graph.NodeID{0}, 0, 100, 1, nil); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := s.DiscoverTargetedInfluencers([]string{"mining"}, []graph.NodeID{9999}, 3, 100, 1); err == nil {
+	if _, err := s.DiscoverTargetedInfluencers([]string{"mining"}, []graph.NodeID{9999}, 3, 100, 1, nil); err == nil {
 		t.Fatal("out-of-range audience accepted")
 	}
 }
@@ -252,7 +252,7 @@ func TestRankUserKeywords(t *testing.T) {
 	if target < 0 {
 		t.Skip("no keyword-rich user")
 	}
-	ranked, err := s.RankUserKeywords(target, 5)
+	ranked, err := s.RankUserKeywords(target, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

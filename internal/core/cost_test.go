@@ -45,7 +45,7 @@ func costProfile(t *testing.T, sys *System) map[string]*obs.Cost {
 	out["suggest"] = c
 
 	c = &obs.Cost{}
-	if _, err := sys.RankUserKeywordsCost(target, 5, c); err != nil {
+	if _, err := sys.RankUserKeywords(target, 5, c); err != nil {
 		t.Fatal(err)
 	}
 	out["keywords"] = c
@@ -58,7 +58,7 @@ func costProfile(t *testing.T, sys *System) map[string]*obs.Cost {
 
 	audience := []graph.NodeID{1, 2, 3, 5, 8, 13, 21, 34}
 	c = &obs.Cost{}
-	if _, err := sys.DiscoverTargetedInfluencersCost([]string{"mining"}, audience, 3, 500, 42, c); err != nil {
+	if _, err := sys.DiscoverTargetedInfluencers([]string{"mining"}, audience, 3, 500, 42, c); err != nil {
 		t.Fatal(err)
 	}
 	out["targeted"] = c

@@ -94,8 +94,8 @@ func requireSystemsEqual(t *testing.T, a, b *System) {
 			continue
 		}
 		checked++
-		ka, err1 := a.RankUserKeywords(graph.NodeID(u), 5)
-		kb, err2 := b.RankUserKeywords(graph.NodeID(u), 5)
+		ka, err1 := a.RankUserKeywords(graph.NodeID(u), 5, nil)
+		kb, err2 := b.RankUserKeywords(graph.NodeID(u), 5, nil)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}

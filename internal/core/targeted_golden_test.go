@@ -22,7 +22,7 @@ func TestTargetedGolden(t *testing.T) {
 	if len(audience) != 94 {
 		t.Fatalf("audience has %d users, want 94: the corpus changed", len(audience))
 	}
-	res, err := s.DiscoverTargetedInfluencers([]string{"mining", "pattern"}, audience, 5, 3000, 21)
+	res, err := s.DiscoverTargetedInfluencers([]string{"mining", "pattern"}, audience, 5, 3000, 21, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

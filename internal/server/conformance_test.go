@@ -222,6 +222,11 @@ func conformanceCases() []confCase {
 		{name: "targeted bad json", method: "POST", path: confPath("/api/im/targeted"), body: `{oops`, want: 400, errSub: "JSON"},
 		{name: "targeted empty audience", method: "POST", path: confPath("/api/im/targeted"),
 			body: `{"q":"data","audience":[]}`, want: 400, errSub: "audience"},
+		{name: "targeted explain", method: "POST", path: confPath("/api/im/targeted?explain=1"),
+			body: `{"q":"data","audience":[0,1,2],"k":2,"rrSamples":200}`,
+			want: 200, keys: []string{"result", "cost"}},
+		{name: "targeted explain empty audience", method: "POST", path: confPath("/api/im/targeted?explain=1"),
+			body: `{"q":"data","audience":[]}`, want: 400, errSub: "audience"},
 		{name: "targeted 405", method: "GET", path: confPath("/api/im/targeted"), want: 405, allow: "POST"},
 
 		// ---- ingest (live-only; 404 on static) ----

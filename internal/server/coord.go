@@ -312,7 +312,19 @@ func (v *remoteView) fanout(method, path string, body []byte) []shardReply {
 	return replies
 }
 
+// Query forwards the request to every pinned shard — the method and,
+// for POST /api/im/targeted, the body — and merges the replies.
 func (v *remoteView) Query(endpoint string, w http.ResponseWriter, r *http.Request) {
+	method := http.MethodGet
+	var body []byte
+	if r.Method == http.MethodPost {
+		b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
+			return
+		}
+		method, body = http.MethodPost, b
+	}
 	qc := queryCostFrom(r.Context())
 	q := r.URL.Query()
 	// Shards account cost whenever the coordinator does (explain or
@@ -325,7 +337,7 @@ func (v *remoteView) Query(endpoint string, w http.ResponseWriter, r *http.Reque
 	} else {
 		q.Del("explain")
 	}
-	replies := v.fanout(http.MethodGet, "/api/"+endpoint+"?"+q.Encode(), nil)
+	replies := v.fanout(method, r.URL.Path+"?"+q.Encode(), body)
 	if qc != nil {
 		v.unwrapCosts(replies, qc)
 	}
@@ -334,49 +346,6 @@ func (v *remoteView) Query(endpoint string, w http.ResponseWriter, r *http.Reque
 
 func (v *remoteView) Status(w http.ResponseWriter, r *http.Request) {
 	v.merge("status", w, v.fanout(http.MethodGet, "/api/status", nil))
-}
-
-func (v *remoteView) Targeted(w http.ResponseWriter, r *http.Request) {
-	qp := params(r)
-	explain := qp.Flag("explain")
-	if qp.bad(w) {
-		return
-	}
-	var qc *queryCost
-	if explain || v.s.tracer != nil {
-		qc = &queryCost{explain: explain}
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
-		return
-	}
-	path := "/api/im/targeted"
-	if qc != nil {
-		path += "?explain=1"
-	}
-	replies := v.fanout(http.MethodPost, path, body)
-	if qc != nil {
-		v.unwrapCosts(replies, qc)
-	}
-	rec := newRecorder()
-	v.merge("targeted", rec, replies)
-	e := rec.entry()
-	if qc != nil {
-		tr := obs.TraceFrom(r.Context())
-		tr.AttachCost(&qc.cost)
-		v.s.costs.Observe("targeted", &qc.cost)
-		if qc.explain {
-			e = explainEntry(e, &qc.cost)
-		}
-	}
-	for k, vs := range e.Header {
-		for _, hv := range vs {
-			w.Header().Add(k, hv)
-		}
-	}
-	w.WriteHeader(e.Status)
-	_, _ = w.Write(e.Body)
 }
 
 // GammaKey returns "": every shard adopted the same full-corpus topic

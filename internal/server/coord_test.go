@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -218,6 +219,45 @@ func TestCoordinatorTwoShardMerge(t *testing.T) {
 		}
 	})
 
+	t.Run("targeted merges additively", func(t *testing.T) {
+		const k, rrSamples = 4, 300
+		body := fmt.Sprintf(`{"q":"data","audience":[0,1,2,3,4,5,6,7],"k":%d,"rrSamples":%d}`, k, rrSamples)
+		rec := do(t, coord, "POST", "/api/im/targeted", body)
+		if rec.Code != 200 {
+			t.Fatalf("targeted = %d: %s", rec.Code, rec.Body.String())
+		}
+		var resp struct {
+			targetedResponse
+			ShardsMissing []int `json:"shards_missing"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Seeds) == 0 || len(resp.Seeds) > k {
+			t.Fatalf("merged targeted returned %d seeds", len(resp.Seeds))
+		}
+		for i, s := range resp.Seeds {
+			if s.Spread <= 0 {
+				t.Fatalf("seed %d has non-positive merged spread %v", i, s.Spread)
+			}
+		}
+		if len(resp.ShardsMissing) > 0 {
+			t.Fatalf("healthy fleet reported shards_missing %v", resp.ShardsMissing)
+		}
+		// Each shard samples rrSamples RR sets; the ledgers add up.
+		rec = do(t, coord, "POST", "/api/im/targeted?explain=1", body)
+		if rec.Code != 200 {
+			t.Fatalf("targeted explain = %d: %s", rec.Code, rec.Body.String())
+		}
+		var doc explainDoc
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc.Cost == nil || doc.Cost.RIS.Samples != 2*rrSamples {
+			t.Fatalf("merged targeted cost = %+v, want ris.samples %d", doc.Cost, 2*rrSamples)
+		}
+	})
+
 	t.Run("suggest answers from the owning shard", func(t *testing.T) {
 		user := url.QueryEscape(richUser(sys))
 		rec := do(t, coord, "GET", "/api/suggest?user="+user+"&k=2", "")
@@ -383,6 +423,38 @@ func TestCoordinatorShardErrorIsMissing(t *testing.T) {
 // TestCoordinatorFleetGeneration: a shard going down changes the fleet
 // generation, implicitly invalidating every cached merged answer —
 // the same mechanism a snapshot swap uses on a single process.
+// TestCoordinatorTargetedShed: a coordinator's targeted fan-outs take
+// an admission slot like its read endpoints, so -max-inflight bounds
+// them too.
+func TestCoordinatorTargetedShed(t *testing.T) {
+	_, sys := testServer(t)
+	srv := NewWith(sys, Options{})
+	t.Cleanup(srv.Close)
+	backend := httptest.NewServer(srv)
+	t.Cleanup(backend.Close)
+	coord, err := NewCoordinator([]string{backend.URL}, Options{MaxInflight: 1}, CoordinatorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	if !coord.gate.TryAcquire() {
+		t.Fatal("could not fill the gate")
+	}
+	defer coord.gate.Release()
+	rec := do(t, coord, "POST", "/api/im/targeted", `{"q":"data","audience":[0,1,2],"k":2,"rrSamples":200}`)
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("targeted with a full gate = %d, want 429: %s", rec.Code, rec.Body.String())
+	}
+	if ra := rec.Header().Get("Retry-After"); ra == "" {
+		t.Error("coordinator targeted shed lacks Retry-After")
+	}
+	_, m := get(t, coord, "/api/metrics")
+	eps := m["endpoints"].(map[string]any)
+	if shed := eps["targeted"].(map[string]any)["shed"].(float64); shed != 1 {
+		t.Fatalf("targeted shed = %v, want 1", shed)
+	}
+}
+
 func TestCoordinatorFleetGeneration(t *testing.T) {
 	coord, backends := startCoordinator(t, twoShardSystems(t),
 		CoordinatorOptions{ShardTimeout: 2 * time.Second, ProbeInterval: time.Hour})

@@ -115,6 +115,9 @@ func TestShedWithExplainKeepsRetryAfter(t *testing.T) {
 	if ra := rec.Header().Get("Retry-After"); ra == "" {
 		t.Error("shed explain response lost Retry-After")
 	}
+	if c := rec.Header().Get("X-Octopus-Cache"); c != "shed" {
+		t.Errorf("cache-off shed labelled X-Octopus-Cache %q, want shed", c)
+	}
 	if h := rec.Header().Get("X-Octopus-Cost"); h != "none" {
 		t.Errorf("shed request cost header = %q, want none (no engine work)", h)
 	}

@@ -1,13 +1,14 @@
 // engine.go is the seam between the HTTP serving layer and where
 // answers actually come from. The query path (qserve.go) never touches
-// core.System directly any more: it pins an engineView and dispatches
-// endpoints against it. Two implementations exist — localEngine, the
-// in-process system every single-node server uses, and remoteEngine
-// (coord.go), the shard client a coordinator fans queries out through.
-// Everything above the interface (cache, coalescing, admission,
-// metrics, tracing, explain envelopes) is shared verbatim, which is
-// what keeps a 1-shard coordinator byte-identical to a single-process
-// server.
+// core.System directly: it pins an engineView and dispatches endpoints
+// against it — the cached read endpoints and POST /api/im/targeted
+// alike, all through compute. Two implementations exist — localEngine,
+// the in-process system every single-node server uses, and
+// remoteEngine (coord.go), the shard client a coordinator fans queries
+// out through. Everything above the interface (cache, coalescing,
+// admission, metrics, tracing, explain envelopes) is shared verbatim,
+// which is what keeps a 1-shard coordinator byte-identical to a
+// single-process server.
 package server
 
 import (
@@ -30,15 +31,14 @@ type engine interface {
 // pure function of (view, request): the result cache's byte-identical
 // replay guarantee rests on it.
 type engineView interface {
-	// Query answers one cached read endpoint (im, suggest, keywords,
-	// radar, paths, complete). It writes the complete response,
-	// including error payloads.
+	// Query runs one engine endpoint: a cached read endpoint (im,
+	// suggest, keywords, radar, paths, complete) or targeted (POST
+	// /api/im/targeted, body in r). It writes the complete response,
+	// including error payloads; the serving layer's compute is its only
+	// caller.
 	Query(endpoint string, w http.ResponseWriter, r *http.Request)
 	// Status answers GET /api/status.
 	Status(w http.ResponseWriter, r *http.Request)
-	// Targeted answers POST /api/im/targeted; the caller has already
-	// pinned the view and stamped the generation header.
-	Targeted(w http.ResponseWriter, r *http.Request)
 	// GammaKey renders the inferred-γ cache-key component for an im
 	// query over the given keywords, or "" when the raw parameters
 	// already determine the answer (the remote engine: every shard
@@ -71,10 +71,6 @@ func (v localView) Query(endpoint string, w http.ResponseWriter, r *http.Request
 
 func (v localView) Status(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, v.sys.Stats())
-}
-
-func (v localView) Targeted(w http.ResponseWriter, r *http.Request) {
-	v.s.localTargeted(v.sys, w, r)
 }
 
 func (v localView) GammaKey(words []string) string {

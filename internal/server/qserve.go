@@ -4,9 +4,10 @@
 // response is cached under a canonical key tagged with that generation,
 // concurrent identical misses coalesce into a single engine run, and an
 // optional admission gate sheds excess engine work with 429 instead of
-// queueing it. The file also hosts the endpoints that exist because of
-// this layer: POST /api/batch, GET /api/metrics and POST
-// /api/im/targeted.
+// queueing it. POST /api/im/targeted takes the same path minus the
+// cache: its input is a body, outside the key space. The file also
+// hosts the endpoints that exist because of this layer: POST /api/batch
+// and GET /api/metrics.
 package server
 
 import (
@@ -24,18 +25,12 @@ import (
 	"time"
 
 	"octopus/internal/actionlog"
-	"octopus/internal/core"
-	"octopus/internal/graph"
 	"octopus/internal/obs"
 	"octopus/internal/qcache"
 )
 
 // maxBatchQueries bounds one POST /api/batch request.
 const maxBatchQueries = 256
-
-// maxTargetedRRSamples bounds the reverse-reachable sample count a
-// client may demand from POST /api/im/targeted.
-const maxTargetedRRSamples = 200_000
 
 // instrument wraps a route with per-endpoint metrics — request count,
 // error count, latency histogram, and (read back from the
@@ -102,18 +97,20 @@ func (sw *statusWriter) status() int {
 	return sw.code
 }
 
-// cachedQuery adapts a read endpoint to the cached serving path.
-func (s *Server) cachedQuery(endpoint string) http.HandlerFunc {
+// query adapts an engine endpoint to the serving path. Read endpoints
+// pass the server's result cache; POST /api/im/targeted passes nil.
+func (s *Server) query(endpoint string, cache *qcache.Cache) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.serveQuery(endpoint, w, r)
+		s.serveQuery(endpoint, cache, w, r)
 	}
 }
 
-// serveQuery answers one read request through the serving layer: pin
+// serveQuery answers one engine request through the serving layer: pin
 // an engine view and its generation, probe the cache, coalesce
 // identical concurrent misses, compute behind the admission gate,
-// store, replay.
-func (s *Server) serveQuery(endpoint string, w http.ResponseWriter, r *http.Request) {
+// store, replay. A nil cache (caching disabled, or an uncached
+// endpoint) skips straight to compute.
+func (s *Server) serveQuery(endpoint string, cache *qcache.Cache, w http.ResponseWriter, r *http.Request) {
 	v, gen, rel := s.engine.Acquire()
 	defer rel()
 	tr := obs.TraceFrom(r.Context())
@@ -131,14 +128,19 @@ func (s *Server) serveQuery(endpoint string, w http.ResponseWriter, r *http.Requ
 	if explain || s.tracer != nil {
 		r = r.WithContext(withQueryCost(r.Context(), &queryCost{explain: explain}))
 	}
-	if s.cache == nil {
-		replayEntry(w, s.compute(endpoint, v, r), qcache.StateBypass, gen)
+	if cache == nil {
+		e := s.compute(endpoint, v, r)
+		state := qcache.StateBypass
+		if e.Status == http.StatusTooManyRequests {
+			state = qcache.StateShed
+		}
+		replayEntry(w, e, state, gen)
 		return
 	}
 	endCache := tr.Span("cache")
 	key := cacheKey(endpoint, v, r.URL.Query())
 	state := qcache.StateMiss
-	if e, out := s.cache.Get(key, gen); out == qcache.Hit {
+	if e, out := cache.Get(key, gen); out == qcache.Hit {
 		endCache()
 		replayEntry(w, e, qcache.StateHit, gen)
 		return
@@ -166,7 +168,7 @@ func (s *Server) serveQuery(endpoint string, w http.ResponseWriter, r *http.Requ
 		// answer (missing shards on a coordinator) is never cached either:
 		// the next query must see a recovered shard immediately.
 		if e.Status == http.StatusOK && e.Header.Get(shardsMissingHeader) == "" {
-			s.cache.Put(key, gen, e)
+			cache.Put(key, gen, e)
 		}
 		return e
 	})
@@ -415,8 +417,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) batchOne(r *http.Request, bq batchQuery) batchResult {
-	_, ok := s.queryHandlers[bq.Endpoint]
-	if !ok {
+	// Targeted reads a POST body; a batch sub-query is a GET.
+	if _, ok := s.queryHandlers[bq.Endpoint]; !ok || bq.Endpoint == "targeted" {
 		rec := newRecorder()
 		writeErr(rec, http.StatusBadRequest,
 			fmt.Errorf("unknown batch endpoint %q (want one of im, suggest, keywords, radar, paths, complete)", bq.Endpoint))
@@ -438,9 +440,7 @@ func (s *Server) batchOne(r *http.Request, bq batchQuery) batchResult {
 	// Route through the same instrumentation as a standalone request, so
 	// batch traffic shows up in the per-endpoint metrics too.
 	rec := newRecorder()
-	s.instrument(bq.Endpoint, func(w http.ResponseWriter, r *http.Request) {
-		s.serveQuery(bq.Endpoint, w, r)
-	})(rec, sub)
+	s.instrument(bq.Endpoint, s.query(bq.Endpoint, s.cache))(rec, sub)
 	e := rec.entry()
 	gen, _ := strconv.ParseUint(e.Header.Get("X-Octopus-Generation"), 10, 64)
 	return batchResult{
@@ -473,144 +473,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.coord != nil {
 		resp.Shards = s.coord.health()
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// ---- POST /api/im/targeted ----
-
-type targetedRequest struct {
-	// Q is free text, tokenized like /api/im's q parameter. Keywords, if
-	// non-empty, is used verbatim instead.
-	Q         string   `json:"q"`
-	Keywords  []string `json:"keywords"`
-	Audience  []int32  `json:"audience"`
-	K         int      `json:"k"`
-	RRSamples int      `json:"rrSamples"`
-	Seed      uint64   `json:"seed"`
-}
-
-type targetedResponse struct {
-	Query          []string  `json:"query"`
-	Gamma          []float64 `json:"gamma"`
-	Topics         []string  `json:"topics"`
-	AudienceSpread float64   `json:"audienceSpread"`
-	Seeds          []imSeed  `json:"seeds"`
-}
-
-// handleTargeted exposes core.DiscoverTargetedInfluencers: k seeds
-// maximizing influence over a target audience rather than the whole
-// network. The sampling seed defaults to 1, so identical requests give
-// identical answers; results are not cached (POST bodies are outside
-// the result-cache key space) but the work is admission-controlled like
-// any other engine run.
-func (s *Server) handleTargeted(w http.ResponseWriter, r *http.Request) {
-	v, gen, rel := s.engine.Acquire()
-	defer rel()
-	w.Header().Set("X-Octopus-Generation", strconv.FormatUint(gen, 10))
-	v.Targeted(w, r)
-}
-
-// localTargeted is the in-process targeted-IM body, run against one
-// pinned snapshot; the generation header is already stamped by the
-// caller.
-func (s *Server) localTargeted(sys *core.System, w http.ResponseWriter, r *http.Request) {
-	gen, _ := genFromHeader(w.Header())
-	qp := params(r)
-	explain := qp.Flag("explain")
-	if qp.bad(w) {
-		return
-	}
-	var qc *queryCost
-	if explain || s.tracer != nil {
-		qc = &queryCost{explain: explain}
-	}
-	var req targetedRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
-		return
-	}
-	keywords := req.Keywords
-	if len(keywords) == 0 {
-		tok := actionlog.Tokenizer{}
-		keywords = tok.Tokenize(req.Q)
-	}
-	if len(keywords) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New("no keywords: set \"keywords\" or \"q\" in the body"))
-		return
-	}
-	if len(req.Audience) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New("empty \"audience\" in body"))
-		return
-	}
-	if req.RRSamples > maxTargetedRRSamples {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("rrSamples %d exceeds limit %d", req.RRSamples, maxTargetedRRSamples))
-		return
-	}
-	k := req.K
-	if k == 0 {
-		k = 10
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	audience := make([]graph.NodeID, len(req.Audience))
-	for i, u := range req.Audience {
-		audience[i] = u
-	}
-	tr := obs.TraceFrom(r.Context())
-	endGate := tr.Span("gate")
-	if !s.gate.TryAcquire() {
-		endGate()
-		s.metrics.Shed("targeted")
-		replayEntry(w, s.shedEntry("targeted", qc), qcache.StateShed, gen)
-		return
-	}
-	endGate()
-	defer s.gate.Release()
-	var cost *obs.Cost
-	if qc != nil {
-		cost = &qc.cost
-	}
-	endEngine := tr.Span("engine")
-	res, err := sys.DiscoverTargetedInfluencersCost(keywords, audience, k, req.RRSamples, seed, cost)
-	endEngine()
-	if qc != nil {
-		tr.AttachCost(&qc.cost)
-		s.costs.Observe("targeted", &qc.cost)
-	}
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	km := sys.Keywords()
-	topics := make([]string, km.NumTopics())
-	for z := range topics {
-		topics[z] = km.TopicName(z)
-	}
-	resp := targetedResponse{
-		Query:          keywords,
-		Gamma:          res.Gamma,
-		Topics:         topics,
-		AudienceSpread: res.AudienceSpread,
-		Seeds:          make([]imSeed, 0, len(res.Seeds)),
-	}
-	for _, seed := range res.Seeds {
-		resp.Seeds = append(resp.Seeds, imSeed{
-			ID: seed.User, Name: seed.Name, Spread: seed.Spread, Aspect: seed.TopTopicName,
-		})
-	}
-	if explain {
-		// Same envelope shape as the cached read endpoints produce via
-		// explainEntry.
-		w.Header().Set("X-Octopus-Cost", qc.cost.Compact())
-		writeJSON(w, http.StatusOK, struct {
-			Result targetedResponse `json:"result"`
-			Cost   *obs.Cost        `json:"cost"`
-		}{resp, &qc.cost})
-		return
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -52,8 +52,11 @@
 // invalidates every cached answer implicitly; concurrent identical
 // misses coalesce into one engine run; and an optional admission gate
 // sheds work with 429 + Retry-After instead of queueing unboundedly.
-// Responses carry X-Octopus-Generation (the pinned generation) and
-// X-Octopus-Cache (hit | miss | stale | coalesced | bypass). Cached and
+// POST /api/im/targeted takes the same path without the cache (a body
+// is outside the key space): it is uncached and admission-controlled
+// on every engine, a coordinator's included. Responses carry
+// X-Octopus-Generation (the pinned generation) and X-Octopus-Cache
+// (hit | miss | stale | coalesced | shed | bypass). Cached and
 // freshly computed responses are byte-identical for the same
 // generation. GET /api/metrics reports per-endpoint counts, latency
 // quantiles, cache hit/miss/stale and shed counters.
@@ -102,6 +105,7 @@ import (
 
 	"octopus/internal/actionlog"
 	"octopus/internal/core"
+	"octopus/internal/graph"
 	"octopus/internal/obs"
 	"octopus/internal/qcache"
 	"octopus/internal/repl"
@@ -200,7 +204,7 @@ type Server struct {
 	flight        qcache.Flight
 	gate          *qcache.Gate
 	metrics       *qcache.Metrics
-	queryHandlers map[string]queryHandler // batch dispatch table
+	queryHandlers map[string]queryHandler // local engine endpoints; batch dispatch table
 
 	tracer   *obs.Tracer   // nil when tracing is disabled
 	registry *obs.Registry // Prometheus exposition at /metrics
@@ -299,12 +303,13 @@ func (s *Server) assemble(opt Options) *Server {
 	} {
 		s.queryHandlers[q.name] = q.h
 		s.mux.HandleFunc("/api/"+q.name,
-			s.instrument(q.name, allow(http.MethodGet, s.cachedQuery(q.name))))
+			s.instrument(q.name, allow(http.MethodGet, s.query(q.name, s.cache))))
 	}
+	s.queryHandlers["targeted"] = s.handleTargeted
+	s.mux.HandleFunc("/api/im/targeted", s.instrument("targeted", allow(http.MethodPost, s.query("targeted", nil))))
 	s.mux.HandleFunc("/api/status", s.instrument("status", allow(http.MethodGet, s.pinned(engineView.Status))))
 	s.mux.HandleFunc("/api/metrics", s.instrument("metrics", allow(http.MethodGet, s.handleMetrics)))
 	s.mux.HandleFunc("/api/batch", s.instrument("batch", allow(http.MethodPost, s.handleBatch)))
-	s.mux.HandleFunc("/api/im/targeted", s.instrument("targeted", allow(http.MethodPost, s.handleTargeted)))
 	s.mux.HandleFunc("/api/ingest/actions", s.instrument("ingest/actions", allow(http.MethodPost, s.handleIngestActions)))
 	s.mux.HandleFunc("/api/ingest/edges", s.instrument("ingest/edges", allow(http.MethodPost, s.handleIngestEdges)))
 	s.mux.HandleFunc("/api/ingest/stats", s.instrument("ingest/stats", allow(http.MethodGet, s.handleIngestStats)))
@@ -502,20 +507,14 @@ func (s *Server) handleIM(sys *core.System, w http.ResponseWriter, r *http.Reque
 	writeJSON(w, http.StatusOK, newIMResponse(sys, keywords, res))
 }
 
-// newIMResponse shapes a DiscoverResult for the UI. Seeds is always a
-// JSON array, never null, so front-end iteration is unconditional.
+// newIMResponse shapes a DiscoverResult for the UI.
 func newIMResponse(sys *core.System, keywords []string, res *core.DiscoverResult) imResponse {
-	km := sys.Keywords()
-	topics := make([]string, km.NumTopics())
-	for z := range topics {
-		topics[z] = km.TopicName(z)
-	}
-	resp := imResponse{
+	return imResponse{
 		Query:   keywords,
 		Unknown: res.UnknownWords,
 		Gamma:   res.Gamma,
-		Topics:  topics,
-		Seeds:   make([]imSeed, 0, len(res.Seeds)),
+		Topics:  topicNames(sys),
+		Seeds:   imSeeds(res.Seeds),
 		Stats: map[string]any{
 			"exactEvals":  res.Stats.ExactEvals,
 			"localBounds": res.Stats.LocalBounds,
@@ -523,12 +522,104 @@ func newIMResponse(sys *core.System, keywords []string, res *core.DiscoverResult
 			"sampleHit":   res.Stats.SampleHit,
 		},
 	}
-	for _, seed := range res.Seeds {
-		resp.Seeds = append(resp.Seeds, imSeed{
+}
+
+func topicNames(sys *core.System) []string {
+	km := sys.Keywords()
+	topics := make([]string, km.NumTopics())
+	for z := range topics {
+		topics[z] = km.TopicName(z)
+	}
+	return topics
+}
+
+// imSeeds shapes ranked seeds for the UI. The result is always a JSON
+// array, never null, so front-end iteration is unconditional.
+func imSeeds(seeds []core.InfluencerResult) []imSeed {
+	out := make([]imSeed, 0, len(seeds))
+	for _, seed := range seeds {
+		out = append(out, imSeed{
 			ID: seed.User, Name: seed.Name, Spread: seed.Spread, Aspect: seed.TopTopicName,
 		})
 	}
-	return resp
+	return out
+}
+
+// maxTargetedRRSamples bounds the reverse-reachable sample count a
+// client may demand from POST /api/im/targeted.
+const maxTargetedRRSamples = 200_000
+
+type targetedRequest struct {
+	// Q is free text, tokenized like /api/im's q parameter. Keywords, if
+	// non-empty, is used verbatim instead.
+	Q         string   `json:"q"`
+	Keywords  []string `json:"keywords"`
+	Audience  []int32  `json:"audience"`
+	K         int      `json:"k"`
+	RRSamples int      `json:"rrSamples"`
+	Seed      uint64   `json:"seed"`
+}
+
+type targetedResponse struct {
+	Query          []string  `json:"query"`
+	Gamma          []float64 `json:"gamma"`
+	Topics         []string  `json:"topics"`
+	AudienceSpread float64   `json:"audienceSpread"`
+	Seeds          []imSeed  `json:"seeds"`
+}
+
+// handleTargeted exposes core.DiscoverTargetedInfluencers: k seeds
+// maximizing influence over a target audience rather than the whole
+// network. The sampling seed defaults to 1, so identical requests give
+// identical answers.
+func (s *Server) handleTargeted(sys *core.System, w http.ResponseWriter, r *http.Request) {
+	var req targetedRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&req); err != nil {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
+		return
+	}
+	keywords := req.Keywords
+	if len(keywords) == 0 {
+		tok := actionlog.Tokenizer{}
+		keywords = tok.Tokenize(req.Q)
+	}
+	if len(keywords) == 0 {
+		writeErr(w, http.StatusBadRequest, errors.New("no keywords: set \"keywords\" or \"q\" in the body"))
+		return
+	}
+	if len(req.Audience) == 0 {
+		writeErr(w, http.StatusBadRequest, errors.New("empty \"audience\" in body"))
+		return
+	}
+	if req.RRSamples > maxTargetedRRSamples {
+		writeErr(w, http.StatusBadRequest,
+			fmt.Errorf("rrSamples %d exceeds limit %d", req.RRSamples, maxTargetedRRSamples))
+		return
+	}
+	k := req.K
+	if k == 0 {
+		k = 10
+	}
+	seed := req.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	audience := make([]graph.NodeID, len(req.Audience))
+	for i, u := range req.Audience {
+		audience[i] = u
+	}
+	res, err := sys.DiscoverTargetedInfluencers(keywords, audience, k, req.RRSamples, seed, costFrom(r))
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, targetedResponse{
+		Query:          keywords,
+		Gamma:          res.Gamma,
+		Topics:         topicNames(sys),
+		AudienceSpread: res.AudienceSpread,
+		Seeds:          imSeeds(res.Seeds),
+	})
 }
 
 type suggestResponse struct {
@@ -589,7 +680,7 @@ func (s *Server) handleKeywords(sys *core.System, w http.ResponseWriter, r *http
 		writeErr(w, http.StatusNotFound, err)
 		return
 	}
-	ranked, err := sys.RankUserKeywordsCost(id, limit, costFrom(r))
+	ranked, err := sys.RankUserKeywords(id, limit, costFrom(r))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return

@@ -235,15 +235,11 @@ func (ix *Index) CoinsFlipped() int { return ix.coins }
 
 // pollLive reports whether target is live in poll pi under γ: reachable
 // from the poll root walking stored edges whose λ < p(γ). The BFS stops
-// as soon as target is proven live (delayed materialization).
-func (ix *Index) pollLive(pi int32, target graph.NodeID, gamma topic.Dist) bool {
-	return ix.pollLiveCost(pi, target, gamma, nil)
-}
-
-// pollLiveCost is pollLive with per-query accounting: each call scans
-// one poll, a call that walks the stored tree re-mixes one sample, and
-// every λ-vs-p(γ) comparison tests one stored coin.
-func (ix *Index) pollLiveCost(pi int32, target graph.NodeID, gamma topic.Dist, cost *obs.Cost) bool {
+// as soon as target is proven live (delayed materialization). With a
+// non-nil cost each call scans one poll, a call that walks the stored
+// tree re-mixes one sample, and every λ-vs-p(γ) comparison tests one
+// stored coin.
+func (ix *Index) pollLive(pi int32, target graph.NodeID, gamma topic.Dist, cost *obs.Cost) bool {
 	if cost != nil {
 		cost.Tags.Polls++
 	}
@@ -283,17 +279,12 @@ func (ix *Index) pollLiveCost(pi int32, target graph.NodeID, gamma topic.Dist, c
 	return false
 }
 
-// SpreadEstimate returns σ̂_γ({u}) = n/M · #{polls where u is live}.
-func (ix *Index) SpreadEstimate(u graph.NodeID, gamma topic.Dist) float64 {
-	return ix.SpreadEstimateCost(u, gamma, nil)
-}
-
-// SpreadEstimateCost is SpreadEstimate accumulating scan work into
-// cost (nil disables accounting).
-func (ix *Index) SpreadEstimateCost(u graph.NodeID, gamma topic.Dist, cost *obs.Cost) float64 {
+// SpreadEstimate returns σ̂_γ({u}) = n/M · #{polls where u is live},
+// accumulating scan work into cost (nil disables accounting).
+func (ix *Index) SpreadEstimate(u graph.NodeID, gamma topic.Dist, cost *obs.Cost) float64 {
 	hits := 0
 	for _, pi := range ix.contains[u] {
-		if ix.pollLiveCost(pi, u, gamma, cost) {
+		if ix.pollLive(pi, u, gamma, cost) {
 			hits++
 		}
 	}
@@ -310,14 +301,9 @@ func (ix *Index) MaxSpreadEstimate(u graph.NodeID) float64 {
 }
 
 // SpreadEstimateSet returns σ̂_γ(S) for a seed set (a poll counts if any
-// member of S is live in it).
-func (ix *Index) SpreadEstimateSet(seeds []graph.NodeID, gamma topic.Dist) float64 {
-	return ix.SpreadEstimateSetCost(seeds, gamma, nil)
-}
-
-// SpreadEstimateSetCost is SpreadEstimateSet accumulating scan work
-// into cost (nil disables accounting).
-func (ix *Index) SpreadEstimateSetCost(seeds []graph.NodeID, gamma topic.Dist, cost *obs.Cost) float64 {
+// member of S is live in it), accumulating scan work into cost (nil
+// disables accounting).
+func (ix *Index) SpreadEstimateSet(seeds []graph.NodeID, gamma topic.Dist, cost *obs.Cost) float64 {
 	if len(seeds) == 0 {
 		return 0
 	}
@@ -330,7 +316,7 @@ func (ix *Index) SpreadEstimateSetCost(seeds []graph.NodeID, gamma topic.Dist, c
 	hits := 0
 	for pi := range pollSet {
 		for _, u := range seeds {
-			if ix.pollLiveCost(pi, u, gamma, cost) {
+			if ix.pollLive(pi, u, gamma, cost) {
 				hits++
 				break
 			}

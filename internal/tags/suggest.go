@@ -119,7 +119,7 @@ func (s *Suggester) Suggest(target graph.NodeID, opt SuggestOptions) (*Suggestio
 			continue
 		}
 		gamma, _ := s.km.InferGamma([]string{w})
-		sp := s.ix.SpreadEstimateCost(target, gamma, opt.Cost)
+		sp := s.ix.SpreadEstimate(target, gamma, opt.Cost)
 		scored = append(scored, KeywordScore{Keyword: w, Spread: sp})
 		sug.Stats.SetsEvaluated++
 	}
@@ -149,7 +149,7 @@ func (s *Suggester) Suggest(target graph.NodeID, opt SuggestOptions) (*Suggestio
 
 	gamma, _ := s.km.InferGamma(sug.Keywords)
 	sug.Gamma = gamma
-	sug.Spread = s.ix.SpreadEstimateCost(target, gamma, opt.Cost)
+	sug.Spread = s.ix.SpreadEstimate(target, gamma, opt.Cost)
 	return sug, nil
 }
 
@@ -170,7 +170,7 @@ func (s *Suggester) greedy(target graph.NodeID, cands []KeywordScore, opt Sugges
 				}
 			}
 			gamma, _ := s.km.InferGamma(append(cur, c.Keyword))
-			sp := s.ix.SpreadEstimateCost(target, gamma, opt.Cost)
+			sp := s.ix.SpreadEstimate(target, gamma, opt.Cost)
 			sug.Stats.SetsEvaluated++
 			if sp > bestSpread {
 				bestSpread, bestKw = sp, c.Keyword
@@ -194,7 +194,7 @@ func (s *Suggester) exhaustive(target graph.NodeID, cands []KeywordScore, opt Su
 	rec = func(start int) {
 		if len(set) == opt.K {
 			gamma, _ := s.km.InferGamma(set)
-			sp := s.ix.SpreadEstimateCost(target, gamma, opt.Cost)
+			sp := s.ix.SpreadEstimate(target, gamma, opt.Cost)
 			sug.Stats.SetsEvaluated++
 			if sp > best {
 				best = sp
@@ -212,7 +212,7 @@ func (s *Suggester) exhaustive(target graph.NodeID, cands []KeywordScore, opt Su
 	sug.Keywords = append([]string(nil), bestSet...)
 	for _, w := range bestSet {
 		gamma, _ := s.km.InferGamma([]string{w})
-		sug.Singles = append(sug.Singles, KeywordScore{Keyword: w, Spread: s.ix.SpreadEstimateCost(target, gamma, opt.Cost)})
+		sug.Singles = append(sug.Singles, KeywordScore{Keyword: w, Spread: s.ix.SpreadEstimate(target, gamma, opt.Cost)})
 	}
 }
 
@@ -227,14 +227,9 @@ func (s *Suggester) coherent(w string, cur []string, minC float64) bool {
 
 // RankKeywords returns all candidate keywords of target ranked by
 // singleton spread estimate — the list OCTOPUS shows before the user
-// picks one for the radar view.
-func (s *Suggester) RankKeywords(target graph.NodeID, limit int) []KeywordScore {
-	return s.RankKeywordsCost(target, limit, nil)
-}
-
-// RankKeywordsCost is RankKeywords with index-work accounting into cost
-// (nil disables it).
-func (s *Suggester) RankKeywordsCost(target graph.NodeID, limit int, cost *obs.Cost) []KeywordScore {
+// picks one for the radar view. Index work is accounted into cost (nil
+// disables it).
+func (s *Suggester) RankKeywords(target graph.NodeID, limit int, cost *obs.Cost) []KeywordScore {
 	pool := s.Candidates(target)
 	scored := make([]KeywordScore, 0, len(pool))
 	for _, w := range pool {
@@ -242,7 +237,7 @@ func (s *Suggester) RankKeywordsCost(target graph.NodeID, limit int, cost *obs.C
 			continue
 		}
 		gamma, _ := s.km.InferGamma([]string{w})
-		scored = append(scored, KeywordScore{Keyword: w, Spread: s.ix.SpreadEstimateCost(target, gamma, cost)})
+		scored = append(scored, KeywordScore{Keyword: w, Spread: s.ix.SpreadEstimate(target, gamma, cost)})
 	}
 	sort.Slice(scored, func(i, j int) bool {
 		if scored[i].Spread != scored[j].Spread {

@@ -77,7 +77,7 @@ func TestSpreadEstimateMatchesMC(t *testing.T) {
 		{20, topic.Dist{0, 1}},
 		{0, topic.Dist{0.5, 0.5}},
 	} {
-		est := ix.SpreadEstimate(tc.u, tc.gamma)
+		est := ix.SpreadEstimate(tc.u, tc.gamma, nil)
 		mc := sim.EstimateSpread([]graph.NodeID{tc.u}, tc.gamma, 20000, rng.New(2))
 		if math.Abs(est-mc) > 0.75 {
 			t.Fatalf("u=%d γ=%v: index=%v MC=%v", tc.u, tc.gamma, est, mc)
@@ -89,8 +89,8 @@ func TestCoinSharingConsistency(t *testing.T) {
 	m, _ := world(t)
 	ix := buildIx(t, m, 2000, 3)
 	gamma := topic.Dist{0.7, 0.3}
-	a := ix.SpreadEstimate(0, gamma)
-	b := ix.SpreadEstimate(0, gamma)
+	a := ix.SpreadEstimate(0, gamma, nil)
+	b := ix.SpreadEstimate(0, gamma, nil)
 	if a != b {
 		t.Fatalf("same index+γ gave %v then %v", a, b)
 	}
@@ -103,7 +103,7 @@ func TestEnvelopeDominance(t *testing.T) {
 		r := rng.New(seed)
 		gamma := topic.Dist(r.DirichletSym(0.6, 2))
 		u := graph.NodeID(r.Intn(40))
-		return ix.SpreadEstimate(u, gamma) <= ix.MaxSpreadEstimate(u)+1e-9
+		return ix.SpreadEstimate(u, gamma, nil) <= ix.MaxSpreadEstimate(u)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -129,16 +129,16 @@ func TestSpreadEstimateSet(t *testing.T) {
 	m, _ := world(t)
 	ix := buildIx(t, m, 5000, 6)
 	gamma := topic.Dist{0.5, 0.5}
-	s0 := ix.SpreadEstimate(0, gamma)
-	s20 := ix.SpreadEstimate(20, gamma)
-	both := ix.SpreadEstimateSet([]graph.NodeID{0, 20}, gamma)
+	s0 := ix.SpreadEstimate(0, gamma, nil)
+	s20 := ix.SpreadEstimate(20, gamma, nil)
+	both := ix.SpreadEstimateSet([]graph.NodeID{0, 20}, gamma, nil)
 	if both < math.Max(s0, s20)-1e-9 {
 		t.Fatalf("set spread %v below max singleton %v/%v", both, s0, s20)
 	}
 	if both > s0+s20+1e-9 {
 		t.Fatalf("set spread %v above sum %v", both, s0+s20)
 	}
-	if got := ix.SpreadEstimateSet(nil, gamma); got != 0 {
+	if got := ix.SpreadEstimateSet(nil, gamma, nil); got != 0 {
 		t.Fatalf("empty set spread = %v", got)
 	}
 }
@@ -313,7 +313,7 @@ func TestRankKeywords(t *testing.T) {
 	m, km := world(t)
 	ix := buildIx(t, m, 6000, 13)
 	s := NewSuggester(ix, km, nil)
-	ranked := s.RankKeywords(0, 0)
+	ranked := s.RankKeywords(0, 0, nil)
 	if len(ranked) != 4 {
 		t.Fatalf("ranked %d keywords", len(ranked))
 	}
@@ -327,7 +327,7 @@ func TestRankKeywords(t *testing.T) {
 	if top != "data" && top != "mining" {
 		t.Fatalf("top keyword for node 0 = %q", top)
 	}
-	if got := s.RankKeywords(0, 2); len(got) != 2 {
+	if got := s.RankKeywords(0, 2, nil); len(got) != 2 {
 		t.Fatalf("limit ignored: %d", len(got))
 	}
 }
@@ -340,7 +340,7 @@ func TestIndexDeterministic(t *testing.T) {
 		t.Fatal("index construction not deterministic")
 	}
 	gamma := topic.Dist{0.3, 0.7}
-	if a.SpreadEstimate(0, gamma) != b.SpreadEstimate(0, gamma) {
+	if a.SpreadEstimate(0, gamma, nil) != b.SpreadEstimate(0, gamma, nil) {
 		t.Fatal("estimates not deterministic")
 	}
 }
@@ -364,7 +364,7 @@ func BenchmarkSpreadEstimate(b *testing.B) {
 	gamma := topic.Dist{0.5, 0.5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.SpreadEstimate(graph.NodeID(i%40), gamma)
+		ix.SpreadEstimate(graph.NodeID(i%40), gamma, nil)
 	}
 }
 

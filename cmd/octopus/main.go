@@ -18,13 +18,13 @@
 //	              [-diag-dir DIR] [-diag-interval D]
 //	              [same dataset flags]
 //	octopus query [-q "data mining"] [-k 10] [-load model.oct] [-mmap] [same dataset flags]
-//	octopus train [-out models/] [same dataset flags]   # EM + persist text models
-//	octopus build [-o model.oct] [same dataset flags]   # build + binary snapshot
+//	octopus build [-o model.oct] [same dataset flags]   # build + binary snapshot (-em: learned models)
 //	octopus split [-shards N] [-strategy hash|community] [-shard-dir shards/]
 //	              [-load model.oct | same dataset flags] # partition into shard snapshots
 //
 // build serializes the complete built system (graph, action log,
-// learned models, config) into one checksummed binary snapshot; serve
+// learned models, precomputed indexes, config) into one checksummed
+// binary snapshot — the only persisted form of a learned model; serve
 // and query accept it via -load and cold-start in milliseconds instead
 // of re-running EM and data generation. Adding -mmap serves the
 // snapshot in place: the file is memory-mapped read-only, the bulk
@@ -124,13 +124,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"syscall"
 	"time"
 
-	"octopus"
 	"octopus/internal/actionlog"
 	"octopus/internal/core"
 	"octopus/internal/datagen"
@@ -155,7 +153,6 @@ type options struct {
 	addr    string
 	query   string
 	k       int
-	out     string
 	load    string
 	mmap    bool
 	warmup  bool
@@ -214,9 +211,6 @@ func main() {
 		}
 	case "query":
 		run(opt, oneShot)
-	case "train":
-		opt.useEM = true
-		run(opt, train)
 	case "build":
 		run(opt, buildSnapshot)
 	case "split":
@@ -228,7 +222,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: octopus <demo|serve|query|train|build|split> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: octopus <demo|serve|query|build|split> [flags]")
 }
 
 // parseFlags parses one subcommand's flags. Every subcommand shares the
@@ -245,7 +239,6 @@ func parseFlags(cmd string, args []string) (options, error) {
 	fs.StringVar(&opt.addr, "addr", ":8080", "listen address (serve)")
 	fs.StringVar(&opt.query, "q", "data mining", "keyword query (query)")
 	fs.IntVar(&opt.k, "k", 10, "seed count (query)")
-	fs.StringVar(&opt.out, "out", "models", "output directory (train)")
 	fs.StringVar(&opt.load, "load", "", "load a binary system snapshot instead of generating + building")
 	fs.BoolVar(&opt.mmap, "mmap", false, "with -load: serve the snapshot zero-copy via mmap instead of decoding it onto the heap (OCTOPUS_MMAP=off forces the copying path)")
 	fs.BoolVar(&opt.warmup, "mmap-warmup", false, "with -load -mmap: prefault the mapping at open (madvise + touch every page), moving page-fault latency off the first queries")
@@ -320,28 +313,6 @@ func buildSnapshot(opt options, sys *core.System, _ *datagen.Dataset) error {
 		opt.snapOut, float64(fi.Size())/(1<<20), time.Since(start).Round(time.Millisecond),
 		st.Nodes, st.Edges, st.Topics, st.Vocabulary)
 	fmt.Printf("cold-start it with: octopus serve -load %s\n", opt.snapOut)
-	return nil
-}
-
-// train persists the graph, the action log and the EM-learned models so
-// later runs can skip learning.
-func train(opt options, sys *core.System, ds *datagen.Dataset) error {
-	if ds == nil {
-		return fmt.Errorf("train needs a generated dataset; -load is not supported here")
-	}
-	// SaveModels creates the output directory the other two write into.
-	if err := octopus.SaveModels(opt.out, sys); err != nil {
-		return err
-	}
-	if err := octopus.SaveGraph(filepath.Join(opt.out, "graph.txt"), ds.Graph); err != nil {
-		return err
-	}
-	if err := octopus.SaveLog(filepath.Join(opt.out, "log.txt"), ds.Log); err != nil {
-		return err
-	}
-	ll := sys.LearnDiag
-	fmt.Printf("trained on %d episodes (LL %.0f → %.0f); wrote graph, log and models to %s/\n",
-		sys.Stats().Episodes, ll[0], ll[len(ll)-1], opt.out)
 	return nil
 }
 

@@ -235,13 +235,12 @@ type LiveSystem struct {
 	cfg Config
 	cur atomic.Pointer[Snapshot]
 
-	mu      sync.RWMutex
-	ov      *overlay // accumulating delta since the last fold
-	folding *overlay // delta currently being folded (peeks still see it)
+	mu sync.RWMutex
+	ov *overlay // accumulating delta since the last fold
 	// Item dedup is two-tiered so its memory stays bounded by the live
 	// state instead of the process history: baseItems is the sorted item
 	// ids of the serving snapshot's action log (rebuilt per fold),
-	// itemIDs holds only the pending overlays' items and is re-derived
+	// itemIDs holds only the pending overlay's items and is emptied
 	// when a fold retires them into the base. baseItems is derived
 	// lazily (baseItemsOK) so wrapping a mapped snapshot does not force
 	// its deferred action-log decode before the first item arrives.
@@ -489,11 +488,7 @@ func (ls *LiveSystem) Kill() {
 func (ls *LiveSystem) PendingOutEdges(u graph.NodeID) []OverlayEdge {
 	ls.mu.RLock()
 	defer ls.mu.RUnlock()
-	var out []OverlayEdge
-	if ls.folding != nil {
-		out = ls.folding.appendOutEdges(u, out)
-	}
-	return ls.ov.appendOutEdges(u, out)
+	return ls.ov.appendOutEdges(u, nil)
 }
 
 // Staleness returns the age of the oldest event applied to the live
@@ -510,11 +505,7 @@ func (ls *LiveSystem) Staleness() time.Duration {
 
 // stalenessLocked computes the pending-event age; callers hold ls.mu.
 func (ls *LiveSystem) stalenessLocked() time.Duration {
-	pending := ls.ov.events
-	if ls.folding != nil {
-		pending += ls.folding.events
-	}
-	if pending == 0 || ls.since.IsZero() {
+	if ls.ov.events == 0 || ls.since.IsZero() {
 		return 0
 	}
 	return time.Since(ls.since)
@@ -526,9 +517,6 @@ func (ls *LiveSystem) Stats() Stats {
 	sysStats := snap.Sys.Stats()
 	ls.mu.RLock()
 	pending := ls.ov.events
-	if ls.folding != nil {
-		pending += ls.folding.events
-	}
 	staleness := ls.stalenessLocked()
 	ls.mu.RUnlock()
 	st := Stats{
@@ -668,7 +656,7 @@ func (ls *LiveSystem) run() {
 				err = ls.fold() // failure is recorded in stats; delta retained
 			}
 			if err != nil {
-				// The delta was restored with its original arrival time, so
+				// The delta stays pending with its original arrival time, so
 				// since+interval is already in the past: pace the retry one
 				// full interval out instead of spinning on the failure (and
 				// keep batch-arrival rearms from undercutting the floor).
@@ -854,8 +842,6 @@ func (ls *LiveSystem) applyEdge(base *core.System, ev EdgeEvent) (store.Record, 
 			return store.Record{}, false
 		}
 	}
-	// No folding-overlay check needed: applies and folds share the apply
-	// goroutine, so ls.folding is always nil here.
 	if ls.ov.hasEdge(ev.Src, ev.Dst) {
 		ls.duplicates.Add(1)
 		return store.Record{}, false
@@ -980,20 +966,16 @@ func (ls *LiveSystem) noteFirstEvent() {
 }
 
 // fold turns the accumulated overlay into the next snapshot. Runs on the
-// apply goroutine; readers keep serving the old snapshot throughout. On
-// failure the previous snapshot keeps serving and the delta is merged
-// back into the pending overlay so no accepted event is lost.
+// apply goroutine — the only overlay mutator — so nothing is applied
+// while a fold is in flight: the overlay stays in place, and pending to
+// readers, until the new snapshot is published. On failure the previous
+// snapshot keeps serving and the delta simply stays pending, so no
+// accepted event is lost.
 func (ls *LiveSystem) fold() error {
-	ls.mu.Lock()
-	if ls.ov.events == 0 {
-		ls.mu.Unlock()
+	ov := ls.ov // read without mu: only this goroutine writes ls.ov
+	if ov.events == 0 {
 		return nil
 	}
-	ov := ls.ov
-	oldestPending := ls.since
-	ls.folding = ov
-	ls.ov = newOverlay()
-	ls.mu.Unlock()
 
 	start := time.Now()
 	old := ls.cur.Load()
@@ -1006,13 +988,6 @@ func (ls *LiveSystem) fold() error {
 			slog.Any("error", err))
 		ls.mu.Lock()
 		ls.lastErr = err
-		ls.folding = nil
-		// The apply goroutine — the only overlay mutator — is busy in this
-		// very call, so the replacement overlay is still empty and the
-		// delta is restored wholesale; mergeOverlays only matters if
-		// folding ever moves off the apply goroutine.
-		ls.ov = mergeOverlays(ov, ls.ov)
-		ls.since = oldestPending
 		ls.mu.Unlock()
 		return err
 	}
@@ -1036,15 +1011,10 @@ func (ls *LiveSystem) fold() error {
 	// same events both in the new snapshot and as pending.
 	ls.mu.Lock()
 	ls.cur.Store(NewSnapshot(sys, old.Version+1, elapsed))
-	ls.folding = nil
-	// Shrink the overlay-item map back to whatever the replacement
-	// overlay holds (normally nothing — applies and folds share this
-	// goroutine).
+	ls.ov = newOverlay()
+	// A fresh map, not clear(): the overlay-item set shrinks across folds.
+	ls.itemIDs = make(map[int32]struct{})
 	ls.baseItems = merged
-	ls.itemIDs = make(map[int32]struct{}, len(ls.ov.items))
-	for _, it := range ls.ov.items {
-		ls.itemIDs[it.ID] = struct{}{}
-	}
 	ls.mu.Unlock()
 	// The old generation is no longer current: drop its backing reference
 	// once its last pinned reader (if any) finishes.
@@ -1053,6 +1023,8 @@ func (ls *LiveSystem) fold() error {
 	ls.snapshots.Add(1)
 	if incremental {
 		ls.incrementalFolds.Add(1)
+	} else if ls.cfg.IncrementalFold {
+		ls.foldFallbacks.Add(1)
 	}
 	ls.lastSwapNanos.Store(int64(elapsed))
 	ls.totalSwapNanos.Add(int64(elapsed))
@@ -1146,16 +1118,13 @@ func (ls *LiveSystem) rebuild(old *Snapshot, ov *overlay) (*core.System, bool, e
 	// names must never be re-touched from the fold goroutine.
 	cfg.TopicNames = nil
 
-	if ls.cfg.IncrementalFold {
-		if newG == oldG {
-			// The seed is NOT perturbed: the indexes it drew are reused.
-			sys, err := core.Fold(oldSys, newLog, cfg)
-			if err != nil {
-				return nil, false, fmt.Errorf("stream: fold: %w", err)
-			}
-			return sys, true, nil
+	if ls.cfg.IncrementalFold && newG == oldG {
+		// The seed is NOT perturbed: the indexes it drew are reused.
+		sys, err := core.Fold(oldSys, newLog, cfg)
+		if err != nil {
+			return nil, false, fmt.Errorf("stream: fold: %w", err)
 		}
-		ls.foldFallbacks.Add(1)
+		return sys, true, nil
 	}
 
 	cfg.Seed = foldSeed(cfg.Seed, old.Version+1)

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -342,49 +343,56 @@ func TestFoldFailureRetainsDelta(t *testing.T) {
 		}
 		return out
 	}
-	ls, err := NewLiveSystem(sys, Config{RebuildEvents: 1 << 20, Prior: bad})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ls.Close()
+	// The failure must not count as a swap of either kind, whichever
+	// fold policy would have run.
+	for _, incremental := range []bool{false, true} {
+		t.Run(fmt.Sprintf("incremental=%v", incremental), func(t *testing.T) {
+			ls, err := NewLiveSystem(sys, Config{RebuildEvents: 1 << 20, Prior: bad, IncrementalFold: incremental})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ls.Close()
 
-	n := graph.NodeID(sys.Graph().NumNodes())
-	if err := ls.IngestEdges([]EdgeEvent{{Src: 0, Dst: n}}); err != nil {
-		t.Fatal(err)
-	}
-	itemID := maxItemID(sys.ActionLog()) + 1
-	if err := ls.IngestActions(
-		[]actionlog.Item{{ID: itemID, Keywords: []string{"kept"}}},
-		[]actionlog.Action{{User: 0, Item: itemID, Time: 1}},
-	); err != nil {
-		t.Fatal(err)
-	}
-	if err := ls.ForceSnapshot(); err == nil {
-		t.Fatal("ForceSnapshot succeeded with an invalid prior")
-	}
-	if ls.LastFoldError() == nil {
-		t.Fatal("LastFoldError not recorded")
-	}
-	st := ls.Stats()
-	if st.Version != 1 || st.FoldFailures != 1 {
-		t.Fatalf("stats after failed fold = %+v", st)
-	}
-	// Nothing lost: all 3 events still pending, overlay still peekable,
-	// and re-sent events still dedupe against the retained delta.
-	if st.Pending != 3 {
-		t.Fatalf("pending after failed fold = %d, want 3", st.Pending)
-	}
-	if pend := ls.PendingOutEdges(0); len(pend) != 1 || pend[0].Dst != n {
-		t.Fatalf("pending edges after failed fold = %+v", pend)
-	}
-	if err := ls.IngestEdges([]EdgeEvent{{Src: 0, Dst: n}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ls.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if st = ls.Stats(); st.Duplicates != 1 || st.Pending != 3 {
-		t.Fatalf("dedup against retained delta broken: %+v", st)
+			n := graph.NodeID(sys.Graph().NumNodes())
+			if err := ls.IngestEdges([]EdgeEvent{{Src: 0, Dst: n}}); err != nil {
+				t.Fatal(err)
+			}
+			itemID := maxItemID(sys.ActionLog()) + 1
+			if err := ls.IngestActions(
+				[]actionlog.Item{{ID: itemID, Keywords: []string{"kept"}}},
+				[]actionlog.Action{{User: 0, Item: itemID, Time: 1}},
+			); err != nil {
+				t.Fatal(err)
+			}
+			if err := ls.ForceSnapshot(); err == nil {
+				t.Fatal("ForceSnapshot succeeded with an invalid prior")
+			}
+			if ls.LastFoldError() == nil {
+				t.Fatal("LastFoldError not recorded")
+			}
+			st := ls.Stats()
+			if st.Version != 1 || st.FoldFailures != 1 || st.Snapshots != 0 ||
+				st.FoldFallbacks != 0 || st.IncrementalFolds != 0 {
+				t.Fatalf("stats after failed fold = %+v", st)
+			}
+			// Nothing lost: all 3 events still pending, overlay still peekable,
+			// and re-sent events still dedupe against the retained delta.
+			if st.Pending != 3 {
+				t.Fatalf("pending after failed fold = %d, want 3", st.Pending)
+			}
+			if pend := ls.PendingOutEdges(0); len(pend) != 1 || pend[0].Dst != n {
+				t.Fatalf("pending edges after failed fold = %+v", pend)
+			}
+			if err := ls.IngestEdges([]EdgeEvent{{Src: 0, Dst: n}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := ls.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if st = ls.Stats(); st.Duplicates != 1 || st.Pending != 3 {
+				t.Fatalf("dedup against retained delta broken: %+v", st)
+			}
+		})
 	}
 }
 

@@ -85,43 +85,6 @@ func (ov *overlay) addAction(a actionlog.Action) {
 	ov.events++
 }
 
-// mergeOverlays folds a younger overlay into an older one, used when a
-// fold fails and its delta must rejoin the pending overlay. Today the
-// younger overlay is always empty — folds run on the apply goroutine,
-// so nothing can be applied while one is in flight — and this reduces
-// to returning the older delta; the merge is kept defensive in case
-// folding ever moves off that goroutine. Edge keys colliding across the
-// two take the newer probabilities but are not double-listed in bySrc
-// (and do not double-count toward events).
-func mergeOverlays(older, newer *overlay) *overlay {
-	if newer.events == 0 {
-		return older
-	}
-	dupEdges := 0
-	for u, dsts := range newer.bySrc {
-		for _, v := range dsts {
-			if older.hasEdge(u, v) {
-				dupEdges++
-				continue
-			}
-			older.bySrc[u] = append(older.bySrc[u], v)
-		}
-	}
-	for key, probs := range newer.edges {
-		older.edges[key] = probs
-	}
-	for u, nm := range newer.names {
-		older.names[u] = nm
-	}
-	older.items = append(older.items, newer.items...)
-	older.acts = append(older.acts, newer.acts...)
-	if newer.maxNode > older.maxNode {
-		older.maxNode = newer.maxNode
-	}
-	older.events += newer.events - dupEdges
-	return older
-}
-
 // appendOutEdges appends u's pending out-edges (with priors) to dst.
 func (ov *overlay) appendOutEdges(u graph.NodeID, dst []OverlayEdge) []OverlayEdge {
 	for _, v := range ov.bySrc[u] {

@@ -3,7 +3,6 @@ package stream
 import (
 	"testing"
 
-	"octopus/internal/actionlog"
 	"octopus/internal/topic"
 )
 
@@ -36,32 +35,5 @@ func TestOverlayAddEdgeDedupes(t *testing.T) {
 	}
 	if ov.names[1] != "alice" {
 		t.Fatalf("re-accepted edge dropped the name update")
-	}
-}
-
-// mergeOverlays must not double-list destinations for edge keys present
-// in both overlays, and the merged event count must not count them
-// twice.
-func TestMergeOverlaysDedupes(t *testing.T) {
-	older := newOverlay()
-	older.addEdge(EdgeEvent{Src: 1, Dst: 2}, topic.Dist{1, 0})
-	older.addEdge(EdgeEvent{Src: 4, Dst: 5}, topic.Dist{1, 0})
-	older.addItem(actionlog.Item{ID: 7})
-
-	newer := newOverlay()
-	newer.addEdge(EdgeEvent{Src: 1, Dst: 2}, topic.Dist{0, 1}) // collides
-	newer.addEdge(EdgeEvent{Src: 1, Dst: 9}, topic.Dist{0, 1})
-
-	merged := mergeOverlays(older, newer)
-	if got := merged.appendOutEdges(1, nil); len(got) != 2 {
-		t.Fatalf("merged bySrc[1] has %d entries, want 2: %+v", len(got), got)
-	}
-	// 2 older edges + 1 item + 1 genuinely new edge.
-	if merged.events != 4 {
-		t.Fatalf("merged events = %d, want 4", merged.events)
-	}
-	// Collision takes the newer probabilities.
-	if p := merged.edges[edgeKey{1, 2}]; p[0] != 0 || p[1] != 1 {
-		t.Fatalf("collision kept older probs %v", p)
 	}
 }

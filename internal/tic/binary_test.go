@@ -2,8 +2,6 @@ package tic
 
 import (
 	"bytes"
-	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -12,56 +10,6 @@ import (
 	"octopus/internal/rng"
 	"octopus/internal/topic"
 )
-
-func TestModelRoundTrip(t *testing.T) {
-	m := lineModel(t)
-	var buf bytes.Buffer
-	if err := Write(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := Read(&buf, m.Graph())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.NumTopics() != m.NumTopics() {
-		t.Fatalf("topics: %d vs %d", m2.NumTopics(), m.NumTopics())
-	}
-	for e := 0; e < m.Graph().NumEdges(); e++ {
-		for z := 0; z < m.NumTopics(); z++ {
-			a, b := m.TopicProb(graph.EdgeID(e), z), m2.TopicProb(graph.EdgeID(e), z)
-			if math.Abs(a-b) > 1e-12 {
-				t.Fatalf("edge %d topic %d: %v vs %v", e, z, a, b)
-			}
-		}
-		if m.MaxProb(graph.EdgeID(e)) != m2.MaxProb(graph.EdgeID(e)) {
-			t.Fatalf("edge %d max prob differs", e)
-		}
-	}
-}
-
-func TestModelReadErrors(t *testing.T) {
-	g := func() *graph.Graph {
-		b := graph.NewBuilder(2)
-		b.AddEdge(0, 1)
-		return b.Build()
-	}()
-	cases := []string{
-		"",
-		"wrong 2 1",
-		"ticmodel x 1",
-		"ticmodel 2 5",          // edge count mismatch (graph has 1)
-		"ticmodel 2 1\ne 0",     // no pairs
-		"ticmodel 2 1\ne 9 0:1", // edge out of range
-		"ticmodel 2 1\ne 0 bad",
-		"ticmodel 2 1\ne 0 0:2.5", // probability out of range
-		"ticmodel 2 1\ne 0 7:0.5", // topic out of range
-	}
-	for _, c := range cases {
-		if _, err := Read(strings.NewReader(c), g); err == nil {
-			t.Fatalf("Read(%q) succeeded", c)
-		}
-	}
-}
 
 // remappedModel carries lineModel through Remap onto a grown graph —
 // one extra node, one extra edge with an explicit prior, mirroring what
@@ -87,24 +35,9 @@ func remappedModel(t *testing.T) (*Model, []float64) {
 	return m2, prior
 }
 
-// TestRemappedModelRoundTrip exercises the text codec on a model that
-// went through Remap onto a grown graph — the state a live fold leaves
-// behind, which the original round-trip tests never covered.
-func TestRemappedModelRoundTrip(t *testing.T) {
-	m2, prior := remappedModel(t)
-	var buf bytes.Buffer
-	if err := Write(&buf, m2); err != nil {
-		t.Fatal(err)
-	}
-	m3, err := Read(&buf, m2.Graph())
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertModelsEqual(t, m2, m3, prior)
-}
-
-// TestRemappedModelBinaryRoundTrip is the same through the binary codec
-// used by the snapshot store.
+// TestRemappedModelBinaryRoundTrip round-trips a model that went
+// through Remap onto a grown graph — the state a live fold leaves
+// behind — through the snapshot store's codec.
 func TestRemappedModelBinaryRoundTrip(t *testing.T) {
 	m2, prior := remappedModel(t)
 	var buf bytes.Buffer
@@ -136,7 +69,7 @@ func assertModelsEqual(t *testing.T, want, got *Model, newEdgePrior []float64) {
 	for e := 0; e < g.NumEdges(); e++ {
 		for z := 0; z < want.NumTopics(); z++ {
 			a, b := want.TopicProb(graph.EdgeID(e), z), got.TopicProb(graph.EdgeID(e), z)
-			if math.Abs(a-b) > 1e-9 {
+			if a != b {
 				t.Fatalf("edge %d topic %d: %v vs %v", e, z, a, b)
 			}
 		}
@@ -150,7 +83,7 @@ func assertModelsEqual(t *testing.T, want, got *Model, newEdgePrior []float64) {
 		t.Fatal("grown edge (2,3) missing")
 	}
 	for z, p := range newEdgePrior {
-		if math.Abs(got.TopicProb(eNew, z)-p) > 1e-6 {
+		if got.TopicProb(eNew, z) != p {
 			t.Fatalf("new edge prior topic %d = %v, want %v", z, got.TopicProb(eNew, z), p)
 		}
 	}
@@ -190,17 +123,23 @@ func TestModelRoundTripQuick(t *testing.T) {
 		}
 		m := mb.Build()
 		var buf bytes.Buffer
-		if Write(&buf, m) != nil {
+		if WriteBinary(&buf, m) != nil {
 			return false
 		}
-		m2, err := Read(&buf, g)
+		m2, err := ReadView(arena.NewReader(buf.Bytes()), g)
 		if err != nil {
 			return false
 		}
 		gamma := topic.Uniform(z)
 		for e := 0; e < g.NumEdges(); e++ {
-			if math.Abs(m.EdgeProb(graph.EdgeID(e), gamma)-m2.EdgeProb(graph.EdgeID(e), gamma)) > 1e-9 {
+			id := graph.EdgeID(e)
+			if m.EdgeProb(id, gamma) != m2.EdgeProb(id, gamma) || m.MaxProb(id) != m2.MaxProb(id) {
 				return false
+			}
+			for k := 0; k < z; k++ {
+				if m.TopicProb(id, k) != m2.TopicProb(id, k) {
+					return false
+				}
 			}
 		}
 		return true

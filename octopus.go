@@ -33,7 +33,6 @@ package octopus
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"octopus/internal/actionlog"
 	"octopus/internal/core"
@@ -42,8 +41,6 @@ import (
 	"octopus/internal/server"
 	"octopus/internal/store"
 	"octopus/internal/stream"
-	"octopus/internal/tic"
-	"octopus/internal/topic"
 )
 
 // Core system types.
@@ -193,8 +190,16 @@ func SaveSystem(path string, sys *System) error {
 // learning nor index precomputation runs — the snapshot carries the
 // learned models AND the precomputed indexes, so only cheap derived
 // structures are rebuilt. Note the consequence: index tuning in the
-// snapshot's config does not re-apply on load; rebuild from raw data
-// to change it.
+// snapshot's config does not re-apply on load. To change it, rebuild
+// the indexes — without re-running EM — by passing the loaded models
+// back to Build:
+//
+//	sys, _ := octopus.LoadSystem(path)
+//	cfg := sys.BuildConfig()
+//	cfg.GroundTruth, cfg.GroundTruthWords = sys.Propagation(), sys.Keywords()
+//	rebuilt, _ := octopus.Build(sys.Graph(), sys.ActionLog(), cfg)
+//
+// This is how a live system's fold rebuilds without learning.
 func LoadSystem(path string) (*System, error) {
 	return store.Load(path)
 }
@@ -256,60 +261,6 @@ func LoadGraph(path string) (*Graph, error) {
 		return nil, fmt.Errorf("octopus: %w", err)
 	}
 	return g, nil
-}
-
-// SaveModels writes a system's learned (or adopted) models next to each
-// other: <dir>/propagation.tic and <dir>/keywords.topics. Together with
-// SaveGraph/SaveLog this persists everything needed to rebuild the
-// system without re-running EM.
-func SaveModels(dir string, sys *System) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("octopus: %w", err)
-	}
-	pf, err := os.Create(filepath.Join(dir, "propagation.tic"))
-	if err != nil {
-		return fmt.Errorf("octopus: %w", err)
-	}
-	defer pf.Close()
-	if err := tic.Write(pf, sys.Propagation()); err != nil {
-		return fmt.Errorf("octopus: %w", err)
-	}
-	if err := pf.Close(); err != nil {
-		return fmt.Errorf("octopus: %w", err)
-	}
-	kf, err := os.Create(filepath.Join(dir, "keywords.topics"))
-	if err != nil {
-		return fmt.Errorf("octopus: %w", err)
-	}
-	defer kf.Close()
-	if err := topic.Write(kf, sys.Keywords()); err != nil {
-		return fmt.Errorf("octopus: %w", err)
-	}
-	return kf.Close()
-}
-
-// LoadModels reads models previously written by SaveModels and returns a
-// Config preset that adopts them (skipping EM) when passed to Build.
-func LoadModels(dir string, g *Graph) (Config, error) {
-	pf, err := os.Open(filepath.Join(dir, "propagation.tic"))
-	if err != nil {
-		return Config{}, fmt.Errorf("octopus: %w", err)
-	}
-	defer pf.Close()
-	prop, err := tic.Read(pf, g)
-	if err != nil {
-		return Config{}, fmt.Errorf("octopus: %w", err)
-	}
-	kf, err := os.Open(filepath.Join(dir, "keywords.topics"))
-	if err != nil {
-		return Config{}, fmt.Errorf("octopus: %w", err)
-	}
-	defer kf.Close()
-	words, err := topic.Read(kf)
-	if err != nil {
-		return Config{}, fmt.Errorf("octopus: %w", err)
-	}
-	return Config{GroundTruth: prop, GroundTruthWords: words}, nil
 }
 
 // SaveLog writes an action log to path.

@@ -1,6 +1,7 @@
 package octopus_test
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -158,44 +159,58 @@ func TestLogFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestModelPersistenceRoundTrip(t *testing.T) {
-	sys, ds := e2e(t)
-	dir := t.TempDir()
-	if err := octopus.SaveModels(dir, sys); err != nil {
+// TestSystemSnapshotRoundTrip checks the one persisted form of a built
+// system: a snapshot loaded onto the heap, a snapshot mapped in place,
+// and a Build that re-indexes over the loaded models (skipping EM) all
+// answer a keyword query exactly like the original.
+func TestSystemSnapshotRoundTrip(t *testing.T) {
+	sys, _ := e2e(t)
+	path := filepath.Join(t.TempDir(), "sys.oct")
+	if err := octopus.SaveSystem(path, sys); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := octopus.LoadModels(dir, ds.Graph)
+	loaded, err := octopus.LoadSystem(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.TopicNames = ds.TopicNames
-	sys2, err := octopus.Build(ds.Graph, ds.Log, cfg)
+	mapped, mapping, err := octopus.MapSystem(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The reloaded system must answer queries identically (same greedy
-	// semantics, same model parameters).
+	defer mapping.Close()
+	cfg := loaded.BuildConfig()
+	cfg.GroundTruth, cfg.GroundTruthWords = loaded.Propagation(), loaded.Keywords()
+	rebuilt, err := octopus.Build(loaded.Graph(), loaded.ActionLog(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	q := []string{"mining", "clustering"}
-	a, err := sys.DiscoverInfluencers(q, octopus.DiscoverOptions{K: 5})
+	want, err := sys.DiscoverInfluencers(q, octopus.DiscoverOptions{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sys2.DiscoverInfluencers(q, octopus.DiscoverOptions{K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Seeds {
-		if a.Seeds[i].User != b.Seeds[i].User {
-			t.Fatalf("seed %d differs after reload: %d vs %d",
-				i, a.Seeds[i].User, b.Seeds[i].User)
+	for _, c := range []struct {
+		name string
+		sys  *octopus.System
+	}{{"loaded", loaded}, {"mapped", mapped}, {"rebuilt", rebuilt}} {
+		got, err := c.sys.DiscoverInfluencers(q, octopus.DiscoverOptions{K: 5})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if d := a.Seeds[i].Spread - b.Seeds[i].Spread; d > 1e-6 || d < -1e-6 {
-			t.Fatalf("spread %d differs after reload", i)
+		if len(got.Seeds) != len(want.Seeds) {
+			t.Fatalf("%s: %d seeds, want %d", c.name, len(got.Seeds), len(want.Seeds))
+		}
+		for i, w := range want.Seeds {
+			g := got.Seeds[i]
+			if g.User != w.User || math.Float64bits(g.Spread) != math.Float64bits(w.Spread) {
+				t.Fatalf("%s: seed %d = (%d, %v), want (%d, %v)", c.name, i, g.User, g.Spread, w.User, w.Spread)
+			}
 		}
 	}
-	// Missing directory errors cleanly.
-	if _, err := octopus.LoadModels(filepath.Join(dir, "absent"), ds.Graph); err == nil {
-		t.Fatal("missing model dir accepted")
+
+	if _, err := octopus.LoadSystem(filepath.Join(t.TempDir(), "absent.oct")); err == nil {
+		t.Fatal("missing snapshot accepted")
 	}
 }
 

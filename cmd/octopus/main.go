@@ -9,7 +9,6 @@
 //	octopus demo  [-dataset citation|social] [-n N] [-topics Z] [-seed S] [-em] [-workers W]
 //	octopus serve [-addr :8080] [-load model.oct] [-mmap] [-mmap-warmup] [-ingest] [-wal DIR]
 //	              [-follow http://leader:8080]
-//	              [-shard k/N] [-strategy hash|community]
 //	              [-coordinator -shard-addrs URL,URL,...] [-shard-timeout D] [-probe-interval D]
 //	              [-rebuild-events N] [-rebuild-interval D]
 //	              [-cache-entries N] [-max-inflight N] [-admin-addr 127.0.0.1:6060]
@@ -43,16 +42,15 @@
 // global node-id space, edges owned by their source, actions by their
 // acting user) under -shard-dir. Each shard file is an ordinary
 // snapshot: `octopus serve -load shards/shard-0-of-2.oct -mmap` serves
-// one shard. serve -shard k/N is the one-step equivalent — build or
-// load the full corpus, cut shard k of N in memory, and serve it.
+// one shard.
 //
 // serve -coordinator -shard-addrs=http://h1:8081,http://h2:8082 runs
 // the scatter-gather tier instead of a local engine: every query fans
 // out to the live shards (bounded by -shard-timeout per shard) and the
-// answers are merged — spreads additively, completions by max weight,
-// status by summing — through the same cache/coalesce/admission shell,
-// so a 1-shard coordinator answers byte-identically to the process
-// behind it. A background prober (-probe-interval) detects dead and
+// answers are merged — IM seeds by summed per-shard marginal gains,
+// completions by max weight, status by summing — through the same
+// cache/coalesce/admission shell, so a 1-shard coordinator answers
+// byte-identically to the process behind it. A background prober (-probe-interval) detects dead and
 // recovered shards; missing shards degrade /api/health and stamp
 // partial answers with X-Octopus-Shards-Missing (never cached).
 //
@@ -161,7 +159,6 @@ type options struct {
 	shards        int
 	strategy      string
 	shardDir      string
-	shardSpec     string
 	coordinator   bool
 	shardAddrs    string
 	shardTimeout  time.Duration
@@ -244,9 +241,8 @@ func parseFlags(cmd string, args []string) (options, error) {
 	fs.BoolVar(&opt.warmup, "mmap-warmup", false, "with -load -mmap: prefault the mapping at open (madvise + touch every page), moving page-fault latency off the first queries")
 	fs.StringVar(&opt.snapOut, "o", "model.oct", "snapshot output path (build)")
 	fs.IntVar(&opt.shards, "shards", 2, "number of shards to partition into (split)")
-	fs.StringVar(&opt.strategy, "strategy", "hash", "partition strategy: "+strings.Join(shard.Strategies(), " or ")+" (split, serve -shard)")
+	fs.StringVar(&opt.strategy, "strategy", "hash", "partition strategy: "+strings.Join(shard.Strategies(), " or ")+" (split)")
 	fs.StringVar(&opt.shardDir, "shard-dir", "shards", "output directory for shard snapshots (split)")
-	fs.StringVar(&opt.shardSpec, "shard", "", "serve shard k of N (format k/N, 0-based): build or load the full corpus, cut shard k, serve it (serve)")
 	fs.BoolVar(&opt.coordinator, "coordinator", false, "serve as a scatter-gather coordinator over -shard-addrs instead of a local engine (serve)")
 	fs.StringVar(&opt.shardAddrs, "shard-addrs", "", "comma-separated shard base URLs for -coordinator, in shard order (serve)")
 	fs.DurationVar(&opt.shardTimeout, "shard-timeout", 5*time.Second, "per-shard fan-out bound; a slower shard is treated as missing for that request (serve -coordinator)")
@@ -273,7 +269,7 @@ func parseFlags(cmd string, args []string) (options, error) {
 
 // splitFleet partitions the full system into shard snapshots — the
 // exchange format a shard server boots from with serve -load.
-func splitFleet(opt options, sys *core.System, _ *datagen.Dataset) error {
+func splitFleet(opt options, sys *core.System) error {
 	strat, err := shard.ParseStrategy(opt.strategy, opt.seed)
 	if err != nil {
 		return err
@@ -299,7 +295,7 @@ func splitFleet(opt options, sys *core.System, _ *datagen.Dataset) error {
 
 // buildSnapshot persists the complete built system as one binary
 // snapshot for -load.
-func buildSnapshot(opt options, sys *core.System, _ *datagen.Dataset) error {
+func buildSnapshot(opt options, sys *core.System) error {
 	start := time.Now()
 	if err := store.Save(opt.snapOut, sys); err != nil {
 		return err
@@ -316,15 +312,15 @@ func buildSnapshot(opt options, sys *core.System, _ *datagen.Dataset) error {
 	return nil
 }
 
-func run(opt options, fn func(options, *core.System, *datagen.Dataset) error) {
+func run(opt options, fn func(options, *core.System) error) {
 	if err := checkLoad(opt); err != nil {
 		log.Fatal(err)
 	}
-	sys, mapped, ds, err := buildSystem(opt)
+	sys, mapped, err := buildSystem(opt)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := fn(opt, sys, ds); err != nil {
+	if err := fn(opt, sys); err != nil {
 		log.Fatal(err)
 	}
 	if mapped != nil {
@@ -332,13 +328,13 @@ func run(opt options, fn func(options, *core.System, *datagen.Dataset) error) {
 	}
 }
 
-func buildSystem(opt options) (*core.System, *store.Mapped, *datagen.Dataset, error) {
+func buildSystem(opt options) (*core.System, *store.Mapped, error) {
 	if opt.load != "" {
 		start := time.Now()
 		if opt.mmap {
 			sys, mapped, err := store.Map(opt.load, store.MapOptions{Warmup: opt.warmup})
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, nil, err
 			}
 			// Deliberately no sys.Stats() here: it would decode the deferred
 			// action log and forfeit the lazy cold start. Graph dimensions
@@ -348,16 +344,16 @@ func buildSystem(opt options) (*core.System, *store.Mapped, *datagen.Dataset, er
 				opt.load, time.Since(start).Round(time.Millisecond), ms.Backing,
 				float64(ms.FileSize)/(1<<20), float64(ms.WarmedBytes)/(1<<20),
 				sys.Graph().NumNodes(), sys.Graph().NumEdges(), ms.CopyFallbacks)
-			return sys, mapped, nil, nil
+			return sys, mapped, nil
 		}
 		sys, err := store.Load(opt.load)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		st := sys.Stats()
 		fmt.Fprintf(os.Stderr, "loaded snapshot %s in %s: %d nodes, %d edges, %d topics, %d keywords\n",
 			opt.load, time.Since(start).Round(time.Millisecond), st.Nodes, st.Edges, st.Topics, st.Vocabulary)
-		return sys, nil, nil, nil
+		return sys, nil, nil
 	}
 	var ds *datagen.Dataset
 	var err error
@@ -373,10 +369,10 @@ func buildSystem(opt options) (*core.System, *store.Mapped, *datagen.Dataset, er
 			Users: opt.n, Topics: opt.topics, Seed: opt.seed,
 		})
 	default:
-		return nil, nil, nil, fmt.Errorf("unknown dataset %q", opt.dataset)
+		return nil, nil, fmt.Errorf("unknown dataset %q", opt.dataset)
 	}
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	cfg := core.Config{
 		TopicNames: ds.TopicNames,
@@ -394,12 +390,12 @@ func buildSystem(opt options) (*core.System, *store.Mapped, *datagen.Dataset, er
 	fmt.Fprintln(os.Stderr, "building indexes...")
 	sys, err := core.Build(ds.Graph, ds.Log, cfg)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	st := sys.Stats()
 	fmt.Fprintf(os.Stderr, "ready: %d nodes, %d edges, %d topics, %d keywords, %d polls\n",
 		st.Nodes, st.Edges, st.Topics, st.Vocabulary, st.InfluencerPolls)
-	return sys, nil, ds, nil
+	return sys, nil, nil
 }
 
 // checkLoad rejects snapshot flags that would otherwise be ignored.
@@ -419,10 +415,8 @@ func checkServe(opt options) error {
 	switch {
 	case opt.coordinator && opt.shardAddrs == "":
 		return errors.New("serve -coordinator requires -shard-addrs=URL,URL,...")
-	case opt.coordinator && (opt.ingest || opt.walDir != "" || opt.follow != "" || opt.load != "" || opt.shardSpec != ""):
-		return errors.New("serve -coordinator has no local corpus; drop -ingest/-wal/-follow/-load/-shard")
-	case opt.shardSpec != "" && (opt.ingest || opt.walDir != "" || opt.follow != ""):
-		return errors.New("serve -shard is a static read-only shard; drop -ingest/-wal/-follow")
+	case opt.coordinator && (opt.ingest || opt.walDir != "" || opt.follow != "" || opt.load != ""):
+		return errors.New("serve -coordinator has no local corpus; drop -ingest/-wal/-follow/-load")
 	case opt.follow != "" && opt.ingest:
 		return errors.New("serve -follow is read-only; -ingest belongs on the leader")
 	case opt.follow != "" && opt.walDir == "":
@@ -431,14 +425,6 @@ func checkServe(opt options) error {
 		return errors.New("serve -follow bootstraps from the leader's snapshot; drop -load")
 	case opt.walDir != "" && !opt.ingest && opt.follow == "":
 		return errors.New("serve -wal requires -ingest")
-	}
-	if opt.shardSpec != "" {
-		if _, _, err := parseShardSpec(opt.shardSpec); err != nil {
-			return err
-		}
-		if _, err := shard.ParseStrategy(opt.strategy, opt.seed); err != nil {
-			return err
-		}
 	}
 	return checkLoad(opt)
 }
@@ -505,15 +491,15 @@ func serveMain(opt options) error {
 // release once its HTTP server has drained.
 type source struct {
 	sys    server.Source // nil on a coordinator: its engine is remote
-	mode   string        // coordinator, replica, shard, static or live
+	mode   string        // coordinator, replica, static or live
 	mapped *store.Mapped // the snapshot mapping sys aliases, if any
 	close  func() error  // stops the live ingester or the follower
 }
 
 // openSource picks what serve answers from: nothing local for a
-// coordinator; the leader's mirrored checkpoints for -follow; shard k
-// of the full corpus for -shard; otherwise the system recovered from
-// -wal, loaded or built, wrapped live under -ingest. A -wal directory
+// coordinator; the leader's mirrored checkpoints for -follow; otherwise
+// the system recovered from -wal, loaded or built, wrapped live under
+// -ingest. A -wal directory
 // that already holds state wins over both -load and dataset generation.
 func openSource(ctx context.Context, opt options, logger *slog.Logger) (source, error) {
 	src := source{close: func() error { return nil }}
@@ -552,17 +538,9 @@ func openSource(ctx context.Context, opt options, logger *slog.Logger) (source, 
 	}
 	if sys == nil {
 		var err error
-		if sys, src.mapped, _, err = buildSystem(opt); err != nil {
+		if sys, src.mapped, err = buildSystem(opt); err != nil {
 			return src, err
 		}
-	}
-	if opt.shardSpec != "" {
-		shardSys, err := cutShard(opt, sys)
-		if err != nil {
-			return src, err
-		}
-		src.sys, src.mode = shardSys, "shard"
-		return src, nil
 	}
 	if !opt.ingest {
 		src.sys, src.mode = sys, "static"
@@ -592,43 +570,6 @@ func openSource(ctx context.Context, opt options, logger *slog.Logger) (source, 
 		return nil
 	}
 	return src, nil
-}
-
-// cutShard cuts shard k of N out of the full corpus with the same
-// strategy and seed as octopus split, so a mixed fleet of pre-split and
-// on-the-fly shards agrees.
-func cutShard(opt options, full *core.System) (*core.System, error) {
-	k, n, err := parseShardSpec(opt.shardSpec)
-	if err != nil {
-		return nil, err
-	}
-	strat, err := shard.ParseStrategy(opt.strategy, opt.seed)
-	if err != nil {
-		return nil, err
-	}
-	corpora, err := shard.SplitSystem(full, strat, n)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := shard.BuildSystem(full, corpora[k])
-	if err != nil {
-		return nil, err
-	}
-	st := sys.Stats()
-	fmt.Fprintf(os.Stderr, "shard %d/%d (%s strategy): %d edges, %d episodes, %d actions of the full corpus\n",
-		k, n, strat.Name(), st.Edges, st.Episodes, st.Actions)
-	return sys, nil
-}
-
-// parseShardSpec parses the -shard k/N argument (0-based).
-func parseShardSpec(spec string) (k, n int, err error) {
-	if _, err := fmt.Sscanf(spec, "%d/%d", &k, &n); err != nil {
-		return 0, 0, fmt.Errorf("-shard %q: want k/N (e.g. 0/2)", spec)
-	}
-	if n < 1 || k < 0 || k >= n {
-		return 0, 0, fmt.Errorf("-shard %q: need 0 <= k < N", spec)
-	}
-	return k, n, nil
 }
 
 // newLogger builds the serve path's structured logger.
@@ -717,7 +658,7 @@ func runHTTP(ctx context.Context, opt options, logger *slog.Logger, srv *server.
 	}
 }
 
-func oneShot(opt options, sys *core.System, _ *datagen.Dataset) error {
+func oneShot(opt options, sys *core.System) error {
 	tok := actionlog.Tokenizer{}
 	keywords := tok.Tokenize(opt.query)
 	res, err := sys.DiscoverInfluencers(keywords, core.DiscoverOptions{K: opt.k})
@@ -747,7 +688,7 @@ func gammaString(sys *core.System, res *core.DiscoverResult) string {
 }
 
 // demo walks the three demonstration scenarios of Section III.
-func demo(opt options, sys *core.System, ds *datagen.Dataset) error {
+func demo(opt options, sys *core.System) error {
 	fmt.Println("==================================================================")
 	fmt.Println(" OCTOPUS demo — three scenarios from the ICDE 2018 demonstration")
 	fmt.Println("==================================================================")
@@ -822,7 +763,6 @@ func demo(opt options, sys *core.System, ds *datagen.Dataset) error {
 			fmt.Println()
 		}
 	}
-	_ = ds
 	return nil
 }
 

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestCheckServe pins which serve command lines are refused before
-// anything is built, fetched or bound, and that the ones the CI smokes
-// and the benchmark launch pass.
+// TestCheckServe pins which serve command lines are refused (by flag
+// parsing or checkServe) before anything is built, fetched or bound,
+// and that the ones the CI smokes and the benchmark launch pass.
 func TestCheckServe(t *testing.T) {
 	for _, tc := range []struct {
 		args string
@@ -18,14 +18,11 @@ func TestCheckServe(t *testing.T) {
 		{"-follow http://leader:8080 -wal d -load m.oct", "drop -load"},
 		{"-coordinator", "requires -shard-addrs"},
 		{"-coordinator -shard-addrs=http://h0:8081 -load m.oct", "no local corpus"},
-		{"-shard 0/2 -ingest", "static read-only shard"},
 		{"-wal d", "-wal requires -ingest"},
 		{"-load m.oct -mmap-warmup", "requires -mmap"},
 		{"-mmap", "requires -load"},
-		{"-shard 2/2", "need 0 <= k < N"},
-		{"-shard x", "want k/N"},
-		{"-shard 0/0", "need 0 <= k < N"},
-		{"-shard 0/2 -strategy metis", "unknown strategy"},
+		// A shard is made by split and served with -load; serve has no -shard.
+		{"-shard 0/2", "flag provided but not defined: -shard"},
 
 		// What the CI smokes launch.
 		{"-n 300 -topics 4 -addr 127.0.0.1:18080 -admin-addr 127.0.0.1:18081 -slow-query 1ms -log-format json", ""},
@@ -40,19 +37,28 @@ func TestCheckServe(t *testing.T) {
 		{"-load corpus.oct -mmap", ""},
 		{"-load corpus.oct -ingest -wal wal", ""},
 		{"-coordinator -shard-addrs=http://127.0.0.1:1,http://127.0.0.1:2 -cache-entries -1", ""},
-		// A one-step shard.
-		{"-shard 1/2 -strategy community", ""},
 	} {
 		opt, err := parseFlags("serve", strings.Fields(tc.args))
-		if err != nil {
-			t.Fatalf("%q: %v", tc.args, err)
+		if err == nil {
+			err = checkServe(opt)
 		}
-		err = checkServe(opt)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%q: legal command line refused: %v", tc.args, err)
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%q: error %v, want one containing %q", tc.args, err, tc.want)
 		}
+	}
+}
+
+// TestSplitRejectsUnknownStrategy pins that split refuses a strategy it
+// does not know before it touches the system.
+func TestSplitRejectsUnknownStrategy(t *testing.T) {
+	opt, err := parseFlags("split", []string{"-strategy", "metis"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := splitFleet(opt, nil); err == nil || !strings.Contains(err.Error(), "unknown strategy") {
+		t.Fatalf("split -strategy metis: error %v, want one containing %q", err, "unknown strategy")
 	}
 }

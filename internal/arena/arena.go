@@ -74,9 +74,6 @@ func NewZeroCopy(data []byte) *Reader { return &Reader{data: data, zero: true} }
 // Err returns the first error encountered.
 func (r *Reader) Err() error { return r.err }
 
-// Pos returns the current decode offset within the byte range.
-func (r *Reader) Pos() int { return r.off }
-
 // Remaining returns the bytes left to decode.
 func (r *Reader) Remaining() int { return len(r.data) - r.off }
 

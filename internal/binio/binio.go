@@ -27,13 +27,6 @@ type Writer struct {
 // NewWriter wraps w in a buffered binary writer.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: bufio.NewWriter(w)} }
 
-// Err returns the first error encountered.
-func (w *Writer) Err() error { return w.err }
-
-// Pos returns the bytes successfully encoded so far. The aligned
-// snapshot codecs use it to place bulk arrays on 8-byte boundaries.
-func (w *Writer) Pos() int64 { return w.pos }
-
 // Align8 emits zero bytes up to the next 8-byte boundary (relative to
 // the start of this Writer). Readers skip the same padding with
 // arena.Reader.Align8, letting bulk arrays be aliased in place when

@@ -182,10 +182,6 @@ func (b *Builder) grow(u NodeID) {
 	}
 }
 
-// NumPendingEdges returns the number of edges recorded so far (before
-// dedup).
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
-
 // Build finalizes the graph. The builder may be reused afterwards but
 // shares no memory with the result.
 func (b *Builder) Build() *Graph {

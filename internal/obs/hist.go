@@ -75,13 +75,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-// Sum returns the total of all observations in nanoseconds.
-func (h *Histogram) Sum() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sumNs
-}
-
 // Max returns the largest observation in nanoseconds (0 if empty).
 func (h *Histogram) Max() uint64 {
 	h.mu.Lock()

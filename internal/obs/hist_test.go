@@ -126,13 +126,13 @@ func TestHistogramCounters(t *testing.T) {
 	if got := h.Count(); got != 3 {
 		t.Fatalf("count = %d, want 3", got)
 	}
-	if got := h.Sum(); got != 3e6 {
-		t.Fatalf("sum = %d, want 3e6", got)
-	}
 	if got := h.Max(); got != 2e6 {
 		t.Fatalf("max = %d, want 2e6", got)
 	}
 	snap := h.Snapshot()
+	if snap.SumNs != 3e6 {
+		t.Fatalf("sum = %d, want 3e6", snap.SumNs)
+	}
 	if snap.MinNs != 0 {
 		t.Fatalf("min = %d, want 0 (negative clamped)", snap.MinNs)
 	}

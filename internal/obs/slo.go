@@ -138,14 +138,6 @@ func NewSLOTracker(cfg SLOConfig) *SLOTracker {
 	}
 }
 
-// Config returns the tracker's objectives with defaults filled.
-func (t *SLOTracker) Config() SLOConfig {
-	if t == nil {
-		return SLOConfig{}.fill()
-	}
-	return t.cfg
-}
-
 // Observe records one served request. 5xx statuses and 429 sheds count
 // against availability; durations over LatencyTarget count against the
 // latency objective. Nil-safe and allocation-free.

@@ -182,14 +182,6 @@ func (e *Engine) tree(u graph.NodeID, opt *QueryOptions) []mia.TreeNode {
 	return e.slab[at : at+e.treeLen[u]]
 }
 
-// QueryKeywords resolves keywords through the keyword model and runs
-// Query with the induced topic distribution γ.
-func (e *Engine) QueryKeywords(km *topic.Model, keywords []string, opt QueryOptions) (*Result, topic.Dist, error) {
-	gamma, _ := km.InferGamma(keywords)
-	res, err := e.Query(gamma, opt)
-	return res, gamma, err
-}
-
 // Query finds the K seeds with maximum topic-aware influence spread
 // under γ using the best-effort framework. If opt.Context ends first,
 // Query returns an error wrapping the context's and no result.

@@ -130,9 +130,6 @@ type TopicSample struct {
 // Model returns the underlying TIC model.
 func (ix *Index) Model() *tic.Model { return ix.model }
 
-// ThetaPre returns the precomputation threshold.
-func (ix *Index) ThetaPre() float64 { return ix.thetaPre }
-
 // SigmaMax returns the precomputed upper-envelope spread of v.
 func (ix *Index) SigmaMax(v graph.NodeID) float64 { return ix.sigmaMax[v] }
 

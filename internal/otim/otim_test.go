@@ -452,7 +452,12 @@ func TestQueryKeywords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, gamma, err := eng.QueryKeywords(km, []string{"data", "mining"}, QueryOptions{K: 3, Theta: 0.01})
+	// A keyword query is γ inference through the keyword model, then Query.
+	gamma, unknown := km.InferGamma([]string{"data", "mining"})
+	if len(unknown) != 0 {
+		t.Fatalf("keywords %v unknown", unknown)
+	}
+	res, err := eng.Query(gamma, QueryOptions{K: 3, Theta: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,27 +28,11 @@ type Collection struct {
 	sets  [][]graph.NodeID
 }
 
-// NumSets returns the number of RR sets.
-func (c *Collection) NumSets() int { return len(c.sets) }
-
 // NumNodes returns the root-universe size the estimates scale by.
 func (c *Collection) NumNodes() int { return c.scale }
 
 // Set returns the i-th RR set; callers must not modify it.
 func (c *Collection) Set(i int) []graph.NodeID { return c.sets[i] }
-
-// AvgSize returns the mean RR-set size (its expectation equals the
-// expected spread of a uniformly random singleton seed).
-func (c *Collection) AvgSize() float64 {
-	if len(c.sets) == 0 {
-		return 0
-	}
-	total := 0
-	for _, s := range c.sets {
-		total += len(s)
-	}
-	return float64(total) / float64(len(c.sets))
-}
 
 // sampler carries reusable reverse-BFS state.
 type sampler struct {

@@ -117,16 +117,6 @@ func (r *Source) NormFloat64() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *Source) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // Gamma samples from a Gamma(shape, 1) distribution using the
 // Marsaglia–Tsang method, with the standard boost for shape < 1.
 func (r *Source) Gamma(shape float64) float64 {
@@ -196,48 +186,6 @@ func (r *Source) DirichletSym(a float64, k int) []float64 {
 		alpha[i] = a
 	}
 	return r.Dirichlet(alpha, nil)
-}
-
-// Zipf samples integers in [0,n) with probability proportional to
-// 1/(i+1)^s. It precomputes the CDF once; use the returned sampler for
-// repeated draws.
-type Zipf struct {
-	cdf []float64
-	src *Source
-}
-
-// NewZipf builds a Zipf sampler over [0,n) with exponent s > 0.
-func NewZipf(src *Source, s float64, n int) *Zipf {
-	if n <= 0 {
-		panic("rng: NewZipf with non-positive n")
-	}
-	cdf := make([]float64, n)
-	acc := 0.0
-	for i := 0; i < n; i++ {
-		acc += math.Pow(float64(i+1), -s)
-		cdf[i] = acc
-	}
-	inv := 1 / acc
-	for i := range cdf {
-		cdf[i] *= inv
-	}
-	cdf[n-1] = 1 // guard against rounding
-	return &Zipf{cdf: cdf, src: src}
-}
-
-// Draw returns the next Zipf-distributed integer.
-func (z *Zipf) Draw() int {
-	u := z.src.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // Sample returns k distinct uniform indices from [0,n) (k<=n) using a

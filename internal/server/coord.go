@@ -4,9 +4,12 @@
 // corpora served by ordinary octopus processes). Every query pins the
 // fleet roster, fans out to the live shards in parallel, and merges:
 //
-//   - im / im/targeted: spread estimates are additive across shards
-//     (each shard owns a disjoint edge set), seeds re-ranked by merged
-//     spread with node-id tie-breaks;
+//   - im: each shard's seed list carries cumulative spreads, so each
+//     seed's marginal gain is summed across shards (each shard owns a
+//     disjoint edge set), seeds re-ranked by summed gain with node-id
+//     tie-breaks, and spreads re-rendered as the running sum;
+//   - im/targeted: per-seed spreads summed across shards, seeds
+//     re-ranked the same way;
 //   - complete: candidates merged by key keeping the max weight;
 //   - status: corpus counts summed (node/topic/vocabulary maxima — the
 //     id space and models are global);
@@ -481,12 +484,9 @@ func decodeAll(successes []shardReply, each func(i int, body []byte) error) erro
 	return nil
 }
 
-// mergeIM merges keyword-IM answers: spreads are additive across the
-// disjoint per-shard edge sets, so each candidate's merged spread is
-// the sum of its per-shard estimates; the merged ranking orders by
-// spread (descending) with node-id tie-breaks, like every shard does
-// locally. γ, topics and the unknown-word list are fleet-wide
-// constants (shared topic model) and come from the first success.
+// mergeIM merges keyword-IM answers (see mergeIMSeeds). γ, topics and
+// the unknown-word list are fleet-wide constants (shared topic model)
+// and come from the first success.
 func (v *remoteView) mergeIM(w http.ResponseWriter, successes []shardReply, missing []int) {
 	parts := make([]imResponse, len(successes))
 	if err := decodeAll(successes, func(i int, body []byte) error {
@@ -499,27 +499,17 @@ func (v *remoteView) mergeIM(w http.ResponseWriter, successes []shardReply, miss
 		imResponse
 		ShardsMissing []int `json:"shards_missing,omitempty"`
 	}{imResponse: parts[0], ShardsMissing: missing}
-	spread := make(map[int32]float64)
-	info := make(map[int32]imSeed)
-	k := 0
+	lists := make([][]imSeed, len(parts))
 	stats := make(map[string]float64)
-	for _, p := range parts {
-		if len(p.Seeds) > k {
-			k = len(p.Seeds)
-		}
-		for _, s := range p.Seeds {
-			spread[s.ID] += s.Spread
-			if _, ok := info[s.ID]; !ok {
-				info[s.ID] = s
-			}
-		}
+	for i, p := range parts {
+		lists[i] = p.Seeds
 		for name, val := range p.Stats {
 			if f, ok := val.(float64); ok {
 				stats[name] += f
 			}
 		}
 	}
-	out.Seeds = rankSeeds(spread, info, k)
+	out.Seeds = mergeIMSeeds(lists)
 	out.Stats = make(map[string]any, len(stats))
 	for name, f := range stats {
 		out.Stats[name] = f
@@ -540,34 +530,62 @@ func (v *remoteView) mergeTargeted(w http.ResponseWriter, successes []shardReply
 		ShardsMissing []int `json:"shards_missing,omitempty"`
 	}{targetedResponse: parts[0], ShardsMissing: missing}
 	out.AudienceSpread = 0
-	spread := make(map[int32]float64)
+	lists := make([][]imSeed, len(parts))
+	for i, p := range parts {
+		out.AudienceSpread += p.AudienceSpread
+		lists[i] = p.Seeds
+	}
+	// A targeted seed's spread is its own (singleton) spread, so it adds
+	// across the disjoint per-shard edge sets as it stands.
+	out.Seeds = mergeSeeds(lists, func(seeds []imSeed, i int) float64 { return seeds[i].Spread })
+	writeJSON(w, http.StatusOK, out)
+}
+
+// mergeIMSeeds merges keyword-IM seed lists. A shard lists each seed
+// with the cumulative spread after it, so a seed's own contribution is
+// its marginal gain over the seed before it. Gains add across the
+// disjoint per-shard edge sets; the merged list ranks by summed gain
+// and renders each seed's spread as the running sum in ranked order —
+// the single-process shape, non-decreasing down the list.
+func mergeIMSeeds(lists [][]imSeed) []imSeed {
+	seeds := mergeSeeds(lists, func(seeds []imSeed, i int) float64 {
+		if i == 0 {
+			return seeds[0].Spread
+		}
+		return seeds[i].Spread - seeds[i-1].Spread
+	})
+	total := 0.0
+	for i := range seeds {
+		total += seeds[i].Spread
+		seeds[i].Spread = total
+	}
+	return seeds
+}
+
+// mergeSeeds merges per-shard seed lists into one ranked list as long
+// as the longest input. A seed's merged score is the sum of score over
+// the lists that hold it, taken in shard order so the merge is
+// byte-repeatable; the list orders by score descending, node id
+// ascending on ties, and each seed's Spread is its merged score.
+func mergeSeeds(lists [][]imSeed, score func(seeds []imSeed, i int) float64) []imSeed {
+	sum := make(map[int32]float64)
 	info := make(map[int32]imSeed)
 	k := 0
-	for _, p := range parts {
-		out.AudienceSpread += p.AudienceSpread
-		if len(p.Seeds) > k {
-			k = len(p.Seeds)
-		}
-		for _, s := range p.Seeds {
-			spread[s.ID] += s.Spread
+	for _, seeds := range lists {
+		k = max(k, len(seeds))
+		for i, s := range seeds {
+			sum[s.ID] += score(seeds, i)
 			if _, ok := info[s.ID]; !ok {
 				info[s.ID] = s
 			}
 		}
 	}
-	out.Seeds = rankSeeds(spread, info, k)
-	writeJSON(w, http.StatusOK, out)
-}
-
-// rankSeeds renders merged (id → spread) into a ranked seed list:
-// spread descending, node id ascending on ties, truncated to k.
-func rankSeeds(spread map[int32]float64, info map[int32]imSeed, k int) []imSeed {
-	ids := make([]int32, 0, len(spread))
-	for id := range spread {
+	ids := make([]int32, 0, len(sum))
+	for id := range sum {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(a, b int) bool {
-		sa, sb := spread[ids[a]], spread[ids[b]]
+		sa, sb := sum[ids[a]], sum[ids[b]]
 		if sa != sb {
 			return sa > sb
 		}
@@ -579,7 +597,7 @@ func rankSeeds(spread map[int32]float64, info map[int32]imSeed, k int) []imSeed 
 	seeds := make([]imSeed, 0, len(ids))
 	for _, id := range ids {
 		s := info[id]
-		s.Spread = spread[id]
+		s.Spread = sum[id]
 		seeds = append(seeds, s)
 	}
 	return seeds

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -207,11 +208,9 @@ func TestCoordinatorTwoShardMerge(t *testing.T) {
 			if s.Spread <= 0 {
 				t.Fatalf("seed %d has non-positive merged spread %v", i, s.Spread)
 			}
-			if i > 0 {
-				prev := resp.Seeds[i-1]
-				if s.Spread > prev.Spread || (s.Spread == prev.Spread && s.ID <= prev.ID) {
-					t.Fatalf("merged ranking violated at %d: %+v after %+v", i, s, prev)
-				}
+			// Spreads are cumulative, as in a single-process answer.
+			if i > 0 && s.Spread < resp.Seeds[i-1].Spread {
+				t.Fatalf("merged spreads decrease at %d: %+v after %+v", i, s, resp.Seeds[i-1])
 			}
 		}
 		if len(resp.Gamma) == 0 || len(resp.Topics) == 0 {
@@ -472,5 +471,34 @@ func TestCoordinatorFleetGeneration(t *testing.T) {
 func TestCoordinatorRejectsEmptyFleet(t *testing.T) {
 	if _, err := NewCoordinator(nil, Options{}, CoordinatorOptions{}); err == nil {
 		t.Fatal("NewCoordinator accepted an empty fleet")
+	}
+}
+
+// TestMergeSeeds pins the seed merges on synthetic shard lists. Keyword
+// IM sums each shard's marginal gains and renders cumulative spreads;
+// targeted IM sums the per-seed spreads as they stand.
+func TestMergeSeeds(t *testing.T) {
+	seed := func(id int32, spread float64) imSeed { return imSeed{ID: id, Spread: spread} }
+	a := []imSeed{seed(1, 10), seed(2, 15), seed(3, 18)}
+	b := []imSeed{seed(11, 8), seed(12, 12), seed(13, 14)}
+	for _, tc := range []struct {
+		name string
+		got  []imSeed
+		want []imSeed
+	}{
+		{"im ranks by marginal gain", mergeIMSeeds([][]imSeed{a, b}),
+			[]imSeed{seed(1, 10), seed(11, 18), seed(2, 23)}},
+		{"im sums a shared seed's gains", mergeIMSeeds([][]imSeed{
+			{seed(1, 4), seed(2, 10)},
+			{seed(2, 5), seed(3, 7)},
+		}), []imSeed{seed(2, 11), seed(1, 15)}},
+		{"im over one shard replays it", mergeIMSeeds([][]imSeed{a}), a},
+		{"targeted sums spreads", mergeSeeds([][]imSeed{a, {seed(3, 4), seed(11, 9)}},
+			func(seeds []imSeed, i int) float64 { return seeds[i].Spread }),
+			[]imSeed{seed(3, 22), seed(2, 15), seed(1, 10)}},
+	} {
+		if !reflect.DeepEqual(tc.got, tc.want) {
+			t.Errorf("%s: merged %+v, want %+v", tc.name, tc.got, tc.want)
+		}
 	}
 }

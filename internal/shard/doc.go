@@ -40,6 +40,13 @@
 //   - GET /api/health reports state "degraded" with one
 //     "shards_missing: ..." reason per shard that is down.
 //
+// A shard's keyword-IM answer lists each seed with the cumulative
+// spread after it over the edges that shard owns. The coordinator sums
+// each seed's marginal gain across shards, ranks by the summed gain and
+// renders cumulative spreads again, so a fleet answer has the
+// single-process shape; seeds whose influence crosses shard boundaries
+// are under-counted, which makes the fleet answer approximate.
+//
 // Partial responses are never cached, so a recovered shard is
 // reflected by the very next uncached query. Spread estimates merged
 // from a subset of shards are lower bounds on the full-fleet answer;

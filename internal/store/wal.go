@@ -211,9 +211,6 @@ func (w *WAL) Syncs() uint64 { return w.syncs.Load() }
 // Size returns the current log size in bytes.
 func (w *WAL) Size() int64 { return w.size.Load() }
 
-// TotalRecords returns the records appended across all rotations.
-func (w *WAL) TotalRecords() uint64 { return w.totalRecords.Load() }
-
 // TotalBytes returns the bytes appended across all rotations.
 func (w *WAL) TotalBytes() int64 { return w.totalBytes.Load() }
 
@@ -260,7 +257,6 @@ func (w *WAL) Append(recs []Record) error {
 	}
 	w.records.Add(uint64(len(recs)))
 	w.size.Add(int64(frame.Len()))
-	w.totalRecords.Add(uint64(len(recs)))
 	w.totalBytes.Add(int64(frame.Len()))
 	return nil
 }

@@ -18,11 +18,10 @@
 //   - Delta overlay: the base core.System is immutable (CSR graph,
 //     model slices, indexes), so applied-but-not-yet-folded events live
 //     in a small mutable overlay keyed by endpoint pairs. New edges are
-//     assigned per-topic activation probabilities immediately by a
-//     configurable Prior (default: weighted Jaccard of the endpoints'
-//     topic profiles scaled to the source's typical edge strength), so
-//     the delta is queryable cheaply (PendingOutEdges) before any
-//     rebuild happens.
+//     assigned per-topic activation probabilities when they are applied
+//     (the weighted Jaccard of the endpoints' topic profiles, scaled to
+//     the source's typical edge strength), and the WAL records those
+//     probabilities, so recovery and the fold reproduce them exactly.
 //
 //   - Snapshot manager: when the overlay accumulates Config.RebuildEvents
 //     events — or has been pending longer than Config.RebuildInterval —
@@ -51,9 +50,9 @@
 //
 // Freshness is therefore bounded, not instant:
 //
-//   - An event becomes *visible to overlay peeks* as soon as the apply
-//     loop processes its batch (microseconds after ingestion, buffer
-//     permitting).
+//   - An event is *applied* (validated, deduplicated, counted in Stats
+//     as pending) as soon as the apply loop processes its batch
+//     (microseconds after ingestion, buffer permitting).
 //   - It becomes *visible to the analysis services* (DiscoverInfluencers,
 //     SuggestKeywords, InfluencePaths) at the next snapshot fold, i.e.
 //     after at most RebuildEvents further events or RebuildInterval of
@@ -72,11 +71,9 @@
 // node, and an item before actions referencing it. Violations are
 // counted in Stats.Invalid and dropped, never applied partially.
 //
-// If a fold fails (it cannot in practice unless a custom Prior emits
-// out-of-range probabilities), the
-// previous snapshot keeps serving, the failure is recorded in Stats
-// (and returned by ForceSnapshot), and the delta is merged back into
-// the pending overlay to be retried at the next fold.
+// If a fold fails, the previous snapshot keeps serving, the failure is
+// recorded in Stats (and returned by ForceSnapshot), and the delta stays
+// pending, to be retried at the next fold.
 //
 // # Durability
 //

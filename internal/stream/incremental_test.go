@@ -23,11 +23,10 @@ func expectedFold(t *testing.T, sys *core.System, seed uint64, edges []EdgeEvent
 	t.Helper()
 	b := graph.NewBuilder(sys.Graph().NumNodes())
 	b.AddGraph(sys.Graph())
-	prior := WeightedJaccardPrior(1)
 	priors := map[edgeKey][]float64{}
 	for _, e := range edges {
 		b.AddEdge(e.Src, e.Dst)
-		priors[edgeKey{e.Src, e.Dst}] = prior(sys, e.Src, e.Dst)
+		priors[edgeKey{e.Src, e.Dst}] = weightedJaccardPrior(sys, e.Src, e.Dst)
 	}
 	g := b.Build()
 	model, err := tic.Remap(sys.Propagation(), g, func(u, v graph.NodeID) []float64 {

@@ -37,9 +37,6 @@ type Config struct {
 	// RebuildInterval additionally folds a non-empty overlay whose oldest
 	// event is older than this (staleness bound). 0 disables the timer.
 	RebuildInterval time.Duration
-	// Prior assigns per-topic probabilities to brand-new edges. Default
-	// WeightedJaccardPrior(1).
-	Prior Prior
 	// MaxNodes caps the total node count the stream may grow the graph
 	// to, guarding against a malformed event allocating an enormous CSR
 	// at fold time. Default 4×base nodes + 1024.
@@ -84,9 +81,6 @@ func (c *Config) fill(base *core.System) {
 	}
 	if c.RebuildEvents <= 0 {
 		c.RebuildEvents = 4096
-	}
-	if c.Prior == nil {
-		c.Prior = WeightedJaccardPrior(1)
 	}
 	if c.MaxNodes <= 0 {
 		c.MaxNodes = 4*base.Graph().NumNodes() + 1024
@@ -483,14 +477,6 @@ func (ls *LiveSystem) Kill() {
 	ls.wg.Wait()
 }
 
-// PendingOutEdges returns u's applied-but-not-yet-folded out-edges with
-// their prior topic probabilities — the cheap queryable delta.
-func (ls *LiveSystem) PendingOutEdges(u graph.NodeID) []OverlayEdge {
-	ls.mu.RLock()
-	defer ls.mu.RUnlock()
-	return ls.ov.appendOutEdges(u, nil)
-}
-
 // Staleness returns the age of the oldest event applied to the live
 // overlay but not yet visible in a snapshot, or 0 when the overlay is
 // drained. It is the cheap accessor behind the SLO ingest-staleness
@@ -847,7 +833,7 @@ func (ls *LiveSystem) applyEdge(base *core.System, ev EdgeEvent) (store.Record, 
 		return store.Record{}, false
 	}
 	ls.noteFirstEvent()
-	prior := ls.cfg.Prior(base, ev.Src, ev.Dst)
+	prior := weightedJaccardPrior(base, ev.Src, ev.Dst)
 	ls.ov.addEdge(ev, prior)
 	ls.applied.Add(1)
 	return store.Record{
@@ -1007,8 +993,8 @@ func (ls *LiveSystem) fold() error {
 	// of the corpus.
 	merged := mergeItemIDs(ls.baseItemTier(), ov.items)
 	// Publish the snapshot and retire the folded delta in one critical
-	// section so locked readers (Stats, PendingOutEdges) never see the
-	// same events both in the new snapshot and as pending.
+	// section so locked readers (Stats) never see the same events both
+	// in the new snapshot and as pending.
 	ls.mu.Lock()
 	ls.cur.Store(NewSnapshot(sys, old.Version+1, elapsed))
 	ls.ov = newOverlay()

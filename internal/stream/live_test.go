@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -12,7 +13,6 @@ import (
 	"octopus/internal/datagen"
 	"octopus/internal/graph"
 	"octopus/internal/rng"
-	"octopus/internal/topic"
 )
 
 func buildBase(t *testing.T, authors int, seed uint64) (*core.System, *datagen.Dataset) {
@@ -76,19 +76,12 @@ func TestFoldAppliesEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Before the fold: old snapshot still serves, overlay peek sees edges.
+	// Before the fold: the old snapshot still serves, the events pend.
 	if v := ls.Version(); v != 1 {
 		t.Fatalf("version before fold = %d", v)
 	}
 	if got := ls.System().Graph().NumEdges(); got != baseEdges {
 		t.Fatalf("edges changed before fold: %d != %d", got, baseEdges)
-	}
-	pend := ls.PendingOutEdges(0)
-	if len(pend) != 1 || pend[0].Dst != n-1 {
-		t.Fatalf("pending out edges of 0 = %+v", pend)
-	}
-	if len(pend[0].Probs) != sys.Propagation().NumTopics() {
-		t.Fatalf("prior has %d topics", len(pend[0].Probs))
 	}
 	st := ls.Stats()
 	if st.Applied != 5 || st.Pending != 5 {
@@ -117,6 +110,16 @@ func TestFoldAppliesEvents(t *testing.T) {
 	}
 	if p := sys2.Propagation().MaxProb(e); p <= 0 {
 		t.Fatalf("folded edge has zero prior probability")
+	}
+	// The folded edge carries the prior assigned at apply time, bit for
+	// bit at the model's float32 precision.
+	prior := weightedJaccardPrior(sys, 0, n-1)
+	got := make([]float64, len(prior))
+	sys2.Propagation().EdgeTopics(e, func(z int, p float64) { got[z] = p })
+	for z, p := range prior {
+		if want := float64(float32(p)); got[z] != want {
+			t.Fatalf("folded edge topic %d = %v, want prior %v", z, got[z], want)
+		}
 	}
 	// Pre-existing edges must carry their probabilities over exactly.
 	sys.Graph().EachEdge(func(oldE graph.EdgeID, u, v graph.NodeID) {
@@ -277,7 +280,7 @@ func TestConcurrentIngestQuerySwap(t *testing.T) {
 					t.Errorf("reader %d: paths: %v", id, err)
 					return
 				}
-				_ = ls.PendingOutEdges(root)
+				_ = ls.Stats()
 				qCount.Add(1)
 			}
 		}(i)
@@ -330,24 +333,26 @@ func TestConcurrentIngestQuerySwap(t *testing.T) {
 		qCount.Load(), st.Snapshots, st.Version, st.Applied)
 }
 
-// TestFoldFailureRetainsDelta: a prior emitting out-of-range
-// probabilities makes the fold fail; the error must surface through
-// ForceSnapshot, the old snapshot must keep serving, and the delta must
-// stay pending rather than being silently discarded.
+// TestFoldFailureRetainsDelta: an injected build error makes the fold
+// fail; the error must surface through ForceSnapshot, the old snapshot
+// must keep serving, the delta must stay pending rather than being
+// silently discarded, and the next fold must apply it.
 func TestFoldFailureRetainsDelta(t *testing.T) {
 	sys, _ := buildBase(t, 150, 19)
-	bad := func(s *core.System, u, v graph.NodeID) topic.Dist {
-		out := make(topic.Dist, s.Propagation().NumTopics())
-		for i := range out {
-			out[i] = 2 // invalid: > 1, rejected by tic at fold time
-		}
-		return out
-	}
 	// The failure must not count as a swap of either kind, whichever
 	// fold policy would have run.
 	for _, incremental := range []bool{false, true} {
 		t.Run(fmt.Sprintf("incremental=%v", incremental), func(t *testing.T) {
-			ls, err := NewLiveSystem(sys, Config{RebuildEvents: 1 << 20, Prior: bad, IncrementalFold: incremental})
+			var failing atomic.Bool
+			failing.Store(true)
+			cfg := Config{RebuildEvents: 1 << 20, IncrementalFold: incremental}
+			cfg.foldHook = func() error {
+				if failing.Load() {
+					return errors.New("injected fold failure")
+				}
+				return nil
+			}
+			ls, err := NewLiveSystem(sys, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -365,7 +370,7 @@ func TestFoldFailureRetainsDelta(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := ls.ForceSnapshot(); err == nil {
-				t.Fatal("ForceSnapshot succeeded with an invalid prior")
+				t.Fatal("ForceSnapshot succeeded through an injected failure")
 			}
 			if ls.LastFoldError() == nil {
 				t.Fatal("LastFoldError not recorded")
@@ -375,13 +380,10 @@ func TestFoldFailureRetainsDelta(t *testing.T) {
 				st.FoldFallbacks != 0 || st.IncrementalFolds != 0 {
 				t.Fatalf("stats after failed fold = %+v", st)
 			}
-			// Nothing lost: all 3 events still pending, overlay still peekable,
-			// and re-sent events still dedupe against the retained delta.
+			// Nothing lost: all 3 events still pending, and re-sent events
+			// still dedupe against the retained delta.
 			if st.Pending != 3 {
 				t.Fatalf("pending after failed fold = %d, want 3", st.Pending)
-			}
-			if pend := ls.PendingOutEdges(0); len(pend) != 1 || pend[0].Dst != n {
-				t.Fatalf("pending edges after failed fold = %+v", pend)
 			}
 			if err := ls.IngestEdges([]EdgeEvent{{Src: 0, Dst: n}}); err != nil {
 				t.Fatal(err)
@@ -391,6 +393,17 @@ func TestFoldFailureRetainsDelta(t *testing.T) {
 			}
 			if st = ls.Stats(); st.Duplicates != 1 || st.Pending != 3 {
 				t.Fatalf("dedup against retained delta broken: %+v", st)
+			}
+			// Once the failure clears, the retained delta folds.
+			failing.Store(false)
+			if err := ls.ForceSnapshot(); err != nil {
+				t.Fatalf("retry fold: %v", err)
+			}
+			if st = ls.Stats(); st.Version != 2 || st.Pending != 0 || st.FoldFailures != 1 {
+				t.Fatalf("stats after retry fold = %+v", st)
+			}
+			if _, ok := ls.System().Graph().FindEdge(0, n); !ok {
+				t.Fatal("retry fold lost the retained edge 0→n")
 			}
 		})
 	}

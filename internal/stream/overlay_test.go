@@ -6,9 +6,8 @@ import (
 	"octopus/internal/topic"
 )
 
-// A re-accepted edge key must not duplicate the neighbor in bySrc or
-// double-count toward the fold threshold — it only refreshes the
-// probabilities and names.
+// A re-accepted edge key must not double-count toward the fold
+// threshold — it only refreshes the probabilities and names.
 func TestOverlayAddEdgeDedupes(t *testing.T) {
 	ov := newOverlay()
 	ov.addEdge(EdgeEvent{Src: 1, Dst: 2}, topic.Dist{0.1, 0.9})
@@ -18,19 +17,11 @@ func TestOverlayAddEdgeDedupes(t *testing.T) {
 	if ov.events != 2 {
 		t.Fatalf("events = %d, want 2 (duplicate must not count)", ov.events)
 	}
-	peek := ov.appendOutEdges(1, nil)
-	if len(peek) != 2 {
-		t.Fatalf("peek returned %d edges, want 2: %+v", len(peek), peek)
-	}
-	seen := map[int32]topic.Dist{}
-	for _, e := range peek {
-		if _, dup := seen[e.Dst]; dup {
-			t.Fatalf("destination %d listed twice", e.Dst)
-		}
-		seen[e.Dst] = e.Probs
+	if len(ov.edges) != 2 {
+		t.Fatalf("overlay holds %d edges, want 2: %v", len(ov.edges), ov.edges)
 	}
 	// The duplicate refreshed the probabilities and the name.
-	if got := seen[2]; got[0] != 0.4 || got[1] != 0.6 {
+	if got := ov.edges[edgeKey{1, 2}]; got[0] != 0.4 || got[1] != 0.6 {
 		t.Fatalf("re-accepted edge kept stale probs %v", got)
 	}
 	if ov.names[1] != "alice" {

@@ -6,86 +6,75 @@ import (
 	"octopus/internal/topic"
 )
 
-// A Prior assigns per-topic activation probabilities to a brand-new edge
-// (src,dst) before any cascade evidence exists for it, using only the
-// base snapshot. The returned distribution-like vector has one entry per
-// topic, each in [0,1]; it is *not* normalized (these are independent
-// per-topic IC probabilities, not a simplex point). Returning nil means
-// "no prior": the edge joins the graph with all-zero probabilities.
-type Prior func(sys *core.System, src, dst graph.NodeID) topic.Dist
-
-// WeightedJaccardPrior builds the default prior: the new edge's strength
-// is the source's typical existing edge strength, distributed across
-// topics by the blend of the endpoints' topic profiles and discounted by
-// their weighted-Jaccard similarity.
+// weightedJaccardPrior assigns per-topic activation probabilities to a
+// brand-new edge (src,dst) before any cascade evidence exists for it,
+// using only the base snapshot. The result has one entry per topic,
+// each in [0,1]; it is *not* normalized (these are independent
+// per-topic IC probabilities, not a simplex point). The new edge's
+// strength is the source's typical existing edge strength, distributed
+// across topics by the blend of the endpoints' topic profiles and
+// discounted by their weighted-Jaccard similarity.
 //
 // Concretely, with a = src's outgoing topic-mass profile and b = dst's
 // incoming topic-mass profile (both L1-normalized):
 //
 //	J    = Σ_z min(a_z,b_z) / Σ_z max(a_z,b_z)   (weighted Jaccard)
-//	p_z  = scale · m₀ · max(J, floor) · (a_z+b_z)/2
+//	p_z  = m₀ · max(J, floor) · (a_z+b_z)/2
 //
 // where m₀ is the mean upper-envelope probability of src's existing
 // out-edges (falling back to dst's in-edges, then 0.05). A small floor
 // (0.02) keeps topic-disjoint or observation-free endpoints from
 // producing a dead edge; endpoints with no profile at all (brand-new
-// nodes) use a uniform blend with J = 0.5, an uninformed prior. scale
-// (typically 1) globally dampens or boosts trust in new edges.
-func WeightedJaccardPrior(scale float64) Prior {
-	if scale <= 0 {
-		scale = 1
-	}
+// nodes) use a uniform blend with J = 0.5, an uninformed prior.
+func weightedJaccardPrior(sys *core.System, src, dst graph.NodeID) topic.Dist {
 	const (
 		floorSim   = 0.02
 		unknownSim = 0.5
 		defaultM0  = 0.05
 	)
-	return func(sys *core.System, src, dst graph.NodeID) topic.Dist {
-		m := sys.Propagation()
-		z := m.NumTopics()
-		a := outProfile(sys, src)
-		b := inProfile(sys, dst)
+	z := sys.Propagation().NumTopics()
+	a := outProfile(sys, src)
+	b := inProfile(sys, dst)
 
-		m0 := meanOutEnvelope(sys, src)
-		if m0 == 0 {
-			m0 = meanInEnvelope(sys, dst)
-		}
-		if m0 == 0 {
-			m0 = defaultM0
-		}
-
-		sim := unknownSim
-		if a != nil && b != nil {
-			sim = weightedJaccard(a, b)
-			if sim < floorSim {
-				sim = floorSim
-			}
-		}
-		blend := make(topic.Dist, z)
-		switch {
-		case a == nil && b == nil:
-			for i := range blend {
-				blend[i] = 1 / float64(z)
-			}
-		case a == nil:
-			copy(blend, b)
-		case b == nil:
-			copy(blend, a)
-		default:
-			for i := range blend {
-				blend[i] = (a[i] + b[i]) / 2
-			}
-		}
-		out := make(topic.Dist, z)
-		for i := range out {
-			p := scale * m0 * sim * blend[i]
-			if p > 1 {
-				p = 1
-			}
-			out[i] = p
-		}
-		return out
+	m0 := meanOutEnvelope(sys, src)
+	if m0 == 0 {
+		m0 = meanInEnvelope(sys, dst)
 	}
+	if m0 == 0 {
+		m0 = defaultM0
+	}
+
+	sim := unknownSim
+	if a != nil && b != nil {
+		sim = weightedJaccard(a, b)
+		if sim < floorSim {
+			sim = floorSim
+		}
+	}
+	blend := make(topic.Dist, z)
+	switch {
+	case a == nil && b == nil:
+		for i := range blend {
+			blend[i] = 1 / float64(z)
+		}
+	case a == nil:
+		copy(blend, b)
+	case b == nil:
+		copy(blend, a)
+	default:
+		for i := range blend {
+			blend[i] = (a[i] + b[i]) / 2
+		}
+	}
+	out := make(topic.Dist, z)
+	for i := range out {
+		p := m0 * sim * blend[i]
+		if p > 1 {
+			p = 1
+		}
+		out[i] = p
+	}
+	return out
 }
 
 // outProfile returns u's L1-normalized outgoing topic-mass profile, or

@@ -9,7 +9,6 @@ import (
 func TestWeightedJaccardPrior(t *testing.T) {
 	sys, _ := buildBase(t, 200, 23)
 	z := sys.Propagation().NumTopics()
-	prior := WeightedJaccardPrior(1)
 
 	// Pick a source with out-edges and a destination with in-edges.
 	var src, dst graph.NodeID = -1, -1
@@ -25,7 +24,7 @@ func TestWeightedJaccardPrior(t *testing.T) {
 		t.Fatal("no suitable endpoints in generated graph")
 	}
 
-	probs := prior(sys, src, dst)
+	probs := weightedJaccardPrior(sys, src, dst)
 	if len(probs) != z {
 		t.Fatalf("prior has %d entries, want %d", len(probs), z)
 	}
@@ -47,7 +46,7 @@ func TestWeightedJaccardPrior(t *testing.T) {
 	// Brand-new endpoints (beyond the graph) still get an uninformed,
 	// non-zero prior so the edge is usable immediately.
 	n := graph.NodeID(sys.Graph().NumNodes())
-	fresh := prior(sys, n+5, n+9)
+	fresh := weightedJaccardPrior(sys, n+5, n+9)
 	totalFresh := 0.0
 	for _, p := range fresh {
 		totalFresh += p

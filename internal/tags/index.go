@@ -299,29 +299,3 @@ func (ix *Index) MaxSpreadEstimate(u graph.NodeID) float64 {
 	n := ix.m.Graph().NumNodes()
 	return float64(n) * float64(len(ix.contains[u])) / float64(len(ix.polls))
 }
-
-// SpreadEstimateSet returns σ̂_γ(S) for a seed set (a poll counts if any
-// member of S is live in it), accumulating scan work into cost (nil
-// disables accounting).
-func (ix *Index) SpreadEstimateSet(seeds []graph.NodeID, gamma topic.Dist, cost *obs.Cost) float64 {
-	if len(seeds) == 0 {
-		return 0
-	}
-	pollSet := map[int32]bool{}
-	for _, u := range seeds {
-		for _, pi := range ix.contains[u] {
-			pollSet[pi] = true
-		}
-	}
-	hits := 0
-	for pi := range pollSet {
-		for _, u := range seeds {
-			if ix.pollLive(pi, u, gamma, cost) {
-				hits++
-				break
-			}
-		}
-	}
-	n := ix.m.Graph().NumNodes()
-	return float64(n) * float64(hits) / float64(len(ix.polls))
-}

@@ -125,24 +125,6 @@ func TestLazySamplingMaterializesFewerEdges(t *testing.T) {
 	}
 }
 
-func TestSpreadEstimateSet(t *testing.T) {
-	m, _ := world(t)
-	ix := buildIx(t, m, 5000, 6)
-	gamma := topic.Dist{0.5, 0.5}
-	s0 := ix.SpreadEstimate(0, gamma, nil)
-	s20 := ix.SpreadEstimate(20, gamma, nil)
-	both := ix.SpreadEstimateSet([]graph.NodeID{0, 20}, gamma, nil)
-	if both < math.Max(s0, s20)-1e-9 {
-		t.Fatalf("set spread %v below max singleton %v/%v", both, s0, s20)
-	}
-	if both > s0+s20+1e-9 {
-		t.Fatalf("set spread %v above sum %v", both, s0+s20)
-	}
-	if got := ix.SpreadEstimateSet(nil, gamma, nil); got != 0 {
-		t.Fatalf("empty set spread = %v", got)
-	}
-}
-
 func TestBuildIndexOptions(t *testing.T) {
 	m, _ := world(t)
 	if _, err := BuildIndex(m, IndexOptions{Polls: -1}); err == nil {

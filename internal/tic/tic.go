@@ -85,15 +85,6 @@ func (m *Model) Weights(gamma topic.Dist) []float64 {
 	return w
 }
 
-// MaxWeights returns the upper-envelope weights p̄ for every edge.
-func (m *Model) MaxWeights() []float64 {
-	w := make([]float64, m.g.NumEdges())
-	for e := range w {
-		w[e] = float64(m.maxP[e])
-	}
-	return w
-}
-
 // Builder accumulates per-edge topic probabilities for a fixed graph.
 type Builder struct {
 	g       *graph.Graph
@@ -255,9 +246,6 @@ func NewSimulator(m *Model) *Simulator {
 	return &Simulator{m: m, stamp: make([]uint32, m.g.NumNodes()), epoch: 0}
 }
 
-// Clone returns an independent Simulator sharing the immutable model.
-func (s *Simulator) Clone() *Simulator { return NewSimulator(s.m) }
-
 // Cascade runs one IC simulation from seeds under γ and returns the
 // number of activated nodes (including seeds). If trace is non-nil it is
 // called for every successful activation edge (u,v,e).
@@ -295,44 +283,6 @@ func (s *Simulator) Cascade(seeds []graph.NodeID, gamma topic.Dist, r *rng.Sourc
 				if trace != nil {
 					trace(u, v, e)
 				}
-			}
-		}
-	}
-	s.queue = q
-	return activated
-}
-
-// CascadeWeighted is Cascade with pre-materialized edge weights (from
-// Weights).
-func (s *Simulator) CascadeWeighted(seeds []graph.NodeID, w []float64, r *rng.Source) int {
-	s.epoch++
-	if s.epoch == 0 {
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
-		s.epoch = 1
-	}
-	g := s.m.g
-	q := s.queue[:0]
-	for _, u := range seeds {
-		if s.stamp[u] != s.epoch {
-			s.stamp[u] = s.epoch
-			q = append(q, u)
-		}
-	}
-	activated := len(q)
-	for i := 0; i < len(q); i++ {
-		u := q[i]
-		lo, hi := g.OutEdges(u)
-		for e := lo; e < hi; e++ {
-			v := g.Dst(e)
-			if s.stamp[v] == s.epoch {
-				continue
-			}
-			if r.Float64() < w[e] {
-				s.stamp[v] = s.epoch
-				q = append(q, v)
-				activated++
 			}
 		}
 	}

@@ -90,9 +90,8 @@ func TestWeights(t *testing.T) {
 			t.Fatalf("weights = %v", w)
 		}
 	}
-	mw := m.MaxWeights()
-	if mw[0] != 1 || mw[1] != 1 {
-		t.Fatalf("max weights = %v", mw)
+	if m.MaxProb(0) != 1 || m.MaxProb(1) != 1 {
+		t.Fatalf("max probs = %v, %v", m.MaxProb(0), m.MaxProb(1))
 	}
 }
 
@@ -213,21 +212,6 @@ func TestEstimateSpreadZeroSamples(t *testing.T) {
 	sim := NewSimulator(m)
 	if got := sim.EstimateSpread([]graph.NodeID{0}, topic.Dist{1, 0}, 0, rng.New(1)); got != 0 {
 		t.Fatalf("zero samples spread = %v", got)
-	}
-}
-
-func TestCascadeWeightedMatchesCascade(t *testing.T) {
-	m := lineModel(t)
-	gamma := topic.Dist{0.6, 0.4}
-	w := m.Weights(gamma)
-	s1, s2 := NewSimulator(m), NewSimulator(m)
-	r1, r2 := rng.New(99), rng.New(99)
-	for i := 0; i < 200; i++ {
-		a := s1.Cascade([]graph.NodeID{0}, gamma, r1, nil)
-		b := s2.CascadeWeighted([]graph.NodeID{0}, w, r2)
-		if a != b {
-			t.Fatalf("iteration %d: Cascade=%d CascadeWeighted=%d", i, a, b)
-		}
 	}
 }
 

@@ -1,9 +1,9 @@
-// Benchmarks for the paper's scenarios and engine claims (E1–E3,
-// E5–E11) as testing.B targets: per-operation numbers with allocation profiles on
-// one moderate 2 000-author world, so the suite completes quickly. The
-// claims each experiment once asserted are ordinary tests in the
-// packages (e.g. otim.TestQueryMatchesExhaustiveGreedy,
-// TestQueryPrunesMostUsers, TestTopicSampleHit); end-to-end serving and
+// Benchmarks for the paper's scenarios and engine claims (E1–E3, E5,
+// E7–E11) as testing.B targets: per-operation numbers with allocation
+// profiles on one moderate 2 000-author world, so the suite completes
+// quickly. The claims each experiment once asserted are ordinary tests in
+// the packages (e.g. otim.TestQueryMatchesExhaustiveGreedy,
+// TestQueryPrunesMostUsers); end-to-end serving and
 // build timings are rows of the benchmark/ module (bash benchmark/bench.sh
 // run).
 package octopus_test
@@ -33,8 +33,7 @@ var (
 	benchErr  error
 )
 
-// benchWorld builds one shared 2000-author citation system with topic
-// samples enabled.
+// benchWorld builds one shared 2000-author citation system.
 func benchWorld(b *testing.B) (*core.System, *datagen.Dataset) {
 	b.Helper()
 	benchOnce.Do(func() {
@@ -48,7 +47,6 @@ func benchWorld(b *testing.B) (*core.System, *datagen.Dataset) {
 			GroundTruth:      benchDS.Truth,
 			GroundTruthWords: benchDS.TruthWords,
 			TopicNames:       benchDS.TopicNames,
-			OTIM:             otim.BuildOptions{Samples: 16, SampleK: 10},
 			Seed:             2,
 		})
 	})
@@ -123,34 +121,6 @@ func BenchmarkE5BoundPruning(b *testing.B) {
 	b.Run("PrecompLocal", run(otim.QueryOptions{K: 10, Theta: 0.01}))
 	b.Run("PrecompOnly", run(otim.QueryOptions{K: 10, Theta: 0.01, SkipLocalBound: true}))
 	b.Run("Epsilon01", run(otim.QueryOptions{K: 10, Theta: 0.01, Epsilon: 0.1}))
-}
-
-// E6 — topic-sample index hit vs miss.
-func BenchmarkE6TopicSamples(b *testing.B) {
-	sys, _ := benchWorld(b)
-	eng := otim.NewEngine(sys.OTIMIndex())
-	pure := topic.Pure(0, 8) // exact sample match
-	far := topic.Uniform(8)  // unlikely to be near a sparse sample
-	b.Run("Hit", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := eng.Query(pure, otim.QueryOptions{K: 10, Theta: 0.01, UseSamples: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !res.Stats.SampleHit {
-				b.Fatal("expected sample hit")
-			}
-		}
-	})
-	b.Run("Miss", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Query(far, otim.QueryOptions{
-				K: 10, Theta: 0.01, UseSamples: true, SampleTolerance: 0.01,
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // E7 — suggestion search strategies at equal candidate pools.

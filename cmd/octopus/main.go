@@ -132,7 +132,6 @@ import (
 	"octopus/internal/datagen"
 	"octopus/internal/graph"
 	"octopus/internal/obs"
-	"octopus/internal/otim"
 	"octopus/internal/repl"
 	"octopus/internal/server"
 	"octopus/internal/shard"
@@ -376,7 +375,6 @@ func buildSystem(opt options) (*core.System, *store.Mapped, error) {
 	}
 	cfg := core.Config{
 		TopicNames: ds.TopicNames,
-		OTIM:       otim.BuildOptions{Samples: 2 * opt.topics},
 		Seed:       opt.seed,
 		Workers:    opt.workers,
 	}
@@ -675,8 +673,8 @@ func printIM(sys *core.System, keywords []string, res *core.DiscoverResult) {
 	for i, s := range res.Seeds {
 		fmt.Printf("  %2d. %-24s σ=%8.2f  aspect: %s\n", i+1, s.Name, s.Spread, s.TopTopicName)
 	}
-	fmt.Printf("  [engine: %d exact evals, %d pruned users, sample hit: %v]\n",
-		res.Stats.ExactEvals, res.Stats.Pruned, res.Stats.SampleHit)
+	fmt.Printf("  [engine: %d exact evals, %d pruned users]\n",
+		res.Stats.ExactEvals, res.Stats.Pruned)
 }
 
 func gammaString(sys *core.System, res *core.DiscoverResult) string {

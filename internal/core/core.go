@@ -173,7 +173,6 @@ func Build(g *graph.Graph, log *actionlog.Log, cfg Config) (*System, error) {
 	// Stage 2: online indexes.
 	stageStart = time.Now()
 	otimOpt := cfg.OTIM
-	otimOpt.Seed = cfg.Seed ^ 0x9e37
 	if otimOpt.Workers == 0 {
 		otimOpt.Workers = cfg.Workers
 	}
@@ -491,11 +490,10 @@ type InfluencerResult struct {
 
 // DiscoverOptions tunes keyword-based influential user discovery.
 type DiscoverOptions struct {
-	K          int     // number of seeds (default 10)
-	Theta      float64 // MIA threshold (default 0.01)
-	Epsilon    float64 // ε-approximate selection (default 0 = exact)
-	UseSamples bool    // consult the topic-sample index
-	Context    context.Context
+	K       int     // number of seeds (default 10)
+	Theta   float64 // MIA threshold (default 0.01)
+	Epsilon float64 // ε-approximate selection (default 0 = exact)
+	Context context.Context
 	// Cost, when non-nil, accumulates engine work counters for the query
 	// (nil, the default, skips all accounting).
 	Cost *obs.Cost
@@ -521,12 +519,11 @@ func (s *System) DiscoverInfluencers(keywords []string, opt DiscoverOptions) (*D
 	eng := s.engines.Get().(*otim.Engine)
 	defer s.engines.Put(eng)
 	res, err := eng.Query(gamma, otim.QueryOptions{
-		K:          opt.K,
-		Theta:      opt.Theta,
-		Epsilon:    opt.Epsilon,
-		UseSamples: opt.UseSamples,
-		Context:    opt.Context,
-		Cost:       opt.Cost,
+		K:       opt.K,
+		Theta:   opt.Theta,
+		Epsilon: opt.Epsilon,
+		Context: opt.Context,
+		Cost:    opt.Cost,
 	})
 	if err != nil {
 		return nil, err
@@ -799,7 +796,6 @@ type Stats struct {
 	Vocabulary      int
 	Episodes        int
 	Actions         int
-	TopicSamples    int
 	InfluencerPolls int
 	IndexEdges      int
 }
@@ -815,7 +811,6 @@ func (s *System) Stats() Stats {
 		Vocabulary:      s.words.VocabSize(),
 		Episodes:        len(log.Episodes),
 		Actions:         log.NumActions(),
-		TopicSamples:    s.otimIdx.NumSamples(),
 		InfluencerPolls: s.tagsIdx.NumPolls(),
 		IndexEdges:      s.tagsIdx.EdgesMaterialized(),
 	}

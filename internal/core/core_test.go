@@ -11,7 +11,6 @@ import (
 
 	"octopus/internal/datagen"
 	"octopus/internal/graph"
-	"octopus/internal/otim"
 	"octopus/internal/tags"
 )
 
@@ -461,7 +460,6 @@ func TestBuildWorkersDeterministic(t *testing.T) {
 	build := func(workers int) *System {
 		sys, err := Build(ds.Graph, ds.Log, Config{
 			Topics:  3, // exercise the EM path, not just the indexes
-			OTIM:    otim.BuildOptions{Samples: 5, SampleK: 3},
 			Tags:    tags.IndexOptions{Polls: 300},
 			Seed:    13,
 			Workers: workers,

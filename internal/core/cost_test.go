@@ -22,12 +22,6 @@ func costProfile(t *testing.T, sys *System) map[string]*obs.Cost {
 	}
 	out["discover"] = c
 
-	c = &obs.Cost{}
-	if _, err := sys.DiscoverInfluencers([]string{"mining"}, DiscoverOptions{K: 3, UseSamples: true, Cost: c}); err != nil {
-		t.Fatal(err)
-	}
-	out["discover-sampled"] = c
-
 	target := graph.NodeID(-1)
 	for u := 0; u < sys.Graph().NumNodes(); u++ {
 		if len(sys.UserKeywords(graph.NodeID(u))) >= 2 {

@@ -7,7 +7,6 @@ import (
 	"octopus/internal/actionlog"
 	"octopus/internal/datagen"
 	"octopus/internal/graph"
-	"octopus/internal/otim"
 	"octopus/internal/rng"
 )
 
@@ -25,7 +24,6 @@ func foldWorld(t *testing.T) *System {
 		GroundTruth:      ds.Truth,
 		GroundTruthWords: ds.TruthWords,
 		TopicNames:       ds.TopicNames,
-		OTIM:             otim.BuildOptions{Samples: 8, SampleK: 5},
 		Seed:             21,
 	})
 	if err != nil {
@@ -77,15 +75,13 @@ func requireSystemsEqual(t *testing.T, a, b *System) {
 		t.Fatalf("stats differ: %+v vs %+v", sa, sb)
 	}
 	for _, q := range [][]string{{"mining"}, {"data", "learning"}, {"network", "social"}} {
-		for _, useSamples := range []bool{false, true} {
-			ra, err1 := a.DiscoverInfluencers(q, DiscoverOptions{K: 6, UseSamples: useSamples})
-			rb, err2 := b.DiscoverInfluencers(q, DiscoverOptions{K: 6, UseSamples: useSamples})
-			if err1 != nil || err2 != nil {
-				t.Fatal(err1, err2)
-			}
-			if !reflect.DeepEqual(ra, rb) {
-				t.Fatalf("query %v (samples=%v) differs:\n%+v\nvs\n%+v", q, useSamples, ra, rb)
-			}
+		ra, err1 := a.DiscoverInfluencers(q, DiscoverOptions{K: 6})
+		rb, err2 := b.DiscoverInfluencers(q, DiscoverOptions{K: 6})
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
+		}
+		if !reflect.DeepEqual(ra, rb) {
+			t.Fatalf("query %v differs:\n%+v\nvs\n%+v", q, ra, rb)
 		}
 	}
 	checked := 0

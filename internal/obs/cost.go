@@ -30,14 +30,16 @@ type Cost struct {
 }
 
 // OTIMCost is the best-effort keyword-IM engine's ledger: the three
-// evaluation tiers of the lazy heap, its push/pop traffic, and the
-// topic-sample index consultations.
+// evaluation tiers of the lazy heap and its push/pop traffic.
 type OTIMCost struct {
-	CheapBounds  uint64 `json:"cheapBounds"`
-	LocalBounds  uint64 `json:"localBounds"`
-	ExactEvals   uint64 `json:"exactEvals"`
-	HeapOps      uint64 `json:"heapOps"`
-	SamplesMixed uint64 `json:"samplesMixed"`
+	CheapBounds uint64 `json:"cheapBounds"`
+	LocalBounds uint64 `json:"localBounds"`
+	ExactEvals  uint64 `json:"exactEvals"`
+	HeapOps     uint64 `json:"heapOps"`
+
+	// Deprecated: the topic-sample index it counted is gone, so it is
+	// always zero; it stays only so existing readers compile.
+	SamplesMixed uint64 `json:"-"`
 }
 
 // MIACost counts maximum-influence-arborescence work: ball walks
@@ -74,7 +76,6 @@ func (c *Cost) Merge(d *Cost) {
 	c.OTIM.LocalBounds += d.OTIM.LocalBounds
 	c.OTIM.ExactEvals += d.OTIM.ExactEvals
 	c.OTIM.HeapOps += d.OTIM.HeapOps
-	c.OTIM.SamplesMixed += d.OTIM.SamplesMixed
 	c.MIA.Trees += d.MIA.Trees
 	c.MIA.Nodes += d.MIA.Nodes
 	c.MIA.Edges += d.MIA.Edges
@@ -100,13 +101,13 @@ func (c *Cost) NodesTouched() uint64 {
 	return c.MIA.Nodes + c.RIS.Nodes
 }
 
-// SamplesMixed is the total sample traffic of the query: topic-sample
-// consultations, poll-tree walks and RR sample draws.
+// SamplesMixed is the total sample traffic of the query: poll-tree
+// walks and RR sample draws.
 func (c *Cost) SamplesMixed() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.OTIM.SamplesMixed + c.Tags.Trees + c.RIS.Samples
+	return c.Tags.Trees + c.RIS.Samples
 }
 
 // Compact renders the non-zero counters as space-separated
@@ -132,7 +133,6 @@ func (c *Cost) Compact() string {
 	app("otim.local", c.OTIM.LocalBounds)
 	app("otim.exact", c.OTIM.ExactEvals)
 	app("otim.heap", c.OTIM.HeapOps)
-	app("otim.samples", c.OTIM.SamplesMixed)
 	app("mia.trees", c.MIA.Trees)
 	app("mia.nodes", c.MIA.Nodes)
 	app("mia.edges", c.MIA.Edges)

@@ -8,7 +8,7 @@ import (
 
 func sampleCost() *Cost {
 	return &Cost{
-		OTIM: OTIMCost{CheapBounds: 300, LocalBounds: 40, ExactEvals: 7, HeapOps: 350, SamplesMixed: 12},
+		OTIM: OTIMCost{CheapBounds: 300, LocalBounds: 40, ExactEvals: 7, HeapOps: 350},
 		MIA:  MIACost{Trees: 7, Nodes: 210, Edges: 940},
 		Tags: TagsCost{Polls: 64, Trees: 128, Coins: 4096},
 		RIS:  RISCost{Samples: 1000, Nodes: 5200, Edges: 17000},
@@ -49,7 +49,7 @@ func TestCostTotals(t *testing.T) {
 	if got, want := c.NodesTouched(), uint64(210+5200); got != want {
 		t.Errorf("NodesTouched = %d, want %d", got, want)
 	}
-	if got, want := c.SamplesMixed(), uint64(12+128+1000); got != want {
+	if got, want := c.SamplesMixed(), uint64(128+1000); got != want {
 		t.Errorf("SamplesMixed = %d, want %d", got, want)
 	}
 	var nilCost *Cost
@@ -73,7 +73,7 @@ func TestCostCompact(t *testing.T) {
 	// Every field renders, in the documented fixed order.
 	full := sampleCost().Compact()
 	order := []string{
-		"otim.cheap=", "otim.local=", "otim.exact=", "otim.heap=", "otim.samples=",
+		"otim.cheap=", "otim.local=", "otim.exact=", "otim.heap=",
 		"mia.trees=", "mia.nodes=", "mia.edges=",
 		"tags.polls=", "tags.trees=", "tags.coins=",
 		"ris.samples=", "ris.nodes=", "ris.edges=",

@@ -8,11 +8,8 @@ import (
 	"octopus/internal/heaps"
 	"octopus/internal/mia"
 	"octopus/internal/obs"
-	"octopus/internal/rng"
 	"octopus/internal/topic"
 )
-
-func newSampleRNG(seed uint64) *rng.Source { return rng.New(seed) }
 
 // QueryOptions configures a keyword-IM query.
 type QueryOptions struct {
@@ -30,18 +27,12 @@ type QueryOptions struct {
 	SkipLocalBound bool
 	// MaxTreeNodes caps exact-evaluation tree sizes (0 = unlimited).
 	MaxTreeNodes int
-	// UseSamples answers from the topic-sample index when a sample lies
-	// within SampleTolerance (L1) of the query.
-	UseSamples bool
-	// SampleTolerance is the L1 radius for direct sample answers
-	// (default 0.1).
-	SampleTolerance float64
 	// Context cancels long queries between refinement steps. A query
 	// it stops returns the context's error, never a partial seed set.
 	Context context.Context
 	// Cost, when non-nil, accumulates the query's engine work (bound
-	// tiers, heap traffic, sample consultations, and — through the MIA
-	// calculator — ball-walk nodes/edges). Nil skips all accounting.
+	// tiers, heap traffic, and — through the MIA calculator — ball-walk
+	// nodes/edges). Nil skips all accounting.
 	Cost *obs.Cost
 }
 
@@ -59,9 +50,6 @@ func (o *QueryOptions) fill() error {
 	if !(o.Epsilon >= 0 && o.Epsilon < 1) {
 		return fmt.Errorf("otim: Epsilon %v out of [0,1)", o.Epsilon)
 	}
-	if o.SampleTolerance == 0 {
-		o.SampleTolerance = 0.1
-	}
 	if o.Context == nil {
 		o.Context = context.Background()
 	}
@@ -74,8 +62,6 @@ type Stats struct {
 	LocalBounds int // local-graph bound evaluations
 	ExactEvals  int // full MIA tree evaluations
 	Pruned      int // users never refined beyond the cheap bound
-	SampleHit   bool
-	SampleDist  float64 // L1 distance to the nearest sample (-1 if none)
 }
 
 // Result is the answer to a keyword-IM query.
@@ -200,45 +186,16 @@ func (e *Engine) Query(gamma topic.Dist, opt QueryOptions) (*Result, error) {
 		return nil, fmt.Errorf("otim: query θ=%v below index θ_pre=%v breaks bound soundness",
 			opt.Theta, e.ix.thetaPre)
 	}
-	res := &Result{Stats: Stats{SampleDist: -1}}
+	res := &Result{}
 	e.begin(gamma)
 	if opt.Cost != nil {
 		e.calc.SetCost(opt.Cost)
 		defer e.calc.SetCost(nil)
 	}
-
-	// Topic-sample fast path.
-	if opt.UseSamples && len(e.ix.samples) > 0 {
-		si, dist := e.ix.NearestSample(gamma)
-		res.Stats.SampleDist = dist
-		if opt.Cost != nil {
-			// NearestSample scans every stored sample mixture.
-			opt.Cost.OTIM.SamplesMixed += uint64(len(e.ix.samples))
-		}
-		if si >= 0 && dist <= opt.SampleTolerance && len(e.ix.samples[si].Seeds) >= opt.K {
-			s := e.ix.samples[si]
-			res.Stats.SampleHit = true
-			res.Seeds = append([]graph.NodeID(nil), s.Seeds[:opt.K]...)
-			// Report honest spreads for the actual query γ.
-			res.Spreads = e.spreadsFor(res.Seeds, opt)
-			return res, nil
-		}
-	}
 	if err := e.bestEffort(gamma, opt, res); err != nil {
 		return nil, err
 	}
 	return res, nil
-}
-
-// spreadsFor computes MIA cover spreads of seed prefixes under γ.
-func (e *Engine) spreadsFor(seeds []graph.NodeID, opt QueryOptions) []float64 {
-	e.cover.Reset()
-	out := make([]float64, len(seeds))
-	for i, s := range seeds {
-		e.cover.Add(e.tree(s, &opt))
-		out[i] = e.cover.Spread()
-	}
-	return out
 }
 
 // entry encoding in the lazy heap: Round packs (round<<2 | tier).

@@ -26,17 +26,16 @@ type goldenQuery struct {
 	opt   QueryOptions
 }
 
-// goldenWorld is the fixed model and sample-bearing index every golden
-// query runs against.
+// goldenWorld is the fixed model and index every golden query runs
+// against.
 func goldenWorld(t testing.TB) *Index {
-	return buildIdx(t, testWorld(t, 400, 4, 22), 6)
+	return buildIdx(t, testWorld(t, 400, 4, 22))
 }
 
 // goldenQueries covers every branch of the best-effort loop: K from 1 to
 // 20 under exact greedy, ε-approximate picks, the skipped local tier,
-// other θ and tree caps, and topic-sample hits and misses (SampleK is 5,
-// so K > 5 falls through even on an exact γ match).
-func goldenQueries(ix *Index) []goldenQuery {
+// and other θ and tree caps.
+func goldenQueries() []goldenQuery {
 	r := rng.New(7)
 	draw := func() topic.Dist { return topic.Dist(r.DirichletSym(0.5, 2)) }
 	var qs []goldenQuery
@@ -60,13 +59,6 @@ func goldenQueries(ix *Index) []goldenQuery {
 	add("theta0.005-k6", draw(), QueryOptions{K: 6, Theta: 0.005})
 	add("maxnodes50-k6", draw(), QueryOptions{K: 6, MaxTreeNodes: 50})
 	add("theta0.02-eps-maxnodes30-k10", draw(), QueryOptions{K: 10, Theta: 0.02, Epsilon: 0.1, MaxTreeNodes: 30})
-	add("sample-hit-pure0-k3", topic.Pure(0, 2), QueryOptions{K: 3, UseSamples: true})
-	add("sample-hit-pure1-k5", topic.Pure(1, 2), QueryOptions{K: 5, UseSamples: true})
-	add("sample-hit-s2-k4", ix.Sample(2).Gamma, QueryOptions{K: 4, UseSamples: true})
-	add("sample-hit-s3-k5-maxnodes40", ix.Sample(3).Gamma, QueryOptions{K: 5, UseSamples: true, MaxTreeNodes: 40})
-	add("sample-hit-near-pure0-k2", topic.Dist{0.97, 0.03}, QueryOptions{K: 2, UseSamples: true})
-	add("sample-miss-far-k3", topic.Dist{0.5, 0.5}, QueryOptions{K: 3, UseSamples: true, SampleTolerance: 0.01})
-	add("sample-miss-k9-beyond-samplek", topic.Pure(0, 2), QueryOptions{K: 9, UseSamples: true})
 	return qs
 }
 
@@ -86,35 +78,28 @@ func goldenIDs(ids []graph.NodeID) string {
 	return strings.Join(parts, ",")
 }
 
-// goldenLines renders the index's topic samples (produced by the engine
-// at build time) and every golden query's full answer, floats as their
+// goldenLines renders every golden query's full answer, floats as their
 // IEEE-754 bits.
 func goldenLines(t testing.TB, ix *Index) []string {
 	var out []string
-	for i := 0; i < ix.NumSamples(); i++ {
-		s := ix.Sample(i)
-		out = append(out, fmt.Sprintf("sample-%d gamma=%s seeds=%s spreads=%s",
-			i, goldenBits(s.Gamma), goldenIDs(s.Seeds), goldenBits(s.Spreads)))
-	}
 	eng := NewEngine(ix)
-	for _, q := range goldenQueries(ix) {
+	for _, q := range goldenQueries() {
 		res, err := eng.Query(q.gamma, q.opt)
 		if err != nil {
 			t.Fatalf("%s: %v", q.name, err)
 		}
 		st := res.Stats
 		out = append(out, fmt.Sprintf(
-			"%s seeds=%s spreads=%s cheap=%d local=%d exact=%d pruned=%d hit=%t dist=%s",
+			"%s seeds=%s spreads=%s cheap=%d local=%d exact=%d pruned=%d",
 			q.name, goldenIDs(res.Seeds), goldenBits(res.Spreads),
-			st.CheapBounds, st.LocalBounds, st.ExactEvals, st.Pruned, st.SampleHit,
-			goldenBits([]float64{st.SampleDist})))
+			st.CheapBounds, st.LocalBounds, st.ExactEvals, st.Pruned))
 	}
 	return out
 }
 
 // goldenFloatKeys are the fields holding float bits; everything else
 // compares exactly on every architecture.
-var goldenFloatKeys = map[string]bool{"gamma": true, "spreads": true, "dist": true}
+var goldenFloatKeys = map[string]bool{"spreads": true}
 
 // sameGoldenLine compares two rendered lines: bitwise on amd64, where
 // the golden file was generated, and with a 1e-12 relative tolerance on

@@ -13,9 +13,10 @@
 // precomputation bound seeds the heap for every user in O(Z) each, and
 // the local-graph bound refines the candidates that reach the top. (The
 // paper's neighborhood bound is dominated by the precomputation bound by
-// construction, so it is not offered.) A topic-sample index precomputes
-// seed sets for offline-sampled topic distributions and answers nearby
-// queries.
+// construction, so it is not offered.) The offline Index holds only what
+// those bounds read — per-node upper-envelope spreads and per-topic
+// neighborhood aggregates — so every query, whatever its γ, runs the same
+// search over it.
 //
 // Spread semantics. Exact evaluation uses the maximum influence
 // arborescence (MIA) spread at the query threshold θ, the same
@@ -26,14 +27,12 @@ package otim
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"octopus/internal/graph"
 	"octopus/internal/mia"
 	"octopus/internal/par"
 	"octopus/internal/tic"
-	"octopus/internal/topic"
 )
 
 // BuildOptions configures offline index construction.
@@ -42,52 +41,22 @@ type BuildOptions struct {
 	// spreads. It must be ≤ the smallest θ used at query time for the
 	// bounds to remain sound (default 0.001).
 	ThetaPre float64
-	// Samples is the number of topic-sample entries (0 disables the
-	// topic-sample index). Pure per-topic distributions are always
-	// included first, so Samples < Z is rounded up to Z when positive.
-	Samples int
-	// SampleK is the seed-set size precomputed per topic sample
-	// (default 20).
-	SampleK int
-	// SampleTheta is the query θ used when precomputing sample seed sets
-	// (default 0.01).
-	SampleTheta float64
-	// DirichletAlpha is the concentration of the sampled topic mixtures
-	// (default 0.3: mostly-sparse mixtures, matching real keyword queries).
-	DirichletAlpha float64
-	// Seed drives sample generation.
-	Seed uint64
 	// Workers bounds the build fan-out (0 = one worker per GOMAXPROCS
-	// slot, 1 = serial). For a fixed Seed the built index is identical
-	// for every worker count: sample topic mixtures are pre-drawn
-	// serially, and every parallel pass writes disjoint locations.
+	// slot, 1 = serial). The built index is identical for every worker
+	// count: every parallel pass writes disjoint locations.
 	Workers int
-}
 
-func (o *BuildOptions) fill(z int) {
-	if o.ThetaPre == 0 {
-		o.ThetaPre = 0.001
-	}
-	if o.SampleK == 0 {
-		o.SampleK = 20
-	}
-	if o.SampleTheta == 0 {
-		o.SampleTheta = 0.01
-	}
-	if o.DirichletAlpha == 0 {
-		o.DirichletAlpha = 0.3
-	}
-	if o.Samples > 0 && o.Samples < z {
-		o.Samples = z
-	}
+	// Deprecated: the topic-sample index is gone and nothing reads
+	// Samples; it stays only so existing callers that set it compile.
+	Samples int
 }
 
 // Index is the offline precomputation consumed by query Engines — the
-// per-node upper-envelope spreads, the per-topic rows of the
-// precomputation bound, and the topic samples. It is a pure
-// function of (model, options, seed), built once per model and shared
-// wholesale by every system over that model (a live fold whose delta
-// leaves the graph unchanged reuses it; any graph change rebuilds it).
+// per-node upper-envelope spreads and the per-topic rows of the
+// precomputation bound. It is a pure function of (model, options),
+// built once per model and shared wholesale by every system over that
+// model (a live fold whose delta leaves the graph unchanged reuses it;
+// any graph change rebuilds it).
 // Immutable after Build; safe for concurrent readers.
 type Index struct {
 	model    *tic.Model
@@ -101,31 +70,21 @@ type Index struct {
 	// precomputation bound is UB_P(u) = 1 + Σ_z γ_z·A_z(u).
 	aggr []float64
 
-	samples []TopicSample
-
 	// buildStats records per-pass build durations (zero on deserialized
 	// indexes — only BuildIndex fills it).
 	buildStats BuildStats
 }
 
 // BuildStats breaks a from-scratch BuildIndex down by pass: the
-// upper-envelope spread sweep (Sigma), the per-topic aggregate rows
-// (Aggr), and the topic-sample precomputation (Samples).
+// upper-envelope spread sweep (Sigma) and the per-topic aggregate rows
+// (Aggr).
 type BuildStats struct {
-	Sigma   time.Duration
-	Aggr    time.Duration
-	Samples time.Duration
+	Sigma time.Duration
+	Aggr  time.Duration
 }
 
 // BuildStats reports the per-pass durations of a from-scratch build.
 func (ix *Index) BuildStats() BuildStats { return ix.buildStats }
-
-// TopicSample is one precomputed entry of the topic-sample index.
-type TopicSample struct {
-	Gamma   topic.Dist
-	Seeds   []graph.NodeID
-	Spreads []float64 // MIA spread after each seed prefix
-}
 
 // Model returns the underlying TIC model.
 func (ix *Index) Model() *tic.Model { return ix.model }
@@ -133,18 +92,13 @@ func (ix *Index) Model() *tic.Model { return ix.model }
 // SigmaMax returns the precomputed upper-envelope spread of v.
 func (ix *Index) SigmaMax(v graph.NodeID) float64 { return ix.sigmaMax[v] }
 
-// NumSamples returns the topic-sample count.
-func (ix *Index) NumSamples() int { return len(ix.samples) }
-
-// Sample returns the i-th topic sample.
-func (ix *Index) Sample(i int) TopicSample { return ix.samples[i] }
-
 // BuildIndex runs the offline precomputation: per-node upper-envelope
-// MIA spreads, per-topic neighborhood aggregates, and (optionally) the
-// topic-sample seed sets.
+// MIA spreads and per-topic neighborhood aggregates.
 func BuildIndex(m *tic.Model, opt BuildOptions) (*Index, error) {
 	z := m.NumTopics()
-	opt.fill(z)
+	if opt.ThetaPre == 0 {
+		opt.ThetaPre = 0.001
+	}
 	if opt.ThetaPre <= 0 || opt.ThetaPre >= 1 {
 		return nil, fmt.Errorf("otim: ThetaPre %v out of (0,1)", opt.ThetaPre)
 	}
@@ -184,59 +138,7 @@ func BuildIndex(m *tic.Model, opt BuildOptions) (*Index, error) {
 	passStart = time.Now()
 	par.Each(opt.Workers, n, func(_, u int) { ix.computeRow(u) })
 	ix.buildStats.Aggr = time.Since(passStart)
-
-	// Pass 3: topic samples, seeded with the pure topics so every
-	// single-topic query has an exact-match sample. Mixtures are drawn
-	// serially from the seed RNG up front (so the draw sequence never
-	// depends on worker count); the per-sample queries are deterministic
-	// given γ and run concurrently on per-worker engines, each writing
-	// its own samples slot.
-	passStart = time.Now()
-	if opt.Samples > 0 {
-		r := newSampleRNG(opt.Seed)
-		gammas := make([]topic.Dist, opt.Samples)
-		for i := range gammas {
-			if i < z {
-				gammas[i] = topic.Pure(i, z)
-			} else {
-				gammas[i] = topic.Dist(r.DirichletSym(opt.DirichletAlpha, z))
-			}
-		}
-		ix.samples = make([]TopicSample, opt.Samples)
-		engines := make([]*Engine, par.Resolve(opt.Workers))
-		errs := make([]error, opt.Samples)
-		par.Each(opt.Workers, opt.Samples, func(w, i int) {
-			eng := engines[w]
-			if eng == nil {
-				eng = NewEngine(ix)
-				engines[w] = eng
-			}
-			errs[i] = ix.runSample(eng, i, gammas[i], opt)
-		})
-		for i, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("otim: sample %d: %w", i, err)
-			}
-		}
-	}
-	ix.buildStats.Samples = time.Since(passStart)
 	return ix, nil
-}
-
-// runSample precomputes topic sample i: the seed set for gamma under the
-// sample query options. Writes only slot i; safe to fan out over
-// disjoint slots.
-func (ix *Index) runSample(eng *Engine, i int, gamma topic.Dist, opt BuildOptions) error {
-	res, err := eng.Query(gamma, QueryOptions{
-		K:          opt.SampleK,
-		Theta:      opt.SampleTheta,
-		UseSamples: false,
-	})
-	if err != nil {
-		return err
-	}
-	ix.samples[i] = TopicSample{Gamma: gamma, Seeds: res.Seeds, Spreads: res.Spreads}
-	return nil
 }
 
 // computeRow fills u's (zeroed) aggr row from the model and the
@@ -251,16 +153,4 @@ func (ix *Index) computeRow(u int) {
 			aggr[zi] += p * ix.sigmaMax[dst]
 		})
 	}
-}
-
-// NearestSample returns the index and L1 distance of the topic sample
-// closest to gamma (-1 if the sample index is empty).
-func (ix *Index) NearestSample(gamma topic.Dist) (int, float64) {
-	best, bestDist := -1, math.Inf(1)
-	for i, s := range ix.samples {
-		if d := gamma.L1(s.Gamma); d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return best, bestDist
 }

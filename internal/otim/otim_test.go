@@ -35,8 +35,8 @@ func testWorld(t testing.TB, n, deg int, seed uint64) *tic.Model {
 	return mb.Build()
 }
 
-func buildIdx(t testing.TB, m *tic.Model, samples int) *Index {
-	ix, err := BuildIndex(m, BuildOptions{ThetaPre: 0.001, Samples: samples, SampleK: 5, Seed: 1})
+func buildIdx(t testing.TB, m *tic.Model) *Index {
+	ix, err := BuildIndex(m, BuildOptions{ThetaPre: 0.001})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func buildIdx(t testing.TB, m *tic.Model, samples int) *Index {
 
 func TestIndexSigmaMaxDominatesGammaSpread(t *testing.T) {
 	m := testWorld(t, 100, 4, 1)
-	ix := buildIdx(t, m, 0)
+	ix := buildIdx(t, m)
 	calc := mia.NewCalc(m.Graph())
 	gammas := []topic.Dist{{1, 0}, {0, 1}, {0.5, 0.5}, {0.9, 0.1}}
 	for _, gamma := range gammas {
@@ -63,7 +63,7 @@ func TestIndexSigmaMaxDominatesGammaSpread(t *testing.T) {
 // MIA spread, and the tiers are ordered UB_P ≥ UB_L ≥ σ.
 func TestQuickBoundSoundnessAndOrdering(t *testing.T) {
 	m := testWorld(t, 80, 4, 2)
-	ix := buildIdx(t, m, 0)
+	ix := buildIdx(t, m)
 	eng := NewEngine(ix)
 	calc := mia.NewCalc(m.Graph())
 	z := m.NumTopics()
@@ -136,7 +136,7 @@ func exhaustiveGreedy(m *tic.Model, gamma topic.Dist, k int, theta float64) ([]g
 
 func TestQueryMatchesExhaustiveGreedy(t *testing.T) {
 	m := testWorld(t, 120, 4, 3)
-	ix := buildIdx(t, m, 0)
+	ix := buildIdx(t, m)
 	eng := NewEngine(ix)
 	for _, gamma := range []topic.Dist{{1, 0}, {0.3, 0.7}} {
 		res, err := eng.Query(gamma, QueryOptions{K: 5, Theta: 0.01})
@@ -160,7 +160,7 @@ func TestQueryMatchesExhaustiveGreedy(t *testing.T) {
 
 func TestQueryPrunesMostUsers(t *testing.T) {
 	m := testWorld(t, 400, 4, 4)
-	ix := buildIdx(t, m, 0)
+	ix := buildIdx(t, m)
 	eng := NewEngine(ix)
 	res, err := eng.Query(topic.Dist{0.8, 0.2}, QueryOptions{K: 5, Theta: 0.01})
 	if err != nil {
@@ -177,7 +177,7 @@ func TestQueryPrunesMostUsers(t *testing.T) {
 
 func TestQuerySpreadsNondecreasing(t *testing.T) {
 	m := testWorld(t, 150, 4, 5)
-	ix := buildIdx(t, m, 0)
+	ix := buildIdx(t, m)
 	eng := NewEngine(ix)
 	res, err := eng.Query(topic.Dist{0.5, 0.5}, QueryOptions{K: 8, Theta: 0.005})
 	if err != nil {
@@ -200,7 +200,7 @@ func TestQuerySpreadsNondecreasing(t *testing.T) {
 
 func TestEpsilonApproxQuality(t *testing.T) {
 	m := testWorld(t, 200, 4, 6)
-	ix := buildIdx(t, m, 0)
+	ix := buildIdx(t, m)
 	eng := NewEngine(ix)
 	exact, err := eng.Query(topic.Dist{0.6, 0.4}, QueryOptions{K: 5, Theta: 0.01})
 	if err != nil {
@@ -222,7 +222,7 @@ func TestEpsilonApproxQuality(t *testing.T) {
 
 func TestSkipLocalBoundStillCorrect(t *testing.T) {
 	m := testWorld(t, 100, 4, 7)
-	ix := buildIdx(t, m, 0)
+	ix := buildIdx(t, m)
 	eng := NewEngine(ix)
 	gamma := topic.Dist{0.5, 0.5}
 	with, err := eng.Query(gamma, QueryOptions{K: 4, Theta: 0.01})
@@ -248,99 +248,9 @@ func TestSkipLocalBoundStillCorrect(t *testing.T) {
 	}
 }
 
-func TestTopicSampleHit(t *testing.T) {
-	m := testWorld(t, 120, 4, 9)
-	ix := buildIdx(t, m, 4) // rounded up to Z=2 pures + 2 dirichlet
-	if ix.NumSamples() < 2 {
-		t.Fatalf("samples = %d", ix.NumSamples())
-	}
-	eng := NewEngine(ix)
-	// Query exactly the pure topic 0 — must hit its sample.
-	res, err := eng.Query(topic.Dist{1, 0}, QueryOptions{K: 3, Theta: 0.01, UseSamples: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stats.SampleHit {
-		t.Fatalf("pure-topic query missed the sample index: %+v", res.Stats)
-	}
-	if res.Stats.SampleDist > 1e-9 {
-		t.Fatalf("sample dist = %v", res.Stats.SampleDist)
-	}
-	// Hit answers must carry honest spreads.
-	if len(res.Spreads) != 3 || res.Spreads[2] < res.Spreads[0] {
-		t.Fatalf("hit spreads = %v", res.Spreads)
-	}
-	// A far query must miss.
-	far, err := eng.Query(topic.Dist{0.5, 0.5}, QueryOptions{K: 3, Theta: 0.01, UseSamples: true, SampleTolerance: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if far.Stats.SampleHit {
-		t.Fatalf("distant query hit a sample (dist=%v)", far.Stats.SampleDist)
-	}
-}
-
-func TestTopicSampleHitQualityClose(t *testing.T) {
-	m := testWorld(t, 150, 4, 10)
-	ix := buildIdx(t, m, 2)
-	eng := NewEngine(ix)
-	gamma := topic.Dist{0.97, 0.03} // near pure topic 0
-	hit, err := eng.Query(gamma, QueryOptions{K: 3, Theta: 0.01, UseSamples: true, SampleTolerance: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit.Stats.SampleHit {
-		t.Skipf("sample not within tolerance (dist=%v)", hit.Stats.SampleDist)
-	}
-	full, err := eng.Query(gamma, QueryOptions{K: 3, Theta: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit.Spreads[2] < 0.85*full.Spreads[2] {
-		t.Fatalf("sample answer spread %v too far below exact %v", hit.Spreads[2], full.Spreads[2])
-	}
-}
-
-func TestSampleShorterThanKFallsThrough(t *testing.T) {
-	m := testWorld(t, 100, 4, 30)
-	ix, err := BuildIndex(m, BuildOptions{ThetaPre: 0.001, Samples: 2, SampleK: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(ix)
-	// K=6 exceeds the stored SampleK=2, so even an exact γ match cannot
-	// answer from the sample; the engine must fall through to search.
-	res, err := eng.Query(topic.Pure(0, 2), QueryOptions{K: 6, Theta: 0.01, UseSamples: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.SampleHit {
-		t.Fatal("short sample reported as hit")
-	}
-	if len(res.Seeds) != 6 {
-		t.Fatalf("fall-through returned %d seeds", len(res.Seeds))
-	}
-}
-
-func TestNoSamplesNeverHits(t *testing.T) {
-	m := testWorld(t, 80, 4, 31)
-	ix := buildIdx(t, m, 0)
-	eng := NewEngine(ix)
-	res, err := eng.Query(topic.Pure(0, 2), QueryOptions{K: 2, Theta: 0.01, UseSamples: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.SampleHit {
-		t.Fatal("hit without any samples")
-	}
-	if res.Stats.SampleDist != -1 {
-		t.Fatalf("sample dist = %v without samples", res.Stats.SampleDist)
-	}
-}
-
 func TestEpsilonNoDuplicateSeeds(t *testing.T) {
 	m := testWorld(t, 300, 5, 32)
-	ix := buildIdx(t, m, 0)
+	ix := buildIdx(t, m)
 	eng := NewEngine(ix)
 	for _, eps := range []float64{0.05, 0.2, 0.5} {
 		res, err := eng.Query(topic.Dist{0.4, 0.6}, QueryOptions{K: 12, Theta: 0.01, Epsilon: eps})
@@ -395,7 +305,7 @@ func TestQueryKBeyondUsefulSeeds(t *testing.T) {
 
 func TestQueryValidation(t *testing.T) {
 	m := testWorld(t, 50, 3, 11)
-	ix := buildIdx(t, m, 0)
+	ix := buildIdx(t, m)
 	eng := NewEngine(ix)
 	cases := []QueryOptions{
 		{K: 0},
@@ -422,7 +332,7 @@ func TestQueryValidation(t *testing.T) {
 
 func TestQueryContextCancel(t *testing.T) {
 	m := testWorld(t, 200, 4, 12)
-	ix := buildIdx(t, m, 0)
+	ix := buildIdx(t, m)
 	eng := NewEngine(ix)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -444,7 +354,7 @@ func TestBuildIndexValidation(t *testing.T) {
 
 func TestQueryKeywords(t *testing.T) {
 	m := testWorld(t, 80, 4, 14)
-	ix := buildIdx(t, m, 0)
+	ix := buildIdx(t, m)
 	eng := NewEngine(ix)
 	km, err := topic.NewModel(
 		[]string{"data", "mining", "social", "network"},
@@ -471,7 +381,7 @@ func TestQueryKeywords(t *testing.T) {
 
 func TestEngineReuse(t *testing.T) {
 	m := testWorld(t, 100, 4, 16)
-	ix := buildIdx(t, m, 0)
+	ix := buildIdx(t, m)
 	eng := NewEngine(ix)
 	var prev *Result
 	for i := 0; i < 10; i++ {
@@ -494,7 +404,7 @@ func TestEngineReuse(t *testing.T) {
 // (before, every tree cost several allocations of its own).
 func TestQueryAllocationsConstant(t *testing.T) {
 	m := testWorld(t, 400, 4, 40)
-	ix := buildIdx(t, m, 0)
+	ix := buildIdx(t, m)
 	eng := NewEngine(ix)
 	gamma := topic.Dist{0.35, 0.65}
 	opt := QueryOptions{K: 10, Theta: 0.01}
@@ -526,13 +436,13 @@ func TestQueryAllocationsConstant(t *testing.T) {
 // engine's.
 func TestEngineGenerationWrap(t *testing.T) {
 	m := testWorld(t, 150, 4, 41)
-	ix := buildIdx(t, m, 4)
+	ix := buildIdx(t, m)
 	queries := []struct {
 		gamma topic.Dist
 		opt   QueryOptions
 	}{
 		{topic.Dist{0.2, 0.8}, QueryOptions{K: 6, Theta: 0.01}},
-		{topic.Dist{1, 0}, QueryOptions{K: 3, Theta: 0.01, UseSamples: true}},
+		{topic.Dist{1, 0}, QueryOptions{K: 3, Theta: 0.01}},
 	}
 	eng := NewEngine(ix)
 	if _, err := eng.Query(topic.Dist{0.9, 0.1}, QueryOptions{K: 6, Theta: 0.01}); err != nil {
@@ -554,32 +464,24 @@ func TestEngineGenerationWrap(t *testing.T) {
 	}
 }
 
-// The tree slab is recycled per query: repeating a query — sample hit or
-// full search — never grows it past what the first run needed.
+// The tree slab is recycled per query: repeating a query never grows it
+// past what the first run needed.
 func TestSlabBoundedAcrossQueries(t *testing.T) {
 	m := testWorld(t, 150, 4, 42)
-	ix := buildIdx(t, m, 4)
+	ix := buildIdx(t, m)
 	eng := NewEngine(ix)
-	for _, opt := range []QueryOptions{
-		{K: 3, Theta: 0.01, UseSamples: true},
-		{K: 5, Theta: 0.01},
-	} {
-		res, err := eng.Query(topic.Pure(0, 2), opt)
-		if err != nil {
+	opt := QueryOptions{K: 5, Theta: 0.01}
+	if _, err := eng.Query(topic.Pure(0, 2), opt); err != nil {
+		t.Fatal(err)
+	}
+	first := cap(eng.slab)
+	for i := 0; i < 50; i++ {
+		if _, err := eng.Query(topic.Pure(0, 2), opt); err != nil {
 			t.Fatal(err)
 		}
-		if res.Stats.SampleHit != opt.UseSamples {
-			t.Fatalf("UseSamples=%v but SampleHit=%v", opt.UseSamples, res.Stats.SampleHit)
-		}
-		first := cap(eng.slab)
-		for i := 0; i < 50; i++ {
-			if _, err := eng.Query(topic.Pure(0, 2), opt); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if cap(eng.slab) != first {
-			t.Fatalf("UseSamples=%v: slab grew from %d to %d over repeated queries", opt.UseSamples, first, cap(eng.slab))
-		}
+	}
+	if cap(eng.slab) != first {
+		t.Fatalf("slab grew from %d to %d over repeated queries", first, cap(eng.slab))
 	}
 }
 
@@ -610,15 +512,13 @@ func BenchmarkQuery(b *testing.B) {
 	}
 }
 
-// TestBuildIndexWorkerEquivalence is the parallel-build contract: for a
-// fixed seed every pass of BuildIndex — per-node MIOA spreads, per-topic
-// aggregates, topic samples — is bit-identical for every worker count.
+// TestBuildIndexWorkerEquivalence is the parallel-build contract: both
+// passes of BuildIndex — per-node MIOA spreads and per-topic aggregates —
+// are bit-identical for every worker count.
 func TestBuildIndexWorkerEquivalence(t *testing.T) {
 	m := testWorld(t, 150, 4, 3)
 	build := func(workers int) *Index {
-		ix, err := BuildIndex(m, BuildOptions{
-			ThetaPre: 0.001, Samples: 7, SampleK: 4, Seed: 9, Workers: workers,
-		})
+		ix, err := BuildIndex(m, BuildOptions{ThetaPre: 0.001, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -632,9 +532,6 @@ func TestBuildIndexWorkerEquivalence(t *testing.T) {
 		}
 		if !reflect.DeepEqual(base.aggr, ix.aggr) {
 			t.Fatalf("workers=%d: aggregates differ", w)
-		}
-		if !reflect.DeepEqual(base.samples, ix.samples) {
-			t.Fatalf("workers=%d: topic samples differ", w)
 		}
 	}
 }

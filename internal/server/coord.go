@@ -668,7 +668,6 @@ func (v *remoteView) mergeStatus(w http.ResponseWriter, successes []shardReply, 
 		out.Edges += p.Edges
 		out.Episodes += p.Episodes
 		out.Actions += p.Actions
-		out.TopicSamples += p.TopicSamples
 		out.InfluencerPolls += p.InfluencerPolls
 		out.IndexEdges += p.IndexEdges
 	}

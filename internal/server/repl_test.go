@@ -128,7 +128,7 @@ func TestReplicaByteIdenticalToLeader(t *testing.T) {
 	sys := ls.System()
 	paths := []string{
 		"/api/im?q=" + url.QueryEscape(vocabKeyword(sys)) + "&k=5",
-		"/api/im?q=data+mining&k=3&samples=1",
+		"/api/im?q=data+mining&k=3",
 		"/api/suggest?user=" + url.QueryEscape(richUser(sys)) + "&k=2",
 		"/api/paths?user=" + url.QueryEscape(hubName(sys)) + "&theta=0.005",
 	}

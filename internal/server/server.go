@@ -488,11 +488,10 @@ func (s *Server) handleIM(sys *core.System, w http.ResponseWriter, r *http.Reque
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
 	res, err := sys.DiscoverInfluencers(keywords, core.DiscoverOptions{
-		K:          k,
-		Theta:      theta,
-		UseSamples: r.URL.Query().Get("samples") == "1",
-		Context:    ctx,
-		Cost:       costFrom(r),
+		K:       k,
+		Theta:   theta,
+		Context: ctx,
+		Cost:    costFrom(r),
 	})
 	if err != nil {
 		// A query stopped by its deadline (or a departed client) has no
@@ -519,7 +518,6 @@ func newIMResponse(sys *core.System, keywords []string, res *core.DiscoverResult
 			"exactEvals":  res.Stats.ExactEvals,
 			"localBounds": res.Stats.LocalBounds,
 			"pruned":      res.Stats.Pruned,
-			"sampleHit":   res.Stats.SampleHit,
 		},
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"octopus/internal/core"
 	"octopus/internal/datagen"
 	"octopus/internal/graph"
-	"octopus/internal/otim"
 	"octopus/internal/store"
 )
 
@@ -23,7 +22,6 @@ func buildFull(t *testing.T, authors int, seed uint64) *core.System {
 		GroundTruth:      ds.Truth,
 		GroundTruthWords: ds.TruthWords,
 		TopicNames:       ds.TopicNames,
-		OTIM:             otim.BuildOptions{Samples: 8},
 		Seed:             seed ^ 0x5a5a,
 	})
 	if err != nil {

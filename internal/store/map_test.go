@@ -12,7 +12,6 @@ import (
 	"octopus/internal/arena"
 	"octopus/internal/core"
 	"octopus/internal/datagen"
-	"octopus/internal/otim"
 )
 
 func TestMapServesIdenticalResults(t *testing.T) {
@@ -192,10 +191,11 @@ func replaceSection(data []byte, s v3Section, payload []byte) []byte {
 // version byte on any section payload is rejected by every reader that
 // gets as far as the skew — Load and Map always, PeekVersion for the
 // magic and META it reads — with an error that names the section and
-// says how to get a loadable file. testdata/otim-v3.payload and
-// otim-v4.payload are the OTIM payloads the two previous codecs wrote for
-// the golden system: version 3 with the per-sample fold certificates,
-// version 4 with the neighborhood bound's cap and weighted degrees.
+// says how to get a loadable file. testdata/otim-v3.payload,
+// otim-v4.payload and otim-v5.payload are the OTIM payloads the three
+// previous codecs wrote for the golden system: version 3 with the
+// per-sample fold certificates, version 4 with the neighborhood bound's
+// cap and weighted degrees, version 5 with the topic-sample block.
 func TestRejectsOtherGenerations(t *testing.T) {
 	sys := buildSystem(t, 120, 3)
 	var buf bytes.Buffer
@@ -212,6 +212,10 @@ func TestRejectsOtherGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	otimV5, err := os.ReadFile(filepath.Join("testdata", "otim-v5.payload"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	type skew struct {
 		name  string
 		patch func(data []byte) []byte
@@ -223,8 +227,9 @@ func TestRejectsOtherGenerations(t *testing.T) {
 		{"META", func(d []byte) []byte { patchSection(d, secs["META"], 0, formatVersion-1); return d }, "META", true},
 		{"OTIM-v3-payload", func(d []byte) []byte { return replaceSection(d, secs["OTIM"], otimV3) }, "OTIM", false},
 		{"OTIM-v4-payload", func(d []byte) []byte { return replaceSection(d, secs["OTIM"], otimV4) }, "OTIM", false},
+		{"OTIM-v5-payload", func(d []byte) []byte { return replaceSection(d, secs["OTIM"], otimV5) }, "OTIM", false},
 	}
-	for _, name := range []string{"GRPH", "TICM", "TOPC", "OTIM", "TAGS"} {
+	for _, name := range []string{"GRPH", "TICM", "TOPC", "OTIM", "TAGS", "CONF"} {
 		s := secs[name]
 		cases = append(cases, skew{name, func(d []byte) []byte { patchSection(d, s, 0, d[s.payloadAt]-1); return d }, name, false})
 	}
@@ -347,7 +352,6 @@ func FuzzMapParts(f *testing.F) {
 		GroundTruth:      ds.Truth,
 		GroundTruthWords: ds.TruthWords,
 		TopicNames:       ds.TopicNames,
-		OTIM:             otim.BuildOptions{Samples: 4},
 		Seed:             1,
 	})
 	if err != nil {

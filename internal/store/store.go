@@ -611,7 +611,7 @@ func readLog(b []byte) (*actionlog.Log, error) {
 
 // ---- Build config payload ----
 
-const configVersion = 1
+const configVersion = 2
 
 func writeConfig(w io.Writer, cfg core.Config) error {
 	bw := binio.NewWriter(w)
@@ -621,11 +621,6 @@ func writeConfig(w io.Writer, cfg core.Config) error {
 	bw.I64(int64(cfg.EMRestarts))
 	bw.U64(cfg.Seed)
 	bw.F64(cfg.OTIM.ThetaPre)
-	bw.I64(int64(cfg.OTIM.Samples))
-	bw.I64(int64(cfg.OTIM.SampleK))
-	bw.F64(cfg.OTIM.SampleTheta)
-	bw.F64(cfg.OTIM.DirichletAlpha)
-	bw.U64(cfg.OTIM.Seed)
 	bw.I64(int64(cfg.Tags.Polls))
 	bw.I64(int64(cfg.Tags.MaxDepth))
 	bw.I64(int64(cfg.Tags.MaxTreeNodes))
@@ -638,18 +633,13 @@ func readConfig(b []byte) (core.Config, error) {
 	br := arena.NewReader(b)
 	var cfg core.Config
 	if v := br.U8(); br.Err() == nil && v != configVersion {
-		return cfg, fmt.Errorf("unsupported config version %d", v)
+		return cfg, fmt.Errorf("snapshot generation %d is not supported; regenerate with `octopus build`", v)
 	}
 	cfg.Topics = int(br.I64())
 	cfg.EMIterations = int(br.I64())
 	cfg.EMRestarts = int(br.I64())
 	cfg.Seed = br.U64()
 	cfg.OTIM.ThetaPre = br.F64()
-	cfg.OTIM.Samples = int(br.I64())
-	cfg.OTIM.SampleK = int(br.I64())
-	cfg.OTIM.SampleTheta = br.F64()
-	cfg.OTIM.DirichletAlpha = br.F64()
-	cfg.OTIM.Seed = br.U64()
 	cfg.Tags.Polls = int(br.I64())
 	cfg.Tags.MaxDepth = int(br.I64())
 	cfg.Tags.MaxTreeNodes = int(br.I64())

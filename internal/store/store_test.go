@@ -14,7 +14,6 @@ import (
 	"octopus/internal/core"
 	"octopus/internal/datagen"
 	"octopus/internal/graph"
-	"octopus/internal/otim"
 	"octopus/internal/tags"
 )
 
@@ -28,7 +27,6 @@ func buildSystem(t *testing.T, authors int, seed uint64) *core.System {
 		GroundTruth:      ds.Truth,
 		GroundTruthWords: ds.TruthWords,
 		TopicNames:       ds.TopicNames,
-		OTIM:             otim.BuildOptions{Samples: 8},
 		Seed:             seed ^ 0x5a5a,
 	})
 	if err != nil {
@@ -178,10 +176,11 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 // (named for its OCTSNAP3 framing) is buildSystem(30, 21) saved, loaded
 // and saved again (a first save is not a byte fixpoint: CONF drops
 // TopicNames on load; the second is); it was last regenerated when the
-// OTIM payload moved to version 5, which changed no other section's
-// bytes. Any change to framing or a payload layout fails here
-// before it strands deployed snapshots. The byte comparison is an array
-// round trip with no float math, so it is architecture-stable.
+// OTIM payload moved to version 6 and CONF to version 2, which changed
+// no other section's bytes. Any change to framing or a payload layout
+// fails here before it strands deployed snapshots. The byte comparison
+// is an array round trip with no float math, so it is
+// architecture-stable.
 func TestGoldenSnapshot(t *testing.T) {
 	path := filepath.Join("testdata", "golden-v3.oct")
 	golden, err := os.ReadFile(path)
@@ -240,12 +239,12 @@ func TestGoldenSnapshot(t *testing.T) {
 }
 
 // TestGoldenSnapshotRebuilds rebuilds the golden file's system from
-// scratch — datagen, models, the OTIM index with its engine-computed
-// topic samples, the tags index — and requires the second-generation
-// save to reproduce testdata/golden-v3.oct byte for byte. Where
-// TestGoldenSnapshot freezes the format, this freezes what a build
-// computes: a change to how the engine or an index pass evaluates that
-// moves a single bit of a stored spread or seed fails here. Float
+// scratch — datagen, models, the OTIM bound arrays, the tags index —
+// and requires the second-generation save to reproduce
+// testdata/golden-v3.oct byte for byte. Where TestGoldenSnapshot
+// freezes the format, this freezes what a build computes: a change to
+// how an index pass evaluates that moves a single bit of a stored
+// spread fails here. Float
 // results may differ in the last bit where multiply-adds fuse, so the
 // check runs on amd64, where the file was generated.
 func TestGoldenSnapshotRebuilds(t *testing.T) {

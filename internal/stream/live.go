@@ -1055,8 +1055,8 @@ func (ls *LiveSystem) fold() error {
 }
 
 // foldSeed is the build seed of a rebuilt generation: the base seed
-// perturbed per generation, so successive rebuilds draw fresh topic
-// samples and poll trees.
+// perturbed per generation, so successive rebuilds draw fresh poll
+// trees.
 func foldSeed(base, version uint64) uint64 { return base ^ version*0x9e3779b97f4a7c15 }
 
 // rebuild merges the overlay into the old snapshot's graph, model and

@@ -335,9 +335,8 @@ func buildSystem(opt options) (*core.System, *store.Mapped, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			// Deliberately no sys.Stats() here: it would decode the deferred
-			// action log and forfeit the lazy cold start. Graph dimensions
-			// are already materialized.
+			// sys.Stats() is cheap here too (it never decodes the deferred
+			// log), but the mapping's own stats say how the file is served.
 			ms := mapped.Stats()
 			fmt.Fprintf(os.Stderr, "mapped snapshot %s in %s: %s, %.1f MiB (%.1f MiB prefaulted), %d nodes, %d edges, %d copy fallbacks\n",
 				opt.load, time.Since(start).Round(time.Millisecond), ms.Backing,

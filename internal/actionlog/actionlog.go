@@ -233,22 +233,6 @@ func Merge(base *Log, numUsers int, items []Item, acts []Action) *Log {
 	return out
 }
 
-// KeywordsOf returns the distinct keywords across the given episode ids.
-func (l *Log) KeywordsOf(episodeIDs []int32) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, ei := range episodeIDs {
-		for _, w := range l.Episodes[ei].Item.Keywords {
-			if !seen[w] {
-				seen[w] = true
-				out = append(out, w)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Write serializes the log in a line-oriented text format:
 //
 //	log <numUsers>

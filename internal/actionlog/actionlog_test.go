@@ -87,15 +87,6 @@ func TestUserItems(t *testing.T) {
 	}
 }
 
-func TestKeywordsOf(t *testing.T) {
-	l := sampleLog()
-	kws := l.KeywordsOf([]int32{0, 1})
-	want := []string{"data", "mining", "network", "social"}
-	if !reflect.DeepEqual(kws, want) {
-		t.Fatalf("KeywordsOf = %v", kws)
-	}
-}
-
 func TestRoundTrip(t *testing.T) {
 	l := sampleLog()
 	var buf bytes.Buffer

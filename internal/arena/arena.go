@@ -117,6 +117,13 @@ func (r *Reader) Align8() {
 	}
 }
 
+// Skip advances past n bytes without reading them.
+func (r *Reader) Skip(n int) {
+	if r.need(n) {
+		r.off += n
+	}
+}
+
 // U8 reads one byte.
 func (r *Reader) U8() uint8 {
 	if !r.need(1) {

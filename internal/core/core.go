@@ -75,7 +75,9 @@ type System struct {
 	sugg    *tags.Suggester
 	names   *trie.Trie
 
-	userKeywords [][]string
+	// counts are the action log's totals, known without the log itself:
+	// a deferred system never decodes its log for Stats.
+	counts LogCounts
 
 	cfg     Config // the configuration this system was built with
 	timings BuildTimings
@@ -83,10 +85,11 @@ type System struct {
 	engines sync.Pool // *otim.Engine
 	calcs   sync.Pool // *mia.Calc
 
-	// logFn, when set, decodes the action log on first use instead of at
-	// assembly — the mapped cold-start path (AssembleDeferred): pure
-	// IM/path queries never touch the log, so a mapped process answers
-	// its first query before the largest snapshot section is parsed.
+	// logFn, when set, decodes the action log on demand instead of at
+	// assembly — the mapped path (AssembleDeferred): queries never hold
+	// the log, so a mapped process keeps the largest snapshot section in
+	// its file. The keyword pools decode it once and drop it; only
+	// ActionLog memoizes a decode.
 	logFn   func() (*actionlog.Log, error)
 	logOnce sync.Once
 
@@ -136,7 +139,7 @@ func Build(g *graph.Graph, log *actionlog.Log, cfg Config) (*System, error) {
 	if log == nil {
 		log = actionlog.Build(g.NumNodes(), nil, nil)
 	}
-	s := &System{g: g, log: log, cfg: cfg}
+	s := &System{g: g, log: log, counts: countLog(log), cfg: cfg}
 	buildStart := time.Now()
 
 	// Stage 1: topic-aware influence modeling (Section II-B).
@@ -222,13 +225,23 @@ func Assemble(g *graph.Graph, log *actionlog.Log, prop *tic.Model, words *topic.
 	return s, nil
 }
 
+// LogCounts are an action log's episode and action totals.
+type LogCounts struct {
+	Episodes, Actions int
+}
+
+func countLog(log *actionlog.Log) LogCounts {
+	return LogCounts{Episodes: len(log.Episodes), Actions: log.NumActions()}
+}
+
 // AssembleDeferred is Assemble for the mapped serve path: the action
-// log decodes on first use via logFn (nil means an empty log) and the
-// stage-3 derived structures build lazily behind their onces, so
-// cold-start cost is bounded by what the first query actually touches
-// instead of the snapshot size. Every accessor forces what it needs;
-// results are identical to an eager Assemble of the same parts.
-func AssembleDeferred(g *graph.Graph, logFn func() (*actionlog.Log, error),
+// log decodes on demand via logFn (nil means an empty log), counts are
+// its totals (Stats reports them without a decode), and the stage-3
+// derived structures build lazily behind their onces, so cold-start
+// cost is bounded by what the first query actually touches instead of
+// the snapshot size. Every accessor forces what it needs; results are
+// identical to an eager Assemble of the same parts.
+func AssembleDeferred(g *graph.Graph, logFn func() (*actionlog.Log, error), counts LogCounts,
 	prop *tic.Model, words *topic.Model,
 	otimIdx *otim.Index, tagsIdx *tags.Index, cfg Config) (*System, error) {
 
@@ -239,6 +252,7 @@ func AssembleDeferred(g *graph.Graph, logFn func() (*actionlog.Log, error),
 	if logFn != nil {
 		s.log = nil
 		s.logFn = logFn
+		s.counts = counts
 	}
 	return s, nil
 }
@@ -267,16 +281,14 @@ func assemble(g *graph.Graph, log *actionlog.Log, prop *tic.Model, words *topic.
 	if log == nil {
 		log = actionlog.Build(g.NumNodes(), nil, nil)
 	}
-	return &System{g: g, log: log, cfg: cfg, prop: prop, words: words,
+	return &System{g: g, log: log, counts: countLog(log), cfg: cfg, prop: prop, words: words,
 		otimIdx: otimIdx, tagsIdx: tagsIdx}, nil
 }
 
 // finish builds stage 3 — the derived structures every construction
 // path shares: user keyword pools, the suggestion engine, the
 // completion trie, and the per-query scratch pools. It runs on every
-// snapshot fold and on every eager snapshot load, so the keyword pools
-// are computed over interned keyword ids (one string-map pass for the
-// whole log) rather than per-user string maps. Systems assembled with
+// snapshot fold and on every eager snapshot load. Systems assembled with
 // AssembleDeferred reach the same state piecewise, on first use.
 func (s *System) finish() { s.finishFrom(nil) }
 
@@ -319,40 +331,45 @@ func (s *System) ensureNames(old *System) {
 	})
 }
 
-// ensureKeywordPools builds the per-user keyword pools and the
-// suggestion engine. This is the one derived stage that needs the
-// action log, so on a deferred system it is what triggers the lazy log
-// decode.
+// ensureKeywordPools builds the suggestion engine, which owns the
+// per-user keyword pools as one id table. This is the one derived stage
+// that needs the action log. A deferred system decodes the log for it
+// and drops the decode: only the id table stays.
 func (s *System) ensureKeywordPools() {
 	s.poolsOnce.Do(func() {
-		log := s.ensureLog()
-		s.userKeywords = buildUserKeywords(log, log.UserItems(), s.g.NumNodes())
-		s.sugg = tags.NewSuggester(s.tagsIdx, s.words, s.userKeywords)
+		log := s.log
+		if s.logFn != nil {
+			log = s.decodeLog()
+		}
+		s.sugg = tags.NewSuggester(s.tagsIdx, s.words,
+			buildUserKeywords(log, log.UserItems(), s.g.NumNodes()))
 	})
 }
 
-// ensureLog materializes the action log. Deferred decode cannot
-// return an error through every accessor that transitively needs the
-// log, so a decode failure panics — store.Map guards against this by
-// CRC-verifying the log section at map time, making a failure here a
-// code bug rather than a corrupt file.
+// ensureLog materializes and memoizes the action log.
 func (s *System) ensureLog() *actionlog.Log {
 	if s.logFn != nil {
-		s.logOnce.Do(func() {
-			lg, err := s.logFn()
-			if err != nil {
-				panic(fmt.Sprintf("core: deferred action-log decode failed: %v", err))
-			}
-			s.log = lg
-		})
+		s.logOnce.Do(func() { s.log = s.decodeLog() })
 	}
 	return s.log
 }
 
-// buildUserKeywords computes each user's distinct keyword pool (sorted
-// lexicographically, matching actionlog.KeywordsOf). Keywords are
-// interned once — ids are lexicographic ranks, so per-user dedup and
-// ordering run on integers with a reusable stamp array.
+// decodeLog runs the deferred decode. It cannot return an error through
+// every accessor that transitively needs the log, so a failure panics —
+// store.Map guards against this by CRC-verifying the log section at map
+// time, making a failure here a code bug rather than a corrupt file.
+func (s *System) decodeLog() *actionlog.Log {
+	lg, err := s.logFn()
+	if err != nil {
+		panic(fmt.Sprintf("core: deferred action-log decode failed: %v", err))
+	}
+	return lg
+}
+
+// buildUserKeywords computes each user's distinct keyword pool, sorted
+// lexicographically. Keywords are interned once — ids are lexicographic
+// ranks, so per-user dedup and ordering run on integers with a reusable
+// stamp array.
 func buildUserKeywords(log *actionlog.Log, userItems [][]int32, n int) [][]string {
 	kwID := make(map[string]int32)
 	var kws []string
@@ -418,8 +435,9 @@ func noRelease() {}
 // Graph returns the social graph.
 func (s *System) Graph() *graph.Graph { return s.g }
 
-// ActionLog returns the action log the system was built from,
-// materializing it first on a deferred (mapped) system.
+// ActionLog returns the action log the system was built from. A
+// deferred (mapped) system decodes it on the first call and keeps it:
+// only callers that need the whole log (save, split, stream folds) ask.
 func (s *System) ActionLog() *actionlog.Log { return s.ensureLog() }
 
 // BuildConfig returns the Config the system was built with — the basis
@@ -448,13 +466,15 @@ func (s *System) OTIMIndex() *otim.Index { return s.otimIdx }
 // TagsIndex exposes the influencer index (for experiments).
 func (s *System) TagsIndex() *tags.Index { return s.tagsIdx }
 
-// UserKeywords returns the candidate keyword pool of a user.
+// UserKeywords returns a fresh copy of a user's candidate keyword pool:
+// the distinct keywords of the items the user acted on, sorted. It is
+// nil for a user without actions or out of range.
 func (s *System) UserKeywords(u graph.NodeID) []string {
-	s.ensureKeywordPools()
-	if int(u) >= len(s.userKeywords) {
+	if int(u) < 0 || int(u) >= s.g.NumNodes() {
 		return nil
 	}
-	return s.userKeywords[u]
+	s.ensureKeywordPools()
+	return s.sugg.Pool(u)
 }
 
 // ResolveUser accepts a display name or numeric id rendered as a string
@@ -800,17 +820,16 @@ type Stats struct {
 	IndexEdges      int
 }
 
-// Stats reports system-level statistics. On a deferred (mapped)
-// system the episode/action counts force the lazy log decode.
+// Stats reports system-level statistics. It never decodes a deferred
+// (mapped) log: the counts were taken when the system was assembled.
 func (s *System) Stats() Stats {
-	log := s.ensureLog()
 	return Stats{
 		Nodes:           s.g.NumNodes(),
 		Edges:           s.g.NumEdges(),
 		Topics:          s.prop.NumTopics(),
 		Vocabulary:      s.words.VocabSize(),
-		Episodes:        len(log.Episodes),
-		Actions:         log.NumActions(),
+		Episodes:        s.counts.Episodes,
+		Actions:         s.counts.Actions,
 		InfluencerPolls: s.tagsIdx.NumPolls(),
 		IndexEdges:      s.tagsIdx.EdgesMaterialized(),
 	}

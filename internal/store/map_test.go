@@ -6,12 +6,16 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"octopus/internal/actionlog"
 	"octopus/internal/arena"
 	"octopus/internal/core"
 	"octopus/internal/datagen"
+	"octopus/internal/graph"
+	"octopus/internal/tags"
 )
 
 func TestMapServesIdenticalResults(t *testing.T) {
@@ -48,6 +52,84 @@ func TestMapServesIdenticalResults(t *testing.T) {
 	// like the heap-decoded one (and like the original).
 	assertSystemsEquivalent(t, sys, mappedSys)
 	assertSystemsEquivalent(t, heap, mappedSys)
+}
+
+// TestMappedLogDecodes pins when a mapped system decodes its deferred
+// action log: never for Stats, exactly once for the keyword pools
+// (which keep only their id table), and once more for an explicit
+// ActionLog — proof that the pools' decode was not retained.
+func TestMappedLogDecodes(t *testing.T) {
+	sys := buildSystem(t, 200, 5)
+	path := filepath.Join(t.TempDir(), "model.oct")
+	if err := Save(path, sys); err != nil {
+		t.Fatal(err)
+	}
+	heap, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, m, err := MapParts(path, MapOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if p.LogFn == nil {
+		t.Skipf("backing %q decodes the log eagerly", m.Stats().Backing)
+	}
+	decodes := 0
+	decode := p.LogFn
+	p.LogFn = func() (*actionlog.Log, error) {
+		decodes++
+		return decode()
+	}
+	mapped, err := p.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect := func(step string, want int) {
+		t.Helper()
+		if decodes != want {
+			t.Fatalf("after %s: %d log decodes, want %d", step, decodes, want)
+		}
+	}
+
+	if got, want := mapped.Stats(), heap.Stats(); got != want {
+		t.Fatalf("mapped stats %+v, loaded %+v", got, want)
+	}
+	expect("Stats", 0)
+
+	target := graph.NodeID(-1)
+	for u := 0; u < heap.Graph().NumNodes() && target < 0; u++ {
+		if len(heap.UserKeywords(graph.NodeID(u))) >= 3 {
+			target = graph.NodeID(u)
+		}
+	}
+	if target < 0 {
+		t.Fatal("no user with a keyword pool")
+	}
+	if _, err := mapped.SuggestKeywords(target, 2, tags.SuggestOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	expect("the first suggest", 1)
+	if _, err := mapped.SuggestKeywords(target, 3, tags.SuggestOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mapped.RankUserKeywords(target, 5, nil); err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < heap.Graph().NumNodes(); u++ {
+		if got, want := mapped.UserKeywords(graph.NodeID(u)), heap.UserKeywords(graph.NodeID(u)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("user %d pool %v, loaded %v", u, got, want)
+		}
+	}
+	expect("a second suggest, a ranking and every pool", 1)
+
+	if got, want := mapped.ActionLog().NumActions(), heap.ActionLog().NumActions(); got != want {
+		t.Fatalf("mapped log has %d actions, loaded %d", got, want)
+	}
+	expect("ActionLog", 2)
+	mapped.ActionLog()
+	expect("a second ActionLog", 2)
 }
 
 func TestMapWarmup(t *testing.T) {
@@ -384,11 +466,15 @@ func FuzzMapParts(f *testing.F) {
 		}
 		defer m.Close()
 		if p.Log == nil && p.LogFn != nil {
-			if _, err := p.LogFn(); err != nil {
+			l, err := p.LogFn()
+			if err != nil {
 				// Verify:true checksums ALOG up front, so the deferred
 				// decode can only fail on inputs that collide CRC32 —
 				// report it, that would break the lazy-decode contract.
 				t.Fatalf("CRC-verified log failed to decode: %v", err)
+			}
+			if got := (core.LogCounts{Episodes: len(l.Episodes), Actions: l.NumActions()}); got != p.LogCounts {
+				t.Fatalf("walked log counts %+v, decoded %+v", p.LogCounts, got)
 			}
 		}
 	})

@@ -254,16 +254,18 @@ func Write(w io.Writer, sys *core.System, version uint64) error {
 type Parts struct {
 	Graph *graph.Graph
 	// Log is the decoded action log. On the mapped path it is nil and
-	// LogFn decodes it on first use instead (the log is the largest
-	// section on the cold-start path and pure IM queries never need it).
-	Log     *actionlog.Log
-	LogFn   func() (*actionlog.Log, error)
-	Prop    *tic.Model
-	Words   *topic.Model
-	OTIM    *otim.Index // precomputed keyword-IM index, bound to Prop
-	Tags    *tags.Index // precomputed influencer index, bound to Prop
-	Config  core.Config // GroundTruth/GroundTruthWords not yet attached
-	Version uint64      // snapshot generation recorded at save time
+	// LogFn decodes it on demand instead (the log is the largest section
+	// and no query holds it); LogCounts are then its totals, taken by a
+	// walk of the payload that decodes nothing.
+	Log       *actionlog.Log
+	LogFn     func() (*actionlog.Log, error)
+	LogCounts core.LogCounts
+	Prop      *tic.Model
+	Words     *topic.Model
+	OTIM      *otim.Index // precomputed keyword-IM index, bound to Prop
+	Tags      *tags.Index // precomputed influencer index, bound to Prop
+	Config    core.Config // GroundTruth/GroundTruthWords not yet attached
+	Version   uint64      // snapshot generation recorded at save time
 }
 
 // decodeErr wraps a section-payload decode failure with the section
@@ -295,8 +297,8 @@ func readMeta(meta []byte) (uint64, error) {
 // whose copy fallbacks are summed into the second return. With
 // deferLog the action log is not decoded here: Parts.LogFn decodes it
 // on first use (the log is the largest decode on the cold-start path
-// and pure IM queries never need it), which requires next to have
-// CRC-verified the ALOG payload.
+// and pure IM queries never need it) and only its counts are walked,
+// which requires next to have CRC-verified the ALOG payload.
 func decodeParts(next func(want [4]byte) ([]byte, int64, error), open func([]byte) *arena.Reader, deferLog bool) (*Parts, int, error) {
 	p := &Parts{}
 	fallbacks := 0
@@ -325,6 +327,9 @@ func decodeParts(next func(want [4]byte) ([]byte, int64, error), open func([]byt
 		})},
 		{tagLog, func(b []byte, at int64) (err error) {
 			if deferLog {
+				if p.LogCounts, err = logCounts(b); err != nil {
+					return err
+				}
 				p.LogFn = func() (*actionlog.Log, error) {
 					l, err := readLog(b)
 					if err != nil {
@@ -424,7 +429,7 @@ func (p *Parts) Build() (*core.System, error) {
 	var sys *core.System
 	var err error
 	if p.Log == nil && p.LogFn != nil {
-		sys, err = core.AssembleDeferred(p.Graph, p.LogFn, p.Prop, p.Words, p.OTIM, p.Tags, cfg)
+		sys, err = core.AssembleDeferred(p.Graph, p.LogFn, p.LogCounts, p.Prop, p.Words, p.OTIM, p.Tags, cfg)
 	} else {
 		sys, err = core.Assemble(p.Graph, p.Log, p.Prop, p.Words, p.OTIM, p.Tags, cfg)
 	}
@@ -607,6 +612,32 @@ func readLog(b []byte) (*actionlog.Log, error) {
 		return nil, err
 	}
 	return log, nil
+}
+
+// logCounts walks an ALOG payload for its episode and action totals
+// without decoding it: keywords and actions are skipped, not read, and
+// nothing is allocated per episode.
+func logCounts(b []byte) (core.LogCounts, error) {
+	br := arena.NewReader(b)
+	br.U64() // numUsers
+	numEps := br.U64()
+	if br.Err() == nil && numEps > arena.MaxLen {
+		return core.LogCounts{}, fmt.Errorf("actionlog payload dimensions out of range")
+	}
+	c := core.LogCounts{Episodes: int(numEps)}
+	for e := 0; e < c.Episodes && br.Err() == nil; e++ {
+		br.Skip(4) // item id
+		for k := br.U64(); k > 0 && br.Err() == nil; k-- {
+			br.Skip(int(br.U32()))
+		}
+		n := br.U64()
+		if n > arena.MaxLen {
+			return core.LogCounts{}, fmt.Errorf("actionlog payload action count out of range")
+		}
+		br.Skip(int(n) * 12) // user i32 + time i64 per action
+		c.Actions += int(n)
+	}
+	return c, br.Err()
 }
 
 // ---- Build config payload ----

@@ -6,7 +6,6 @@ import (
 
 	"octopus/internal/arena"
 	"octopus/internal/binio"
-	"octopus/internal/graph"
 	"octopus/internal/tic"
 )
 
@@ -62,10 +61,10 @@ func WriteBinary(w io.Writer, ix *Index) error {
 }
 
 // ReadView parses a binary payload through an arena reader, rebuilding
-// the derived lookup structures (tree-local maps and the per-user poll
-// lists) on the heap. Zero-copy mode aliases each tree's coin pool
-// into the reader's backing bytes and skips per-edge content checks
-// (offset-array shape checks still run — they guard the subslicing).
+// the derived lookup structure (the per-user poll table) on the heap.
+// Zero-copy mode aliases each tree's coin pool into the reader's
+// backing bytes and skips per-edge content checks (offset-array shape
+// checks still run — they guard the subslicing).
 func ReadView(br *arena.Reader, m *tic.Model) (*Index, error) {
 	version := br.U8()
 	if br.Err() == nil && version != tagsBinaryVersion {
@@ -73,15 +72,16 @@ func ReadView(br *arena.Reader, m *tic.Model) (*Index, error) {
 	}
 	g := m.Graph()
 	n := g.NumNodes()
-	ix := &Index{m: m, contains: make([][]int32, n)}
+	ix := &Index{m: m}
 	numTrees := int(br.U64())
 	if br.Err() == nil && (numTrees <= 0 || numTrees > arena.MaxLen) {
 		return nil, fmt.Errorf("tags: binary payload poll count %d out of range", numTrees)
 	}
+	seen := make([]int32, n) // seen[v] == p+1: tree p already holds v
 	for p := 0; p < numTrees && br.Err() == nil; p++ {
 		root := br.I32()
 		pollCoins := br.I32()
-		t, edges, err := readTree(br, root, p, n, g.NumEdges())
+		t, edges, err := readTree(br, root, p, n, g.NumEdges(), seen)
 		if err != nil {
 			return nil, err
 		}
@@ -96,19 +96,18 @@ func ReadView(br *arena.Reader, m *tic.Model) (*Index, error) {
 		ix.trees = append(ix.trees, t)
 		ix.pollCoins = append(ix.pollCoins, pollCoins)
 		ix.coins += int(pollCoins)
-		for _, v := range t.nodes {
-			ix.contains[v] = append(ix.contains[v], int32(p))
-		}
 	}
 	if err := br.Err(); err != nil {
 		return nil, fmt.Errorf("tags: read binary: %w", err)
 	}
+	ix.indexContains(n)
 	return ix, nil
 }
 
-// readNodes decodes and validates one tree's node list and builds its
-// local map (always heap work — the map is a derived structure).
-func readNodes(br *arena.Reader, root int32, p, n int) (revTree, error) {
+// readNodes decodes and validates one tree's node list. seen is a
+// stamp array over the graph's nodes shared by every tree of the
+// payload: tree p stamps p+1, so no tree clears it.
+func readNodes(br *arena.Reader, root int32, p, n int, seen []int32) (revTree, error) {
 	t := revTree{nodes: br.I32s()}
 	if br.Err() != nil {
 		return t, nil
@@ -116,24 +115,23 @@ func readNodes(br *arena.Reader, root int32, p, n int) (revTree, error) {
 	if len(t.nodes) == 0 || t.nodes[0] != root {
 		return t, fmt.Errorf("tags: binary payload tree %d does not start at its root", p)
 	}
-	t.local = make(map[graph.NodeID]int32, len(t.nodes))
-	for i, v := range t.nodes {
+	for _, v := range t.nodes {
 		if v < 0 || int(v) >= n {
 			return t, fmt.Errorf("tags: binary payload tree %d node %d out of range", p, v)
 		}
-		if _, dup := t.local[v]; dup {
+		if seen[v] == int32(p+1) {
 			return t, fmt.Errorf("tags: binary payload tree %d repeats node %d", p, v)
 		}
-		t.local[v] = int32(i)
+		seen[v] = int32(p + 1)
 	}
 	return t, nil
 }
 
 // readTree decodes one aligned tree: node list, per-slot offset
 // array, then the flat coin pool (aliased when the reader allows).
-func readTree(br *arena.Reader, root int32, p, n, numEdges int) (revTree, int, error) {
+func readTree(br *arena.Reader, root int32, p, n, numEdges int, seen []int32) (revTree, int, error) {
 	br.Align8()
-	t, err := readNodes(br, root, p, n)
+	t, err := readNodes(br, root, p, n, seen)
 	if err != nil || br.Err() != nil {
 		return t, 0, err
 	}

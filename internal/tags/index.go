@@ -75,12 +75,18 @@ type revEdge struct {
 }
 
 // revTree is the stored reverse propagation sample of one poll user.
+// Slot 0 is the poll root.
 type revTree struct {
 	nodes []graph.NodeID
-	local map[graph.NodeID]int32
 	// inEdges[i] lists stored edges whose To == i (edges that can make
 	// node From live once i is live, walking away from the root).
 	inEdges [][]revEdge
+}
+
+// pollSlot places a user in one stored tree: the poll and the user's
+// slot in that poll's tree.
+type pollSlot struct {
+	Poll, Slot int32
 }
 
 // Index is the influencer index. Immutable after Build; safe for
@@ -89,11 +95,13 @@ type Index struct {
 	m     *tic.Model
 	polls []graph.NodeID
 	trees []revTree
-	// contains[u] lists polls whose stored tree contains u — only these
-	// can contribute to u's spread estimate.
-	contains [][]int32
-	edges    int // total materialized coins
-	coins    int // total coins flipped during build (incl. pruned edges)
+	// contains[containsOff[u]:containsOff[u+1]] lists, in poll order,
+	// the polls whose stored tree contains u with u's slot there — only
+	// these can contribute to u's spread estimate.
+	containsOff []int32
+	contains    []pollSlot
+	edges       int // total materialized coins
+	coins       int // total coins flipped during build (incl. pruned edges)
 	// pollCoins[p] = coins flipped growing poll p's tree. The snapshot
 	// stores this per-poll split; it only feeds the CoinsFlipped total.
 	pollCoins []int32
@@ -137,7 +145,7 @@ func BuildIndex(m *tic.Model, opt IndexOptions) (*Index, error) {
 		seeds[p] = r.Uint64()
 	}
 
-	ix := &Index{m: m, contains: make([][]int32, n), polls: roots}
+	ix := &Index{m: m, polls: roots}
 	ix.trees = make([]revTree, opt.Polls)
 	edges := make([]int, opt.Polls)
 	coins := make([]int, opt.Polls)
@@ -154,12 +162,33 @@ func BuildIndex(m *tic.Model, opt IndexOptions) (*Index, error) {
 		ix.edges += edges[p]
 		ix.coins += coins[p]
 		ix.pollCoins[p] = int32(coins[p])
-		for _, v := range ix.trees[p].nodes {
-			ix.contains[v] = append(ix.contains[v], int32(p))
-		}
 	}
+	ix.indexContains(n)
 	ix.buildStats.Merge = time.Since(passStart)
 	return ix, nil
+}
+
+// indexContains builds the per-user (poll, slot) table over the trees,
+// in poll order.
+func (ix *Index) indexContains(n int) {
+	off := make([]int32, n+1)
+	for p := range ix.trees {
+		for _, v := range ix.trees[p].nodes {
+			off[v+1]++
+		}
+	}
+	for u := 0; u < n; u++ {
+		off[u+1] += off[u]
+	}
+	next := append([]int32(nil), off[:n]...)
+	pairs := make([]pollSlot, off[n])
+	for p := range ix.trees {
+		for i, v := range ix.trees[p].nodes {
+			pairs[next[v]] = pollSlot{Poll: int32(p), Slot: int32(i)}
+			next[v]++
+		}
+	}
+	ix.containsOff, ix.contains = off, pairs
 }
 
 // growTree grows one poll's reverse propagation tree under the
@@ -169,14 +198,15 @@ func BuildIndex(m *tic.Model, opt IndexOptions) (*Index, error) {
 func growTree(m *tic.Model, root graph.NodeID, r *rng.Source, opt IndexOptions) (revTree, int, int) {
 	g := m.Graph()
 	edges, coins := 0, 0
-	t := revTree{local: make(map[graph.NodeID]int32, 8)}
+	var t revTree
+	local := make(map[graph.NodeID]int32, 8) // node → slot, only while growing
 	addNode := func(v graph.NodeID) int32 {
-		if i, ok := t.local[v]; ok {
+		if i, ok := local[v]; ok {
 			return i
 		}
 		i := int32(len(t.nodes))
 		t.nodes = append(t.nodes, v)
-		t.local[v] = i
+		local[v] = i
 		t.inEdges = append(t.inEdges, nil)
 		return i
 	}
@@ -204,7 +234,7 @@ func growTree(m *tic.Model, root graph.NodeID, r *rng.Source, opt IndexOptions) 
 				continue // dead under every γ: lazy pruning
 			}
 			u := g.InSrc(s)
-			ui, existed := t.local[u]
+			ui, existed := local[u]
 			if !existed {
 				ui = addNode(u)
 				queue = append(queue, qent{ui, cur.depth + 1})
@@ -233,58 +263,73 @@ func (ix *Index) EdgesMaterialized() int { return ix.edges }
 // NumPolls()·NumEdges() for the eager alternative.
 func (ix *Index) CoinsFlipped() int { return ix.coins }
 
-// pollLive reports whether target is live in poll pi under γ: reachable
-// from the poll root walking stored edges whose λ < p(γ). The BFS stops
-// as soon as target is proven live (delayed materialization). With a
-// non-nil cost each call scans one poll, a call that walks the stored
-// tree re-mixes one sample, and every λ-vs-p(γ) comparison tests one
-// stored coin.
-func (ix *Index) pollLive(pi int32, target graph.NodeID, gamma topic.Dist, cost *obs.Cost) bool {
+// scan is the BFS scratch one SpreadEstimate call reuses across the
+// polls it scans: live marks by tree slot (cleared after every poll)
+// and the queue.
+type scan struct {
+	live  []bool
+	queue []int32
+}
+
+// pollLive reports whether the user at ps.Slot is live in poll ps.Poll
+// under γ: reachable from the poll root walking stored edges whose
+// λ < p(γ). The BFS stops as soon as the target is proven live (delayed
+// materialization). With a non-nil cost each call scans one poll, a
+// call that walks the stored tree re-mixes one sample, and every
+// λ-vs-p(γ) comparison tests one stored coin.
+func (ix *Index) pollLive(ps pollSlot, gamma topic.Dist, cost *obs.Cost, sc *scan) bool {
 	if cost != nil {
 		cost.Tags.Polls++
 	}
-	t := &ix.trees[pi]
-	ti, ok := t.local[target]
-	if !ok {
-		return false
-	}
-	if ti == 0 {
+	if ps.Slot == 0 {
 		return true // target is the poll root
 	}
-	var coins uint64
 	if cost != nil {
 		cost.Tags.Trees++
-		defer func() { cost.Tags.Coins += coins }()
 	}
-	live := make([]bool, len(t.nodes))
+	t := &ix.trees[ps.Poll]
+	if len(sc.live) < len(t.nodes) {
+		sc.live = make([]bool, len(t.nodes))
+		sc.queue = make([]int32, 0, len(t.nodes))
+	}
+	live := sc.live
 	live[0] = true
-	queue := make([]int32, 0, 8)
-	queue = append(queue, 0)
+	queue := append(sc.queue[:0], 0)
+	var coins uint64
+	found := false
+walk:
 	for qi := 0; qi < len(queue); qi++ {
-		cur := queue[qi]
-		for _, e := range t.inEdges[cur] {
+		for _, e := range t.inEdges[queue[qi]] {
 			if live[e.From] {
 				continue
 			}
 			coins++
 			if float64(e.Lambda) < ix.m.EdgeProb(e.Edge, gamma) {
-				if e.From == ti {
-					return true
+				if e.From == ps.Slot {
+					found = true
+					break walk
 				}
 				live[e.From] = true
 				queue = append(queue, e.From)
 			}
 		}
 	}
-	return false
+	for _, v := range queue {
+		live[v] = false
+	}
+	if cost != nil {
+		cost.Tags.Coins += coins
+	}
+	return found
 }
 
 // SpreadEstimate returns σ̂_γ({u}) = n/M · #{polls where u is live},
 // accumulating scan work into cost (nil disables accounting).
 func (ix *Index) SpreadEstimate(u graph.NodeID, gamma topic.Dist, cost *obs.Cost) float64 {
+	var sc scan
 	hits := 0
-	for _, pi := range ix.contains[u] {
-		if ix.pollLive(pi, u, gamma, cost) {
+	for _, ps := range ix.contains[ix.containsOff[u]:ix.containsOff[u+1]] {
+		if ix.pollLive(ps, gamma, cost, &sc) {
 			hits++
 		}
 	}
@@ -297,5 +342,5 @@ func (ix *Index) SpreadEstimate(u graph.NodeID, gamma topic.Dist, cost *obs.Cost
 // pruning entire users before any keyword evaluation.
 func (ix *Index) MaxSpreadEstimate(u graph.NodeID) float64 {
 	n := ix.m.Graph().NumNodes()
-	return float64(n) * float64(len(ix.contains[u])) / float64(len(ix.polls))
+	return float64(n) * float64(ix.containsOff[u+1]-ix.containsOff[u]) / float64(len(ix.polls))
 }

@@ -73,21 +73,69 @@ type SuggestStats struct {
 type Suggester struct {
 	ix *Index
 	km *topic.Model
-	// userKeywords[u] is the candidate keyword pool of user u (typically
-	// keywords of the items the user acted on).
-	userKeywords [][]string
+	// The per-user candidate pools (typically the keywords of the items
+	// the user acted on) as one id table: user u's pool is words[id] for
+	// each id in ids[off[u]:off[u+1]], in the order NewSuggester was
+	// given. words is the sorted distinct keyword table, so ids are
+	// lexicographic ranks. off is nil when no pools were given.
+	off   []int32
+	ids   []int32
+	words []string
 }
 
 // NewSuggester builds a Suggester; userKeywords may be nil, in which
-// case every vocabulary keyword is a candidate for every user.
+// case every vocabulary keyword is a candidate for every user. The
+// pools are compacted into an id table; userKeywords is not retained.
 func NewSuggester(ix *Index, km *topic.Model, userKeywords [][]string) *Suggester {
-	return &Suggester{ix: ix, km: km, userKeywords: userKeywords}
+	s := &Suggester{ix: ix, km: km}
+	if userKeywords == nil {
+		return s
+	}
+	rank := make(map[string]int32)
+	total := 0
+	for _, pool := range userKeywords {
+		total += len(pool)
+		for _, w := range pool {
+			if _, ok := rank[w]; !ok {
+				rank[w] = 0
+				s.words = append(s.words, w)
+			}
+		}
+	}
+	sort.Strings(s.words)
+	for i, w := range s.words {
+		rank[w] = int32(i)
+	}
+	s.off = make([]int32, len(userKeywords)+1)
+	s.ids = make([]int32, 0, total)
+	for u, pool := range userKeywords {
+		for _, w := range pool {
+			s.ids = append(s.ids, rank[w])
+		}
+		s.off[u+1] = int32(len(s.ids))
+	}
+	return s
 }
 
-// Candidates returns the candidate keyword pool for u.
+// Pool returns a fresh copy of u's own keyword pool: nil when u has
+// none or is out of range.
+func (s *Suggester) Pool(u graph.NodeID) []string {
+	if int(u) < 0 || int(u) >= len(s.off)-1 || s.off[u] == s.off[u+1] {
+		return nil
+	}
+	ids := s.ids[s.off[u]:s.off[u+1]]
+	pool := make([]string, len(ids))
+	for i, id := range ids {
+		pool[i] = s.words[id]
+	}
+	return pool
+}
+
+// Candidates returns the candidate keyword pool for u: its own pool, or
+// the whole vocabulary when it has none.
 func (s *Suggester) Candidates(u graph.NodeID) []string {
-	if s.userKeywords != nil && int(u) < len(s.userKeywords) && len(s.userKeywords[u]) > 0 {
-		return s.userKeywords[u]
+	if pool := s.Pool(u); pool != nil {
+		return pool
 	}
 	return s.km.Vocab()
 }

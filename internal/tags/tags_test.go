@@ -391,7 +391,7 @@ func TestBuildIndexWorkerEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(base.trees, ix.trees) {
 			t.Fatalf("workers=%d: reverse trees differ", w)
 		}
-		if !reflect.DeepEqual(base.contains, ix.contains) {
+		if !reflect.DeepEqual(base.containsOff, ix.containsOff) || !reflect.DeepEqual(base.contains, ix.contains) {
 			t.Fatalf("workers=%d: contains lists differ", w)
 		}
 	}

@@ -68,9 +68,11 @@
 // that touches the graph rebuilds them. Adding -wal DIR makes
 // ingestion durable: accepted events are written ahead to DIR/wal.log,
 // every swap checkpoints DIR/snapshot.oct, and a restarted serve -wal
-// recovers snapshot + WAL tail automatically. SIGINT/SIGTERM trigger a
-// graceful shutdown: the HTTP server drains, then the ingester folds
-// and checkpoints one final time.
+// recovers automatically: it loads the checkpoint, replays the WAL tail
+// through the live ingester and folds it, checkpointing the next
+// version before it listens. SIGINT/SIGTERM trigger a graceful
+// shutdown: the HTTP server drains, then the ingester folds and
+// checkpoints one final time.
 //
 // With -follow, serve runs as a read replica of another octopus serve
 // -ingest -wal instance. It mirrors the leader's checkpoints: it
@@ -495,9 +497,10 @@ type source struct {
 
 // openSource picks what serve answers from: nothing local for a
 // coordinator; the leader's mirrored checkpoints for -follow; otherwise
-// the system recovered from -wal, loaded or built, wrapped live under
-// -ingest. A -wal directory
-// that already holds state wins over both -load and dataset generation.
+// the checkpoint found in -wal, loaded or built, wrapped live under
+// -ingest (which replays and folds the checkpoint's WAL tail). A -wal
+// directory that already holds state wins over both -load and dataset
+// generation.
 func openSource(ctx context.Context, opt options, logger *slog.Logger) (source, error) {
 	src := source{close: func() error { return nil }}
 	switch {
@@ -520,16 +523,13 @@ func openSource(ctx context.Context, opt options, logger *slog.Logger) (source, 
 	}
 	var dir *store.Dir
 	var sys *core.System
+	var recovered *store.RecoverResult
 	if opt.walDir != "" {
-		d, recovered, err := store.Open(opt.walDir)
-		if err != nil {
+		var err error
+		if dir, recovered, err = store.Open(opt.walDir); err != nil {
 			return src, err
 		}
-		dir = d
 		if recovered != nil {
-			st := recovered.Sys.Stats()
-			fmt.Fprintf(os.Stderr, "recovered from %s: snapshot v%d + %d WAL events (%d nodes, %d edges)\n",
-				opt.walDir, recovered.SnapshotVersion, recovered.Replayed, st.Nodes, st.Edges)
 			sys = recovered.Sys
 		}
 	}
@@ -553,6 +553,11 @@ func openSource(ctx context.Context, opt options, logger *slog.Logger) (source, 
 	})
 	if err != nil {
 		return src, err
+	}
+	if recovered != nil {
+		st := ls.Stats()
+		fmt.Fprintf(os.Stderr, "recovered from %s: snapshot v%d + %d WAL events (%d nodes, %d edges)\n",
+			opt.walDir, recovered.SnapshotVersion, recovered.Tail, st.Nodes, st.Edges)
 	}
 	src.sys, src.mode = ls, "live"
 	src.close = func() error {

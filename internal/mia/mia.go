@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
 	"octopus/internal/graph"
 	"octopus/internal/obs"
@@ -82,16 +81,6 @@ func (t *Tree) Find(id graph.NodeID) int {
 		}
 	}
 	return -1
-}
-
-// Children returns a child-index adjacency list aligned with Nodes.
-func (t *Tree) Children() [][]int32 {
-	ch := make([][]int32, len(t.Nodes))
-	for i := 1; i < len(t.Nodes); i++ {
-		p := t.Nodes[i].Parent
-		ch[p] = append(ch[p], int32(i))
-	}
-	return ch
 }
 
 // SubtreeWeights returns, per node index, the sum of Prob over the
@@ -537,18 +526,4 @@ func (t *Tree) Validate() error {
 		seen[n.ID] = true
 	}
 	return nil
-}
-
-// TopInfluenced returns the k non-root tree nodes with the largest
-// activation probabilities, as (node, prob) pairs in decreasing order.
-func (t *Tree) TopInfluenced(k int) []TreeNode {
-	nodes := make([]TreeNode, 0, len(t.Nodes)-1)
-	for _, n := range t.Nodes[1:] {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Prob > nodes[j].Prob })
-	if k > len(nodes) {
-		k = len(nodes)
-	}
-	return nodes[:k]
 }

@@ -116,27 +116,6 @@ func TestSpreadAndSubtreeWeights(t *testing.T) {
 	}
 }
 
-func TestChildren(t *testing.T) {
-	g, ep := diamond(t)
-	tree := NewCalc(g).MIOA(ep, 0, 0.01, 0)
-	ch := tree.Children()
-	if len(ch[0]) != 2 {
-		t.Fatalf("root children = %v", ch[0])
-	}
-}
-
-func TestTopInfluenced(t *testing.T) {
-	g, ep := diamond(t)
-	tree := NewCalc(g).MIOA(ep, 0, 0.01, 0)
-	top := tree.TopInfluenced(2)
-	if len(top) != 2 || top[0].ID != 1 || top[1].ID != 2 {
-		t.Fatalf("TopInfluenced = %+v", top)
-	}
-	if got := tree.TopInfluenced(100); len(got) != 3 {
-		t.Fatalf("TopInfluenced(100) len = %d", len(got))
-	}
-}
-
 func TestCoverGainAndAdd(t *testing.T) {
 	g, ep := diamond(t)
 	c := NewCalc(g)

@@ -91,7 +91,7 @@ func (l *leader) open(fallback *core.System) {
 }
 
 // crashRestart kills the leader mid-stream and reopens it through
-// recovery, which compacts any WAL tail into a new checkpoint version.
+// recovery, which folds any WAL tail into a new checkpoint version.
 func (l *leader) crashRestart() {
 	l.tb.Helper()
 	l.ls.Kill()
@@ -309,7 +309,7 @@ func TestFollowerRestartResumesWithoutRefetch(t *testing.T) {
 }
 
 // TestLeaderCrashRestartConverges crashes the leader with a WAL tail.
-// Recovery compacts the tail into a new checkpoint version, which the
+// Recovery folds the tail into a new checkpoint version, which the
 // follower mirrors like any other: no restart signal, same bytes.
 func TestLeaderCrashRestartConverges(t *testing.T) {
 	sys := buildBase(t, 150, 11)
@@ -330,7 +330,7 @@ func TestLeaderCrashRestartConverges(t *testing.T) {
 	}
 	l.crashRestart()
 	if v := l.checkpoint(); v != 3 {
-		t.Fatalf("recovered leader checkpoint = %d, want 3 (compacted tail)", v)
+		t.Fatalf("recovered leader checkpoint = %d, want 3 (folded tail)", v)
 	}
 	converged(t, f, l)
 	assertMirrors(t, f, l)

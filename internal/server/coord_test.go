@@ -180,6 +180,13 @@ func TestCoordinatorTwoShardMerge(t *testing.T) {
 			t.Fatalf("merged complete differs from single-process:\n%s\n%s",
 				got.Body.String(), want.Body.String())
 		}
+		// A prefix no name matches is an empty list on both, never null.
+		want = do(t, single, "GET", "/api/complete?prefix=%7E%7Enomatch&k=8", "")
+		got = do(t, coord, "GET", "/api/complete?prefix=%7E%7Enomatch&k=8", "")
+		if got.Code != 200 || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("no-match complete differs: coordinator %d %q, single-process %q",
+				got.Code, got.Body.String(), want.Body.String())
+		}
 	})
 
 	t.Run("radar is fleet-invariant", func(t *testing.T) {

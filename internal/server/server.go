@@ -112,6 +112,7 @@ import (
 	"octopus/internal/store"
 	"octopus/internal/stream"
 	"octopus/internal/tags"
+	"octopus/internal/trie"
 )
 
 // DefaultCacheEntries bounds the result cache when Options.CacheEntries
@@ -757,7 +758,12 @@ func (s *Server) handleComplete(sys *core.System, w http.ResponseWriter, r *http
 	if q.bad(w) {
 		return
 	}
-	writeJSON(w, http.StatusOK, sys.Complete(prefix, k))
+	out := sys.Complete(prefix, k)
+	if out == nil {
+		// No match (or k=0) is an empty list, as a coordinator merges it.
+		out = []trie.Completion{}
+	}
+	writeJSON(w, http.StatusOK, out)
 }
 
 // ---- Streaming ingestion endpoints ----

@@ -9,11 +9,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"octopus/internal/actionlog"
 	"octopus/internal/core"
-	"octopus/internal/graph"
 	"octopus/internal/obs"
-	"octopus/internal/tic"
 )
 
 // Layout of a durability directory:
@@ -32,11 +29,13 @@ const (
 // Dir is an open durability directory: the latest checkpoint snapshot
 // plus the WAL of events accepted since. A live ingester appends every
 // drained batch, fsyncs once per drain (group commit), and checkpoints
-// on snapshot swap. Append/Sync/Checkpoint/Close must be called from a
-// single goroutine; the read-only accessors are safe from any.
+// on snapshot swap. Append/Sync/Checkpoint/TakeTail/Close must be
+// called from a single goroutine; the read-only accessors are safe from
+// any.
 type Dir struct {
 	path        string
 	wal         *WAL
+	tail        []Record // logged after the recovered checkpoint; see TakeTail
 	checkpoints atomic.Uint64
 	lastVersion atomic.Uint64
 	// landed is closed (and dropped) by every checkpoint, waking the
@@ -57,19 +56,21 @@ type Dir struct {
 }
 
 // Open opens (creating if needed) a durability directory and prepares
-// its WAL for appending. If the directory holds previous state — a
-// snapshot and possibly a WAL tail — that state is recovered first and
-// returned, and the recovered system is immediately re-checkpointed so
-// the WAL starts empty; the caller should serve the returned system.
-// For a fresh directory the RecoverResult is nil.
+// its WAL for appending. If the directory holds previous state, Open
+// decodes the checkpoint snapshot and cuts the WAL at the fence naming
+// its version; the records logged after that fence — the tail a crash
+// left unfolded — stay on the Dir for TakeTail. Open merges nothing:
+// stream.NewLiveSystem replays the tail through the live apply path and
+// folds it, which checkpoints the next version and rotates the WAL. For
+// a fresh directory the RecoverResult is nil.
 func Open(dirPath string) (*Dir, *RecoverResult, error) {
 	if err := os.MkdirAll(dirPath, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("store: open dir: %w", err)
 	}
+	d := &Dir{path: dirPath}
 	var res *RecoverResult
-	if _, err := os.Stat(filepath.Join(dirPath, snapshotFile)); err == nil {
-		res, err = Recover(dirPath)
-		if err != nil {
+	if _, err := os.Stat(d.SnapshotPath()); err == nil {
+		if res, err = d.loadState(); err != nil {
 			return nil, nil, err
 		}
 	} else if !errors.Is(err, os.ErrNotExist) {
@@ -79,28 +80,14 @@ func Open(dirPath string) (*Dir, *RecoverResult, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	d := &Dir{path: dirPath, wal: wal}
-	if res != nil {
-		d.lastVersion.Store(res.SnapshotVersion)
-		if res.Replayed > 0 {
-			// Compact: fold the replayed tail into a fresh checkpoint so the
-			// next recovery starts from the merged state. The merged state is
-			// a new generation, so the version advances — checkpoint versions
-			// stay monotone and never name two different states.
-			res.SnapshotVersion++
-			if err := d.Checkpoint(res.Sys, res.SnapshotVersion); err != nil {
-				wal.Close()
-				return nil, nil, err
-			}
-		} else if wal.Records() > 0 {
-			// The tail held only records the snapshot already covers (a
-			// checkpoint fence whose rotation never ran, or invalid
-			// records recovery would skip again): drop it so the log once
-			// more starts exactly at the snapshot.
-			if err := wal.Rotate(); err != nil {
-				wal.Close()
-				return nil, nil, err
-			}
+	d.wal = wal
+	if res != nil && len(d.tail) == 0 && wal.Records() > 0 {
+		// The log holds only records the snapshot already covers (a
+		// checkpoint fence whose rotation never ran): drop them so the
+		// log once more starts exactly at the snapshot.
+		if err := wal.Rotate(); err != nil {
+			wal.Close()
+			return nil, nil, err
 		}
 	}
 	return d, res, nil
@@ -223,161 +210,64 @@ func (d *Dir) LastCheckpointBytes() int64 { return d.lastCheckpoint.Load() }
 // Close syncs and closes the WAL.
 func (d *Dir) Close() error { return d.wal.Close() }
 
-// RecoverResult is the outcome of crash recovery.
+// RecoverResult is what Open found in a directory holding state.
 type RecoverResult struct {
-	// Sys is the recovered system: the latest snapshot with the WAL tail
-	// folded in.
+	// Sys is the checkpoint snapshot as written.
 	Sys *core.System
-	// SnapshotVersion is the generation of the recovered state: the one
-	// recorded in the snapshot, advanced by one when Open compacted a
-	// replayed WAL tail into a fresh checkpoint.
+	// SnapshotVersion is the generation recorded in the snapshot.
 	SnapshotVersion uint64
-	// Replayed counts WAL records folded in on top of the snapshot.
-	Replayed int
-	// Skipped counts WAL records dropped as duplicates of snapshot state
-	// (possible when a crash lands between snapshot write and WAL
-	// rotation) or as invalid.
-	Skipped int
+	// Tail counts the WAL records logged after the snapshot's fence,
+	// which TakeTail hands to the live ingester to replay.
+	Tail int
 }
 
-// Recover rebuilds the live state from a durability directory: it loads
-// the latest checkpoint snapshot and replays the WAL tail over it —
-// exactly what a restarted `serve -ingest` process does. Recover only
-// reads; it can safely inspect a directory while (or after) another
-// process' crash left it mid-write.
-func Recover(dirPath string) (*RecoverResult, error) {
-	f, err := os.Open(filepath.Join(dirPath, snapshotFile))
+// TakeTail returns the WAL records Open found after the checkpoint's
+// fence, once: the caller that replays them owns them, and later calls
+// return nil. The records stay in the WAL until the next checkpoint
+// rotates it.
+func (d *Dir) TakeTail() []Record {
+	tail := d.tail
+	d.tail = nil
+	return tail
+}
+
+// loadState decodes the checkpoint snapshot and keeps the WAL records
+// logged after it as d.tail. The log is cut at the last checkpoint fence
+// naming the snapshot's version: the fence is appended and fsynced
+// before the snapshot is written, so everything at or before it is
+// already in the snapshot on disk. Without the cut, a crash between
+// snapshot write and WAL rotation would replay that tail twice — edges
+// and items deduplicate against snapshot state, but actions carry no
+// identity to deduplicate on. Fences past the cut belong to checkpoints
+// whose snapshot never landed; they carry no state and are dropped.
+func (d *Dir) loadState() (*RecoverResult, error) {
+	f, err := os.Open(d.SnapshotPath())
 	if err != nil {
-		return nil, fmt.Errorf("store: recover: no snapshot in %s: %w", dirPath, err)
+		return nil, fmt.Errorf("store: recover: %w", err)
 	}
-	parts, err := ReadParts(f)
+	sys, version, err := Read(f)
 	f.Close()
 	if err != nil {
 		return nil, err
 	}
 	var recs []*Record
-	if _, err := ReplayWAL(filepath.Join(dirPath, walFile), func(rec *Record) error {
+	if _, err := ReplayWAL(filepath.Join(d.path, walFile), func(rec *Record) error {
 		recs = append(recs, rec)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	// Cut the log at the last checkpoint fence naming the snapshot's
-	// version: the fence is appended and fsynced before the snapshot is
-	// written, so everything at or before it is already folded into the
-	// snapshot on disk. Without the cut, a crash between snapshot write
-	// and WAL rotation would double-apply that tail — edges and items
-	// deduplicate against snapshot state below, but actions carry no
-	// identity to deduplicate on. Fences past the cut belong to
-	// checkpoints whose snapshot never landed; they carry no state and
-	// are dropped (neither replayed nor skipped).
 	cut := -1
 	for i, rec := range recs {
-		if rec.Kind == RecFence && rec.Version == parts.Version {
+		if rec.Kind == RecFence && rec.Version == version {
 			cut = i
 		}
 	}
-	var live []*Record
 	for _, rec := range recs[cut+1:] {
 		if rec.Kind != RecFence {
-			live = append(live, rec)
+			d.tail = append(d.tail, *rec)
 		}
 	}
-	recs = live
-	res := &RecoverResult{SnapshotVersion: parts.Version}
-	if len(recs) == 0 {
-		if res.Sys, err = parts.Build(); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-
-	// Merge the WAL tail the same way a streaming fold would: grow the
-	// graph, remap the model with the recorded edge priors, and rebuild
-	// the action log from the concatenated items and actions.
-	oldG := parts.Graph
-	b := graph.NewBuilder(oldG.NumNodes())
-	b.AddGraph(oldG)
-	type edgeKey struct{ u, v graph.NodeID }
-	priors := make(map[edgeKey][]float64)
-	itemIDs := make(map[int32]struct{}, len(parts.Log.Episodes))
-	for _, ep := range parts.Log.Episodes {
-		itemIDs[ep.Item.ID] = struct{}{}
-	}
-	items := parts.Log.Items()
-	acts := parts.Log.Actions()
-	maxNode := graph.NodeID(oldG.NumNodes()) - 1
-	for _, rec := range recs {
-		switch rec.Kind {
-		case RecEdge:
-			if rec.Src < 0 || rec.Dst < 0 || rec.Src == rec.Dst {
-				res.Skipped++
-				continue
-			}
-			if _, dup := priors[edgeKey{rec.Src, rec.Dst}]; dup {
-				res.Skipped++
-				continue
-			}
-			if int(rec.Src) < oldG.NumNodes() && int(rec.Dst) < oldG.NumNodes() {
-				if _, ok := oldG.FindEdge(rec.Src, rec.Dst); ok {
-					res.Skipped++
-					continue
-				}
-			}
-			b.AddEdge(rec.Src, rec.Dst)
-			priors[edgeKey{rec.Src, rec.Dst}] = rec.Probs
-			if rec.SrcName != "" && (int(rec.Src) >= oldG.NumNodes() || oldG.Name(rec.Src) == "") {
-				b.SetName(rec.Src, rec.SrcName)
-			}
-			if rec.DstName != "" && (int(rec.Dst) >= oldG.NumNodes() || oldG.Name(rec.Dst) == "") {
-				b.SetName(rec.Dst, rec.DstName)
-			}
-			if rec.Src > maxNode {
-				maxNode = rec.Src
-			}
-			if rec.Dst > maxNode {
-				maxNode = rec.Dst
-			}
-			res.Replayed++
-		case RecItem:
-			if _, dup := itemIDs[rec.ItemID]; dup {
-				res.Skipped++
-				continue
-			}
-			itemIDs[rec.ItemID] = struct{}{}
-			items = append(items, actionlog.Item{ID: rec.ItemID, Keywords: rec.Keywords})
-			res.Replayed++
-		case RecAction:
-			if rec.User < 0 || rec.User > maxNode {
-				res.Skipped++
-				continue
-			}
-			if _, ok := itemIDs[rec.Item]; !ok {
-				res.Skipped++
-				continue
-			}
-			acts = append(acts, actionlog.Action{User: rec.User, Item: rec.Item, Time: rec.Time})
-			res.Replayed++
-		default:
-			res.Skipped++
-		}
-	}
-	newG := b.Build()
-	model, err := tic.Remap(parts.Prop, newG, func(u, v graph.NodeID) []float64 {
-		return priors[edgeKey{u, v}]
-	})
-	if err != nil {
-		return nil, fmt.Errorf("store: recover: remap model: %w", err)
-	}
-	newLog := actionlog.Build(newG.NumNodes(), items, acts)
-	cfg := parts.Config
-	cfg.GroundTruth = model
-	cfg.GroundTruthWords = parts.Words
-	cfg.TopicNames = nil
-	sys, err := core.Build(newG, newLog, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("store: recover: rebuild: %w", err)
-	}
-	res.Sys = sys
-	return res, nil
+	d.lastVersion.Store(version)
+	return &RecoverResult{Sys: sys, SnapshotVersion: version, Tail: len(d.tail)}, nil
 }

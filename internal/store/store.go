@@ -9,9 +9,12 @@
 //
 //   - WAL: a write-ahead log of streamed ingest events (CRC-framed
 //     records, fsync-batched group commit) paired with snapshot
-//     checkpoints. Recover replays the WAL tail over the latest
-//     snapshot, so a killed live process resumes with every durably
-//     logged event intact (Open / Dir / Recover).
+//     checkpoints (Open / Dir). Open decodes the latest checkpoint and
+//     keeps the WAL records logged after it; the live ingester
+//     (stream.NewLiveSystem) replays that tail through its ordinary
+//     apply path and folds it, so a killed live process resumes with
+//     every durably logged event intact. store merges nothing itself:
+//     there is one fold path, the live one.
 //
 // # Snapshot format
 //
@@ -42,11 +45,13 @@
 // # Durability semantics
 //
 // WAL records carry the per-topic prior probabilities assigned to new
-// edges at apply time, so recovery reproduces the exact model the live
-// system had — replay is deterministic and idempotent (records already
-// folded into the snapshot are deduplicated), which makes the
-// checkpoint sequence (write snapshot, then rotate WAL) crash-safe in
-// both orders.
+// edges at apply time, so the replayed fold reproduces the exact model
+// the live system had: the checkpoint it writes is byte-identical to
+// the one an uninterrupted run writes at the same version. A checkpoint
+// appends and fsyncs a fence naming its version before the snapshot
+// write and rotates the WAL after it; Open cuts the log at the fence
+// matching the snapshot on disk, so a crash at any step neither loses
+// nor double-applies a record.
 package store
 
 import (

@@ -87,11 +87,21 @@
 // failed, Flush and ForceSnapshot return that error and Stats.WALFailed
 // carries it (sticky, until a successful checkpoint persists the full
 // state and closes the gap) while ingestion itself keeps running; the
-// server reports it as a wal_failed health reason. Every snapshot swap checkpoints (snapshot write, then WAL
-// rotation), Close drains + folds + checkpoints one final time, and
-// Kill stops dead to mimic a crash. store.Recover replays the WAL tail
-// over the latest checkpoint and reproduces the exact live state; see
-// the store package for the guarantees.
+// server reports it as a wal_failed health reason. Every snapshot swap
+// checkpoints (snapshot write, then WAL rotation), Close drains, folds
+// and checkpoints one final time and returns what of that failed, and
+// Kill stops dead to mimic a crash.
+//
+// Recovery is the same code as ingestion. store.Open decodes the latest
+// checkpoint and keeps the WAL records logged after it; NewLiveSystem,
+// given that checkpoint and the store, applies those records through
+// the live handlers (edges keep their logged priors, nothing is logged
+// twice) and folds them before it starts — the ordinary fold, with the
+// ordinary seed and IncrementalFold policy, checkpointing the next
+// version and rotating the WAL. A restarted leader therefore serves and
+// persists byte for byte what an uninterrupted run would at that
+// version; see the store package for the fence that makes every crash
+// point safe.
 //
 // # Follower lag
 //

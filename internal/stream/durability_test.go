@@ -1,7 +1,11 @@
 package stream
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"math"
+	"os"
 	"testing"
 
 	"octopus/internal/actionlog"
@@ -44,12 +48,15 @@ func makeScript(sys *core.System, seed uint64, batches int) *eventScript {
 	return s
 }
 
-// play ingests batches lo..hi of the script.
-func play(t *testing.T, ls *LiveSystem, s *eventScript, lo, hi int) {
+// play ingests batches lo..hi of the script; with edges false it skips
+// the edge batches, leaving an items-and-actions-only stream.
+func play(t *testing.T, ls *LiveSystem, s *eventScript, lo, hi int, edges bool) {
 	t.Helper()
 	for b := lo; b < hi; b++ {
-		if err := ls.IngestEdges(s.edgeBatches[b]); err != nil {
-			t.Fatal(err)
+		if edges {
+			if err := ls.IngestEdges(s.edgeBatches[b]); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := ls.IngestActions([]actionlog.Item{s.itemBatches[b]}, s.actBatches[b]); err != nil {
 			t.Fatal(err)
@@ -98,78 +105,114 @@ func assertSameState(t *testing.T, want, got *core.System) {
 	}
 }
 
-// TestCrashRecovery is the durability acceptance test: a WAL-backed
-// live system ingests a scripted stream, checkpoints mid-way, keeps
-// ingesting, and is then killed without a clean close. store.Recover
-// must restore snapshot + WAL tail such that query results match an
-// identical uninterrupted run.
+// TestCrashRecovery is the durability acceptance test and the identity
+// gate of recovery: a WAL-backed live system ingests a scripted stream,
+// checkpoints mid-way, keeps ingesting, and is then killed without a
+// clean close. Reopening the store and wrapping its checkpoint in a new
+// LiveSystem replays the WAL tail through the live apply path and folds
+// it; the snapshot that fold checkpoints must be byte-identical to an
+// uninterrupted run's at the same version — for an edge-bearing and an
+// action-only tail, with and without incremental folds.
 func TestCrashRecovery(t *testing.T) {
 	const batches, mid = 12, 6
-	baseA, _ := buildBase(t, 250, 41)
-	script := makeScript(baseA, 0xdead, batches)
+	base, _ := buildBase(t, 250, 41)
+	script := makeScript(base, 0xdead, batches)
+	for _, tail := range []struct {
+		name  string
+		edges bool
+	}{{"edge-tail", true}, {"action-tail", false}} {
+		for _, incremental := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/incremental=%v", tail.name, incremental), func(t *testing.T) {
+				cfg := Config{RebuildEvents: 1 << 20, IncrementalFold: incremental}
 
-	// Reference: an uninterrupted, non-durable run folding at the same
-	// points (priors are assigned at apply time, so fold points are part
-	// of the deterministic state).
-	ref, err := NewLiveSystem(baseA, Config{RebuildEvents: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	play(t, ref, script, 0, mid)
-	if err := ref.ForceSnapshot(); err != nil {
-		t.Fatal(err)
-	}
-	play(t, ref, script, mid, batches)
-	if err := ref.ForceSnapshot(); err != nil {
-		t.Fatal(err)
-	}
-	refSys := ref.System()
+				// Reference: an uninterrupted, non-durable run folding at the
+				// same points (priors are assigned at apply time, so fold
+				// points are part of the deterministic state).
+				ref, err := NewLiveSystem(base, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ref.Close()
+				play(t, ref, script, 0, mid, true)
+				if err := ref.ForceSnapshot(); err != nil {
+					t.Fatal(err)
+				}
+				play(t, ref, script, mid, batches, tail.edges)
+				if err := ref.ForceSnapshot(); err != nil {
+					t.Fatal(err)
+				}
 
-	// Durable run over an identically built base, killed mid-stream.
-	baseB, _ := buildBase(t, 250, 41)
-	dir := t.TempDir()
-	d, res, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res != nil {
-		t.Fatalf("fresh dir recovered %+v", res)
-	}
-	live, err := NewLiveSystem(baseB, Config{RebuildEvents: 1 << 20, Store: d})
-	if err != nil {
-		t.Fatal(err)
-	}
-	play(t, live, script, 0, mid)
-	if err := live.ForceSnapshot(); err != nil { // fold + checkpoint + WAL rotation
-		t.Fatal(err)
-	}
-	play(t, live, script, mid, batches)
-	if err := live.Flush(); err != nil { // applied + durably logged, NOT folded
-		t.Fatal(err)
-	}
-	st := live.Stats()
-	if !st.Durable || st.Checkpoints < 2 || st.WALRecords == 0 {
-		t.Fatalf("durability stats before crash = %+v", st)
-	}
-	live.Kill() // crash: no drain, no final fold, no checkpoint
+				// Durable run, killed mid-stream.
+				dir := t.TempDir()
+				d, res, err := store.Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res != nil {
+					t.Fatalf("fresh dir recovered %+v", res)
+				}
+				durable := cfg
+				durable.Store = d
+				live, err := NewLiveSystem(base, durable)
+				if err != nil {
+					t.Fatal(err)
+				}
+				play(t, live, script, 0, mid, true)
+				if err := live.ForceSnapshot(); err != nil { // fold + checkpoint + WAL rotation
+					t.Fatal(err)
+				}
+				play(t, live, script, mid, batches, tail.edges)
+				if err := live.Flush(); err != nil { // applied + durably logged, NOT folded
+					t.Fatal(err)
+				}
+				st := live.Stats()
+				if !st.Durable || st.Checkpoints < 2 || st.WALRecords == 0 {
+					t.Fatalf("durability stats before crash = %+v", st)
+				}
+				live.Kill() // crash: no drain, no final fold, no checkpoint
+				// A dead process drops its WAL file handle.
+				if err := d.Close(); err != nil {
+					t.Fatal(err)
+				}
 
-	rec, err := store.Recover(dir)
-	if err != nil {
-		t.Fatal(err)
+				d2, res, err := store.Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res == nil || res.SnapshotVersion != st.Version || uint64(res.Tail) != st.WALRecords {
+					t.Fatalf("reopen found %+v, want snapshot v%d + %d-record tail", res, st.Version, st.WALRecords)
+				}
+				durable.Store = d2
+				restarted, err := NewLiveSystem(res.Sys, durable)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer restarted.Close()
+				rs := restarted.Stats()
+				if rs.Version != ref.Version() || rs.LastCheckpointVersion != rs.Version ||
+					rs.WALRecords != 0 || rs.Applied != uint64(res.Tail) || rs.Invalid != 0 || rs.Duplicates != 0 {
+					t.Fatalf("restarted stats = %+v, want the %d-record tail folded at v%d", rs, res.Tail, ref.Version())
+				}
+				var want bytes.Buffer
+				if err := store.Write(&want, ref.System(), ref.Version()); err != nil {
+					t.Fatal(err)
+				}
+				got, err := os.ReadFile(d2.SnapshotPath())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want.Bytes()) {
+					t.Fatalf("recovered checkpoint v%d (%d bytes) differs from the uninterrupted run's (%d bytes)",
+						rs.Version, len(got), want.Len())
+				}
+			})
+		}
 	}
-	if rec.Replayed == 0 {
-		t.Fatal("recovery replayed nothing — WAL tail lost")
-	}
-	if uint64(rec.Replayed) != st.WALRecords {
-		t.Fatalf("replayed %d records, WAL held %d", rec.Replayed, st.WALRecords)
-	}
-	assertSameState(t, refSys, rec.Sys)
 }
 
 // TestGracefulCloseCheckpoints: a clean Close must drain buffered
 // events, fold them and leave the directory restart-ready — reopening
-// replays nothing and serves the final state.
+// finds no WAL tail and the final state as the checkpoint.
 func TestGracefulCloseCheckpoints(t *testing.T) {
 	base, _ := buildBase(t, 200, 43)
 	script := makeScript(base, 0xbeef, 6)
@@ -182,7 +225,7 @@ func TestGracefulCloseCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	play(t, live, script, 0, 6)
+	play(t, live, script, 0, 6, true)
 	if err := live.Close(); err != nil { // graceful: drain + final fold + checkpoint
 		t.Fatal(err)
 	}
@@ -199,10 +242,36 @@ func TestGracefulCloseCheckpoints(t *testing.T) {
 	if res == nil {
 		t.Fatal("no state recovered after graceful close")
 	}
-	if res.Replayed != 0 {
-		t.Fatalf("graceful close left %d unfolded WAL records", res.Replayed)
+	if res.Tail != 0 || d2.WALRecords() != 0 || res.SnapshotVersion != live.Version() {
+		t.Fatalf("graceful close left %+v with %d WAL records, want v%d and no tail",
+			res, d2.WALRecords(), live.Version())
 	}
 	assertSameState(t, finalSys, res.Sys)
+}
+
+// TestCloseReturnsFinalFoldError: a graceful Close whose final fold
+// fails must say so — the events stay in the WAL for the next start,
+// but the caller asked for a checkpoint and did not get one.
+func TestCloseReturnsFinalFoldError(t *testing.T) {
+	base, _ := buildBase(t, 150, 49)
+	d, _, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("injected fold failure")
+	ls, err := NewLiveSystem(base, Config{RebuildEvents: 1 << 20, Store: d, foldHook: func() error { return boom }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ls.IngestEdges([]EdgeEvent{{Src: 0, Dst: graph.NodeID(base.Graph().NumNodes())}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ls.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ls.Close(); !errors.Is(err, boom) {
+		t.Fatalf("Close = %v, want the final fold's %v", err, boom)
+	}
 }
 
 // TestWALFailureSurfacesOnFlush: when the WAL cannot be written, Flush

@@ -71,7 +71,9 @@ type Config struct {
 	// fsync; Flush and ForceSnapshot wait for it, so a nil return from
 	// either is the durability acknowledgement. The LiveSystem takes
 	// ownership and closes the store. Open the directory with
-	// store.Open, which also recovers any previous state.
+	// store.Open and pass the checkpoint it recovered as the base
+	// system: NewLiveSystem replays the WAL tail Open kept and folds it
+	// before it returns.
 	Store *store.Dir
 }
 
@@ -243,6 +245,7 @@ type LiveSystem struct {
 	itemIDs     map[int32]struct{}
 	since       time.Time // arrival of ov's oldest event
 	lastErr     error     // last fold failure, if any
+	closeErr    error     // what the final drain returned; set before wg.Done
 	// walFailure is the sticky durability gap: a WAL append/sync failed,
 	// so some applied events are not on disk. Only the apply goroutine
 	// writes it; Flush, ForceSnapshot, Stats and health probes read it
@@ -273,8 +276,11 @@ type LiveSystem struct {
 	lastFoldTagsNanos, lastFoldDerivNanos  atomic.Int64
 }
 
-// NewLiveSystem wraps a built base system. The background apply
-// goroutine starts immediately.
+// NewLiveSystem wraps a built base system. With a Store that holds a
+// WAL tail past its checkpoint (a crashed predecessor's unfolded
+// events), the tail is applied exactly as it was live — edges keep the
+// prior they were logged with — and folded, which checkpoints the next
+// version, before the background apply goroutine starts.
 func NewLiveSystem(sys *core.System, cfg Config) (*LiveSystem, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("stream: nil base system")
@@ -302,6 +308,14 @@ func NewLiveSystem(sys *core.System, cfg Config) (*LiveSystem, error) {
 		}
 	}
 	ls.cur.Store(NewSnapshot(sys, version, 0))
+	if st := cfg.Store; st != nil {
+		if tail := st.TakeTail(); len(tail) > 0 {
+			ls.replay(tail)
+			if err := ls.fold(); err != nil {
+				return nil, fmt.Errorf("stream: fold recovered WAL tail: %w", err)
+			}
+		}
+	}
 	ls.wg.Add(1)
 	go ls.run()
 	return ls, nil
@@ -434,9 +448,11 @@ func (ls *LiveSystem) enqueue(batch []event, wait bool) error {
 func (ls *LiveSystem) Flush() error { return ls.marker(evFlush) }
 
 // ForceSnapshot folds all pending events into a new snapshot now and
-// blocks until the swap completes (a no-op when nothing is pending).
-// A fold failure is returned; the pending delta is retained and will be
-// retried at the next fold.
+// blocks until the swap — and, with a Store, its checkpoint — completes
+// (a no-op when nothing is pending). A fold failure is returned with
+// the pending delta retained for the next fold; so is a checkpoint
+// failure, after which the swap stands and the WAL still holds the
+// events.
 func (ls *LiveSystem) ForceSnapshot() error { return ls.marker(evSnapshot) }
 
 func (ls *LiveSystem) marker(kind uint8) error {
@@ -459,18 +475,18 @@ func (ls *LiveSystem) marker(kind uint8) error {
 // a Store, Close is a graceful shutdown: buffered batches are drained,
 // applied and logged, a final fold checkpoints the merged state, and
 // the store is closed — so the durability directory is exactly
-// restart-ready.
+// restart-ready. A failure of that final fold, checkpoint or store
+// close is returned.
 func (ls *LiveSystem) Close() error {
 	ls.closeOnce.Do(func() { close(ls.closed) })
 	ls.wg.Wait()
-	return nil
+	return ls.closeErr
 }
 
 // Kill stops the apply goroutine abruptly: no drain, no final fold, no
 // checkpoint, and the store's WAL file is left open exactly as a
 // crashed process would leave it. It exists so crash-recovery tests
-// (and chaos drills) can exercise store.Recover against a realistic
-// mid-stream state.
+// (and chaos drills) can restart from a realistic mid-stream state.
 func (ls *LiveSystem) Kill() {
 	ls.killed.Store(true)
 	ls.closeOnce.Do(func() { close(ls.closed) })
@@ -626,7 +642,7 @@ func (ls *LiveSystem) run() {
 	for {
 		select {
 		case <-ls.closed:
-			ls.shutdown()
+			ls.closeErr = ls.shutdown()
 			return
 		case batch := <-ls.ch:
 			batches := ls.drainMore([][]event{batch})
@@ -724,7 +740,7 @@ func (ls *LiveSystem) applyBatches(batches [][]event) (forceFold bool, markers [
 		for _, ev := range batch {
 			switch ev.kind {
 			case evEdge:
-				if rec, ok := ls.applyEdge(base, ev.edge); ok {
+				if rec, ok := ls.applyEdge(base, ev.edge, nil); ok {
 					recs = append(recs, rec)
 				}
 			case evItem:
@@ -744,6 +760,27 @@ func (ls *LiveSystem) applyBatches(batches [][]event) (forceFold bool, markers [
 		}
 	}
 	return forceFold, markers, recs
+}
+
+// replay applies a recovered WAL tail through the same handlers as live
+// batches. The records are in the WAL already, so none is logged again.
+func (ls *LiveSystem) replay(tail []store.Record) {
+	base := ls.cur.Load().Sys
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	for _, rec := range tail {
+		switch rec.Kind {
+		case store.RecEdge:
+			ev := EdgeEvent{Src: rec.Src, Dst: rec.Dst, SrcName: rec.SrcName, DstName: rec.DstName}
+			ls.applyEdge(base, ev, rec.Probs)
+		case store.RecItem:
+			ls.applyItem(actionlog.Item{ID: rec.ItemID, Keywords: rec.Keywords})
+		case store.RecAction:
+			ls.applyAction(base, actionlog.Action{User: rec.User, Item: rec.Item, Time: rec.Time})
+		default:
+			ls.invalid.Add(1)
+		}
+	}
 }
 
 // logRecords appends accepted events to the WAL and fsyncs once (group
@@ -773,23 +810,25 @@ func (ls *LiveSystem) logRecords(recs []store.Record) {
 // shutdown finishes the apply goroutine. A killed system stops dead (to
 // mimic a crash); a closed one drains the buffered batches, makes them
 // durable, and — when a store is attached — folds and checkpoints one
-// final time before closing the store.
-func (ls *LiveSystem) shutdown() {
+// final time before closing the store, returning what failed of those.
+func (ls *LiveSystem) shutdown() error {
 	if ls.killed.Load() {
-		return
+		return nil
 	}
 	for {
 		select {
 		case batch := <-ls.ch:
 			ls.process([][]event{batch})
 		default:
-			if ls.cfg.Store != nil {
-				_ = ls.fold() // final checkpoint; failure already recorded in stats
-				if err := ls.cfg.Store.Close(); err != nil {
+			var err error
+			if st := ls.cfg.Store; st != nil {
+				err = ls.fold() // final checkpoint; also recorded in stats
+				if cerr := st.Close(); cerr != nil {
 					ls.walErrors.Add(1)
 					ls.mu.Lock()
-					ls.lastErr = err
+					ls.lastErr = cerr
 					ls.mu.Unlock()
+					err = errors.Join(err, fmt.Errorf("stream: close store: %w", cerr))
 				}
 			}
 			// Graceful shutdown retires the final snapshot so its mapped
@@ -797,7 +836,7 @@ func (ls *LiveSystem) shutdown() {
 			// (Kill skips this, like everything else — the process is
 			// pretending to have crashed.)
 			ls.cur.Load().Retire()
-			return
+			return err
 		}
 	}
 }
@@ -812,10 +851,11 @@ func countData(batch []event) int64 {
 	return n
 }
 
-// applyEdge validates, dedupes and assigns a prior; caller holds mu.
+// applyEdge validates, dedupes and assigns a prior — the given one when
+// non-nil (a replayed WAL record's), else a fresh one; caller holds mu.
 // The WAL record (second return false when the event was rejected)
-// carries the assigned prior so recovery reproduces the exact model.
-func (ls *LiveSystem) applyEdge(base *core.System, ev EdgeEvent) (store.Record, bool) {
+// carries the prior so recovery reproduces the exact model.
+func (ls *LiveSystem) applyEdge(base *core.System, ev EdgeEvent, prior []float64) (store.Record, bool) {
 	n := base.Graph().NumNodes()
 	if ev.Src < 0 || ev.Dst < 0 || ev.Src == ev.Dst ||
 		int(ev.Src) >= ls.cfg.MaxNodes || int(ev.Dst) >= ls.cfg.MaxNodes {
@@ -833,7 +873,9 @@ func (ls *LiveSystem) applyEdge(base *core.System, ev EdgeEvent) (store.Record, 
 		return store.Record{}, false
 	}
 	ls.noteFirstEvent()
-	prior := weightedJaccardPrior(base, ev.Src, ev.Dst)
+	if prior == nil {
+		prior = weightedJaccardPrior(base, ev.Src, ev.Dst)
+	}
 	ls.ov.addEdge(ev, prior)
 	ls.applied.Add(1)
 	return store.Record{
@@ -956,7 +998,8 @@ func (ls *LiveSystem) noteFirstEvent() {
 // while a fold is in flight: the overlay stays in place, and pending to
 // readers, until the new snapshot is published. On failure the previous
 // snapshot keeps serving and the delta simply stays pending, so no
-// accepted event is lost.
+// accepted event is lost. A failed checkpoint is returned too, after
+// the swap: the WAL still holds the folded events.
 func (ls *LiveSystem) fold() error {
 	ov := ls.ov // read without mu: only this goroutine writes ls.ov
 	if ov.events == 0 {
@@ -1042,14 +1085,14 @@ func (ls *LiveSystem) fold() error {
 			ls.mu.Lock()
 			ls.lastErr = err
 			ls.mu.Unlock()
-		} else {
-			ls.cfg.Logger.Info("checkpoint",
-				slog.Uint64("version", old.Version+1),
-				slog.Int64("bytes", st.LastCheckpointBytes()))
-			// The snapshot persists everything applied so far, including any
-			// events a failed WAL write left off disk — durability restored.
-			ls.walFailure.Store(nil)
+			return fmt.Errorf("stream: checkpoint: %w", err)
 		}
+		ls.cfg.Logger.Info("checkpoint",
+			slog.Uint64("version", old.Version+1),
+			slog.Int64("bytes", st.LastCheckpointBytes()))
+		// The snapshot persists everything applied so far, including any
+		// events a failed WAL write left off disk — durability restored.
+		ls.walFailure.Store(nil)
 	}
 	return nil
 }

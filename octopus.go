@@ -132,7 +132,8 @@ type (
 	// StoreDir is an open durability directory: checkpoint snapshot +
 	// write-ahead log; see store.Dir.
 	StoreDir = store.Dir
-	// RecoverResult is the outcome of crash recovery.
+	// RecoverResult is what OpenStore found in a directory holding
+	// state: the checkpoint and the size of its write-ahead-log tail.
 	RecoverResult = store.RecoverResult
 	// MappedSystem owns the lifetime of a snapshot served in place via
 	// mmap; see store.Mapped.
@@ -220,20 +221,13 @@ func MapSystem(path string) (*System, *MappedSystem, error) {
 
 // OpenStore opens (creating if needed) a durability directory for a
 // live system: pass the returned StoreDir in StreamConfig.Store to make
-// ingestion durable. If the directory holds previous state — a
-// checkpoint snapshot and possibly a write-ahead-log tail from a crash
-// — it is recovered, compacted, and returned; serve the recovered
-// system in that case. The LiveSystem takes ownership of the StoreDir
-// and closes it.
+// ingestion durable. If the directory holds previous state, the
+// RecoverResult carries its checkpoint snapshot; wrap that system with
+// NewLiveSystem, which replays the write-ahead-log tail a crash left
+// and folds it before serving. The LiveSystem takes ownership of the
+// StoreDir and closes it.
 func OpenStore(dir string) (*StoreDir, *RecoverResult, error) {
 	return store.Open(dir)
-}
-
-// Recover rebuilds the latest durable state from a durability directory
-// without opening it for writing: the newest checkpoint snapshot with
-// the write-ahead-log tail replayed on top.
-func Recover(dir string) (*RecoverResult, error) {
-	return store.Recover(dir)
 }
 
 // SaveGraph writes g to path in the text format.

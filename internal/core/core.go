@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -22,12 +23,12 @@ import (
 	"octopus/internal/mia"
 	"octopus/internal/obs"
 	"octopus/internal/otim"
+	"octopus/internal/prefix"
 	"octopus/internal/ris"
 	"octopus/internal/rng"
 	"octopus/internal/tags"
 	"octopus/internal/tic"
 	"octopus/internal/topic"
-	"octopus/internal/trie"
 )
 
 // Config controls system construction.
@@ -73,7 +74,7 @@ type System struct {
 	otimIdx *otim.Index
 	tagsIdx *tags.Index
 	sugg    *tags.Suggester
-	names   *trie.Trie
+	names   *prefix.Index
 
 	// counts are the action log's totals, known without the log itself:
 	// a deferred system never decodes its log for Stats.
@@ -94,7 +95,7 @@ type System struct {
 	logOnce sync.Once
 
 	// The stage-3 derived structures build lazily, each behind its own
-	// once: scratch pools need only the indexes, the completion trie only
+	// once: scratch pools need only the indexes, the name index only
 	// the graph, and the keyword pools the (possibly deferred) log.
 	// Eager construction paths force all three before returning.
 	enginesOnce sync.Once
@@ -209,7 +210,7 @@ func Build(g *graph.Graph, log *actionlog.Log, cfg Config) (*System, error) {
 // Assemble builds a System from already-learned models AND already-built
 // online indexes — the snapshot fast path: no EM, no index
 // precomputation, only the cheap derived structures (user keyword
-// pools, suggester, completion trie) are reconstructed. The indexes
+// pools, suggester, name index) are reconstructed. The indexes
 // must be bound to prop, and prop to g.
 func Assemble(g *graph.Graph, log *actionlog.Log, prop *tic.Model, words *topic.Model,
 	otimIdx *otim.Index, tagsIdx *tags.Index, cfg Config) (*System, error) {
@@ -287,16 +288,17 @@ func assemble(g *graph.Graph, log *actionlog.Log, prop *tic.Model, words *topic.
 
 // finish builds stage 3 — the derived structures every construction
 // path shares: user keyword pools, the suggestion engine, the
-// completion trie, and the per-query scratch pools. It runs on every
+// name-completion index, and the per-query scratch pools. It runs on every
 // snapshot fold and on every eager snapshot load. Systems assembled with
 // AssembleDeferred reach the same state piecewise, on first use.
 func (s *System) finish() { s.finishFrom(nil) }
 
 // finishFrom is finish with structure reuse from a predecessor system:
-// the completion trie is shared when the graph is (a fold — the trie
-// ranks by out-degree, so any edge growth invalidates it). The shared
-// trie is immutable and identical to what a fresh build computes, so
-// folds stay query-for-query equal to full rebuilds.
+// the name index is shared when the graph is (an action-only fold —
+// the index ranks by out-degree, so any edge growth invalidates it, and
+// an edge fold builds a fresh one). The shared index is immutable and
+// identical to what a fresh build computes, so folds stay
+// query-for-query equal to full rebuilds.
 func (s *System) finishFrom(old *System) {
 	s.ensureEngines()
 	s.ensureNames(old)
@@ -314,7 +316,8 @@ func (s *System) ensureEngines() {
 	})
 }
 
-// ensureNames builds (or adopts from old) the name-completion trie.
+// ensureNames builds (or adopts from old) the name-completion index,
+// one key-sorted entry per named node, in a single prefix.New call.
 func (s *System) ensureNames(old *System) {
 	s.namesOnce.Do(func() {
 		g := s.g
@@ -322,12 +325,13 @@ func (s *System) ensureNames(old *System) {
 			s.names = old.names
 			return
 		}
-		s.names = &trie.Trie{}
+		es := make([]prefix.Completion, 0, g.NumNodes())
 		for u := 0; u < g.NumNodes(); u++ {
 			if nm := g.Name(graph.NodeID(u)); nm != "" {
-				s.names.Insert(nm, int32(u), float64(g.OutDegree(graph.NodeID(u))))
+				es = append(es, prefix.Completion{Key: nm, Value: int32(u), Weight: float64(g.OutDegree(graph.NodeID(u)))})
 			}
 		}
+		s.names = prefix.New(es)
 	})
 }
 
@@ -477,14 +481,13 @@ func (s *System) UserKeywords(u graph.NodeID) []string {
 	return s.sugg.Pool(u)
 }
 
-// ResolveUser accepts a display name or numeric id rendered as a string
-// and returns the node id.
+// ResolveUser accepts a display name or a whole decimal node id and
+// returns the node id.
 func (s *System) ResolveUser(name string) (graph.NodeID, error) {
 	if id, ok := s.g.Lookup(name); ok {
 		return id, nil
 	}
-	var id int
-	if _, err := fmt.Sscanf(name, "%d", &id); err == nil && id >= 0 && id < s.g.NumNodes() {
+	if id, err := strconv.Atoi(name); err == nil && id >= 0 && id < s.g.NumNodes() {
 		return graph.NodeID(id), nil
 	}
 	return 0, fmt.Errorf("core: unknown user %q", name)
@@ -492,9 +495,9 @@ func (s *System) ResolveUser(name string) (graph.NodeID, error) {
 
 // Complete returns auto-completions for a user-name prefix, ranked by
 // out-degree (Scenario 2's completion box).
-func (s *System) Complete(prefix string, k int) []trie.Completion {
+func (s *System) Complete(p string, k int) []prefix.Completion {
 	s.ensureNames(nil)
-	return s.names.Complete(prefix, k)
+	return s.names.Complete(p, k)
 }
 
 // InfluencerResult is one discovered seed user.

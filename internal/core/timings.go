@@ -16,7 +16,9 @@ type BuildTimings struct {
 	OTIM time.Duration
 	// Tags is the influencer index build.
 	Tags time.Duration
-	// Derived is stage 3: keyword pools, suggester, completion trie.
+	// Derived is stage 3: keyword pools, suggester, sorted name index
+	// (adopted by an action-only fold; a mapped system builds it on its
+	// first Complete, outside this timing).
 	Derived time.Duration
 	// Total is wall-clock for the whole construction.
 	Total time.Duration

@@ -105,6 +105,7 @@ func conformanceCases() []confCase {
 			want: 200, keys: []string{"user", "keywords", "gamma", "spread", "singles"}},
 		{name: "suggest missing user", method: "GET", path: confPath("/api/suggest"), want: 400, errSub: "user"},
 		{name: "suggest unknown user", method: "GET", path: confPath("/api/suggest?user=No+Such+Person+Ever"), want: 404},
+		{name: "suggest digit-led unknown user", method: "GET", path: confPath("/api/suggest?user=3rd+author"), want: 404},
 		{name: "suggest malformed coherence", method: "GET",
 			path: func(s *core.System) string { return "/api/suggest?user=" + user(s) + "&coherence=x" },
 			want: 400, errSub: "coherence"},
@@ -116,6 +117,7 @@ func conformanceCases() []confCase {
 			want: 200, array: true},
 		{name: "keywords missing user", method: "GET", path: confPath("/api/keywords"), want: 400, errSub: "user"},
 		{name: "keywords unknown user", method: "GET", path: confPath("/api/keywords?user=No+Such+Person+Ever"), want: 404},
+		{name: "keywords digit-led unknown user", method: "GET", path: confPath("/api/keywords?user=3rd+author"), want: 404},
 		{name: "keywords malformed limit", method: "GET",
 			path: func(s *core.System) string { return "/api/keywords?user=" + user(s) + "&limit=many" },
 			want: 400, errSub: "limit"},
@@ -138,6 +140,7 @@ func conformanceCases() []confCase {
 			want: 200, keys: []string{"root", "nodes"}},
 		{name: "paths missing user", method: "GET", path: confPath("/api/paths"), want: 400, errSub: "user"},
 		{name: "paths unknown user", method: "GET", path: confPath("/api/paths?user=No+Such+Person+Ever"), want: 404},
+		{name: "paths digit-led unknown user", method: "GET", path: confPath("/api/paths?user=3rd+author"), want: 404},
 		{name: "paths malformed theta", method: "GET",
 			path: func(s *core.System) string { return "/api/paths?user=" + hub(s) + "&theta=high" },
 			want: 400, errSub: "theta"},

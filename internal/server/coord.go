@@ -44,7 +44,7 @@ import (
 	"octopus/internal/core"
 	"octopus/internal/obs"
 	"octopus/internal/par"
-	"octopus/internal/trie"
+	"octopus/internal/prefix"
 )
 
 // shardsMissingHeader lists the comma-separated indexes of shards that
@@ -607,12 +607,12 @@ func mergeSeeds(lists [][]imSeed, score func(seeds []imSeed, i int) float64) []i
 // weight (names are replicated, so the owning shard — the one whose
 // actions back the weight — reports the true value and the rest report
 // a lower or equal one), ordered weight descending with lexicographic
-// key tie-breaks like the per-shard tries.
+// key tie-breaks like the per-shard name indexes.
 func (v *remoteView) mergeComplete(w http.ResponseWriter, successes []shardReply) {
-	byKey := make(map[string]trie.Completion)
+	byKey := make(map[string]prefix.Completion)
 	k := 0
 	err := decodeAll(successes, func(i int, body []byte) error {
-		var part []trie.Completion
+		var part []prefix.Completion
 		if err := json.Unmarshal(body, &part); err != nil {
 			return err
 		}
@@ -630,7 +630,7 @@ func (v *remoteView) mergeComplete(w http.ResponseWriter, successes []shardReply
 		writeErr(w, http.StatusBadGateway, err)
 		return
 	}
-	merged := make([]trie.Completion, 0, len(byKey))
+	merged := make([]prefix.Completion, 0, len(byKey))
 	for _, c := range byKey {
 		merged = append(merged, c)
 	}

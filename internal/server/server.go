@@ -107,12 +107,12 @@ import (
 	"octopus/internal/core"
 	"octopus/internal/graph"
 	"octopus/internal/obs"
+	"octopus/internal/prefix"
 	"octopus/internal/qcache"
 	"octopus/internal/repl"
 	"octopus/internal/store"
 	"octopus/internal/stream"
 	"octopus/internal/tags"
-	"octopus/internal/trie"
 )
 
 // DefaultCacheEntries bounds the result cache when Options.CacheEntries
@@ -748,8 +748,8 @@ func (s *Server) handlePaths(sys *core.System, w http.ResponseWriter, r *http.Re
 }
 
 func (s *Server) handleComplete(sys *core.System, w http.ResponseWriter, r *http.Request) {
-	prefix := r.URL.Query().Get("prefix")
-	if prefix == "" {
+	p := r.URL.Query().Get("prefix")
+	if p == "" {
 		writeErr(w, http.StatusBadRequest, errMissing("prefix"))
 		return
 	}
@@ -758,10 +758,10 @@ func (s *Server) handleComplete(sys *core.System, w http.ResponseWriter, r *http
 	if q.bad(w) {
 		return
 	}
-	out := sys.Complete(prefix, k)
+	out := sys.Complete(p, k)
 	if out == nil {
 		// No match (or k=0) is an empty list, as a coordinator merges it.
-		out = []trie.Completion{}
+		out = []prefix.Completion{}
 	}
 	writeJSON(w, http.StatusOK, out)
 }

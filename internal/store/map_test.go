@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -263,7 +264,10 @@ func patchSection(data []byte, s v3Section, off int64, val byte) {
 func replaceSection(data []byte, s v3Section, payload []byte) []byte {
 	var out bytes.Buffer
 	out.Write(data[:s.frameAt])
-	_ = writeSection(&out, [4]byte(data[s.frameAt:s.frameAt+4]), payload) // bytes.Buffer writes cannot fail
+	_ = writeSection(&out, [4]byte(data[s.frameAt:s.frameAt+4]), func(w io.Writer) error { // bytes.Buffer writes cannot fail
+		_, err := w.Write(payload)
+		return err
+	})
 	out.Write(data[s.frameAt+sectionFrameLen(int(s.n)):])
 	return out.Bytes()
 }

@@ -55,7 +55,7 @@
 package store
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -112,22 +112,54 @@ func sectionFrameLen(payloadLen int) int64 {
 // boundary, the payload CRC and 4 more pad bytes. Since the magic is 8
 // bytes, every header — and therefore every payload — starts at a file
 // offset divisible by 8, which is what lets the mapped reader alias
-// the payloads' bulk arrays in place.
-func writeSection(w io.Writer, tag [4]byte, payload []byte) error {
+// the payloads' bulk arrays in place. The payload is never held: enc
+// runs once through a byte counter for the header's length and again
+// straight into w through the CRC, and the two passes must agree.
+func writeSection(w io.Writer, tag [4]byte, enc func(io.Writer) error) error {
+	var n countWriter
+	if err := enc(&n); err != nil {
+		return err
+	}
 	var hdr [16]byte
 	copy(hdr[0:4], tag[:])
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(payload)))
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(n))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	if _, err := w.Write(payload); err != nil {
+	cw := crcWriter{w: w}
+	if err := enc(&cw); err != nil {
 		return err
 	}
+	if cw.n != int64(n) {
+		return fmt.Errorf("encoder wrote %d bytes after a length pass of %d", cw.n, n)
+	}
 	var tail [15]byte // payload pad (0-7) + crc u32 + pad[4]
-	pad := pad8(len(payload))
-	binary.LittleEndian.PutUint32(tail[pad:pad+4], crc32.Checksum(payload, crcTable))
+	pad := pad8(int(n))
+	binary.LittleEndian.PutUint32(tail[pad:pad+4], cw.crc)
 	_, err := w.Write(tail[:pad+8])
 	return err
+}
+
+// countWriter counts the bytes written to it and discards them.
+type countWriter int64
+
+func (c *countWriter) Write(p []byte) (int, error) {
+	*c += countWriter(len(p))
+	return len(p), nil
+}
+
+// crcWriter forwards to w, keeping the CRC32C and count of what w took.
+type crcWriter struct {
+	w   io.Writer
+	crc uint32
+	n   int64
+}
+
+func (c *crcWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.crc = crc32.Update(c.crc, crcTable, p[:n])
+	c.n += int64(n)
+	return n, err
 }
 
 // checkMagic rejects a file that does not open with snapshotMagic.
@@ -185,68 +217,36 @@ func readSection(r io.Reader, want [4]byte, size int64) ([]byte, error) {
 	return payload, nil
 }
 
-// section renders a payload-writing function into a byte slice.
-func section(fn func(io.Writer) error) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := fn(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // Write serializes sys as a snapshot to w. version is an informational
 // generation counter (the streaming snapshot version at checkpoint
-// time; 1 for a freshly built system).
+// time; 1 for a freshly built system). Each section is encoded twice —
+// a length pass, then the bytes themselves straight into w — so no
+// payload is buffered and Write allocates a small fraction of what it
+// writes; give it a buffered w.
 func Write(w io.Writer, sys *core.System, version uint64) error {
 	if _, err := io.WriteString(w, snapshotMagic); err != nil {
 		return err
 	}
-	meta, err := section(func(w io.Writer) error {
-		bw := binio.NewWriter(w)
-		bw.U32(formatVersion)
-		bw.U64(version)
-		return bw.Flush()
-	})
-	if err != nil {
-		return fmt.Errorf("store: encode meta: %w", err)
-	}
-	grph, err := section(func(w io.Writer) error { return graph.WriteBinary(w, sys.Graph()) })
-	if err != nil {
-		return fmt.Errorf("store: encode graph: %w", err)
-	}
-	alog, err := section(func(w io.Writer) error { return writeLog(w, sys.ActionLog()) })
-	if err != nil {
-		return fmt.Errorf("store: encode action log: %w", err)
-	}
-	ticm, err := section(func(w io.Writer) error { return tic.WriteBinary(w, sys.Propagation()) })
-	if err != nil {
-		return fmt.Errorf("store: encode tic model: %w", err)
-	}
-	topc, err := section(func(w io.Writer) error { return topic.WriteBinary(w, sys.Keywords()) })
-	if err != nil {
-		return fmt.Errorf("store: encode topic model: %w", err)
-	}
-	otimIdx, err := section(func(w io.Writer) error { return otim.WriteBinary(w, sys.OTIMIndex()) })
-	if err != nil {
-		return fmt.Errorf("store: encode otim index: %w", err)
-	}
-	tagsIdx, err := section(func(w io.Writer) error { return tags.WriteBinary(w, sys.TagsIndex()) })
-	if err != nil {
-		return fmt.Errorf("store: encode tags index: %w", err)
-	}
-	conf, err := section(func(w io.Writer) error { return writeConfig(w, sys.BuildConfig()) })
-	if err != nil {
-		return fmt.Errorf("store: encode config: %w", err)
-	}
 	for _, s := range []struct {
-		tag     [4]byte
-		payload []byte
+		tag [4]byte
+		enc func(io.Writer) error
 	}{
-		{tagMeta, meta}, {tagGraph, grph}, {tagLog, alog},
-		{tagTIC, ticm}, {tagTopic, topc}, {tagOTIM, otimIdx}, {tagTags, tagsIdx},
-		{tagConf, conf}, {tagDone, nil},
+		{tagMeta, func(w io.Writer) error {
+			bw := binio.NewWriter(w)
+			bw.U32(formatVersion)
+			bw.U64(version)
+			return bw.Flush()
+		}},
+		{tagGraph, func(w io.Writer) error { return graph.WriteBinary(w, sys.Graph()) }},
+		{tagLog, func(w io.Writer) error { return writeLog(w, sys.ActionLog()) }},
+		{tagTIC, func(w io.Writer) error { return tic.WriteBinary(w, sys.Propagation()) }},
+		{tagTopic, func(w io.Writer) error { return topic.WriteBinary(w, sys.Keywords()) }},
+		{tagOTIM, func(w io.Writer) error { return otim.WriteBinary(w, sys.OTIMIndex()) }},
+		{tagTags, func(w io.Writer) error { return tags.WriteBinary(w, sys.TagsIndex()) }},
+		{tagConf, func(w io.Writer) error { return writeConfig(w, sys.BuildConfig()) }},
+		{tagDone, func(io.Writer) error { return nil }},
 	} {
-		if err := writeSection(w, s.tag, s.payload); err != nil {
+		if err := writeSection(w, s.tag, s.enc); err != nil {
 			return fmt.Errorf("store: write %s section: %w", s.tag[:], err)
 		}
 	}
@@ -501,7 +501,11 @@ func saveVersion(path string, sys *core.System, version uint64) error {
 	}
 	defer os.Remove(tmp.Name()) // no-op after successful rename
 	if err := func() error {
-		if err := Write(tmp, sys, version); err != nil {
+		bw := bufio.NewWriter(tmp)
+		if err := Write(bw, sys, version); err != nil {
+			return err
+		}
+		if err := bw.Flush(); err != nil {
 			return err
 		}
 		if err := tmp.Sync(); err != nil {

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -128,6 +129,40 @@ func TestSnapshotVersionCarried(t *testing.T) {
 	}
 	if version != 42 {
 		t.Fatalf("version = %d, want 42", version)
+	}
+}
+
+// TestWriteAllocs: Write streams each section to w and buffers no
+// payload, so a snapshot of a 2 000-author system allocates under half
+// the bytes it writes.
+func TestWriteAllocs(t *testing.T) {
+	sys := buildSystem(t, 2000, 3)
+	var n countWriter
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := Write(&n, sys, 1); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	t.Logf("wrote %d bytes, allocated %.3fx that", n, ratio)
+	if ratio >= 0.5 {
+		t.Fatalf("Write allocated %.2fx the %d bytes it wrote, want < 0.5x", ratio, n)
+	}
+}
+
+// TestWriteSectionLengthMismatch: an encoder whose second pass writes
+// other bytes than its length pass counted fails the section rather
+// than framing a wrong length.
+func TestWriteSectionLengthMismatch(t *testing.T) {
+	calls := 0
+	grows := func(w io.Writer) error {
+		calls++
+		_, err := w.Write(make([]byte, calls))
+		return err
+	}
+	if err := writeSection(io.Discard, tagConf, grows); err == nil {
+		t.Fatal("writeSection accepted passes of 1 and 2 bytes")
 	}
 }
 

@@ -45,9 +45,12 @@
 // one shard.
 //
 // serve -coordinator -shard-addrs=http://h1:8081,http://h2:8082 runs
-// the scatter-gather tier instead of a local engine: every query fans
-// out to the live shards (bounded by -shard-timeout per shard) and the
-// answers are merged — IM seeds by summed per-shard marginal gains,
+// the scatter-gather tier instead of a local engine: a user read
+// (suggest, keywords, forward paths) goes to the shard that lists the
+// user at /api/owners and a radar to one live shard, while every other
+// query fans out to the live shards (bounded by -shard-timeout per
+// shard) and the answers are merged — IM seeds by summed per-shard
+// marginal gains,
 // completions by max weight, status by summing — through the same
 // cache/coalesce/admission shell, so a 1-shard coordinator answers
 // byte-identically to the process behind it. A background prober (-probe-interval) detects dead and

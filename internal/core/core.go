@@ -76,8 +76,9 @@ type System struct {
 	sugg    *tags.Suggester
 	names   *prefix.Index
 
-	// counts are the action log's totals, known without the log itself:
-	// a deferred system never decodes its log for Stats.
+	// counts are the action log's totals and actor set, known without
+	// the log itself: a deferred system never decodes its log for Stats
+	// or HoldsUser.
 	counts LogCounts
 
 	cfg     Config // the configuration this system was built with
@@ -140,7 +141,7 @@ func Build(g *graph.Graph, log *actionlog.Log, cfg Config) (*System, error) {
 	if log == nil {
 		log = actionlog.Build(g.NumNodes(), nil, nil)
 	}
-	s := &System{g: g, log: log, counts: countLog(log), cfg: cfg}
+	s := &System{g: g, log: log, counts: countLog(log, g.NumNodes()), cfg: cfg}
 	buildStart := time.Now()
 
 	// Stage 1: topic-aware influence modeling (Section II-B).
@@ -226,13 +227,44 @@ func Assemble(g *graph.Graph, log *actionlog.Log, prop *tic.Model, words *topic.
 	return s, nil
 }
 
-// LogCounts are an action log's episode and action totals.
+// LogCounts are an action log's episode and action totals and its
+// actor set.
 type LogCounts struct {
 	Episodes, Actions int
+	// Actors is a bitset over the log's users: bit u is set when user u
+	// has at least one action.
+	Actors []uint64
 }
 
-func countLog(log *actionlog.Log) LogCounts {
-	return LogCounts{Episodes: len(log.Episodes), Actions: log.NumActions()}
+// NewLogCounts returns empty counts whose actor set covers users
+// 0..n-1 (a system's node range).
+func NewLogCounts(n int) LogCounts {
+	return LogCounts{Actors: make([]uint64, (n+63)/64)}
+}
+
+// AddAction counts one action by user u; a user outside the bitset is
+// counted but not recorded as an actor.
+func (c *LogCounts) AddAction(u int32) {
+	c.Actions++
+	if u >= 0 && int(u/64) < len(c.Actors) {
+		c.Actors[u/64] |= 1 << (u % 64)
+	}
+}
+
+// Acted reports whether user u has at least one action.
+func (c *LogCounts) Acted(u graph.NodeID) bool {
+	return u >= 0 && int(u/64) < len(c.Actors) && c.Actors[u/64]&(1<<(u%64)) != 0
+}
+
+func countLog(log *actionlog.Log, n int) LogCounts {
+	c := NewLogCounts(n)
+	c.Episodes = len(log.Episodes)
+	for _, ep := range log.Episodes {
+		for _, a := range ep.Actions {
+			c.AddAction(a.User)
+		}
+	}
+	return c
 }
 
 // AssembleDeferred is Assemble for the mapped serve path: the action
@@ -282,7 +314,7 @@ func assemble(g *graph.Graph, log *actionlog.Log, prop *tic.Model, words *topic.
 	if log == nil {
 		log = actionlog.Build(g.NumNodes(), nil, nil)
 	}
-	return &System{g: g, log: log, counts: countLog(log), cfg: cfg, prop: prop, words: words,
+	return &System{g: g, log: log, counts: countLog(log, g.NumNodes()), cfg: cfg, prop: prop, words: words,
 		otimIdx: otimIdx, tagsIdx: tagsIdx}, nil
 }
 
@@ -491,6 +523,40 @@ func (s *System) ResolveUser(name string) (graph.NodeID, error) {
 		return graph.NodeID(id), nil
 	}
 	return 0, fmt.Errorf("core: unknown user %q", name)
+}
+
+// HoldsUser reports whether this system has data for user u: an
+// out-edge or an action. Under a shard split only u's owner shard
+// holds either. It reads the log's counted actor set, so a deferred
+// system never decodes its log for it.
+func (s *System) HoldsUser(u graph.NodeID) bool {
+	if int(u) < 0 || int(u) >= s.g.NumNodes() {
+		return false
+	}
+	return s.g.OutDegree(u) > 0 || s.counts.Acted(u)
+}
+
+// HeldUserKeys lists, in node order, every display name and canonical
+// decimal id that ResolveUser maps to a user this system holds (see
+// HoldsUser).
+func (s *System) HeldUserKeys() []string {
+	var keys []string
+	for u := graph.NodeID(0); int(u) < s.g.NumNodes(); u++ {
+		if !s.HoldsUser(u) {
+			continue
+		}
+		if nm := s.g.Name(u); nm != "" {
+			if v, _ := s.g.Lookup(nm); v == u {
+				keys = append(keys, nm)
+			}
+		}
+		// A node named like an id shadows that id in ResolveUser.
+		id := strconv.Itoa(int(u))
+		if _, named := s.g.Lookup(id); !named {
+			keys = append(keys, id)
+		}
+	}
+	return keys
 }
 
 // Complete returns auto-completions for a user-name prefix, ranked by

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Cost accumulates the engine-level work performed by one query: how
@@ -110,6 +112,25 @@ func (c *Cost) SamplesMixed() uint64 {
 	return c.Tags.Trees + c.RIS.Samples
 }
 
+// compactKeys names the counters of Cost.counters in X-Octopus-Cost
+// order.
+var compactKeys = [...]string{
+	"otim.cheap", "otim.local", "otim.exact", "otim.heap",
+	"mia.trees", "mia.nodes", "mia.edges",
+	"tags.polls", "tags.trees", "tags.coins",
+	"ris.samples", "ris.nodes", "ris.edges",
+}
+
+// counters points at c's counters in compactKeys order.
+func (c *Cost) counters() [len(compactKeys)]*uint64 {
+	return [...]*uint64{
+		&c.OTIM.CheapBounds, &c.OTIM.LocalBounds, &c.OTIM.ExactEvals, &c.OTIM.HeapOps,
+		&c.MIA.Trees, &c.MIA.Nodes, &c.MIA.Edges,
+		&c.Tags.Polls, &c.Tags.Trees, &c.Tags.Coins,
+		&c.RIS.Samples, &c.RIS.Nodes, &c.RIS.Edges,
+	}
+}
+
 // Compact renders the non-zero counters as space-separated
 // stage.field=value pairs in a fixed order — the X-Octopus-Cost
 // response header. An all-zero cost renders as "none".
@@ -118,29 +139,49 @@ func (c *Cost) Compact() string {
 		return "none"
 	}
 	b := make([]byte, 0, 128)
-	app := func(key string, v uint64) {
-		if v == 0 {
-			return
+	for i, v := range c.counters() {
+		if *v == 0 {
+			continue
 		}
 		if len(b) > 0 {
 			b = append(b, ' ')
 		}
-		b = append(b, key...)
+		b = append(b, compactKeys[i]...)
 		b = append(b, '=')
-		b = strconv.AppendUint(b, v, 10)
+		b = strconv.AppendUint(b, *v, 10)
 	}
-	app("otim.cheap", c.OTIM.CheapBounds)
-	app("otim.local", c.OTIM.LocalBounds)
-	app("otim.exact", c.OTIM.ExactEvals)
-	app("otim.heap", c.OTIM.HeapOps)
-	app("mia.trees", c.MIA.Trees)
-	app("mia.nodes", c.MIA.Nodes)
-	app("mia.edges", c.MIA.Edges)
-	app("tags.polls", c.Tags.Polls)
-	app("tags.trees", c.Tags.Trees)
-	app("tags.coins", c.Tags.Coins)
-	app("ris.samples", c.RIS.Samples)
-	app("ris.nodes", c.RIS.Nodes)
-	app("ris.edges", c.RIS.Edges)
 	return string(b)
+}
+
+// ParseCompact is the inverse of Compact: it accepts exactly the
+// strings Compact renders — "none", or non-zero counters in Compact's
+// order, single-spaced, each value without a sign or leading zero — so
+// ParseCompact(s) succeeding means s == Compact of the result.
+func ParseCompact(s string) (*Cost, error) {
+	c := &Cost{}
+	if s == "none" {
+		return c, nil
+	}
+	ptrs := c.counters()
+	next := 0
+	for _, field := range strings.Split(s, " ") {
+		key, val, ok := strings.Cut(field, "=")
+		if !ok {
+			return nil, fmt.Errorf("obs: cost field %q is not key=value", field)
+		}
+		i := next
+		for i < len(compactKeys) && compactKeys[i] != key {
+			i++
+		}
+		if i == len(compactKeys) {
+			return nil, fmt.Errorf("obs: cost key %q is unknown, repeated or out of order", key)
+		}
+		v, err := strconv.ParseUint(val, 10, 64)
+		if err != nil || val[0] == '0' {
+			return nil, fmt.Errorf("obs: cost key %q: bad value %q", key, val)
+		}
+		*ptrs[i] = v
+		next = i + 1
+	}
+	return c, nil
 }

@@ -111,3 +111,50 @@ func TestCostJSONShape(t *testing.T) {
 		t.Errorf("JSON round-trip lost fields: %+v", back)
 	}
 }
+
+func TestParseCompactRoundTrip(t *testing.T) {
+	for _, c := range []*Cost{
+		{},
+		sampleCost(),
+		{OTIM: OTIMCost{ExactEvals: 1}},
+		{RIS: RISCost{Edges: ^uint64(0)}},
+		{MIA: MIACost{Trees: 7, Nodes: 210}, Tags: TagsCost{Coins: 3}},
+	} {
+		s := c.Compact()
+		got, err := ParseCompact(s)
+		if err != nil {
+			t.Fatalf("ParseCompact(%q): %v", s, err)
+		}
+		if *got != *c {
+			t.Errorf("ParseCompact(%q) = %+v, want %+v", s, got, c)
+		}
+	}
+	for _, bad := range []string{
+		"", " ", "none ", "otim.cheap", "otim.cheap=", "otim.cheap=0",
+		"otim.cheap=07", "otim.cheap=+7", "otim.cheap=-7", "otim.cheap=1.5",
+		"otim.cheap=18446744073709551616", "otim.bogus=3",
+		"mia.trees=1 otim.cheap=1", "otim.cheap=1 otim.cheap=2",
+		"otim.cheap=1  otim.local=2", "otim.cheap=1 ", "OTIM.cheap=1",
+	} {
+		if c, err := ParseCompact(bad); err == nil {
+			t.Errorf("ParseCompact(%q) accepted %+v", bad, c)
+		}
+	}
+}
+
+// FuzzParseCompact checks that ParseCompact accepts exactly Compact's
+// renderings: whatever it parses renders back to the same string.
+func FuzzParseCompact(f *testing.F) {
+	f.Add("none")
+	f.Add(sampleCost().Compact())
+	f.Add("otim.exact=7 mia.nodes=210")
+	f.Fuzz(func(t *testing.T, s string) {
+		c, err := ParseCompact(s)
+		if err != nil {
+			return
+		}
+		if got := c.Compact(); got != s {
+			t.Fatalf("ParseCompact(%q) renders back as %q", s, got)
+		}
+	})
+}

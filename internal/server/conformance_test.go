@@ -160,6 +160,10 @@ func conformanceCases() []confCase {
 		{name: "complete malformed k", method: "GET", path: confPath("/api/complete?prefix=a&k=1.5"), want: 400, errSub: "k"},
 		{name: "complete 405", method: "POST", path: confPath("/api/complete?prefix=a"), want: 405, allow: "GET"},
 
+		// ---- /api/owners ----
+		{name: "owners ok", method: "GET", path: confPath("/api/owners"), want: 200, array: true},
+		{name: "owners 405", method: "POST", path: confPath("/api/owners"), want: 405, allow: "GET"},
+
 		// ---- /api/metrics ----
 		{name: "metrics ok", method: "GET", path: confPath("/api/metrics"), want: 200,
 			keys: []string{"endpoints", "requests", "generation", "uptimeSeconds"}},

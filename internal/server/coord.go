@@ -2,7 +2,22 @@
 // coordinator Server answers the same HTTP API as a single-process
 // server, but its engine is a fleet of shard servers (internal/shard
 // corpora served by ordinary octopus processes). Every query pins the
-// fleet roster, fans out to the live shards in parallel, and merges:
+// fleet roster and its user routes. A read only one shard can answer
+// goes to that shard alone, and its answer is replayed verbatim:
+//
+//   - suggest, keywords and forward paths: the shard owning the user.
+//     Every shard lists the user keys it holds data for at /api/owners;
+//     the coordinator reads those tables when it starts and whenever a
+//     shard's probed generation changes, and routes a key claimed by
+//     exactly one shard whose table is current and who was up at pin
+//     time. Anything else — an unknown key, a key several shards claim,
+//     a stale table, a down owner, paths?reverse=1 (in-edges live on
+//     every shard) — fans out and takes the longest success;
+//   - radar: the lowest-index live shard (the topic model is shared).
+//
+// When that one shard cannot answer (unreachable, 429, 5xx) the rest of
+// the roster is asked as in a fan-out. Every other query fans out to
+// the live shards in parallel and merges:
 //
 //   - im: each shard's seed list carries cumulative spreads, so each
 //     seed's marginal gain is summed across shards (each shard owns a
@@ -12,10 +27,13 @@
 //     re-ranked the same way;
 //   - complete: candidates merged by key keeping the max weight;
 //   - status: corpus counts summed (node/topic/vocabulary maxima — the
-//     id space and models are global);
-//   - suggest / keywords / radar / paths: single-owner endpoints — the
-//     shard owning the user has the data, the rest answer empty or an
-//     error, so the best (longest) success wins verbatim.
+//     id space and models are global).
+//
+// Shard cost ledgers come back out of band: when the coordinator
+// accounts a request the client did not ask to explain, it sends
+// X-Octopus-Want-Cost and the shard answers with its plain body plus
+// the compact X-Octopus-Cost header, which the coordinator parses and
+// merges. A client's explain=1 travels to the shards as is.
 //
 // When every reachable shard but one is down — or the fleet has one
 // shard — the coordinator replays the single success byte-for-byte,
@@ -35,6 +53,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -69,12 +88,17 @@ type CoordinatorOptions struct {
 	// ProbeInterval is the background health-probe cadence that detects
 	// recovered shards and generation changes (default 2s).
 	ProbeInterval time.Duration
-	// Client issues the shard requests. nil uses a plain http.Client
-	// (per-request contexts carry the timeout).
+	// Client issues the shard requests. nil uses a client whose
+	// transport keeps one idle connection per shard for each request the
+	// admission gate admits (per-request contexts carry the timeout).
 	Client *http.Client
 }
 
-func (o *CoordinatorOptions) fill() {
+// unboundedIdleConns is the idle connections kept per shard when the
+// admission gate admits everything.
+const unboundedIdleConns = 64
+
+func (o *CoordinatorOptions) fill(shards, maxInflight int) {
 	if o.ShardTimeout <= 0 {
 		o.ShardTimeout = 5 * time.Second
 	}
@@ -82,7 +106,16 @@ func (o *CoordinatorOptions) fill() {
 		o.ProbeInterval = 2 * time.Second
 	}
 	if o.Client == nil {
-		o.Client = &http.Client{}
+		// The default transport keeps two idle connections per host, so
+		// every burst of more than two admitted requests re-dials.
+		idle := maxInflight
+		if idle <= 0 {
+			idle = unboundedIdleConns
+		}
+		t := http.DefaultTransport.(*http.Transport).Clone()
+		t.MaxIdleConnsPerHost = idle
+		t.MaxIdleConns = idle * shards
+		o.Client = &http.Client{Transport: t}
 	}
 }
 
@@ -98,7 +131,7 @@ func NewCoordinator(addrs []string, opt Options, copt CoordinatorOptions) (*Serv
 	if len(addrs) == 0 {
 		return nil, errors.New("coordinator needs at least one shard address")
 	}
-	copt.fill()
+	copt.fill(len(addrs), opt.MaxInflight)
 	f := newFleet(addrs, copt)
 	s := &Server{coord: f}
 	s.engine = &remoteEngine{s: s, f: f}
@@ -118,20 +151,37 @@ type shardHealth struct {
 
 // fleet is the coordinator's view of its shards: the fixed address
 // roster plus per-shard liveness and last-seen generation. Any change
-// to that vector bumps the fleet generation, which is the generation
-// coordinator responses are tagged and cached under — so a shard
-// going down, coming back, or folding a new snapshot implicitly
-// invalidates every cached merged answer, exactly like a snapshot swap
-// does on a single process.
+// to that vector, and every new owner table, bumps the fleet
+// generation, which is the generation coordinator responses are tagged
+// and cached under — so a shard going down, coming back, or folding a
+// new snapshot implicitly invalidates every cached merged answer,
+// exactly like a snapshot swap does on a single process.
 type fleet struct {
 	addrs   []string
 	client  *http.Client
 	timeout time.Duration
 
-	mu   sync.Mutex
-	up   []bool
-	gens []uint64
-	fgen uint64
+	mu     sync.Mutex
+	up     []bool
+	gens   []uint64
+	fgen   uint64
+	tables []ownerTable // per shard: the user keys it holds
+	routes *routes      // rebuilt whenever gens or tables change
+}
+
+// ownerTable is one shard's /api/owners answer and the generation it
+// was read at.
+type ownerTable struct {
+	ok   bool
+	gen  uint64
+	keys []string
+}
+
+// routes is an immutable user key → owning shard map, pinned with the
+// roster. A key several shards claim maps to -1.
+type routes struct {
+	owner   map[string]int32
+	current []bool // shard i's table was read at its probed generation
 }
 
 func newFleet(addrs []string, copt CoordinatorOptions) *fleet {
@@ -146,6 +196,8 @@ func newFleet(addrs []string, copt CoordinatorOptions) *fleet {
 		up:      make([]bool, len(addrs)),
 		gens:    make([]uint64, len(addrs)),
 		fgen:    1,
+		tables:  make([]ownerTable, len(addrs)),
+		routes:  &routes{current: make([]bool, len(addrs))},
 	}
 	// Optimistic start: shards are presumed up until a probe or call
 	// says otherwise, so a coordinator started moments before its fleet
@@ -156,14 +208,40 @@ func newFleet(addrs []string, copt CoordinatorOptions) *fleet {
 	return f
 }
 
-// roster pins the live-shard vector and the fleet generation for one
-// request.
-func (f *fleet) roster() ([]bool, uint64) {
+// roster pins the live-shard vector, the user routes and the fleet
+// generation for one request.
+func (f *fleet) roster() ([]bool, *routes, uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	up := make([]bool, len(f.up))
 	copy(up, f.up)
-	return up, f.fgen
+	return up, f.routes, f.fgen
+}
+
+// rerouteLocked replaces the routes after a change to gens or, with
+// tablesChanged, to the owner tables. f.mu must be held.
+func (f *fleet) rerouteLocked(tablesChanged bool) {
+	rt := &routes{owner: f.routes.owner, current: make([]bool, len(f.addrs))}
+	if tablesChanged {
+		n := 0
+		for _, t := range f.tables {
+			n += len(t.keys)
+		}
+		rt.owner = make(map[string]int32, n)
+		for i, t := range f.tables {
+			for _, k := range t.keys {
+				if _, claimed := rt.owner[k]; claimed {
+					rt.owner[k] = -1
+				} else {
+					rt.owner[k] = int32(i)
+				}
+			}
+		}
+	}
+	for i, t := range f.tables {
+		rt.current[i] = t.ok && t.gen == f.gens[i]
+	}
+	f.routes = rt
 }
 
 // markDown records a failed call or probe. Fan-out paths call it
@@ -185,7 +263,10 @@ func (f *fleet) markUp(i int, gen uint64) {
 	defer f.mu.Unlock()
 	if !f.up[i] || f.gens[i] != gen {
 		f.up[i] = true
-		f.gens[i] = gen
+		if f.gens[i] != gen {
+			f.gens[i] = gen
+			f.rerouteLocked(false)
+		}
 		f.fgen++
 	}
 }
@@ -202,12 +283,13 @@ func (f *fleet) health() []shardHealth {
 	return out
 }
 
-// probeOnce probes every shard's /api/health in parallel. Any decodable
-// answer counts as up — a degraded shard still serves queries; only a
-// transport failure marks it down.
+// probeOnce probes every shard's /api/health in parallel, then rereads
+// the owner tables that went stale. Any decodable health answer counts
+// as up — a degraded shard still serves queries; only a transport
+// failure marks it down.
 func (f *fleet) probeOnce() {
 	par.Each(len(f.addrs), len(f.addrs), func(_, i int) {
-		rep := f.call(http.MethodGet, i, "/api/health", nil)
+		rep := f.call(i, shardRequest{method: http.MethodGet, path: "/api/health"})
 		if rep.err != nil {
 			return // call already marked it down
 		}
@@ -220,6 +302,50 @@ func (f *fleet) probeOnce() {
 		}
 		f.markUp(i, h.Generation)
 	})
+	f.refreshOwners()
+}
+
+// refreshOwners reads /api/owners from every up shard whose table is
+// missing or older than its probed generation. A shard that cannot
+// answer keeps its old table, and its users fan out until it can.
+func (f *fleet) refreshOwners() {
+	f.mu.Lock()
+	var stale []int
+	for i, up := range f.up {
+		if up && !f.routes.current[i] {
+			stale = append(stale, i)
+		}
+	}
+	f.mu.Unlock()
+	if len(stale) == 0 {
+		return
+	}
+	fetched := make([]ownerTable, len(stale))
+	par.Each(len(stale), len(stale), func(_, j int) {
+		rep := f.call(stale[j], shardRequest{method: http.MethodGet, path: "/api/owners"})
+		if rep.err != nil || rep.status != http.StatusOK {
+			return
+		}
+		gen, err := strconv.ParseUint(rep.header.Get("X-Octopus-Generation"), 10, 64)
+		var keys []string
+		if err != nil || json.Unmarshal(rep.body, &keys) != nil {
+			return
+		}
+		fetched[j] = ownerTable{ok: true, gen: gen, keys: keys}
+	})
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	changed := false
+	for j, t := range fetched {
+		if t.ok {
+			f.tables[stale[j]] = t
+			changed = true
+		}
+	}
+	if changed {
+		f.rerouteLocked(true)
+		f.fgen++
+	}
 }
 
 func (f *fleet) probeLoop(done <-chan struct{}, every time.Duration) {
@@ -235,30 +361,42 @@ func (f *fleet) probeLoop(done <-chan struct{}, every time.Duration) {
 	}
 }
 
+// shardRequest is one request the coordinator sends to its shards.
+type shardRequest struct {
+	method, path string
+	body         []byte
+	wantCost     bool // ask for the cost ledger in the X-Octopus-Cost header
+}
+
 // shardReply is one shard's contribution to a fan-out: a transport
-// error (the shard is missing for this request), or a status + body.
+// error (the shard is missing for this request), or a status, headers
+// and body.
 type shardReply struct {
 	shard  int
 	status int
+	header http.Header
 	body   []byte
 	err    error
 }
 
 // call issues one bounded request to shard i. Transport failures mark
 // the shard down immediately.
-func (f *fleet) call(method string, i int, path string, body []byte) shardReply {
+func (f *fleet) call(i int, sr shardRequest) shardReply {
 	ctx, cancel := context.WithTimeout(context.Background(), f.timeout)
 	defer cancel()
 	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+	if sr.body != nil {
+		rd = bytes.NewReader(sr.body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, f.addrs[i]+path, rd)
+	req, err := http.NewRequestWithContext(ctx, sr.method, f.addrs[i]+sr.path, rd)
 	if err != nil {
 		return shardReply{shard: i, err: err}
 	}
-	if body != nil {
+	if sr.body != nil {
 		req.Header.Set("Content-Type", "application/json")
+	}
+	if sr.wantCost {
+		req.Header.Set(wantCostHeader, "1")
 	}
 	resp, err := f.client.Do(req)
 	if err != nil {
@@ -271,7 +409,7 @@ func (f *fleet) call(method string, i int, path string, body []byte) shardReply 
 		f.markDown(i)
 		return shardReply{shard: i, err: err}
 	}
-	return shardReply{shard: i, status: resp.StatusCode, body: b}
+	return shardReply{shard: i, status: resp.StatusCode, header: resp.Header, body: b}
 }
 
 // remoteEngine pins fleet rosters as engine views.
@@ -281,74 +419,137 @@ type remoteEngine struct {
 }
 
 func (e *remoteEngine) Acquire() (engineView, uint64, func()) {
-	up, fgen := e.f.roster()
-	return &remoteView{s: e.s, f: e.f, up: up}, fgen, noopRelease
+	up, rt, fgen := e.f.roster()
+	return &remoteView{s: e.s, f: e.f, up: up, routes: rt}, fgen, noopRelease
 }
 
 // noopRelease is a remote view's release: the roster is a copy, so
 // there is nothing to pin.
 func noopRelease() {}
 
-// remoteView answers queries from one pinned roster: only shards up at
-// pin time are consulted, so the response is a pure function of (view,
-// request) — the same property localView gets from its pinned
-// snapshot.
+// remoteView answers queries from one pinned roster and its routes:
+// only shards up at pin time are consulted, so the response is a pure
+// function of (view, request) — the same property localView gets from
+// its pinned snapshot.
 type remoteView struct {
-	s  *Server
-	f  *fleet
-	up []bool
+	s      *Server
+	f      *fleet
+	up     []bool
+	routes *routes
 }
 
-// fanout sends one request to every shard in the pinned roster in
-// parallel (internal/par), each under its own timeout. Shards down at
-// pin time are reported as errShardDown without a call.
-func (v *remoteView) fanout(method, path string, body []byte) []shardReply {
+// fanout sends one request to every shard in the pinned roster but
+// skip (-1 for none) in parallel (internal/par), each under its own
+// timeout. Shards down at pin time are reported as errShardDown
+// without a call.
+func (v *remoteView) fanout(sr shardRequest, skip int) []shardReply {
 	n := len(v.f.addrs)
 	replies := make([]shardReply, n)
 	par.Each(n, n, func(_, i int) {
-		if !v.up[i] {
+		switch {
+		case i == skip:
+		case !v.up[i]:
 			replies[i] = shardReply{shard: i, err: errShardDown}
-			return
+		default:
+			replies[i] = v.f.call(i, sr)
 		}
-		replies[i] = v.f.call(method, i, path, body)
 	})
 	return replies
 }
 
-// Query forwards the request to every pinned shard — the method and,
-// for POST /api/im/targeted, the body — and merges the replies.
+// send asks the one shard whose answer is the fleet's (see target)
+// when there is one, and every pinned shard otherwise. When the one
+// shard cannot answer — unreachable, shed or broken — the rest are
+// asked too, so the answer degrades exactly like a fan-out's.
+func (v *remoteView) send(endpoint string, q url.Values, sr shardRequest) []shardReply {
+	i := v.target(endpoint, q)
+	if i < 0 {
+		return v.fanout(sr, -1)
+	}
+	rp := v.f.call(i, sr)
+	if rp.err == nil && !shardFailed(rp.status) {
+		return []shardReply{rp}
+	}
+	replies := v.fanout(sr, i)
+	replies[i] = rp
+	return replies
+}
+
+// target picks the single shard that answers a read for the whole
+// fleet, or -1 to fan out. A radar depends only on the fleet-wide topic
+// model: the lowest-index live shard answers it. A user read goes to
+// the user's owner when exactly one shard claims the key, that shard's
+// table is current and it was up at pin time — except paths?reverse=1,
+// since in-edges live on every shard.
+func (v *remoteView) target(endpoint string, q url.Values) int {
+	switch endpoint {
+	case "radar":
+		for i, up := range v.up {
+			if up {
+				return i
+			}
+		}
+	case "paths":
+		if q.Get("reverse") == "1" {
+			return -1
+		}
+		fallthrough
+	case "suggest", "keywords":
+		i, ok := v.routes.owner[q.Get("user")]
+		if ok && i >= 0 && v.up[i] && v.routes.current[i] {
+			return int(i)
+		}
+	}
+	return -1
+}
+
+// Query forwards the request — the method and, for POST
+// /api/im/targeted, the body — to the shards send picks and merges the
+// replies.
 func (v *remoteView) Query(endpoint string, w http.ResponseWriter, r *http.Request) {
-	method := http.MethodGet
-	var body []byte
+	sr := shardRequest{method: http.MethodGet}
 	if r.Method == http.MethodPost {
 		b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
 			return
 		}
-		method, body = http.MethodPost, b
+		sr.method, sr.body = http.MethodPost, b
 	}
 	qc := queryCostFrom(r.Context())
 	q := r.URL.Query()
 	// Shards account cost whenever the coordinator does (explain or
-	// tracing): the wrapped per-shard ledgers are merged into this
-	// request's carrier and stripped from the bodies, so the coordinator
-	// re-wraps exactly like a local engine would. Without a carrier the
-	// flag is dropped (explain=0 is byte-identical to absent).
-	if qc != nil {
+	// tracing). A client's explain=1 goes to the shards, whose wrapped
+	// ledgers are merged into this request's carrier and stripped from
+	// the bodies, so the coordinator re-wraps exactly like a local engine
+	// would. Otherwise the flag is dropped (explain=0 is byte-identical
+	// to absent) and an accounted request asks for the ledger in a
+	// header beside the plain body.
+	explain := qc != nil && qc.explain
+	if explain {
 		q.Set("explain", "1")
 	} else {
 		q.Del("explain")
+		sr.wantCost = qc != nil
 	}
-	replies := v.fanout(method, r.URL.Path+"?"+q.Encode(), body)
-	if qc != nil {
+	sr.path = r.URL.Path + "?" + q.Encode()
+	replies := v.send(endpoint, q, sr)
+	switch {
+	case explain:
 		v.unwrapCosts(replies, qc)
+	case qc != nil:
+		mergeCostHeaders(replies, qc)
 	}
 	v.merge(endpoint, w, replies)
 }
 
 func (v *remoteView) Status(w http.ResponseWriter, r *http.Request) {
-	v.merge("status", w, v.fanout(http.MethodGet, "/api/status", nil))
+	v.merge("status", w, v.fanout(shardRequest{method: http.MethodGet, path: "/api/status"}, -1))
+}
+
+// Owners answers 404: a coordinator holds no users itself.
+func (v *remoteView) Owners(w http.ResponseWriter, r *http.Request) {
+	writeErr(w, http.StatusNotFound, errors.New("a coordinator holds no users; ask its shards"))
 }
 
 // GammaKey returns "": every shard adopted the same full-corpus topic
@@ -373,6 +574,19 @@ func (v *remoteView) unwrapCosts(replies []shardReply, qc *queryCost) {
 		}
 		qc.cost.Merge(env.Cost)
 		replies[i].body = append(env.Result, '\n')
+	}
+}
+
+// mergeCostHeaders merges the X-Octopus-Cost ledger of every shard that
+// answered into the request's carrier.
+func mergeCostHeaders(replies []shardReply, qc *queryCost) {
+	for _, rp := range replies {
+		if rp.err != nil {
+			continue
+		}
+		if c, err := obs.ParseCompact(rp.header.Get(costHeader)); err == nil {
+			qc.cost.Merge(c)
+		}
 	}
 }
 
@@ -420,9 +634,9 @@ func (v *remoteView) merge(endpoint string, w http.ResponseWriter, replies []sha
 		}
 		replayRaw(w, best.status, best.body)
 	case len(successes) == 1 && len(missing) == 0:
-		// The complete single-success case — a 1-shard fleet, or a
-		// single-owner endpoint where the other shards erred. Verbatim
-		// replay keeps the coordinator byte-identical to the shard.
+		// The complete single-success case — a 1-shard fleet, a routed
+		// read, or a fan-out where the other shards erred. Verbatim replay
+		// keeps the coordinator byte-identical to the shard.
 		replayRaw(w, http.StatusOK, successes[0].body)
 	default:
 		v.mergeSuccesses(endpoint, w, successes, missing)
@@ -460,9 +674,9 @@ func (v *remoteView) mergeSuccesses(endpoint string, w http.ResponseWriter, succ
 	case "status":
 		v.mergeStatus(w, successes, missing)
 	default:
-		// Single-owner endpoints (suggest, keywords, radar, paths): the
-		// owning shard has the data, non-owners answer with defaults over
-		// empty state — the longest success is the authoritative one.
+		// A fanned-out user read or radar: the key was not routable, or
+		// its owner failed. Non-owners answer with fallbacks over empty
+		// state, so the longest success is the best guess.
 		best := successes[0]
 		for _, rp := range successes[1:] {
 			if len(rp.body) > len(best.body) {

@@ -35,37 +35,41 @@ var coordRoutes = map[string]bool{
 }
 
 var (
-	coordShardOnce sync.Once
-	coordShardSys  []*core.System
-	coordShardErr  error
+	coordShardMu  sync.Mutex
+	coordShardSys = map[string][]*core.System{}
 )
 
-// twoShardSystems splits the shared test corpus into two shard systems
-// (hash partition), exercising the real partition + snapshot exchange
-// path: split, build, save, reload.
-func twoShardSystems(t *testing.T) []*core.System {
+// shardSystems splits the shared test corpus into two shard systems
+// with the given strategy, exercising the real partition + snapshot
+// exchange path: split, build, save, reload. Each strategy's fleet is
+// built once.
+func shardSystems(t *testing.T, strat shard.Strategy) []*core.System {
 	t.Helper()
 	_, full := testServer(t)
-	coordShardOnce.Do(func() {
-		dir := t.TempDir()
-		paths, err := shard.WriteFleet(dir, full, shard.Hash{Seed: 7}, 2)
-		if err != nil {
-			coordShardErr = err
-			return
-		}
-		for _, p := range paths {
-			sys, err := store.Load(p)
-			if err != nil {
-				coordShardErr = err
-				return
-			}
-			coordShardSys = append(coordShardSys, sys)
-		}
-	})
-	if coordShardErr != nil {
-		t.Fatal(coordShardErr)
+	coordShardMu.Lock()
+	defer coordShardMu.Unlock()
+	if systems, ok := coordShardSys[strat.Name()]; ok {
+		return systems
 	}
-	return coordShardSys
+	paths, err := shard.WriteFleet(t.TempDir(), full, strat, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var systems []*core.System
+	for _, p := range paths {
+		sys, err := store.Load(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems = append(systems, sys)
+	}
+	coordShardSys[strat.Name()] = systems
+	return systems
+}
+
+// twoShardSystems is the hash-partitioned 2-shard fleet.
+func twoShardSystems(t *testing.T) []*core.System {
+	return shardSystems(t, shard.Hash{Seed: 7})
 }
 
 // startCoordinator serves each shard system over a real listener and

@@ -3,6 +3,12 @@
 // the accumulator through the request context, splices the breakdown
 // into ?explain=1 responses, and feeds the per-endpoint cost-distribution
 // histograms exposed at /metrics.
+//
+// A request carrying X-Octopus-Want-Cost (a coordinator asking its
+// shard) is accounted too and gets the compact ledger in the
+// X-Octopus-Cost response header beside its plain body. That header
+// describes this request's own engine work — "none" on a cache hit —
+// and is stamped on the wire, never stored in a cache entry.
 package server
 
 import (
@@ -27,6 +33,13 @@ type queryCost struct {
 	cost    obs.Cost
 	explain bool
 }
+
+// costHeader carries the compact ledger (obs.Cost.Compact) on a
+// response; wantCostHeader on a request asks for it without explain.
+const (
+	costHeader     = "X-Octopus-Cost"
+	wantCostHeader = "X-Octopus-Want-Cost"
+)
 
 type queryCostKey struct{}
 
@@ -55,7 +68,7 @@ func costFrom(r *http.Request) *obs.Cost {
 // rendered by this request's recorder, so mutating it in place is safe;
 // cached entries store the wrapped form and replay byte-identically.
 func explainEntry(e *qcache.Entry, c *obs.Cost) *qcache.Entry {
-	e.Header.Set("X-Octopus-Cost", c.Compact())
+	e.Header.Set(costHeader, c.Compact())
 	if e.Status != http.StatusOK {
 		return e
 	}

@@ -39,6 +39,9 @@ type engineView interface {
 	Query(endpoint string, w http.ResponseWriter, r *http.Request)
 	// Status answers GET /api/status.
 	Status(w http.ResponseWriter, r *http.Request)
+	// Owners answers GET /api/owners: the user keys the view holds data
+	// for (core.System.HeldUserKeys).
+	Owners(w http.ResponseWriter, r *http.Request)
 	// GammaKey renders the inferred-γ cache-key component for an im
 	// query over the given keywords, or "" when the raw parameters
 	// already determine the answer (the remote engine: every shard
@@ -71,6 +74,14 @@ func (v localView) Query(endpoint string, w http.ResponseWriter, r *http.Request
 
 func (v localView) Status(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, v.sys.Stats())
+}
+
+func (v localView) Owners(w http.ResponseWriter, r *http.Request) {
+	keys := v.sys.HeldUserKeys()
+	if keys == nil {
+		keys = []string{}
+	}
+	writeJSON(w, http.StatusOK, keys)
 }
 
 func (v localView) GammaKey(words []string) string {

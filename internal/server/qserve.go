@@ -117,16 +117,25 @@ func (s *Server) serveQuery(endpoint string, cache *qcache.Cache, w http.Respons
 	tr.SetGeneration(gen)
 	// Parse the explain flag before touching the cache: a malformed
 	// value is a 400, never a cache key. The cost carrier exists only
-	// when the request accounts cost (explain, or tracing so the engine
-	// span can carry the counters) — otherwise the engines see nil and
-	// skip accounting entirely.
+	// when the request accounts cost (explain, a ledger header request,
+	// or tracing so the engine span can carry the counters) — otherwise
+	// the engines see nil and skip accounting entirely.
 	q := params(r)
 	explain := q.Flag("explain")
 	if q.bad(w) {
 		return
 	}
-	if explain || s.tracer != nil {
-		r = r.WithContext(withQueryCost(r.Context(), &queryCost{explain: explain}))
+	ledger := !explain && r.Header.Get(wantCostHeader) != ""
+	var qc *queryCost
+	if explain || ledger || s.tracer != nil {
+		qc = &queryCost{explain: explain}
+		r = r.WithContext(withQueryCost(r.Context(), qc))
+	}
+	reply := func(e *qcache.Entry, state qcache.CacheState) {
+		if ledger {
+			w.Header().Set(costHeader, qc.cost.Compact())
+		}
+		replayEntry(w, e, state, gen)
 	}
 	if cache == nil {
 		e := s.compute(endpoint, v, r)
@@ -134,7 +143,7 @@ func (s *Server) serveQuery(endpoint string, cache *qcache.Cache, w http.Respons
 		if e.Status == http.StatusTooManyRequests {
 			state = qcache.StateShed
 		}
-		replayEntry(w, e, state, gen)
+		reply(e, state)
 		return
 	}
 	endCache := tr.Span("cache")
@@ -142,7 +151,7 @@ func (s *Server) serveQuery(endpoint string, cache *qcache.Cache, w http.Respons
 	state := qcache.StateMiss
 	if e, out := cache.Get(key, gen); out == qcache.Hit {
 		endCache()
-		replayEntry(w, e, qcache.StateHit, gen)
+		reply(e, qcache.StateHit)
 		return
 	} else if out == qcache.Stale {
 		// Count the invalidation at eviction time, whatever this request
@@ -192,7 +201,7 @@ func (s *Server) serveQuery(endpoint string, cache *qcache.Cache, w http.Respons
 	case shared:
 		state = qcache.StateCoalesced
 	}
-	replayEntry(w, e, state, gen)
+	reply(e, state)
 }
 
 // compute runs the endpoint against the pinned view behind the

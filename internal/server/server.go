@@ -12,6 +12,7 @@
 //	GET  /api/radar?keyword=W                radar diagram data
 //	GET  /api/paths?user=NAME&theta=0.01     influential paths (Scenario 3)
 //	GET  /api/complete?prefix=P&k=10         user-name auto-completion
+//	GET  /api/owners                         user keys this process holds data for
 //	POST /api/im/targeted                    targeted IM over an audience (JSON body)
 //	POST /api/batch                          many queries in one round trip (JSON body)
 //	GET  /api/metrics                        serving-layer statistics (JSON)
@@ -84,9 +85,12 @@
 // (bound checks, exact evaluations, nodes and edges walked, samples
 // mixed), a compact X-Octopus-Cost header summarizes them, and the
 // same counters feed per-endpoint cost histograms on /metrics and the
-// engine span in /api/debug/traces. GET /api/health reports the SLO
-// burn-rate state; a configured diagnostics directory turns burn
-// crossings into rate-limited capture bundles. See cost.go, health.go.
+// engine span in /api/debug/traces. A request carrying
+// X-Octopus-Want-Cost gets the X-Octopus-Cost header beside its plain
+// body instead; a coordinator asks its shards that way. GET
+// /api/health reports the SLO burn-rate state; a configured
+// diagnostics directory turns burn crossings into rate-limited capture
+// bundles. See cost.go, health.go.
 package server
 
 import (
@@ -309,6 +313,7 @@ func (s *Server) assemble(opt Options) *Server {
 	s.queryHandlers["targeted"] = s.handleTargeted
 	s.mux.HandleFunc("/api/im/targeted", s.instrument("targeted", allow(http.MethodPost, s.query("targeted", nil))))
 	s.mux.HandleFunc("/api/status", s.instrument("status", allow(http.MethodGet, s.pinned(engineView.Status))))
+	s.mux.HandleFunc("/api/owners", s.instrument("owners", allow(http.MethodGet, s.pinned(engineView.Owners))))
 	s.mux.HandleFunc("/api/metrics", s.instrument("metrics", allow(http.MethodGet, s.handleMetrics)))
 	s.mux.HandleFunc("/api/batch", s.instrument("batch", allow(http.MethodPost, s.handleBatch)))
 	s.mux.HandleFunc("/api/ingest/actions", s.instrument("ingest/actions", allow(http.MethodPost, s.handleIngestActions)))

@@ -27,11 +27,14 @@
 //
 // # Partial-results contract
 //
-// The coordinator (internal/server) fans a query out to every live
-// shard and merges. When one or more shards are down, time out, or
-// answer 429/5xx while another shard answers 200, the coordinator
-// still answers with what the remaining shards returned,
-// and marks the response as partial in a machine-readable way:
+// The coordinator (internal/server) sends a user read (suggest,
+// keywords, forward paths) to the one shard that holds the user — the
+// owner, which lists it at /api/owners — and fans every other query
+// out to every live shard and merges. When one or more shards are
+// down, time out, or answer 429/5xx while another shard answers 200,
+// the coordinator still answers with what the remaining shards
+// returned, and marks the response as partial in a machine-readable
+// way:
 //
 //   - the X-Octopus-Shards-Missing response header lists the missing
 //     shard indexes (comma-separated);
@@ -49,9 +52,11 @@
 //
 // Partial responses are never cached, so a recovered shard is
 // reflected by the very next uncached query. Spread estimates merged
-// from a subset of shards are lower bounds on the full-fleet answer;
-// single-owner endpoints (suggest, keywords, paths) lose exactly the
-// users owned by the missing shards and answer 404/400 for them as if
-// the users had no data. Callers that cannot tolerate partial answers
-// must check the header or field and retry.
+// from a subset of shards are lower bounds on the full-fleet answer.
+// A user read whose owner is missing is asked of the remaining shards,
+// which hold no data for the user and answer 200 with a fallback over
+// empty state (keywords ranked at spread 0, vocabulary suggestions, a
+// root-only path graph), marked partial like any other answer.
+// Callers that cannot tolerate partial answers must check the header
+// or field and retry.
 package shard

@@ -275,3 +275,49 @@ func TestShardSystemsAnswerQueries(t *testing.T) {
 		}
 	}
 }
+
+// TestShardsHoldOnlyOwnedUsers: a shard holds data (an out-edge or an
+// action) for exactly the users it owns that hold data in the full
+// corpus, so the shards' held user keys partition the full system's —
+// the property a coordinator's one-hop user routing rests on.
+func TestShardsHoldOnlyOwnedUsers(t *testing.T) {
+	full := buildFull(t, 300, 11)
+	const shards = 3
+	for _, strat := range []Strategy{Hash{Seed: 4}, Community{Seed: 4}} {
+		t.Run(strat.Name(), func(t *testing.T) {
+			owner, err := strat.Partition(full.Graph(), shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			corpora, err := SplitSystem(full, strat, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			claims := map[string]int{}
+			for k, c := range corpora {
+				sys, err := BuildSystem(full, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for u := graph.NodeID(0); int(u) < full.Graph().NumNodes(); u++ {
+					want := owner[u] == int32(k) && full.HoldsUser(u)
+					if got := sys.HoldsUser(u); got != want {
+						t.Fatalf("shard %d (owner of node %d: %d) holds it = %v, want %v", k, u, owner[u], got, want)
+					}
+				}
+				for _, key := range sys.HeldUserKeys() {
+					claims[key]++
+				}
+			}
+			keys := full.HeldUserKeys()
+			if len(keys) == 0 || len(claims) != len(keys) {
+				t.Fatalf("shards claim %d keys, the full system holds %d", len(claims), len(keys))
+			}
+			for _, key := range keys {
+				if claims[key] != 1 {
+					t.Fatalf("key %q claimed by %d shards", key, claims[key])
+				}
+			}
+		})
+	}
+}

@@ -56,7 +56,8 @@ func TestMapServesIdenticalResults(t *testing.T) {
 }
 
 // TestMappedLogDecodes pins when a mapped system decodes its deferred
-// action log: never for Stats, exactly once for the keyword pools
+// action log: never for Stats or the held user keys, exactly once for
+// the keyword pools
 // (which keep only their id table), and once more for an explicit
 // ActionLog — proof that the pools' decode was not retained.
 func TestMappedLogDecodes(t *testing.T) {
@@ -98,6 +99,10 @@ func TestMappedLogDecodes(t *testing.T) {
 		t.Fatalf("mapped stats %+v, loaded %+v", got, want)
 	}
 	expect("Stats", 0)
+	if got, want := mapped.HeldUserKeys(), heap.HeldUserKeys(); !reflect.DeepEqual(got, want) || len(got) == 0 {
+		t.Fatalf("mapped holds %d user keys, loaded %d", len(got), len(want))
+	}
+	expect("the held user keys", 0)
 
 	target := graph.NodeID(-1)
 	for u := 0; u < heap.Graph().NumNodes() && target < 0; u++ {
@@ -477,8 +482,13 @@ func FuzzMapParts(f *testing.F) {
 				// report it, that would break the lazy-decode contract.
 				t.Fatalf("CRC-verified log failed to decode: %v", err)
 			}
-			if got := (core.LogCounts{Episodes: len(l.Episodes), Actions: l.NumActions()}); got != p.LogCounts {
-				t.Fatalf("walked log counts %+v, decoded %+v", p.LogCounts, got)
+			want := core.NewLogCounts(p.Graph.NumNodes())
+			want.Episodes = len(l.Episodes)
+			for _, a := range l.Actions() {
+				want.AddAction(a.User)
+			}
+			if !reflect.DeepEqual(p.LogCounts, want) {
+				t.Fatalf("walked log counts %+v, decoded %+v", p.LogCounts, want)
 			}
 		}
 	})

@@ -332,7 +332,7 @@ func decodeParts(next func(want [4]byte) ([]byte, int64, error), open func([]byt
 		})},
 		{tagLog, func(b []byte, at int64) (err error) {
 			if deferLog {
-				if p.LogCounts, err = logCounts(b); err != nil {
+				if p.LogCounts, err = logCounts(b, p.Graph.NumNodes()); err != nil {
 					return err
 				}
 				p.LogFn = func() (*actionlog.Log, error) {
@@ -623,17 +623,19 @@ func readLog(b []byte) (*actionlog.Log, error) {
 	return log, nil
 }
 
-// logCounts walks an ALOG payload for its episode and action totals
-// without decoding it: keywords and actions are skipped, not read, and
-// nothing is allocated per episode.
-func logCounts(b []byte) (core.LogCounts, error) {
+// logCounts walks an ALOG payload for its episode and action totals and
+// its actor set over the graph's nodes without decoding it: keywords
+// and times are skipped, not read, and nothing is allocated per
+// episode.
+func logCounts(b []byte, nodes int) (core.LogCounts, error) {
 	br := arena.NewReader(b)
 	br.U64() // numUsers
 	numEps := br.U64()
 	if br.Err() == nil && numEps > arena.MaxLen {
 		return core.LogCounts{}, fmt.Errorf("actionlog payload dimensions out of range")
 	}
-	c := core.LogCounts{Episodes: int(numEps)}
+	c := core.NewLogCounts(nodes)
+	c.Episodes = int(numEps)
 	for e := 0; e < c.Episodes && br.Err() == nil; e++ {
 		br.Skip(4) // item id
 		for k := br.U64(); k > 0 && br.Err() == nil; k-- {
@@ -643,8 +645,10 @@ func logCounts(b []byte) (core.LogCounts, error) {
 		if n > arena.MaxLen {
 			return core.LogCounts{}, fmt.Errorf("actionlog payload action count out of range")
 		}
-		br.Skip(int(n) * 12) // user i32 + time i64 per action
-		c.Actions += int(n)
+		for ; n > 0 && br.Err() == nil; n-- {
+			c.AddAction(br.I32())
+			br.Skip(8) // time
+		}
 	}
 	return c, br.Err()
 }

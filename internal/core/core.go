@@ -6,7 +6,10 @@
 // interface with name auto-completion.
 //
 // A System is safe for concurrent queries: per-query scratch state
-// (otim engines, MIA calculators) is pooled internally.
+// (otim engines, MIA calculators) is kept on bounded free lists that
+// survive garbage collection — at most GOMAXPROCS idle values of each
+// kind, and no engine idles with an outsized slab (otim.SlabKeep) — so
+// a warm query allocates kilobytes, not a fresh multi-megabyte engine.
 package core
 
 import (
@@ -84,8 +87,10 @@ type System struct {
 	cfg     Config // the configuration this system was built with
 	timings BuildTimings
 
-	engines sync.Pool // *otim.Engine
-	calcs   sync.Pool // *mia.Calc
+	// engines and calcs are the per-query scratch free lists (see
+	// ensureScratch).
+	engines freeList[*otim.Engine]
+	calcs   freeList[*mia.Calc]
 
 	// logFn, when set, decodes the action log on demand instead of at
 	// assembly — the mapped path (AssembleDeferred): queries never hold
@@ -96,10 +101,10 @@ type System struct {
 	logOnce sync.Once
 
 	// The stage-3 derived structures build lazily, each behind its own
-	// once: scratch pools need only the indexes, the name index only
+	// once: scratch lists need only the indexes, the name index only
 	// the graph, and the keyword pools the (possibly deferred) log.
 	// Eager construction paths force all three before returning.
-	enginesOnce sync.Once
+	scratchOnce sync.Once
 	namesOnce   sync.Once
 	poolsOnce   sync.Once
 
@@ -320,7 +325,7 @@ func assemble(g *graph.Graph, log *actionlog.Log, prop *tic.Model, words *topic.
 
 // finish builds stage 3 — the derived structures every construction
 // path shares: user keyword pools, the suggestion engine, the
-// name-completion index, and the per-query scratch pools. It runs on every
+// name-completion index, and the per-query scratch lists. It runs on every
 // snapshot fold and on every eager snapshot load. Systems assembled with
 // AssembleDeferred reach the same state piecewise, on first use.
 func (s *System) finish() { s.finishFrom(nil) }
@@ -332,20 +337,9 @@ func (s *System) finish() { s.finishFrom(nil) }
 // identical to what a fresh build computes, so folds stay
 // query-for-query equal to full rebuilds.
 func (s *System) finishFrom(old *System) {
-	s.ensureEngines()
+	s.ensureScratch()
 	s.ensureNames(old)
 	s.ensureKeywordPools()
-}
-
-// ensureEngines arms the per-query scratch pools (index-bound only —
-// no log access, so a deferred system's first IM or path query pays
-// nothing beyond the engine it uses).
-func (s *System) ensureEngines() {
-	s.enginesOnce.Do(func() {
-		oix, g := s.otimIdx, s.g
-		s.engines.New = func() any { return otim.NewEngine(oix) }
-		s.calcs.New = func() any { return mia.NewCalc(g) }
-	})
 }
 
 // ensureNames builds (or adopts from old) the name-completion index,
@@ -604,9 +598,12 @@ func (s *System) DiscoverInfluencers(keywords []string, opt DiscoverOptions) (*D
 		opt.K = 10
 	}
 	gamma, unknown := s.words.InferGamma(keywords)
-	s.ensureEngines()
-	eng := s.engines.Get().(*otim.Engine)
-	defer s.engines.Put(eng)
+	s.ensureScratch()
+	eng := s.engines.get()
+	defer func() {
+		eng.Trim()
+		s.engines.put(eng)
+	}()
 	res, err := eng.Query(gamma, otim.QueryOptions{
 		K:       opt.K,
 		Theta:   opt.Theta,
@@ -803,12 +800,12 @@ func (s *System) InfluencePaths(user graph.NodeID, opt PathOptions) (*PathGraph,
 	}
 	prob := func(e graph.EdgeID) float64 { return s.prop.EdgeProb(e, gamma) }
 
-	s.ensureEngines()
-	calc := s.calcs.Get().(*mia.Calc)
-	defer s.calcs.Put(calc)
+	s.ensureScratch()
+	calc := s.calcs.get()
+	defer s.calcs.put(calc)
 	if opt.Cost != nil {
 		calc.SetCost(opt.Cost)
-		defer calc.SetCost(nil) // Calc returns to the pool
+		defer calc.SetCost(nil) // Calc returns to the free list
 	}
 	var tree *mia.Tree
 	if opt.Reverse {
@@ -825,15 +822,16 @@ func (s *System) InfluencePaths(user graph.NodeID, opt PathOptions) (*PathGraph,
 	}
 	weights := tree.SubtreeWeights()
 	for i, n := range tree.Nodes {
+		l := tree.Links[i]
 		pg.Nodes = append(pg.Nodes, PathNode{
 			ID:    n.ID,
 			Name:  s.g.Name(n.ID),
 			Prob:  n.Prob,
 			Size:  weights[i],
-			Depth: n.Depth,
+			Depth: l.Depth,
 		})
 		if i > 0 {
-			parent := tree.Nodes[n.Parent].ID
+			parent := tree.Nodes[l.Parent].ID
 			src, dst := parent, n.ID
 			if !tree.Forward {
 				src, dst = n.ID, parent

@@ -176,100 +176,6 @@ func TestReadTextCommentsAndBlank(t *testing.T) {
 	}
 }
 
-func TestBFSForwardOrder(t *testing.T) {
-	b := NewBuilder(6)
-	b.AddEdge(0, 1)
-	b.AddEdge(0, 2)
-	b.AddEdge(1, 3)
-	b.AddEdge(2, 3)
-	b.AddEdge(3, 4)
-	g := b.Build()
-	var order []NodeID
-	var depths []int
-	g.BFSForward([]NodeID{0}, func(u NodeID, d int) bool {
-		order = append(order, u)
-		depths = append(depths, d)
-		return true
-	})
-	if len(order) != 5 {
-		t.Fatalf("visited %d nodes, want 5 (node 5 unreachable)", len(order))
-	}
-	for i := 1; i < len(depths); i++ {
-		if depths[i] < depths[i-1] {
-			t.Fatal("BFS depths not monotone")
-		}
-	}
-	if depths[len(depths)-1] != 3 {
-		t.Fatalf("max depth = %d, want 3", depths[len(depths)-1])
-	}
-}
-
-func TestBFSEarlyStop(t *testing.T) {
-	g := triangle(t)
-	count := 0
-	g.BFSForward([]NodeID{0}, func(NodeID, int) bool {
-		count++
-		return count < 2
-	})
-	if count != 2 {
-		t.Fatalf("early stop visited %d", count)
-	}
-}
-
-func TestBFSReverse(t *testing.T) {
-	b := NewBuilder(4)
-	b.AddEdge(0, 3)
-	b.AddEdge(1, 3)
-	b.AddEdge(2, 1)
-	g := b.Build()
-	var got []NodeID
-	g.BFSReverse([]NodeID{3}, func(u NodeID, _ int) bool {
-		got = append(got, u)
-		return true
-	})
-	if len(got) != 4 {
-		t.Fatalf("reverse BFS reached %v", got)
-	}
-}
-
-func TestReachableCount(t *testing.T) {
-	b := NewBuilder(5)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	g := b.Build()
-	if got := g.ReachableCount(0); got != 3 {
-		t.Fatalf("ReachableCount(0) = %d, want 3", got)
-	}
-	if got := g.ReachableCount(4); got != 1 {
-		t.Fatalf("ReachableCount(4) = %d, want 1", got)
-	}
-}
-
-func TestLocalSubgraph(t *testing.T) {
-	// chain 0->1->2->3 with a side edge 1->4
-	b := NewBuilder(5)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(2, 3)
-	b.AddEdge(1, 4)
-	g := b.Build()
-	ball, boundary := g.LocalSubgraph(0, 2)
-	if len(ball) != 4 { // 0,1,2,4
-		t.Fatalf("ball = %v", ball)
-	}
-	// node 2 is at radius with an escaping edge to 3; node 4 at radius.
-	bset := map[NodeID]bool{}
-	for _, u := range boundary {
-		bset[u] = true
-	}
-	if !bset[2] {
-		t.Fatalf("boundary %v missing node 2", boundary)
-	}
-	if bset[0] || bset[1] {
-		t.Fatalf("interior nodes in boundary: %v", boundary)
-	}
-}
-
 func TestComputeStats(t *testing.T) {
 	b := NewBuilder(4)
 	b.AddEdge(0, 1)
@@ -379,20 +285,5 @@ func BenchmarkBuild(b *testing.B) {
 		}
 		g := bu.Build()
 		_ = g
-	}
-}
-
-func BenchmarkBFS(b *testing.B) {
-	r := rng.New(2)
-	const n = 20000
-	bu := NewBuilder(n)
-	for i := 0; i < 5*n; i++ {
-		bu.AddEdge(NodeID(r.Intn(n)), NodeID(r.Intn(n)))
-	}
-	g := bu.Build()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		count := 0
-		g.BFSForward([]NodeID{NodeID(i % n)}, func(NodeID, int) bool { count++; return true })
 	}
 }

@@ -30,22 +30,31 @@ import (
 // closure over a tic.Model and a query topic distribution γ).
 type EdgeProb func(graph.EdgeID) float64
 
-// TreeNode is one node of an arborescence.
-type TreeNode struct {
-	ID     graph.NodeID
+// Reach is one node of an arborescence as the spread oracle sees it:
+// the node and its max path probability from (MIOA) or to (MIIA) the
+// root. It is all Cover reads, 16 bytes per tree node.
+type Reach struct {
+	ID   graph.NodeID
+	Prob float64
+}
+
+// Link places Nodes[i] of a path tree under its parent.
+type Link struct {
 	Parent int32        // index into Tree.Nodes, -1 for the root
 	Edge   graph.EdgeID // graph edge linking parent and this node
 	Depth  int32
-	Prob   float64 // max path probability from/to the root
 }
 
 // Tree is a maximum influence arborescence. Nodes[0] is the root;
 // children always appear after their parent (pop order of Dijkstra).
+// Links[i] is the parent link of Nodes[i]; MIOA and MIIA fill it, the
+// slab builds of AppendMIOA carry none.
 type Tree struct {
 	Root    graph.NodeID
 	Forward bool // true: MIOA (root influences others); false: MIIA
 	Theta   float64
-	Nodes   []TreeNode
+	Nodes   []Reach
+	Links   []Link
 }
 
 // Size returns the number of nodes including the root.
@@ -64,7 +73,7 @@ func (t *Tree) Spread() float64 {
 // Path returns the node sequence from the root to Nodes[i].
 func (t *Tree) Path(i int) []graph.NodeID {
 	var rev []graph.NodeID
-	for j := int32(i); j >= 0; j = t.Nodes[j].Parent {
+	for j := int32(i); j >= 0; j = t.Links[j].Parent {
 		rev = append(rev, t.Nodes[j].ID)
 	}
 	for l, r := 0, len(rev)-1; l < r; l, r = l+1, r-1 {
@@ -93,7 +102,7 @@ func (t *Tree) SubtreeWeights() []float64 {
 	}
 	// Children appear after parents, so a reverse sweep accumulates.
 	for i := len(t.Nodes) - 1; i >= 1; i-- {
-		w[t.Nodes[i].Parent] += w[i]
+		w[t.Links[i].Parent] += w[i]
 	}
 	return w
 }
@@ -136,7 +145,9 @@ func (t *Tree) SubtreeWeights() []float64 {
 // Per-node build state is one 32-byte record, and the frontier's
 // buckets are reused across builds. Forward builds can read edge
 // weights from per-node rows instead of calling an EdgeProb per edge;
-// see Weigh.
+// see Weigh. Those weighted builds (AppendMIOA) emit 16-byte Reach
+// records and skip parent bookkeeping; MIOA and MIIA path trees take
+// their Links from the same loop.
 type Calc struct {
 	g     *graph.Graph
 	nodes []nodeState
@@ -151,22 +162,25 @@ type Calc struct {
 	wgen uint32
 	// cost, when non-nil, accumulates ball-walk work (trees built, nodes
 	// popped, edges examined) for the query that owns this Calc. Set per
-	// query with SetCost and cleared afterwards — Calcs are pooled.
+	// query with SetCost and cleared afterwards — Calcs are reused.
 	cost *obs.Cost
 }
 
 // nodeState is one node's build state, packed into 32 bytes so a
 // relaxation touches one cache line per node.
 type nodeState struct {
-	best   float64      // tentative path probability; valid when seen == epoch
-	parent graph.NodeID // tree predecessor on the best path so far
-	pedge  graph.EdgeID // graph edge from parent
+	best float64 // tentative path probability; valid when seen == epoch
+	// parent and pedge are the tree predecessor and graph edge on the
+	// best path so far, kept only by builds that record links.
+	parent graph.NodeID
+	pedge  graph.EdgeID
 	// popAt is the node's index in the tree being built, set when it is
-	// popped. It is only ever read for a node's parent — which was
-	// necessarily popped earlier in the same build — so values left by
-	// previous builds are never observed and need no stamp.
+	// popped by a build that records links. It is only ever read for a
+	// node's parent — which was necessarily popped earlier in the same
+	// build — so values left by previous builds are never observed and
+	// need no stamp.
 	popAt int32
-	seen  uint32 // == epoch: best/parent/pedge belong to this build
+	seen  uint32 // == epoch: best (and parent/pedge) belong to this build
 	done  uint32 // == epoch: finalized in the tree being built
 	wgen  uint32 // == Calc.wgen: the node's weight row is filled
 }
@@ -178,7 +192,7 @@ func NewCalc(g *graph.Graph) *Calc {
 
 // SetCost directs ball-walk accounting into c's counters (nil
 // disables, the default). The cost pointer must be cleared before the
-// Calc returns to a pool.
+// Calc is reused.
 func (c *Calc) SetCost(cost *obs.Cost) { c.cost = cost }
 
 // Weigh opens a weight generation for prob: until the next Weigh,
@@ -241,18 +255,18 @@ func (c *Calc) MIIA(prob EdgeProb, root graph.NodeID, theta float64, maxNodes in
 
 // AppendMIOA builds the arborescence MIOA would build under the current
 // weight generation's prob (Weigh must have been called) and appends
-// its nodes to dst instead of allocating a Tree: the tree is the
-// returned slice from len(dst) on, with Parent indices relative to
-// that start. A caller that builds many short-lived trees under one
-// prob weighs once and keeps one slab, so building allocates nothing
-// once the slab has grown.
-func (c *Calc) AppendMIOA(dst []TreeNode, root graph.NodeID, theta float64, maxNodes int) []TreeNode {
-	return c.grow(dst, nil, root, defaultTheta(theta), maxNodes, true)
+// its nodes to dst instead of allocating a Tree: the tree's nodes are
+// the returned slice from len(dst) on, without links. A caller that
+// builds many short-lived trees under one prob weighs once and keeps
+// one slab, so building allocates nothing once the slab has grown.
+func (c *Calc) AppendMIOA(dst []Reach, root graph.NodeID, theta float64, maxNodes int) []Reach {
+	return c.grow(dst, nil, nil, root, defaultTheta(theta), maxNodes, true)
 }
 
 func (c *Calc) build(prob EdgeProb, root graph.NodeID, theta float64, maxNodes int, forward bool) *Tree {
-	theta = defaultTheta(theta)
-	return &Tree{Root: root, Forward: forward, Theta: theta, Nodes: c.grow(nil, prob, root, theta, maxNodes, forward)}
+	t := &Tree{Root: root, Forward: forward, Theta: defaultTheta(theta)}
+	t.Nodes = c.grow(nil, &t.Links, prob, root, t.Theta, maxNodes, forward)
+	return t
 }
 
 func defaultTheta(theta float64) float64 {
@@ -263,9 +277,12 @@ func defaultTheta(theta float64) float64 {
 }
 
 // grow runs the max-probability Dijkstra from root and appends the
-// tree's nodes to dst in pop order. A nil prob reads forward weights
-// from the current weight generation's rows.
-func (c *Calc) grow(dst []TreeNode, prob EdgeProb, root graph.NodeID, theta float64, maxNodes int, forward bool) []TreeNode {
+// tree's nodes to dst in pop order. With a non-nil prob, edge
+// probabilities come from prob and every node's parent link is
+// appended to *links in step with dst; a nil prob reads forward weights
+// from the current weight generation's rows and records no links, so
+// the weighted loop keeps no parent bookkeeping.
+func (c *Calc) grow(dst []Reach, links *[]Link, prob EdgeProb, root graph.NodeID, theta float64, maxNodes int, forward bool) []Reach {
 	c.epoch++
 	if c.epoch == 0 {
 		for i := range c.nodes {
@@ -275,6 +292,10 @@ func (c *Calc) grow(dst []TreeNode, prob EdgeProb, root graph.NodeID, theta floa
 	}
 	g, ns, epoch := c.g, c.nodes, c.epoch
 	base := len(dst)
+	var lbase int
+	if links != nil {
+		lbase = len(*links)
+	}
 	rs := &ns[root]
 	rs.best, rs.parent, rs.seen = 1, -1, epoch
 	c.front.reset(probKey(1))
@@ -297,14 +318,17 @@ func (c *Calc) grow(dst []TreeNode, prob EdgeProb, root graph.NodeID, theta floa
 			break
 		}
 		s.done = epoch
-		nd := TreeNode{ID: u, Parent: -1, Prob: p}
-		if u != root {
-			nd.Parent = ns[s.parent].popAt
-			nd.Edge = s.pedge
-			nd.Depth = dst[base+int(nd.Parent)].Depth + 1
+		if links != nil {
+			l := Link{Parent: -1}
+			if u != root {
+				l.Parent = ns[s.parent].popAt
+				l.Edge = s.pedge
+				l.Depth = (*links)[lbase+int(l.Parent)].Depth + 1
+			}
+			s.popAt = int32(len(dst) - base)
+			*links = append(*links, l)
 		}
-		s.popAt = int32(len(dst) - base)
-		dst = append(dst, nd)
+		dst = append(dst, Reach{ID: u, Prob: p})
 		if maxNodes > 0 && len(dst)-base >= maxNodes {
 			break
 		}
@@ -326,8 +350,7 @@ func (c *Calc) grow(dst []TreeNode, prob EdgeProb, root graph.NodeID, theta floa
 			lo, hi := g.OutEdges(u)
 			edges += uint64(hi - lo)
 			for i, w := range c.row(u, lo, hi) {
-				e := lo + graph.EdgeID(i)
-				c.relax(u, g.Dst(e), e, p*w, theta)
+				c.improve(g.Dst(lo+graph.EdgeID(i)), p*w, theta)
 			}
 		}
 	}
@@ -339,19 +362,29 @@ func (c *Calc) grow(dst []TreeNode, prob EdgeProb, root graph.NodeID, theta floa
 	return dst
 }
 
-// relax offers v the path through u with probability p. A NaN p is
-// refused like one below theta, so no key outside the heap's range is
-// ever pushed.
+// relax offers v the path through u along e with probability p and,
+// when it improves v, records u and e as v's tree link.
 func (c *Calc) relax(u, v graph.NodeID, e graph.EdgeID, p, theta float64) {
+	if s := c.improve(v, p, theta); s != nil {
+		s.parent, s.pedge = u, e
+	}
+}
+
+// improve offers v the probability p: when p is at least theta and
+// strictly beats v's tentative probability this build, it pushes v and
+// returns v's state, else nil. A NaN p is refused like one below theta,
+// so no key outside the heap's range is ever pushed.
+func (c *Calc) improve(v graph.NodeID, p, theta float64) *nodeState {
 	if !(p >= theta) {
-		return
+		return nil
 	}
 	s := &c.nodes[v]
 	if s.done == c.epoch || (s.seen == c.epoch && p <= s.best) {
-		return
+		return nil
 	}
-	s.best, s.parent, s.pedge, s.seen = p, u, e, c.epoch
+	s.best, s.seen = p, c.epoch
 	c.front.push(probKey(p), v)
+	return s
 }
 
 // probKey maps a probability in [0, 1] to a radix-heap key: larger
@@ -443,7 +476,8 @@ func (h *radixHeap) pop() (id graph.NodeID, ok bool) {
 // seeds' arborescences with probabilities p₁..pⱼ is activated with
 // probability 1−Π(1−pᵢ). It is dense — one float64 per graph node plus
 // the list of nodes touched since the last Reset — so Gain and Add are
-// array walks and a reused Cover allocates nothing.
+// array walks over a tree's Reach records and a reused Cover allocates
+// nothing.
 type Cover struct {
 	probs   []float64
 	touched []graph.NodeID
@@ -473,7 +507,7 @@ func (c *Cover) Prob(v graph.NodeID) float64 { return c.probs[v] }
 
 // Gain returns the marginal MIA spread of adding the tree with the given
 // nodes: Σ_v ap_tree(v)·(1−cover(v)).
-func (c *Cover) Gain(nodes []TreeNode) float64 {
+func (c *Cover) Gain(nodes []Reach) float64 {
 	g := 0.0
 	for _, n := range nodes {
 		g += n.Prob * (1 - c.probs[n.ID])
@@ -482,7 +516,7 @@ func (c *Cover) Gain(nodes []TreeNode) float64 {
 }
 
 // Add merges the tree with the given nodes into the cover.
-func (c *Cover) Add(nodes []TreeNode) {
+func (c *Cover) Add(nodes []Reach) {
 	for _, n := range nodes {
 		cur := c.probs[n.ID]
 		if cur == 0 {
@@ -499,23 +533,26 @@ func (t *Tree) Validate() error {
 	if len(t.Nodes) == 0 {
 		return fmt.Errorf("mia: empty tree")
 	}
-	if t.Nodes[0].ID != t.Root || t.Nodes[0].Parent != -1 || t.Nodes[0].Prob != 1 {
-		return fmt.Errorf("mia: malformed root node %+v", t.Nodes[0])
+	if len(t.Links) != len(t.Nodes) {
+		return fmt.Errorf("mia: %d links for %d nodes", len(t.Links), len(t.Nodes))
+	}
+	if t.Nodes[0].ID != t.Root || t.Links[0].Parent != -1 || t.Nodes[0].Prob != 1 {
+		return fmt.Errorf("mia: malformed root node %+v %+v", t.Nodes[0], t.Links[0])
 	}
 	for i := 1; i < len(t.Nodes); i++ {
-		n := t.Nodes[i]
-		if n.Parent < 0 || int(n.Parent) >= i {
-			return fmt.Errorf("mia: node %d has forward/invalid parent %d", i, n.Parent)
+		n, l := t.Nodes[i], t.Links[i]
+		if l.Parent < 0 || int(l.Parent) >= i {
+			return fmt.Errorf("mia: node %d has forward/invalid parent %d", i, l.Parent)
 		}
-		if n.Prob <= 0 || n.Prob > t.Nodes[n.Parent].Prob+1e-12 {
+		if n.Prob <= 0 || n.Prob > t.Nodes[l.Parent].Prob+1e-12 {
 			return fmt.Errorf("mia: node %d prob %v exceeds parent prob %v",
-				i, n.Prob, t.Nodes[n.Parent].Prob)
+				i, n.Prob, t.Nodes[l.Parent].Prob)
 		}
 		if n.Prob < t.Theta {
 			return fmt.Errorf("mia: node %d prob %v below theta %v", i, n.Prob, t.Theta)
 		}
-		if n.Depth != t.Nodes[n.Parent].Depth+1 {
-			return fmt.Errorf("mia: node %d depth %d inconsistent", i, n.Depth)
+		if l.Depth != t.Links[l.Parent].Depth+1 {
+			return fmt.Errorf("mia: node %d depth %d inconsistent", i, l.Depth)
 		}
 	}
 	seen := map[graph.NodeID]bool{}

@@ -192,8 +192,8 @@ func TestQuickTreeInvariants(t *testing.T) {
 		}
 		// Every non-root node's prob equals parent prob times edge prob.
 		for i := 1; i < len(fwd.Nodes); i++ {
-			nd := fwd.Nodes[i]
-			want := fwd.Nodes[nd.Parent].Prob * ep(nd.Edge)
+			nd, l := fwd.Nodes[i], fwd.Links[i]
+			want := fwd.Nodes[l.Parent].Prob * ep(l.Edge)
 			if math.Abs(nd.Prob-want) > 1e-9 {
 				return false
 			}
@@ -243,8 +243,9 @@ func TestMIASpreadAgainstMCOnTree(t *testing.T) {
 
 // indexedBuild is the pre-lazy-heap construction — an indexed heap with
 // decrease-key holding each tentative node once — kept as the reference
-// the lazy-deletion frontier must reproduce node for node.
-func indexedBuild(g *graph.Graph, prob EdgeProb, root graph.NodeID, theta float64, maxNodes int, forward bool) []TreeNode {
+// the lazy-deletion frontier must reproduce node for node and link for
+// link.
+func indexedBuild(g *graph.Graph, prob EdgeProb, root graph.NodeID, theta float64, maxNodes int, forward bool) ([]Reach, []Link) {
 	n := g.NumNodes()
 	h := heaps.NewIndexed(n)
 	best := make([]float64, n)
@@ -252,7 +253,8 @@ func indexedBuild(g *graph.Graph, prob EdgeProb, root graph.NodeID, theta float6
 	pedge := make([]graph.EdgeID, n)
 	seen := make([]bool, n)
 	popAt := make([]int32, n)
-	var nodes []TreeNode
+	var nodes []Reach
+	var links []Link
 	relax := func(u, v graph.NodeID, e graph.EdgeID, p float64) {
 		if p < theta {
 			return
@@ -272,14 +274,15 @@ func indexedBuild(g *graph.Graph, prob EdgeProb, root graph.NodeID, theta float6
 		if p < theta {
 			break
 		}
-		nd := TreeNode{ID: u, Parent: -1, Prob: p}
+		l := Link{Parent: -1}
 		if u != root {
-			nd.Parent = popAt[parent[u]]
-			nd.Edge = pedge[u]
-			nd.Depth = nodes[nd.Parent].Depth + 1
+			l.Parent = popAt[parent[u]]
+			l.Edge = pedge[u]
+			l.Depth = links[l.Parent].Depth + 1
 		}
 		popAt[u] = int32(len(nodes))
-		nodes = append(nodes, nd)
+		nodes = append(nodes, Reach{ID: u, Prob: p})
+		links = append(links, l)
 		if maxNodes > 0 && len(nodes) >= maxNodes {
 			break
 		}
@@ -295,7 +298,14 @@ func indexedBuild(g *graph.Graph, prob EdgeProb, root graph.NodeID, theta float6
 			}
 		}
 	}
-	return nodes
+	return nodes, links
+}
+
+// matchesIndexed reports whether t holds exactly indexedBuild's nodes
+// and links.
+func matchesIndexed(t *Tree, g *graph.Graph, prob EdgeProb, maxNodes int) bool {
+	nodes, links := indexedBuild(g, prob, t.Root, t.Theta, maxNodes, t.Forward)
+	return reflect.DeepEqual(t.Nodes, nodes) && reflect.DeepEqual(t.Links, links)
 }
 
 // randomWorld draws a random graph whose edge probabilities come from a
@@ -330,13 +340,11 @@ func TestLazyFrontierMatchesIndexedHeap(t *testing.T) {
 			root := graph.NodeID(r.Intn(g.NumNodes()))
 			theta := []float64{0.001, 0.01, 0.1, 0.3}[r.Intn(4)]
 			maxNodes := []int{0, 0, 3, 10}[r.Intn(4)]
-			fwd := c.MIOA(ep, root, theta, maxNodes)
-			if !reflect.DeepEqual(fwd.Nodes, indexedBuild(g, ep, root, theta, maxNodes, true)) {
+			if !matchesIndexed(c.MIOA(ep, root, theta, maxNodes), g, ep, maxNodes) {
 				t.Logf("seed %d: MIOA(%d, θ=%v, cap %d) differs", seed, root, theta, maxNodes)
 				return false
 			}
-			rev := c.MIIA(ep, root, theta, maxNodes)
-			if !reflect.DeepEqual(rev.Nodes, indexedBuild(g, ep, root, theta, maxNodes, false)) {
+			if !matchesIndexed(c.MIIA(ep, root, theta, maxNodes), g, ep, maxNodes) {
 				t.Logf("seed %d: MIIA(%d, θ=%v, cap %d) differs", seed, root, theta, maxNodes)
 				return false
 			}
@@ -374,7 +382,7 @@ func TestAppendMIOAIntoSlab(t *testing.T) {
 	g, ep := randomWorld(5)
 	c := NewCalc(g)
 	c.Weigh(ep)
-	slab := []TreeNode{{ID: 99}, {ID: 98}} // unrelated prefix
+	slab := []Reach{{ID: 99}, {ID: 98}} // unrelated prefix
 	for root := graph.NodeID(0); int(root) < g.NumNodes(); root++ {
 		at := len(slab)
 		slab = c.AppendMIOA(slab, root, 0.01, 0)
@@ -407,7 +415,7 @@ func TestWeighAlternatesLikeFreshCalcs(t *testing.T) {
 		probs := []EdgeProb{ep, relevel(ep, 0.6)}
 		r := rng.New(seed ^ 0x5bd1)
 		c := NewCalc(g)
-		var slab []TreeNode
+		var slab []Reach
 		for i := 0; i < 6; i++ {
 			prob := probs[i%2]
 			c.Weigh(prob)
@@ -416,8 +424,9 @@ func TestWeighAlternatesLikeFreshCalcs(t *testing.T) {
 				theta := []float64{0.001, 0.01, 0.1}[r.Intn(3)]
 				maxNodes := []int{0, 0, 5}[r.Intn(3)]
 				slab = c.AppendMIOA(slab[:0], root, theta, maxNodes)
+				ref, _ := indexedBuild(g, prob, root, theta, maxNodes, true)
 				if !reflect.DeepEqual(slab, NewCalc(g).MIOA(prob, root, theta, maxNodes).Nodes) ||
-					!reflect.DeepEqual(slab, indexedBuild(g, prob, root, theta, maxNodes, true)) {
+					!reflect.DeepEqual(slab, ref) {
 					t.Logf("seed %d: weighing %d, root %d: tree differs from a fresh build", seed, i, root)
 					return false
 				}
@@ -463,7 +472,7 @@ func TestCalcWeightGenerationWrap(t *testing.T) {
 func TestCoverReset(t *testing.T) {
 	g, ep := randomWorld(3)
 	c := NewCalc(g)
-	trees := make([][]TreeNode, 6)
+	trees := make([][]Reach, 6)
 	for i := range trees {
 		trees[i] = c.MIOA(ep, graph.NodeID(i%g.NumNodes()), 0.01, 0).Nodes
 	}
@@ -518,4 +527,4 @@ func BenchmarkMIOA(b *testing.B) {
 	})
 }
 
-var benchNodes []TreeNode
+var benchNodes []Reach

@@ -110,7 +110,8 @@ func TestRuntimeCollector(t *testing.T) {
 	for _, f := range fams {
 		names[f.Name] = true
 	}
-	for _, want := range []string{"go_goroutines", "go_memstats_heap_alloc_bytes", "go_gc_pause_seconds_total", "go_gc_cycles_total"} {
+	for _, want := range []string{"go_goroutines", "go_memstats_heap_alloc_bytes", "go_gc_pause_seconds_total",
+		"go_gc_cycles_total", "go_gc_heap_allocs_bytes_total", "go_gc_heap_allocs_objects_total"} {
 		if !names[want] {
 			t.Errorf("runtime family %s missing", want)
 		}

@@ -80,13 +80,17 @@ type Result struct {
 // curGen (a new query invalidates them all in O(1)), p_e(γ) is read
 // through the mia.Calc's weight rows (weighed once per query, each
 // node's row filled on first use), the query's MIOA trees are built
-// into one recycled node slab, and the tier-0 heap, the cover and the
-// chosen set are reused buffers. The scratch costs about 89 B per node
-// (57 B here, 32 B in the mia.Calc) and 8 B per edge (the Calc's weight
-// rows) — ≈1.4 MB at 10 000 nodes and 64 000 edges — plus the
-// frontier buckets and the slab: 24 B per tree node of the largest
-// query so far, ≈1.1 MB for the 46 500 nodes a typical 10-seed query
+// into one recycled slab of mia.Reach records, and the tier-0 heap, the
+// cover and the chosen set are reused buffers. The scratch costs about
+// 89 B per node (57 B here, 32 B in the mia.Calc) and 8 B per edge (the
+// Calc's weight rows) — ≈1.4 MB at 10 000 nodes and 64 000 edges — plus
+// the frontier buckets and the slab: 16 B per tree node of the largest
+// query so far, ≈0.74 MB for the 46 500 nodes a typical 10-seed query
 // builds on that graph.
+//
+// Retention: a slab that grew past SlabKeep records per graph node
+// serves an outsized query (k near n) and Trim drops it, so an engine
+// parked between queries holds at most SlabKeep·16 B per node of slab.
 type Engine struct {
 	ix   *Index
 	calc *mia.Calc
@@ -107,7 +111,7 @@ type Engine struct {
 	// slab holds the query's MIOA trees; when treeGen[u] is current,
 	// u's tree is slab[treeAt[u] : treeAt[u]+treeLen[u]]. It is
 	// recycled at the start of every query, so no tree outlives one.
-	slab    []mia.TreeNode
+	slab    []mia.Reach
 	treeAt  []int32
 	treeLen []int32
 	treeGen []uint32
@@ -137,6 +141,23 @@ func NewEngine(ix *Index) *Engine {
 	return e
 }
 
+// SlabKeep is the largest tree slab, in records per graph node, that
+// Trim lets an engine keep. Queries with k ≤ 20 on the 10 000-node
+// benchmark graph build at most ≈9 records per node, so they keep their
+// slab; only k in the hundreds or more outgrows it.
+const SlabKeep = 16
+
+// Trim drops the tree slab when it holds more than SlabKeep records
+// per graph node. Call it before parking an engine for reuse.
+func (e *Engine) Trim() {
+	if cap(e.slab) > SlabKeep*len(e.treeAt) {
+		e.slab = nil
+	}
+}
+
+// SlabCap returns the tree slab's capacity in records.
+func (e *Engine) SlabCap() int { return cap(e.slab) }
+
 // begin opens a new query generation under γ: every memo entry and tree
 // of the previous query becomes stale at once, and the calc is weighed
 // with p_e(γ). When the stamp wraps, the stamp arrays are zeroed so no
@@ -158,7 +179,7 @@ func (e *Engine) begin(gamma topic.Dist) {
 // slab on first use. Within one query γ is fixed, so a candidate's tree
 // never changes across seed rounds — only the cover does — and stale
 // re-evaluations are O(tree) gain walks instead of Dijkstras.
-func (e *Engine) tree(u graph.NodeID, opt *QueryOptions) []mia.TreeNode {
+func (e *Engine) tree(u graph.NodeID, opt *QueryOptions) []mia.Reach {
 	if e.treeGen[u] != e.curGen {
 		at := len(e.slab)
 		e.slab = e.calc.AppendMIOA(e.slab, u, opt.Theta, opt.MaxTreeNodes)

@@ -94,6 +94,12 @@ func conformanceCases() []confCase {
 		{name: "im malformed k", method: "GET",
 			path: func(s *core.System) string { return "/api/im?q=" + kw(s) + "&k=ten" },
 			want: 400, errSub: "parameter"},
+		{name: "im zero k", method: "GET",
+			path: func(s *core.System) string { return "/api/im?q=" + kw(s) + "&k=0" },
+			want: 400, errSub: `parameter "k"`},
+		{name: "im negative k", method: "GET",
+			path: func(s *core.System) string { return "/api/im?q=" + kw(s) + "&k=-1" },
+			want: 400, errSub: `parameter "k"`},
 		{name: "im malformed theta", method: "GET",
 			path: func(s *core.System) string { return "/api/im?q=" + kw(s) + "&theta=0..5" },
 			want: 400, errSub: "theta"},

@@ -135,6 +135,10 @@ func TestCoordinatorOneShardByteIdentical(t *testing.T) {
 				t.Fatalf("%s %s: coordinator %d, single-process %d (body: %s)",
 					tc.method, path, got.Code, want.Code, got.Body.String())
 			}
+			if got.Code != tc.want {
+				t.Fatalf("%s %s: coordinator %d, want %d (body: %s)",
+					tc.method, path, got.Code, tc.want, got.Body.String())
+			}
 			if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
 				t.Fatalf("%s %s: bodies differ\ncoordinator:    %s\nsingle-process: %s",
 					tc.method, path, got.Body.String(), want.Body.String())

@@ -13,6 +13,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 
+	"octopus/internal/core"
 	"octopus/internal/obs"
 )
 
@@ -121,7 +122,12 @@ func (s *Server) collectServing(w *obs.MetricWriter) {
 	if s.tracer != nil {
 		w.Gauge("octopus_trace_ring_size", "Capacity of the recent-trace ring.", float64(s.tracer.RingSize()))
 	}
-	if s.coord != nil {
+	if s.coord == nil {
+		engines, calcs := core.ScratchCreated()
+		const help = "Per-query scratch values built (otim engines, MIA path calculators); warm free lists keep this flat."
+		w.Counter("octopus_query_scratch_created_total", help, float64(engines), "kind", "otim")
+		w.Counter("octopus_query_scratch_created_total", help, float64(calcs), "kind", "mia")
+	} else {
 		for _, sh := range s.coord.health() {
 			up := 0.0
 			if sh.Up {

@@ -192,12 +192,14 @@ func TestMetricsPrometheus(t *testing.T) {
 
 	// Traffic: a query (serving counters), an ingest batch + forced fold
 	// (pipeline counters, WAL, checkpoint).
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/complete?prefix=A", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("query = %d", rec.Code)
+	for _, path := range []string{"/api/complete?prefix=A", "/api/im?q=data+mining&k=3"} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s = %d", path, rec.Code)
+		}
 	}
-	rec, _ = postJSON(t, s, "/api/ingest/actions",
+	rec, _ := postJSON(t, s, "/api/ingest/actions",
 		`{"items":[{"id":910001,"keywords":["prometheus"]}],"actions":[{"user":0,"item":910001,"time":7}]}`)
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("ingest = %d", rec.Code)
@@ -219,7 +221,9 @@ func TestMetricsPrometheus(t *testing.T) {
 		"octopus_wal_records_total", "octopus_wal_append_duration_seconds",
 		"octopus_checkpoints_total", "octopus_checkpoint_duration_seconds",
 		// runtime
-		"go_goroutines", "go_gc_cycles_total",
+		"go_goroutines", "go_gc_cycles_total", "go_gc_heap_allocs_bytes_total",
+		// query scratch
+		"octopus_query_scratch_created_total",
 	} {
 		if famByName(fams, name) == nil {
 			t.Errorf("family %s missing from exposition", name)
@@ -236,6 +240,19 @@ func TestMetricsPrometheus(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("octopus_requests_total{endpoint=\"complete\"} missing: %+v", reqs.Samples)
+	}
+
+	// Both scratch kinds are counted, and the engine the IM query used
+	// was built at some point in this process.
+	kinds := map[string]float64{}
+	for _, sm := range famByName(fams, "octopus_query_scratch_created_total").Samples {
+		kinds[sm.Labels["kind"]] = sm.Value
+	}
+	if len(kinds) != 2 || kinds["otim"] < 1 {
+		t.Fatalf("octopus_query_scratch_created_total by kind = %v", kinds)
+	}
+	if c := famByName(fams, "go_gc_heap_allocs_bytes_total"); c.Samples[0].Value <= 0 {
+		t.Fatalf("go_gc_heap_allocs_bytes_total = %v", c.Samples[0].Value)
 	}
 
 	// The fold must be visible: snapshot generation advanced and a

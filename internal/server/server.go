@@ -487,6 +487,11 @@ func (s *Server) handleIM(sys *core.System, w http.ResponseWriter, r *http.Reque
 	}
 	q := params(r)
 	k := q.Int("k", 10)
+	if k <= 0 {
+		// core reads K == 0 as its default of 10: an explicit k must be
+		// a seed count.
+		q.fail("k", "positive integer", q.q.Get("k"))
+	}
 	theta := q.Float("theta", 0.01)
 	if q.bad(w) {
 		return

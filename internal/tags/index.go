@@ -263,9 +263,10 @@ func (ix *Index) EdgesMaterialized() int { return ix.edges }
 // NumPolls()·NumEdges() for the eager alternative.
 func (ix *Index) CoinsFlipped() int { return ix.coins }
 
-// scan is the BFS scratch one SpreadEstimate call reuses across the
-// polls it scans: live marks by tree slot (cleared after every poll)
-// and the queue.
+// scan is the BFS scratch spread estimates reuse across the polls they
+// scan: live marks by tree slot (cleared after every poll) and the
+// queue. One Suggest or RankKeywords call threads a single scan through
+// all of its estimates.
 type scan struct {
 	live  []bool
 	queue []int32
@@ -326,10 +327,14 @@ walk:
 // SpreadEstimate returns σ̂_γ({u}) = n/M · #{polls where u is live},
 // accumulating scan work into cost (nil disables accounting).
 func (ix *Index) SpreadEstimate(u graph.NodeID, gamma topic.Dist, cost *obs.Cost) float64 {
-	var sc scan
+	return ix.spreadEstimate(u, gamma, cost, &scan{})
+}
+
+// spreadEstimate is SpreadEstimate over the caller's BFS scratch.
+func (ix *Index) spreadEstimate(u graph.NodeID, gamma topic.Dist, cost *obs.Cost, sc *scan) float64 {
 	hits := 0
 	for _, ps := range ix.contains[ix.containsOff[u]:ix.containsOff[u+1]] {
-		if ix.pollLive(ps, gamma, cost, &sc) {
+		if ix.pollLive(ps, gamma, cost, sc) {
 			hits++
 		}
 	}

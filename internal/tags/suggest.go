@@ -160,14 +160,16 @@ func (s *Suggester) Suggest(target graph.NodeID, opt SuggestOptions) (*Suggestio
 		return nil, fmt.Errorf("tags: user %d has no candidate keywords", target)
 	}
 
-	// Phase 1: singleton estimates, keep the best MaxCandidates.
+	// Phase 1: singleton estimates, keep the best MaxCandidates. Every
+	// estimate of the call shares one BFS scratch.
+	sc := &scan{}
 	scored := make([]KeywordScore, 0, len(pool))
 	for _, w := range pool {
 		if _, ok := s.km.KeywordID(w); !ok {
 			continue
 		}
 		gamma, _ := s.km.InferGamma([]string{w})
-		sp := s.ix.SpreadEstimate(target, gamma, opt.Cost)
+		sp := s.ix.spreadEstimate(target, gamma, opt.Cost, sc)
 		scored = append(scored, KeywordScore{Keyword: w, Spread: sp})
 		sug.Stats.SetsEvaluated++
 	}
@@ -190,18 +192,18 @@ func (s *Suggester) Suggest(target graph.NodeID, opt SuggestOptions) (*Suggestio
 	}
 
 	if opt.Exhaustive {
-		s.exhaustive(target, scored, opt, sug)
+		s.exhaustive(target, scored, opt, sug, sc)
 	} else {
-		s.greedy(target, scored, opt, sug)
+		s.greedy(target, scored, opt, sug, sc)
 	}
 
 	gamma, _ := s.km.InferGamma(sug.Keywords)
 	sug.Gamma = gamma
-	sug.Spread = s.ix.SpreadEstimate(target, gamma, opt.Cost)
+	sug.Spread = s.ix.spreadEstimate(target, gamma, opt.Cost, sc)
 	return sug, nil
 }
 
-func (s *Suggester) greedy(target graph.NodeID, cands []KeywordScore, opt SuggestOptions, sug *Suggestion) {
+func (s *Suggester) greedy(target graph.NodeID, cands []KeywordScore, opt SuggestOptions, sug *Suggestion, sc *scan) {
 	chosen := map[string]bool{}
 	var cur []string
 	for len(cur) < opt.K {
@@ -218,7 +220,7 @@ func (s *Suggester) greedy(target graph.NodeID, cands []KeywordScore, opt Sugges
 				}
 			}
 			gamma, _ := s.km.InferGamma(append(cur, c.Keyword))
-			sp := s.ix.SpreadEstimate(target, gamma, opt.Cost)
+			sp := s.ix.spreadEstimate(target, gamma, opt.Cost, sc)
 			sug.Stats.SetsEvaluated++
 			if sp > bestSpread {
 				bestSpread, bestKw = sp, c.Keyword
@@ -234,7 +236,7 @@ func (s *Suggester) greedy(target graph.NodeID, cands []KeywordScore, opt Sugges
 	sug.Keywords = cur
 }
 
-func (s *Suggester) exhaustive(target graph.NodeID, cands []KeywordScore, opt SuggestOptions, sug *Suggestion) {
+func (s *Suggester) exhaustive(target graph.NodeID, cands []KeywordScore, opt SuggestOptions, sug *Suggestion, sc *scan) {
 	best := -1.0
 	var bestSet []string
 	set := make([]string, 0, opt.K)
@@ -242,7 +244,7 @@ func (s *Suggester) exhaustive(target graph.NodeID, cands []KeywordScore, opt Su
 	rec = func(start int) {
 		if len(set) == opt.K {
 			gamma, _ := s.km.InferGamma(set)
-			sp := s.ix.SpreadEstimate(target, gamma, opt.Cost)
+			sp := s.ix.spreadEstimate(target, gamma, opt.Cost, sc)
 			sug.Stats.SetsEvaluated++
 			if sp > best {
 				best = sp
@@ -260,7 +262,7 @@ func (s *Suggester) exhaustive(target graph.NodeID, cands []KeywordScore, opt Su
 	sug.Keywords = append([]string(nil), bestSet...)
 	for _, w := range bestSet {
 		gamma, _ := s.km.InferGamma([]string{w})
-		sug.Singles = append(sug.Singles, KeywordScore{Keyword: w, Spread: s.ix.SpreadEstimate(target, gamma, opt.Cost)})
+		sug.Singles = append(sug.Singles, KeywordScore{Keyword: w, Spread: s.ix.spreadEstimate(target, gamma, opt.Cost, sc)})
 	}
 }
 
@@ -279,13 +281,14 @@ func (s *Suggester) coherent(w string, cur []string, minC float64) bool {
 // disables it).
 func (s *Suggester) RankKeywords(target graph.NodeID, limit int, cost *obs.Cost) []KeywordScore {
 	pool := s.Candidates(target)
+	sc := &scan{}
 	scored := make([]KeywordScore, 0, len(pool))
 	for _, w := range pool {
 		if _, ok := s.km.KeywordID(w); !ok {
 			continue
 		}
 		gamma, _ := s.km.InferGamma([]string{w})
-		scored = append(scored, KeywordScore{Keyword: w, Spread: s.ix.SpreadEstimate(target, gamma, cost)})
+		scored = append(scored, KeywordScore{Keyword: w, Spread: s.ix.spreadEstimate(target, gamma, cost, sc)})
 	}
 	sort.Slice(scored, func(i, j int) bool {
 		if scored[i].Spread != scored[j].Spread {

@@ -396,3 +396,28 @@ func TestBuildIndexWorkerEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// One Suggest threads a single BFS scratch through all of its spread
+// estimates, so its allocations do not grow with the number of
+// estimates: the greedy search below issues 12, each scanning the
+// target's non-root poll slots.
+func TestSuggestAllocsOneScan(t *testing.T) {
+	m, km := world(t)
+	ix := buildIx(t, m, 4000, 8)
+	s := NewSuggester(ix, km, nil)
+	const target = 5 // a leaf of hub 0: live only through stored edges
+	sug, err := s.Suggest(target, SuggestOptions{K: 2})
+	if err != nil || sug.Stats.SetsEvaluated < 11 {
+		t.Fatalf("suggest = %+v, %v", sug, err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := s.Suggest(target, SuggestOptions{K: 2}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The call allocates 42 times; a fresh scan per estimate would add
+	// two allocations per estimate (64 in all).
+	if allocs > 48 {
+		t.Fatalf("Suggest allocated %v times, want ≤ 48", allocs)
+	}
+}

@@ -2,10 +2,12 @@ package actionlog
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"octopus/internal/rng"
 )
@@ -212,6 +214,95 @@ func TestTokenizerEmpty(t *testing.T) {
 	tok := Tokenizer{}
 	if got := tok.Tokenize("  !!! "); len(got) != 0 {
 		t.Fatalf("Tokenize(junk) = %v", got)
+	}
+}
+
+// refTokenize is the rune-by-rune tokenizer AppendTokens replaced:
+// the oracle it must agree with.
+func refTokenize(t Tokenizer, text string) []string {
+	minLen, stop := t.config()
+	var out []string
+	seen := map[string]bool{}
+	var b strings.Builder
+	flush := func() {
+		if b.Len() == 0 {
+			return
+		}
+		w := b.String()
+		b.Reset()
+		if len(w) < minLen || stop[w] || seen[w] {
+			return
+		}
+		seen[w] = true
+		out = append(out, w)
+	}
+	for _, r := range strings.ToLower(text) {
+		if (r >= 'a' && r <= 'z') || (r >= '0' && r <= '9') {
+			b.WriteRune(r)
+		} else {
+			flush()
+		}
+	}
+	flush()
+	return out
+}
+
+// FuzzAppendTokens: AppendTokens writes exactly the space-joined
+// reference tokens after whatever dst already held, and Tokenize
+// returns them, for the default and a configured tokenizer.
+func FuzzAppendTokens(f *testing.F) {
+	long := strings.Repeat("alpha beta gamma delta epsilon zeta theta iota kappa lambda ", 3) +
+		"mu nu xi omicron pi rho sigma tau upsilon phi chi psi omega alpha beta0 beta1 beta2"
+	for _, s := range []string{
+		"Mining of Massive Datasets: a New Approach to Data Mining!",
+		"data+mining mining DATA", "the of and", "", "  !!! ",
+		"Web2.0 Systèmes — distributed123 systems", "\u212aelvin kelvin",
+		"graph graph GRAPH Graph", "ab abc abcd", long, "\xff\xfeab\xc3cde",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		for _, tok := range []Tokenizer{{}, {MinLen: 5, Stopwords: map[string]bool{"graph": true}}} {
+			ref := refTokenize(tok, text)
+			want := "prefix|" + strings.Join(ref, " ")
+			if got := string(tok.AppendTokens([]byte("prefix|"), text)); got != want {
+				t.Fatalf("AppendTokens(%q) = %q, want %q", text, got, want)
+			}
+			if got := tok.Tokenize(text); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("Tokenize(%q) = %q, want %q", text, got, ref)
+			}
+		}
+	})
+}
+
+// TestAppendTokensLinear: a long text of distinct words deduplicates
+// through the set, not a quadratic scan, and still matches the
+// reference.
+func TestAppendTokensLinear(t *testing.T) {
+	var b strings.Builder
+	for i := 0; i < 200000; i++ {
+		fmt.Fprintf(&b, "w%d ", i%150000)
+	}
+	text := b.String()
+	start := time.Now()
+	got := Tokenizer{}.Tokenize(text)
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("tokenizing %d bytes took %v", len(text), d)
+	}
+	if !reflect.DeepEqual(got, refTokenize(Tokenizer{}, text)) {
+		t.Fatal("long-text tokens differ from the reference")
+	}
+}
+
+func TestAppendTokensAllocs(t *testing.T) {
+	tok := Tokenizer{}
+	buf := make([]byte, 0, 128)
+	text := "Online Topic-Aware Influence Maximization for Online Networks"
+	if allocs := testing.AllocsPerRun(100, func() { buf = tok.AppendTokens(buf[:0], text) }); allocs != 0 {
+		t.Fatalf("AppendTokens allocates %.1f objects on ASCII text, want 0", allocs)
+	}
+	if got := string(buf); got != "online topic aware influence maximization networks" {
+		t.Fatalf("AppendTokens = %q", got)
 	}
 }
 

@@ -1,6 +1,10 @@
 package actionlog
 
-import "strings"
+import (
+	"bytes"
+	"strings"
+	"unicode/utf8"
+)
 
 // defaultStopwords are high-frequency English function words plus a few
 // academic-title fillers; they never become model keywords.
@@ -26,36 +30,101 @@ type Tokenizer struct {
 // Tokenize extracts keywords from text, preserving first-occurrence
 // order and deduplicating.
 func (t Tokenizer) Tokenize(text string) []string {
-	minLen := t.MinLen
+	b := t.AppendTokens(nil, text)
+	if len(b) == 0 {
+		return nil
+	}
+	return strings.Split(string(b), " ")
+}
+
+// maxScanTokens is how many kept tokens AppendTokens deduplicates by
+// scanning what it wrote; past it, a set keeps long texts linear.
+const maxScanTokens = 16
+
+// AppendTokens appends the keywords of text to dst, single-space
+// separated: lowercase runs of ASCII letters and digits, short tokens,
+// stopwords and repeats dropped, first-occurrence order kept. ASCII
+// text is folded in place without allocating; other text is lowercased
+// with strings.ToLower first, since Unicode lowercasing can map a
+// non-ASCII rune onto a token letter (every byte of a remaining
+// non-ASCII rune separates tokens).
+func (t Tokenizer) AppendTokens(dst []byte, text string) []byte {
+	for i := 0; i < len(text); i++ {
+		if text[i] >= utf8.RuneSelf {
+			text = strings.ToLower(text)
+			break
+		}
+	}
+	minLen, stop := t.config()
+	start, kept := len(dst), 0
+	var seen map[string]bool // built once kept passes maxScanTokens
+	for i := 0; i < len(text); {
+		if !isTokenByte(text[i]) {
+			i++
+			continue
+		}
+		mark := len(dst)
+		if mark > start {
+			dst = append(dst, ' ')
+		}
+		w0 := len(dst)
+		for ; i < len(text) && isTokenByte(text[i]); i++ {
+			c := text[i]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			dst = append(dst, c)
+		}
+		w := dst[w0:]
+		dup := seen[string(w)]
+		if seen == nil {
+			dup = hasToken(dst[start:mark], w)
+		}
+		if len(w) < minLen || stop[string(w)] || dup {
+			dst = dst[:mark]
+			continue
+		}
+		if kept++; seen != nil {
+			seen[string(w)] = true
+		} else if kept == maxScanTokens {
+			seen = make(map[string]bool)
+			for _, tok := range bytes.Split(dst[start:], []byte{' '}) {
+				seen[string(tok)] = true
+			}
+		}
+	}
+	return dst
+}
+
+// config resolves the zero-value defaults.
+func (t Tokenizer) config() (minLen int, stop map[string]bool) {
+	minLen = t.MinLen
 	if minLen == 0 {
 		minLen = 3
 	}
-	stop := t.Stopwords
+	stop = t.Stopwords
 	if stop == nil {
 		stop = defaultStopwords
 	}
-	var out []string
-	seen := map[string]bool{}
-	var b strings.Builder
-	flush := func() {
-		if b.Len() == 0 {
-			return
-		}
-		w := b.String()
-		b.Reset()
-		if len(w) < minLen || stop[w] || seen[w] {
-			return
-		}
-		seen[w] = true
-		out = append(out, w)
-	}
-	for _, r := range strings.ToLower(text) {
-		if (r >= 'a' && r <= 'z') || (r >= '0' && r <= '9') {
-			b.WriteRune(r)
+	return minLen, stop
+}
+
+func isTokenByte(c byte) bool {
+	return ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || ('0' <= c && c <= '9')
+}
+
+// hasToken reports whether the space-separated list holds w.
+func hasToken(list, w []byte) bool {
+	for len(list) > 0 {
+		tok := list
+		if i := bytes.IndexByte(list, ' '); i >= 0 {
+			tok, list = list[:i], list[i+1:]
 		} else {
-			flush()
+			list = nil
+		}
+		if bytes.Equal(tok, w) {
+			return true
 		}
 	}
-	flush()
-	return out
+	return false
 }

@@ -18,11 +18,15 @@
 //     Prometheus text exposition format (version 0.0.4) for GET /metrics.
 //
 //   - Tracer / ActiveTrace: lightweight request tracing. Each request
-//     gets a trace id (the X-Octopus-Trace header), a span per serving
-//     stage (cache → coalesce → gate → engine), and the pinned snapshot
-//     generation. Completed traces land in a bounded ring served by
-//     GET /api/debug/traces; traces slower than a threshold are also
-//     emitted as structured slog records (the slow-query log).
+//     gets a trace id (the X-Octopus-Trace header; a well-formed id the
+//     request arrived with is adopted, so a coordinator's shards trace
+//     under its id), a span per serving stage (cache → coalesce → gate
+//     → engine) opened through a value SpanHandle, and the pinned
+//     snapshot generation. Completed traces are copied by value into a
+//     bounded ring of preallocated slots served by GET
+//     /api/debug/traces, and the ActiveTrace is recycled; traces slower
+//     than a threshold are also emitted as structured slog records (the
+//     slow-query log).
 //
 //   - ParseExposition: a small parser/linter for the text exposition
 //     format, used by tests and the CI observability smoke step to

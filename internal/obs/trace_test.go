@@ -15,7 +15,7 @@ func TestTracerSpansAndRing(t *testing.T) {
 	tr := NewTracer(4, 0, nil)
 	ids := map[string]bool{}
 	for i := 0; i < 10; i++ {
-		a := tr.Start("im")
+		a := tr.Start("im", "")
 		if a.ID() == "" {
 			t.Fatal("empty trace id")
 		}
@@ -23,11 +23,10 @@ func TestTracerSpansAndRing(t *testing.T) {
 			t.Fatalf("duplicate trace id %s", a.ID())
 		}
 		ids[a.ID()] = true
-		end := a.Span("cache")
-		end()
-		end = a.Span("engine")
+		a.Span("cache").End()
+		sp := a.Span("engine")
 		time.Sleep(time.Millisecond)
-		end()
+		sp.End()
 		a.SetGeneration(uint64(i))
 		a.SetCache("miss")
 		a.End(200)
@@ -62,13 +61,13 @@ func TestTracerSpansAndRing(t *testing.T) {
 
 func TestTracerNilSafety(t *testing.T) {
 	var tr *Tracer
-	a := tr.Start("im")
+	a := tr.Start("im", "")
 	if a != nil {
 		t.Fatal("nil tracer returned a live trace")
 	}
 	// All nil-receiver paths must be no-ops, not panics.
 	a.ID()
-	a.Span("cache")()
+	a.Span("cache").End()
 	a.SetGeneration(1)
 	a.SetCache("hit")
 	a.End(200)
@@ -85,16 +84,17 @@ func TestSlowQueryLog(t *testing.T) {
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))
 	tr := NewTracer(8, 2*time.Millisecond, logger)
 
-	fast := tr.Start("im")
+	fast := tr.Start("im", "")
 	fast.End(200)
 	if buf.Len() != 0 {
 		t.Fatalf("fast trace logged: %s", buf.String())
 	}
 
-	slow := tr.Start("radar")
-	end := slow.Span("engine")
+	slow := tr.Start("radar", "")
+	slowID := slow.ID()
+	sp := slow.Span("engine")
 	time.Sleep(5 * time.Millisecond)
-	end()
+	sp.End()
 	slow.SetGeneration(3)
 	slow.End(200)
 	if buf.Len() == 0 {
@@ -104,7 +104,7 @@ func TestSlowQueryLog(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
 		t.Fatalf("slow-query log is not JSON: %v: %s", err, buf.String())
 	}
-	if rec["endpoint"] != "radar" || rec["trace"] != slow.ID() {
+	if rec["endpoint"] != "radar" || rec["trace"] != slowID {
 		t.Fatalf("slow-query record = %v", rec)
 	}
 	if _, ok := rec["span_engine_micros"]; !ok {
@@ -114,7 +114,7 @@ func TestSlowQueryLog(t *testing.T) {
 
 func TestTraceContext(t *testing.T) {
 	tr := NewTracer(2, 0, nil)
-	a := tr.Start("im")
+	a := tr.Start("im", "")
 	ctx := WithTrace(context.Background(), a)
 	if got := TraceFrom(ctx); got != a {
 		t.Fatal("trace did not round-trip through context")
@@ -135,8 +135,8 @@ func TestTracerConcurrentBound(t *testing.T) {
 		go func(g int) {
 			defer producers.Done()
 			for i := 0; i < 200; i++ {
-				a := tr.Start(fmt.Sprintf("ep%d", g))
-				a.Span("cache")()
+				a := tr.Start(fmt.Sprintf("ep%d", g), "")
+				a.Span("cache").End()
 				a.End(200)
 			}
 		}(g)
@@ -165,5 +165,54 @@ func TestTracerConcurrentBound(t *testing.T) {
 	}
 	if n := len(tr.Recent(5)); n != 5 {
 		t.Fatalf("Recent(5) returned %d traces", n)
+	}
+}
+
+// TestTraceIDAdoption: a well-formed incoming id (1–16 lowercase hex
+// digits) is adopted as the trace id; anything else gets a minted one.
+func TestTraceIDAdoption(t *testing.T) {
+	tr := NewTracer(8, 0, nil)
+	for _, id := range []string{"0", "00ab", "deadbeef", "0123456789abcdef"} {
+		a := tr.Start("im", id)
+		if a.ID() != id {
+			t.Errorf("well-formed id %q not adopted: got %q", id, a.ID())
+		}
+		a.End(200)
+		if got := tr.Recent(1)[0].ID; got != id {
+			t.Errorf("ring holds id %q, want adopted %q", got, id)
+		}
+	}
+	for _, id := range []string{"", "DEADBEEF", "xyz", "0123456789abcdef0", "ab cd", "-1"} {
+		a := tr.Start("im", id)
+		if a.ID() == id || !validID(a.ID()) {
+			t.Errorf("malformed id %q: trace id %q, want a freshly minted one", id, a.ID())
+		}
+		a.End(200)
+	}
+}
+
+// TestRecentCopiesOutOfTheRing: the ring reuses its slots (and the
+// tracer its ActiveTraces), so what Recent returned must not change
+// when later traces overwrite the slots it came from.
+func TestRecentCopiesOutOfTheRing(t *testing.T) {
+	tr := NewTracer(2, 0, nil)
+	a := tr.Start("im", "a1")
+	a.Span("cache").End()
+	a.Span("engine").End()
+	a.End(200)
+	got := tr.Recent(1)
+	for i := 0; i < 4; i++ {
+		b := tr.Start("paths", "")
+		b.Span("gate").End()
+		b.End(404)
+	}
+	if got[0].ID != "a1" || got[0].Status != 200 || len(got[0].Spans) != 2 ||
+		got[0].Spans[0].Name != "cache" || got[0].Spans[1].Name != "engine" {
+		t.Fatalf("published trace changed under later traces: %+v", got[0])
+	}
+	for _, r := range tr.Recent(0) {
+		if r.Endpoint != "paths" || len(r.Spans) != 1 || r.Spans[0].Name != "gate" {
+			t.Fatalf("recycled trace leaked state from an earlier request: %+v", r)
+		}
 	}
 }

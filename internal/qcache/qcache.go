@@ -58,7 +58,8 @@ const (
 	// Hit: an entry with the current generation.
 	Hit
 	// Stale: an entry existed but was built against an older generation;
-	// it has been evicted and the caller must recompute.
+	// it has been evicted and the caller must recompute. (An entry from a
+	// newer generation than the caller's is a Miss and stays cached.)
 	Stale
 )
 
@@ -89,20 +90,38 @@ func New(maxEntries int) *Cache {
 	}
 }
 
-// Get looks the key up against the given generation. A generation
-// mismatch evicts the entry and reports Stale — the snapshot the answer
-// was computed from is no longer the one being served.
+// Get looks the key up against the given generation. An entry from an
+// older generation is evicted and reported Stale — the snapshot the
+// answer was computed from is no longer the one being served. An entry
+// from a newer generation is left alone and reported Miss: the caller
+// is a straggler pinned before a swap, and the entry is the current
+// generation's hot answer.
 func (c *Cache) Get(key string, gen uint64) (*Entry, Outcome) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
+	return c.check(c.entries[key], gen)
+}
+
+// GetBytes is Get for a key held in a reused buffer: the lookup
+// converts it in place, so a hit allocates nothing.
+func (c *Cache) GetBytes(key []byte, gen uint64) (*Entry, Outcome) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.check(c.entries[string(key)], gen)
+}
+
+// check classifies a looked-up element against gen. Callers hold c.mu.
+func (c *Cache) check(el *list.Element, gen uint64) (*Entry, Outcome) {
+	if el == nil {
 		return nil, Miss
 	}
 	it := el.Value.(*cacheItem)
-	if it.gen != gen {
+	switch {
+	case it.gen > gen:
+		return nil, Miss
+	case it.gen < gen:
 		c.ll.Remove(el)
-		delete(c.entries, key)
+		delete(c.entries, it.key)
 		return nil, Stale
 	}
 	c.ll.MoveToFront(el)
@@ -143,11 +162,18 @@ func (c *Cache) Len() int {
 
 // Flight coalesces concurrent calls that share a key: the first caller
 // (the leader) runs fn, everyone else blocks and reuses its result. The
-// zero value is ready to use. Keys should incorporate the generation so
-// a leader from before a swap is never joined after it.
+// zero value is ready to use. A FlightKey carries the generation, so a
+// leader from before a swap is never joined after it.
 type Flight struct {
 	mu sync.Mutex
-	m  map[string]*flightCall
+	m  map[FlightKey]*flightCall
+}
+
+// FlightKey identifies one coalescable computation: a cache key at the
+// generation it is computed for.
+type FlightKey struct {
+	Gen uint64
+	Key string
 }
 
 type flightCall struct {
@@ -161,10 +187,10 @@ type flightCall struct {
 // propagates to the leader, the key is retired, and waiters receive a
 // nil Entry — a key must never stay wedged past the panic (the HTTP
 // server recovers handler panics, so the process outlives them).
-func (f *Flight) Do(key string, fn func() *Entry) (*Entry, bool) {
+func (f *Flight) Do(key FlightKey, fn func() *Entry) (*Entry, bool) {
 	f.mu.Lock()
 	if f.m == nil {
-		f.m = make(map[string]*flightCall)
+		f.m = make(map[FlightKey]*flightCall)
 	}
 	if c, ok := f.m[key]; ok {
 		f.mu.Unlock()

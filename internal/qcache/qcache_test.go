@@ -82,6 +82,46 @@ func TestCachePutNeverRegressesGeneration(t *testing.T) {
 	}
 }
 
+// TestCacheStragglerGetKeepsNewerEntry: a reader pinned before a swap
+// that looks up after the new generation's entry landed misses — it
+// must neither evict the hot entry nor count a stale eviction.
+func TestCacheStragglerGetKeepsNewerEntry(t *testing.T) {
+	c := New(4)
+	c.Put("k", 2, entry("current"))
+	if _, out := c.Get("k", 1); out != Miss {
+		t.Fatalf("straggler Get(k, 1) = %v, want Miss", out)
+	}
+	if e, out := c.Get("k", 2); out != Hit || string(e.Body) != "current" {
+		t.Fatalf("Get(k, 2) after a straggler = %v, want Hit/current", out)
+	}
+	if c.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", c.Len())
+	}
+}
+
+// TestCacheGetBytesMatchesGet: the buffer-keyed lookup sees the same
+// entries, evicts the same stale ones and allocates nothing on a hit.
+func TestCacheGetBytesMatchesGet(t *testing.T) {
+	c := New(4)
+	c.Put("a", 1, entry("v1"))
+	key := []byte("a")
+	if e, out := c.GetBytes(key, 1); out != Hit || string(e.Body) != "v1" {
+		t.Fatalf("GetBytes = %v", out)
+	}
+	if _, out := c.GetBytes([]byte("b"), 1); out != Miss {
+		t.Fatalf("GetBytes(b) = %v, want Miss", out)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.GetBytes(key, 1) }); allocs != 0 {
+		t.Errorf("GetBytes hit allocates %.1f objects, want 0", allocs)
+	}
+	if _, out := c.GetBytes(key, 2); out != Stale {
+		t.Fatalf("GetBytes at a newer generation = %v, want Stale", out)
+	}
+	if c.Len() != 0 {
+		t.Fatalf("stale entry not evicted: Len = %d", c.Len())
+	}
+}
+
 func TestCachePutReplaces(t *testing.T) {
 	c := New(2)
 	c.Put("a", 1, entry("old"))
@@ -108,7 +148,7 @@ func TestFlightCoalesces(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		results[0], shared[0] = f.Do("k", func() *Entry {
+		results[0], shared[0] = f.Do(FlightKey{Gen: 1, Key: "k"}, func() *Entry {
 			runs.Add(1)
 			close(started)
 			<-release
@@ -121,7 +161,7 @@ func TestFlightCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], shared[i] = f.Do("k", func() *Entry {
+			results[i], shared[i] = f.Do(FlightKey{Gen: 1, Key: "k"}, func() *Entry {
 				runs.Add(1)
 				return entry("follower")
 			})
@@ -147,7 +187,7 @@ func TestFlightCoalesces(t *testing.T) {
 		t.Fatal("leader marked shared")
 	}
 	// After completion a fresh Do runs fn again.
-	e, sh := f.Do("k", func() *Entry { runs.Add(1); return entry("fresh") })
+	e, sh := f.Do(FlightKey{Gen: 1, Key: "k"}, func() *Entry { runs.Add(1); return entry("fresh") })
 	if sh || string(e.Body) != "fresh" || runs.Load() != 2 {
 		t.Fatalf("post-completion Do = %q shared=%v runs=%d", e.Body, sh, runs.Load())
 	}
@@ -164,7 +204,7 @@ func TestFlightLeaderPanicDoesNotWedgeKey(t *testing.T) {
 
 	go func() {
 		defer func() { _ = recover() }()
-		f.Do("k", func() *Entry {
+		f.Do(FlightKey{Gen: 1, Key: "k"}, func() *Entry {
 			close(inFlight)
 			<-release
 			panic("engine exploded")
@@ -172,7 +212,7 @@ func TestFlightLeaderPanicDoesNotWedgeKey(t *testing.T) {
 	}()
 	<-inFlight
 	go func() {
-		e, _ := f.Do("k", func() *Entry { return entry("should not run") })
+		e, _ := f.Do(FlightKey{Gen: 1, Key: "k"}, func() *Entry { return entry("should not run") })
 		waiterDone <- e
 	}()
 	time.Sleep(10 * time.Millisecond) // let the waiter park on the call
@@ -181,7 +221,7 @@ func TestFlightLeaderPanicDoesNotWedgeKey(t *testing.T) {
 		t.Fatal("waiter ran its own fn while coalesced onto the leader")
 	}
 	// The key must be usable again.
-	e, shared := f.Do("k", func() *Entry { return entry("recovered") })
+	e, shared := f.Do(FlightKey{Gen: 1, Key: "k"}, func() *Entry { return entry("recovered") })
 	if shared || string(e.Body) != "recovered" {
 		t.Fatalf("post-panic Do = %q shared=%v", e.Body, shared)
 	}
@@ -195,7 +235,7 @@ func TestFlightDistinctKeysRunIndependently(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			f.Do(fmt.Sprintf("k%d", i), func() *Entry {
+			f.Do(FlightKey{Gen: 1, Key: fmt.Sprintf("k%d", i)}, func() *Entry {
 				runs.Add(1)
 				return entry("v")
 			})

@@ -326,7 +326,7 @@ func (f *fleet) refreshOwners() {
 		if rep.err != nil || rep.status != http.StatusOK {
 			return
 		}
-		gen, err := strconv.ParseUint(rep.header.Get("X-Octopus-Generation"), 10, 64)
+		gen, err := strconv.ParseUint(rep.header.Get(generationHeader), 10, 64)
 		var keys []string
 		if err != nil || json.Unmarshal(rep.body, &keys) != nil {
 			return
@@ -365,7 +365,8 @@ func (f *fleet) probeLoop(done <-chan struct{}, every time.Duration) {
 type shardRequest struct {
 	method, path string
 	body         []byte
-	wantCost     bool // ask for the cost ledger in the X-Octopus-Cost header
+	wantCost     bool   // ask for the cost ledger in the X-Octopus-Cost header
+	trace        string // the coordinator request's trace id, forwarded as X-Octopus-Trace
 }
 
 // shardReply is one shard's contribution to a fan-out: a transport
@@ -397,6 +398,9 @@ func (f *fleet) call(i int, sr shardRequest) shardReply {
 	}
 	if sr.wantCost {
 		req.Header.Set(wantCostHeader, "1")
+	}
+	if sr.trace != "" {
+		req.Header.Set(traceHeader, sr.trace)
 	}
 	resp, err := f.client.Do(req)
 	if err != nil {
@@ -503,11 +507,12 @@ func (v *remoteView) target(endpoint string, q url.Values) int {
 	return -1
 }
 
-// Query forwards the request — the method and, for POST
+// Query forwards the request — the method, the trace id and, for POST
 // /api/im/targeted, the body — to the shards send picks and merges the
-// replies.
+// replies. A shard adopts the forwarded id, so one trace id finds the
+// request in the coordinator's and every shard's /api/debug/traces.
 func (v *remoteView) Query(endpoint string, w http.ResponseWriter, r *http.Request) {
-	sr := shardRequest{method: http.MethodGet}
+	sr := shardRequest{method: http.MethodGet, trace: obs.TraceFrom(r.Context()).ID()}
 	if r.Method == http.MethodPost {
 		b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
 		if err != nil {
@@ -551,11 +556,6 @@ func (v *remoteView) Status(w http.ResponseWriter, r *http.Request) {
 func (v *remoteView) Owners(w http.ResponseWriter, r *http.Request) {
 	writeErr(w, http.StatusNotFound, errors.New("a coordinator holds no users; ask its shards"))
 }
-
-// GammaKey returns "": every shard adopted the same full-corpus topic
-// model, so γ is a pure function of the query words and the raw
-// parameters already determine the merged answer.
-func (v *remoteView) GammaKey([]string) string { return "" }
 
 // unwrapCosts strips the {"result":...,"cost":...} explain envelope
 // from every successful reply, merging the per-shard ledgers into the

@@ -400,3 +400,39 @@ func TestCoordinatorReusesShardConnections(t *testing.T) {
 		t.Fatalf("two bursts of %d opened %d shard connections, want ≤ %d", width, n, width)
 	}
 }
+
+// TestCoordinatorForwardsTraceID: one traced coordinator /api/im over
+// two shards leaves the coordinator's trace id in each shard's trace
+// ring, and a server adopts only a well-formed incoming id.
+func TestCoordinatorForwardsTraceID(t *testing.T) {
+	cf := startCountingFleet(t, twoShardSystems(t), Options{})
+	_, full := testServer(t)
+	path := "/api/im?q=" + url.QueryEscape(vocabKeyword(full)) + "&k=3"
+	rec := do(t, cf.coord, http.MethodGet, path, "")
+	id := rec.Header().Get("X-Octopus-Trace")
+	if rec.Code != http.StatusOK || id == "" {
+		t.Fatalf("coordinator im = %d, trace %q", rec.Code, id)
+	}
+	for i, sh := range cf.shards {
+		var dump tracesResponse
+		if err := json.Unmarshal(do(t, sh, http.MethodGet, "/api/debug/traces?n=50", "").Body.Bytes(), &dump); err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, tr := range dump.Traces {
+			found = found || (tr.ID == id && tr.Endpoint == "im")
+		}
+		if !found {
+			t.Errorf("shard %d has no im trace with the coordinator's id %s", i, id)
+		}
+	}
+	for in, adopt := range map[string]bool{"00c0ffee": true, "C0FFEE": false, "0123456789abcdef0": false, "x-1": false} {
+		req := httptest.NewRequest(http.MethodGet, "/api/status", nil)
+		req.Header.Set("X-Octopus-Trace", in)
+		rec := httptest.NewRecorder()
+		cf.shards[0].ServeHTTP(rec, req)
+		if got := rec.Header().Get("X-Octopus-Trace"); (got == in) != adopt || got == "" {
+			t.Errorf("incoming trace id %q: response id %q, adopt = %v", in, got, adopt)
+		}
+	}
+}

@@ -13,8 +13,7 @@ package server
 
 import (
 	"net/http"
-	"strconv"
-	"strings"
+	"sync/atomic"
 
 	"octopus/internal/core"
 )
@@ -42,24 +41,27 @@ type engineView interface {
 	// Owners answers GET /api/owners: the user keys the view holds data
 	// for (core.System.HeldUserKeys).
 	Owners(w http.ResponseWriter, r *http.Request)
-	// GammaKey renders the inferred-γ cache-key component for an im
-	// query over the given keywords, or "" when the raw parameters
-	// already determine the answer (the remote engine: every shard
-	// shares one topic model, so γ is a function of the words).
-	GammaKey(words []string) string
 }
 
 // localEngine is the in-process implementation: views are the
 // (system, generation) pairs its Source pins — a constant on a static
-// server, the current snapshot on a live or replica one.
+// server, the current snapshot on a live or replica one. The view of
+// the last system pinned is kept, so pinning the same system again
+// builds nothing.
 type localEngine struct {
-	s   *Server
-	src Source
+	s    *Server
+	src  Source
+	view atomic.Pointer[localView]
 }
 
 func (e *localEngine) Acquire() (engineView, uint64, func()) {
 	sys, gen, rel := e.src.Acquire()
-	return localView{s: e.s, sys: sys}, gen, rel
+	v := e.view.Load()
+	if v == nil || v.sys != sys {
+		v = &localView{s: e.s, sys: sys}
+		e.view.Store(v)
+	}
+	return v, gen, rel
 }
 
 // localView answers from one pinned core.System.
@@ -68,30 +70,18 @@ type localView struct {
 	sys *core.System
 }
 
-func (v localView) Query(endpoint string, w http.ResponseWriter, r *http.Request) {
+func (v *localView) Query(endpoint string, w http.ResponseWriter, r *http.Request) {
 	v.s.queryHandlers[endpoint](v.sys, w, r)
 }
 
-func (v localView) Status(w http.ResponseWriter, r *http.Request) {
+func (v *localView) Status(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, v.sys.Stats())
 }
 
-func (v localView) Owners(w http.ResponseWriter, r *http.Request) {
+func (v *localView) Owners(w http.ResponseWriter, r *http.Request) {
 	keys := v.sys.HeldUserKeys()
 	if keys == nil {
 		keys = []string{}
 	}
 	writeJSON(w, http.StatusOK, keys)
-}
-
-func (v localView) GammaKey(words []string) string {
-	// The hex float rendering is exact, so distinct distributions never
-	// collide.
-	gamma, _ := v.sys.InferGamma(words)
-	var b strings.Builder
-	for _, g := range gamma {
-		b.WriteString(strconv.FormatFloat(g, 'x', -1, 64))
-		b.WriteByte(',')
-	}
-	return b.String()
 }

@@ -115,31 +115,46 @@ func fuzzSystem(t testing.TB) *core.System {
 }
 
 // FuzzCacheKey: key construction over arbitrary query strings must
-// never panic, must be deterministic, and requests with different
-// endpoint names must never share a key.
+// never panic and must be deterministic, requests with different
+// endpoint names must never share a key, and over the request and its
+// variants (keyVariants) two requests share a key iff they share the
+// reference key.
 func FuzzCacheKey(f *testing.F) {
 	f.Add("q=data+mining&k=5&theta=0.01")
 	f.Add("q=&k=")
 	f.Add("user=Alice+B&limit=2")
 	f.Add("keyword=++mining++")
 	f.Add("a=1&a=2&b=%ff")
+	f.Add("q=%00%01&%01=%00&explain=1")
 
 	f.Fuzz(func(t *testing.T, rawQuery string) {
 		sys := fuzzSystem(t)
-		s := NewWith(sys, Options{})
+		gk := refGammaKey(sys)
 		vals, _ := url.ParseQuery(rawQuery)
-		v := localView{s: s, sys: sys}
-		k1 := cacheKey("im", v, vals)
-		k2 := cacheKey("im", v, vals)
-		if k1 != k2 {
-			t.Fatalf("cacheKey not deterministic: %q vs %q", k1, k2)
+		k1 := appendCacheKey(nil, "im", vals)
+		if k2 := appendCacheKey([]byte("scratch"), "im", vals); string(k2[len("scratch"):]) != string(k1) {
+			t.Fatalf("appendCacheKey not deterministic: %q vs %q", k1, k2)
 		}
-		other := cacheKey("paths", v, vals)
-		if other == k1 {
+		if other := appendCacheKey(nil, "paths", vals); string(other) == string(k1) {
 			t.Fatalf("im and paths share a cache key: %q", k1)
 		}
-		if k1 == "" {
-			t.Fatal("empty cache key")
+		var keys, refs []string
+		var reqs []keyRequest
+		for _, ep := range []string{"im", "paths", "radar", "suggest"} {
+			for _, k := range keyVariants(keyRequest{ep, rawQuery}) {
+				v, _ := url.ParseQuery(k.rawQuery)
+				reqs = append(reqs, k)
+				keys = append(keys, string(appendCacheKey(nil, k.endpoint, v)))
+				refs = append(refs, refCacheKey(k.endpoint, gk, v))
+			}
+		}
+		for i := range keys {
+			for j := i + 1; j < len(keys); j++ {
+				if (keys[i] == keys[j]) != (refs[i] == refs[j]) {
+					t.Fatalf("%s and %s: keys equal = %v, reference keys equal = %v",
+						reqs[i].path(), reqs[j].path(), keys[i] == keys[j], refs[i] == refs[j])
+				}
+			}
 		}
 	})
 }

@@ -250,22 +250,3 @@ func (s *Server) AdminHandler() http.Handler {
 	})
 	return mux
 }
-
-// traceHeader stamps the trace id on the response so a slow request in
-// a client log can be joined against /api/debug/traces.
-func traceHeader(w http.ResponseWriter, a *obs.ActiveTrace) {
-	if id := a.ID(); id != "" {
-		w.Header().Set("X-Octopus-Trace", id)
-	}
-}
-
-// genFromHeader parses the generation a handler stamped, for attaching
-// to the request's trace.
-func genFromHeader(h http.Header) (uint64, bool) {
-	v := h.Get("X-Octopus-Generation")
-	if v == "" {
-		return 0, false
-	}
-	gen, err := strconv.ParseUint(v, 10, 64)
-	return gen, err == nil
-}

@@ -18,7 +18,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -32,35 +32,48 @@ import (
 // maxBatchQueries bounds one POST /api/batch request.
 const maxBatchQueries = 256
 
+// Response headers the serving layer stamps.
+const (
+	traceHeader      = "X-Octopus-Trace"
+	generationHeader = "X-Octopus-Generation"
+	cacheHeader      = "X-Octopus-Cache"
+)
+
 // instrument wraps a route with per-endpoint metrics — request count,
-// error count, latency histogram, and (read back from the
-// X-Octopus-Cache header the cached path stamps) the cache outcome —
-// and with request tracing: a trace is started, stamped on the
-// response as X-Octopus-Trace, threaded through the request context so
-// downstream layers can attach spans, and finished with the final
-// status. With tracing disabled every trace call is a nil-receiver
+// error count, latency histogram and the cache outcome — and with
+// request tracing: a trace is started (adopting a well-formed incoming
+// X-Octopus-Trace id, so a coordinator's shards join its trace),
+// stamped on the response as X-Octopus-Trace, handed to the route
+// through the pooled statusWriter, and finished with the final status.
+// The serving layer reports the cache outcome and the pinned
+// generation in the statusWriter's fields, never through the response
+// headers. With tracing disabled every trace call is a nil-receiver
 // no-op.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		tr := s.tracer.Start(endpoint)
-		if tr != nil {
-			traceHeader(w, tr)
-			r = r.WithContext(obs.WithTrace(r.Context(), tr))
-		}
 		sw := swPool.Get().(*statusWriter)
-		sw.ResponseWriter, sw.code = w, 0
+		sw.ResponseWriter = w
+		tr := s.tracer.Start(endpoint, r.Header.Get(traceHeader))
+		if tr != nil {
+			sw.trace = tr
+			w.Header()[traceHeader] = []string{tr.ID()}
+		}
 		h(sw, r)
-		state := qcache.CacheState(sw.Header().Get("X-Octopus-Cache"))
+		state := sw.cache
 		if state == "" {
 			state = qcache.StateBypass
 		}
 		tr.SetCache(string(state))
-		if gen, ok := genFromHeader(sw.Header()); ok {
-			tr.SetGeneration(gen)
+		if sw.pinned {
+			tr.SetGeneration(sw.gen)
 		}
 		status := sw.status()
-		sw.ResponseWriter = nil
+		key := sw.key[:0]
+		if cap(key) > maxPooledKey {
+			key = nil // one outsized query string must not stay pooled
+		}
+		*sw = statusWriter{key: key}
 		swPool.Put(sw)
 		tr.End(status)
 		dur := time.Since(start)
@@ -73,15 +86,34 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	}
 }
 
-// statusWriter remembers the response status for the metrics layer.
-// Instances are pooled: with tracing disabled the serve hot path must
-// not allocate, and the wrapper was its last per-request allocation.
+// statusWriter is the per-request serving state: it remembers the
+// response status for the metrics layer, carries the request's trace
+// down to the serving layer and the cache outcome and pinned generation
+// back up, and lends the serving layer its cache-key buffer. Instances
+// are pooled: the serve hot path must not allocate for any of it.
 type statusWriter struct {
 	http.ResponseWriter
-	code int
+	code   int
+	trace  *obs.ActiveTrace  // nil with tracing off
+	cache  qcache.CacheState // "" = bypass
+	gen    uint64            // the generation the request pinned
+	pinned bool              // gen is set
+	key    []byte            // cache-key scratch, kept across requests
 }
 
 var swPool = sync.Pool{New: func() any { return new(statusWriter) }}
+
+// maxPooledKey bounds the key buffer a pooled statusWriter keeps.
+const maxPooledKey = 4 << 10
+
+// servingState returns the statusWriter instrument wrapped w in — a
+// fresh one when a handler runs outside instrument.
+func servingState(w http.ResponseWriter) *statusWriter {
+	if sw, ok := w.(*statusWriter); ok {
+		return sw
+	}
+	return &statusWriter{ResponseWriter: w}
+}
 
 func (sw *statusWriter) WriteHeader(code int) {
 	if sw.code == 0 {
@@ -97,11 +129,41 @@ func (sw *statusWriter) status() int {
 	return sw.code
 }
 
+// genValue is one generation's X-Octopus-Generation header value.
+type genValue struct {
+	gen uint64
+	val []string
+}
+
+// genHeader returns the X-Octopus-Generation value for gen, rendered
+// once per generation: requests share the immutable one-element slice
+// until the generation moves.
+func (s *Server) genHeader(gen uint64) []string {
+	if g := s.genHdr.Load(); g != nil && g.gen == gen {
+		return g.val
+	}
+	g := &genValue{gen: gen, val: []string{strconv.FormatUint(gen, 10)}}
+	s.genHdr.Store(g)
+	return g.val
+}
+
+// stateHeaders are the X-Octopus-Cache values, shared by every
+// response: one-element slices a response header may hold but never
+// mutates.
+var stateHeaders = func() map[qcache.CacheState][]string {
+	m := make(map[qcache.CacheState][]string)
+	for _, st := range []qcache.CacheState{qcache.StateHit, qcache.StateMiss, qcache.StateStale,
+		qcache.StateCoalesced, qcache.StateShed, qcache.StateBypass} {
+		m[st] = []string{string(st)}
+	}
+	return m
+}()
+
 // query adapts an engine endpoint to the serving path. Read endpoints
 // pass the server's result cache; POST /api/im/targeted passes nil.
 func (s *Server) query(endpoint string, cache *qcache.Cache) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.serveQuery(endpoint, cache, w, r)
+		s.serveQuery(endpoint, cache, servingState(w), r)
 	}
 }
 
@@ -110,35 +172,45 @@ func (s *Server) query(endpoint string, cache *qcache.Cache) http.HandlerFunc {
 // identical concurrent misses, compute behind the admission gate,
 // store, replay. A nil cache (caching disabled, or an uncached
 // endpoint) skips straight to compute.
-func (s *Server) serveQuery(endpoint string, cache *qcache.Cache, w http.ResponseWriter, r *http.Request) {
+//
+// A hit is a parse, a lookup and a write: the query string is parsed
+// once (feeding both the explain flag and the key), the key is built in
+// the statusWriter's buffer and looked up without materializing it, and
+// the stored headers are replayed as they are. Only a request that
+// runs an engine pays for a request context carrying its trace and
+// cost carrier (engineRequest).
+func (s *Server) serveQuery(endpoint string, cache *qcache.Cache, sw *statusWriter, r *http.Request) {
 	v, gen, rel := s.engine.Acquire()
 	defer rel()
-	tr := obs.TraceFrom(r.Context())
-	tr.SetGeneration(gen)
+	sw.gen, sw.pinned = gen, true
+	tr := sw.trace
 	// Parse the explain flag before touching the cache: a malformed
-	// value is a 400, never a cache key. The cost carrier exists only
-	// when the request accounts cost (explain, a ledger header request,
-	// or tracing so the engine span can carry the counters) — otherwise
-	// the engines see nil and skip accounting entirely.
-	q := params(r)
+	// value is a 400, never a cache key.
+	q := qparams{q: r.URL.Query()}
 	explain := q.Flag("explain")
-	if q.bad(w) {
+	if q.bad(sw) {
 		return
 	}
 	ledger := !explain && r.Header.Get(wantCostHeader) != ""
+	// qc is the engine run's cost carrier. It exists only on the miss
+	// path, and only when the request accounts cost (explain, a ledger
+	// header request, or tracing so the engine span can carry the
+	// counters) — otherwise the engines see nil and skip accounting.
 	var qc *queryCost
-	if explain || ledger || s.tracer != nil {
-		qc = &queryCost{explain: explain}
-		r = r.WithContext(withQueryCost(r.Context(), qc))
-	}
 	reply := func(e *qcache.Entry, state qcache.CacheState) {
+		sw.cache = state
 		if ledger {
-			w.Header().Set(costHeader, qc.cost.Compact())
+			cost := "none"
+			if qc != nil {
+				cost = qc.cost.Compact()
+			}
+			sw.Header().Set(costHeader, cost)
 		}
-		replayEntry(w, e, state, gen)
+		replayEntry(sw, e, stateHeaders[state], s.genHeader(gen))
 	}
 	if cache == nil {
-		e := s.compute(endpoint, v, r)
+		qc = s.costCarrier(explain, ledger)
+		e := s.compute(endpoint, v, engineRequest(r, r.Context(), tr, qc))
 		state := qcache.StateBypass
 		if e.Status == http.StatusTooManyRequests {
 			state = qcache.StateShed
@@ -146,11 +218,11 @@ func (s *Server) serveQuery(endpoint string, cache *qcache.Cache, w http.Respons
 		reply(e, state)
 		return
 	}
-	endCache := tr.Span("cache")
-	key := cacheKey(endpoint, v, r.URL.Query())
+	span := tr.Span("cache")
+	sw.key = appendCacheKey(sw.key[:0], endpoint, q.q)
 	state := qcache.StateMiss
-	if e, out := cache.Get(key, gen); out == qcache.Hit {
-		endCache()
+	if e, out := cache.GetBytes(sw.key, gen); out == qcache.Hit {
+		span.End()
 		reply(e, qcache.StateHit)
 		return
 	} else if out == qcache.Stale {
@@ -159,19 +231,19 @@ func (s *Server) serveQuery(endpoint string, cache *qcache.Cache, w http.Respons
 		state = qcache.StateStale
 		s.metrics.StaleEvict(endpoint)
 	}
-	endCache()
+	span.End()
 	// Coalesce on (generation, key): concurrent identical misses share
 	// one engine run; a leader pinned before a swap is never joined by a
 	// request pinned after it.
-	endCoalesce := tr.Span("coalesce")
-	fkey := strconv.FormatUint(gen, 10) + "|" + key
-	e, shared := s.flight.Do(fkey, func() *qcache.Entry {
+	span = tr.Span("coalesce")
+	key := string(sw.key)
+	qc = s.costCarrier(explain, ledger)
+	e, shared := s.flight.Do(qcache.FlightKey{Gen: gen, Key: key}, func() *qcache.Entry {
 		// The leader's result is shared by every coalesced waiter, so the
 		// run must not die with the leader's connection: detach its cancel
 		// signal (one disconnecting client must not poison the answer for
 		// the healthy ones) and let queryCtx's own timeout bound the work.
-		leader := r.WithContext(context.WithoutCancel(r.Context()))
-		e := s.compute(endpoint, v, leader)
+		e := s.compute(endpoint, v, engineRequest(r, context.WithoutCancel(r.Context()), tr, qc))
 		// Only successful answers are worth replaying; errors are cheap to
 		// recompute and may be transient (timeouts, shed). A partial
 		// answer (missing shards on a coordinator) is never cached either:
@@ -181,11 +253,11 @@ func (s *Server) serveQuery(endpoint string, cache *qcache.Cache, w http.Respons
 		}
 		return e
 	})
-	endCoalesce()
+	span.End()
 	if e == nil {
 		// The flight leader panicked mid-run (recovered by net/http);
 		// don't replay nothing at the waiters.
-		writeErr(w, http.StatusInternalServerError, errors.New("query computation failed; retry"))
+		writeErr(sw, http.StatusInternalServerError, errors.New("query computation failed; retry"))
 		return
 	}
 	switch {
@@ -204,6 +276,31 @@ func (s *Server) serveQuery(endpoint string, cache *qcache.Cache, w http.Respons
 	reply(e, state)
 }
 
+// costCarrier returns the cost carrier of a request about to run an
+// engine, or nil when it accounts nothing.
+func (s *Server) costCarrier(explain, ledger bool) *queryCost {
+	if explain || ledger || s.tracer != nil {
+		return &queryCost{explain: explain}
+	}
+	return nil
+}
+
+// engineRequest hands the trace and the cost carrier of a request
+// that runs an engine down to the engines, through ctx: the only
+// request copy a query pays, and never on a cache hit.
+func engineRequest(r *http.Request, ctx context.Context, tr *obs.ActiveTrace, qc *queryCost) *http.Request {
+	if tr != nil {
+		ctx = obs.WithTrace(ctx, tr)
+	}
+	if qc != nil {
+		ctx = withQueryCost(ctx, qc)
+	}
+	if ctx == r.Context() {
+		return r
+	}
+	return r.WithContext(ctx)
+}
+
 // compute runs the endpoint against the pinned view behind the
 // admission gate and renders its response. When the gate is full the
 // request is shed immediately — 429 + Retry-After — rather than
@@ -211,18 +308,18 @@ func (s *Server) serveQuery(endpoint string, cache *qcache.Cache, w http.Respons
 func (s *Server) compute(endpoint string, v engineView, r *http.Request) *qcache.Entry {
 	tr := obs.TraceFrom(r.Context())
 	qc := queryCostFrom(r.Context())
-	endGate := tr.Span("gate")
+	span := tr.Span("gate")
 	if !s.gate.TryAcquire() {
-		endGate()
+		span.End()
 		s.metrics.Shed(endpoint)
 		return s.shedEntry(endpoint, qc)
 	}
-	endGate()
+	span.End()
 	defer s.gate.Release()
-	endEngine := tr.Span("engine")
+	span = tr.Span("engine")
 	rec := newRecorder()
 	v.Query(endpoint, rec, r)
-	endEngine()
+	span.End()
 	e := rec.entry()
 	if qc != nil {
 		// The engine span stays the most recently opened span, so the
@@ -255,60 +352,72 @@ func (s *Server) shedEntry(endpoint string, qc *queryCost) *qcache.Entry {
 	return e
 }
 
-// cacheKey builds the canonical cache key: endpoint, the normalized
-// request parameters, and — for IM queries — the view's γ key
-// component (locally the inferred topic distribution, rendered
-// exactly). Two requests with equal keys produce byte-identical
-// responses against the same view. The key mirrors exactly what
-// handlers read: the FIRST value of each parameter (url.Values.Get
-// semantics), with names sorted and both sides percent-escaped so no
-// value can smuggle a separator and collide with a differently shaped
-// request. Free-text q is replaced by its keyword tokens, which is all
-// the handler consumes.
-func cacheKey(endpoint string, v engineView, q url.Values) string {
-	var b strings.Builder
-	b.WriteString(endpoint)
-	names := make([]string, 0, len(q))
-	for name := range q {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	tok := actionlog.Tokenizer{}
-	var queryWords []string
-	for _, name := range names {
-		v := q.Get(name)
-		if v == "" {
-			continue
+// maxKeyParams sizes the stack array appendCacheKey sorts parameters
+// in; a request with more spills to the heap.
+const maxKeyParams = 16
+
+// appendCacheKey appends the canonical cache key of a read request to
+// b: the endpoint, then the normalized request parameters. Two
+// requests with equal keys produce byte-identical responses against the
+// same view. The key mirrors exactly what handlers read: the FIRST
+// value of each parameter (url.Values.Get semantics), names sorted,
+// empty values dropped. Free-text q (im, paths) is replaced by its
+// keyword tokens, which is all the handler consumes; radar's keyword
+// is trimmed; explain=0 is byte-identical to an absent flag and shares
+// the entry, while explain=1 produces a wrapped body and keys
+// separately. Every name and value is written as a key field
+// (appendKeyField), so no value can smuggle a separator and collide
+// with a differently shaped request.
+//
+// The key holds no γ. Every entry is tagged with the generation it was
+// computed at, and within one generation an im answer's γ is
+// InferGamma(tokens(q)) on the pinned system: a pure function of the
+// tokens already in the key. The same holds on a coordinator, whose
+// shards all adopted one topic model.
+func appendCacheKey(b []byte, endpoint string, q url.Values) []byte {
+	type param struct{ name, value string }
+	var stack [maxKeyParams]param
+	ps := stack[:0]
+	for name, vs := range q {
+		if len(vs) > 0 && vs[0] != "" {
+			ps = append(ps, param{name, vs[0]})
 		}
+	}
+	slices.SortFunc(ps, func(x, y param) int { return strings.Compare(x.name, y.name) })
+	b = appendKeyField(b, endpoint)
+	for _, p := range ps {
+		v := p.value
 		switch {
-		case name == "explain":
-			// explain=0 is byte-identical to an absent flag, so it must
-			// share the cache entry; explain=1 produces a wrapped body and
-			// keys separately.
+		case p.name == "explain":
 			if v != "1" {
 				continue
 			}
-		case name == "q" && (endpoint == "im" || endpoint == "paths"):
-			words := tok.Tokenize(v)
-			v = strings.Join(words, " ")
-			if endpoint == "im" {
-				queryWords = words
-			}
-		case name == "keyword" && endpoint == "radar":
+		case p.name == "q" && (endpoint == "im" || endpoint == "paths"):
+			b = appendKeyField(b, p.name)
+			b = actionlog.Tokenizer{}.AppendTokens(b, v)
+			b = append(b, 0) // tokens are ASCII alphanumerics and spaces
+			continue
+		case p.name == "keyword" && endpoint == "radar":
 			v = strings.TrimSpace(v)
 		}
-		b.WriteByte('&')
-		b.WriteString(url.QueryEscape(name))
-		b.WriteByte('=')
-		b.WriteString(url.QueryEscape(v))
+		b = appendKeyField(b, p.name)
+		b = appendKeyField(b, v)
 	}
-	if len(queryWords) > 0 {
-		if gk := v.GammaKey(queryWords); gk != "" {
-			b.WriteString("|g=")
-			b.WriteString(gk)
+	return b
+}
+
+// appendKeyField appends s as one self-delimiting key field: its bytes
+// with 0x00 and 0x01 escaped behind 0x01, then a 0x00 terminator. A
+// sequence of fields therefore decodes uniquely, whatever bytes the
+// values hold.
+func appendKeyField(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c <= 1 {
+			b = append(b, 1)
 		}
+		b = append(b, s[i])
 	}
-	return b.String()
+	return append(b, 0)
 }
 
 // recorder captures a handler's response for caching and replay.
@@ -335,23 +444,34 @@ func (rc *recorder) Write(b []byte) (int, error) {
 	return rc.body.Write(b)
 }
 
+// entry returns the recorded response as an entry whose header value
+// slices are capacity-clipped: replay hands them to response headers
+// as they are, and an append there must copy, never write into the
+// stored entry.
 func (rc *recorder) entry() *qcache.Entry {
 	if rc.code == 0 {
 		rc.code = http.StatusOK
+	}
+	for k, vs := range rc.header {
+		rc.header[k] = slices.Clip(vs)
 	}
 	return &qcache.Entry{Status: rc.code, Header: rc.header, Body: rc.body.Bytes()}
 }
 
 // replayEntry writes a rendered entry to the wire, stamping the pinned
-// generation and how the answer was produced.
-func replayEntry(w http.ResponseWriter, e *qcache.Entry, state qcache.CacheState, gen uint64) {
+// generation and how the answer was produced. The entry's header slices
+// are assigned, not copied; a header the response already carries keeps
+// its values ahead of the entry's, as Header.Add would.
+func replayEntry(w http.ResponseWriter, e *qcache.Entry, state, gen []string) {
+	h := w.Header()
 	for k, vs := range e.Header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
+		if old, ok := h[k]; ok {
+			vs = append(slices.Clip(old), vs...)
 		}
+		h[k] = vs
 	}
-	w.Header().Set("X-Octopus-Generation", strconv.FormatUint(gen, 10))
-	w.Header().Set("X-Octopus-Cache", string(state))
+	h[generationHeader] = gen
+	h[cacheHeader] = state
 	w.WriteHeader(e.Status)
 	_, _ = w.Write(e.Body)
 }
@@ -451,10 +571,10 @@ func (s *Server) batchOne(r *http.Request, bq batchQuery) batchResult {
 	rec := newRecorder()
 	s.instrument(bq.Endpoint, s.query(bq.Endpoint, s.cache))(rec, sub)
 	e := rec.entry()
-	gen, _ := strconv.ParseUint(e.Header.Get("X-Octopus-Generation"), 10, 64)
+	gen, _ := strconv.ParseUint(e.Header.Get(generationHeader), 10, 64)
 	return batchResult{
 		Status:     e.Status,
-		Cache:      e.Header.Get("X-Octopus-Cache"),
+		Cache:      e.Header.Get(cacheHeader),
 		Generation: gen,
 		Body:       e.Body,
 	}

@@ -48,8 +48,8 @@
 // Every query request pins one immutable (snapshot, generation) pair up
 // front and is answered entirely from it. The read endpoints flow
 // through the query-serving layer (internal/qcache): responses are
-// cached in a bounded LRU keyed by (endpoint, normalized parameters,
-// inferred γ) and tagged with the pinned generation, so a snapshot swap
+// cached in a bounded LRU keyed by (endpoint, normalized parameters)
+// and tagged with the pinned generation, so a snapshot swap
 // invalidates every cached answer implicitly; concurrent identical
 // misses coalesce into one engine run; and an optional admission gate
 // sheds work with 429 + Retry-After instead of queueing unboundedly.
@@ -71,9 +71,11 @@
 //
 // # Observability
 //
-// Every response carries X-Octopus-Trace: a per-request trace follows
-// the serving layers (cache, coalesce, gate, engine spans) with the
-// pinned generation and cache outcome attached, lands in a bounded
+// Every response carries X-Octopus-Trace: a per-request trace (under
+// the id the request arrived with, when well-formed — a coordinator
+// forwards its own to every shard) follows the serving layers (cache,
+// coalesce, gate, engine spans) with the pinned generation and cache
+// outcome attached, lands in a bounded
 // ring served at /api/debug/traces, and — past Options.SlowQuery — is
 // logged as a structured slow-query record. /metrics exposes the
 // serving counters plus ingest/fold/WAL/runtime instruments in
@@ -105,6 +107,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"octopus/internal/actionlog"
@@ -207,6 +210,7 @@ type Server struct {
 
 	cache         *qcache.Cache // nil when caching is disabled
 	flight        qcache.Flight
+	genHdr        atomic.Pointer[genValue] // the latest X-Octopus-Generation value
 	gate          *qcache.Gate
 	metrics       *qcache.Metrics
 	queryHandlers map[string]queryHandler // local engine endpoints; batch dispatch table
@@ -345,8 +349,10 @@ func (s *Server) pinned(h func(v engineView, w http.ResponseWriter, r *http.Requ
 	return func(w http.ResponseWriter, r *http.Request) {
 		v, gen, rel := s.engine.Acquire()
 		defer rel()
-		w.Header().Set("X-Octopus-Generation", strconv.FormatUint(gen, 10))
-		h(v, w, r)
+		sw := servingState(w)
+		sw.gen, sw.pinned = gen, true
+		sw.Header()[generationHeader] = s.genHeader(gen)
+		h(v, sw, r)
 	}
 }
 

@@ -21,7 +21,7 @@ var (
 	srvErr  error
 )
 
-func testServer(t *testing.T) (*Server, *core.System) {
+func testServer(t testing.TB) (*Server, *core.System) {
 	t.Helper()
 	srvOnce.Do(func() {
 		ds, err := datagen.Citation(datagen.CitationConfig{

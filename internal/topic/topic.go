@@ -94,17 +94,6 @@ func (d Dist) Cosine(other Dist) float64 {
 	return dot / math.Sqrt(na*nb)
 }
 
-// Entropy returns the Shannon entropy (nats).
-func (d Dist) Entropy() float64 {
-	h := 0.0
-	for _, v := range d {
-		if v > 0 {
-			h -= v * math.Log(v)
-		}
-	}
-	return h
-}
-
 // Top returns the k most probable topic indices in decreasing order.
 func (d Dist) Top(k int) []int {
 	idx := make([]int, len(d))
@@ -276,30 +265,6 @@ func (m *Model) InferGamma(keywords []string) (Dist, []string) {
 	return g.Normalize(), unknown
 }
 
-// InferGammaIDs is InferGamma for pre-resolved vocabulary indices.
-func (m *Model) InferGammaIDs(ids []int) Dist {
-	logG := make([]float64, m.z)
-	for z := range logG {
-		logG[z] = math.Log(m.prior[z])
-	}
-	for _, id := range ids {
-		for z := 0; z < m.z; z++ {
-			logG[z] += math.Log(m.pwz[z][id])
-		}
-	}
-	maxv := math.Inf(-1)
-	for _, v := range logG {
-		if v > maxv {
-			maxv = v
-		}
-	}
-	g := make(Dist, m.z)
-	for z, v := range logG {
-		g[z] = math.Exp(v - maxv)
-	}
-	return g.Normalize()
-}
-
 // Radar returns p(z|w) for one keyword — the topic profile rendered as a
 // radar diagram in the OCTOPUS UI (Scenario 2). ok is false for unknown
 // keywords.
@@ -313,24 +278,6 @@ func (m *Model) Radar(keyword string) (Dist, bool) {
 		g[z] = m.pwz[z][id] * m.prior[z]
 	}
 	return g.Normalize(), true
-}
-
-// TopKeywords returns the k most probable keywords of topic z.
-func (m *Model) TopKeywords(z, k int) []string {
-	idx := make([]int, len(m.vocab))
-	for i := range idx {
-		idx[i] = i
-	}
-	row := m.pwz[z]
-	sort.Slice(idx, func(a, b int) bool { return row[idx[a]] > row[idx[b]] })
-	if k > len(idx) {
-		k = len(idx)
-	}
-	out := make([]string, k)
-	for i := 0; i < k; i++ {
-		out[i] = m.vocab[idx[i]]
-	}
-	return out
 }
 
 // KeywordCoherence returns the cosine similarity of the topic profiles of

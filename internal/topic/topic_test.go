@@ -77,16 +77,6 @@ func TestDistances(t *testing.T) {
 	}
 }
 
-func TestEntropy(t *testing.T) {
-	if got := (Dist{1, 0}).Entropy(); got != 0 {
-		t.Fatalf("entropy of point mass = %v", got)
-	}
-	u := Uniform(4).Entropy()
-	if math.Abs(u-math.Log(4)) > 1e-12 {
-		t.Fatalf("entropy of uniform = %v, want ln4", u)
-	}
-}
-
 func TestTop(t *testing.T) {
 	d := Dist{0.1, 0.5, 0.4}
 	top := d.Top(2)
@@ -159,17 +149,6 @@ func TestInferGammaUnknown(t *testing.T) {
 	}
 }
 
-func TestInferGammaIDsMatchesStrings(t *testing.T) {
-	m := testModel(t)
-	gs, _ := m.InferGamma([]string{"learning", "neural"})
-	id1, _ := m.KeywordID("learning")
-	id2, _ := m.KeywordID("neural")
-	gi := m.InferGammaIDs([]int{id1, id2})
-	if gs.L1(gi) > 1e-12 {
-		t.Fatalf("string/id inference differ: %v vs %v", gs, gi)
-	}
-}
-
 func TestRadar(t *testing.T) {
 	m := testModel(t)
 	r, ok := m.Radar("social")
@@ -181,18 +160,6 @@ func TestRadar(t *testing.T) {
 	}
 	if _, ok := m.Radar("nope"); ok {
 		t.Fatal("Radar hit for unknown keyword")
-	}
-}
-
-func TestTopKeywords(t *testing.T) {
-	m := testModel(t)
-	top := m.TopKeywords(2, 2)
-	if len(top) != 2 {
-		t.Fatalf("TopKeywords = %v", top)
-	}
-	set := map[string]bool{top[0]: true, top[1]: true}
-	if !set["learning"] || !set["neural"] {
-		t.Fatalf("TopKeywords(2) = %v", top)
 	}
 }
 

@@ -4,8 +4,6 @@
 // plus an indexed variant supporting decrease/increase-key by item id.
 package heaps
 
-import "slices"
-
 // Item is one entry of a Max heap: an opaque id ordered by Key.
 type Item struct {
 	ID int32
@@ -62,22 +60,6 @@ func (h *Max) Pop() Item {
 
 // Reset empties the heap, keeping the backing array.
 func (h *Max) Reset() { h.items = h.items[:0] }
-
-// Fill replaces the heap's contents with item(0), …, item(n-1), reusing
-// the backing array, and orders them bottom-up in O(n) instead of the
-// O(n log n) of n Pushes. When the IDs are distinct the pops come out
-// exactly as if the items had been pushed one by one: (Key desc, ID asc)
-// is then a strict total order, so the popped sequence depends on the
-// item set alone, not on the heap's internal layout.
-func (h *Max) Fill(n int, item func(i int) Item) {
-	h.items = slices.Grow(h.items[:0], n)
-	for i := 0; i < n; i++ {
-		h.items = append(h.items, item(i))
-	}
-	for i := n/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
 
 func (h *Max) up(i int) {
 	for i > 0 {

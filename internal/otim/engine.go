@@ -58,10 +58,14 @@ func (o *QueryOptions) fill() error {
 
 // Stats reports the work a query performed, per bound tier.
 type Stats struct {
-	CheapBounds int // first-tier bound evaluations (all n, vectorized)
+	// CheapBounds counts the users the tier-0 scan scored: the
+	// precomputation bounds it streamed into the heap before the answer
+	// was settled — typically a few hundred of 10 000 users, all n only
+	// when the query must look at everyone (k near n).
+	CheapBounds int
 	LocalBounds int // local-graph bound evaluations
 	ExactEvals  int // full MIA tree evaluations
-	Pruned      int // users never refined beyond the cheap bound
+	Pruned      int // users never refined beyond the cheap bound, scored or not
 }
 
 // Result is the answer to a keyword-IM query.
@@ -75,16 +79,31 @@ type Result struct {
 // concurrent use — create one Engine per goroutine (they share the
 // immutable Index).
 //
+// Tier 0 is streamed, not scanned: instead of scoring UB_P for all n
+// users and heapifying them, a query walks the Index's per-topic lists
+// (built once per Index, on its first query; Z·n·4 B, 0.31 MiB at
+// 10 000 users and 8 topics) with one cursor each, and scores a user
+// only while the threshold T = 1 + Σ_z γ_z·A_z(cursor_z) — an upper
+// bound on every unscored user's UB_P — could still reach the heap top
+// (see pull for the soundness argument). The pops, and so every seed,
+// spread and refinement count, are those of the full scan; the work is
+// proportional to the users touched (a median of ≈310 of 10 000 users
+// for the benchmark's IM queries, ≈140 on a hash shard of that graph).
+// The worst case, a query that must touch everyone, is O(n·(Z + log h))
+// for a heap of h entries: each list position is skipped at most once,
+// and each user is scored (O(Z)) and pushed once.
+//
 // Exact evaluation allocates nothing once an engine is warm: every
 // per-query memo is a dense array stamped with the query generation
 // curGen (a new query invalidates them all in O(1)), p_e(γ) is read
 // through the mia.Calc's weight rows (weighed once per query, each
 // node's row filled on first use), the query's MIOA trees are built
-// into one recycled slab of mia.Reach records, and the tier-0 heap, the
-// cover and the chosen set are reused buffers. The scratch costs about
-// 89 B per node (57 B here, 32 B in the mia.Calc) and 8 B per edge (the
-// Calc's weight rows) — ≈1.4 MB at 10 000 nodes and 64 000 edges — plus
-// the frontier buckets and the slab: 16 B per tree node of the largest
+// into one recycled slab of mia.Reach records, and the heap, the cover
+// and the chosen set are reused buffers. The scratch costs about 77 B
+// per node (45 B here, 32 B in the mia.Calc) and 8 B per edge (the
+// Calc's weight rows) — ≈1.3 MB at 10 000 nodes and 64 000 edges — plus
+// the heap (16 B per entry, a few hundred entries per query), the
+// frontier buckets and the slab: 16 B per tree node of the largest
 // query so far, ≈0.74 MB for the 46 500 nodes a typical 10-seed query
 // builds on that graph.
 //
@@ -94,9 +113,9 @@ type Result struct {
 type Engine struct {
 	ix   *Index
 	calc *mia.Calc
-	// gamma is the current query's topic mixture, read by prob — the
-	// p_e(γ) closure, allocated once, that each query weighs the calc
-	// with.
+	// gamma is the current query's topic mixture, read by the bounds
+	// and by prob — the p_e(γ) closure, allocated once, that each query
+	// weighs the calc with.
 	gamma topic.Dist
 	prob  mia.EdgeProb
 	// curGen is the current query generation; a slot of a …Gen array
@@ -105,9 +124,19 @@ type Engine struct {
 	// refinedGen[u] == curGen: u's bound was refined past the cheap
 	// tier this query (Stats.Pruned counts the other users).
 	refinedGen []uint32
-	// bMemo caches B_γ(v) = Σ_z γ_z·A_z(v) within one query.
+	// bMemo caches B_γ(v) = Σ_z γ_z·A_z(v) within one query: the
+	// tier-0 scan and the local bound both read it.
 	bMemo    []float64
 	bMemoGen []uint32
+	// The tier-0 scan: cursor[z] is the next position of the index's
+	// list z and atCursor[z] = A_z of the user there, threshold is
+	// T = 1 + Σ_z γ_z·atCursor[z], and exhausted is set once every user
+	// is scored. scoredGen[u] == curGen: u's UB_P is in the heap.
+	cursor    []int
+	atCursor  []float64
+	threshold float64
+	exhausted bool
+	scoredGen []uint32
 	// slab holds the query's MIOA trees; when treeGen[u] is current,
 	// u's tree is slab[treeAt[u] : treeAt[u]+treeLen[u]]. It is
 	// recycled at the start of every query, so no tree outlives one.
@@ -125,12 +154,16 @@ type Engine struct {
 func NewEngine(ix *Index) *Engine {
 	g := ix.model.Graph()
 	n := g.NumNodes()
+	z := ix.model.NumTopics()
 	e := &Engine{
 		ix:         ix,
 		calc:       mia.NewCalc(g),
 		refinedGen: make([]uint32, n),
 		bMemo:      make([]float64, n),
 		bMemoGen:   make([]uint32, n),
+		cursor:     make([]int, z),
+		atCursor:   make([]float64, z),
+		scoredGen:  make([]uint32, n),
 		treeAt:     make([]int32, n),
 		treeLen:    make([]int32, n),
 		treeGen:    make([]uint32, n),
@@ -167,6 +200,7 @@ func (e *Engine) begin(gamma topic.Dist) {
 	if e.curGen == 0 {
 		clear(e.refinedGen)
 		clear(e.bMemoGen)
+		clear(e.scoredGen)
 		clear(e.treeGen)
 		e.curGen = 1
 	}
@@ -213,7 +247,7 @@ func (e *Engine) Query(gamma topic.Dist, opt QueryOptions) (*Result, error) {
 		e.calc.SetCost(opt.Cost)
 		defer e.calc.SetCost(nil)
 	}
-	if err := e.bestEffort(gamma, opt, res); err != nil {
+	if err := e.bestEffort(opt, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -232,36 +266,25 @@ func unpack(v int32) (round, tier int) { return int(v >> 2), int(v & 3) }
 
 // bestEffort runs the greedy seed selection into res. It stops early
 // only when opt.Context ends, and then returns the context's error.
-func (e *Engine) bestEffort(gamma topic.Dist, opt QueryOptions, res *Result) error {
-	m := e.ix.model
-	n := m.Graph().NumNodes()
-	z := m.NumTopics()
+func (e *Engine) bestEffort(opt QueryOptions, res *Result) error {
+	n := len(e.scoredGen)
 
 	var heapOps uint64
 	if opt.Cost != nil {
 		// The tier counters land in res.Stats as the loop runs; fold the
-		// final values into the accumulator on every exit path.
+		// final values into the accumulator on every exit path. Every
+		// scored user was one heap push.
 		defer func() {
 			opt.Cost.OTIM.CheapBounds += uint64(res.Stats.CheapBounds)
 			opt.Cost.OTIM.LocalBounds += uint64(res.Stats.LocalBounds)
 			opt.Cost.OTIM.ExactEvals += uint64(res.Stats.ExactEvals)
-			opt.Cost.OTIM.HeapOps += heapOps
+			opt.Cost.OTIM.HeapOps += heapOps + uint64(res.Stats.CheapBounds)
 		}()
 	}
 
-	// Tier-0 bounds UB_P(u) = 1 + Σ_z γ_z·A_z(u) for every user,
-	// heapified in one O(n) pass.
 	h := &e.heap
-	h.Fill(n, func(u int) heaps.Item {
-		var ub float64
-		row := e.ix.aggr[u*z : (u+1)*z]
-		for zi := 0; zi < z; zi++ {
-			ub += gamma[zi] * row[zi]
-		}
-		return heaps.Item{ID: int32(u), Key: 1 + ub, Round: pack(0, tierCheap)}
-	})
-	heapOps += uint64(n)
-	res.Stats.CheapBounds = n
+	h.Reset()
+	e.startScan()
 
 	cover := e.cover
 	cover.Reset()
@@ -272,6 +295,14 @@ func (e *Engine) bestEffort(gamma topic.Dist, opt QueryOptions, res *Result) err
 	// selection.
 	bestFreshID := int32(-1)
 	bestFreshGain := -1.0
+	// refined counts the users whose refinement stamp turned current.
+	refined := 0
+	markRefined := func(id int32) {
+		if e.refinedGen[id] != e.curGen {
+			e.refinedGen[id] = e.curGen
+			refined++
+		}
+	}
 
 	selectSeed := func(id int32) {
 		chosen[id] = true
@@ -287,9 +318,15 @@ func (e *Engine) bestEffort(gamma topic.Dist, opt QueryOptions, res *Result) err
 		bestFreshID, bestFreshGain = -1, -1
 	}
 
-	for len(res.Seeds) < opt.K && h.Len() > 0 {
+	for len(res.Seeds) < opt.K {
 		if err := opt.Context.Err(); err != nil {
 			return fmt.Errorf("otim: query stopped after %d of %d seeds: %w", len(res.Seeds), opt.K, err)
+		}
+		// The ε test below reads top.Key, so the scan must settle the
+		// true maximum before the pop.
+		e.ready(res)
+		if h.Len() == 0 {
+			break
 		}
 		top := h.Pop()
 		heapOps++
@@ -322,14 +359,14 @@ func (e *Engine) bestEffort(gamma topic.Dist, opt QueryOptions, res *Result) err
 			heapOps++
 
 		case topTier == tierCheap && !opt.SkipLocalBound:
-			ub := e.localBound(gamma, top.ID)
+			ub := e.localBound(top.ID)
 			res.Stats.LocalBounds++
 			if ub > top.Key {
 				ub = top.Key // bounds only tighten
 			}
 			h.Push(heaps.Item{ID: top.ID, Key: ub, Round: pack(round, tierLocal)})
 			heapOps++
-			e.refinedGen[top.ID] = e.curGen
+			markRefined(top.ID)
 
 		default: // cheap (skipping local) or local: escalate to exact
 			gain := cover.Gain(e.tree(top.ID, &opt))
@@ -339,19 +376,102 @@ func (e *Engine) bestEffort(gamma topic.Dist, opt QueryOptions, res *Result) err
 			}
 			h.Push(heaps.Item{ID: top.ID, Key: gain, Round: pack(round, tierExact)})
 			heapOps++
-			e.refinedGen[top.ID] = e.curGen
+			markRefined(top.ID)
 		}
 	}
 
-	// Pruned = users whose refinement never went past the cheap bound.
-	refined := 0
-	for u := 0; u < n; u++ {
-		if e.refinedGen[u] == e.curGen {
-			refined++
-		}
-	}
 	res.Stats.Pruned = n - refined
 	return nil
+}
+
+// bGamma returns B_γ(v) = Σ_z γ_z·A_z(v), memoized for the query.
+// UB_P(v) is 1 + B_γ(v).
+func (e *Engine) bGamma(v int) float64 {
+	if e.bMemoGen[v] == e.curGen {
+		return e.bMemo[v]
+	}
+	z := len(e.gamma)
+	bv := dotGamma(e.gamma, e.ix.aggr[v*z:(v+1)*z])
+	e.bMemo[v], e.bMemoGen[v] = bv, e.curGen
+	return bv
+}
+
+// dotGamma returns Σ_z γ_z·row[z], summed in z order. B_γ(v) and the
+// scan's threshold both go through it, so they round alike (see pull).
+func dotGamma(gamma topic.Dist, row []float64) float64 {
+	var s float64
+	for zi, g := range gamma {
+		s += g * row[zi]
+	}
+	return s
+}
+
+// startScan opens the tier-0 scan of the current query: every cursor at
+// the head of its list, nothing scored.
+func (e *Engine) startScan() {
+	lists := e.ix.topicLists()
+	n, z := len(e.scoredGen), len(e.cursor)
+	e.exhausted = n == 0
+	if e.exhausted {
+		return
+	}
+	for zi := range e.cursor {
+		e.cursor[zi] = 0
+		e.atCursor[zi] = e.ix.aggr[int(lists[zi*n])*z+zi]
+	}
+	e.threshold = 1 + dotGamma(e.gamma, e.atCursor)
+}
+
+// ready pulls tier-0 bounds until the heap top outranks every user not
+// yet scored: while the heap is empty or T ≥ its top key. Ties pull
+// too, since an unscored user with an equal key and a smaller id would
+// outrank the top.
+func (e *Engine) ready(res *Result) {
+	for !e.exhausted && (e.heap.Len() == 0 || e.threshold >= e.heap.Peek().Key) {
+		e.pull(res)
+	}
+}
+
+// pull scores the next unscored user of the list with the largest
+// γ_z·A_z(cursor_z), pushes its UB_P at tier 0, and lowers the
+// threshold. It marks the scan exhausted once every user is scored.
+//
+// Soundness: a user not yet scored sits at or past every cursor, so
+// A_z(u) ≤ atCursor[z] for every z. With γ ≥ 0, each rounded product
+// and partial sum of dotGamma is monotone in its inputs, so the scored
+// bound fl(UB_P(u)) ≤ fl(T). Users are scored on their first pull only
+// (scoredGen), so each user holds at most one heap entry and (key, id)
+// is a strict total order: the pop sequence is the one a heap of all n
+// bounds would give.
+func (e *Engine) pull(res *Result) {
+	lists := e.ix.topicLists()
+	n, z := len(e.scoredGen), len(e.cursor)
+	best := 0
+	for zi := 1; zi < z; zi++ {
+		if e.gamma[zi]*e.atCursor[zi] > e.gamma[best]*e.atCursor[best] {
+			best = zi
+		}
+	}
+	list := lists[best*n : (best+1)*n]
+	c := e.cursor[best]
+	for c < n && e.scoredGen[list[c]] == e.curGen {
+		c++ // scored already through another list
+	}
+	if c < n {
+		u := list[c]
+		e.scoredGen[u] = e.curGen
+		e.heap.Push(heaps.Item{ID: u, Key: 1 + e.bGamma(int(u)), Round: pack(0, tierCheap)})
+		res.Stats.CheapBounds++
+		c++
+	}
+	e.cursor[best] = c
+	if c == n {
+		// Every user of this list, hence every user, is scored.
+		e.exhausted = true
+		return
+	}
+	e.atCursor[best] = e.ix.aggr[int(list[c])*z+best]
+	e.threshold = 1 + dotGamma(e.gamma, e.atCursor)
 }
 
 // localBound computes the local-graph bound
@@ -364,10 +484,8 @@ func (e *Engine) bestEffort(gamma topic.Dist, opt QueryOptions, res *Result) err
 // dominate σ(v). UB_L is always ≤ UB_P since min(σ̄max(v),·) ≤ σ̄max(v),
 // and it evaluates u's two-hop local graph — the same locality the OTIM
 // paper's local-graph estimator exploits.
-func (e *Engine) localBound(gamma topic.Dist, u int32) float64 {
-	m := e.ix.model
-	g := m.Graph()
-	z := m.NumTopics()
+func (e *Engine) localBound(u int32) float64 {
+	g := e.ix.model.Graph()
 	ub := 1.0
 	lo, _ := g.OutEdges(u)
 	for i, p := range e.calc.OutWeights(u) {
@@ -375,17 +493,7 @@ func (e *Engine) localBound(gamma topic.Dist, u int32) float64 {
 			continue
 		}
 		v := g.Dst(lo + graph.EdgeID(i))
-		var bv float64
-		if e.bMemoGen[v] == e.curGen {
-			bv = e.bMemo[v]
-		} else {
-			row := e.ix.aggr[int(v)*z : (int(v)+1)*z]
-			for zi := 0; zi < z; zi++ {
-				bv += gamma[zi] * row[zi]
-			}
-			e.bMemo[v] = bv
-			e.bMemoGen[v] = e.curGen
-		}
+		bv := e.bGamma(int(v))
 		capV := e.ix.sigmaMax[v]
 		if 1+bv < capV {
 			capV = 1 + bv

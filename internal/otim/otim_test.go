@@ -86,7 +86,7 @@ func TestQuickBoundSoundnessAndOrdering(t *testing.T) {
 		ubP := 1 + bp
 		// UB_L
 		eng.begin(gamma) // fresh memo generation, calc weighed under γ
-		ubL := eng.localBound(gamma, u)
+		ubL := eng.localBound(u)
 
 		const tol = 1e-9
 		return ubP+tol >= ubL && ubL+tol >= exact

@@ -147,9 +147,9 @@ func Start(ctx context.Context, cfg Config) (*Follower, error) {
 }
 
 // Acquire pins the generation the follower serves and returns its
-// system and checkpoint version with a release callback (idempotent).
-// A swap only retires the generation it replaces; that mapping is
-// unmapped after its last release.
+// system and checkpoint version with a release callback, to be called
+// exactly once. A swap only retires the generation it replaces; that
+// mapping is unmapped after its last release.
 func (f *Follower) Acquire() (*core.System, uint64, func()) {
 	sn, rel := stream.Pin(f.current)
 	return sn.Sys, sn.Version, rel

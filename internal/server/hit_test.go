@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"octopus/internal/core"
+	"octopus/internal/stream"
 )
 
 // hitPaths are the cached reads the hit-path gates and benchmarks
@@ -36,36 +37,54 @@ var hitBudgets = []struct {
 	{"untraced", Options{TraceRing: -1}, 8, 8},
 }
 
-// TestCachedHitAllocs gates the allocations of a warm cache hit.
+// TestCachedHitAllocs gates the allocations of a warm cache hit on a
+// static server, and holds a live server over the same system to the
+// static server's count: pinning a live snapshot allocates nothing.
 func TestCachedHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under -race")
 	}
 	_, sys := testServer(t)
+	ls, err := stream.NewLiveSystem(sys, stream.Config{RebuildEvents: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ls.Close() })
 	for _, b := range hitBudgets {
-		s := NewWith(sys, b.opt)
+		static, live := NewWith(sys, b.opt), NewWith(ls, b.opt)
 		for _, p := range hitPaths(sys) {
-			w := &nopResponseWriter{h: make(http.Header)}
-			r := httptest.NewRequest(http.MethodGet, p.path, nil)
-			s.ServeHTTP(w, r) // the miss that fills the cache
-			allocs := testing.AllocsPerRun(200, func() {
-				clear(w.h)
-				s.ServeHTTP(w, r)
-			})
-			if got := w.h.Get("X-Octopus-Cache"); got != "hit" {
-				t.Fatalf("%s %s: X-Octopus-Cache = %q, want hit", b.name, p.name, got)
-			}
 			budget := b.suggPaths
 			if p.name == "im" {
 				budget = b.im
 			}
+			allocs := hitAllocs(t, static, p.path)
 			if allocs > budget {
 				t.Errorf("%s %s hit: %.1f allocs, want ≤ %.0f", b.name, p.name, allocs, budget)
 			} else {
 				t.Logf("%s %s hit: %.1f allocs (budget %.0f)", b.name, p.name, allocs, budget)
 			}
+			if got := hitAllocs(t, live, p.path); got > allocs {
+				t.Errorf("%s %s live hit: %.1f allocs, want ≤ %.0f (static)", b.name, p.name, got, allocs)
+			}
 		}
 	}
+}
+
+// hitAllocs fills the cache with one request for path, then returns the
+// allocations of a warm hit on it.
+func hitAllocs(t *testing.T, s *Server, path string) float64 {
+	t.Helper()
+	w := &nopResponseWriter{h: make(http.Header)}
+	r := httptest.NewRequest(http.MethodGet, path, nil)
+	s.ServeHTTP(w, r) // the miss that fills the cache
+	allocs := testing.AllocsPerRun(200, func() {
+		clear(w.h)
+		s.ServeHTTP(w, r)
+	})
+	if got := w.h.Get("X-Octopus-Cache"); got != "hit" {
+		t.Fatalf("%s: X-Octopus-Cache = %q, want hit", path, got)
+	}
+	return allocs
 }
 
 // BenchmarkCachedHit times a warm cache hit through ServeHTTP for each

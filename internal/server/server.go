@@ -194,7 +194,7 @@ type Server struct {
 	// generation) pair on a local server, a fleet roster on a
 	// coordinator. Handlers must never re-resolve state mid-request:
 	// the cache's byte-identical guarantee rests on the single pin. The
-	// release callback (idempotent, never nil) must be called when the
+	// release callback (never nil) must be called exactly once, when the
 	// request is done with the view: on a live server over a mapped
 	// snapshot it holds the pin that keeps a swapped-out generation's
 	// mapping from being unmapped mid-query.
@@ -227,7 +227,7 @@ type Server struct {
 
 // Source is what a local Server answers from. Acquire pins one
 // immutable (system, generation) pair and returns it with a release
-// callback (idempotent, never nil) that the request calls once it is
+// callback (never nil) that the request calls exactly once, when it is
 // done with the system. A *core.System (one generation, nothing to
 // pin), a *stream.LiveSystem and a *repl.Follower (the current
 // snapshot, pinned so a swap cannot unmap it mid-query) are sources.

@@ -115,6 +115,9 @@ type Snapshot struct {
 	pins    atomic.Int64
 	retired atomic.Bool
 	backing core.Backing
+	// release is unpin bound once at publish, so handing a reader its
+	// release callback allocates nothing per pin.
+	release func()
 }
 
 // NewSnapshot publishes sys as a serving generation, taking a reference
@@ -124,6 +127,7 @@ type Snapshot struct {
 // generation took to produce.
 func NewSnapshot(sys *core.System, version uint64, swap time.Duration) *Snapshot {
 	s := &Snapshot{Sys: sys, Version: version, BuiltAt: time.Now(), SwapLatency: swap}
+	s.release = s.unpin
 	if b := sys.Backing(); b != nil {
 		b.Retain()
 		s.backing = b
@@ -329,8 +333,9 @@ func (ls *LiveSystem) System() *core.System { return ls.cur.Load().Sys }
 func (ls *LiveSystem) Snapshot() *Snapshot { return ls.cur.Load() }
 
 // Acquire pins the current serving snapshot for the duration of a read
-// and returns its system and version with a release callback
-// (idempotent). One pin yields both, so they never tear across a swap.
+// and returns its system and version with a release callback, to be
+// called exactly once. One pin yields both, so they never tear across a
+// swap.
 // While any pin is held the snapshot's mapped backing cannot be
 // unmapped, even if a fold swaps the generation out concurrently — the
 // swap only retires it, and the munmap waits for the last release.
@@ -346,20 +351,26 @@ func (ls *LiveSystem) Acquire() (*core.System, uint64, func()) {
 // LiveSystem.Acquire and a read replica's Acquire. current must load the
 // serving generation from wherever its publisher swaps it; a snapshot
 // retired between the load and the pin is skipped for its successor.
+//
+// The release callback drops the pin and must be called exactly once:
+// it is the snapshot's own, shared by all its pins, so a pin costs no
+// allocation (a second call would drop another reader's pin).
 func Pin(current func() *Snapshot) (*Snapshot, func()) {
 	for {
 		s := current()
 		if s.tryPin() {
-			var once sync.Once
-			return s, func() { once.Do(s.unpin) }
+			return s, s.release
 		}
 		if current() == s {
 			// Released already (post-shutdown): nothing left to pin.
-			return s, func() {}
+			return s, noRelease
 		}
 		// A swap replaced the generation mid-race; pin the new one.
 	}
 }
+
+// noRelease is the release of a pin that took nothing.
+func noRelease() {}
 
 // Version returns the current snapshot version (monotonically
 // increasing, starting at 1, bumped by exactly one per swap). It doubles

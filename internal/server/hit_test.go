@@ -29,12 +29,12 @@ func hitPaths(sys *core.System) []struct{ name, path string } {
 // the X-Octopus-Trace header slice; the key, the lookup, the replayed
 // headers, the spans and the published trace allocate nothing.
 var hitBudgets = []struct {
-	name          string
-	opt           Options
-	im, suggPaths float64
+	name   string
+	opt    Options
+	budget float64
 }{
-	{"traced", Options{}, 12, 10},
-	{"untraced", Options{TraceRing: -1}, 8, 8},
+	{"traced", Options{}, 7},
+	{"untraced", Options{TraceRing: -1}, 5},
 }
 
 // TestCachedHitAllocs gates the allocations of a warm cache hit on a
@@ -53,15 +53,11 @@ func TestCachedHitAllocs(t *testing.T) {
 	for _, b := range hitBudgets {
 		static, live := NewWith(sys, b.opt), NewWith(ls, b.opt)
 		for _, p := range hitPaths(sys) {
-			budget := b.suggPaths
-			if p.name == "im" {
-				budget = b.im
-			}
 			allocs := hitAllocs(t, static, p.path)
-			if allocs > budget {
-				t.Errorf("%s %s hit: %.1f allocs, want ≤ %.0f", b.name, p.name, allocs, budget)
+			if allocs > b.budget {
+				t.Errorf("%s %s hit: %.1f allocs, want ≤ %.0f", b.name, p.name, allocs, b.budget)
 			} else {
-				t.Logf("%s %s hit: %.1f allocs (budget %.0f)", b.name, p.name, allocs, budget)
+				t.Logf("%s %s hit: %.1f allocs (budget %.0f)", b.name, p.name, allocs, b.budget)
 			}
 			if got := hitAllocs(t, live, p.path); got > allocs {
 				t.Errorf("%s %s live hit: %.1f allocs, want ≤ %.0f (static)", b.name, p.name, got, allocs)

@@ -6,39 +6,41 @@
 //
 // # Architecture
 //
-// Three cooperating pieces, all owned by a LiveSystem:
+// Two layers, one record type:
 //
-//   - Ingester: callers hand batches of events (IngestEdges,
-//     IngestActions) to a bounded in-memory buffer. A single background
-//     goroutine drains the buffer and applies events to the overlay, so
-//     ingestion never contends with query traffic. TryIngest* variants
-//     reject with ErrBufferFull instead of blocking, giving HTTP callers
-//     natural backpressure.
-//
-//   - Delta overlay: the base core.System is immutable (CSR graph,
-//     model slices, indexes), so applied-but-not-yet-folded events live
-//     in a small mutable overlay keyed by endpoint pairs. New edges are
-//     assigned per-topic activation probabilities when they are applied
+//   - state (state.go) is the deterministic core: the base system, the
+//     delta overlay on top of it, the two-tier item dedup and the
+//     applied/invalid/duplicate counts. It has no goroutines, timers,
+//     locks or disk; callers pass the current time in. state.apply
+//     validates and dedups one store.Record and adds it to the overlay;
+//     a new edge is assigned per-topic activation probabilities there
 //     (the weighted Jaccard of the endpoints' topic profiles, scaled to
-//     the source's typical edge strength), and the WAL records those
-//     probabilities, so recovery and the fold reproduce them exactly.
+//     the source's typical edge strength), written into the record so
+//     the WAL keeps them. state.fold builds the next core.System from
+//     base + overlay — the graph re-CSR'd with the new edges, the TIC
+//     model remapped onto the new edge ids (tic.Remap) with the overlay
+//     priors filling the new edges, the action log merged with the new
+//     items/actions (actionlog.Merge, cost proportional to the delta).
+//     One path per kind of delta: with Config.IncrementalFold, a delta
+//     that leaves the graph unchanged reuses the graph, the model and
+//     both indexes (core.Fold — query-for-query identical to a rebuild
+//     at the unchanged seed); a delta that touches the graph rebuilds
+//     the indexes (core.Build) with the base system's tuning at a
+//     per-generation perturbed seed. state.retire makes the published
+//     fold the new base.
 //
-//   - Snapshot manager: when the overlay accumulates Config.RebuildEvents
-//     events — or has been pending longer than Config.RebuildInterval —
-//     the apply goroutine folds it into a fresh core.System: the graph is
-//     re-CSR'd with the new edges, the TIC model is remapped onto the new
-//     edge ids (tic.Remap) with overlay priors filling the new edges, the
-//     action log is merged with the new items/actions
-//     (actionlog.Merge, cost proportional to the delta). One path per
-//     kind of delta: with Config.IncrementalFold, a delta that leaves
-//     the graph unchanged (items and actions only) reuses the graph,
-//     the model and both indexes (core.Fold — query-for-query identical
-//     to a rebuild at the unchanged seed) and pays only the log-derived
-//     structures; a delta that touches the graph rebuilds the OTIM and
-//     tags indexes (core.Build) with the tuning of the base system at a
-//     per-generation perturbed seed. No index is maintained
-//     incrementally. The finished snapshot is installed with a single
-//     atomic.Pointer store.
+//   - LiveSystem (live.go) is the concurrent driver. Callers hand
+//     batches (IngestEdges, IngestActions) to a bounded queue as
+//     store.Records — the WAL's own type, from enqueue to apply to the
+//     log to recovery; TryIngest* variants reject with ErrBufferFull
+//     instead of blocking, giving HTTP callers natural backpressure. A
+//     single apply goroutine drains the queue, applies each record to
+//     the state under mu, group-commits the accepted ones to the WAL,
+//     and folds when the overlay holds Config.RebuildEvents events or
+//     its oldest is older than Config.RebuildInterval. The finished
+//     snapshot (snapshot.go) is installed with one atomic.Pointer store
+//     under mu, so Stats — read under the same lock — is one cut:
+//     applied − pending is exactly what the serving snapshot holds.
 //
 // # Concurrency and the staleness model
 //
@@ -94,8 +96,8 @@
 //
 // Recovery is the same code as ingestion. store.Open decodes the latest
 // checkpoint and keeps the WAL records logged after it; NewLiveSystem,
-// given that checkpoint and the store, applies those records through
-// the live handlers (edges keep their logged priors, nothing is logged
+// given that checkpoint and the store, replays those records through
+// state.apply (edges keep their logged priors, nothing is logged
 // twice) and folds them before it starts — the ordinary fold, with the
 // ordinary seed and IncrementalFold policy, checkpointing the next
 // version and rotating the WAL. A restarted leader therefore serves and

@@ -1,8 +1,8 @@
 package stream
 
 import (
-	"octopus/internal/actionlog"
 	"octopus/internal/graph"
+	"octopus/internal/store"
 )
 
 // EdgeEvent announces a new follow/citation edge. Endpoints beyond the
@@ -16,25 +16,14 @@ type EdgeEvent struct {
 	DstName string       `json:"dstName,omitempty"`
 }
 
-// Event kinds carried through the ingest buffer. Flush and snapshot
-// markers ride the same queue so they are ordered with the data events
-// they follow.
-const (
-	evEdge uint8 = iota
-	evItem
-	evAction
-	evFlush    // signal done once every prior event is applied
-	evSnapshot // fold the overlay now, then signal done with the result
-)
-
-// event is the internal unified representation buffered by the ingester.
-// done (markers only) receives nil once the marker is honored, or the
-// fold error for evSnapshot; it is buffered so the apply loop never
-// blocks on an abandoned waiter.
-type event struct {
-	kind uint8
-	edge EdgeEvent
-	item actionlog.Item
-	act  actionlog.Action
-	done chan error
+// request is one element of the ingest queue: a batch of records — the
+// WAL's own type, from enqueue to apply to the log — or a marker, which
+// rides the same queue so it is ordered behind the batches before it.
+// A marker's done receives nil once it is honored, or the fold error
+// for a snapshot marker; it is buffered so the apply loop never blocks
+// on an abandoned waiter.
+type request struct {
+	recs []store.Record
+	done chan error // non-nil on markers only
+	fold bool       // snapshot marker: fold the overlay now
 }

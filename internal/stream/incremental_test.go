@@ -227,8 +227,8 @@ func TestItemDedupShrinksAcrossFolds(t *testing.T) {
 		t.Fatal(err)
 	}
 	ls.mu.RLock()
-	pendingItems := len(ls.itemIDs)
-	baseLen := len(ls.baseItems)
+	pendingItems := len(ls.st.itemIDs)
+	baseLen := len(ls.st.baseItems)
 	ls.mu.RUnlock()
 	if pendingItems != 50 {
 		t.Fatalf("overlay item set = %d, want 50", pendingItems)
@@ -238,8 +238,8 @@ func TestItemDedupShrinksAcrossFolds(t *testing.T) {
 		t.Fatal(err)
 	}
 	ls.mu.RLock()
-	shrunk := len(ls.itemIDs)
-	grownBase := len(ls.baseItems)
+	shrunk := len(ls.st.itemIDs)
+	grownBase := len(ls.st.baseItems)
 	ls.mu.RUnlock()
 	if shrunk != 0 {
 		t.Fatalf("overlay item set after fold = %d, want 0 (set must shrink across folds)", shrunk)
@@ -303,8 +303,8 @@ func TestFoldFailureRetryIdentical(t *testing.T) {
 		}
 	}
 	flaky.mu.RLock()
-	sinceBefore := flaky.since
-	eventsBefore := flaky.ov.events
+	sinceBefore := flaky.st.since
+	eventsBefore := flaky.st.ov.events
 	flaky.mu.RUnlock()
 
 	if err := flaky.ForceSnapshot(); err == nil {
@@ -315,8 +315,8 @@ func TestFoldFailureRetryIdentical(t *testing.T) {
 		t.Fatalf("stats after injected failure = %+v", st)
 	}
 	flaky.mu.RLock()
-	sinceAfter := flaky.since
-	eventsAfter := flaky.ov.events
+	sinceAfter := flaky.st.since
+	eventsAfter := flaky.st.ov.events
 	flaky.mu.RUnlock()
 	if !sinceAfter.Equal(sinceBefore) {
 		t.Fatalf("staleness clock reset by failed fold: %v → %v", sinceBefore, sinceAfter)

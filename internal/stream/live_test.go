@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -200,7 +201,7 @@ func TestInvalidAndDuplicateEvents(t *testing.T) {
 func TestTryIngestBackpressure(t *testing.T) {
 	// A LiveSystem shell whose apply loop never runs: the buffer cannot
 	// drain, so the second batch must be rejected.
-	ls := &LiveSystem{ch: make(chan []event, 1), closed: make(chan struct{})}
+	ls := &LiveSystem{ch: make(chan request, 1), closed: make(chan struct{})}
 	if err := ls.TryIngestEdges([]EdgeEvent{{Src: 0, Dst: 1}}); err != nil {
 		t.Fatal(err)
 	}
@@ -345,10 +346,11 @@ func TestFoldFailureRetainsDelta(t *testing.T) {
 		t.Run(fmt.Sprintf("incremental=%v", incremental), func(t *testing.T) {
 			var failing atomic.Bool
 			failing.Store(true)
+			injected := errors.New("injected fold failure")
 			cfg := Config{RebuildEvents: 1 << 20, IncrementalFold: incremental}
 			cfg.foldHook = func() error {
 				if failing.Load() {
-					return errors.New("injected fold failure")
+					return injected
 				}
 				return nil
 			}
@@ -369,11 +371,8 @@ func TestFoldFailureRetainsDelta(t *testing.T) {
 			); err != nil {
 				t.Fatal(err)
 			}
-			if err := ls.ForceSnapshot(); err == nil {
-				t.Fatal("ForceSnapshot succeeded through an injected failure")
-			}
-			if ls.LastFoldError() == nil {
-				t.Fatal("LastFoldError not recorded")
+			if err := ls.ForceSnapshot(); !errors.Is(err, injected) {
+				t.Fatalf("ForceSnapshot = %v, want the injected failure", err)
 			}
 			st := ls.Stats()
 			if st.Version != 1 || st.FoldFailures != 1 || st.Snapshots != 0 ||
@@ -441,4 +440,66 @@ func TestStalenessTimerFold(t *testing.T) {
 	if st := ls.Staleness(); st != 0 {
 		t.Errorf("staleness after drain fold = %v, want 0", st)
 	}
+}
+
+// TestStatsConsistentCut: Stats is one cut of the pipeline, so with no
+// fold every applied event is still pending — Applied == Pending on
+// every call, however the reads interleave with concurrent applies.
+func TestStatsConsistentCut(t *testing.T) {
+	sys, _ := buildBase(t, 120, 59)
+	n := sys.Graph().NumNodes()
+	ls, err := NewLiveSystem(sys, Config{RebuildEvents: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+
+	stop := make(chan struct{})
+	var calls, tears atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if st := ls.Stats(); st.Applied != uint64(st.Pending) {
+				if tears.Add(1) == 1 {
+					t.Errorf("torn stats: applied %d, pending %d", st.Applied, st.Pending)
+				}
+			}
+			calls.Add(1)
+		}
+	}()
+	// Each batch waits for a few more reads before the next one, so the
+	// reads keep racing applies however the goroutines are scheduled.
+	const batches, readsPerBatch = 20000, 10
+	r := rng.New(61)
+	item := maxItemID(sys.ActionLog()) + 1
+	for b := 0; b < batches; b++ {
+		acts := make([]actionlog.Action, 4)
+		for i := range acts {
+			acts[i] = actionlog.Action{User: graph.NodeID(r.Intn(n)), Item: item, Time: int64(b)}
+		}
+		if err := ls.IngestActions([]actionlog.Item{{ID: item, Keywords: []string{"cut"}}}, acts); err != nil {
+			t.Fatal(err)
+		}
+		item++
+		for c := calls.Load() + readsPerBatch; calls.Load() < c; {
+			runtime.Gosched()
+		}
+	}
+	if err := ls.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	wg.Wait()
+	st := ls.Stats()
+	if want := uint64(5 * batches); st.Applied != want || st.Pending != int(want) || st.Version != 1 {
+		t.Fatalf("final stats = %+v", st)
+	}
+	t.Logf("%d Stats calls over %d batches, %d torn", calls.Load(), batches, tears.Load())
 }

@@ -3,14 +3,15 @@ package stream
 import (
 	"octopus/internal/actionlog"
 	"octopus/internal/graph"
+	"octopus/internal/store"
 	"octopus/internal/topic"
 )
 
 type edgeKey struct{ u, v graph.NodeID }
 
-// overlay accumulates applied-but-not-yet-folded events on top of an
-// immutable base system. It is mutated only by the apply goroutine,
-// under LiveSystem.mu, so locked readers (Stats, Staleness) see its
+// overlay accumulates applied-but-not-yet-folded records on top of an
+// immutable base system. It belongs to a state, so it is mutated only
+// under LiveSystem.mu and locked readers (Stats, Staleness) see its
 // counters consistently.
 type overlay struct {
 	edges   map[edgeKey]topic.Dist
@@ -35,27 +36,22 @@ func (ov *overlay) nodeCeil() int {
 	return int(ov.maxNode) + 1
 }
 
-// addEdge records an edge event. A key the overlay already holds — a
-// re-accepted duplicate — only refreshes the probabilities and names:
-// counting it again would double-count the event toward fold
-// thresholds and stats.
-func (ov *overlay) addEdge(ev EdgeEvent, probs topic.Dist) {
-	key := edgeKey{ev.Src, ev.Dst}
+// addEdge records an edge record with its prior. A key the overlay
+// already holds — a re-accepted duplicate — only refreshes the
+// probabilities and names: counting it again would double-count the
+// event toward fold thresholds and stats.
+func (ov *overlay) addEdge(rec *store.Record) {
+	key := edgeKey{rec.Src, rec.Dst}
 	if _, dup := ov.edges[key]; !dup {
 		ov.events++
 	}
-	ov.edges[key] = probs
-	if ev.Src > ov.maxNode {
-		ov.maxNode = ev.Src
+	ov.edges[key] = rec.Probs
+	ov.maxNode = max(ov.maxNode, rec.Src, rec.Dst)
+	if rec.SrcName != "" {
+		ov.names[rec.Src] = rec.SrcName
 	}
-	if ev.Dst > ov.maxNode {
-		ov.maxNode = ev.Dst
-	}
-	if ev.SrcName != "" {
-		ov.names[ev.Src] = ev.SrcName
-	}
-	if ev.DstName != "" {
-		ov.names[ev.Dst] = ev.DstName
+	if rec.DstName != "" {
+		ov.names[rec.Dst] = rec.DstName
 	}
 }
 

@@ -3,16 +3,16 @@ package stream
 import (
 	"testing"
 
-	"octopus/internal/topic"
+	"octopus/internal/store"
 )
 
 // A re-accepted edge key must not double-count toward the fold
 // threshold — it only refreshes the probabilities and names.
 func TestOverlayAddEdgeDedupes(t *testing.T) {
 	ov := newOverlay()
-	ov.addEdge(EdgeEvent{Src: 1, Dst: 2}, topic.Dist{0.1, 0.9})
-	ov.addEdge(EdgeEvent{Src: 1, Dst: 3}, topic.Dist{0.5, 0.5})
-	ov.addEdge(EdgeEvent{Src: 1, Dst: 2, SrcName: "alice"}, topic.Dist{0.4, 0.6})
+	ov.addEdge(&store.Record{Kind: store.RecEdge, Src: 1, Dst: 2, Probs: []float64{0.1, 0.9}})
+	ov.addEdge(&store.Record{Kind: store.RecEdge, Src: 1, Dst: 3, Probs: []float64{0.5, 0.5}})
+	ov.addEdge(&store.Record{Kind: store.RecEdge, Src: 1, Dst: 2, SrcName: "alice", Probs: []float64{0.4, 0.6}})
 
 	if ov.events != 2 {
 		t.Fatalf("events = %d, want 2 (duplicate must not count)", ov.events)

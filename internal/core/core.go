@@ -13,10 +13,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -26,7 +29,6 @@ import (
 	"octopus/internal/mia"
 	"octopus/internal/obs"
 	"octopus/internal/otim"
-	"octopus/internal/prefix"
 	"octopus/internal/ris"
 	"octopus/internal/rng"
 	"octopus/internal/tags"
@@ -77,7 +79,6 @@ type System struct {
 	otimIdx *otim.Index
 	tagsIdx *tags.Index
 	sugg    *tags.Suggester
-	names   *prefix.Index
 
 	// counts are the action log's totals and actor set, known without
 	// the log itself: a deferred system never decodes its log for Stats
@@ -101,11 +102,10 @@ type System struct {
 	logOnce sync.Once
 
 	// The stage-3 derived structures build lazily, each behind its own
-	// once: scratch lists need only the indexes, the name index only
-	// the graph, and the keyword pools the (possibly deferred) log.
-	// Eager construction paths force all three before returning.
+	// once: scratch lists need only the indexes, and the keyword pools
+	// the (possibly deferred) log. Eager construction paths force both
+	// before returning. (Names are the graph's: see graph.Lookup.)
 	scratchOnce sync.Once
-	namesOnce   sync.Once
 	poolsOnce   sync.Once
 
 	// backing, when non-nil, is the mapped snapshot the hot arrays alias
@@ -216,7 +216,7 @@ func Build(g *graph.Graph, log *actionlog.Log, cfg Config) (*System, error) {
 // Assemble builds a System from already-learned models AND already-built
 // online indexes — the snapshot fast path: no EM, no index
 // precomputation, only the cheap derived structures (user keyword
-// pools, suggester, name index) are reconstructed. The indexes
+// pools, suggester) are reconstructed. The indexes
 // must be bound to prop, and prop to g.
 func Assemble(g *graph.Graph, log *actionlog.Log, prop *tic.Model, words *topic.Model,
 	otimIdx *otim.Index, tagsIdx *tags.Index, cfg Config) (*System, error) {
@@ -296,7 +296,7 @@ func AssembleDeferred(g *graph.Graph, logFn func() (*actionlog.Log, error), coun
 }
 
 // assemble validates the pieces and builds the System shell; the caller
-// runs finish or finishFrom to derive stage 3.
+// runs finish to derive stage 3.
 func assemble(g *graph.Graph, log *actionlog.Log, prop *tic.Model, words *topic.Model,
 	otimIdx *otim.Index, tagsIdx *tags.Index, cfg Config) (*System, error) {
 
@@ -324,41 +324,13 @@ func assemble(g *graph.Graph, log *actionlog.Log, prop *tic.Model, words *topic.
 }
 
 // finish builds stage 3 — the derived structures every construction
-// path shares: user keyword pools, the suggestion engine, the
-// name-completion index, and the per-query scratch lists. It runs on every
-// snapshot fold and on every eager snapshot load. Systems assembled with
-// AssembleDeferred reach the same state piecewise, on first use.
-func (s *System) finish() { s.finishFrom(nil) }
-
-// finishFrom is finish with structure reuse from a predecessor system:
-// the name index is shared when the graph is (an action-only fold —
-// the index ranks by out-degree, so any edge growth invalidates it, and
-// an edge fold builds a fresh one). The shared index is immutable and
-// identical to what a fresh build computes, so folds stay
-// query-for-query equal to full rebuilds.
-func (s *System) finishFrom(old *System) {
+// path shares: user keyword pools, the suggestion engine and the
+// per-query scratch lists. It runs on every snapshot fold and on every
+// eager snapshot load. Systems assembled with AssembleDeferred reach
+// the same state piecewise, on first use.
+func (s *System) finish() {
 	s.ensureScratch()
-	s.ensureNames(old)
 	s.ensureKeywordPools()
-}
-
-// ensureNames builds (or adopts from old) the name-completion index,
-// one key-sorted entry per named node, in a single prefix.New call.
-func (s *System) ensureNames(old *System) {
-	s.namesOnce.Do(func() {
-		g := s.g
-		if old != nil && old.g == g && old.names != nil {
-			s.names = old.names
-			return
-		}
-		es := make([]prefix.Completion, 0, g.NumNodes())
-		for u := 0; u < g.NumNodes(); u++ {
-			if nm := g.Name(graph.NodeID(u)); nm != "" {
-				es = append(es, prefix.Completion{Key: nm, Value: int32(u), Weight: float64(g.OutDegree(graph.NodeID(u)))})
-			}
-		}
-		s.names = prefix.New(es)
-	})
 }
 
 // ensureKeywordPools builds the suggestion engine, which owns the
@@ -553,11 +525,35 @@ func (s *System) HeldUserKeys() []string {
 	return keys
 }
 
-// Complete returns auto-completions for a user-name prefix, ranked by
-// out-degree (Scenario 2's completion box).
-func (s *System) Complete(p string, k int) []prefix.Completion {
-	s.ensureNames(nil)
-	return s.names.Complete(p, k)
+// Completion is one auto-completion: a display name, the node it
+// resolves to and that node's out-degree.
+type Completion struct {
+	Key    string
+	Value  int32
+	Weight float64
+}
+
+// Complete returns up to k auto-completions for a user-name prefix
+// (Scenario 2's completion box), ranked by out-degree descending, then
+// name; nil when none match or k <= 0.
+func (s *System) Complete(p string, k int) []Completion { return complete(s.g, p, k) }
+
+func complete(g *graph.Graph, p string, k int) []Completion {
+	ids := g.WithPrefix(p)
+	if k <= 0 || len(ids) == 0 {
+		return nil
+	}
+	out := make([]Completion, len(ids))
+	for i, u := range ids {
+		out[i] = Completion{Key: g.Name(u), Value: u, Weight: float64(g.OutDegree(u))}
+	}
+	slices.SortFunc(out, func(a, b Completion) int {
+		if c := cmp.Compare(b.Weight, a.Weight); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Key, b.Key)
+	})
+	return out[:min(k, len(out))]
 }
 
 // InfluencerResult is one discovered seed user.

@@ -40,7 +40,7 @@ func Fold(old *System, log *actionlog.Log, cfg Config) (*System, error) {
 		return nil, err
 	}
 	stageStart := time.Now()
-	sys.finishFrom(old)
+	sys.finish()
 	sys.timings = BuildTimings{
 		Derived:     time.Since(stageStart),
 		Total:       time.Since(start),

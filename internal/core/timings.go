@@ -16,9 +16,8 @@ type BuildTimings struct {
 	OTIM time.Duration
 	// Tags is the influencer index build.
 	Tags time.Duration
-	// Derived is stage 3: keyword pools, suggester, sorted name index
-	// (adopted by an action-only fold; a mapped system builds it on its
-	// first Complete, outside this timing).
+	// Derived is stage 3: keyword pools and suggester. (The graph's name
+	// table builds on its first lookup, outside this timing.)
 	Derived time.Duration
 	// Total is wall-clock for the whole construction.
 	Total time.Duration

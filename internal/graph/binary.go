@@ -45,7 +45,8 @@ func WriteBinary(w io.Writer, g *Graph) error {
 // zero-copy mode the five CSR arrays alias the reader's backing bytes
 // (the caller keeps them alive) and the O(m) content revalidation is
 // skipped in favor of shape checks — mapped snapshots were CRC-framed
-// when written; only name index maps are built on the heap.
+// when written. The name table is not built here: it builds on the
+// first Lookup or WithPrefix.
 func ReadView(br *arena.Reader) (*Graph, error) {
 	version := br.U8()
 	if br.Err() == nil && version != graphBinaryVersion {
@@ -85,14 +86,6 @@ func ReadView(br *arena.Reader) (*Graph, error) {
 	}
 	if err := checkOffsets("in", g.inOff, g.n, m); err != nil {
 		return nil, err
-	}
-	if g.names != nil {
-		g.nameIdx = make(map[string]NodeID, g.n)
-		for i, nm := range g.names {
-			if nm != "" {
-				g.nameIdx[nm] = NodeID(i)
-			}
-		}
 	}
 	// Zero-copy input is a snapshot we (or a peer replica) wrote and
 	// framed with CRCs: the per-edge content validation would fault in

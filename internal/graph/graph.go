@@ -12,7 +12,10 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 )
 
 // NodeID identifies a node; ids are dense in [0, NumNodes).
@@ -34,8 +37,13 @@ type Graph struct {
 	inSrc  []NodeID // len m; source of each reverse slot
 	inEdge []EdgeID // len m; forward edge id of each reverse slot
 
-	names   []string // optional display names, len n or nil
-	nameIdx map[string]NodeID
+	names []string // optional display names, len n or nil
+
+	// byName is the name table behind Lookup and WithPrefix: one entry
+	// per distinct non-empty name, sorted by name, holding the highest
+	// node id that carries it. Built on first use (see nameTable).
+	byName     []NodeID
+	byNameOnce sync.Once
 }
 
 // NumNodes returns the number of nodes.
@@ -120,10 +128,54 @@ func (g *Graph) Name(u NodeID) string {
 // modify the returned slice.
 func (g *Graph) Names() []string { return g.names }
 
-// Lookup resolves a display name to a node id.
+// Lookup resolves a display name to a node id. When several nodes
+// carry the name, the highest id wins.
 func (g *Graph) Lookup(name string) (NodeID, bool) {
-	id, ok := g.nameIdx[name]
-	return id, ok
+	t := g.nameTable()
+	i, ok := slices.BinarySearchFunc(t, name, g.cmpName)
+	if !ok {
+		return 0, false
+	}
+	return t[i], true
+}
+
+// WithPrefix returns, in name order, the node ids Lookup resolves
+// names starting with prefix to — one per distinct name. The slice is
+// shared; callers must not modify it.
+func (g *Graph) WithPrefix(prefix string) []NodeID {
+	t := g.nameTable()
+	lo, _ := slices.BinarySearchFunc(t, prefix, g.cmpName)
+	hi := lo + sort.Search(len(t)-lo, func(i int) bool { return !strings.HasPrefix(g.names[t[lo+i]], prefix) })
+	return t[lo:hi]
+}
+
+func (g *Graph) cmpName(u NodeID, name string) int { return strings.Compare(g.names[u], name) }
+
+// nameTable builds the name table once, on first use, so a graph that
+// never resolves a name (a mapped shard that only answers IM) never
+// pays for it.
+func (g *Graph) nameTable() []NodeID {
+	g.byNameOnce.Do(func() { g.byName = sortNames(g.names) })
+	return g.byName
+}
+
+// sortNames returns the ids of the non-empty names sorted by name,
+// keeping only the highest id of each run of equal names. It allocates
+// the one result slice.
+func sortNames(names []string) []NodeID {
+	ids := make([]NodeID, 0, len(names))
+	for u, nm := range names {
+		if nm != "" {
+			ids = append(ids, NodeID(u))
+		}
+	}
+	slices.SortFunc(ids, func(a, b NodeID) int {
+		if c := strings.Compare(names[a], names[b]); c != 0 {
+			return c
+		}
+		return int(b - a) // highest id first, so Compact keeps it
+	})
+	return slices.CompactFunc(ids, func(a, b NodeID) bool { return names[a] == names[b] })
 }
 
 // Builder accumulates edges and produces an immutable Graph. Duplicate
@@ -231,12 +283,6 @@ func (b *Builder) Build() *Graph {
 	if len(b.names) > 0 {
 		g.names = make([]string, n)
 		copy(g.names, b.names)
-		g.nameIdx = make(map[string]NodeID, n)
-		for i, nm := range g.names {
-			if nm != "" {
-				g.nameIdx[nm] = NodeID(i)
-			}
-		}
 	}
 	return g
 }

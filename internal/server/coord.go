@@ -63,7 +63,6 @@ import (
 	"octopus/internal/core"
 	"octopus/internal/obs"
 	"octopus/internal/par"
-	"octopus/internal/prefix"
 )
 
 // shardsMissingHeader lists the comma-separated indexes of shards that
@@ -821,12 +820,12 @@ func mergeSeeds(lists [][]imSeed, score func(seeds []imSeed, i int) float64) []i
 // weight (names are replicated, so the owning shard — the one whose
 // actions back the weight — reports the true value and the rest report
 // a lower or equal one), ordered weight descending with lexicographic
-// key tie-breaks like the per-shard name indexes.
+// key tie-breaks like each shard's core.System.Complete.
 func (v *remoteView) mergeComplete(w http.ResponseWriter, successes []shardReply) {
-	byKey := make(map[string]prefix.Completion)
+	byKey := make(map[string]core.Completion)
 	k := 0
 	err := decodeAll(successes, func(i int, body []byte) error {
-		var part []prefix.Completion
+		var part []core.Completion
 		if err := json.Unmarshal(body, &part); err != nil {
 			return err
 		}
@@ -844,7 +843,7 @@ func (v *remoteView) mergeComplete(w http.ResponseWriter, successes []shardReply
 		writeErr(w, http.StatusBadGateway, err)
 		return
 	}
-	merged := make([]prefix.Completion, 0, len(byKey))
+	merged := make([]core.Completion, 0, len(byKey))
 	for _, c := range byKey {
 		merged = append(merged, c)
 	}

@@ -114,7 +114,6 @@ import (
 	"octopus/internal/core"
 	"octopus/internal/graph"
 	"octopus/internal/obs"
-	"octopus/internal/prefix"
 	"octopus/internal/qcache"
 	"octopus/internal/repl"
 	"octopus/internal/store"
@@ -777,7 +776,7 @@ func (s *Server) handleComplete(sys *core.System, w http.ResponseWriter, r *http
 	out := sys.Complete(p, k)
 	if out == nil {
 		// No match (or k=0) is an empty list, as a coordinator merges it.
-		out = []prefix.Completion{}
+		out = []core.Completion{}
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -9,7 +9,7 @@
 //
 // Every shard keeps the GLOBAL node-id space: shard graphs have all n
 // node slots and all display names, so node ids, name resolution and
-// name indexes agree fleet-wide without a translation table. What
+// name tables agree fleet-wide without a translation table. What
 // is partitioned is ownership:
 //
 //   - each NODE has exactly one owner shard (the Strategy's assignment);

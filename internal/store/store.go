@@ -253,9 +253,9 @@ func Write(w io.Writer, sys *core.System, version uint64) error {
 	return nil
 }
 
-// Parts are the decoded components of a snapshot, before the system is
-// rebuilt from them. Recovery uses them to merge the WAL tail in before
-// paying the single index rebuild.
+// Parts are the decoded sections of a snapshot, before Build assembles
+// them into a System: ReadParts copies them onto the heap, MapParts
+// aliases a mapped file.
 type Parts struct {
 	Graph *graph.Graph
 	// Log is the decoded action log. On the mapped path it is nil and

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -152,6 +153,42 @@ func TestFoldAppliesEvents(t *testing.T) {
 	st = ls.Stats()
 	if st.Pending != 0 || st.Snapshots != 1 || st.Version != 2 {
 		t.Fatalf("stats after fold = %+v", st)
+	}
+}
+
+// TestStatsJSONLastSwapAt: /api/ingest/stats has no lastSwapAt before
+// the first swap, and has one after it.
+func TestStatsJSONLastSwapAt(t *testing.T) {
+	sys, _ := buildBase(t, 120, 9)
+	ls, err := NewLiveSystem(sys, Config{RebuildEvents: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+	keys := func() map[string]any {
+		b, err := json.Marshal(ls.Stats())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := map[string]any{}
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	if v, ok := keys()["lastSwapAt"]; ok {
+		t.Fatalf("fresh stats carry lastSwapAt %v", v)
+	}
+	item := maxItemID(sys.ActionLog()) + 1
+	if err := ls.IngestActions([]actionlog.Item{{ID: item, Keywords: []string{"w"}}},
+		[]actionlog.Action{{User: 0, Item: item, Time: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ls.ForceSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := keys()["lastSwapAt"]; !ok {
+		t.Fatal("stats after a swap lack lastSwapAt")
 	}
 }
 

@@ -36,16 +36,11 @@ func (ov *overlay) nodeCeil() int {
 	return int(ov.maxNode) + 1
 }
 
-// addEdge records an edge record with its prior. A key the overlay
-// already holds — a re-accepted duplicate — only refreshes the
-// probabilities and names: counting it again would double-count the
-// event toward fold thresholds and stats.
+// addEdge records an accepted edge record with its prior. The caller
+// (state.applyEdge) has already rejected an edge the overlay holds.
 func (ov *overlay) addEdge(rec *store.Record) {
-	key := edgeKey{rec.Src, rec.Dst}
-	if _, dup := ov.edges[key]; !dup {
-		ov.events++
-	}
-	ov.edges[key] = rec.Probs
+	ov.edges[edgeKey{rec.Src, rec.Dst}] = rec.Probs
+	ov.events++
 	ov.maxNode = max(ov.maxNode, rec.Src, rec.Dst)
 	if rec.SrcName != "" {
 		ov.names[rec.Src] = rec.SrcName

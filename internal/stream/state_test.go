@@ -126,18 +126,22 @@ func TestStateApply(t *testing.T) {
 	}
 	item := maxItemID(base.ActionLog()) + 1
 	for _, rec := range []store.Record{
-		{Kind: store.RecEdge, Src: 0, Dst: n},                         // duplicate of the overlay
-		{Kind: store.RecEdge, Src: 3, Dst: graph.NodeID(st.maxNodes)}, // beyond the cap
-		{Kind: store.RecFence, Version: 9},                            // not an ingest record
-		{Kind: store.RecItem, ItemID: -1},                             // invalid id
-		{Kind: store.RecAction, User: n + 1, Item: item},              // user past the grown graph
+		{Kind: store.RecEdge, Src: 0, Dst: n},                                   // duplicate of the overlay
+		{Kind: store.RecEdge, Src: 1, Dst: n, Probs: []float64{0.5, 0.5, 0, 0}}, // replayed duplicate, other prior
+		{Kind: store.RecEdge, Src: 3, Dst: graph.NodeID(st.maxNodes)},           // beyond the cap
+		{Kind: store.RecFence, Version: 9},                                      // not an ingest record
+		{Kind: store.RecItem, ItemID: -1},                                       // invalid id
+		{Kind: store.RecAction, User: n + 1, Item: item},                        // user past the grown graph
 		{Kind: store.RecItem, ItemID: item, Keywords: []string{"x"}},
 		{Kind: store.RecAction, User: n, Item: item, Time: 4}, // the new node may act
 	} {
 		st.apply(&rec, t0.Add(2*time.Second))
 	}
-	if st.applied != 4 || st.invalid != 4 || st.duplicates != 1 || st.ov.events != 4 {
+	if st.applied != 4 || st.invalid != 4 || st.duplicates != 2 || st.ov.events != 4 {
 		t.Fatalf("counts: applied %d invalid %d duplicates %d pending %d", st.applied, st.invalid, st.duplicates, st.ov.events)
+	}
+	if got := st.ov.edges[edgeKey{1, n}]; !slices.Equal(got, []float64{0.25, 0, 0, 0}) {
+		t.Fatalf("a re-sent edge replaced the stored prior: %v", got)
 	}
 	if got := st.staleness(t0.Add(5 * time.Second)); got != 5*time.Second {
 		t.Fatalf("staleness = %v, want 5s from the oldest record", got)
@@ -158,7 +162,7 @@ func TestStateApply(t *testing.T) {
 	}
 	resent := store.Record{Kind: store.RecItem, ItemID: item}
 	again := store.Record{Kind: store.RecEdge, Src: 0, Dst: n}
-	if st.apply(&resent, t0) || st.apply(&again, t0) || st.duplicates != 3 {
+	if st.apply(&resent, t0) || st.apply(&again, t0) || st.duplicates != 4 {
 		t.Fatalf("folded item and edge not deduplicated: duplicates %d", st.duplicates)
 	}
 }

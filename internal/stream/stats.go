@@ -28,7 +28,7 @@ type Stats struct {
 	FoldFailures    uint64    `json:"foldFailures"`
 	LastSwapMillis  float64   `json:"lastSwapMillis"`
 	TotalSwapMillis float64   `json:"totalSwapMillis"`
-	LastSwapAt      time.Time `json:"lastSwapAt,omitempty"`
+	LastSwapAt      time.Time `json:"lastSwapAt,omitzero"`
 	// With Config.IncrementalFold, IncrementalFolds counts the swaps
 	// that reused the indexes (graph-unchanged deltas) and FoldFallbacks
 	// the ones that rebuilt (the delta touched the graph).

@@ -13,9 +13,10 @@ package actionlog
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -54,48 +55,123 @@ type Log struct {
 // Build groups raw actions by item, orders them, and assembles a Log.
 // Actions referring to items absent from items, or to users outside
 // [0,numUsers), are dropped; duplicate (user,item) actions keep the
-// earliest occurrence.
+// earliest occurrence. Where items repeat an id, the last of them
+// receives that id's actions and the others stay empty.
+//
+// Build is map-free: a counting sort deals the valid actions into
+// their episodes, and orderEpisode orders and dedups each one.
 func Build(numUsers int, items []Item, actions []Action) *Log {
-	byItem := make(map[int32]*Episode, len(items))
-	ordered := make([]*Episode, 0, len(items))
-	for _, it := range items {
-		ep := &Episode{Item: it}
-		byItem[it.ID] = ep
-		ordered = append(ordered, ep)
-	}
-	type key struct {
-		u NodeID
-		i int32
-	}
-	seen := make(map[key]int64)
-	for _, a := range actions {
-		if a.User < 0 || int(a.User) >= numUsers {
-			continue
-		}
-		if _, ok := byItem[a.Item]; !ok {
-			continue
-		}
-		k := key{a.User, a.Item}
-		if t, dup := seen[k]; dup && t <= a.Time {
-			continue
-		}
-		seen[k] = a.Time
-	}
-	for k, t := range seen {
-		ep := byItem[k.i]
-		ep.Actions = append(ep.Actions, Action{User: k.u, Item: k.i, Time: t})
-	}
 	log := &Log{NumUsers: numUsers}
-	for _, ep := range ordered {
-		sort.Slice(ep.Actions, func(i, j int) bool {
-			if ep.Actions[i].Time != ep.Actions[j].Time {
-				return ep.Actions[i].Time < ep.Actions[j].Time
-			}
-			return ep.Actions[i].User < ep.Actions[j].User
-		})
-		log.Episodes = append(log.Episodes, *ep)
+	if len(items) == 0 {
+		return log
+	}
+	idx, _ := indexItems(items)
+	// epOf[i] is action i's episode, -1 when it is dropped; start[e+1]
+	// first counts episode e's actions, then ends its range in all.
+	epOf := make([]int32, len(actions))
+	start := make([]int32, len(items)+1)
+	for i, a := range actions {
+		ep := int32(-1)
+		if a.User >= 0 && int(a.User) < numUsers {
+			ep = idx.lookup(a.Item)
+		}
+		epOf[i] = ep
+		if ep >= 0 {
+			start[ep+1]++
+		}
+	}
+	for e := range items {
+		start[e+1] += start[e]
+	}
+	all := make([]Action, start[len(items)])
+	next := slices.Clone(start[:len(items)])
+	for i, a := range actions {
+		if ep := epOf[i]; ep >= 0 {
+			all[next[ep]] = a
+			next[ep]++
+		}
+	}
+	seen := make([]int32, max(numUsers, 0))
+	log.Episodes = make([]Episode, len(items))
+	for e, it := range items {
+		log.Episodes[e] = Episode{Item: it, Actions: orderEpisode(all[start[e]:start[e+1]], seen, int32(e+1))}
 	}
 	return log
+}
+
+// orderEpisode sorts one episode's actions by (time, user) and keeps
+// each user's earliest action, compacting acts in place. seen[u] ==
+// stamp marks a user already kept, so stamp must not yet occur in seen.
+// An empty episode is nil, and the result's capacity ends at its
+// length, so appending to one episode never writes into another that
+// shares the backing array.
+func orderEpisode(acts []Action, seen []int32, stamp int32) []Action {
+	slices.SortFunc(acts, func(a, b Action) int {
+		if c := cmp.Compare(a.Time, b.Time); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.User, b.User)
+	})
+	n := 0
+	for _, a := range acts {
+		if seen[a.User] != stamp {
+			seen[a.User] = stamp
+			acts[n] = a
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	return acts[:n:n]
+}
+
+// itemIndex resolves item ids to episode indices without a map: the
+// (id, episode) pairs sorted by id, one per id, searched by bisection.
+type itemIndex []itemPos
+
+type itemPos struct{ id, ep int32 }
+
+// indexItems indexes items by id. Where ids repeat, the last episode
+// wins, as in Build, and dup reports it.
+func indexItems(items []Item) (idx itemIndex, dup bool) {
+	idx = make(itemIndex, len(items))
+	for e, it := range items {
+		idx[e] = itemPos{it.ID, int32(e)}
+	}
+	slices.SortFunc(idx, func(a, b itemPos) int {
+		if c := cmp.Compare(a.id, b.id); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ep, b.ep)
+	})
+	n := 0
+	for i, p := range idx {
+		if i+1 < len(idx) && idx[i+1].id == p.id {
+			dup = true
+			continue
+		}
+		idx[n] = p
+		n++
+	}
+	return idx[:n], dup
+}
+
+// lookup returns id's episode, or -1 when no item has it.
+func (x itemIndex) lookup(id int32) int32 {
+	lo, hi := 0, len(x)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if x[m].id < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(x) && x[lo].id == id {
+		return x[lo].ep
+	}
+	return -1
 }
 
 // NumActions returns the total number of actions across episodes.
@@ -145,90 +221,69 @@ func (l *Log) UserItems() [][]int32 {
 
 // Merge extends base with new items and actions, producing exactly what
 // Build(numUsers, base.Items()+items, base.Actions()+acts) produces —
-// for a cost proportional to the delta, not the corpus. Episodes
-// untouched by the new actions share their backing slices with base
-// (logs are immutable by convention), touched episodes are re-merged
-// with the earliest-occurrence dedup Build applies, and new items append
-// fresh episodes in order. Inputs Build would handle through its global
-// maps — duplicate item ids or a shrinking user universe — fall back to
-// a full Build, so Merge is always safe to call in Build's place.
+// for a cost proportional to the delta and the touched episodes, plus
+// an index over the items. Episodes untouched by the new actions share
+// their backing slices with base (logs are immutable by convention),
+// touched episodes are re-ordered and re-deduped by the helper Build
+// uses, and new items append fresh episodes in order. Inputs where
+// Build's last-id-wins rule decides — duplicate item ids — or a
+// shrinking user universe fall back to a full Build, so Merge is always
+// safe to call in Build's place.
 func Merge(base *Log, numUsers int, items []Item, acts []Action) *Log {
-	full := func() *Log {
-		return Build(numUsers, append(base.Items(), items...), append(base.Actions(), acts...))
-	}
 	if base == nil {
 		return Build(numUsers, items, acts)
 	}
-	if numUsers < base.NumUsers {
+	full := func() *Log {
+		return Build(numUsers, append(base.Items(), items...), append(base.Actions(), acts...))
+	}
+	if numUsers < base.NumUsers || len(base.Episodes)+len(items) == 0 {
 		return full()
 	}
 	if len(items) == 0 && len(acts) == 0 && numUsers == base.NumUsers {
 		return base // empty delta: the merged log IS the base (immutable)
 	}
-	epIdx := make(map[int32]int, len(base.Episodes)+len(items))
-	for i, ep := range base.Episodes {
-		if _, dup := epIdx[ep.Item.ID]; dup {
-			return full() // base itself holds duplicate ids: Build semantics are map-driven
-		}
-		epIdx[ep.Item.ID] = i
-	}
 	out := &Log{NumUsers: numUsers}
 	out.Episodes = make([]Episode, len(base.Episodes), len(base.Episodes)+len(items))
 	copy(out.Episodes, base.Episodes)
 	for _, it := range items {
-		if _, dup := epIdx[it.ID]; dup {
-			return full()
-		}
-		epIdx[it.ID] = len(out.Episodes)
 		out.Episodes = append(out.Episodes, Episode{Item: it})
 	}
+	idx, dup := indexItems(out.Items())
+	if dup {
+		return full()
+	}
 
-	// Group the accepted new actions per episode, keeping the earliest
-	// occurrence per user within the delta (Build's global dedup).
-	newByEp := map[int]map[NodeID]int64{}
+	// Group the accepted new actions by episode.
+	type epAction struct {
+		ep int32
+		a  Action
+	}
+	var touched []epAction
 	for _, a := range acts {
 		if a.User < 0 || int(a.User) >= numUsers {
 			continue
 		}
-		ei, ok := epIdx[a.Item]
-		if !ok {
-			continue
-		}
-		users := newByEp[ei]
-		if users == nil {
-			users = map[NodeID]int64{}
-			newByEp[ei] = users
-		}
-		if t, dup := users[a.User]; !dup || a.Time < t {
-			users[a.User] = a.Time
+		if ep := idx.lookup(a.Item); ep >= 0 {
+			touched = append(touched, epAction{ep, a})
 		}
 	}
-
-	for ei, users := range newByEp {
-		ep := out.Episodes[ei] // value copy; base's slice stays untouched
-		merged := make([]Action, 0, len(ep.Actions)+len(users))
-		for _, a := range ep.Actions {
-			// An earlier new occurrence wins over the stored one, exactly
-			// as Build's min-time dedup would decide.
-			if t, dup := users[a.User]; dup {
-				delete(users, a.User)
-				if t < a.Time {
-					a.Time = t
-				}
-			}
-			merged = append(merged, a)
+	slices.SortFunc(touched, func(x, y epAction) int { return cmp.Compare(x.ep, y.ep) })
+	seen := make([]int32, max(numUsers, 0))
+	for i := 0; i < len(touched); {
+		ep := touched[i].ep
+		j := i + 1
+		for j < len(touched) && touched[j].ep == ep {
+			j++
 		}
-		for u, t := range users {
-			merged = append(merged, Action{User: u, Item: ep.Item.ID, Time: t})
+		// A fresh slice: base's episode stays untouched.
+		e := &out.Episodes[ep]
+		merged := make([]Action, 0, len(e.Actions)+j-i)
+		merged = append(merged, e.Actions...)
+		for _, t := range touched[i:j] {
+			merged = append(merged, t.a)
 		}
-		sort.Slice(merged, func(i, j int) bool {
-			if merged[i].Time != merged[j].Time {
-				return merged[i].Time < merged[j].Time
-			}
-			return merged[i].User < merged[j].User
-		})
-		ep.Actions = merged
-		out.Episodes[ei] = ep
+		e.Actions = orderEpisode(merged, seen, ep+1)
+		i = j
 	}
 	return out
 }

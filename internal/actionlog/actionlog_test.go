@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -385,5 +387,119 @@ func TestMergeMatchesBuild(t *testing.T) {
 	wantDup := Build(100, append(base.Items(), Item{ID: 0}), base.Actions())
 	if !reflect.DeepEqual(wantDup, dup) {
 		t.Fatal("duplicate-item Merge diverges from Build")
+	}
+}
+
+// refBuild is the map-based grouping Build is checked against: dedup
+// each (user, item id) to its earliest time through a map, hand the
+// survivors to the last episode holding that id, and sort every
+// episode by (time, user).
+func refBuild(numUsers int, items []Item, actions []Action) *Log {
+	byItem := make(map[int32]*Episode, len(items))
+	ordered := make([]*Episode, 0, len(items))
+	for _, it := range items {
+		ep := &Episode{Item: it}
+		byItem[it.ID] = ep
+		ordered = append(ordered, ep)
+	}
+	type key struct {
+		u NodeID
+		i int32
+	}
+	seen := make(map[key]int64)
+	for _, a := range actions {
+		if a.User < 0 || int(a.User) >= numUsers {
+			continue
+		}
+		if _, ok := byItem[a.Item]; !ok {
+			continue
+		}
+		k := key{a.User, a.Item}
+		if t, dup := seen[k]; dup && t <= a.Time {
+			continue
+		}
+		seen[k] = a.Time
+	}
+	for k, t := range seen {
+		ep := byItem[k.i]
+		ep.Actions = append(ep.Actions, Action{User: k.u, Item: k.i, Time: t})
+	}
+	log := &Log{NumUsers: numUsers}
+	for _, ep := range ordered {
+		sort.Slice(ep.Actions, func(i, j int) bool {
+			if ep.Actions[i].Time != ep.Actions[j].Time {
+				return ep.Actions[i].Time < ep.Actions[j].Time
+			}
+			return ep.Actions[i].User < ep.Actions[j].User
+		})
+		log.Episodes = append(log.Episodes, *ep)
+	}
+	return log
+}
+
+// randomLog draws items whose ids repeat, and actions with users out of
+// range, unknown item ids, and repeated (user, item) pairs at equal and
+// unequal times.
+func randomLog(r *rng.Source, numUsers int) ([]Item, []Action) {
+	items := make([]Item, r.Intn(12))
+	for i := range items {
+		items[i] = Item{ID: int32(r.Intn(16) - 2), Keywords: []string{fmt.Sprint("kw", i)}}
+	}
+	acts := make([]Action, r.Intn(80))
+	for i := range acts {
+		acts[i] = Action{
+			User: NodeID(r.Intn(numUsers+6) - 3),
+			Item: int32(r.Intn(20) - 3),
+			Time: int64(r.Intn(6)),
+		}
+	}
+	return items, acts
+}
+
+// checkIsolated appends to every episode's Actions in turn and fails if
+// that changes any other episode.
+func checkIsolated(t *testing.T, l *Log) {
+	t.Helper()
+	before := make([][]Action, len(l.Episodes))
+	for i, ep := range l.Episodes {
+		before[i] = slices.Clone(ep.Actions)
+	}
+	for i, ep := range l.Episodes {
+		_ = append(ep.Actions, Action{User: -7, Item: -7, Time: -7})
+		for j, other := range l.Episodes {
+			if j != i && !slices.Equal(other.Actions, before[j]) {
+				t.Fatalf("appending to episode %d changed episode %d", i, j)
+			}
+		}
+	}
+}
+
+// Build and Merge must produce exactly what the map-based reference
+// does, empty episodes' nil Actions included, on random logs that hit
+// every rule: last-id-wins duplicates, out-of-range users, unknown
+// items, and earliest-time dedup.
+func TestBuildMergeMatchReference(t *testing.T) {
+	r := rng.New(11)
+	for round := 0; round < 2000; round++ {
+		numUsers := 1 + r.Intn(12)
+		items, acts := randomLog(r, numUsers)
+		got := Build(numUsers, items, acts)
+		if want := refBuild(numUsers, items, acts); !reflect.DeepEqual(want, got) {
+			t.Fatalf("round %d: Build diverges\nitems %v\nacts %v\nwant %+v\ngot  %+v", round, items, acts, want, got)
+		}
+		checkIsolated(t, got)
+
+		grown := numUsers + r.Intn(5) - 1
+		newItems, newActs := randomLog(r, grown)
+		merged := Merge(got, grown, newItems, newActs)
+		want := refBuild(grown, append(got.Items(), newItems...), append(got.Actions(), newActs...))
+		if !reflect.DeepEqual(want, merged) {
+			t.Fatalf("round %d: Merge diverges\nbase %+v\nitems %v\nacts %v\nwant %+v\ngot  %+v",
+				round, got, newItems, newActs, want, merged)
+		}
+		checkIsolated(t, merged)
+		if again := Build(numUsers, items, acts); !reflect.DeepEqual(again, got) {
+			t.Fatalf("round %d: Merge changed its base", round)
+		}
 	}
 }

@@ -13,19 +13,17 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"octopus/internal/actionlog"
 	"octopus/internal/em"
 	"octopus/internal/graph"
+	"octopus/internal/heaps"
 	"octopus/internal/mia"
 	"octopus/internal/obs"
 	"octopus/internal/otim"
@@ -504,25 +502,43 @@ func (s *System) HoldsUser(u graph.NodeID) bool {
 
 // HeldUserKeys lists, in node order, every display name and canonical
 // decimal id that ResolveUser maps to a user this system holds (see
-// HoldsUser).
+// HoldsUser). One pass over the name table marks the names' owners and
+// the ids that digit names shadow, so no key costs a lookup.
 func (s *System) HeldUserKeys() []string {
+	n := s.g.NumNodes()
+	// owns[u]: Lookup resolves u's name to u. shadowed[u]: a node is
+	// named u's canonical decimal id, so ResolveUser resolves that id by
+	// name instead.
+	owns, shadowed := make([]bool, n), make([]bool, n)
+	for _, u := range s.g.WithPrefix("") {
+		owns[u] = true
+		if id, ok := canonicalID(s.g.Name(u), n); ok {
+			shadowed[id] = true
+		}
+	}
 	var keys []string
-	for u := graph.NodeID(0); int(u) < s.g.NumNodes(); u++ {
+	for u := graph.NodeID(0); int(u) < n; u++ {
 		if !s.HoldsUser(u) {
 			continue
 		}
-		if nm := s.g.Name(u); nm != "" {
-			if v, _ := s.g.Lookup(nm); v == u {
-				keys = append(keys, nm)
-			}
+		if owns[u] {
+			keys = append(keys, s.g.Name(u))
 		}
-		// A node named like an id shadows that id in ResolveUser.
-		id := strconv.Itoa(int(u))
-		if _, named := s.g.Lookup(id); !named {
-			keys = append(keys, id)
+		if !shadowed[u] {
+			keys = append(keys, strconv.Itoa(int(u)))
 		}
 	}
 	return keys
+}
+
+// canonicalID reports the node id in [0, n) whose strconv.Itoa form is
+// exactly name.
+func canonicalID(name string, n int) (int, bool) {
+	if name == "" || name[0] < '0' || name[0] > '9' || name[0] == '0' && name != "0" {
+		return 0, false
+	}
+	id, err := strconv.Atoi(name)
+	return id, err == nil && id < n
 }
 
 // Completion is one auto-completion: a display name, the node it
@@ -543,17 +559,29 @@ func complete(g *graph.Graph, p string, k int) []Completion {
 	if k <= 0 || len(ids) == 0 {
 		return nil
 	}
-	out := make([]Completion, len(ids))
+	// ids are in name order, so ranking by out-degree descending, then
+	// position, ranks by name on ties. The heap keeps the best k with the
+	// worst on top: heaps.Max puts larger keys, then smaller ids, first,
+	// and an entry is (−out-degree, −position).
+	k = min(k, len(ids))
+	h := heaps.NewMax(k)
 	for i, u := range ids {
-		out[i] = Completion{Key: g.Name(u), Value: u, Weight: float64(g.OutDegree(u))}
-	}
-	slices.SortFunc(out, func(a, b Completion) int {
-		if c := cmp.Compare(b.Weight, a.Weight); c != 0 {
-			return c
+		w := float64(g.OutDegree(u))
+		if h.Len() == k {
+			if w <= -h.Peek().Key {
+				continue
+			}
+			h.Pop()
 		}
-		return strings.Compare(a.Key, b.Key)
-	})
-	return out[:min(k, len(out))]
+		h.Push(heaps.Item{ID: int32(-i), Key: -w})
+	}
+	out := make([]Completion, h.Len())
+	for j := len(out) - 1; j >= 0; j-- {
+		it := h.Pop()
+		u := ids[-it.ID]
+		out[j] = Completion{Key: g.Name(u), Value: u, Weight: -it.Key}
+	}
+	return out
 }
 
 // InfluencerResult is one discovered seed user.

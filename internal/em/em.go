@@ -19,14 +19,24 @@
 // adds table entries in each trial's reference order — the same values
 // in the same order as taking every log per reference, so every learned
 // bit is the same. Only success groups with several parents still take
-// a log per trial.
+// a log per trial, and an edge's terms are filled only if some trial
+// reads them.
+//
+// Every pass of an iteration runs on all workers without moving a bit.
+// The E-step runs per fixed chunk of trials into chunk-local partial
+// sums; par.OrderedFold folds the partials into the global rows in chunk
+// order, one lane per block of edges plus one for the keyword rows,
+// prior and likelihood, so each row sees the additions of the serial
+// learner in the same order. A lane that has folded every chunk runs
+// the M-step for its rows at once, zeroes them, and fills the next
+// iteration's log terms for them.
 package em
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"octopus/internal/actionlog"
@@ -68,10 +78,12 @@ type Config struct {
 	// influence. The zero value means "default"; pass any negative
 	// value to disable the prior (maximum-likelihood rates).
 	EdgePrior float64
-	// Workers bounds the E-step fan-out (0 = one worker per GOMAXPROCS
-	// slot, 1 = serial). The learned model is bit-identical for every
-	// worker count: trials are sharded into fixed-size chunks whose
-	// accumulators are merged in chunk order.
+	// Workers bounds the fan-out of every learning pass — trial
+	// extraction, chunk set-up, the E-step, the chunk folds and the
+	// per-block M-step (0 = one worker per GOMAXPROCS slot, 1 =
+	// serial). The learned model is bit-identical for every worker
+	// count: trials are sharded into fixed-size chunks whose partial
+	// sums every row folds in chunk order.
 	Workers int
 
 	// filled marks a config whose defaults and sentinels have been
@@ -154,62 +166,102 @@ type episodeTrials struct {
 // which is what makes parallel learning bit-identical to serial.
 const chunkTrials = 256
 
+// Each fold lane owns one block of edge ids: the lane adds every
+// chunk's partial rows for those edges, then refits, zeroes and re-logs
+// them. Blocks span at least minEdgeBlock edges, and there are at most
+// maxEdgeLanes of them, so a lane's work per chunk outweighs its
+// scheduling and par.OrderedFold's per-decision scan over the lanes
+// stays short on any graph. Lanes partition rows, not additions, so the
+// block size cannot change a bit.
+const (
+	minEdgeBlock = 4096
+	maxEdgeLanes = 64
+)
+
+// edgeBlocks returns the block span and the number of blocks for M
+// edges.
+func edgeBlocks(M int) (span, blocks int) {
+	span = max(minEdgeBlock, (M+maxEdgeLanes-1)/maxEdgeLanes)
+	return span, (M + span - 1) / span
+}
+
 // emChunk is one fixed shard of trials plus the distinct edge/keyword
 // rows its trials touch, remapped to chunk-local accumulator indices.
-// The translation tables are parallel to the trials' own reference
-// order (success-group parents flattened, then failures, then words),
-// so the hot accumulation loop never does a map lookup.
+// The translations are parallel to the trials' own reference order, so
+// the hot accumulation loop never does a map lookup.
 type emChunk struct {
 	lo, hi int
-	edges  []graph.EdgeID // distinct edges touched, ascending
-	words  []int32        // distinct keyword ids touched, ascending
-	// Per trial (index ti-lo): chunk-local indices of the trial's
-	// success-group parents (flattened across groups), failure edges
-	// and words.
-	parentsLocal [][]int32
-	failsLocal   [][]int32
-	wordsLocal   [][]int32
+	// edges are the distinct edges touched, by edge block; within a
+	// block, the edges some success group names come first, then the
+	// failure-only ones, each run ascending.
+	edges []graph.EdgeID
+	words []int32 // distinct keyword ids touched, ascending
+	// Block b's rows are edges[cut[2b]:cut[2b+2]], its success-group
+	// edges edges[cut[2b]:cut[2b+1]]. A failure-only edge's succ row
+	// stays zero, so the fold skips it: adding +0 changes no bit.
+	cut []int32
+	// local holds the chunk-local index of every reference, per trial:
+	// its success-group parents (flattened across groups), then its
+	// failure edges, then its words. Trial ti's parents start at
+	// off[3(ti−lo)], its failures at off[3(ti−lo)+1], its words at
+	// off[3(ti−lo)+2]; off[3(hi−lo)] ends the last trial.
+	local []int32
+	off   []int32
+}
+
+// refs returns trial ti's chunk-local parent, failure and word indices.
+func (ch *emChunk) refs(ti int) (parents, fails, words []int32) {
+	o := ch.off[3*(ti-ch.lo):]
+	return ch.local[o[0]:o[1]], ch.local[o[1]:o[2]], ch.local[o[2]:o[3]]
 }
 
 // makeChunks shards trials into fixed-size chunks and records each
 // chunk's touched edge/keyword sets and local-index translations once
-// (they are invariant across EM iterations). Accumulators are then
-// sized to the chunk's content — O(chunk references), never O(Z·M) —
-// which keeps parallel EM's memory footprint flat in the graph size.
-func makeChunks(trials []episodeTrials, M, V int) []emChunk {
-	var chunks []emChunk
-	// localE/localW double as "seen" stamps: >= 0 means assigned for the
-	// current chunk (they are reset to -1 per touched entry after use).
-	localE := make([]int32, M)
-	localW := make([]int32, V)
-	for i := range localE {
-		localE[i] = -1
-	}
-	for i := range localW {
-		localW[i] = -1
-	}
-	for lo := 0; lo < len(trials); lo += chunkTrials {
-		hi := lo + chunkTrials
-		if hi > len(trials) {
-			hi = len(trials)
+// (they are invariant across EM iterations), one chunk per task.
+// Accumulators are then sized to the chunk's content — O(chunk
+// references), never O(Z·M) — which keeps parallel EM's memory
+// footprint flat in the graph size.
+func makeChunks(trials []episodeTrials, M, V, workers int) []emChunk {
+	span, blocks := edgeBlocks(M)
+	chunks := make([]emChunk, (len(trials)+chunkTrials-1)/chunkTrials)
+	// Per worker, stampsE/stampsW double as "seen" stamps: >= 0 means
+	// touched by the current chunk (an edge's 1: it names a success
+	// group), then the local index; each touched entry is reset to -1
+	// after the chunk.
+	workers = min(par.Resolve(workers), len(chunks))
+	stampsE, stampsW := make([][]int32, workers), make([][]int32, workers)
+	for w := range stampsE {
+		stampsE[w], stampsW[w] = make([]int32, M), make([]int32, V)
+		for i := range stampsE[w] {
+			stampsE[w][i] = -1
 		}
+		for i := range stampsW[w] {
+			stampsW[w][i] = -1
+		}
+	}
+	par.Each(workers, len(chunks), func(w, ci int) {
+		localE, localW := stampsE[w], stampsW[w]
+		lo := ci * chunkTrials
+		hi := min(lo+chunkTrials, len(trials))
 		ch := emChunk{lo: lo, hi: hi}
 		// Pass 1: collect + sort distinct sets.
+		refs := 0
 		for ti := lo; ti < hi; ti++ {
 			tr := &trials[ti]
-			for _, w := range tr.words {
-				if localW[w] < 0 {
-					localW[w] = 0
-					ch.words = append(ch.words, int32(w))
+			for _, wd := range tr.words {
+				if localW[wd] < 0 {
+					localW[wd] = 0
+					ch.words = append(ch.words, int32(wd))
 				}
 			}
 			for _, sg := range tr.successes {
 				for _, e := range sg.parents {
 					if localE[e] < 0 {
-						localE[e] = 0
 						ch.edges = append(ch.edges, e)
 					}
+					localE[e] = 1 // names a success group
 				}
+				refs += len(sg.parents)
 			}
 			for _, e := range tr.failures {
 				if localE[e] < 0 {
@@ -217,53 +269,75 @@ func makeChunks(trials []episodeTrials, M, V int) []emChunk {
 					ch.edges = append(ch.edges, e)
 				}
 			}
+			refs += len(tr.failures) + len(tr.words)
 		}
-		sort.Slice(ch.edges, func(a, b int) bool { return ch.edges[a] < ch.edges[b] })
-		sort.Slice(ch.words, func(a, b int) bool { return ch.words[a] < ch.words[b] })
+		// seg is an edge's run: 2·block, +1 when it is failure-only.
+		// Sorting (seg, edge) keys orders the edges run by run.
+		seg := func(e graph.EdgeID) int { return 2*(int(e)/span) + 1 - int(localE[e]) }
+		keys := make([]uint64, len(ch.edges))
+		for i, e := range ch.edges {
+			keys[i] = uint64(seg(e))<<32 | uint64(e)
+		}
+		slices.Sort(keys)
+		for i, k := range keys {
+			ch.edges[i] = graph.EdgeID(uint32(k))
+		}
+		slices.Sort(ch.words)
+		ch.cut = make([]int32, 2*blocks+1)
+		run := 0
 		for li, e := range ch.edges {
+			for s := seg(e); run < s; {
+				run++
+				ch.cut[run] = int32(li)
+			}
 			localE[e] = int32(li)
+		}
+		for run < 2*blocks {
+			run++
+			ch.cut[run] = int32(len(ch.edges))
 		}
 		for li, wd := range ch.words {
 			localW[wd] = int32(li)
 		}
 		// Pass 2: translate every trial reference to its local index.
-		ch.parentsLocal = make([][]int32, hi-lo)
-		ch.failsLocal = make([][]int32, hi-lo)
-		ch.wordsLocal = make([][]int32, hi-lo)
+		ch.local = make([]int32, 0, refs)
+		ch.off = make([]int32, 0, 3*(hi-lo)+1)
 		for ti := lo; ti < hi; ti++ {
 			tr := &trials[ti]
-			var pl []int32
+			ch.off = append(ch.off, int32(len(ch.local)))
 			for _, sg := range tr.successes {
 				for _, e := range sg.parents {
-					pl = append(pl, localE[e])
+					ch.local = append(ch.local, localE[e])
 				}
 			}
-			fl := make([]int32, len(tr.failures))
-			for j, e := range tr.failures {
-				fl[j] = localE[e]
+			ch.off = append(ch.off, int32(len(ch.local)))
+			for _, e := range tr.failures {
+				ch.local = append(ch.local, localE[e])
 			}
-			wl := make([]int32, len(tr.words))
-			for j, w := range tr.words {
-				wl[j] = localW[w]
+			ch.off = append(ch.off, int32(len(ch.local)))
+			for _, wd := range tr.words {
+				ch.local = append(ch.local, localW[wd])
 			}
-			ch.parentsLocal[ti-lo], ch.failsLocal[ti-lo], ch.wordsLocal[ti-lo] = pl, fl, wl
 		}
-		// Reset stamps for the next chunk.
+		ch.off = append(ch.off, int32(len(ch.local)))
+		// Reset stamps for the worker's next chunk.
 		for _, e := range ch.edges {
 			localE[e] = -1
 		}
 		for _, wd := range ch.words {
 			localW[wd] = -1
 		}
-		chunks = append(chunks, ch)
-	}
+		chunks[ci] = ch
+	})
 	return chunks
 }
 
 // emAcc is a chunk-local accumulator sized to the owning chunk's
-// touched rows: succ/trial are Z×len(chunk.edges), word is
-// Z×len(chunk.words), indexed by the chunk's local ids. Pooled
-// instances grow to the largest chunk they have served.
+// touched rows: succ/trial are len(chunk.edges)×Z (edge-major, like the
+// global rows they fold into), word is Z×len(chunk.words), indexed by
+// the chunk's local ids. Recycled instances grow to the largest chunk
+// they have served. Folding zeroes every row it adds, so a recycled
+// accumulator is zero over its whole capacity and reset only re-slices.
 type emAcc struct {
 	succ, trial []float64
 	word        []float64
@@ -271,17 +345,13 @@ type emAcc struct {
 	ll          float64
 }
 
-// sized returns s resized to n, reusing capacity, with every element
-// zeroed.
+// sized returns s resized to n, reusing its capacity, which must be
+// all zero.
 func sized(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n)
 	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
+	return s[:n]
 }
 
 func (a *emAcc) reset(ch *emChunk, Z int) {
@@ -298,7 +368,8 @@ func (a *emAcc) reset(ch *emChunk, Z int) {
 // joint iterations, the per-(edge, topic) failure term
 // fail[e·Z+z] = log(1 − pp + 1e-12) and one-parent success term
 // succ1[e·Z+z] = log(1 − (1 − pp) + 1e-12). The edge tables are
-// edge-major, so one reference reads all Z topics from one cache line.
+// edge-major, so one reference reads all Z topics from one cache line,
+// and an edge's row is filled only if some trial reads it (reads).
 //
 // Each entry is the exact float64 a per-reference math.Log call would
 // return (for one parent, 1.0·(1 − pp) == 1 − pp), so adding table rows
@@ -307,53 +378,93 @@ func (a *emAcc) reset(ch *emChunk, Z int) {
 type logTables struct {
 	prior, word []float64
 	fail, succ1 []float64
+	reads       []uint8 // per edge: readsFail | readsSucc1
 }
 
-// logEdgeBlock is the par.Each unit of the edge-table fill.
-const logEdgeBlock = 4096
+const (
+	readsFail  = 1 << iota // some trial has the edge as a failure
+	readsSucc1             // some trial has it as a one-parent success
+)
 
-func newLogTables(Z, V, M int) *logTables {
-	return &logTables{
+func newLogTables(trials []episodeTrials, Z, V, M int) *logTables {
+	t := &logTables{
 		prior: make([]float64, Z),
 		word:  make([]float64, Z*V),
 		fail:  make([]float64, M*Z),
 		succ1: make([]float64, M*Z),
+		reads: make([]uint8, M),
 	}
+	for i := range trials {
+		for _, sg := range trials[i].successes {
+			if len(sg.parents) == 1 {
+				t.reads[sg.parents[0]] |= readsSucc1
+			}
+		}
+		for _, e := range trials[i].failures {
+			t.reads[e] |= readsFail
+		}
+	}
+	return t
 }
 
-// fill recomputes the tables from the current parameters; the edge
-// tables only when useProp is set. Every entry is a pure function of
-// its parameter, so the fan-out cannot change a bit.
-func (t *logTables) fill(pp, pwz, prior []float64, useProp bool, Z, M, workers int) {
+// fillKeywords recomputes the prior and keyword terms.
+func (t *logTables) fillKeywords(pwz, prior []float64) {
 	for z, p := range prior {
 		t.prior[z] = math.Log(p)
 	}
 	for i, p := range pwz {
 		t.word[i] = math.Log(p + 1e-300)
 	}
-	if !useProp {
-		return
-	}
-	par.Each(workers, (M+logEdgeBlock-1)/logEdgeBlock, func(_, b int) {
-		for e := b * logEdgeBlock; e < min((b+1)*logEdgeBlock, M); e++ {
-			fail, succ1 := t.fail[e*Z:(e+1)*Z], t.succ1[e*Z:(e+1)*Z]
-			for z := range fail {
-				p := pp[z*M+e]
+}
+
+// fillEdges recomputes the read edge terms of edges [lo, hi) from pp
+// (edge-major, like the tables). Every entry is a pure function of its
+// parameter, so splitting the fill cannot change a bit.
+func (t *logTables) fillEdges(pp []float64, lo, hi, Z int) {
+	for e := lo; e < hi; e++ {
+		r := t.reads[e]
+		if r == 0 {
+			continue
+		}
+		row := pp[e*Z : (e+1)*Z]
+		if r&readsFail != 0 {
+			fail := t.fail[e*Z : (e+1)*Z]
+			for z, p := range row {
 				fail[z] = math.Log(1 - p + 1e-12)
+			}
+		}
+		if r&readsSucc1 != 0 {
+			succ1 := t.succ1[e*Z : (e+1)*Z]
+			for z, p := range row {
 				succ1[z] = math.Log(1 - (1 - p) + 1e-12)
 			}
 		}
-	})
+	}
+}
+
+// eScratch is one worker's E-step scratch: the per-topic log
+// responsibilities, the masked responsibilities the accumulation adds,
+// and the no-parent-succeeds product of every success group of the
+// current trial (group-major, Z per group).
+type eScratch struct {
+	logL, r, pNone []float64
 }
 
 // eStepChunk runs the E-step plus M-step accumulation for one chunk of
 // trials, writing responsibilities (disjoint per trial) and the
-// chunk-local accumulator. It reads the shared parameters (pp) and their
-// log tables, which are immutable within one EM iteration.
+// chunk-local accumulator. It reads the shared parameters (pp,
+// edge-major) and their log tables, which are immutable within one EM
+// iteration.
+//
+// Per accumulator cell the additions are those of the trial-major,
+// topic-by-topic loop the learner is pinned to: trials in order, then
+// references in order. A topic whose responsibility is below 1e-12
+// adds nothing there; here it adds +0.0, which leaves a non-negative
+// sum's bits unchanged, so every row is updated Z topics at a time.
 func eStepChunk(acc *emAcc, ch *emChunk, trials []episodeTrials, resp []topic.Dist,
-	pp []float64, lt *logTables, logL []float64, useProp bool, Z, M, V int) {
+	pp []float64, lt *logTables, sc *eScratch, useProp bool, Z, V int) {
 
-	lenE, lenW := len(ch.edges), len(ch.words)
+	logL, r := sc.logL, sc.r
 	for ti := ch.lo; ti < ch.hi; ti++ {
 		tr := &trials[ti]
 		// E-step: log responsibility per topic. Each logL[z] adds the
@@ -365,26 +476,40 @@ func eStepChunk(acc *emAcc, ch *emChunk, trials []episodeTrials, resp []topic.Di
 				logL[z] += lt.word[z*V+w]
 			}
 		}
+		// pNone[g·Z+z]: the probability that no parent of success group
+		// g succeeded under topic z, multiplied in parent order.
+		if need := len(tr.successes) * Z; cap(sc.pNone) < need {
+			sc.pNone = make([]float64, need)
+		}
+		pNone := sc.pNone[:len(tr.successes)*Z]
+		for gi, sg := range tr.successes {
+			pn := pNone[gi*Z:][:Z]
+			for z := range pn {
+				pn[z] = 1
+			}
+			for _, e := range sg.parents {
+				row := pp[int(e)*Z:][:Z]
+				for z := range pn {
+					pn[z] *= 1 - row[z]
+				}
+			}
+		}
 		if useProp {
-			for _, sg := range tr.successes {
+			for gi, sg := range tr.successes {
 				if len(sg.parents) == 1 {
-					row := lt.succ1[int(sg.parents[0])*Z:][:Z]
+					row := lt.succ1[int(sg.parents[0])*Z:][:len(logL)]
 					for z := range logL {
 						logL[z] += row[z]
 					}
 					continue
 				}
+				pn := pNone[gi*Z:][:len(logL)]
 				for z := range logL {
-					rowP := pp[z*M : (z+1)*M]
-					pNone := 1.0
-					for _, e := range sg.parents {
-						pNone *= 1 - rowP[e]
-					}
-					logL[z] += math.Log(1 - pNone + 1e-12)
+					logL[z] += math.Log(1 - pn[z] + 1e-12)
 				}
 			}
 			for _, e := range tr.failures {
-				row := lt.fail[int(e)*Z:][:Z]
+				row := lt.fail[int(e)*Z:][:len(logL)]
 				for z := range logL {
 					logL[z] += row[z]
 				}
@@ -396,55 +521,59 @@ func eStepChunk(acc *emAcc, ch *emChunk, trials []episodeTrials, resp []topic.Di
 				maxv = v
 			}
 		}
+		rt := resp[ti]
 		sum := 0.0
 		for z := 0; z < Z; z++ {
-			resp[ti][z] = math.Exp(logL[z] - maxv)
-			sum += resp[ti][z]
+			rt[z] = math.Exp(logL[z] - maxv)
+			sum += rt[z]
 		}
 		acc.ll += maxv + math.Log(sum)
 		for z := 0; z < Z; z++ {
-			resp[ti][z] /= sum
+			rt[z] /= sum
+			if rt[z] < 1e-12 {
+				r[z] = 0
+			} else {
+				r[z] = rt[z]
+			}
 		}
 
 		// Accumulate M-step statistics into the chunk-local rows. Reads
 		// (pp) use global edge ids; writes use the precomputed local ids.
-		pl := ch.parentsLocal[ti-ch.lo]
-		fl := ch.failsLocal[ti-ch.lo]
-		wl := ch.wordsLocal[ti-ch.lo]
-		for z := 0; z < Z; z++ {
-			rz := resp[ti][z]
-			if rz < 1e-12 {
-				continue
-			}
+		pl, fl, wl := ch.refs(ti)
+		for z, rz := range r {
 			acc.prior[z] += rz
+		}
+		lenW := len(ch.words)
+		for z, rz := range r {
 			rowW := acc.word[z*lenW : (z+1)*lenW]
 			for _, lw := range wl {
 				rowW[lw] += rz
 			}
-			rowP := pp[z*M : (z+1)*M]
-			rowSucc := acc.succ[z*lenE : (z+1)*lenE]
-			rowTrial := acc.trial[z*lenE : (z+1)*lenE]
-			cursor := 0
-			for _, sg := range tr.successes {
-				pNone := 1.0
-				for _, e := range sg.parents {
-					pNone *= 1 - rowP[e]
-				}
-				pAny := 1 - pNone
-				if pAny < 1e-12 {
-					pAny = 1e-12
-				}
-				for j, e := range sg.parents {
-					// Saito credit: probability that edge e was the
-					// successful activator given at least one succeeded.
-					le := pl[cursor+j]
-					rowSucc[le] += rz * rowP[e] / pAny
-					rowTrial[le] += rz
-				}
-				cursor += len(sg.parents)
+		}
+		cursor := 0
+		for gi, sg := range tr.successes {
+			pn := pNone[gi*Z:][:Z]
+			for z, v := range pn {
+				// pn becomes pAny: the probability some parent succeeded.
+				pn[z] = max(1-v, 1e-12)
 			}
-			for _, le := range fl {
-				rowTrial[le] += rz
+			for j, e := range sg.parents {
+				// Saito credit: probability that edge e was the
+				// successful activator given at least one succeeded.
+				le := int(pl[cursor+j]) * Z
+				row, pn := pp[int(e)*Z:][:len(r)], pn[:len(r)]
+				succ, trial := acc.succ[le:][:len(r)], acc.trial[le:][:len(r)]
+				for z, rz := range r {
+					succ[z] += rz * row[z] / pn[z]
+					trial[z] += rz
+				}
+			}
+			cursor += len(sg.parents)
+		}
+		for _, le := range fl {
+			trial := acc.trial[int(le)*Z:][:len(r)]
+			for z, rz := range r {
+				trial[z] += rz
 			}
 		}
 	}
@@ -495,7 +624,8 @@ func Learn(g *graph.Graph, log *actionlog.Log, cfg Config) (*Result, error) {
 	for i, w := range vocab {
 		vocabID[w] = i
 	}
-	trials := extractTrials(g, log, vocabID)
+	workers := par.Resolve(cfg.Workers)
+	trials := extractTrials(g, log, vocabID, workers)
 	if len(trials) == 0 {
 		return nil, fmt.Errorf("em: action log contains no usable episodes")
 	}
@@ -503,10 +633,13 @@ func Learn(g *graph.Graph, log *actionlog.Log, cfg Config) (*Result, error) {
 	Z, V, M := cfg.Topics, len(vocab), g.NumEdges()
 	r := rng.New(cfg.Seed)
 
-	// Parameters. pp is Z*M, pwz is Z*V (row-major by topic).
-	pp := make([]float64, Z*M)
-	for i := range pp {
-		pp[i] = 0.05 + 0.25*r.Float64()
+	// Parameters. pp is M×Z (edge-major, drawn topic by topic), pwz is
+	// Z×V (row-major by topic).
+	pp := make([]float64, M*Z)
+	for z := 0; z < Z; z++ {
+		for e := 0; e < M; e++ {
+			pp[e*Z+z] = 0.05 + 0.25*r.Float64()
+		}
 	}
 	pwz := make([]float64, Z*V)
 	for z := 0; z < Z; z++ {
@@ -526,136 +659,167 @@ func Learn(g *graph.Graph, log *actionlog.Log, cfg Config) (*Result, error) {
 	}
 
 	resp := make([]topic.Dist, len(trials))
+	flat := make([]float64, len(trials)*Z)
 	for i := range resp {
-		resp[i] = make(topic.Dist, Z)
+		resp[i] = flat[i*Z : (i+1)*Z : (i+1)*Z]
 	}
 	var llHist []float64
 
 	// The E-step is embarrassingly parallel over trials — within one
 	// iteration it only reads pp and the log tables and writes resp[ti] —
-	// but the M-step accumulators are floating-point sums whose value depends on
-	// addition order. Trials are therefore sharded into fixed-size
-	// chunks (boundaries independent of the worker count), each chunk
-	// accumulates locally, and chunk accumulators are merged into the
-	// global ones strictly in chunk order: the exact same additions in
-	// the exact same order for 1 worker and for N.
-	chunks := makeChunks(trials, M, V)
-	workers := par.Resolve(cfg.Workers)
-	logLs := make([][]float64, workers)
-	for w := range logLs {
-		logLs[w] = make([]float64, Z)
+	// but the M-step accumulators are floating-point sums whose value
+	// depends on addition order. Trials are therefore sharded into
+	// fixed-size chunks (boundaries independent of the worker count),
+	// each chunk accumulates locally, and the chunk partials are folded
+	// into the global rows strictly in chunk order by lanes that each
+	// own disjoint rows: one lane per edge block, one for the keyword
+	// rows, prior and likelihood. Every row sees the exact same
+	// additions in the exact same order for 1 worker and for N, while
+	// lanes fold concurrently with each other and with the E-step. Once
+	// a lane has folded every chunk it runs that iteration's M-step for
+	// its rows, zeroes them, and fills the next iteration's log terms.
+	chunks := makeChunks(trials, M, V, workers)
+	scratch := make([]eScratch, workers)
+	for w := range scratch {
+		scratch[w] = eScratch{logL: make([]float64, Z), r: make([]float64, Z)}
 	}
-	// Accumulators are sized per chunk on reset; the pool bounds live
-	// instances to the OrderedMerge window (≈2×workers).
-	accPool := sync.Pool{New: func() any { return &emAcc{} }}
+	span, blocks := edgeBlocks(M)
+	keywordLane := blocks
 
-	// Global M-step accumulators.
-	accSucc := make([]float64, Z*M) // responsibility-weighted activator credit
-	accTrial := make([]float64, Z*M)
+	// Global M-step accumulators; the edge rows are edge-major like pp.
+	accSucc := make([]float64, M*Z) // responsibility-weighted activator credit
+	accTrial := make([]float64, M*Z)
 	accWord := make([]float64, Z*V)
 	accPrior := make([]float64, Z)
-	lt := newLogTables(Z, V, M)
+	lt := newLogTables(trials, Z, V, M)
+	lt.fillKeywords(pwz, prior)
+	// Chunk accumulators recycle across iterations, at most 2×workers of
+	// them; each grows to the largest chunk it has served.
+	var accs []*emAcc
 
 	// Iteration 0 is the keyword-anchoring pass (not recorded in the
 	// likelihood history); iterations 1..Iterations are fully joint.
 	for iter := 0; iter <= cfg.Iterations; iter++ {
-		for i := range accSucc {
-			accSucc[i] = 0
-			accTrial[i] = 0
-		}
-		for i := range accWord {
-			accWord[i] = 0
-		}
-		for i := range accPrior {
-			accPrior[i] = 0
-		}
-		totalLL := 0.0
-
 		// In the first iteration the edge probabilities are random noise,
 		// and the propagation likelihood (hundreds of per-edge terms) can
 		// drown the keyword evidence and flip whole episodes to arbitrary
 		// topics. Anchor the first E-step to keywords only; subsequent
 		// iterations are fully joint.
 		useProp := iter > 0
-		lt.fill(pp, pwz, prior, useProp, Z, M, cfg.Workers)
+		last := iter == cfg.Iterations
+		totalLL := 0.0
 
-		par.OrderedMerge(cfg.Workers, len(chunks),
-			func(w, ci int) *emAcc {
-				acc := accPool.Get().(*emAcc)
+		accs = par.OrderedFold(workers, len(chunks), blocks+1, accs,
+			func(w, ci int, acc *emAcc) *emAcc {
+				if acc == nil {
+					acc = &emAcc{}
+				}
 				acc.reset(&chunks[ci], Z)
-				eStepChunk(acc, &chunks[ci], trials, resp, pp, lt, logLs[w], useProp, Z, M, V)
+				eStepChunk(acc, &chunks[ci], trials, resp, pp, lt, &scratch[w], useProp, Z, V)
 				return acc
 			},
-			func(ci int, acc *emAcc) {
+			func(lane, ci int, acc *emAcc) {
 				ch := &chunks[ci]
-				lenE, lenW := len(ch.edges), len(ch.words)
-				for z := 0; z < Z; z++ {
-					gSucc, gTrial := accSucc[z*M:(z+1)*M], accTrial[z*M:(z+1)*M]
-					lSucc, lTrial := acc.succ[z*lenE:(z+1)*lenE], acc.trial[z*lenE:(z+1)*lenE]
-					for li, e := range ch.edges {
-						gSucc[e] += lSucc[li]
-						gTrial[e] += lTrial[li]
+				if lane == keywordLane {
+					lenW := len(ch.words)
+					for z := 0; z < Z; z++ {
+						gWord := accWord[z*V : (z+1)*V]
+						lWord := acc.word[z*lenW : (z+1)*lenW]
+						for li, wd := range ch.words {
+							gWord[wd] += lWord[li]
+						}
+						accPrior[z] += acc.prior[z]
 					}
-					gWord := accWord[z*V : (z+1)*V]
-					lWord := acc.word[z*lenW : (z+1)*lenW]
-					for li, wd := range ch.words {
-						gWord[wd] += lWord[li]
-					}
-					accPrior[z] += acc.prior[z]
+					totalLL += acc.ll
+					clear(acc.word)
+					clear(acc.prior)
+					return
 				}
-				totalLL += acc.ll
-				accPool.Put(acc)
+				lo, mid, hi := int(ch.cut[2*lane]), int(ch.cut[2*lane+1]), int(ch.cut[2*lane+2])
+				for li := lo; li < mid; li++ {
+					e := int(ch.edges[li])
+					gSucc, gTrial := accSucc[e*Z:][:Z], accTrial[e*Z:][:Z]
+					lSucc, lTrial := acc.succ[li*Z:][:Z], acc.trial[li*Z:][:Z]
+					for z := range gSucc {
+						gSucc[z] += lSucc[z]
+						gTrial[z] += lTrial[z]
+					}
+				}
+				for li := mid; li < hi; li++ {
+					e := int(ch.edges[li])
+					gTrial, lTrial := accTrial[e*Z:][:Z], acc.trial[li*Z:][:Z]
+					for z := range gTrial {
+						gTrial[z] += lTrial[z]
+					}
+				}
+				clear(acc.succ[lo*Z : mid*Z])
+				clear(acc.trial[lo*Z : hi*Z])
+			},
+			func(lane int) {
+				// M-step for the lane's rows.
+				if lane == keywordLane {
+					priorSum := 0.0
+					for z := 0; z < Z; z++ {
+						accPrior[z] += cfg.Smoothing
+						priorSum += accPrior[z]
+					}
+					for z := 0; z < Z; z++ {
+						prior[z] = accPrior[z] / priorSum
+					}
+					for z := 0; z < Z; z++ {
+						rowW := accWord[z*V : (z+1)*V]
+						sum := 0.0
+						for w := range rowW {
+							rowW[w] += cfg.Smoothing
+							sum += rowW[w]
+						}
+						dst := pwz[z*V : (z+1)*V]
+						for w := range rowW {
+							dst[w] = rowW[w] / sum
+						}
+					}
+					clear(accWord)
+					clear(accPrior)
+					if useProp {
+						llHist = append(llHist, totalLL)
+					}
+					if !last {
+						lt.fillKeywords(pwz, prior)
+					}
+					return
+				}
+				lo, hi := lane*span, min((lane+1)*span, M)
+				for idx := lo * Z; idx < hi*Z; idx++ {
+					if accTrial[idx] > 1e-9 {
+						// Beta(0, EdgePrior) posterior mean: weakly
+						// observed (edge, topic) pairs shrink toward zero
+						// rather than inheriting the edge's success rate
+						// from other topics.
+						p := accSucc[idx] / (accTrial[idx] + cfg.EdgePrior)
+						if p > 1 {
+							p = 1
+						}
+						pp[idx] = p
+					} else {
+						// No trials at all for this edge under this topic:
+						// decay the random initialization toward the
+						// sparse prior.
+						pp[idx] *= 0.5
+					}
+					accSucc[idx], accTrial[idx] = 0, 0
+				}
+				if !last {
+					lt.fillEdges(pp, lo, hi, Z)
+				}
 			})
-
-		// M-step.
-		priorSum := 0.0
-		for z := 0; z < Z; z++ {
-			accPrior[z] += cfg.Smoothing
-			priorSum += accPrior[z]
-		}
-		for z := 0; z < Z; z++ {
-			prior[z] = accPrior[z] / priorSum
-		}
-		for z := 0; z < Z; z++ {
-			rowW := accWord[z*V : (z+1)*V]
-			sum := 0.0
-			for w := range rowW {
-				rowW[w] += cfg.Smoothing
-				sum += rowW[w]
-			}
-			dst := pwz[z*V : (z+1)*V]
-			for w := range rowW {
-				dst[w] = rowW[w] / sum
-			}
-		}
-		for idx := range pp {
-			if accTrial[idx] > 1e-9 {
-				// Beta(0, EdgePrior) posterior mean: weakly observed
-				// (edge, topic) pairs shrink toward zero rather than
-				// inheriting the edge's success rate from other topics.
-				p := accSucc[idx] / (accTrial[idx] + cfg.EdgePrior)
-				if p > 1 {
-					p = 1
-				}
-				pp[idx] = p
-			} else {
-				// No trials at all for this edge under this topic: decay
-				// the random initialization toward the sparse prior.
-				pp[idx] *= 0.5
-			}
-		}
-		if useProp {
-			llHist = append(llHist, totalLL)
-		}
 	}
 
 	// Export models.
 	mb := tic.NewBuilder(g, Z)
-	for z := 0; z < Z; z++ {
-		rowP := pp[z*M : (z+1)*M]
-		for e := 0; e < M; e++ {
-			if rowP[e] >= cfg.MinProb {
-				if err := mb.SetProb(graph.EdgeID(e), z, rowP[e]); err != nil {
+	for e := 0; e < M; e++ {
+		for z, p := range pp[e*Z : (e+1)*Z] {
+			if p >= cfg.MinProb {
+				if err := mb.SetProb(graph.EdgeID(e), z, p); err != nil {
 					return nil, err
 				}
 			}
@@ -696,51 +860,64 @@ func collectVocab(log *actionlog.Log) []string {
 // extractTrials converts each episode into IC activation trials: for an
 // action (v,t), in-neighbors of v active strictly before t form the
 // success group of v; for each actor u and each out-neighbor v of u that
-// never acted, the edge (u,v) is a failure trial.
-func extractTrials(g *graph.Graph, log *actionlog.Log, vocabID map[string]int) []episodeTrials {
-	var out []episodeTrials
+// never acted, the edge (u,v) is a failure trial. Episodes are converted
+// in blocks of chunkTrials, one block per task, and the blocks' trials
+// concatenated in episode order.
+func extractTrials(g *graph.Graph, log *actionlog.Log, vocabID map[string]int, workers int) []episodeTrials {
+	eps := log.Episodes
+	parts := make([][]episodeTrials, (len(eps)+chunkTrials-1)/chunkTrials)
+	workers = min(par.Resolve(workers), len(parts))
 	// actTime[u] is u's action time in the episode whose index+1 is
-	// actStamp[u]; any other stamp means u did not act in it.
-	actTime := make([]int64, g.NumNodes())
-	actStamp := make([]int, g.NumNodes())
-	for ei, ep := range log.Episodes {
-		if len(ep.Actions) == 0 {
-			continue
-		}
-		stamp := ei + 1
-		for _, a := range ep.Actions {
-			actTime[a.User] = a.Time
-			actStamp[a.User] = stamp
-		}
-		tr := episodeTrials{item: ei}
-		for _, w := range ep.Item.Keywords {
-			if id, ok := vocabID[w]; ok {
-				tr.words = append(tr.words, id)
-			}
-		}
-		for _, a := range ep.Actions {
-			v := a.User
-			lo, hi := g.InSlots(v)
-			var parents []graph.EdgeID
-			for s := lo; s < hi; s++ {
-				u := g.InSrc(s)
-				if actStamp[u] == stamp && actTime[u] < a.Time {
-					parents = append(parents, g.InEdgeID(s))
-				}
-			}
-			if len(parents) > 0 {
-				tr.successes = append(tr.successes, successGroup{parents: parents})
-			}
-			elo, ehi := g.OutEdges(v)
-			for e := elo; e < ehi; e++ {
-				if actStamp[g.Dst(e)] != stamp {
-					tr.failures = append(tr.failures, e)
-				}
-			}
-		}
-		if len(tr.successes) > 0 || len(tr.failures) > 0 || len(tr.words) > 0 {
-			out = append(out, tr)
-		}
+	// actStamp[u]; any other stamp means u did not act in it. Stamps are
+	// episode-unique, so a worker's arrays never need a reset.
+	actTime, actStamp := make([][]int64, workers), make([][]int, workers)
+	for w := range actTime {
+		actTime[w], actStamp[w] = make([]int64, g.NumNodes()), make([]int, g.NumNodes())
 	}
-	return out
+	par.Each(workers, len(parts), func(w, b int) {
+		actTime, actStamp := actTime[w], actStamp[w]
+		var out []episodeTrials
+		for ei := b * chunkTrials; ei < min((b+1)*chunkTrials, len(eps)); ei++ {
+			ep := &eps[ei]
+			if len(ep.Actions) == 0 {
+				continue
+			}
+			stamp := ei + 1
+			for _, a := range ep.Actions {
+				actTime[a.User] = a.Time
+				actStamp[a.User] = stamp
+			}
+			tr := episodeTrials{item: ei}
+			for _, w := range ep.Item.Keywords {
+				if id, ok := vocabID[w]; ok {
+					tr.words = append(tr.words, id)
+				}
+			}
+			for _, a := range ep.Actions {
+				v := a.User
+				lo, hi := g.InSlots(v)
+				var parents []graph.EdgeID
+				for s := lo; s < hi; s++ {
+					u := g.InSrc(s)
+					if actStamp[u] == stamp && actTime[u] < a.Time {
+						parents = append(parents, g.InEdgeID(s))
+					}
+				}
+				if len(parents) > 0 {
+					tr.successes = append(tr.successes, successGroup{parents: parents})
+				}
+				elo, ehi := g.OutEdges(v)
+				for e := elo; e < ehi; e++ {
+					if actStamp[g.Dst(e)] != stamp {
+						tr.failures = append(tr.failures, e)
+					}
+				}
+			}
+			if len(tr.successes) > 0 || len(tr.failures) > 0 || len(tr.words) > 0 {
+				out = append(out, tr)
+			}
+		}
+		parts[b] = out
+	})
+	return slices.Concat(parts...)
 }

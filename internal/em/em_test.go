@@ -223,9 +223,20 @@ func TestLearnDeterministic(t *testing.T) {
 // TestLearnWorkerEquivalence is the parallel-EM contract: for a fixed
 // seed the learned parameters, likelihood history and responsibilities
 // are bit-identical for every worker count — trials are sharded into
-// fixed chunks whose accumulators merge in chunk order.
+// fixed chunks whose partials every row folds in chunk order. The world
+// has 49 chunks: several rounds of the 2×workers window even at 16
+// workers, and a multiple of no tested worker count, so the last round
+// is always ragged.
 func TestLearnWorkerEquivalence(t *testing.T) {
-	g, _, log := synthetic(t, 80, 600, 42) // >chunkTrials trials: several chunks
+	g, _, log := synthetic(t, 80, 12400, 42)
+	vocabID := map[string]int{}
+	for i, w := range collectVocab(log) {
+		vocabID[w] = i
+	}
+	chunks := (len(extractTrials(g, log, vocabID, 1)) + chunkTrials - 1) / chunkTrials
+	if chunks != 49 {
+		t.Fatalf("world has %d chunks, want 49", chunks)
+	}
 	base, err := Learn(g, log, Config{Topics: 3, Iterations: 6, Seed: 7, Workers: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,10 @@
 package em
 
 import (
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"octopus/internal/datagen"
 	"octopus/internal/graph"
 )
 
@@ -38,7 +41,7 @@ func goldenLines(t *testing.T) []string {
 	for i, w := range collectVocab(log) {
 		vocabID[w] = i
 	}
-	trials := extractTrials(g, log, vocabID)
+	trials := extractTrials(g, log, vocabID, 1)
 	var single, multi, fails int
 	for _, tr := range trials {
 		for _, sg := range tr.successes {
@@ -150,5 +153,74 @@ func TestGoldenLearn(t *testing.T) {
 	}
 	if bad > 10 {
 		t.Errorf("%d lines differ in all", bad)
+	}
+}
+
+const citationDigestPath = "testdata/citation-2000.fnv"
+
+// citationDigest learns datagen.Citation{Authors: 2000, Topics: 8,
+// Seed: 1} — 4 000 trials in 16 E-step chunks over 12 497 edges, so
+// several edge blocks — on the given worker count and returns the
+// FNV-1a digest of the IEEE-754 bits of every learned number: the
+// likelihood history, the prior, p(w|z), every edge's unpruned
+// per-topic probability and every responsibility.
+func citationDigest(t *testing.T, workers int) string {
+	ds, err := datagen.Citation(datagen.CitationConfig{Authors: 2000, Topics: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const Z = 8
+	res, err := Learn(ds.Graph, ds.Log, Config{Topics: Z, Seed: 1, Workers: workers, MinProb: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(fs ...float64) {
+		for _, f := range fs {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
+			h.Write(buf[:])
+		}
+	}
+	put(res.LogLikelihood...)
+	km := res.Keywords
+	put(km.Prior()...)
+	for z := 0; z < Z; z++ {
+		for w := 0; w < km.VocabSize(); w++ {
+			put(km.PWZ(z, w))
+		}
+	}
+	for e := 0; e < ds.Graph.NumEdges(); e++ {
+		for z := 0; z < Z; z++ {
+			put(res.Propagation.TopicProb(graph.EdgeID(e), z))
+		}
+	}
+	for _, r := range res.Responsibilities {
+		put(r...)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestCitationDigest pins every bit EM learns on a benchmark-sized
+// citation corpus, at several worker counts, to a digest recorded with
+// the serial chunk merge. The world is amd64-only: other architectures
+// may fuse multiply-adds, which moves low bits.
+func TestCitationDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digest recorded on amd64")
+	}
+	raw, err := os.ReadFile(citationDigestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.TrimSpace(string(raw))
+	workers := []int{1, 2, 3, 5, 16}
+	if testing.Short() {
+		workers = []int{2}
+	}
+	for _, w := range workers {
+		if got := citationDigest(t, w); got != want {
+			t.Errorf("workers=%d: digest %s, want %s", w, got, want)
+		}
 	}
 }

@@ -53,81 +53,131 @@ func TestEachDisjointWritesDeterministic(t *testing.T) {
 	}
 }
 
-func TestOrderedMergeOrder(t *testing.T) {
+// Within every lane, fold sees each item once, in item order, with the
+// value process returned for it; each lane is done exactly once, after
+// its last fold and after every process call has returned.
+func TestOrderedFoldOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
 		for _, n := range []int{0, 1, 4, 37, 500} {
-			var order []int
-			OrderedMerge(workers, n,
-				func(_, i int) int {
-					if i%7 == 0 { // stagger completion to force reordering
-						time.Sleep(time.Millisecond)
+			for _, lanes := range []int{1, 3} {
+				orders := make([][]int, lanes)
+				dones := make([]int, lanes)
+				var processed atomic.Int32
+				OrderedFold(workers, n, lanes, nil,
+					func(_, i int, _ int) int {
+						if i%7 == 0 { // stagger completion to force reordering
+							time.Sleep(time.Millisecond)
+						}
+						processed.Add(1)
+						return i * 3
+					},
+					func(l, i, v int) {
+						if v != i*3 {
+							t.Errorf("fold(%d, %d) got value %d", l, i, v)
+						}
+						if dones[l] != 0 {
+							t.Errorf("lane %d folded item %d after done", l, i)
+						}
+						orders[l] = append(orders[l], i)
+					},
+					func(l int) {
+						if got := processed.Load(); got != int32(n) {
+							t.Errorf("lane %d done after %d of %d items processed", l, got, n)
+						}
+						dones[l]++
+					})
+				for l, order := range orders {
+					if len(order) != n || dones[l] != 1 {
+						t.Fatalf("workers=%d n=%d lane %d: folded %d items, done %d times",
+							workers, n, l, len(order), dones[l])
 					}
-					return i * 3
-				},
-				func(i, v int) {
-					if v != i*3 {
-						t.Errorf("merge(%d) got value %d", i, v)
+					for i, v := range order {
+						if v != i {
+							t.Fatalf("workers=%d n=%d lane %d: fold order %v", workers, n, l, order)
+						}
 					}
-					order = append(order, i)
-				})
-			if len(order) != n {
-				t.Fatalf("workers=%d n=%d: merged %d items", workers, n, len(order))
-			}
-			for i, v := range order {
-				if v != i {
-					t.Fatalf("workers=%d n=%d: merge order %v", workers, n, order)
 				}
 			}
 		}
 	}
 }
 
-// A non-associative floating-point reduction must come out bit-identical
-// for every worker count — the property the EM E-step relies on.
-func TestOrderedMergeFloatDeterminism(t *testing.T) {
-	n := 2000
+// A non-associative floating-point reduction per lane must come out
+// bit-identical for every worker count — the property the EM M-step
+// relies on.
+func TestOrderedFoldFloatDeterminism(t *testing.T) {
+	const n, lanes = 2000, 4
 	vals := make([]float64, n)
 	x := 0.1
 	for i := range vals {
 		x = 3.999 * x * (1 - x) // chaotic, fills the mantissa
 		vals[i] = x
 	}
-	reduce := func(workers int) float64 {
-		sum := 0.0
-		OrderedMerge(workers, n,
-			func(_, i int) float64 { return vals[i] * vals[(i*7)%n] },
-			func(_ int, v float64) { sum += v })
-		return sum
+	reduce := func(workers int) [lanes]float64 {
+		var sums, scaled [lanes]float64
+		OrderedFold(workers, n, lanes, nil,
+			func(_, i int, _ float64) float64 { return vals[i] * vals[(i*7)%n] },
+			func(l, _ int, v float64) { sums[l] += v * float64(l+1) },
+			func(l int) { scaled[l] = sums[l] / 3 })
+		return scaled
 	}
 	want := reduce(1)
 	for _, workers := range []int{2, 3, 4, 8} {
 		if got := reduce(workers); got != want {
-			t.Fatalf("workers=%d: sum %v != serial %v", workers, got, want)
+			t.Fatalf("workers=%d: sums %v != serial %v", workers, got, want)
 		}
 	}
 }
 
-func TestOrderedMergeBoundedWindow(t *testing.T) {
-	workers := 4
-	var inFlight, maxInFlight atomic.Int32
-	OrderedMerge(workers, 200,
-		func(_, i int) int {
-			cur := inFlight.Add(1)
-			for {
-				m := maxInFlight.Load()
-				if cur <= m || maxInFlight.CompareAndSwap(m, cur) {
-					break
+// A straggling first item must not let the window run away, and values
+// recycle: through process once every lane has folded them, and across
+// calls through the returned spares.
+func TestOrderedFoldBoundedWindow(t *testing.T) {
+	const workers, lanes = 4, 3
+	var inFlight, maxInFlight, fresh atomic.Int32
+	run := func(spare []*int) []*int {
+		return OrderedFold(workers, 200, lanes, spare,
+			func(_, i int, v *int) *int {
+				cur := inFlight.Add(1)
+				for {
+					m := maxInFlight.Load()
+					if cur <= m || maxInFlight.CompareAndSwap(m, cur) {
+						break
+					}
 				}
-			}
-			if i == 0 { // straggling first item must not let the window run away
-				time.Sleep(20 * time.Millisecond)
-			}
-			return i
-		},
-		func(_ int, _ int) { inFlight.Add(-1) })
-	// In-flight results are capped at 2×workers; the processing slots add
-	// at most `workers` more between claim and merge.
-	if m := maxInFlight.Load(); m > int32(3*workers) {
+				if i == 0 {
+					time.Sleep(20 * time.Millisecond)
+				}
+				if v == nil {
+					fresh.Add(1)
+					v = new(int)
+				}
+				*v = i
+				return v
+			},
+			func(l, i int, v *int) {
+				if *v != i {
+					t.Errorf("lane %d folded item %d holding %d", l, i, *v)
+				}
+				if l == lanes-1 {
+					inFlight.Add(-1)
+				}
+			},
+			func(int) {})
+	}
+	spare := run(nil)
+	// Live results are capped at 2×workers; the processing slots add at
+	// most `workers` more between claim and the last lane's fold.
+	if m := maxInFlight.Load(); m > 3*workers {
 		t.Fatalf("max in-flight %d exceeds bound %d", m, 3*workers)
+	}
+	if f := fresh.Load(); f > 2*workers || int(f) != len(spare) {
+		t.Fatalf("%d values allocated, %d returned; want equal and at most the window %d",
+			f, len(spare), 2*workers)
+	}
+	before := fresh.Load()
+	if again := run(spare); len(again) != len(spare) || fresh.Load() != before {
+		t.Fatalf("second call returned %d of %d spares and allocated %d more",
+			len(again), len(spare), fresh.Load()-before)
 	}
 }

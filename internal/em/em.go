@@ -22,6 +22,13 @@
 // a log per trial, and an edge's terms are filled only if some trial
 // reads them.
 //
+// Trials have one layout, a flat table of int32 references: per trial
+// its success groups (one segment of parent edges each), its failure
+// edges, then its keyword ids. Extraction writes it with global ids, per
+// 256-episode block, appended in episode order; then each 256-trial
+// chunk rewrites its references in place to chunk-local ids (indexes
+// into the chunk's edge and keyword lists), so each is held once.
+//
 // Every pass of an iteration runs on all workers without moving a bit.
 // The E-step runs per fixed chunk of trials into chunk-local partial
 // sums; par.OrderedFold folds the partials into the global rows in chunk
@@ -49,7 +56,7 @@ import (
 
 // Config controls the learner.
 type Config struct {
-	// Topics is Z, the number of latent topics. Required.
+	// Topics is Z, the number of latent topics. Required, at most 65 536.
 	Topics int
 	// Iterations is the number of EM rounds (default 20).
 	Iterations int
@@ -97,6 +104,10 @@ func (c *Config) fill() error {
 	if c.Topics <= 0 {
 		return fmt.Errorf("em: Topics must be positive")
 	}
+	if c.Topics > 1<<16 {
+		// A tic.Model stores topic ids as uint16.
+		return fmt.Errorf("em: Topics must be at most %d, got %d", 1<<16, c.Topics)
+	}
 	if c.Iterations < 0 {
 		return fmt.Errorf("em: Iterations must not be negative, got %d", c.Iterations)
 	}
@@ -113,27 +124,19 @@ func (c *Config) fill() error {
 	if c.Restarts == 0 {
 		c.Restarts = 1
 	}
-	// For the three thresholds the zero value selects the default, so a
-	// negative sentinel is the explicit way to request "exactly zero".
-	switch {
-	case c.MinProb == 0:
-		c.MinProb = 1e-4
-	case c.MinProb < 0:
-		c.MinProb = 0
-	}
-	switch {
-	case c.Smoothing == 0:
-		c.Smoothing = 0.01
-	case c.Smoothing < 0:
-		c.Smoothing = 0
-	}
-	switch {
-	case c.EdgePrior == 0:
-		c.EdgePrior = 0.5
-	case c.EdgePrior < 0:
-		c.EdgePrior = 0
-	}
+	c.MinProb, c.Smoothing, c.EdgePrior = threshold(c.MinProb, 1e-4),
+		threshold(c.Smoothing, 0.01), threshold(c.EdgePrior, 0.5)
 	return nil
+}
+
+// threshold resolves one of the three thresholds: the zero value
+// selects the default, so a negative sentinel is the explicit way to
+// request "exactly zero".
+func threshold(v, def float64) float64 {
+	if v == 0 {
+		return def
+	}
+	return max(v, 0)
 }
 
 // Result carries the learned model pair plus diagnostics.
@@ -142,24 +145,33 @@ type Result struct {
 	Keywords    *topic.Model // learned p(w|z) and p(z)
 	// LogLikelihood per EM iteration (keyword + propagation terms).
 	LogLikelihood []float64
-	// Responsibilities[i] is the final topic posterior of episode i.
+	// Responsibilities[i] is the final topic posterior of trial i. Trials
+	// are the log's episodes in order, minus those that carry no
+	// reference: an episode with no actions (actionlog.Build leaves one
+	// for an item id that repeats) or with no success group, failure edge
+	// or keyword.
 	Responsibilities []topic.Dist
 	// Elapsed is the wall-clock learning time (across all restarts when
 	// Restarts > 1) — a stage timer for the observability layer.
 	Elapsed time.Duration
 }
 
-// trial data extracted once from the log.
-type successGroup struct {
-	parents []graph.EdgeID // edges (u,v) from previously-active in-neighbors
+// trialTable is the trial layout of the package comment: segment s
+// spans refs[seg[s]:seg[s+1]], trial t's segments start at
+// seg[first[t]], and both offset arrays end with a sentinel.
+type trialTable struct {
+	refs  []int32
+	seg   []int32
+	first []int32
 }
 
-type episodeTrials struct {
-	item      int // index into log.Episodes
-	words     []int
-	successes []successGroup
-	failures  []graph.EdgeID
-}
+// count returns the number of trials.
+func (tt *trialTable) count() int { return len(tt.first) - 1 }
+
+// bounds returns trial t's segment starts followed by its end: for k
+// success groups, k+3 values. Group g spans refs[b[g]:b[g+1]], the
+// failures refs[b[k]:b[k+1]] and the words refs[b[k+1]:b[k+2]].
+func (tt *trialTable) bounds(t int) []int32 { return tt.seg[tt.first[t] : tt.first[t+1]+1] }
 
 // chunkTrials is the fixed E-step shard size. It must not depend on the
 // worker count: chunk boundaries define the floating-point merge order,
@@ -186,11 +198,12 @@ func edgeBlocks(M int) (span, blocks int) {
 }
 
 // emChunk is one fixed shard of trials plus the distinct edge/keyword
-// rows its trials touch, remapped to chunk-local accumulator indices.
-// The translations are parallel to the trials' own reference order, so
-// the hot accumulation loop never does a map lookup.
+// rows they touch. Its view of the trial table holds local ids: edge
+// reference l names edges[l], keyword reference l words[l], and the
+// accumulators use the same ids, so the hot loop never looks one up.
 type emChunk struct {
-	lo, hi int
+	lo     int
+	trials trialTable // trial t is trial lo+t
 	// edges are the distinct edges touched, by edge block; within a
 	// block, the edges some success group names come first, then the
 	// failure-only ones, each run ascending.
@@ -200,80 +213,58 @@ type emChunk struct {
 	// edges edges[cut[2b]:cut[2b+1]]. A failure-only edge's succ row
 	// stays zero, so the fold skips it: adding +0 changes no bit.
 	cut []int32
-	// local holds the chunk-local index of every reference, per trial:
-	// its success-group parents (flattened across groups), then its
-	// failure edges, then its words. Trial ti's parents start at
-	// off[3(ti−lo)], its failures at off[3(ti−lo)+1], its words at
-	// off[3(ti−lo)+2]; off[3(hi−lo)] ends the last trial.
-	local []int32
-	off   []int32
 }
 
-// refs returns trial ti's chunk-local parent, failure and word indices.
-func (ch *emChunk) refs(ti int) (parents, fails, words []int32) {
-	o := ch.off[3*(ti-ch.lo):]
-	return ch.local[o[0]:o[1]], ch.local[o[1]:o[2]], ch.local[o[2]:o[3]]
-}
-
-// makeChunks shards trials into fixed-size chunks and records each
-// chunk's touched edge/keyword sets and local-index translations once
-// (they are invariant across EM iterations), one chunk per task.
-// Accumulators are then sized to the chunk's content — O(chunk
-// references), never O(Z·M) — which keeps parallel EM's memory
+// makeChunks shards the trials into fixed-size chunks, one chunk per
+// task, records each chunk's touched edge/keyword sets and rewrites its
+// references in place to local ids: from then on tt is the chunks'
+// storage. Accumulators are then sized to the chunk's content —
+// O(chunk references), never O(Z·M) — which keeps parallel EM's memory
 // footprint flat in the graph size.
-func makeChunks(trials []episodeTrials, M, V, workers int) []emChunk {
+func makeChunks(tt trialTable, M, V, workers int) []emChunk {
 	span, blocks := edgeBlocks(M)
-	chunks := make([]emChunk, (len(trials)+chunkTrials-1)/chunkTrials)
-	// Per worker, stampsE/stampsW double as "seen" stamps: >= 0 means
-	// touched by the current chunk (an edge's 1: it names a success
-	// group), then the local index; each touched entry is reset to -1
-	// after the chunk.
+	chunks := make([]emChunk, (tt.count()+chunkTrials-1)/chunkTrials)
+	// Per worker, stampsE/stampsW double as "seen" stamps: non-zero
+	// means touched by the current chunk (an edge's 2 if it names a
+	// success group, 1 if it is failure-only), then the local index + 1;
+	// each touched entry is reset to 0 after the chunk.
 	workers = min(par.Resolve(workers), len(chunks))
 	stampsE, stampsW := make([][]int32, workers), make([][]int32, workers)
 	for w := range stampsE {
 		stampsE[w], stampsW[w] = make([]int32, M), make([]int32, V)
-		for i := range stampsE[w] {
-			stampsE[w][i] = -1
-		}
-		for i := range stampsW[w] {
-			stampsW[w][i] = -1
-		}
 	}
+	refs := tt.refs
 	par.Each(workers, len(chunks), func(w, ci int) {
 		localE, localW := stampsE[w], stampsW[w]
 		lo := ci * chunkTrials
-		hi := min(lo+chunkTrials, len(trials))
-		ch := emChunk{lo: lo, hi: hi}
+		hi := min(lo+chunkTrials, tt.count())
+		ch := emChunk{lo: lo, trials: trialTable{refs: refs, seg: tt.seg, first: tt.first[lo : hi+1]}}
 		// Pass 1: collect + sort distinct sets.
-		refs := 0
-		for ti := lo; ti < hi; ti++ {
-			tr := &trials[ti]
-			for _, wd := range tr.words {
-				if localW[wd] < 0 {
-					localW[wd] = 0
-					ch.words = append(ch.words, int32(wd))
+		for t := range hi - lo {
+			b := ch.trials.bounds(t)
+			k := len(b) - 3
+			for _, e := range refs[b[0]:b[k]] {
+				if localE[e] == 0 {
+					ch.edges = append(ch.edges, e)
 				}
+				localE[e] = 2 // names a success group
 			}
-			for _, sg := range tr.successes {
-				for _, e := range sg.parents {
-					if localE[e] < 0 {
-						ch.edges = append(ch.edges, e)
-					}
-					localE[e] = 1 // names a success group
-				}
-				refs += len(sg.parents)
-			}
-			for _, e := range tr.failures {
-				if localE[e] < 0 {
-					localE[e] = 0
+			for _, e := range refs[b[k]:b[k+1]] {
+				if localE[e] == 0 {
+					localE[e] = 1
 					ch.edges = append(ch.edges, e)
 				}
 			}
-			refs += len(tr.failures) + len(tr.words)
+			for _, wd := range refs[b[k+1]:b[k+2]] {
+				if localW[wd] == 0 {
+					localW[wd] = 1
+					ch.words = append(ch.words, wd)
+				}
+			}
 		}
 		// seg is an edge's run: 2·block, +1 when it is failure-only.
 		// Sorting (seg, edge) keys orders the edges run by run.
-		seg := func(e graph.EdgeID) int { return 2*(int(e)/span) + 1 - int(localE[e]) }
+		seg := func(e graph.EdgeID) int { return 2*(int(e)/span) + 2 - int(localE[e]) }
 		keys := make([]uint64, len(ch.edges))
 		for i, e := range ch.edges {
 			keys[i] = uint64(seg(e))<<32 | uint64(e)
@@ -290,42 +281,32 @@ func makeChunks(trials []episodeTrials, M, V, workers int) []emChunk {
 				run++
 				ch.cut[run] = int32(li)
 			}
-			localE[e] = int32(li)
+			localE[e] = int32(li) + 1
 		}
 		for run < 2*blocks {
 			run++
 			ch.cut[run] = int32(len(ch.edges))
 		}
 		for li, wd := range ch.words {
-			localW[wd] = int32(li)
+			localW[wd] = int32(li) + 1
 		}
-		// Pass 2: translate every trial reference to its local index.
-		ch.local = make([]int32, 0, refs)
-		ch.off = make([]int32, 0, 3*(hi-lo)+1)
-		for ti := lo; ti < hi; ti++ {
-			tr := &trials[ti]
-			ch.off = append(ch.off, int32(len(ch.local)))
-			for _, sg := range tr.successes {
-				for _, e := range sg.parents {
-					ch.local = append(ch.local, localE[e])
-				}
+		// Pass 2: rewrite every reference to its local id.
+		for t := range hi - lo {
+			b := ch.trials.bounds(t)
+			k := len(b) - 3
+			for i := b[0]; i < b[k+1]; i++ {
+				refs[i] = localE[refs[i]] - 1
 			}
-			ch.off = append(ch.off, int32(len(ch.local)))
-			for _, e := range tr.failures {
-				ch.local = append(ch.local, localE[e])
-			}
-			ch.off = append(ch.off, int32(len(ch.local)))
-			for _, wd := range tr.words {
-				ch.local = append(ch.local, localW[wd])
+			for i := b[k+1]; i < b[k+2]; i++ {
+				refs[i] = localW[refs[i]] - 1
 			}
 		}
-		ch.off = append(ch.off, int32(len(ch.local)))
 		// Reset stamps for the worker's next chunk.
 		for _, e := range ch.edges {
-			localE[e] = -1
+			localE[e] = 0
 		}
 		for _, wd := range ch.words {
-			localW[wd] = -1
+			localW[wd] = 0
 		}
 		chunks[ci] = ch
 	})
@@ -386,7 +367,7 @@ const (
 	readsSucc1             // some trial has it as a one-parent success
 )
 
-func newLogTables(trials []episodeTrials, Z, V, M int) *logTables {
+func newLogTables(tt trialTable, Z, V, M int) *logTables {
 	t := &logTables{
 		prior: make([]float64, Z),
 		word:  make([]float64, Z*V),
@@ -394,13 +375,15 @@ func newLogTables(trials []episodeTrials, Z, V, M int) *logTables {
 		succ1: make([]float64, M*Z),
 		reads: make([]uint8, M),
 	}
-	for i := range trials {
-		for _, sg := range trials[i].successes {
-			if len(sg.parents) == 1 {
-				t.reads[sg.parents[0]] |= readsSucc1
+	for i := range tt.count() {
+		b := tt.bounds(i)
+		k := len(b) - 3
+		for g := range k {
+			if b[g+1]-b[g] == 1 {
+				t.reads[tt.refs[b[g]]] |= readsSucc1
 			}
 		}
-		for _, e := range trials[i].failures {
+		for _, e := range tt.refs[b[k]:b[k+1]] {
 			t.reads[e] |= readsFail
 		}
 	}
@@ -454,62 +437,66 @@ type eScratch struct {
 // trials, writing responsibilities (disjoint per trial) and the
 // chunk-local accumulator. It reads the shared parameters (pp,
 // edge-major) and their log tables, which are immutable within one EM
-// iteration.
+// iteration, at the global ids its local references name.
 //
 // Per accumulator cell the additions are those of the trial-major,
 // topic-by-topic loop the learner is pinned to: trials in order, then
 // references in order. A topic whose responsibility is below 1e-12
 // adds nothing there; here it adds +0.0, which leaves a non-negative
 // sum's bits unchanged, so every row is updated Z topics at a time.
-func eStepChunk(acc *emAcc, ch *emChunk, trials []episodeTrials, resp []topic.Dist,
+func eStepChunk(acc *emAcc, ch *emChunk, resp []topic.Dist,
 	pp []float64, lt *logTables, sc *eScratch, useProp bool, Z, V int) {
 
 	logL, r := sc.logL, sc.r
-	for ti := ch.lo; ti < ch.hi; ti++ {
-		tr := &trials[ti]
+	refs := ch.trials.refs
+	for t := range ch.trials.count() {
+		b := ch.trials.bounds(t)
+		k := len(b) - 3 // success groups
+		fails, words := refs[b[k]:b[k+1]], refs[b[k+1]:b[k+2]]
 		// E-step: log responsibility per topic. Each logL[z] adds the
 		// prior, then words, success groups and failures in the trial's
 		// reference order; only multi-parent groups take a log here.
 		copy(logL, lt.prior)
-		for _, w := range tr.words {
+		for _, lw := range words {
+			w := int(ch.words[lw])
 			for z := range logL {
 				logL[z] += lt.word[z*V+w]
 			}
 		}
 		// pNone[g·Z+z]: the probability that no parent of success group
 		// g succeeded under topic z, multiplied in parent order.
-		if need := len(tr.successes) * Z; cap(sc.pNone) < need {
+		if need := k * Z; cap(sc.pNone) < need {
 			sc.pNone = make([]float64, need)
 		}
-		pNone := sc.pNone[:len(tr.successes)*Z]
-		for gi, sg := range tr.successes {
-			pn := pNone[gi*Z:][:Z]
+		pNone := sc.pNone[:k*Z]
+		for g := range k {
+			pn := pNone[g*Z:][:len(logL)]
 			for z := range pn {
 				pn[z] = 1
 			}
-			for _, e := range sg.parents {
-				row := pp[int(e)*Z:][:Z]
+			for _, le := range refs[b[g]:b[g+1]] {
+				row := pp[int(ch.edges[le])*Z:][:len(pn)]
 				for z := range pn {
 					pn[z] *= 1 - row[z]
 				}
 			}
+			if !useProp {
+				continue
+			}
+			if b[g+1]-b[g] == 1 {
+				row := lt.succ1[int(ch.edges[refs[b[g]]])*Z:][:len(logL)]
+				for z := range logL {
+					logL[z] += row[z]
+				}
+				continue
+			}
+			for z := range logL {
+				logL[z] += math.Log(1 - pn[z] + 1e-12)
+			}
 		}
 		if useProp {
-			for gi, sg := range tr.successes {
-				if len(sg.parents) == 1 {
-					row := lt.succ1[int(sg.parents[0])*Z:][:len(logL)]
-					for z := range logL {
-						logL[z] += row[z]
-					}
-					continue
-				}
-				pn := pNone[gi*Z:][:len(logL)]
-				for z := range logL {
-					logL[z] += math.Log(1 - pn[z] + 1e-12)
-				}
-			}
-			for _, e := range tr.failures {
-				row := lt.fail[int(e)*Z:][:len(logL)]
+			for _, le := range fails {
+				row := lt.fail[int(ch.edges[le])*Z:][:len(logL)]
 				for z := range logL {
 					logL[z] += row[z]
 				}
@@ -521,7 +508,7 @@ func eStepChunk(acc *emAcc, ch *emChunk, trials []episodeTrials, resp []topic.Di
 				maxv = v
 			}
 		}
-		rt := resp[ti]
+		rt := resp[ch.lo+t]
 		sum := 0.0
 		for z := 0; z < Z; z++ {
 			rt[z] = math.Exp(logL[z] - maxv)
@@ -538,39 +525,33 @@ func eStepChunk(acc *emAcc, ch *emChunk, trials []episodeTrials, resp []topic.Di
 		}
 
 		// Accumulate M-step statistics into the chunk-local rows. Reads
-		// (pp) use global edge ids; writes use the precomputed local ids.
-		pl, fl, wl := ch.refs(ti)
-		for z, rz := range r {
-			acc.prior[z] += rz
-		}
+		// (pp) use global edge ids; writes use the local ids.
 		lenW := len(ch.words)
 		for z, rz := range r {
+			acc.prior[z] += rz
 			rowW := acc.word[z*lenW : (z+1)*lenW]
-			for _, lw := range wl {
+			for _, lw := range words {
 				rowW[lw] += rz
 			}
 		}
-		cursor := 0
-		for gi, sg := range tr.successes {
-			pn := pNone[gi*Z:][:Z]
+		for g := range k {
+			pn := pNone[g*Z:][:Z]
 			for z, v := range pn {
 				// pn becomes pAny: the probability some parent succeeded.
 				pn[z] = max(1-v, 1e-12)
 			}
-			for j, e := range sg.parents {
+			for _, le := range refs[b[g]:b[g+1]] {
 				// Saito credit: probability that edge e was the
 				// successful activator given at least one succeeded.
-				le := int(pl[cursor+j]) * Z
-				row, pn := pp[int(e)*Z:][:len(r)], pn[:len(r)]
-				succ, trial := acc.succ[le:][:len(r)], acc.trial[le:][:len(r)]
+				row, pn := pp[int(ch.edges[le])*Z:][:len(r)], pn[:len(r)]
+				succ, trial := acc.succ[int(le)*Z:][:len(r)], acc.trial[int(le)*Z:][:len(r)]
 				for z, rz := range r {
 					succ[z] += rz * row[z] / pn[z]
 					trial[z] += rz
 				}
 			}
-			cursor += len(sg.parents)
 		}
-		for _, le := range fl {
+		for _, le := range fails {
 			trial := acc.trial[int(le)*Z:][:len(r)]
 			for z, rz := range r {
 				trial[z] += rz
@@ -616,17 +597,16 @@ func Learn(g *graph.Graph, log *actionlog.Log, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("em: log covers %d users, graph has %d nodes",
 			log.NumUsers, g.NumNodes())
 	}
-	vocab := collectVocab(log)
+	vocab, vocabID := collectVocab(log)
 	if len(vocab) == 0 {
 		return nil, fmt.Errorf("em: action log contains no keywords")
 	}
-	vocabID := make(map[string]int, len(vocab))
-	for i, w := range vocab {
-		vocabID[w] = i
-	}
 	workers := par.Resolve(cfg.Workers)
-	trials := extractTrials(g, log, vocabID, workers)
-	if len(trials) == 0 {
+	trials, err := extractTrials(g, log, vocabID, workers)
+	if err != nil {
+		return nil, err
+	}
+	if trials.count() == 0 {
 		return nil, fmt.Errorf("em: action log contains no usable episodes")
 	}
 
@@ -658,26 +638,21 @@ func Learn(g *graph.Graph, log *actionlog.Log, cfg Config) (*Result, error) {
 		prior[z] = 1 / float64(Z)
 	}
 
-	resp := make([]topic.Dist, len(trials))
-	flat := make([]float64, len(trials)*Z)
+	resp := make([]topic.Dist, trials.count())
+	flat := make([]float64, trials.count()*Z)
 	for i := range resp {
 		resp[i] = flat[i*Z : (i+1)*Z : (i+1)*Z]
 	}
 	var llHist []float64
 
-	// The E-step is embarrassingly parallel over trials — within one
-	// iteration it only reads pp and the log tables and writes resp[ti] —
-	// but the M-step accumulators are floating-point sums whose value
-	// depends on addition order. Trials are therefore sharded into
-	// fixed-size chunks (boundaries independent of the worker count),
-	// each chunk accumulates locally, and the chunk partials are folded
-	// into the global rows strictly in chunk order by lanes that each
-	// own disjoint rows: one lane per edge block, one for the keyword
-	// rows, prior and likelihood. Every row sees the exact same
-	// additions in the exact same order for 1 worker and for N, while
-	// lanes fold concurrently with each other and with the E-step. Once
-	// a lane has folded every chunk it runs that iteration's M-step for
-	// its rows, zeroes them, and fills the next iteration's log terms.
+	// Every pass runs through par.OrderedFold (see the package comment):
+	// the E-step per chunk, its partials folded in chunk order by lanes
+	// that own an edge block each or the keyword rows, prior and
+	// likelihood, each lane then refitting, zeroing and re-logging them.
+	// The log tables' read flags come from the trials' global ids, so
+	// they are taken before makeChunks rewrites them to local ones.
+	lt := newLogTables(trials, Z, V, M)
+	lt.fillKeywords(pwz, prior)
 	chunks := makeChunks(trials, M, V, workers)
 	scratch := make([]eScratch, workers)
 	for w := range scratch {
@@ -691,8 +666,6 @@ func Learn(g *graph.Graph, log *actionlog.Log, cfg Config) (*Result, error) {
 	accTrial := make([]float64, M*Z)
 	accWord := make([]float64, Z*V)
 	accPrior := make([]float64, Z)
-	lt := newLogTables(trials, Z, V, M)
-	lt.fillKeywords(pwz, prior)
 	// Chunk accumulators recycle across iterations, at most 2×workers of
 	// them; each grows to the largest chunk it has served.
 	var accs []*emAcc
@@ -715,7 +688,7 @@ func Learn(g *graph.Graph, log *actionlog.Log, cfg Config) (*Result, error) {
 					acc = &emAcc{}
 				}
 				acc.reset(&chunks[ci], Z)
-				eStepChunk(acc, &chunks[ci], trials, resp, pp, lt, &scratch[w], useProp, Z, V)
+				eStepChunk(acc, &chunks[ci], resp, pp, lt, &scratch[w], useProp, Z, V)
 				return acc
 			},
 			func(lane, ci int, acc *emAcc) {
@@ -758,25 +731,9 @@ func Learn(g *graph.Graph, log *actionlog.Log, cfg Config) (*Result, error) {
 			func(lane int) {
 				// M-step for the lane's rows.
 				if lane == keywordLane {
-					priorSum := 0.0
-					for z := 0; z < Z; z++ {
-						accPrior[z] += cfg.Smoothing
-						priorSum += accPrior[z]
-					}
-					for z := 0; z < Z; z++ {
-						prior[z] = accPrior[z] / priorSum
-					}
-					for z := 0; z < Z; z++ {
-						rowW := accWord[z*V : (z+1)*V]
-						sum := 0.0
-						for w := range rowW {
-							rowW[w] += cfg.Smoothing
-							sum += rowW[w]
-						}
-						dst := pwz[z*V : (z+1)*V]
-						for w := range rowW {
-							dst[w] = rowW[w] / sum
-						}
+					smoothInto(prior, accPrior, cfg.Smoothing)
+					for z := range Z {
+						smoothInto(pwz[z*V:(z+1)*V], accWord[z*V:(z+1)*V], cfg.Smoothing)
 					}
 					clear(accWord)
 					clear(accPrior)
@@ -825,9 +782,9 @@ func Learn(g *graph.Graph, log *actionlog.Log, cfg Config) (*Result, error) {
 			}
 		}
 	}
-	rows := make([][]float64, Z)
-	for z := 0; z < Z; z++ {
-		rows[z] = append([]float64(nil), pwz[z*V:(z+1)*V]...)
+	rows := make([][]float64, Z) // NewModel copies them
+	for z := range rows {
+		rows[z] = pwz[z*V : (z+1)*V]
 	}
 	km, err := topic.NewModel(vocab, rows, topic.Dist(prior))
 	if err != nil {
@@ -842,31 +799,49 @@ func Learn(g *graph.Graph, log *actionlog.Log, cfg Config) (*Result, error) {
 	}, nil
 }
 
-func collectVocab(log *actionlog.Log) []string {
-	seen := map[string]bool{}
+// smoothInto adds s to every count and writes each count's share of
+// their sum to dst.
+func smoothInto(dst, counts []float64, s float64) {
+	sum := 0.0
+	for i := range counts {
+		counts[i] += s
+		sum += counts[i]
+	}
+	for i, c := range counts {
+		dst[i] = c / sum
+	}
+}
+
+// collectVocab returns the log's distinct keywords, sorted, and each
+// one's index in that order.
+func collectVocab(log *actionlog.Log) ([]string, map[string]int) {
+	id := map[string]int{}
 	var vocab []string
 	for _, ep := range log.Episodes {
 		for _, w := range ep.Item.Keywords {
-			if !seen[w] {
-				seen[w] = true
+			if _, ok := id[w]; !ok {
+				id[w] = 0
 				vocab = append(vocab, w)
 			}
 		}
 	}
 	sort.Strings(vocab)
-	return vocab
+	for i, w := range vocab {
+		id[w] = i
+	}
+	return vocab, id
 }
 
 // extractTrials converts each episode into IC activation trials: for an
 // action (v,t), in-neighbors of v active strictly before t form the
 // success group of v; for each actor u and each out-neighbor v of u that
 // never acted, the edge (u,v) is a failure trial. Episodes are converted
-// in blocks of chunkTrials, one block per task, and the blocks' trials
-// concatenated in episode order.
-func extractTrials(g *graph.Graph, log *actionlog.Log, vocabID map[string]int, workers int) []episodeTrials {
+// in blocks of chunkTrials into recycled block tables, appended to the
+// result in episode order.
+func extractTrials(g *graph.Graph, log *actionlog.Log, vocabID map[string]int, workers int) (trialTable, error) {
 	eps := log.Episodes
-	parts := make([][]episodeTrials, (len(eps)+chunkTrials-1)/chunkTrials)
-	workers = min(par.Resolve(workers), len(parts))
+	blocks := (len(eps) + chunkTrials - 1) / chunkTrials
+	workers = min(par.Resolve(workers), blocks)
 	// actTime[u] is u's action time in the episode whose index+1 is
 	// actStamp[u]; any other stamp means u did not act in it. Stamps are
 	// episode-unique, so a worker's arrays never need a reset.
@@ -874,50 +849,73 @@ func extractTrials(g *graph.Graph, log *actionlog.Log, vocabID map[string]int, w
 	for w := range actTime {
 		actTime[w], actStamp[w] = make([]int64, g.NumNodes()), make([]int, g.NumNodes())
 	}
-	par.Each(workers, len(parts), func(w, b int) {
-		actTime, actStamp := actTime[w], actStamp[w]
-		var out []episodeTrials
-		for ei := b * chunkTrials; ei < min((b+1)*chunkTrials, len(eps)); ei++ {
-			ep := &eps[ei]
-			if len(ep.Actions) == 0 {
-				continue
-			}
-			stamp := ei + 1
-			for _, a := range ep.Actions {
-				actTime[a.User] = a.Time
-				actStamp[a.User] = stamp
-			}
-			tr := episodeTrials{item: ei}
-			for _, w := range ep.Item.Keywords {
-				if id, ok := vocabID[w]; ok {
-					tr.words = append(tr.words, id)
+	var tt trialTable
+	par.OrderedFold(workers, blocks, 1, nil,
+		func(w, b int, p trialTable) trialTable {
+			p.refs, p.seg, p.first = p.refs[:0], p.seg[:0], p.first[:0]
+			actTime, actStamp := actTime[w], actStamp[w]
+			for ei := b * chunkTrials; ei < min((b+1)*chunkTrials, len(eps)); ei++ {
+				ep := &eps[ei]
+				if len(ep.Actions) == 0 {
+					continue
 				}
-			}
-			for _, a := range ep.Actions {
-				v := a.User
-				lo, hi := g.InSlots(v)
-				var parents []graph.EdgeID
-				for s := lo; s < hi; s++ {
-					u := g.InSrc(s)
-					if actStamp[u] == stamp && actTime[u] < a.Time {
-						parents = append(parents, g.InEdgeID(s))
+				stamp := ei + 1
+				for _, a := range ep.Actions {
+					actTime[a.User] = a.Time
+					actStamp[a.User] = stamp
+				}
+				refs0, segs0 := len(p.refs), len(p.seg)
+				p.first = append(p.first, int32(segs0))
+				for _, a := range ep.Actions {
+					group := len(p.refs)
+					lo, hi := g.InSlots(a.User)
+					for s := lo; s < hi; s++ {
+						u := g.InSrc(s)
+						if actStamp[u] == stamp && actTime[u] < a.Time {
+							p.refs = append(p.refs, g.InEdgeID(s))
+						}
+					}
+					if len(p.refs) > group {
+						p.seg = append(p.seg, int32(group))
 					}
 				}
-				if len(parents) > 0 {
-					tr.successes = append(tr.successes, successGroup{parents: parents})
-				}
-				elo, ehi := g.OutEdges(v)
-				for e := elo; e < ehi; e++ {
-					if actStamp[g.Dst(e)] != stamp {
-						tr.failures = append(tr.failures, e)
+				p.seg = append(p.seg, int32(len(p.refs)))
+				for _, a := range ep.Actions {
+					elo, ehi := g.OutEdges(a.User)
+					for e := elo; e < ehi; e++ {
+						if actStamp[g.Dst(e)] != stamp {
+							p.refs = append(p.refs, e)
+						}
 					}
 				}
+				p.seg = append(p.seg, int32(len(p.refs)))
+				for _, kw := range ep.Item.Keywords {
+					if id, ok := vocabID[kw]; ok {
+						p.refs = append(p.refs, int32(id))
+					}
+				}
+				if len(p.refs) == refs0 { // no reference: not a trial
+					p.seg, p.first = p.seg[:segs0], p.first[:len(p.first)-1]
+				}
 			}
-			if len(tr.successes) > 0 || len(tr.failures) > 0 || len(tr.words) > 0 {
-				out = append(out, tr)
+			return p
+		},
+		func(_, _ int, p trialTable) { // rebase the block's offsets
+			rb, sb := int32(len(tt.refs)), int32(len(tt.seg))
+			tt.refs = append(tt.refs, p.refs...)
+			for _, s := range p.seg {
+				tt.seg = append(tt.seg, rb+s)
 			}
-		}
-		parts[b] = out
-	})
-	return slices.Concat(parts...)
+			for _, f := range p.first {
+				tt.first = append(tt.first, sb+f)
+			}
+		},
+		func(int) { // close both offset arrays with their sentinels
+			tt.seg = append(tt.seg, int32(len(tt.refs)))
+			tt.first = append(tt.first, int32(len(tt.seg)-1))
+		})
+	if len(tt.refs) > math.MaxInt32 || len(tt.seg) > math.MaxInt32 {
+		return trialTable{}, fmt.Errorf("em: action log has %d trial references, more than one table holds", len(tt.refs))
+	}
+	return tt, nil
 }

@@ -151,7 +151,7 @@ func TestLearnResponsibilitiesValid(t *testing.T) {
 	}
 	for i, r := range res.Responsibilities {
 		if err := r.Validate(); err != nil {
-			t.Fatalf("episode %d responsibility invalid: %v", i, err)
+			t.Fatalf("trial %d responsibility invalid: %v", i, err)
 		}
 	}
 }
@@ -160,6 +160,11 @@ func TestLearnErrors(t *testing.T) {
 	g, _, log := synthetic(t, 10, 5, 2)
 	if _, err := Learn(g, log, Config{Topics: 0}); err == nil {
 		t.Fatal("Topics=0 accepted")
+	}
+	// Topic ids are uint16 in the exported model: one more topic used to
+	// run every iteration and then panic in tic.NewBuilder.
+	if _, err := Learn(g, log, Config{Topics: 1<<16 + 1, Iterations: 1}); err == nil {
+		t.Fatal("Topics=65537 accepted")
 	}
 	// A negative Iterations used to return the random initialization
 	// (Restarts 1) or panic indexing an empty likelihood history
@@ -229,11 +234,12 @@ func TestLearnDeterministic(t *testing.T) {
 // is always ragged.
 func TestLearnWorkerEquivalence(t *testing.T) {
 	g, _, log := synthetic(t, 80, 12400, 42)
-	vocabID := map[string]int{}
-	for i, w := range collectVocab(log) {
-		vocabID[w] = i
+	_, vocabID := collectVocab(log)
+	trials, err := extractTrials(g, log, vocabID, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	chunks := (len(extractTrials(g, log, vocabID, 1)) + chunkTrials - 1) / chunkTrials
+	chunks := (trials.count() + chunkTrials - 1) / chunkTrials
 	if chunks != 49 {
 		t.Fatalf("world has %d chunks, want 49", chunks)
 	}
@@ -339,6 +345,29 @@ func TestMinProbDisabledKeepsTinyEdges(t *testing.T) {
 	if count(kept.Propagation) <= count(pruned.Propagation) {
 		t.Fatalf("MinProb -1 kept %d probs, aggressive pruning kept %d",
 			count(kept.Propagation), count(pruned.Propagation))
+	}
+}
+
+// TestLearnAllocs gates the set-up's allocations: trials are written
+// into one flat table that the chunks then own, and the model into
+// flat CSR arrays, so a learn costs a fixed budget of allocations —
+// per worker, chunk and pass, never per trial, reference or edge. The
+// corpus has 4 000 trials and 12 497 edges.
+func TestLearnAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("learns a 2 000-author corpus twice")
+	}
+	ds, err := datagen.Citation(datagen.CitationConfig{Authors: 2000, Topics: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := Learn(ds.Graph, ds.Log, Config{Topics: 8, Seed: 1, Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2000 {
+		t.Fatalf("Learn takes %.0f allocations, want at most 2000", allocs)
 	}
 }
 

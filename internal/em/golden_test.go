@@ -34,28 +34,31 @@ func goldenBits(fs []float64) string {
 // failure edges, at Z = 3 on one worker — and renders every learned
 // number as its IEEE-754 bits: the likelihood history, the prior, each
 // p(w|z) row, each edge's per-topic probability (unpruned) and each
-// episode's responsibilities.
+// trial's responsibilities (trials are the episodes that carry a
+// reference; see Result.Responsibilities).
 func goldenLines(t *testing.T) []string {
 	g, _, log := synthetic(t, 80, 600, 42)
-	vocabID := map[string]int{}
-	for i, w := range collectVocab(log) {
-		vocabID[w] = i
+	_, vocabID := collectVocab(log)
+	trials, err := extractTrials(g, log, vocabID, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	trials := extractTrials(g, log, vocabID, 1)
 	var single, multi, fails int
-	for _, tr := range trials {
-		for _, sg := range tr.successes {
-			if len(sg.parents) == 1 {
+	for i := range trials.count() {
+		b := trials.bounds(i)
+		k := len(b) - 3
+		for gi := range k {
+			if b[gi+1]-b[gi] == 1 {
 				single++
 			} else {
 				multi++
 			}
 		}
-		fails += len(tr.failures)
+		fails += int(b[k+1] - b[k])
 	}
-	if len(trials) <= 2*chunkTrials || single == 0 || multi == 0 || fails == 0 {
+	if trials.count() <= 2*chunkTrials || single == 0 || multi == 0 || fails == 0 {
 		t.Fatalf("golden world lost coverage: %d trials, %d one-parent and %d multi-parent groups, %d failures",
-			len(trials), single, multi, fails)
+			trials.count(), single, multi, fails)
 	}
 
 	const Z = 3

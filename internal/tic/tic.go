@@ -6,8 +6,11 @@
 //
 // Per-edge topic probabilities are stored sparsely (most edges are active
 // in a handful of topics) in a CSR-like layout aligned with graph edge
-// ids. The package also provides the Monte-Carlo cascade machinery used
-// for ground-truth spread measurement.
+// ids. A Builder appends into that layout directly, so it takes edges
+// in ascending id order and rejects an earlier edge with an error; every
+// producer (EM export, the synthetic ground truth, Remap) walks edges
+// that way. The package also provides the Monte-Carlo cascade machinery
+// used for ground-truth spread measurement.
 package tic
 
 import (
@@ -85,16 +88,15 @@ func (m *Model) Weights(gamma topic.Dist) []float64 {
 	return w
 }
 
-// Builder accumulates per-edge topic probabilities for a fixed graph.
+// Builder writes per-edge topic probabilities straight into a model's
+// CSR arrays, in ascending edge order: setting edge e closes the rows
+// before it, and setting an earlier edge is an error. Within the open
+// row, SetProb keeps one entry per topic in insertion order (an
+// overwrite keeps its position), SetProbs replaces the row, and zero
+// probabilities stay implicit.
 type Builder struct {
-	g       *graph.Graph
-	z       int
-	entries [][]entry // per edge
-}
-
-type entry struct {
-	z uint16
-	p float32
+	m   *Model
+	row graph.EdgeID // the open row: entries [m.off[row], len(m.topicIdx))
 }
 
 // NewBuilder creates a Builder for graph g with z topics.
@@ -102,36 +104,62 @@ func NewBuilder(g *graph.Graph, z int) *Builder {
 	if z <= 0 || z > 1<<16 {
 		panic("tic: topic count out of range")
 	}
-	return &Builder{g: g, z: z, entries: make([][]entry, g.NumEdges())}
+	// One entry per edge up front: a few growth steps at any density.
+	M := g.NumEdges()
+	return &Builder{m: &Model{g: g, z: z, off: make([]int32, M+1),
+		topicIdx: make([]uint16, 0, M), topicP: make([]float32, 0, M)}}
+}
+
+// open makes e the open row, closing every row before it.
+func (b *Builder) open(e graph.EdgeID) error {
+	if e < 0 || int(e) >= b.m.g.NumEdges() {
+		return fmt.Errorf("tic: edge %d out of range [0,%d)", e, b.m.g.NumEdges())
+	}
+	if e < b.row {
+		return fmt.Errorf("tic: edge %d set after edge %d; edges must be set in ascending order", e, b.row)
+	}
+	for end := int32(len(b.m.topicIdx)); b.row < e; {
+		b.row++
+		b.m.off[b.row] = end
+	}
+	return nil
 }
 
 // SetProb sets ppᶻ_e (overwrites any previous value for that topic).
 func (b *Builder) SetProb(e graph.EdgeID, z int, p float64) error {
-	if z < 0 || z >= b.z {
-		return fmt.Errorf("tic: topic %d out of range [0,%d)", z, b.z)
+	if z < 0 || z >= b.m.z {
+		return fmt.Errorf("tic: topic %d out of range [0,%d)", z, b.m.z)
 	}
 	if p < 0 || p > 1 || math.IsNaN(p) {
 		return fmt.Errorf("tic: probability %v out of [0,1]", p)
 	}
-	for i := range b.entries[e] {
-		if int(b.entries[e][i].z) == z {
-			b.entries[e][i].p = float32(p)
+	if err := b.open(e); err != nil {
+		return err
+	}
+	m := b.m
+	for i := int(m.off[e]); i < len(m.topicIdx); i++ {
+		if int(m.topicIdx[i]) == z {
+			m.topicP[i] = float32(p)
 			return nil
 		}
 	}
 	if p == 0 {
 		return nil // sparse: zero entries are implicit
 	}
-	b.entries[e] = append(b.entries[e], entry{uint16(z), float32(p)})
+	m.topicIdx = append(m.topicIdx, uint16(z))
+	m.topicP = append(m.topicP, float32(p))
 	return nil
 }
 
 // SetProbs sets a dense probability vector for edge e.
 func (b *Builder) SetProbs(e graph.EdgeID, probs []float64) error {
-	if len(probs) != b.z {
-		return fmt.Errorf("tic: %d probs for %d topics", len(probs), b.z)
+	if len(probs) != b.m.z {
+		return fmt.Errorf("tic: %d probs for %d topics", len(probs), b.m.z)
 	}
-	b.entries[e] = b.entries[e][:0]
+	if err := b.open(e); err != nil {
+		return err
+	}
+	b.m.topicIdx, b.m.topicP = b.m.topicIdx[:b.m.off[e]], b.m.topicP[:b.m.off[e]]
 	for z, p := range probs {
 		if err := b.SetProb(e, z, p); err != nil {
 			return err
@@ -140,33 +168,20 @@ func (b *Builder) SetProbs(e graph.EdgeID, probs []float64) error {
 	return nil
 }
 
-// Build finalizes the model.
+// Build closes the remaining rows, derives the maxP envelope and
+// returns the model. The Builder is spent: any later set is an error.
 func (b *Builder) Build() *Model {
-	m := &Model{
-		g:    b.g,
-		z:    b.z,
-		off:  make([]int32, b.g.NumEdges()+1),
-		maxP: make([]float32, b.g.NumEdges()),
+	m, M := b.m, graph.EdgeID(b.m.g.NumEdges())
+	for end := int32(len(m.topicIdx)); b.row < M; {
+		b.row++
+		m.off[b.row] = end
 	}
-	total := 0
-	for _, es := range b.entries {
-		total += len(es)
-	}
-	m.topicIdx = make([]uint16, 0, total)
-	m.topicP = make([]float32, 0, total)
-	for e, es := range b.entries {
-		m.off[e] = int32(len(m.topicIdx))
-		var mx float32
-		for _, en := range es {
-			m.topicIdx = append(m.topicIdx, en.z)
-			m.topicP = append(m.topicP, en.p)
-			if en.p > mx {
-				mx = en.p
-			}
+	m.maxP = make([]float32, M)
+	for e := range m.maxP {
+		for _, p := range m.topicP[m.off[e]:m.off[e+1]] {
+			m.maxP[e] = max(m.maxP[e], p)
 		}
-		m.maxP[e] = mx
 	}
-	m.off[b.g.NumEdges()] = int32(len(m.topicIdx))
 	return m
 }
 
@@ -182,52 +197,38 @@ func (b *Builder) Build() *Model {
 // and holdout experiments (restrict a model to a subgraph).
 func Remap(m *Model, newG *graph.Graph, fallback func(u, v graph.NodeID) []float64) (*Model, error) {
 	oldG := m.g
-	oldN := graph.NodeID(oldG.NumNodes())
 	b := NewBuilder(newG, m.z)
-	var err error
-	fill := func(e graph.EdgeID, u, v graph.NodeID) {
-		if fallback == nil {
-			return
-		}
-		if probs := fallback(u, v); probs != nil {
-			err = b.SetProbs(e, probs)
-		}
-	}
 	// Per-source merge walk: both CSRs keep a node's out-neighbors
 	// sorted ascending, so matching edges by endpoints is a linear scan
-	// — no per-edge binary search over the old graph.
-	newN := graph.NodeID(newG.NumNodes())
-	for u := graph.NodeID(0); u < newN && err == nil; u++ {
-		lo, hi := newG.OutEdges(u)
-		if u >= oldN {
-			for e := lo; e < hi; e++ {
-				fill(e, u, newG.Dst(e))
-				if err != nil {
-					break
-				}
-			}
-			continue
+	// — no per-edge binary search over the old graph — and the new
+	// edges come in ascending id order, as the Builder takes them.
+	for u := graph.NodeID(0); int(u) < newG.NumNodes(); u++ {
+		var olo, ohi graph.EdgeID // u's old edges; none for a new node
+		if int(u) < oldG.NumNodes() {
+			olo, ohi = oldG.OutEdges(u)
 		}
-		olo, ohi := oldG.OutEdges(u)
-		for e := lo; e < hi && err == nil; e++ {
+		lo, hi := newG.OutEdges(u)
+		for e := lo; e < hi; e++ {
 			v := newG.Dst(e)
 			for olo < ohi && oldG.Dst(olo) < v {
 				olo++ // old edge absent from newG: dropped
 			}
-			if olo < ohi && oldG.Dst(olo) == v {
-				m.EdgeTopics(olo, func(z int, p float64) {
-					if err == nil {
-						err = b.SetProb(e, z, p)
-					}
-				})
+			var err error
+			switch {
+			case olo < ohi && oldG.Dst(olo) == v:
+				for i := m.off[olo]; i < m.off[olo+1] && err == nil; i++ {
+					err = b.SetProb(e, int(m.topicIdx[i]), float64(m.topicP[i]))
+				}
 				olo++
-				continue
+			case fallback != nil:
+				if probs := fallback(u, v); probs != nil {
+					err = b.SetProbs(e, probs)
+				}
 			}
-			fill(e, u, v)
+			if err != nil {
+				return nil, fmt.Errorf("tic: remap: %w", err)
+			}
 		}
-	}
-	if err != nil {
-		return nil, fmt.Errorf("tic: remap: %w", err)
 	}
 	return b.Build(), nil
 }

@@ -114,6 +114,40 @@ func TestBuilderValidation(t *testing.T) {
 	if err := mb.SetProbs(0, []float64{0.1}); err == nil {
 		t.Fatal("short prob vector accepted")
 	}
+	if err := mb.SetProb(1, 0, 0.5); err == nil {
+		t.Fatal("edge out of range accepted")
+	}
+}
+
+// The builder writes rows in ascending edge order: once edge 1 is set,
+// edge 0's row is closed to both setters, and the rejected calls leave
+// the model as it was.
+func TestBuilderRejectsOutOfOrderEdges(t *testing.T) {
+	b := graph.NewBuilder(3)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	g := b.Build()
+	mb := NewBuilder(g, 2)
+	if err := mb.SetProb(0, 0, 0.2); err != nil {
+		t.Fatal(err)
+	}
+	if err := mb.SetProb(1, 1, 0.7); err != nil {
+		t.Fatal(err)
+	}
+	if err := mb.SetProb(0, 1, 0.4); err == nil {
+		t.Fatal("SetProb on an earlier edge accepted")
+	}
+	if err := mb.SetProbs(0, []float64{0.5, 0.5}); err == nil {
+		t.Fatal("SetProbs on an earlier edge accepted")
+	}
+	m := mb.Build()
+	if m.TopicProb(0, 0) != float64(float32(0.2)) || m.TopicProb(0, 1) != 0 ||
+		m.TopicProb(1, 1) != float64(float32(0.7)) {
+		t.Fatalf("rows moved: e0 = %v,%v e1 = %v", m.TopicProb(0, 0), m.TopicProb(0, 1), m.TopicProb(1, 1))
+	}
+	if err := mb.SetProb(1, 0, 0.1); err == nil {
+		t.Fatal("SetProb after Build accepted")
+	}
 }
 
 func TestSetProbOverwrite(t *testing.T) {
@@ -130,10 +164,77 @@ func TestSetProbOverwrite(t *testing.T) {
 		}
 	}
 	mustSet(0, 0.3)
+	mustSet(1, 0.5)
 	mustSet(0, 0.8) // overwrite
 	m := mb.Build()
 	if got := m.TopicProb(0, 0); got != float64(float32(0.8)) {
 		t.Fatalf("TopicProb after overwrite = %v", got)
+	}
+	// The overwrite keeps its entry position: topic 0 still comes first.
+	var order []int
+	m.EdgeTopics(0, func(z int, _ float64) { order = append(order, z) })
+	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
+		t.Fatalf("entry order after overwrite = %v, want [0 1]", order)
+	}
+}
+
+// SetProbs replaces the open row: earlier entries of the edge go, and
+// its zeros stay implicit.
+func TestSetProbsReplacesRow(t *testing.T) {
+	b := graph.NewBuilder(3)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	g := b.Build()
+	mb := NewBuilder(g, 3)
+	if err := mb.SetProb(0, 2, 0.9); err != nil {
+		t.Fatal(err)
+	}
+	if err := mb.SetProb(0, 0, 0.4); err != nil {
+		t.Fatal(err)
+	}
+	if err := mb.SetProbs(0, []float64{0, 0.3, 0.6}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mb.SetProbs(1, []float64{0.5, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	m := mb.Build()
+	type ent struct {
+		z int
+		p float64
+	}
+	var row []ent
+	m.EdgeTopics(0, func(z int, p float64) { row = append(row, ent{z, p}) })
+	want := []ent{{1, float64(float32(0.3))}, {2, float64(float32(0.6))}}
+	if len(row) != len(want) || row[0] != want[0] || row[1] != want[1] {
+		t.Fatalf("edge 0 row = %v, want %v", row, want)
+	}
+	if m.MaxProb(0) != float64(float32(0.6)) || m.MaxProb(1) != 0.5 {
+		t.Fatalf("maxP = %v, %v", m.MaxProb(0), m.MaxProb(1))
+	}
+}
+
+// Building a model costs a fixed handful of allocations at a fixed
+// density of entries per edge, however many edges there are — never
+// one or more per edge.
+func TestBuilderAllocsFlatInEdges(t *testing.T) {
+	for _, n := range []int{1000, 64000} {
+		gb := graph.NewBuilder(n)
+		for u := 0; u < n; u++ {
+			gb.AddEdge(int32(u), int32((u+1)%n))
+		}
+		g := gb.Build()
+		allocs := testing.AllocsPerRun(3, func() {
+			mb := NewBuilder(g, 4)
+			for e := 0; e < g.NumEdges(); e++ {
+				_ = mb.SetProb(graph.EdgeID(e), e%4, 0.5)
+				_ = mb.SetProb(graph.EdgeID(e), (e+1)%4, 0.25)
+			}
+			mb.Build()
+		})
+		if allocs > 16 {
+			t.Errorf("%d edges: building the model takes %.0f allocations, want at most 16", g.NumEdges(), allocs)
+		}
 	}
 }
 

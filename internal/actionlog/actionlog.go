@@ -206,17 +206,31 @@ func (l *Log) Actions() []Action {
 
 // UserItems returns, for each user, the ids of episodes the user acted
 // in — the "items of the user" consulted by the keyword-suggestion
-// engine to enumerate candidate keywords.
-func (l *Log) UserItems() [][]int32 {
-	out := make([][]int32, l.NumUsers)
-	for ei, ep := range l.Episodes {
+// engine to enumerate candidate keywords — as one table: user u's
+// episodes are eps[off[u]:off[u+1]], ascending.
+func (l *Log) UserItems() (off, eps []int32) {
+	off = make([]int32, l.NumUsers+1)
+	for _, ep := range l.Episodes {
 		for _, a := range ep.Actions {
-			if int(a.User) < l.NumUsers {
-				out[a.User] = append(out[a.User], int32(ei))
+			if a.User >= 0 && int(a.User) < l.NumUsers {
+				off[a.User+1]++
 			}
 		}
 	}
-	return out
+	for u := 0; u < l.NumUsers; u++ {
+		off[u+1] += off[u]
+	}
+	next := slices.Clone(off[:l.NumUsers])
+	eps = make([]int32, off[l.NumUsers])
+	for ei, ep := range l.Episodes {
+		for _, a := range ep.Actions {
+			if a.User >= 0 && int(a.User) < l.NumUsers {
+				eps[next[a.User]] = int32(ei)
+				next[a.User]++
+			}
+		}
+	}
+	return off, eps
 }
 
 // Merge extends base with new items and actions, producing exactly what

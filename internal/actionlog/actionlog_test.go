@@ -79,15 +79,10 @@ func TestBuildDropsOutOfRangeUsers(t *testing.T) {
 
 func TestUserItems(t *testing.T) {
 	l := sampleLog()
-	ui := l.UserItems()
-	if len(ui) != 4 {
-		t.Fatalf("UserItems len = %d", len(ui))
-	}
-	if !reflect.DeepEqual(ui[0], []int32{0, 1}) {
-		t.Fatalf("user 0 items = %v", ui[0])
-	}
-	if !reflect.DeepEqual(ui[2], []int32{0}) {
-		t.Fatalf("user 2 items = %v", ui[2])
+	off, eps := l.UserItems()
+	// user 0: episodes 0, 1; user 1: 0; user 2: 0; user 3: 1.
+	if !reflect.DeepEqual(off, []int32{0, 2, 3, 4, 5}) || !reflect.DeepEqual(eps, []int32{0, 1, 0, 0, 1}) {
+		t.Fatalf("UserItems = %v, %v", off, eps)
 	}
 }
 

@@ -109,12 +109,20 @@ func (r *Reader) need(n int) bool {
 
 // Align8 skips padding up to the next 8-byte boundary. The aligned
 // codecs call it before every bulk array; writers emit matching zero
-// bytes (binio.Writer.Align8).
+// bytes (binio.Writer.Align8), and any other padding is an error, so a
+// payload that decodes re-encodes to the same bytes.
 func (r *Reader) Align8() {
 	pad := (8 - r.off%8) % 8
-	if pad != 0 && r.need(pad) {
-		r.off += pad
+	if pad == 0 || !r.need(pad) {
+		return
 	}
+	for _, b := range r.data[r.off : r.off+pad] {
+		if b != 0 {
+			r.fail(fmt.Errorf("arena: nonzero padding at offset %d", r.off))
+			return
+		}
+	}
+	r.off += pad
 }
 
 // Skip advances past n bytes without reading them.

@@ -286,3 +286,30 @@ func TestMapFile(t *testing.T) {
 		t.Fatalf("refs = %d after release", m.Refs())
 	}
 }
+
+// Padding must be the zeros binio.Writer.Align8 writes: a payload that
+// decodes then re-encodes to the same bytes.
+func TestAlign8RejectsNonzeroPadding(t *testing.T) {
+	data := encode(func(w *binio.Writer) {
+		w.U8(1)
+		w.Align8()
+		w.I32s([]int32{10})
+	})
+	for _, mode := range []func([]byte) *Reader{NewReader, NewZeroCopy} {
+		r := mode(data)
+		r.U8()
+		r.Align8()
+		if vs := r.I32s(); r.Err() != nil || len(vs) != 1 || vs[0] != 10 {
+			t.Fatalf("zero padding: %v, %v", vs, r.Err())
+		}
+	}
+	data[3] = 1
+	for _, mode := range []func([]byte) *Reader{NewReader, NewZeroCopy} {
+		r := mode(data)
+		r.U8()
+		r.Align8()
+		if r.Err() == nil {
+			t.Fatal("nonzero padding accepted")
+		}
+	}
+}

@@ -15,7 +15,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -341,8 +341,8 @@ func (s *System) ensureKeywordPools() {
 		if s.logFn != nil {
 			log = s.decodeLog()
 		}
-		s.sugg = tags.NewSuggester(s.tagsIdx, s.words,
-			buildUserKeywords(log, log.UserItems(), s.g.NumNodes()))
+		words, off, ids := keywordTable(log)
+		s.sugg = tags.NewTableSuggester(s.tagsIdx, s.words, words, off, ids)
 	})
 }
 
@@ -366,62 +366,66 @@ func (s *System) decodeLog() *actionlog.Log {
 	return lg
 }
 
-// buildUserKeywords computes each user's distinct keyword pool, sorted
-// lexicographically. Keywords are interned once — ids are lexicographic
-// ranks, so per-user dedup and ordering run on integers with a reusable
-// stamp array.
-func buildUserKeywords(log *actionlog.Log, userItems [][]int32, n int) [][]string {
-	kwID := make(map[string]int32)
-	var kws []string
-	for _, ep := range log.Episodes {
-		for _, w := range ep.Item.Keywords {
-			if _, ok := kwID[w]; !ok {
-				kwID[w] = 0
-				kws = append(kws, w)
+// keywordTable derives every user's keyword pool — the distinct
+// keywords of the items the user acted on, sorted — as the suggester's
+// id table (see tags.NewTableSuggester). Only episodes someone acted in
+// are interned, so the table holds exactly the words some pool uses;
+// ids are then replaced by lexicographic ranks, so a pool's sorted ids
+// are its sorted words.
+func keywordTable(log *actionlog.Log) (words []string, off, ids []int32) {
+	uoff, ueps := log.UserItems()
+	acted := make([]bool, len(log.Episodes))
+	total := 0
+	for _, e := range ueps {
+		if !acted[e] {
+			acted[e] = true
+			total += len(log.Episodes[e].Item.Keywords)
+		}
+	}
+	// Episode e's keyword ids are epKw[epOff[e]:epOff[e+1]]: first-seen
+	// ids, then ranks.
+	epOff := make([]int32, len(log.Episodes)+1)
+	epKw := make([]int32, 0, total)
+	intern := make(map[string]int32)
+	for e, ep := range log.Episodes {
+		if acted[e] {
+			for _, w := range ep.Item.Keywords {
+				k, ok := intern[w]
+				if !ok {
+					k = int32(len(words))
+					intern[w] = k
+					words = append(words, w)
+				}
+				epKw = append(epKw, k)
 			}
 		}
+		epOff[e+1] = int32(len(epKw))
 	}
-	sort.Strings(kws)
-	for i, w := range kws {
-		kwID[w] = int32(i)
+	slices.Sort(words)
+	rank := make([]int32, len(words))
+	for r, w := range words {
+		rank[intern[w]] = int32(r)
 	}
-	epKw := make([][]int32, len(log.Episodes))
-	for ei := range log.Episodes {
-		src := log.Episodes[ei].Item.Keywords
-		ids := make([]int32, len(src))
-		for i, w := range src {
-			ids[i] = kwID[w]
-		}
-		epKw[ei] = ids
+	for i, k := range epKw {
+		epKw[i] = rank[k]
 	}
 
-	out := make([][]string, n)
-	stamp := make([]int32, len(kws))
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	var ids []int32
-	for u := 0; u < n; u++ {
-		if len(userItems[u]) == 0 {
-			continue
-		}
-		ids = ids[:0]
-		for _, ei := range userItems[u] {
-			for _, id := range epKw[ei] {
-				if stamp[id] != int32(u) {
-					stamp[id] = int32(u)
-					ids = append(ids, id)
+	off = make([]int32, len(uoff))
+	stamp := make([]int32, len(words)) // stamp[k] == u+1: u's pool has k
+	for u := 0; u+1 < len(uoff); u++ {
+		start := len(ids)
+		for _, e := range ueps[uoff[u]:uoff[u+1]] {
+			for _, k := range epKw[epOff[e]:epOff[e+1]] {
+				if stamp[k] != int32(u+1) {
+					stamp[k] = int32(u + 1)
+					ids = append(ids, k)
 				}
 			}
 		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		pool := make([]string, len(ids))
-		for i, id := range ids {
-			pool[i] = kws[id]
-		}
-		out[u] = pool
+		slices.Sort(ids[start:])
+		off[u+1] = int32(len(ids))
 	}
-	return out
+	return words, off, slices.Clone(ids) // at its exact size: the suggester keeps it
 }
 
 // Acquire makes a built System a serving source of its own (the shape

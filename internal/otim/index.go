@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"octopus/internal/graph"
 	"octopus/internal/mia"
@@ -83,22 +82,7 @@ type Index struct {
 	// An Index a graph-unchanged fold shares keeps its lists too.
 	listsOnce sync.Once
 	byTopic   []int32
-
-	// buildStats records per-pass build durations (zero on deserialized
-	// indexes — only BuildIndex fills it).
-	buildStats BuildStats
 }
-
-// BuildStats breaks a from-scratch BuildIndex down by pass: the
-// upper-envelope spread sweep (Sigma) and the per-topic aggregate rows
-// (Aggr).
-type BuildStats struct {
-	Sigma time.Duration
-	Aggr  time.Duration
-}
-
-// BuildStats reports the per-pass durations of a from-scratch build.
-func (ix *Index) BuildStats() BuildStats { return ix.buildStats }
 
 // Model returns the underlying TIC model.
 func (ix *Index) Model() *tic.Model { return ix.model }
@@ -129,7 +113,6 @@ func BuildIndex(m *tic.Model, opt BuildOptions) (*Index, error) {
 	// mia.Calc weighed with p̄ once (the Dijkstra scratch is not
 	// shareable) and a tree whose node slab it recycles; sigmaMax writes
 	// are disjoint per node.
-	passStart := time.Now()
 	maxProb := func(e graph.EdgeID) float64 { return m.MaxProb(e) }
 	workers := par.Resolve(opt.Workers)
 	calcs := make([]*mia.Calc, workers)
@@ -145,13 +128,10 @@ func BuildIndex(m *tic.Model, opt BuildOptions) (*Index, error) {
 		t.Nodes = calc.AppendMIOA(t.Nodes[:0], graph.NodeID(v), opt.ThetaPre, 0)
 		ix.sigmaMax[v] = t.Spread()
 	})
-	ix.buildStats.Sigma = time.Since(passStart)
 
 	// Pass 2: per-topic aggregates, sharded by node — each iteration
 	// writes only u's own aggr row.
-	passStart = time.Now()
 	par.Each(opt.Workers, n, func(_, u int) { ix.computeRow(u) })
-	ix.buildStats.Aggr = time.Since(passStart)
 	return ix, nil
 }
 

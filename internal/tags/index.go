@@ -25,11 +25,17 @@
 // flips a coin for every edge of the graph per sample). Query evaluation
 // delays materializing the liveness set: the reverse BFS from the poll
 // root stops as soon as the target user is proven live.
+//
+// Each stored tree is flat and has one layout, the snapshot's: its node
+// list in BFS order, a per-slot offset array and one pool of 16-byte
+// coin records, slot i's in-edges being pool[off[i]:off[i+1]]. The
+// build grows a tree straight into that layout, the writer writes it as
+// it is, and a zero-copy load aliases it out of the mapped file.
 package tags
 
 import (
 	"fmt"
-	"time"
+	"slices"
 
 	"octopus/internal/graph"
 	"octopus/internal/obs"
@@ -66,7 +72,8 @@ func (o *IndexOptions) fill() {
 }
 
 // revEdge is one materialized coin: forward graph edge From→To with
-// threshold Lambda (indices are tree-local).
+// threshold Lambda (indices are tree-local). It is the snapshot's
+// 16-byte coin record, field for field.
 type revEdge struct {
 	From   int32 // tree-local index of the edge's source (farther node)
 	To     int32 // tree-local index of the edge's destination (nearer root)
@@ -75,12 +82,13 @@ type revEdge struct {
 }
 
 // revTree is the stored reverse propagation sample of one poll user.
-// Slot 0 is the poll root.
+// Slot 0 is the poll root; coins[off[i]:off[i+1]] are the stored edges
+// whose To == i (edges that can make node From live once i is live,
+// walking away from the root).
 type revTree struct {
 	nodes []graph.NodeID
-	// inEdges[i] lists stored edges whose To == i (edges that can make
-	// node From live once i is live, walking away from the root).
-	inEdges [][]revEdge
+	off   []int32
+	coins []revEdge
 }
 
 // pollSlot places a user in one stored tree: the poll and the user's
@@ -93,7 +101,6 @@ type pollSlot struct {
 // concurrent readers.
 type Index struct {
 	m     *tic.Model
-	polls []graph.NodeID
 	trees []revTree
 	// contains[containsOff[u]:containsOff[u+1]] lists, in poll order,
 	// the polls whose stored tree contains u with u's slot there — only
@@ -105,21 +112,7 @@ type Index struct {
 	// pollCoins[p] = coins flipped growing poll p's tree. The snapshot
 	// stores this per-poll split; it only feeds the CoinsFlipped total.
 	pollCoins []int32
-
-	// buildStats records the build-pass durations (zero on deserialized
-	// indexes — only BuildIndex fills it).
-	buildStats BuildStats
 }
-
-// BuildStats breaks a from-scratch BuildIndex down by pass: parallel
-// poll-tree growth (Grow) and the serial contribution merge (Merge).
-type BuildStats struct {
-	Grow  time.Duration
-	Merge time.Duration
-}
-
-// BuildStats reports the per-pass durations of a from-scratch build.
-func (ix *Index) BuildStats() BuildStats { return ix.buildStats }
 
 // BuildIndex samples M poll users and grows their reverse trees under
 // p̄. Each poll's root and coin stream derive from values drawn
@@ -145,26 +138,22 @@ func BuildIndex(m *tic.Model, opt IndexOptions) (*Index, error) {
 		seeds[p] = r.Uint64()
 	}
 
-	ix := &Index{m: m, polls: roots}
-	ix.trees = make([]revTree, opt.Polls)
-	edges := make([]int, opt.Polls)
-	coins := make([]int, opt.Polls)
-	passStart := time.Now()
-	par.Each(opt.Workers, opt.Polls, func(_, p int) {
-		ix.trees[p], edges[p], coins[p] = growTree(m, roots[p], rng.New(seeds[p]), opt)
+	ix := &Index{m: m, trees: make([]revTree, opt.Polls), pollCoins: make([]int32, opt.Polls)}
+	growers := make([]grower, par.Resolve(opt.Workers))
+	par.Each(opt.Workers, opt.Polls, func(w, p int) {
+		gr := &growers[w]
+		if gr.stamp == nil {
+			gr.stamp, gr.slot = make([]int32, n), make([]int32, n)
+		}
+		ix.trees[p], ix.pollCoins[p] = gr.grow(m, roots[p], rng.New(seeds[p]), int32(p+1), opt)
 	})
-	ix.buildStats.Grow = time.Since(passStart)
-	// Merge contributions in poll order so each user's contains list —
-	// and every derived estimate — is reproducible.
-	passStart = time.Now()
-	ix.pollCoins = make([]int32, opt.Polls)
+	// Sum and index contributions in poll order so each user's contains
+	// list — and every derived estimate — is reproducible.
 	for p := range ix.trees {
-		ix.edges += edges[p]
-		ix.coins += coins[p]
-		ix.pollCoins[p] = int32(coins[p])
+		ix.edges += len(ix.trees[p].coins)
+		ix.coins += int(ix.pollCoins[p])
 	}
 	ix.indexContains(n)
-	ix.buildStats.Merge = time.Since(passStart)
 	return ix, nil
 }
 
@@ -191,68 +180,60 @@ func (ix *Index) indexContains(n int) {
 	ix.containsOff, ix.contains = off, pairs
 }
 
-// growTree grows one poll's reverse propagation tree under the
+// grower is one build worker's scratch, reused across the trees it
+// grows: slot[v] is v's slot in the current tree when stamp[v] holds
+// the tree's mark, and nodes/off/depth/coins are the growing tree's
+// buffers, which each finished tree copies out at its exact size.
+type grower struct {
+	stamp, slot []int32
+	nodes       []graph.NodeID
+	off, depth  []int32
+	coins       []revEdge
+}
+
+// grow grows one poll's reverse propagation tree under the
 // upper-envelope probabilities, flipping coins from the poll's private
-// RNG. Returns the tree plus the materialized-edge and flipped-coin
-// counts.
-func growTree(m *tic.Model, root graph.NodeID, r *rng.Source, opt IndexOptions) (revTree, int, int) {
+// RNG. mark must differ from every mark this grower used before. The
+// BFS queue is the slot order itself, so slot i's in-edges are
+// appended as one run and off[i+1] closes it. Returns the tree and the
+// number of coins flipped.
+func (gr *grower) grow(m *tic.Model, root graph.NodeID, r *rng.Source, mark int32, opt IndexOptions) (revTree, int32) {
 	g := m.Graph()
-	edges, coins := 0, 0
-	var t revTree
-	local := make(map[graph.NodeID]int32, 8) // node → slot, only while growing
-	addNode := func(v graph.NodeID) int32 {
-		if i, ok := local[v]; ok {
-			return i
-		}
-		i := int32(len(t.nodes))
-		t.nodes = append(t.nodes, v)
-		local[v] = i
-		t.inEdges = append(t.inEdges, nil)
-		return i
-	}
-	type qent struct {
-		idx   int32
-		depth int32
-	}
-	rootIdx := addNode(root)
-	queue := []qent{{rootIdx, 0}}
-	for qi := 0; qi < len(queue); qi++ {
-		cur := queue[qi]
-		if opt.MaxDepth > 0 && int(cur.depth) >= opt.MaxDepth {
-			continue
-		}
-		if opt.MaxTreeNodes > 0 && len(t.nodes) >= opt.MaxTreeNodes {
-			break
-		}
-		v := t.nodes[cur.idx]
-		lo, hi := g.InSlots(v)
-		for s := lo; s < hi; s++ {
-			e := g.InEdgeID(s)
-			lambda := r.Float64()
-			coins++
-			if lambda >= m.MaxProb(e) {
-				continue // dead under every γ: lazy pruning
+	flipped := int32(0)
+	nodes, off, depth, coins := append(gr.nodes[:0], root), append(gr.off[:0], 0), append(gr.depth[:0], 0), gr.coins[:0]
+	gr.stamp[root], gr.slot[root] = mark, 0
+	for i := int32(0); int(i) < len(nodes); i++ {
+		// A slot past either cap is kept, with no edges of its own.
+		if (opt.MaxTreeNodes <= 0 || len(nodes) < opt.MaxTreeNodes) && (opt.MaxDepth <= 0 || int(depth[i]) < opt.MaxDepth) {
+			lo, hi := g.InSlots(nodes[i])
+			for s := lo; s < hi; s++ {
+				e := g.InEdgeID(s)
+				lambda := r.Float64()
+				flipped++
+				if lambda >= m.MaxProb(e) {
+					continue // dead under every γ: lazy pruning
+				}
+				u := g.InSrc(s)
+				if gr.stamp[u] != mark {
+					gr.stamp[u], gr.slot[u] = mark, int32(len(nodes))
+					nodes = append(nodes, u)
+					depth = append(depth, depth[i]+1)
+				}
+				coins = append(coins, revEdge{From: gr.slot[u], To: i, Lambda: float32(lambda), Edge: e})
 			}
-			u := g.InSrc(s)
-			ui, existed := local[u]
-			if !existed {
-				ui = addNode(u)
-				queue = append(queue, qent{ui, cur.depth + 1})
-			}
-			t.inEdges[cur.idx] = append(t.inEdges[cur.idx], revEdge{
-				From: ui, To: cur.idx, Lambda: float32(lambda), Edge: e,
-			})
-			edges++
 		}
+		off = append(off, int32(len(coins)))
 	}
-	return t, edges, coins
+	gr.nodes, gr.off, gr.depth, gr.coins = nodes, off, depth, coins
+	// An empty pool is non-nil, as a decoded tree's is.
+	return revTree{nodes: slices.Clone(nodes), off: slices.Clone(off), coins: append([]revEdge{}, coins...)}, flipped
 }
 
 // Model returns the underlying TIC model.
 func (ix *Index) Model() *tic.Model { return ix.m }
 
 // NumPolls returns M.
-func (ix *Index) NumPolls() int { return len(ix.polls) }
+func (ix *Index) NumPolls() int { return len(ix.trees) }
 
 // EdgesMaterialized returns the number of stored coins (edges kept after
 // lazy pruning).
@@ -300,7 +281,8 @@ func (ix *Index) pollLive(ps pollSlot, gamma topic.Dist, cost *obs.Cost, sc *sca
 	found := false
 walk:
 	for qi := 0; qi < len(queue); qi++ {
-		for _, e := range t.inEdges[queue[qi]] {
+		q := queue[qi]
+		for _, e := range t.coins[t.off[q]:t.off[q+1]] {
 			if live[e.From] {
 				continue
 			}
@@ -325,13 +307,17 @@ walk:
 }
 
 // SpreadEstimate returns σ̂_γ({u}) = n/M · #{polls where u is live},
-// accumulating scan work into cost (nil disables accounting).
+// accumulating scan work into cost (nil disables accounting). A u
+// outside the graph has no spread: 0.
 func (ix *Index) SpreadEstimate(u graph.NodeID, gamma topic.Dist, cost *obs.Cost) float64 {
 	return ix.spreadEstimate(u, gamma, cost, &scan{})
 }
 
 // spreadEstimate is SpreadEstimate over the caller's BFS scratch.
 func (ix *Index) spreadEstimate(u graph.NodeID, gamma topic.Dist, cost *obs.Cost, sc *scan) float64 {
+	if !ix.has(u) {
+		return 0
+	}
 	hits := 0
 	for _, ps := range ix.contains[ix.containsOff[u]:ix.containsOff[u+1]] {
 		if ix.pollLive(ps, gamma, cost, sc) {
@@ -339,13 +325,22 @@ func (ix *Index) spreadEstimate(u graph.NodeID, gamma topic.Dist, cost *obs.Cost
 		}
 	}
 	n := ix.m.Graph().NumNodes()
-	return float64(n) * float64(hits) / float64(len(ix.polls))
+	return float64(n) * float64(hits) / float64(len(ix.trees))
 }
 
 // MaxSpreadEstimate returns the estimator's upper envelope for u: the
 // spread if every stored edge were live (γ-independent), used for
-// pruning entire users before any keyword evaluation.
+// pruning entire users before any keyword evaluation. A u outside the
+// graph has none: 0.
 func (ix *Index) MaxSpreadEstimate(u graph.NodeID) float64 {
+	if !ix.has(u) {
+		return 0
+	}
 	n := ix.m.Graph().NumNodes()
-	return float64(n) * float64(ix.containsOff[u+1]-ix.containsOff[u]) / float64(len(ix.polls))
+	return float64(n) * float64(ix.containsOff[u+1]-ix.containsOff[u]) / float64(len(ix.trees))
+}
+
+// has reports whether u is a user of the index's graph.
+func (ix *Index) has(u graph.NodeID) bool {
+	return u >= 0 && int(u) < len(ix.containsOff)-1
 }

@@ -74,47 +74,57 @@ type Suggester struct {
 	ix *Index
 	km *topic.Model
 	// The per-user candidate pools (typically the keywords of the items
-	// the user acted on) as one id table: user u's pool is words[id] for
-	// each id in ids[off[u]:off[u+1]], in the order NewSuggester was
-	// given. words is the sorted distinct keyword table, so ids are
-	// lexicographic ranks. off is nil when no pools were given.
+	// the user acted on) as NewTableSuggester's id table; off is nil
+	// when no pools were given.
 	off   []int32
 	ids   []int32
 	words []string
 }
 
+// NewTableSuggester builds a Suggester over per-user keyword pools
+// given as one id table: user u's pool is words[id] for each id in
+// ids[off[u]:off[u+1]]. words is sorted and distinct, so ids are
+// lexicographic ranks; off runs non-decreasing from 0 to len(ids). A
+// nil off makes every vocabulary keyword a candidate for every user.
+// The Suggester keeps the three slices, which must not change
+// afterwards.
+func NewTableSuggester(ix *Index, km *topic.Model, words []string, off, ids []int32) *Suggester {
+	return &Suggester{ix: ix, km: km, off: off, ids: ids, words: words}
+}
+
 // NewSuggester builds a Suggester; userKeywords may be nil, in which
 // case every vocabulary keyword is a candidate for every user. The
-// pools are compacted into an id table; userKeywords is not retained.
+// pools are compacted into NewTableSuggester's id table, in the order
+// given; userKeywords is not retained.
 func NewSuggester(ix *Index, km *topic.Model, userKeywords [][]string) *Suggester {
-	s := &Suggester{ix: ix, km: km}
 	if userKeywords == nil {
-		return s
+		return NewTableSuggester(ix, km, nil, nil, nil)
 	}
 	rank := make(map[string]int32)
+	var words []string
 	total := 0
 	for _, pool := range userKeywords {
 		total += len(pool)
 		for _, w := range pool {
 			if _, ok := rank[w]; !ok {
 				rank[w] = 0
-				s.words = append(s.words, w)
+				words = append(words, w)
 			}
 		}
 	}
-	sort.Strings(s.words)
-	for i, w := range s.words {
+	sort.Strings(words)
+	for i, w := range words {
 		rank[w] = int32(i)
 	}
-	s.off = make([]int32, len(userKeywords)+1)
-	s.ids = make([]int32, 0, total)
+	off := make([]int32, len(userKeywords)+1)
+	ids := make([]int32, 0, total)
 	for u, pool := range userKeywords {
 		for _, w := range pool {
-			s.ids = append(s.ids, rank[w])
+			ids = append(ids, rank[w])
 		}
-		s.off[u+1] = int32(len(s.ids))
+		off[u+1] = int32(len(ids))
 	}
-	return s
+	return NewTableSuggester(ix, km, words, off, ids)
 }
 
 // Pool returns a fresh copy of u's own keyword pool: nil when u has
@@ -140,10 +150,14 @@ func (s *Suggester) Candidates(u graph.NodeID) []string {
 	return s.km.Vocab()
 }
 
-// Suggest finds an influential k-keyword set for the target user.
+// Suggest finds an influential k-keyword set for the target user, who
+// must be a user of the index's graph.
 func (s *Suggester) Suggest(target graph.NodeID, opt SuggestOptions) (*Suggestion, error) {
 	if err := opt.fill(); err != nil {
 		return nil, err
+	}
+	if !s.ix.has(target) {
+		return nil, fmt.Errorf("tags: user %d is not in the graph", target)
 	}
 	sug := &Suggestion{}
 
@@ -278,8 +292,11 @@ func (s *Suggester) coherent(w string, cur []string, minC float64) bool {
 // RankKeywords returns all candidate keywords of target ranked by
 // singleton spread estimate — the list OCTOPUS shows before the user
 // picks one for the radar view. Index work is accounted into cost (nil
-// disables it).
+// disables it). A target outside the graph has no ranking: nil.
 func (s *Suggester) RankKeywords(target graph.NodeID, limit int, cost *obs.Cost) []KeywordScore {
+	if !s.ix.has(target) {
+		return nil
+	}
 	pool := s.Candidates(target)
 	sc := &scan{}
 	scored := make([]KeywordScore, 0, len(pool))

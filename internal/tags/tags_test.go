@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"octopus/internal/arena"
 	"octopus/internal/graph"
 	"octopus/internal/rng"
 	"octopus/internal/tic"
@@ -289,6 +290,11 @@ func TestSuggestErrors(t *testing.T) {
 	if _, err := s2.Suggest(0, SuggestOptions{K: 1}); err == nil {
 		t.Fatal("out-of-vocabulary pool accepted")
 	}
+	for _, u := range []graph.NodeID{-1, 40} {
+		if _, err := s.Suggest(u, SuggestOptions{K: 1}); err == nil {
+			t.Fatalf("target %d outside the graph accepted", u)
+		}
+	}
 }
 
 func TestRankKeywords(t *testing.T) {
@@ -312,6 +318,15 @@ func TestRankKeywords(t *testing.T) {
 	if got := s.RankKeywords(0, 2, nil); len(got) != 2 {
 		t.Fatalf("limit ignored: %d", len(got))
 	}
+	// Targets outside the graph have no ranking and no spread.
+	for _, u := range []graph.NodeID{-1, 40} {
+		if got := s.RankKeywords(u, 0, nil); got != nil {
+			t.Fatalf("RankKeywords(%d) = %v", u, got)
+		}
+		if sp, maxSp := ix.SpreadEstimate(u, topic.Dist{1, 0}, nil), ix.MaxSpreadEstimate(u); sp != 0 || maxSp != 0 {
+			t.Fatalf("user %d: spread %v, max spread %v", u, sp, maxSp)
+		}
+	}
 }
 
 func TestIndexDeterministic(t *testing.T) {
@@ -327,8 +342,10 @@ func TestIndexDeterministic(t *testing.T) {
 	}
 }
 
+// BenchmarkIndexBuild grows trees of ≈1 000 nodes each, so a per-node
+// allocation would show in its allocs/op.
 func BenchmarkIndexBuild(b *testing.B) {
-	m, _ := world(b)
+	m := deepWorld(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := BuildIndex(m, IndexOptions{Polls: 1000, Seed: uint64(i)}); err != nil {
@@ -367,8 +384,10 @@ func BenchmarkSuggest(b *testing.B) {
 
 // TestBuildIndexWorkerEquivalence is the parallel-build contract: poll
 // roots and coin streams are pre-drawn serially from the seed RNG, so
-// the grown trees (and every derived estimate) are bit-identical for
-// every worker count.
+// the grown flat trees (and every derived estimate) are bit-identical
+// for every worker count. Each tree is in the snapshot layout: slot i's
+// coins are coins[off[i]:off[i+1]], all with To == i, and the copying
+// reader gives the written trees back unchanged.
 func TestBuildIndexWorkerEquivalence(t *testing.T) {
 	m, _ := world(t)
 	build := func(workers int) *Index {
@@ -379,21 +398,101 @@ func TestBuildIndexWorkerEquivalence(t *testing.T) {
 		return ix
 	}
 	base := build(1)
+	for p, tr := range base.trees {
+		k := len(tr.nodes)
+		if len(tr.off) != k+1 || tr.off[0] != 0 || int(tr.off[k]) != len(tr.coins) {
+			t.Fatalf("poll %d: offsets %v over %d nodes and %d coins", p, tr.off, k, len(tr.coins))
+		}
+		for i := 0; i < k; i++ {
+			for _, e := range tr.coins[tr.off[i]:tr.off[i+1]] {
+				if e.To != int32(i) || e.From < 0 || int(e.From) >= k {
+					t.Fatalf("poll %d slot %d holds coin %+v", p, i, e)
+				}
+			}
+		}
+	}
+	back, err := ReadView(arena.NewReader(encodeIndex(t, base)), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(base.trees, back.trees) || !reflect.DeepEqual(base.pollCoins, back.pollCoins) {
+		t.Fatal("read-back trees differ from the built ones")
+	}
 	for _, w := range []int{2, 3, 8} {
 		ix := build(w)
-		if !reflect.DeepEqual(base.polls, ix.polls) {
-			t.Fatalf("workers=%d: poll roots differ", w)
-		}
 		if base.edges != ix.edges || base.coins != ix.coins {
 			t.Fatalf("workers=%d: edges/coins %d/%d != %d/%d",
 				w, ix.edges, ix.coins, base.edges, base.coins)
 		}
-		if !reflect.DeepEqual(base.trees, ix.trees) {
+		if !reflect.DeepEqual(base.trees, ix.trees) || !reflect.DeepEqual(base.pollCoins, ix.pollCoins) {
 			t.Fatalf("workers=%d: reverse trees differ", w)
 		}
 		if !reflect.DeepEqual(base.containsOff, ix.containsOff) || !reflect.DeepEqual(base.contains, ix.contains) {
 			t.Fatalf("workers=%d: contains lists differ", w)
 		}
+	}
+}
+
+// deepWorld is a 1 500-user graph whose every user has three in-edges
+// that fire with probability 0.6 under topic 0: its poll trees hold
+// about a thousand nodes each.
+func deepWorld(t testing.TB) *tic.Model {
+	const n = 1500
+	b := graph.NewBuilder(n)
+	r := rng.New(9)
+	for v := 0; v < n; v++ {
+		for j := 0; j < 3; j++ {
+			b.AddEdge(int32(r.Intn(n)), int32(v))
+		}
+	}
+	g := b.Build()
+	mb := tic.NewBuilder(g, 2)
+	for e := 0; e < g.NumEdges(); e++ {
+		if err := mb.SetProbs(graph.EdgeID(e), []float64{0.6, 0.1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return mb.Build()
+}
+
+// A build's allocations do not grow with stored tree nodes: each tree
+// is grown in its worker's reused buffers and copied out at its exact
+// size (node list, offset array, coin pool).
+func TestBuildIndexAllocs(t *testing.T) {
+	m := deepWorld(t)
+	const polls = 100
+	ix := buildIx(t, m, polls, 3)
+	nodes := len(ix.contains)
+	if nodes < 50*polls {
+		t.Fatalf("trees hold %d nodes over %d polls; the gate needs deep trees", nodes, polls)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := BuildIndex(m, IndexOptions{Polls: polls, Seed: 3, Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4*polls+64 {
+		t.Fatalf("BuildIndex allocated %v times for %d polls holding %d nodes, want ≤ %d", allocs, polls, nodes, 4*polls+64)
+	}
+}
+
+// A zero-copy ReadView aliases every tree's node list, offset array
+// and coin pool out of the payload: its allocations are the index's
+// own tables, not one per poll or per tree node.
+func TestReadViewZeroCopyAllocs(t *testing.T) {
+	if !arena.LittleEndianHost() {
+		t.Skip("zero-copy disabled on big-endian hosts")
+	}
+	m := deepWorld(t)
+	data := encodeIndex(t, buildIx(t, m, 200, 4))
+	allocs := testing.AllocsPerRun(5, func() {
+		br := arena.NewZeroCopy(data)
+		if _, err := ReadView(br, m); err != nil || br.Fallbacks() != 0 {
+			t.Fatalf("ReadView: %v, %d copy fallbacks", err, br.Fallbacks())
+		}
+	})
+	if allocs > 16 {
+		t.Fatalf("zero-copy ReadView allocated %v times over 200 polls, want ≤ 16", allocs)
 	}
 }
 

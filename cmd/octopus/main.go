@@ -1,12 +1,12 @@
-// Command octopus is the demo driver for the OCTOPUS reproduction. It
+// Command octopus is the command-line tool of the OCTOPUS reproduction. It
 // generates (or loads) a social network with action logs, builds the
-// analysis system, and either walks through the paper's three demo
-// scenarios in the terminal or serves the JSON HTTP API the d3 front end
-// binds to.
+// analysis system, and either serves the JSON HTTP API the d3 front end
+// binds to, answers one keyword query in the terminal, or writes the
+// built system as a snapshot or a shard fleet. The paper's three demo
+// scenarios are walked in the terminal by `go run ./examples/quickstart`.
 //
 // Usage:
 //
-//	octopus demo  [-dataset citation|social] [-n N] [-topics Z] [-seed S] [-em] [-workers W]
 //	octopus serve [-addr :8080] [-load model.oct] [-mmap] [-mmap-warmup] [-ingest] [-wal DIR]
 //	              [-follow http://leader:8080]
 //	              [-coordinator -shard-addrs URL,URL,...] [-shard-timeout D] [-probe-interval D]
@@ -15,7 +15,7 @@
 //	              [-slow-query D] [-trace-ring N] [-log-format text|json]
 //	              [-slo-availability F] [-slo-p99 D] [-slo-staleness D]
 //	              [-diag-dir DIR] [-diag-interval D]
-//	              [same dataset flags]
+//	              [-dataset citation|social] [-n N] [-topics Z] [-seed S] [-em] [-workers W]
 //	octopus query [-q "data mining"] [-k 10] [-load model.oct] [-mmap] [same dataset flags]
 //	octopus build [-o model.oct] [same dataset flags]   # build + binary snapshot (-em: learned models)
 //	octopus split [-shards N] [-strategy hash|community] [-shard-dir shards/]
@@ -92,8 +92,9 @@
 // since. Leader loss is retried with backoff forever; a leader that
 // restarts from crash recovery is just another checkpoint to mirror.
 //
-// serve refuses illegal flag combinations (see checkServe) before it
-// builds anything or binds a port.
+// serve maps its flags onto a server.Deployment and opens it with
+// server.Open, which refuses illegal flag combinations (see also
+// checkServe) before it builds anything or binds a port.
 //
 // serve always runs the query-serving layer: a generation-tagged result
 // cache (-cache-entries, invalidated implicitly by snapshot swaps),
@@ -135,14 +136,10 @@ import (
 	"octopus/internal/actionlog"
 	"octopus/internal/core"
 	"octopus/internal/datagen"
-	"octopus/internal/graph"
 	"octopus/internal/obs"
-	"octopus/internal/repl"
 	"octopus/internal/server"
 	"octopus/internal/shard"
 	"octopus/internal/store"
-	"octopus/internal/stream"
-	"octopus/internal/tags"
 )
 
 type options struct {
@@ -204,8 +201,6 @@ func main() {
 	}
 
 	switch cmd {
-	case "demo":
-		run(opt, demo)
 	case "serve":
 		if err := serveMain(opt); err != nil {
 			log.Fatal(err)
@@ -223,7 +218,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: octopus <demo|serve|query|build|split> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: octopus <serve|query|build|split> [flags]")
 }
 
 // parseFlags parses one subcommand's flags. Every subcommand shares the
@@ -411,30 +406,22 @@ func checkLoad(opt options) error {
 	return nil
 }
 
-// checkServe rejects every illegal serve flag combination, before
-// anything is built, recovered, fetched or bound.
+// checkServe refuses the serve flag combinations that involve the
+// local-corpus flags, which a Deployment does not see; Open refuses the
+// rest (Deployment.Check). Both run before anything is built,
+// recovered, fetched or bound.
 func checkServe(opt options) error {
 	switch {
-	case opt.coordinator && opt.shardAddrs == "":
-		return errors.New("serve -coordinator requires -shard-addrs=URL,URL,...")
-	case opt.coordinator && (opt.ingest || opt.walDir != "" || opt.follow != "" || opt.load != ""):
+	case opt.coordinator && opt.load != "":
 		return errors.New("serve -coordinator has no local corpus; drop -ingest/-wal/-follow/-load")
-	case opt.follow != "" && opt.ingest:
-		return errors.New("serve -follow is read-only; -ingest belongs on the leader")
-	case opt.follow != "" && opt.walDir == "":
-		return errors.New("serve -follow requires -wal DIR for the replica's local state")
 	case opt.follow != "" && opt.load != "":
 		return errors.New("serve -follow bootstraps from the leader's snapshot; drop -load")
-	case opt.walDir != "" && !opt.ingest && opt.follow == "":
-		return errors.New("serve -wal requires -ingest")
 	}
 	return checkLoad(opt)
 }
 
-// serveMain is serve's one path: check the flags, pick the source, build
-// the server, and serve it until SIGINT/SIGTERM. Shutdown drains HTTP
-// first, then closes the source (the live ingester's final fold and
-// checkpoint, or the follower), then the snapshot mapping it aliases.
+// serveMain is serve's one path: check the flags, open the deployment
+// they describe, and serve it until SIGINT/SIGTERM.
 func serveMain(opt options) error {
 	if err := checkServe(opt); err != nil {
 		return err
@@ -442,37 +429,9 @@ func serveMain(opt options) error {
 	logger := newLogger(opt)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	src, err := openSource(ctx, opt, logger)
+	node, err := server.Open(ctx, deployment(opt, logger))
 	if err != nil {
 		return err
-	}
-	srvOpt := serverOptions(opt, logger)
-	if src.mapped != nil {
-		// Deferred here, so the owning reference drops only after runHTTP
-		// has drained the HTTP server and closed the source: late
-		// in-flight requests never touch unmapped memory. Folded
-		// generations hold their own retained references via the
-		// snapshot backing chain.
-		defer src.mapped.Close()
-		srvOpt.StoreStats = src.mapped.Stats
-	}
-	var srv *server.Server
-	if opt.coordinator {
-		var addrs []string
-		for _, a := range strings.Split(opt.shardAddrs, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				addrs = append(addrs, a)
-			}
-		}
-		srv, err = server.NewCoordinator(addrs, srvOpt, server.CoordinatorOptions{
-			ShardTimeout:  opt.shardTimeout,
-			ProbeInterval: opt.probeInterval,
-		})
-		if err != nil {
-			return err
-		}
-	} else {
-		srv = server.NewWith(src.sys, srvOpt)
 	}
 	// Report the effective settings (0 cache entries means the default
 	// size; only a negative value disables the cache).
@@ -482,99 +441,52 @@ func serveMain(opt options) error {
 	} else if opt.cacheEntries < 0 {
 		cacheDesc = "off"
 	}
-	logger.Info("listening", slog.String("addr", opt.addr), slog.String("mode", src.mode))
+	logger.Info("listening", slog.String("addr", opt.addr), slog.String("mode", node.Mode))
 	logger.Info("serving layer", slog.String("cacheEntries", cacheDesc),
 		slog.Int("maxInflight", opt.maxInflight),
 		slog.Duration("slowQuery", opt.slowQuery))
-	return runHTTP(ctx, opt, logger, srv, src.close)
+	return runHTTP(ctx, opt, logger, node)
 }
 
-// source is what one serve process answers from, and what it must
-// release once its HTTP server has drained.
-type source struct {
-	sys    server.Source // nil on a coordinator: its engine is remote
-	mode   string        // coordinator, replica, static or live
-	mapped *store.Mapped // the snapshot mapping sys aliases, if any
-	close  func() error  // stops the live ingester or the follower
-}
-
-// openSource picks what serve answers from: nothing local for a
-// coordinator; the leader's mirrored checkpoints for -follow; otherwise
-// the checkpoint found in -wal, loaded or built, wrapped live under
-// -ingest (which replays and folds the checkpoint's WAL tail). A -wal
-// directory that already holds state wins over both -load and dataset
-// generation.
-func openSource(ctx context.Context, opt options, logger *slog.Logger) (source, error) {
-	src := source{close: func() error { return nil }}
-	switch {
-	case opt.coordinator:
-		src.mode = "coordinator"
-		return src, nil
-	case opt.follow != "":
-		logger.Info("bootstrapping replica",
-			slog.String("leader", opt.follow), slog.String("dir", opt.walDir))
-		f, err := repl.Start(ctx, repl.Config{Leader: opt.follow, Dir: opt.walDir, Logger: logger})
-		if err != nil {
-			return src, err
-		}
-		src.sys, src.mode = f, "replica"
-		src.close = func() error {
-			logger.Info("stopping replication", slog.Uint64("version", f.Version()))
-			return f.Close()
-		}
-		return src, nil
-	}
-	var dir *store.Dir
-	var sys *core.System
-	var recovered *store.RecoverResult
-	if opt.walDir != "" {
-		var err error
-		if dir, recovered, err = store.Open(opt.walDir); err != nil {
-			return src, err
-		}
-		if recovered != nil {
-			sys = recovered.Sys
+// deployment maps the serve flags onto the deployment Open assembles.
+// The local system comes from buildSystem, the load/generate path every
+// subcommand shares.
+func deployment(opt options, logger *slog.Logger) server.Deployment {
+	var addrs []string
+	for _, a := range strings.Split(opt.shardAddrs, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			addrs = append(addrs, a)
 		}
 	}
-	if sys == nil {
-		var err error
-		if sys, src.mapped, err = buildSystem(opt); err != nil {
-			return src, err
-		}
-	}
-	if !opt.ingest {
-		src.sys, src.mode = sys, "static"
-		return src, nil
-	}
-	ls, err := stream.NewLiveSystem(sys, stream.Config{
+	return server.Deployment{
+		Server: server.Options{
+			CacheEntries: opt.cacheEntries,
+			MaxInflight:  opt.maxInflight,
+			TraceRing:    opt.traceRing,
+			SlowQuery:    opt.slowQuery,
+			Logger:       logger,
+			SLO: obs.SLOConfig{
+				Availability:  opt.sloAvailability,
+				LatencyTarget: opt.sloP99,
+				Staleness:     opt.sloStaleness,
+			},
+			DiagDir:         opt.diagDir,
+			DiagMinInterval: opt.diagInterval,
+		},
+		Coordinator: opt.coordinator,
+		ShardAddrs:  addrs,
+		CoordinatorOptions: server.CoordinatorOptions{
+			ShardTimeout:  opt.shardTimeout,
+			ProbeInterval: opt.probeInterval,
+		},
+		Follow:          opt.follow,
+		Dir:             opt.walDir,
+		Ingest:          opt.ingest,
 		RebuildEvents:   opt.rebuildEvents,
 		RebuildInterval: opt.rebuildInterval,
 		Workers:         opt.workers,
-		IncrementalFold: true,
-		Store:           dir,
-		Logger:          logger,
-	})
-	if err != nil {
-		return src, err
+		Base:            func() (*core.System, *store.Mapped, error) { return buildSystem(opt) },
 	}
-	if recovered != nil {
-		st := ls.Stats()
-		fmt.Fprintf(os.Stderr, "recovered from %s: snapshot v%d + %d WAL events (%d nodes, %d edges)\n",
-			opt.walDir, recovered.SnapshotVersion, recovered.Tail, st.Nodes, st.Edges)
-	}
-	src.sys, src.mode = ls, "live"
-	src.close = func() error {
-		if err := ls.Close(); err != nil {
-			return fmt.Errorf("closing ingester: %w", err)
-		}
-		if dir != nil {
-			logger.Info("final checkpoint",
-				slog.Uint64("version", dir.LastCheckpointVersion()),
-				slog.String("dir", dir.Path()))
-		}
-		return nil
-	}
-	return src, nil
 }
 
 // newLogger builds the serve path's structured logger.
@@ -585,33 +497,15 @@ func newLogger(opt options) *slog.Logger {
 	return slog.New(slog.NewTextHandler(os.Stderr, nil))
 }
 
-// serverOptions assembles the serving-layer options shared by every
-// serve mode.
-func serverOptions(opt options, logger *slog.Logger) server.Options {
-	return server.Options{
-		CacheEntries: opt.cacheEntries,
-		MaxInflight:  opt.maxInflight,
-		TraceRing:    opt.traceRing,
-		SlowQuery:    opt.slowQuery,
-		Logger:       logger,
-		SLO: obs.SLOConfig{
-			Availability:  opt.sloAvailability,
-			LatencyTarget: opt.sloP99,
-			Staleness:     opt.sloStaleness,
-		},
-		DiagDir:         opt.diagDir,
-		DiagMinInterval: opt.diagInterval,
-	}
-}
-
-// runHTTP serves srv on opt.addr with hardened timeouts and the
+// runHTTP serves node on opt.addr with hardened timeouts and the
 // optional admin listener, until ctx ends or the listener fails. On
-// shutdown the HTTP server drains in-flight requests (bounded), then
-// drain runs — closing whatever subsystem feeds the server.
-func runHTTP(ctx context.Context, opt options, logger *slog.Logger, srv *server.Server, drain func() error) error {
+// shutdown the HTTP server drains in-flight requests (bounded), then the
+// node closes: its source (the live ingester's final fold and
+// checkpoint, or the follower), then the snapshot mapping it aliases.
+func runHTTP(ctx context.Context, opt options, logger *slog.Logger, node *server.Node) error {
 	httpSrv := &http.Server{
 		Addr:    opt.addr,
-		Handler: srv,
+		Handler: node.Server,
 		// Never rely on the zero-value (unbounded) timeouts: slowloris
 		// headers and stuck request bodies must not pin connections.
 		ReadHeaderTimeout: 5 * time.Second,
@@ -626,7 +520,7 @@ func runHTTP(ctx context.Context, opt options, logger *slog.Logger, srv *server.
 	if opt.adminAddr != "" {
 		adminSrv = &http.Server{
 			Addr:              opt.adminAddr,
-			Handler:           srv.AdminHandler(),
+			Handler:           node.Server.AdminHandler(),
 			ReadHeaderTimeout: 5 * time.Second,
 		}
 		go func() {
@@ -642,12 +536,10 @@ func runHTTP(ctx context.Context, opt options, logger *slog.Logger, srv *server.
 
 	select {
 	case err := <-errCh:
-		srv.Close()
-		_ = drain()
+		_ = node.Close()
 		return err
 	case <-ctx.Done():
 		logger.Info("shutting down")
-		srv.Close()
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if adminSrv != nil {
@@ -659,7 +551,7 @@ func runHTTP(ctx context.Context, opt options, logger *slog.Logger, srv *server.
 		if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
 			logger.Error("http server", slog.Any("error", err))
 		}
-		return drain()
+		return node.Close()
 	}
 }
 
@@ -670,11 +562,6 @@ func oneShot(opt options, sys *core.System) error {
 	if err != nil {
 		return err
 	}
-	printIM(sys, keywords, res)
-	return nil
-}
-
-func printIM(sys *core.System, keywords []string, res *core.DiscoverResult) {
 	fmt.Printf("\nInfluential users for %q (γ top topics: %s)\n",
 		strings.Join(keywords, " "), gammaString(sys, res))
 	for i, s := range res.Seeds {
@@ -682,6 +569,7 @@ func printIM(sys *core.System, keywords []string, res *core.DiscoverResult) {
 	}
 	fmt.Printf("  [engine: %d exact evals, %d pruned users]\n",
 		res.Stats.ExactEvals, res.Stats.Pruned)
+	return nil
 }
 
 func gammaString(sys *core.System, res *core.DiscoverResult) string {
@@ -690,126 +578,4 @@ func gammaString(sys *core.System, res *core.DiscoverResult) string {
 		parts = append(parts, fmt.Sprintf("%s %.2f", sys.Keywords().TopicName(z), res.Gamma[z]))
 	}
 	return strings.Join(parts, ", ")
-}
-
-// demo walks the three demonstration scenarios of Section III.
-func demo(opt options, sys *core.System) error {
-	fmt.Println("==================================================================")
-	fmt.Println(" OCTOPUS demo — three scenarios from the ICDE 2018 demonstration")
-	fmt.Println("==================================================================")
-
-	// ---- Scenario 1: keyword-based influential user discovery.
-	fmt.Println("\n--- Scenario 1: Keyword-Based Influential User Discovery ---")
-	q1 := []string{"mining", "pattern"}
-	if opt.dataset == "social" {
-		q1 = []string{"game"}
-	}
-	res, err := sys.DiscoverInfluencers(q1, core.DiscoverOptions{K: 8})
-	if err != nil {
-		return err
-	}
-	printIM(sys, q1, res)
-
-	// ---- Scenario 2: influential keyword suggestion for a target user.
-	fmt.Println("\n--- Scenario 2: Influential Keywords Suggestion ---")
-	target := pickTarget(sys)
-	if target < 0 {
-		fmt.Println("  (no keyword-rich user found)")
-	} else {
-		name := sys.Graph().Name(target)
-		// Auto-completion in action.
-		pre := name[:min(3, len(name))]
-		comps := sys.Complete(pre, 3)
-		fmt.Printf("  typing %q → completions: ", pre)
-		for i, c := range comps {
-			if i > 0 {
-				fmt.Print("; ")
-			}
-			fmt.Print(c.Key)
-		}
-		fmt.Println()
-		sug, err := sys.SuggestKeywords(target, 3, tags.SuggestOptions{})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  selling points of %s: %v (est. σ=%.2f)\n", name, sug.Keywords, sug.Spread)
-		if len(sug.Keywords) > 0 {
-			radar, err := sys.Radar(sug.Keywords[0])
-			if err == nil {
-				fmt.Printf("  radar for %q:\n", sug.Keywords[0])
-				for z, v := range radar.Values {
-					fmt.Printf("    %-22s %s %.3f\n", radar.Topics[z], bar(v, 40), v)
-				}
-			}
-		}
-	}
-
-	// ---- Scenario 3: interactive influential path exploration.
-	fmt.Println("\n--- Scenario 3: Interactive Influential Path Exploration ---")
-	hub := hubNode(sys)
-	pg, err := sys.InfluencePaths(hub, core.PathOptions{Theta: 0.01, MaxNodes: 40})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  how %s influences the community (θ=%.2g, %d nodes, σ=%.2f):\n",
-		sys.Graph().Name(hub), pg.Theta, len(pg.Nodes), pg.Spread)
-	printTree(sys, pg)
-	if len(pg.Nodes) > 1 {
-		clicked := pg.Nodes[len(pg.Nodes)-1].ID
-		path, err := sys.HighlightPath(pg, clicked)
-		if err == nil {
-			fmt.Printf("  clicking %q highlights: ", sys.Graph().Name(clicked))
-			for i, u := range path {
-				if i > 0 {
-					fmt.Print(" → ")
-				}
-				fmt.Print(sys.Graph().Name(u))
-			}
-			fmt.Println()
-		}
-	}
-	return nil
-}
-
-func pickTarget(sys *core.System) graph.NodeID {
-	best, bestDeg := graph.NodeID(-1), -1
-	for u := 0; u < sys.Graph().NumNodes(); u++ {
-		if len(sys.UserKeywords(graph.NodeID(u))) >= 4 {
-			if d := sys.Graph().OutDegree(graph.NodeID(u)); d > bestDeg {
-				best, bestDeg = graph.NodeID(u), d
-			}
-		}
-	}
-	return best
-}
-
-func hubNode(sys *core.System) graph.NodeID {
-	best, bestDeg := graph.NodeID(0), -1
-	for u := 0; u < sys.Graph().NumNodes(); u++ {
-		if d := sys.Graph().OutDegree(graph.NodeID(u)); d > bestDeg {
-			best, bestDeg = graph.NodeID(u), d
-		}
-	}
-	return best
-}
-
-func printTree(sys *core.System, pg *core.PathGraph) {
-	shown := 0
-	for _, n := range pg.Nodes {
-		if shown >= 12 {
-			fmt.Printf("    … and %d more nodes\n", len(pg.Nodes)-shown)
-			break
-		}
-		indent := strings.Repeat("  ", int(n.Depth))
-		fmt.Printf("    %s%s (ap=%.3f, effect=%.2f)\n", indent, sys.Graph().Name(n.ID), n.Prob, n.Size)
-		shown++
-	}
-}
-
-func bar(v float64, width int) string {
-	n := int(v * float64(width))
-	if n > width {
-		n = width
-	}
-	return strings.Repeat("█", n) + strings.Repeat("░", width-n)
 }

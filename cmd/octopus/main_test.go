@@ -6,8 +6,9 @@ import (
 )
 
 // TestCheckServe pins which serve command lines are refused (by flag
-// parsing or checkServe) before anything is built, fetched or bound,
-// and that the ones the CI smokes and the benchmark launch pass.
+// parsing, checkServe or the Deployment.Check that server.Open runs
+// first) before anything is built, fetched or bound, and that the ones
+// the CI smokes and the benchmark launch pass.
 func TestCheckServe(t *testing.T) {
 	for _, tc := range []struct {
 		args string
@@ -41,6 +42,9 @@ func TestCheckServe(t *testing.T) {
 		opt, err := parseFlags("serve", strings.Fields(tc.args))
 		if err == nil {
 			err = checkServe(opt)
+		}
+		if err == nil {
+			err = deployment(opt, nil).Check()
 		}
 		switch {
 		case tc.want == "" && err != nil:

@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"octopus"
 	"octopus/internal/tags"
@@ -48,13 +49,20 @@ func main() {
 		fmt.Printf("  %d. %s (σ=%.1f, aspect: %s)\n", i+1, s.Name, s.Spread, s.TopTopicName)
 	}
 
-	// 3b. Personalized influential keywords (Scenario 2).
+	// 3b. Personalized influential keywords (Scenario 2). The UI finds
+	// the target by typing a name prefix into the auto-completer.
 	target := res.Seeds[0].User
+	prefix := res.Seeds[0].Name[:min(3, len(res.Seeds[0].Name))]
+	var names []string
+	for _, c := range sys.Complete(prefix, 3) {
+		names = append(names, c.Key)
+	}
+	fmt.Printf("\nTyping %q completes to %q\n", prefix, names)
 	sug, err := sys.SuggestKeywords(target, 3, tags.SuggestOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nSelling points of %s: %v (est. σ=%.1f)\n",
+	fmt.Printf("Selling points of %s: %v (est. σ=%.1f)\n",
 		res.Seeds[0].Name, sug.Keywords, sug.Spread)
 
 	// 3c. Influential paths (Scenario 3).
@@ -67,4 +75,15 @@ func main() {
 	for _, n := range pg.Nodes[1:] {
 		fmt.Printf("  → %s (ap=%.3f)\n", n.Name, n.Prob)
 	}
+
+	// Clicking a node in the path view highlights its path from the root.
+	path, err := sys.HighlightPath(pg, pg.Nodes[len(pg.Nodes)-1].ID)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var hops []string
+	for _, u := range path {
+		hops = append(hops, sys.Graph().Name(u))
+	}
+	fmt.Println("Clicking the last node highlights:", strings.Join(hops, " → "))
 }

@@ -5,19 +5,22 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"octopus/internal/core"
 	"octopus/internal/graph"
+	"octopus/internal/store"
 )
 
 // The HTTP conformance suite: one table covering every route, run
-// against servers NewWith builds over a static *core.System, a
-// *stream.LiveSystem and a *repl.Follower — happy paths
-// with golden JSON field checks, missing and malformed parameters,
-// unknown-entity 404s, 405 + Allow on wrong methods, and HEAD
-// piggybacking on GET.
+// against every shape Open assembles — static over the heap and over a
+// store.Map mapping, live, durable live, replica, and a 1-shard
+// coordinator — happy paths with golden JSON field checks, missing and
+// malformed parameters, unknown-entity 404s, 405 + Allow on wrong
+// methods, and HEAD piggybacking on GET. A case names a per-shape
+// status only where that shape answers differently.
 
 // richUser returns the name of a user with several keywords.
 func richUser(sys *core.System) string {
@@ -56,16 +59,20 @@ type confCase struct {
 	path   func(sys *core.System) string
 	body   string
 	want   int // expected status on the static server
-	// wantLive overrides want on the live server (0 = same).
+	// wantLive overrides want on the live and durable servers (0 = same).
 	wantLive int
 	// wantReplica overrides want on the replica server (0 = wantLive,
 	// or want when that is 0 too).
 	wantReplica int
+	// wantMapped overrides want on the static server over a mapping.
+	wantMapped int
+	// wantCoord overrides want on the coordinator.
+	wantCoord int
 	// allow is the expected Allow header for 405 cases.
 	allow string
-	// keys must be present in a JSON-object response body.
+	// keys must be present in a JSON-object success body.
 	keys []string
-	// array requires the response body to be a JSON array.
+	// array requires a success body to be a JSON array.
 	array bool
 	// errSub must appear in the error payload.
 	errSub string
@@ -167,7 +174,7 @@ func conformanceCases() []confCase {
 		{name: "complete 405", method: "POST", path: confPath("/api/complete?prefix=a"), want: 405, allow: "GET"},
 
 		// ---- /api/owners ----
-		{name: "owners ok", method: "GET", path: confPath("/api/owners"), want: 200, array: true},
+		{name: "owners ok", method: "GET", path: confPath("/api/owners"), want: 200, wantCoord: 404, array: true},
 		{name: "owners 405", method: "POST", path: confPath("/api/owners"), want: 405, allow: "GET"},
 
 		// ---- /api/metrics ----
@@ -257,13 +264,34 @@ func conformanceCases() []confCase {
 			body: `{"edges":[]}`, want: 404, wantLive: 400, wantReplica: 403},
 		{name: "ingest edges 405", method: "GET", path: confPath("/api/ingest/edges"), want: 405, allow: "POST"},
 		{name: "ingest stats", method: "GET", path: confPath("/api/ingest/stats"),
-			want: 404, wantLive: 200},
+			want: 404, wantLive: 200, wantMapped: 200},
 		{name: "ingest stats 405", method: "POST", path: confPath("/api/ingest/stats"), want: 405, allow: "GET"},
 
 		// ---- UI and unknown paths ----
 		{name: "ui root", method: "GET", path: confPath("/"), want: 200},
 		{name: "unknown path", method: "GET", path: confPath("/definitely/not/here"), want: 404},
 	}
+}
+
+// status is the code shape answers tc with.
+func (tc confCase) status(shape string) int {
+	var overrides []int
+	switch shape {
+	case "live", "durable":
+		overrides = []int{tc.wantLive}
+	case "replica":
+		overrides = []int{tc.wantReplica, tc.wantLive}
+	case "mapped":
+		overrides = []int{tc.wantMapped}
+	case "coordinator":
+		overrides = []int{tc.wantCoord}
+	}
+	for _, w := range overrides {
+		if w != 0 {
+			return w
+		}
+	}
+	return tc.want
 }
 
 func runConformance(t *testing.T, label string, s *Server, sys *core.System) {
@@ -282,13 +310,7 @@ func runConformance(t *testing.T, label string, s *Server, sys *core.System) {
 			rec := httptest.NewRecorder()
 			s.ServeHTTP(rec, req)
 
-			want := tc.want
-			if label != "static" && tc.wantLive != 0 {
-				want = tc.wantLive
-			}
-			if label == "replica" && tc.wantReplica != 0 {
-				want = tc.wantReplica
-			}
+			want := tc.status(label)
 			if rec.Code != want {
 				t.Fatalf("%s %s = %d, want %d (body: %s)", tc.method, path, rec.Code, want, rec.Body.String())
 			}
@@ -313,13 +335,13 @@ func runConformance(t *testing.T, label string, s *Server, sys *core.System) {
 					t.Fatalf("error %q does not mention %q", e.Error, tc.errSub)
 				}
 			}
-			if tc.array {
+			if tc.array && rec.Code < 400 {
 				var v []any
 				if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
 					t.Fatalf("expected JSON array: %v (%s)", err, rec.Body.String())
 				}
 			}
-			if len(tc.keys) > 0 {
+			if len(tc.keys) > 0 && rec.Code < 400 {
 				var v map[string]any
 				if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
 					t.Fatalf("expected JSON object: %v (%s)", err, rec.Body.String())
@@ -352,8 +374,20 @@ func mapKeys(m map[string]any) []string {
 }
 
 func TestConformanceStatic(t *testing.T) {
-	s, sys := testServer(t)
-	runConformance(t, "static", s, sys)
+	_, sys := testServer(t)
+	runConformance(t, "static", openNode(t, Deployment{Base: baseOf(sys)}).Server, sys)
+}
+
+func TestConformanceMapped(t *testing.T) {
+	_, sys := testServer(t)
+	path := filepath.Join(t.TempDir(), "model.oct")
+	if err := store.Save(path, sys); err != nil {
+		t.Fatal(err)
+	}
+	n := openNode(t, Deployment{Base: func() (*core.System, *store.Mapped, error) {
+		return store.Map(path, store.MapOptions{})
+	}})
+	runConformance(t, "mapped", n.Server, sys)
 }
 
 func TestConformanceLive(t *testing.T) {
@@ -361,10 +395,29 @@ func TestConformanceLive(t *testing.T) {
 	runConformance(t, "live", s, sys)
 }
 
+func TestConformanceDurable(t *testing.T) {
+	s, ls := durableLiveServer(t, Options{})
+	runConformance(t, "durable", s, ls.System())
+}
+
 func TestConformanceReplica(t *testing.T) {
-	_, ls, s, f := replicaPair(t)
-	waitReady(t, f)
-	runConformance(t, "replica", s, ls.System())
+	leader, ls := durableLiveServer(t, Options{})
+	if err := ls.ForceSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(leader)
+	t.Cleanup(ts.Close)
+	n := openNode(t, Deployment{Follow: ts.URL, Dir: t.TempDir()})
+	waitReady(t, n.Server.follower)
+	runConformance(t, "replica", n.Server, ls.System())
+}
+
+func TestConformanceCoordinator(t *testing.T) {
+	_, sys := testServer(t)
+	shard := httptest.NewServer(openNode(t, Deployment{Base: baseOf(sys)}).Server)
+	t.Cleanup(shard.Close)
+	n := openNode(t, Deployment{Coordinator: true, ShardAddrs: []string{shard.URL}})
+	runConformance(t, "coordinator", n.Server, sys)
 }
 
 // TestConformanceCasesCoverEveryRoute pins the sweep to the route

@@ -126,12 +126,28 @@ func (o *CoordinatorOptions) fill(shards, maxInflight int) {
 // merged responses replay byte-identically like local ones. One
 // synchronous probe round runs before returning, so the first request
 // sees the fleet's actual state; Close stops the background prober.
+// Every address must be an absolute http or https URL with a host, and
+// no shard may be listed twice (trailing slashes aside): a shard counted
+// twice would double every summed merge.
 func NewCoordinator(addrs []string, opt Options, copt CoordinatorOptions) (*Server, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("coordinator needs at least one shard address")
 	}
-	copt.fill(len(addrs), opt.MaxInflight)
-	f := newFleet(addrs, copt)
+	clean := make([]string, len(addrs))
+	seen := make(map[string]bool, len(addrs))
+	for i, a := range addrs {
+		u, err := url.Parse(a)
+		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+			return nil, fmt.Errorf("coordinator: shard address %q is not an absolute http(s) URL with a host", a)
+		}
+		clean[i] = strings.TrimRight(a, "/")
+		if seen[clean[i]] {
+			return nil, fmt.Errorf("coordinator: shard address %q is listed twice", a)
+		}
+		seen[clean[i]] = true
+	}
+	copt.fill(len(clean), opt.MaxInflight)
+	f := newFleet(clean, copt)
 	s := &Server{coord: f}
 	s.engine = &remoteEngine{s: s, f: f}
 	s.assemble(opt)
@@ -183,13 +199,11 @@ type routes struct {
 	current []bool // shard i's table was read at its probed generation
 }
 
+// newFleet starts the roster over normalized addresses (no trailing
+// slash, no duplicates).
 func newFleet(addrs []string, copt CoordinatorOptions) *fleet {
-	clean := make([]string, len(addrs))
-	for i, a := range addrs {
-		clean[i] = strings.TrimRight(a, "/")
-	}
 	f := &fleet{
-		addrs:   clean,
+		addrs:   addrs,
 		client:  copt.Client,
 		timeout: copt.ShardTimeout,
 		up:      make([]bool, len(addrs)),
@@ -290,7 +304,7 @@ func (f *fleet) probeOnce() {
 	par.Each(len(f.addrs), len(f.addrs), func(_, i int) {
 		rep := f.call(i, shardRequest{method: http.MethodGet, path: "/api/health"})
 		if rep.err != nil {
-			return // call already marked it down
+			return // call already marked it down (every roster URL parses)
 		}
 		var h struct {
 			Generation uint64 `json:"generation"`

@@ -489,6 +489,35 @@ func TestCoordinatorRejectsEmptyFleet(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRejectsUnservableRoster: a scheme-less address would
+// fail every call before the transport, so its shard would read up
+// forever while every read answered 503; a shard listed twice (URL and
+// URL/ normalize alike) would count twice in every summed merge. Both
+// are refused; the URL lists the benchmark and CI launch stay legal.
+func TestCoordinatorRejectsUnservableRoster(t *testing.T) {
+	shard := httptest.NewServer(http.NotFoundHandler())
+	defer shard.Close()
+	for _, tc := range []struct {
+		addrs []string
+		want  string
+	}{
+		{[]string{"127.0.0.1:1"}, "not an absolute http(s) URL"},
+		{[]string{"ftp://127.0.0.1:1"}, "not an absolute http(s) URL"},
+		{[]string{"http://"}, "not an absolute http(s) URL"},
+		{[]string{shard.URL, shard.URL + "/"}, "listed twice"},
+	} {
+		if _, err := NewCoordinator(tc.addrs, Options{}, CoordinatorOptions{ProbeInterval: time.Hour}); err == nil ||
+			!strings.Contains(err.Error(), tc.want) {
+			t.Errorf("NewCoordinator(%q) = %v, want an error containing %q", tc.addrs, err, tc.want)
+		}
+	}
+	coord, err := NewCoordinator([]string{shard.URL, "http://127.0.0.1:1/"}, Options{}, CoordinatorOptions{ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatalf("legal roster refused: %v", err)
+	}
+	coord.Close()
+}
+
 // TestMergeSeeds pins the seed merges on synthetic shard lists. Keyword
 // IM sums each shard's marginal gains and renders cumulative spreads;
 // targeted IM sums the per-seed spreads as they stand.

@@ -11,42 +11,16 @@ import (
 	"testing"
 
 	"octopus/internal/core"
-	"octopus/internal/datagen"
 	"octopus/internal/obs"
-	"octopus/internal/store"
 	"octopus/internal/stream"
 )
 
-// durableLiveServer builds a live server over a t.TempDir store so the
-// WAL/checkpoint instruments are populated.
+// durableLiveServer opens a durable live node over a t.TempDir store so
+// the WAL/checkpoint instruments are populated.
 func durableLiveServer(t *testing.T, opt Options) (*Server, *stream.LiveSystem) {
 	t.Helper()
-	ds, err := datagen.Citation(datagen.CitationConfig{Authors: 200, Topics: 4, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := core.Build(ds.Graph, ds.Log, core.Config{
-		GroundTruth:      ds.Truth,
-		GroundTruthWords: ds.TruthWords,
-		TopicNames:       ds.TopicNames,
-		Seed:             5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, res, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res != nil {
-		t.Fatalf("fresh dir recovered %+v", res)
-	}
-	ls, err := stream.NewLiveSystem(sys, stream.Config{RebuildEvents: 1 << 20, Store: d})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ls.Close() })
-	return NewWith(ls, opt), ls
+	n := openNode(t, Deployment{Server: opt, Ingest: true, Dir: t.TempDir(), RebuildEvents: 1 << 20, Base: baseOf(liveBase(t))})
+	return n.Server, n.Server.live
 }
 
 func scrape(t *testing.T, h http.Handler) []obs.Family {

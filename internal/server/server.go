@@ -21,6 +21,9 @@
 //	GET  /api/debug/traces?n=50              recent request traces, newest first
 //	GET  /api/debug/diag                     captured diagnostics bundles
 //
+// Open (deploy.go) puts every serving shape — static, live, durable
+// live, replica, coordinator — together from one Deployment.
+//
 // A Server over a *stream.LiveSystem additionally accepts streaming
 // events (the live-ingestion subsystem of internal/stream):
 //
@@ -159,11 +162,6 @@ type Options struct {
 	DiagDir string
 	// DiagMinInterval rate-limits bundle captures (default 10m).
 	DiagMinInterval time.Duration
-	// StoreStats, when set, reports how the serving snapshot file is
-	// backed (mmap vs heap, resident bytes, copy fallbacks). It is
-	// surfaced on /api/ingest/stats, as octopus_store_* gauges on
-	// /metrics, and in diagnostics bundle metadata.
-	StoreStats func() store.MapStats
 }
 
 func (o *Options) fill() {
@@ -246,10 +244,19 @@ type Source interface {
 //     (writes go to the leader), /api/health refuses to report ready
 //     until the follower has caught up at least once, the replication
 //     lag feeds the staleness objective so a stalled replica degrades
-//     like a stalled leader, and Options.StoreStats defaults to the
-//     follower's mapping stats.
-func NewWith(src Source, opt Options) *Server {
+//     like a stalled leader, and the follower's mapping is reported
+//     like a mapped static system's (see newLocal).
+func NewWith(src Source, opt Options) *Server { return newLocal(src, opt, nil) }
+
+// newLocal is NewWith over a source whose system aliases the snapshot
+// mapping m (nil: none). How the file is backed (mmap vs heap, resident
+// bytes, copy fallbacks) is surfaced on /api/ingest/stats, as
+// octopus_store_* gauges on /metrics, and in diagnostics bundles.
+func newLocal(src Source, opt Options, m *store.Mapped) *Server {
 	s := &Server{}
+	if m != nil {
+		s.storeStats = m.Stats
+	}
 	switch src := src.(type) {
 	case *stream.LiveSystem:
 		s.live = src
@@ -259,10 +266,7 @@ func NewWith(src Source, opt Options) *Server {
 			}
 		}
 	case *repl.Follower:
-		s.follower = src
-		if opt.StoreStats == nil {
-			opt.StoreStats = src.MapStats
-		}
+		s.follower, s.storeStats = src, src.MapStats
 	}
 	s.engine = &localEngine{s: s, src: src}
 	return s.assemble(opt)
@@ -273,7 +277,6 @@ func NewWith(src Source, opt Options) *Server {
 // engine and capabilities the constructor set, and mounts the routes.
 func (s *Server) assemble(opt Options) *Server {
 	opt.fill()
-	s.storeStats = opt.StoreStats
 	s.mux = http.NewServeMux()
 	s.queryTimeout = opt.QueryTimeout
 	s.gate = qcache.NewGate(opt.MaxInflight)

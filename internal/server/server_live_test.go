@@ -14,7 +14,8 @@ import (
 	"octopus/internal/stream"
 )
 
-func liveServer(t *testing.T) (*Server, *stream.LiveSystem, *core.System) {
+// liveBase builds the 200-author world the live test servers serve.
+func liveBase(t *testing.T) *core.System {
 	t.Helper()
 	ds, err := datagen.Citation(datagen.CitationConfig{Authors: 200, Topics: 4, Seed: 31})
 	if err != nil {
@@ -29,12 +30,16 @@ func liveServer(t *testing.T) (*Server, *stream.LiveSystem, *core.System) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls, err := stream.NewLiveSystem(sys, stream.Config{RebuildEvents: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ls.Close() })
-	return NewWith(ls, Options{}), ls, sys
+	return sys
+}
+
+// liveServer opens a live node without a store over a fresh liveBase;
+// folds happen only when a test forces them.
+func liveServer(t *testing.T) (*Server, *stream.LiveSystem, *core.System) {
+	t.Helper()
+	sys := liveBase(t)
+	n := openNode(t, Deployment{Ingest: true, RebuildEvents: 1 << 20, Base: baseOf(sys)})
+	return n.Server, n.Server.live, sys
 }
 
 func postJSON(t *testing.T, s *Server, path, body string) (*httptest.ResponseRecorder, map[string]any) {

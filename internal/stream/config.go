@@ -48,10 +48,10 @@ type Config struct {
 	// time. Ingest calls return once their batch is queued, before the
 	// fsync; Flush and ForceSnapshot wait for it, so a nil return from
 	// either is the durability acknowledgement. The LiveSystem takes
-	// ownership and closes the store. Open the directory with
-	// store.Open and pass the checkpoint it recovered as the base
-	// system: NewLiveSystem replays the WAL tail Open kept and folds it
-	// before it returns.
+	// ownership and closes the store, also when NewLiveSystem fails.
+	// Open the directory with store.Open and pass the checkpoint it
+	// recovered as the base system: NewLiveSystem replays the WAL tail
+	// Open kept and folds it before it returns.
 	Store *store.Dir
 }
 

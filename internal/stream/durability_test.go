@@ -274,6 +274,58 @@ func TestCloseReturnsFinalFoldError(t *testing.T) {
 	}
 }
 
+// TestFailedConstructorClosesStore: NewLiveSystem owns its Store from
+// the call on, so every error return must close it. Its tail is already
+// taken, and no caller could reuse the directory handle.
+func TestFailedConstructorClosesStore(t *testing.T) {
+	base, _ := buildBase(t, 150, 51)
+	dir := t.TempDir()
+	d, _, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := NewLiveSystem(base, Config{RebuildEvents: 1 << 20, Store: d}) // checkpoints v1
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := live.IngestEdges([]EdgeEvent{{Src: 0, Dst: graph.NodeID(base.Graph().NumNodes())}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	live.Kill() // leaves a 1-event WAL tail
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, res, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res == nil || res.Tail != 1 {
+		t.Fatalf("reopen found %+v, want a 1-event tail", res)
+	}
+	boom := errors.New("injected fold failure")
+	if _, err := NewLiveSystem(res.Sys, Config{Store: d2, foldHook: func() error { return boom }}); !errors.Is(err, boom) {
+		t.Fatalf("NewLiveSystem = %v, want the tail fold's %v", err, boom)
+	}
+	if err := d2.Sync(); err == nil {
+		t.Fatal("store still open after NewLiveSystem failed folding the tail")
+	}
+
+	d3, _, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewLiveSystem(nil, Config{Store: d3}); err == nil {
+		t.Fatal("NewLiveSystem accepted a nil base")
+	}
+	if err := d3.Sync(); err == nil {
+		t.Fatal("store still open after NewLiveSystem refused a nil base")
+	}
+}
+
 // TestWALFailureSurfacesOnFlush: when the WAL cannot be written, Flush
 // must stop pretending events are durable — the failure is sticky until
 // a checkpoint closes the gap.

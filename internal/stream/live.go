@@ -72,8 +72,14 @@ type LiveSystem struct {
 // WAL tail past its checkpoint (a crashed predecessor's unfolded
 // events), the tail is applied exactly as it was live — edges keep the
 // prior they were logged with — and folded, which checkpoints the next
-// version, before the background apply goroutine starts.
-func NewLiveSystem(sys *core.System, cfg Config) (*LiveSystem, error) {
+// version, before the background apply goroutine starts. The Store is
+// owned from the call on: a failed constructor closes it too.
+func NewLiveSystem(sys *core.System, cfg Config) (_ *LiveSystem, err error) {
+	defer func() {
+		if err != nil && cfg.Store != nil {
+			cfg.Store.Close()
+		}
+	}()
 	if sys == nil {
 		return nil, fmt.Errorf("stream: nil base system")
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"octopus/internal/graph"
+	"octopus/internal/obs"
 	"octopus/internal/rng"
 	"octopus/internal/topic"
 )
@@ -79,20 +80,24 @@ func goldenIDs(ids []graph.NodeID) string {
 }
 
 // goldenLines renders every golden query's full answer, floats as their
-// IEEE-754 bits.
+// IEEE-754 bits, and the MIA work it took: trees built, nodes settled
+// and out-edges of settled nodes examined.
 func goldenLines(t testing.TB, ix *Index) []string {
 	var out []string
 	eng := NewEngine(ix)
 	for _, q := range goldenQueries() {
+		var cost obs.Cost
+		q.opt.Cost = &cost
 		res, err := eng.Query(q.gamma, q.opt)
 		if err != nil {
 			t.Fatalf("%s: %v", q.name, err)
 		}
 		st := res.Stats
 		out = append(out, fmt.Sprintf(
-			"%s seeds=%s spreads=%s cheap=%d local=%d exact=%d pruned=%d",
+			"%s seeds=%s spreads=%s cheap=%d local=%d exact=%d pruned=%d mia.trees=%d mia.nodes=%d mia.edges=%d",
 			q.name, goldenIDs(res.Seeds), goldenBits(res.Spreads),
-			st.CheapBounds, st.LocalBounds, st.ExactEvals, st.Pruned))
+			st.CheapBounds, st.LocalBounds, st.ExactEvals, st.Pruned,
+			cost.MIA.Trees, cost.MIA.Nodes, cost.MIA.Edges))
 	}
 	return out
 }
@@ -144,7 +149,7 @@ func sameGoldenLine(want, got string) bool {
 }
 
 // TestGoldenQueries pins the engine's answers — seeds, the bits of every
-// spread, and the work statistics — to the
+// spread, the work statistics and the MIA work counters — to the
 // checked-in file, so a change to how exact evaluation is computed
 // (storage, memoization, heap mechanics) cannot move a single answer bit.
 // Regenerate only for an intended answer change:

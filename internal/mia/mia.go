@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"octopus/internal/graph"
 	"octopus/internal/obs"
@@ -111,83 +112,103 @@ func (t *Tree) SubtreeWeights() []float64 {
 // Not safe for concurrent use; create one per goroutine.
 //
 // Precondition: every edge probability lies in [0, 1] (tic validates
-// stored probabilities and EdgeProb caps mixtures at 1). A path
-// probability then never grows along a path — fl(p·w) ≤ p for w ≤ 1,
-// because rounding is monotone — so every key the Dijkstra pushes is
-// at least the key it last popped. That makes the frontier a monotone
-// radix heap: keys are ^math.Float64bits(p), which for p ∈ [0, 1]
-// orders larger probabilities first, and an entry sits in bucket
-// bits.Len64(key ^ last), where last is the key popped most recently.
-// Bucket 0 holds exactly the entries whose key equals last; bucket b > 0
-// holds keys that first differ from last at bit b−1, so every key in a
-// lower bucket is smaller than every key in a higher one. A 64-bit
-// occupancy mask finds the lowest non-empty bucket in O(1); emptying it
-// moves last to its smallest key and spreads its entries over lower
-// buckets.
+// stored probabilities and caps mixtures at 1). A path probability then
+// never grows along a path — fl(p·w) ≤ p for w ≤ 1, because rounding is
+// monotone — so every key the Dijkstra pushes is at least the key it
+// last popped. That makes the frontier a monotone bucket queue over the
+// keys ^math.Float64bits(p), which for p ∈ [0, 1] order larger
+// probabilities first and equal probabilities equal. It pops in the
+// strict total order (key asc, id asc) — probability descending, then
+// node id ascending — in two digits:
+//
+//   - digit 1 is the binade of p, its 11 exponent bits (at most 2 048
+//     coarse buckets). Entries of a later binade than the current one
+//     wait unsorted in their binade's coarse list and are spread once,
+//     when their binade becomes current;
+//   - digit 2 is the top 9 mantissa bits inside the current binade (512
+//     fine buckets). Occupancy bitmaps find the next non-empty bucket; a
+//     bucket holding one entry pops it, and a crowded one (path products
+//     tie often) is sorted once into a run that pops from its end.
+//
+// Buckets are linked lists threaded through one entry pool, so the
+// frontier's storage is fixed at 2 560 bucket heads and 320 bitmap
+// bytes, plus 16 bytes per push and per run entry of the largest build
+// so far. Nothing is sized from θ: a θ = 1e-300 build uses the buckets
+// a θ = 0.01 build uses.
 //
 // The frontier deletes lazily: improving a node's tentative probability
 // pushes a new entry rather than moving the old one, and a popped entry
-// whose node is already finalized this build ("done") is skipped. Trees
-// come out node for node identical to an indexed heap holding only each
-// node's best entry, because the radix heap pops in the strict total
-// order (key asc, id asc) — (probability desc, id asc) — that such a
-// heap pops in: keys come out in ascending order, and bucket 0, whose
-// keys are all equal, pops its smallest id first. Hence
+// whose node is already settled this build is skipped. Trees come out
+// node for node identical to an indexed heap holding only each node's
+// best entry, because the bucket queue pops in the strict total order
+// that such a heap pops in. Hence
 //
 //   - a node's best entry outranks every stale entry of the same node
 //     (relaxation demands strict improvement, so stale keys are strictly
-//     larger), so it pops first and finalizes the node, and every stale
+//     larger), so it pops first and settles the node, and every stale
 //     entry popped later is skipped without side effects;
 //   - among the live entries — one per tentative node, the same set an
 //     indexed heap holds — the minimum of a strict total order is
 //     unique, so both heaps pop the same node at every step.
 //
-// Per-node build state is one 32-byte record, and the frontier's
-// buckets are reused across builds. Forward builds can read edge
-// weights from per-node rows instead of calling an EdgeProb per edge;
-// see Weigh. Those weighted builds (AppendMIOA) emit 16-byte Reach
-// records and skip parent bookkeeping; MIOA and MIIA path trees take
-// their Links from the same loop.
+// Per-node build state is a 4-byte stamp (tentative or settled in this
+// build, in one word) and the 8-byte tentative probability. Forward
+// builds can read edge weights from per-node rows instead of calling an
+// EdgeProb per edge; see Weigh. Those weighted builds (AppendMIOA) emit
+// 16-byte Reach records, keep no parent bookkeeping, and skip the edge
+// loop of a node whose row maximum cannot carry its probability to θ.
+// The path trees of MIOA and MIIA use the same frontier and keep an
+// 8-byte parent link per node.
 type Calc struct {
-	g     *graph.Graph
-	nodes []nodeState
-	epoch uint32
-	front radixHeap
-	// Weight rows (see Weigh): when nodes[u].wgen == wgen, w[OutEdges(u)]
-	// holds prob of each of u's out-edges. w stays nil until the first
-	// Weigh, so Calcs that only build one-shot trees hold no per-edge
-	// storage.
-	prob EdgeProb
+	g *graph.Graph
+	// stamp[v] == mark: v is tentative this build and best[v] holds its
+	// probability; stamp[v] == mark+1: v is settled. Older stamps are
+	// below mark.
+	stamp []uint32
+	best  []float64
+	mark  uint32
+	front frontier
+	// link[v] is v's best path so far in a build that records links,
+	// allocated by the first such build.
+	link []nodeLink
+	// Weight rows (see Weigh): when rows[u].gen == gen, w[OutEdges(u)]
+	// holds the weights of u's out-edges and rows[u].max is at least
+	// their maximum. They stay nil until the first Weigh, so Calcs that
+	// only build path trees hold no per-edge storage.
+	fill RowFill
 	w    []float64
-	wgen uint32
+	rows []rowStamp
+	gen  uint32
 	// cost, when non-nil, accumulates ball-walk work (trees built, nodes
 	// popped, edges examined) for the query that owns this Calc. Set per
 	// query with SetCost and cleared afterwards — Calcs are reused.
 	cost *obs.Cost
 }
 
-// nodeState is one node's build state, packed into 32 bytes so a
-// relaxation touches one cache line per node.
-type nodeState struct {
-	best float64 // tentative path probability; valid when seen == epoch
-	// parent and pedge are the tree predecessor and graph edge on the
-	// best path so far, kept only by builds that record links.
-	parent graph.NodeID
-	pedge  graph.EdgeID
-	// popAt is the node's index in the tree being built, set when it is
-	// popped by a build that records links. It is only ever read for a
-	// node's parent — which was necessarily popped earlier in the same
-	// build — so values left by previous builds are never observed and
-	// need no stamp.
-	popAt int32
-	seen  uint32 // == epoch: best (and parent/pedge) belong to this build
-	done  uint32 // == epoch: finalized in the tree being built
-	wgen  uint32 // == Calc.wgen: the node's weight row is filled
+// rowStamp is the stamp of one node's weight row: the weight generation
+// that filled it and the row's maximum, rounded up to a float32.
+type rowStamp struct {
+	gen uint32
+	max float32
 }
+
+// nodeLink is a tentative node's tree predecessor in a build that
+// records links: the predecessor's index in the tree being built (it was
+// settled earlier in the same build) and the graph edge between them.
+type nodeLink struct {
+	at   int32
+	edge graph.EdgeID
+}
+
+// RowFill writes the weights of the edges [lo, hi) to dst[e−lo], one
+// per edge; dst has hi−lo elements. Weights must lie in [0, 1] (see
+// Calc) and depend only on the edge.
+type RowFill func(lo, hi graph.EdgeID, dst []float64)
 
 // NewCalc returns a Calc for graph g.
 func NewCalc(g *graph.Graph) *Calc {
-	return &Calc{g: g, nodes: make([]nodeState, g.NumNodes())}
+	n := g.NumNodes()
+	return &Calc{g: g, stamp: make([]uint32, n), best: make([]float64, n)}
 }
 
 // SetCost directs ball-walk accounting into c's counters (nil
@@ -195,25 +216,25 @@ func NewCalc(g *graph.Graph) *Calc {
 // Calc is reused.
 func (c *Calc) SetCost(cost *obs.Cost) { c.cost = cost }
 
-// Weigh opens a weight generation for prob: until the next Weigh,
-// AppendMIOA and OutWeights read prob through per-node rows. The first
-// time a node's out-edges are needed in the generation, prob is called
-// once per out-edge and the values are stored; later expansions of the
-// node — in any tree of the generation — read the row. Rows cost one
-// float64 per graph edge, allocated by the first Weigh. prob must be
-// deterministic and stay valid until the next Weigh.
-func (c *Calc) Weigh(prob EdgeProb) {
+// Weigh opens a weight generation for fill: until the next Weigh,
+// AppendMIOA and OutWeights read edge weights through per-node rows. The
+// first time a node's out-edges are needed in the generation, fill
+// writes its row and the row's maximum is recorded; later expansions of
+// the node — in any tree of the generation — read the row. Rows cost
+// one float64 per graph edge and 8 bytes per node, allocated by the
+// first Weigh. fill must be deterministic and stay valid until the next
+// Weigh.
+func (c *Calc) Weigh(fill RowFill) {
 	if c.w == nil {
 		c.w = make([]float64, c.g.NumEdges())
+		c.rows = make([]rowStamp, c.g.NumNodes())
 	}
-	c.prob = prob
-	c.wgen++
-	if c.wgen == 0 {
+	c.fill = fill
+	c.gen++
+	if c.gen == 0 {
 		// Rows stamped 2³² generations ago must not pass as current.
-		for i := range c.nodes {
-			c.nodes[i].wgen = 0
-		}
-		c.wgen = 1
+		clear(c.rows)
+		c.gen = 1
 	}
 }
 
@@ -229,14 +250,32 @@ func (c *Calc) OutWeights(u graph.NodeID) []float64 {
 // row returns w[lo:hi] for node u, filling it on u's first use in the
 // current weight generation.
 func (c *Calc) row(u graph.NodeID, lo, hi graph.EdgeID) []float64 {
-	w := c.w[lo:hi:hi]
-	if s := &c.nodes[u]; s.wgen != c.wgen {
-		for i := range w {
-			w[i] = c.prob(lo + graph.EdgeID(i))
-		}
-		s.wgen = c.wgen
+	if c.rows[u].gen != c.gen {
+		c.fillRow(u, lo, hi)
 	}
-	return w
+	return c.w[lo:hi:hi]
+}
+
+// fillRow fills u's row and records its maximum.
+func (c *Calc) fillRow(u graph.NodeID, lo, hi graph.EdgeID) {
+	w := c.w[lo:hi:hi]
+	c.fill(lo, hi, w)
+	m := 0.0
+	for _, x := range w {
+		if x > m { // a NaN weight never passes θ, so it needs no cover
+			m = x
+		}
+	}
+	c.rows[u] = rowStamp{c.gen, roundUp32(m)}
+}
+
+// roundUp32 returns the smallest float32 not below x (NaN stays NaN).
+func roundUp32(x float64) float32 {
+	f := float32(x)
+	if float64(f) < x {
+		f = math.Nextafter32(f, float32(math.Inf(1)))
+	}
+	return f
 }
 
 // MIOA builds the maximum influence out-arborescence of root: all nodes
@@ -253,22 +292,6 @@ func (c *Calc) MIIA(prob EdgeProb, root graph.NodeID, theta float64, maxNodes in
 	return c.build(prob, root, theta, maxNodes, false)
 }
 
-// AppendMIOA builds the arborescence MIOA would build under the current
-// weight generation's prob (Weigh must have been called) and appends
-// its nodes to dst instead of allocating a Tree: the tree's nodes are
-// the returned slice from len(dst) on, without links. A caller that
-// builds many short-lived trees under one prob weighs once and keeps
-// one slab, so building allocates nothing once the slab has grown.
-func (c *Calc) AppendMIOA(dst []Reach, root graph.NodeID, theta float64, maxNodes int) []Reach {
-	return c.grow(dst, nil, nil, root, defaultTheta(theta), maxNodes, true)
-}
-
-func (c *Calc) build(prob EdgeProb, root graph.NodeID, theta float64, maxNodes int, forward bool) *Tree {
-	t := &Tree{Root: root, Forward: forward, Theta: defaultTheta(theta)}
-	t.Nodes = c.grow(nil, &t.Links, prob, root, t.Theta, maxNodes, forward)
-	return t
-}
-
 func defaultTheta(theta float64) float64 {
 	if theta <= 0 {
 		return 1e-9 // a zero threshold would make dense graphs explode
@@ -276,199 +299,334 @@ func defaultTheta(theta float64) float64 {
 	return theta
 }
 
-// grow runs the max-probability Dijkstra from root and appends the
-// tree's nodes to dst in pop order. With a non-nil prob, edge
-// probabilities come from prob and every node's parent link is
-// appended to *links in step with dst; a nil prob reads forward weights
-// from the current weight generation's rows and records no links, so
-// the weighted loop keeps no parent bookkeeping.
-func (c *Calc) grow(dst []Reach, links *[]Link, prob EdgeProb, root graph.NodeID, theta float64, maxNodes int, forward bool) []Reach {
-	c.epoch++
-	if c.epoch == 0 {
-		for i := range c.nodes {
-			c.nodes[i].seen, c.nodes[i].done = 0, 0
-		}
-		c.epoch = 1
+// begin opens a build from root: it advances the stamp mark (clearing
+// the stamps when it wraps, so no stamp from 2³¹ builds ago can pass as
+// current), empties the frontier and pushes the root with probability 1.
+func (c *Calc) begin(root graph.NodeID) {
+	c.mark += 2
+	if c.mark == 0 {
+		clear(c.stamp)
+		c.mark = 2
 	}
-	g, ns, epoch := c.g, c.nodes, c.epoch
-	base := len(dst)
-	var lbase int
-	if links != nil {
-		lbase = len(*links)
-	}
-	rs := &ns[root]
-	rs.best, rs.parent, rs.seen = 1, -1, epoch
-	c.front.reset(probKey(1))
+	c.best[root], c.stamp[root] = 1, c.mark
+	c.front.reset()
 	c.front.push(probKey(1), root)
+}
 
+// account adds one finished build to the cost counters, if any.
+func (c *Calc) account(nodes int, edges uint64) {
+	if c.cost != nil {
+		c.cost.MIA.Trees++
+		c.cost.MIA.Nodes += uint64(nodes)
+		c.cost.MIA.Edges += edges
+	}
+}
+
+// AppendMIOA builds the arborescence MIOA would build under the current
+// weight generation's weights (Weigh must have been called) and appends
+// its nodes to dst instead of allocating a Tree: the tree's nodes are
+// the returned slice from len(dst) on, without links. A caller that
+// builds many short-lived trees under one weighting weighs once and
+// keeps one slab, so building allocates nothing once the slab and the
+// frontier have grown.
+func (c *Calc) AppendMIOA(dst []Reach, root graph.NodeID, theta float64, maxNodes int) []Reach {
+	theta = defaultTheta(theta)
+	c.begin(root)
+	g, stamp, best, front := c.g, c.stamp, c.best, &c.front
+	tentative, settled := c.mark, c.mark+1
+	base := len(dst)
 	var edges uint64
 	for {
-		u, ok := c.front.pop()
+		u, key, ok := front.pop()
 		if !ok {
 			break
 		}
-		s := &ns[u]
-		if s.done == epoch {
-			continue // stale: u was finalized through a better entry
+		if stamp[u] == settled {
+			continue // stale: u was settled through a better entry
 		}
-		// The first entry of u to pop is its best one, so best is the
-		// probability it was pushed with.
-		p := s.best
+		// The first entry of u to pop is its best one.
+		p := keyProb(key)
 		if p < theta {
 			break
 		}
-		s.done = epoch
-		if links != nil {
-			l := Link{Parent: -1}
-			if u != root {
-				l.Parent = ns[s.parent].popAt
-				l.Edge = s.pedge
-				l.Depth = (*links)[lbase+int(l.Parent)].Depth + 1
-			}
-			s.popAt = int32(len(dst) - base)
-			*links = append(*links, l)
-		}
+		stamp[u] = settled
 		dst = append(dst, Reach{ID: u, Prob: p})
 		if maxNodes > 0 && len(dst)-base >= maxNodes {
 			break
 		}
-		switch {
-		case !forward:
+		lo, hi := g.OutEdges(u)
+		edges += uint64(hi - lo)
+		if c.rows[u].gen != c.gen {
+			c.fillRow(u, lo, hi)
+		}
+		if p*float64(c.rows[u].max) < theta {
+			continue // no out-edge can carry p to θ
+		}
+		nbrs := g.OutNeighbors(u)
+		w := c.w[lo:hi:hi]
+		w = w[:len(nbrs)]
+		for i, v := range nbrs {
+			q := p * w[i]
+			if !(q >= theta) {
+				continue
+			}
+			if st := stamp[v]; st == settled || st == tentative && q <= best[v] {
+				continue
+			}
+			best[v], stamp[v] = q, tentative
+			front.push(probKey(q), v)
+		}
+	}
+	c.account(len(dst)-base, edges)
+	return dst
+}
+
+func (c *Calc) build(prob EdgeProb, root graph.NodeID, theta float64, maxNodes int, forward bool) *Tree {
+	t := &Tree{Root: root, Forward: forward, Theta: defaultTheta(theta)}
+	if c.link == nil {
+		c.link = make([]nodeLink, c.g.NumNodes())
+	}
+	c.begin(root)
+	g, stamp, best, link, front := c.g, c.stamp, c.best, c.link, &c.front
+	tentative, settled := c.mark, c.mark+1
+	var edges uint64
+	// relax offers v the path through the tree's node at along edge e
+	// with probability q.
+	relax := func(at int32, v graph.NodeID, e graph.EdgeID, q float64) {
+		if !(q >= t.Theta) {
+			return
+		}
+		if st := stamp[v]; st == settled || st == tentative && q <= best[v] {
+			return
+		}
+		best[v], stamp[v], link[v] = q, tentative, nodeLink{at, e}
+		front.push(probKey(q), v)
+	}
+	for {
+		u, key, ok := front.pop()
+		if !ok {
+			break
+		}
+		if stamp[u] == settled {
+			continue
+		}
+		p := keyProb(key)
+		if p < t.Theta {
+			break
+		}
+		stamp[u] = settled
+		l := Link{Parent: -1}
+		if u != root {
+			l = Link{Parent: link[u].at, Edge: link[u].edge, Depth: t.Links[link[u].at].Depth + 1}
+		}
+		at := int32(len(t.Nodes))
+		t.Nodes = append(t.Nodes, Reach{ID: u, Prob: p})
+		t.Links = append(t.Links, l)
+		if maxNodes > 0 && len(t.Nodes) >= maxNodes {
+			break
+		}
+		if forward {
+			lo, hi := g.OutEdges(u)
+			edges += uint64(hi - lo)
+			for i, v := range g.OutNeighbors(u) {
+				e := lo + graph.EdgeID(i)
+				relax(at, v, e, p*prob(e))
+			}
+		} else {
 			lo, hi := g.InSlots(u)
 			edges += uint64(hi - lo)
 			for sl := lo; sl < hi; sl++ {
 				e := g.InEdgeID(sl)
-				c.relax(u, g.InSrc(sl), e, p*prob(e), theta)
-			}
-		case prob != nil:
-			lo, hi := g.OutEdges(u)
-			edges += uint64(hi - lo)
-			for e := lo; e < hi; e++ {
-				c.relax(u, g.Dst(e), e, p*prob(e), theta)
-			}
-		default:
-			lo, hi := g.OutEdges(u)
-			edges += uint64(hi - lo)
-			for i, w := range c.row(u, lo, hi) {
-				c.improve(g.Dst(lo+graph.EdgeID(i)), p*w, theta)
+				relax(at, g.InSrc(sl), e, p*prob(e))
 			}
 		}
 	}
-	if c.cost != nil {
-		c.cost.MIA.Trees++
-		c.cost.MIA.Nodes += uint64(len(dst) - base)
-		c.cost.MIA.Edges += edges
-	}
-	return dst
+	c.account(len(t.Nodes), edges)
+	return t
 }
 
-// relax offers v the path through u along e with probability p and,
-// when it improves v, records u and e as v's tree link.
-func (c *Calc) relax(u, v graph.NodeID, e graph.EdgeID, p, theta float64) {
-	if s := c.improve(v, p, theta); s != nil {
-		s.parent, s.pedge = u, e
-	}
-}
-
-// improve offers v the probability p: when p is at least theta and
-// strictly beats v's tentative probability this build, it pushes v and
-// returns v's state, else nil. A NaN p is refused like one below theta,
-// so no key outside the heap's range is ever pushed.
-func (c *Calc) improve(v graph.NodeID, p, theta float64) *nodeState {
-	if !(p >= theta) {
-		return nil
-	}
-	s := &c.nodes[v]
-	if s.done == c.epoch || (s.seen == c.epoch && p <= s.best) {
-		return nil
-	}
-	s.best, s.seen = p, c.epoch
-	c.front.push(probKey(p), v)
-	return s
-}
-
-// probKey maps a probability in [0, 1] to a radix-heap key: larger
+// probKey maps a probability in [0, 1] to a frontier key: larger
 // probabilities get smaller keys, and equal probabilities equal keys.
 func probKey(p float64) uint64 { return ^math.Float64bits(p) }
 
-// radixHeap is the Dijkstra frontier: a monotone min radix heap of
-// (key, id) entries that pops in (key asc, id asc) order, provided no
-// pushed key is smaller than the last popped one (see Calc).
-type radixHeap struct {
-	last uint64 // the key popped last; every entry's key is ≥ last
-	// mask bit b is set iff buckets[b] is non-empty. Keys of probabilities
-	// in [0, 1] all have their top two bits set, so bucket indexes stay
-	// below 63.
-	mask    uint64
-	buckets [64][]frontierEntry
+// keyProb inverts probKey.
+func keyProb(k uint64) float64 { return math.Float64frombits(^k) }
+
+// The frontier's two key digits: the 11 exponent bits below the sign,
+// then the top fineBits mantissa bits.
+const (
+	coarseBuckets = 1 << 11
+	fineBits      = 9
+	fineBuckets   = 1 << fineBits
+	fineShift     = 52 - fineBits
+)
+
+// frontier is the Dijkstra frontier: a two-digit monotone bucket queue
+// of (key, id) entries that pops in (key asc, id asc) order, provided no
+// pushed key is below the last popped one (see Calc). Buckets are singly
+// linked lists of pool entries; a bucket's head is valid only while its
+// occupancy bit is set. A fine bucket that holds more than one entry
+// when it is reached becomes the run: its entries sorted so the minimum
+// is last, each pop taking the last and each push into that bucket
+// inserted in order. Path products tie often (equal edge weights), and
+// a run pops k tied entries in O(k log k), where scanning would take
+// O(k²).
+type frontier struct {
+	pool []entry
+	run  []entry
+	// cur is the coarse digit whose entries are spread over the fine
+	// buckets (-1 before the first), runAt the fine digit of the run's
+	// bucket while the run is not empty; cword and fword are the first
+	// words of cbits and fbits that can have a bit set.
+	cur, runAt   int
+	cword, fword int
+	coarse       [coarseBuckets]int32
+	fine         [fineBuckets]int32
+	cbits        [coarseBuckets / 64]uint64
+	fbits        [fineBuckets / 64]uint64
 }
 
-// frontierEntry is one entry of the radix heap.
-type frontierEntry struct {
-	key uint64
-	id  graph.NodeID
+// entry is one frontier entry; next is the pool index of the next
+// entry in its bucket, -1 at the end.
+type entry struct {
+	key  uint64
+	id   graph.NodeID
+	next int32
 }
 
-// reset empties the heap, keeping bucket storage, with every future key
-// at least floor.
-func (h *radixHeap) reset(floor uint64) {
-	for m := h.mask; m != 0; m &= m - 1 {
-		b := bits.TrailingZeros64(m)
-		h.buckets[b] = h.buckets[b][:0]
+// before reports whether a pops before b.
+func (a *entry) before(b *entry) bool {
+	return a.key < b.key || a.key == b.key && a.id < b.id
+}
+
+// reset empties the frontier, keeping its storage.
+func (f *frontier) reset() {
+	f.pool, f.run = f.pool[:0], f.run[:0]
+	f.cbits = [coarseBuckets / 64]uint64{}
+	f.fbits = [fineBuckets / 64]uint64{}
+	f.cur, f.cword, f.fword = -1, 0, 0
+}
+
+// link puts pool entry i at the head of the bucket heads[b] whose
+// occupancy bit lives in bm.
+func link(pool []entry, i int32, heads []int32, bm []uint64, b int) {
+	w, bit := b>>6, uint64(1)<<(b&63)
+	if bm[w]&bit != 0 {
+		pool[i].next = heads[b]
+	} else {
+		pool[i].next = -1
+		bm[w] |= bit
 	}
-	h.mask, h.last = 0, floor
+	heads[b] = i
 }
 
-func (h *radixHeap) push(key uint64, id graph.NodeID) {
-	b := bits.Len64(key ^ h.last)
-	h.buckets[b] = append(h.buckets[b], frontierEntry{key, id})
-	h.mask |= 1 << b
+func (f *frontier) push(key uint64, id graph.NodeID) {
+	if cb := int(key>>52) & (coarseBuckets - 1); cb != f.cur {
+		i := int32(len(f.pool))
+		f.pool = append(f.pool, entry{key: key, id: id})
+		link(f.pool, i, f.coarse[:], f.cbits[:], cb)
+		return
+	}
+	fb := int(key>>fineShift) & (fineBuckets - 1)
+	if fb == f.runAt && len(f.run) > 0 {
+		f.insert(entry{key: key, id: id})
+		return
+	}
+	i := int32(len(f.pool))
+	f.pool = append(f.pool, entry{key: key, id: id})
+	link(f.pool, i, f.fine[:], f.fbits[:], fb)
+}
+
+// insert adds x to the run in order.
+func (f *frontier) insert(x entry) {
+	run := append(f.run, x)
+	i := len(run) - 1
+	for ; i > 0 && run[i-1].before(&x); i-- {
+		run[i] = run[i-1]
+	}
+	run[i] = x
+	f.run = run
 }
 
 // pop removes the entry with the smallest key, smallest id among equal
-// keys, and returns its id; ok is false when the heap is empty.
-func (h *radixHeap) pop() (id graph.NodeID, ok bool) {
-	if h.mask == 0 {
-		return 0, false
+// keys, and returns its id and key; ok is false when the frontier is
+// empty.
+func (f *frontier) pop() (id graph.NodeID, key uint64, ok bool) {
+	if n := len(f.run) - 1; n >= 0 {
+		x := f.run[n]
+		f.run = f.run[:n]
+		return x.id, x.key, true
 	}
-	if h.mask&1 == 0 {
-		// Bucket 0 is empty: the next key is the smallest one in the
-		// lowest non-empty bucket. Make it last and respread the bucket;
-		// its entries all land in lower buckets, the minima in bucket 0.
-		b := bits.TrailingZeros64(h.mask)
-		src := h.buckets[b]
-		h.buckets[b] = src[:0]
-		h.mask &^= 1 << b
-		if len(src) == 1 {
-			h.last = src[0].key // a lone minimum pops without a respread
-			return src[0].id, true
+	pool := f.pool
+	for {
+		for w := f.fword; w < len(f.fbits); w++ {
+			bm := f.fbits[w]
+			if bm == 0 {
+				continue
+			}
+			f.fword = w
+			f.fbits[w] = bm & (bm - 1)
+			b := w<<6 | bits.TrailingZeros64(bm)
+			x := pool[f.fine[b&(fineBuckets-1)]]
+			if x.next < 0 {
+				return x.id, x.key, true
+			}
+			// A crowded bucket: it becomes the run.
+			run := append(f.run, x)
+			for i := x.next; i >= 0; i = pool[i].next {
+				run = append(run, pool[i])
+			}
+			sortRun(run)
+			n := len(run) - 1
+			f.run, f.runAt = run[:n], b
+			return run[n].id, run[n].key, true
 		}
-		last := src[0].key
-		for _, x := range src[1:] {
-			last = min(last, x.key)
+		// The current binade is empty: make the next one current.
+		cb := -1
+		for w := f.cword; w < len(f.cbits); w++ {
+			if bm := f.cbits[w]; bm != 0 {
+				f.cword = w
+				f.cbits[w] = bm & (bm - 1)
+				cb = w<<6 | bits.TrailingZeros64(bm)
+				break
+			}
 		}
-		h.last = last
-		for _, x := range src {
-			nb := bits.Len64(x.key ^ last)
-			h.buckets[nb] = append(h.buckets[nb], x)
-			h.mask |= 1 << nb
+		if cb < 0 {
+			return 0, 0, false
+		}
+		f.cur, f.fword = cb, 0
+		i := f.coarse[cb&(coarseBuckets-1)]
+		if pool[i].next < 0 {
+			return pool[i].id, pool[i].key, true // a lone entry pops without a spread
+		}
+		for i >= 0 {
+			next := pool[i].next
+			link(pool, i, f.fine[:], f.fbits[:], int(pool[i].key>>fineShift)&(fineBuckets-1))
+			i = next
 		}
 	}
-	// Every key in bucket 0 equals last: pop the smallest id.
-	b0 := h.buckets[0]
-	at := 0
-	for i := 1; i < len(b0); i++ {
-		if b0[i].id < b0[at].id {
-			at = i
+}
+
+// sortRun orders run so that every entry pops before the ones ahead of
+// it: the minimum last.
+func sortRun(run []entry) {
+	if len(run) > 12 {
+		slices.SortFunc(run, func(a, b entry) int {
+			if b.before(&a) {
+				return -1
+			}
+			return 1 // (key, id) pairs in a frontier are distinct
+		})
+		return
+	}
+	for i := 1; i < len(run); i++ {
+		x := run[i]
+		j := i
+		for ; j > 0 && run[j-1].before(&x); j-- {
+			run[j] = run[j-1]
 		}
+		run[j] = x
 	}
-	id = b0[at].id
-	b0[at] = b0[len(b0)-1]
-	h.buckets[0] = b0[:len(b0)-1]
-	if len(b0) == 1 {
-		h.mask &^= 1
-	}
-	return id, true
 }
 
 // Cover tracks per-node activation probabilities for a growing seed set

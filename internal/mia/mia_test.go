@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"octopus/internal/graph"
 	"octopus/internal/heaps"
@@ -313,32 +314,75 @@ func matchesIndexed(t *Tree, g *graph.Graph, prob EdgeProb, maxNodes int) bool {
 // break by node id — are common.
 func randomWorld(seed uint64) (*graph.Graph, EdgeProb) {
 	r := rng.New(seed)
+	g := randomGraph(r)
+	return g, randomLevels(r, g, []float64{0.25, 0.5, 0.8, 1, 0.125 + 0.8*r.Float64()})
+}
+
+// edgeWorld draws a random graph whose edge probabilities sit on and
+// beside the frontier's bucket edges: binade edges (1, 0.5, 0.25) and a
+// fine-bucket edge inside the binade of 0.5 (0.5·(1+2⁻⁹)), each with its
+// math.Nextafter neighbours, so path products land on both sides of
+// both key digits.
+func edgeWorld(seed uint64) (*graph.Graph, EdgeProb) {
+	var levels []float64
+	for _, x := range []float64{1, 0.5, 0.25, 0.5 * (1 + 1.0/512)} {
+		levels = append(levels, x, math.Nextafter(x, 0))
+		if x < 1 {
+			levels = append(levels, math.Nextafter(x, 1))
+		}
+	}
+	r := rng.New(seed)
+	g := randomGraph(r)
+	return g, randomLevels(r, g, levels)
+}
+
+// randomGraph draws a random graph of 5 to 64 nodes and 4 edge draws
+// per node.
+func randomGraph(r *rng.Source) *graph.Graph {
 	n := 5 + r.Intn(60)
 	b := graph.NewBuilder(n)
 	for i := 0; i < n*4; i++ {
 		b.AddEdge(int32(r.Intn(n)), int32(r.Intn(n)))
 	}
-	g := b.Build()
-	levels := []float64{0.25, 0.5, 0.8, 1, 0.125 + 0.8*r.Float64()}
+	return b.Build()
+}
+
+// randomLevels gives every edge of g a probability drawn from levels.
+func randomLevels(r *rng.Source, g *graph.Graph, levels []float64) EdgeProb {
 	w := make([]float64, g.NumEdges())
 	for e := range w {
 		w[e] = levels[r.Intn(len(levels))]
 	}
-	return g, func(e graph.EdgeID) float64 { return w[e] }
+	return func(e graph.EdgeID) float64 { return w[e] }
+}
+
+// rows turns a per-edge probability into the row filler Weigh takes.
+func rows(ep EdgeProb) RowFill {
+	return func(lo, hi graph.EdgeID, dst []float64) {
+		for i := range dst {
+			dst[i] = ep(lo + graph.EdgeID(i))
+		}
+	}
 }
 
 // Property: the lazy-deletion frontier builds exactly the trees of an
 // indexed heap — same nodes, same order, same parents and bitwise-equal
-// probabilities — in both directions, with and without a size cap, on
-// one reused Calc.
+// probabilities — in both directions and weighted, with and without a
+// size cap, from θ = 0 (defaulted) down to θ = 1e-300, on one reused
+// Calc, over worlds with many ties and worlds whose probabilities sit on
+// the frontier's bucket edges.
 func TestLazyFrontierMatchesIndexedHeap(t *testing.T) {
 	f := func(seed uint64) bool {
 		g, ep := randomWorld(seed)
+		if seed%2 == 1 {
+			g, ep = edgeWorld(seed)
+		}
 		r := rng.New(seed ^ 0x9e37)
 		c := NewCalc(g)
+		c.Weigh(rows(ep))
 		for i := 0; i < 8; i++ {
 			root := graph.NodeID(r.Intn(g.NumNodes()))
-			theta := []float64{0.001, 0.01, 0.1, 0.3}[r.Intn(4)]
+			theta := []float64{0.001, 0.01, 0.1, 0.3, 0, 1e-300}[r.Intn(6)]
 			maxNodes := []int{0, 0, 3, 10}[r.Intn(4)]
 			if !matchesIndexed(c.MIOA(ep, root, theta, maxNodes), g, ep, maxNodes) {
 				t.Logf("seed %d: MIOA(%d, θ=%v, cap %d) differs", seed, root, theta, maxNodes)
@@ -348,30 +392,35 @@ func TestLazyFrontierMatchesIndexedHeap(t *testing.T) {
 				t.Logf("seed %d: MIIA(%d, θ=%v, cap %d) differs", seed, root, theta, maxNodes)
 				return false
 			}
+			want, _ := indexedBuild(g, ep, root, defaultTheta(theta), maxNodes, true)
+			if got := c.AppendMIOA(nil, root, theta, maxNodes); !reflect.DeepEqual(got, want) {
+				t.Logf("seed %d: AppendMIOA(%d, θ=%v, cap %d) differs", seed, root, theta, maxNodes)
+				return false
+			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestCalcEpochWrap forces the build epoch to wrap: the tentative and
-// finalized stamps left by earlier builds must be cleared, or a node
-// finalized at epoch 1 long ago would look finalized again right after
-// the wrap and drop out of the tree.
+// TestCalcEpochWrap forces the stamp mark to wrap: the tentative and
+// settled stamps left by earlier builds must be cleared, or a node
+// settled at mark 2 long ago would look settled again right after the
+// wrap and drop out of the tree.
 func TestCalcEpochWrap(t *testing.T) {
 	g, ep := randomWorld(11)
 	c := NewCalc(g)
-	if c.MIOA(ep, 0, 0.01, 0).Size() < 3 { // epoch 1 stamps every node it reaches
+	if c.MIOA(ep, 0, 0.01, 0).Size() < 3 { // mark 2 stamps every node it reaches
 		t.Fatal("test graph too sparse to exercise the stamps")
 	}
-	c.epoch = math.MaxUint32
+	c.mark = math.MaxUint32 - 1 // the next build wraps
 	for root := graph.NodeID(0); root < 4; root++ {
 		got := c.MIOA(ep, root, 0.01, 0)
 		want := NewCalc(g).MIOA(ep, root, 0.01, 0)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("root %d after epoch wrap: %d nodes, fresh Calc %d", root, got.Size(), want.Size())
+			t.Fatalf("root %d after stamp wrap: %d nodes, fresh Calc %d", root, got.Size(), want.Size())
 		}
 	}
 }
@@ -381,7 +430,7 @@ func TestCalcEpochWrap(t *testing.T) {
 func TestAppendMIOAIntoSlab(t *testing.T) {
 	g, ep := randomWorld(5)
 	c := NewCalc(g)
-	c.Weigh(ep)
+	c.Weigh(rows(ep))
 	slab := []Reach{{ID: 99}, {ID: 98}} // unrelated prefix
 	for root := graph.NodeID(0); int(root) < g.NumNodes(); root++ {
 		at := len(slab)
@@ -418,7 +467,7 @@ func TestWeighAlternatesLikeFreshCalcs(t *testing.T) {
 		var slab []Reach
 		for i := 0; i < 6; i++ {
 			prob := probs[i%2]
-			c.Weigh(prob)
+			c.Weigh(rows(prob))
 			for j := 0; j < 4; j++ {
 				root := graph.NodeID(r.Intn(g.NumNodes()))
 				theta := []float64{0.001, 0.01, 0.1}[r.Intn(3)]
@@ -453,12 +502,12 @@ func TestCalcWeightGenerationWrap(t *testing.T) {
 	g, ep := randomWorld(11)
 	other := relevel(ep, 0.5)
 	c := NewCalc(g)
-	c.Weigh(ep) // generation 1 fills every row its trees expand
+	c.Weigh(rows(ep)) // generation 1 fills every row its trees expand
 	for root := graph.NodeID(0); int(root) < g.NumNodes(); root++ {
 		c.AppendMIOA(nil, root, 0.001, 0)
 	}
-	c.wgen = math.MaxUint32
-	c.Weigh(other)
+	c.gen = math.MaxUint32
+	c.Weigh(rows(other))
 	for root := graph.NodeID(0); root < 4; root++ {
 		got := c.AppendMIOA(nil, root, 0.001, 0)
 		want := NewCalc(g).MIOA(other, root, 0.001, 0).Nodes
@@ -497,6 +546,58 @@ func TestCoverReset(t *testing.T) {
 	}
 }
 
+// frontierBytes is the frontier's storage: its fixed buckets and
+// bitmaps plus its entry pool.
+func frontierBytes(c *Calc) uintptr {
+	return unsafe.Sizeof(c.front) + uintptr(cap(c.front.pool))*unsafe.Sizeof(entry{})
+}
+
+// A tiny θ neither sizes the frontier nor allocates: a warm Calc builds
+// at θ = 1e-300 without allocating, over a chain whose path
+// probabilities cross ≈1 000 binades, and on a tree that both
+// thresholds reach whole it holds exactly the frontier storage a
+// θ = 0.01 build holds.
+func TestTinyThetaFrontier(t *testing.T) {
+	const n = 1100
+	b := graph.NewBuilder(n)
+	for v := int32(1); v < n; v++ {
+		b.AddEdge(v-1, v)
+	}
+	chain := b.Build()
+	half := func(lo, hi graph.EdgeID, dst []float64) {
+		for i := range dst {
+			dst[i] = 0.5
+		}
+	}
+	c := NewCalc(chain)
+	c.Weigh(half)
+	var slab []Reach
+	slab = c.AppendMIOA(slab[:0], 0, 1e-300, 0)
+	if len(slab) != 997 { // 0.5^996 ≥ 1e-300 > 0.5^997
+		t.Fatalf("chain tree at θ=1e-300 has %d nodes, want 997", len(slab))
+	}
+	if allocs := testing.AllocsPerRun(10, func() { slab = c.AppendMIOA(slab[:0], 0, 1e-300, 0) }); allocs != 0 {
+		t.Fatalf("a warm θ=1e-300 build allocated %v times", allocs)
+	}
+
+	// A binary tree of depth 5 under 0.5: every node has p ≥ 2⁻⁵ > 0.01.
+	b = graph.NewBuilder(63)
+	for v := int32(0); v < 31; v++ {
+		b.AddEdge(v, 2*v+1)
+		b.AddEdge(v, 2*v+2)
+	}
+	tree := b.Build()
+	small, tiny := NewCalc(tree), NewCalc(tree)
+	small.Weigh(half)
+	tiny.Weigh(half)
+	if a, z := len(small.AppendMIOA(nil, 0, 0.01, 0)), len(tiny.AppendMIOA(nil, 0, 1e-300, 0)); a != 63 || z != 63 {
+		t.Fatalf("trees of %d and %d nodes, want 63", a, z)
+	}
+	if a, z := frontierBytes(small), frontierBytes(tiny); a != z {
+		t.Fatalf("frontier holds %d B after θ=0.01, %d B after θ=1e-300", a, z)
+	}
+}
+
 func BenchmarkMIOA(b *testing.B) {
 	r := rng.New(1)
 	const n = 20000
@@ -519,10 +620,21 @@ func BenchmarkMIOA(b *testing.B) {
 	})
 	b.Run("weighed", func(b *testing.B) {
 		c := NewCalc(g)
-		c.Weigh(ep)
+		c.Weigh(rows(ep))
+		for v := 0; v < n; v++ { // fill every row and grow the slab
+			benchNodes = c.AppendMIOA(benchNodes[:0], graph.NodeID(v), 0.01, 0)
+		}
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			benchNodes = c.AppendMIOA(benchNodes[:0], graph.NodeID(i%n), 0.01, 0)
+		}
+	})
+	b.Run("paths", func(b *testing.B) {
+		c := NewCalc(g)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchNodes = c.MIOA(ep, graph.NodeID(i%n), 0.01, 200).Nodes
 		}
 	})
 }

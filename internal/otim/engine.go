@@ -97,15 +97,17 @@ type Result struct {
 // per-query memo is a dense array stamped with the query generation
 // curGen (a new query invalidates them all in O(1)), p_e(γ) is read
 // through the mia.Calc's weight rows (weighed once per query, each
-// node's row filled on first use), the query's MIOA trees are built
-// into one recycled slab of mia.Reach records, and the heap, the cover
-// and the chosen set are reused buffers. The scratch costs about 77 B
-// per node (45 B here, 32 B in the mia.Calc) and 8 B per edge (the
-// Calc's weight rows) — ≈1.3 MB at 10 000 nodes and 64 000 edges — plus
-// the heap (16 B per entry, a few hundred entries per query), the
-// frontier buckets and the slab: 16 B per tree node of the largest
-// query so far, ≈0.74 MB for the 46 500 nodes a typical 10-seed query
-// builds on that graph.
+// node's row filled by tic.Model.FillProbs on first use), the query's
+// MIOA trees are built into one recycled slab of mia.Reach records, and
+// the heap, the cover and the chosen set are reused buffers. The
+// scratch costs about 65 B per node (45 B here; 20 B in the mia.Calc:
+// a 4-byte build stamp, the 8-byte tentative probability and an 8-byte
+// row stamp) and 8 B per edge (the Calc's weight rows) — ≈1.2 MB at
+// 10 000 nodes and 64 000 edges — plus the heap (16 B per entry, a few
+// hundred entries per query), the Calc's frontier (10.5 KB of buckets
+// and bitmaps whatever θ is, and 16 B per push of its largest tree) and
+// the slab: 16 B per tree node of the largest query so far, ≈0.74 MB
+// for the 46 500 nodes a typical 10-seed query builds on that graph.
 //
 // Retention: a slab that grew past SlabKeep records per graph node
 // serves an outsized query (k near n) and Trim drops it, so an engine
@@ -114,10 +116,10 @@ type Engine struct {
 	ix   *Index
 	calc *mia.Calc
 	// gamma is the current query's topic mixture, read by the bounds
-	// and by prob — the p_e(γ) closure, allocated once, that each query
-	// weighs the calc with.
+	// and by fill — the p_e(γ) row filler, allocated once, that each
+	// query weighs the calc with.
 	gamma topic.Dist
-	prob  mia.EdgeProb
+	fill  mia.RowFill
 	// curGen is the current query generation; a slot of a …Gen array
 	// equal to it is valid for this query, anything else is stale.
 	curGen uint32
@@ -170,7 +172,7 @@ func NewEngine(ix *Index) *Engine {
 		cover:      mia.NewCover(n),
 		chosen:     make([]bool, n),
 	}
-	e.prob = func(ed graph.EdgeID) float64 { return ix.model.EdgeProb(ed, e.gamma) }
+	e.fill = func(lo, hi graph.EdgeID, dst []float64) { ix.model.FillProbs(lo, hi, e.gamma, dst) }
 	return e
 }
 
@@ -206,7 +208,7 @@ func (e *Engine) begin(gamma topic.Dist) {
 	}
 	e.slab = e.slab[:0]
 	e.gamma = gamma
-	e.calc.Weigh(e.prob)
+	e.calc.Weigh(e.fill)
 }
 
 // tree returns u's MIOA under the current query, building it into the

@@ -110,10 +110,10 @@ func BuildIndex(m *tic.Model, opt BuildOptions) (*Index, error) {
 	}
 
 	// Pass 1: σ̄max via MIOA under p̄ for every node. Each worker owns a
-	// mia.Calc weighed with p̄ once (the Dijkstra scratch is not
-	// shareable) and a tree whose node slab it recycles; sigmaMax writes
-	// are disjoint per node.
-	maxProb := func(e graph.EdgeID) float64 { return m.MaxProb(e) }
+	// mia.Calc weighed with p̄ once — its rows filled straight from the
+	// model's envelope by FillMaxProbs (the Dijkstra scratch is not
+	// shareable) — and a tree whose node slab it recycles; sigmaMax
+	// writes are disjoint per node.
 	workers := par.Resolve(opt.Workers)
 	calcs := make([]*mia.Calc, workers)
 	trees := make([]mia.Tree, workers)
@@ -121,7 +121,7 @@ func BuildIndex(m *tic.Model, opt BuildOptions) (*Index, error) {
 		calc := calcs[w]
 		if calc == nil {
 			calc = mia.NewCalc(g)
-			calc.Weigh(maxProb)
+			calc.Weigh(m.FillMaxProbs)
 			calcs[w] = calc
 		}
 		t := &trees[w]

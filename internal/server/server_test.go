@@ -196,6 +196,30 @@ func TestPathsEndpoint(t *testing.T) {
 	}
 }
 
+// A path request at the smallest θ the parser takes is answered like
+// any other, in both directions: 200, capped at max nodes, every node's
+// probability at or above θ. The MIA frontier does not size itself
+// from θ, so such a request costs no more storage than θ = 0.01.
+func TestPathsTinyTheta(t *testing.T) {
+	s, sys := testServer(t)
+	name := url.QueryEscape(hubName(sys))
+	for _, rev := range []string{"", "&reverse=1"} {
+		rec, body := get(t, s, "/api/paths?user="+name+"&theta=1e-300&max=50"+rev)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%q: status = %d body=%s", rev, rec.Code, rec.Body)
+		}
+		nodes, _ := body["nodes"].([]any)
+		if len(nodes) == 0 || len(nodes) > 50 {
+			t.Fatalf("%q: %d nodes, want 1..50", rev, len(nodes))
+		}
+		for _, n := range nodes {
+			if p := n.(map[string]any)["prob"].(float64); !(p >= 1e-300) {
+				t.Fatalf("%q: node prob %v below θ", rev, p)
+			}
+		}
+	}
+}
+
 func TestCompleteEndpoint(t *testing.T) {
 	s, sys := testServer(t)
 	prefix := sys.Graph().Name(0)[:2]

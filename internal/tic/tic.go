@@ -45,11 +45,29 @@ func (m *Model) Graph() *graph.Graph { return m.g }
 // NumTopics returns Z.
 func (m *Model) NumTopics() int { return m.z }
 
-// EdgeProb returns p_e(γ) = Σ_z γ_z·ppᶻ_e.
+// EdgeProb returns p_e(γ) = Σ_z γ_z·ppᶻ_e, capped at 1.
 func (m *Model) EdgeProb(e graph.EdgeID, gamma topic.Dist) float64 {
+	return m.mix(m.off[e], m.off[e+1], gamma)
+}
+
+// FillProbs writes p_e(γ) of every edge e in [lo, hi) to dst[e−lo] —
+// the bits EdgeProb returns, in one pass over the edges' entries.
+func (m *Model) FillProbs(lo, hi graph.EdgeID, gamma topic.Dist, dst []float64) {
+	off := m.off[lo : hi+1]
+	dst = dst[:len(off)-1]
+	for i := range dst {
+		dst[i] = m.mix(off[i], off[i+1], gamma)
+	}
+}
+
+// mix returns Σ γ_z·ppᶻ over the entries [a, b), summed in entry order
+// and capped at 1.
+func (m *Model) mix(a, b int32, gamma topic.Dist) float64 {
+	idx, ps := m.topicIdx[a:b], m.topicP[a:b]
+	ps = ps[:len(idx)]
 	p := 0.0
-	for i := m.off[e]; i < m.off[e+1]; i++ {
-		p += gamma[m.topicIdx[i]] * float64(m.topicP[i])
+	for i, z := range idx {
+		p += gamma[z] * float64(ps[i])
 	}
 	if p > 1 {
 		p = 1
@@ -59,6 +77,15 @@ func (m *Model) EdgeProb(e graph.EdgeID, gamma topic.Dist) float64 {
 
 // MaxProb returns the upper envelope p̄_e = max_z ppᶻ_e.
 func (m *Model) MaxProb(e graph.EdgeID) float64 { return float64(m.maxP[e]) }
+
+// FillMaxProbs writes p̄_e of every edge e in [lo, hi) to dst[e−lo].
+func (m *Model) FillMaxProbs(lo, hi graph.EdgeID, dst []float64) {
+	mp := m.maxP[lo:hi]
+	dst = dst[:len(mp)]
+	for i, p := range mp {
+		dst[i] = float64(p)
+	}
+}
 
 // TopicProb returns ppᶻ_e for a single topic.
 func (m *Model) TopicProb(e graph.EdgeID, z int) float64 {
@@ -82,9 +109,7 @@ func (m *Model) EdgeTopics(e graph.EdgeID, fn func(z int, p float64)) {
 // extremely expensive"). The result is indexed by EdgeID.
 func (m *Model) Weights(gamma topic.Dist) []float64 {
 	w := make([]float64, m.g.NumEdges())
-	for e := range w {
-		w[e] = m.EdgeProb(graph.EdgeID(e), gamma)
-	}
+	m.FillProbs(0, graph.EdgeID(len(w)), gamma, w)
 	return w
 }
 

@@ -401,6 +401,53 @@ func TestQuickEdgeProbBounds(t *testing.T) {
 	}
 }
 
+// FillProbs and FillMaxProbs write, row by row, the bits EdgeProb and
+// MaxProb return for each edge, on sparse rows (some edges carry no
+// entry) under random γ.
+func TestFillProbsMatchEdgeProb(t *testing.T) {
+	const n, z = 12, 5
+	r := rng.New(29)
+	b := graph.NewBuilder(n)
+	for i := 0; i < 5*n; i++ {
+		b.AddEdge(int32(r.Intn(n)), int32(r.Intn(n)))
+	}
+	g := b.Build()
+	mb := NewBuilder(g, z)
+	for e := 0; e < g.NumEdges(); e++ {
+		for zi := 0; zi < z; zi++ {
+			if r.Intn(3) == 0 {
+				if err := mb.SetProb(graph.EdgeID(e), zi, r.Float64()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	m := mb.Build()
+	row := make([]float64, g.NumEdges())
+	f := func(seed uint64) bool {
+		gamma := topic.Dist(rng.New(seed).DirichletSym(0.7, z))
+		for u := graph.NodeID(0); u < n; u++ {
+			lo, hi := g.OutEdges(u)
+			m.FillProbs(lo, hi, gamma, row[:hi-lo])
+			for i, p := range row[:hi-lo] {
+				if math.Float64bits(p) != math.Float64bits(m.EdgeProb(lo+graph.EdgeID(i), gamma)) {
+					return false
+				}
+			}
+			m.FillMaxProbs(lo, hi, row[:hi-lo])
+			for i, p := range row[:hi-lo] {
+				if p != m.MaxProb(lo+graph.EdgeID(i)) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func benchModel(b *testing.B, n, deg, z int) *Model {
 	b.Helper()
 	r := rng.New(1)

@@ -179,6 +179,9 @@ type Calc struct {
 	w    []float64
 	rows []rowStamp
 	gen  uint32
+	// cands holds the out-edges of the node a weighted build expands
+	// that pass θ, one slot per out-edge of the graph's widest node.
+	cands []candidate
 	// cost, when non-nil, accumulates ball-walk work (trees built, nodes
 	// popped, edges examined) for the query that owns this Calc. Set per
 	// query with SetCost and cleared afterwards — Calcs are reused.
@@ -190,6 +193,12 @@ type Calc struct {
 type rowStamp struct {
 	gen uint32
 	max float32
+}
+
+// candidate is a neighbour v offered probability q.
+type candidate struct {
+	q float64
+	v graph.NodeID
 }
 
 // nodeLink is a tentative node's tree predecessor in a build that
@@ -221,13 +230,18 @@ func (c *Calc) SetCost(cost *obs.Cost) { c.cost = cost }
 // first time a node's out-edges are needed in the generation, fill
 // writes its row and the row's maximum is recorded; later expansions of
 // the node — in any tree of the generation — read the row. Rows cost
-// one float64 per graph edge and 8 bytes per node, allocated by the
-// first Weigh. fill must be deterministic and stay valid until the next
+// one float64 per graph edge and 8 bytes per node, plus 16 bytes per
+// out-edge of the widest node, allocated by the first Weigh. fill must be deterministic and stay valid until the next
 // Weigh.
 func (c *Calc) Weigh(fill RowFill) {
 	if c.w == nil {
 		c.w = make([]float64, c.g.NumEdges())
 		c.rows = make([]rowStamp, c.g.NumNodes())
+		widest := 0
+		for u := range c.g.NumNodes() {
+			widest = max(widest, c.g.OutDegree(graph.NodeID(u)))
+		}
+		c.cands = make([]candidate, widest)
 	}
 	c.fill = fill
 	c.gen++
@@ -362,19 +376,27 @@ func (c *Calc) AppendMIOA(dst []Reach, root graph.NodeID, theta float64, maxNode
 		if p*float64(c.rows[u].max) < theta {
 			continue // no out-edge can carry p to θ
 		}
+		// Most out-edges fail θ, and unpredictably: gather the ones that
+		// pass without a branch on the test, then relax only those.
 		nbrs := g.OutNeighbors(u)
-		w := c.w[lo:hi:hi]
+		w, cands := c.w[lo:hi:hi], c.cands[:len(nbrs)]
 		w = w[:len(nbrs)]
+		n := 0
 		for i, v := range nbrs {
 			q := p * w[i]
-			if !(q >= theta) {
+			cands[n] = candidate{q, v}
+			pass := 0
+			if q >= theta { // false for NaN
+				pass = 1
+			}
+			n += pass
+		}
+		for _, x := range cands[:n] {
+			if st := stamp[x.v]; st == settled || st == tentative && x.q <= best[x.v] {
 				continue
 			}
-			if st := stamp[v]; st == settled || st == tentative && q <= best[v] {
-				continue
-			}
-			best[v], stamp[v] = q, tentative
-			front.push(probKey(q), v)
+			best[x.v], stamp[x.v] = x.q, tentative
+			front.push(probKey(x.q), x.v)
 		}
 	}
 	c.account(len(dst)-base, edges)
@@ -464,8 +486,9 @@ const (
 // frontier is the Dijkstra frontier: a two-digit monotone bucket queue
 // of (key, id) entries that pops in (key asc, id asc) order, provided no
 // pushed key is below the last popped one (see Calc). Buckets are singly
-// linked lists of pool entries; a bucket's head is valid only while its
-// occupancy bit is set. A fine bucket that holds more than one entry
+// linked lists of pool entries, linked by reference (pool index + 1, so
+// 0 is the end of a list and the head of an empty bucket) without a
+// branch on whether the bucket was empty. A fine bucket that holds more than one entry
 // when it is reached becomes the run: its entries sorted so the minimum
 // is last, each pop taking the last and each push into that bucket
 // inserted in order. Path products tie often (equal edge weights), and
@@ -486,8 +509,8 @@ type frontier struct {
 	fbits        [fineBuckets / 64]uint64
 }
 
-// entry is one frontier entry; next is the pool index of the next
-// entry in its bucket, -1 at the end.
+// entry is one frontier entry; next is the reference of the next entry
+// in its bucket, 0 at the end.
 type entry struct {
 	key  uint64
 	id   graph.NodeID
@@ -502,22 +525,27 @@ func (a *entry) before(b *entry) bool {
 // reset empties the frontier, keeping its storage.
 func (f *frontier) reset() {
 	f.pool, f.run = f.pool[:0], f.run[:0]
-	f.cbits = [coarseBuckets / 64]uint64{}
-	f.fbits = [fineBuckets / 64]uint64{}
+	empty(f.coarse[:], f.cbits[:])
+	empty(f.fine[:], f.fbits[:])
 	f.cur, f.cword, f.fword = -1, 0, 0
+}
+
+// empty clears every occupied bucket of heads, as marked in bm.
+func empty(heads []int32, bm []uint64) {
+	for w, m := range bm {
+		for ; m != 0; m &= m - 1 {
+			heads[w<<6|bits.TrailingZeros64(m)] = 0
+		}
+		bm[w] = 0
+	}
 }
 
 // link puts pool entry i at the head of the bucket heads[b] whose
 // occupancy bit lives in bm.
 func link(pool []entry, i int32, heads []int32, bm []uint64, b int) {
-	w, bit := b>>6, uint64(1)<<(b&63)
-	if bm[w]&bit != 0 {
-		pool[i].next = heads[b]
-	} else {
-		pool[i].next = -1
-		bm[w] |= bit
-	}
-	heads[b] = i
+	pool[i].next = heads[b]
+	heads[b] = i + 1
+	bm[b>>6] |= 1 << (b & 63)
 }
 
 func (f *frontier) push(key uint64, id graph.NodeID) {
@@ -567,14 +595,16 @@ func (f *frontier) pop() (id graph.NodeID, key uint64, ok bool) {
 			f.fword = w
 			f.fbits[w] = bm & (bm - 1)
 			b := w<<6 | bits.TrailingZeros64(bm)
-			x := pool[f.fine[b&(fineBuckets-1)]]
-			if x.next < 0 {
+			head := &f.fine[b&(fineBuckets-1)]
+			x := pool[*head-1]
+			*head = 0
+			if x.next == 0 {
 				return x.id, x.key, true
 			}
 			// A crowded bucket: it becomes the run.
 			run := append(f.run, x)
-			for i := x.next; i >= 0; i = pool[i].next {
-				run = append(run, pool[i])
+			for i := x.next; i != 0; i = pool[i-1].next {
+				run = append(run, pool[i-1])
 			}
 			sortRun(run)
 			n := len(run) - 1
@@ -595,13 +625,15 @@ func (f *frontier) pop() (id graph.NodeID, key uint64, ok bool) {
 			return 0, 0, false
 		}
 		f.cur, f.fword = cb, 0
-		i := f.coarse[cb&(coarseBuckets-1)]
-		if pool[i].next < 0 {
-			return pool[i].id, pool[i].key, true // a lone entry pops without a spread
+		head := &f.coarse[cb&(coarseBuckets-1)]
+		i := *head
+		*head = 0
+		if x := pool[i-1]; x.next == 0 {
+			return x.id, x.key, true // a lone entry pops without a spread
 		}
-		for i >= 0 {
-			next := pool[i].next
-			link(pool, i, f.fine[:], f.fbits[:], int(pool[i].key>>fineShift)&(fineBuckets-1))
+		for i != 0 {
+			next := pool[i-1].next
+			link(pool, i-1, f.fine[:], f.fbits[:], int(pool[i-1].key>>fineShift)&(fineBuckets-1))
 			i = next
 		}
 	}

@@ -283,7 +283,7 @@ func (c *Calc) fillRow(u graph.NodeID, lo, hi graph.EdgeID) {
 	c.rows[u] = rowStamp{c.gen, roundUp32(m)}
 }
 
-// roundUp32 returns the smallest float32 not below x (NaN stays NaN).
+// roundUp32 returns the smallest float32 not below x.
 func roundUp32(x float64) float32 {
 	f := float32(x)
 	if float64(f) < x {
@@ -487,13 +487,13 @@ const (
 // of (key, id) entries that pops in (key asc, id asc) order, provided no
 // pushed key is below the last popped one (see Calc). Buckets are singly
 // linked lists of pool entries, linked by reference (pool index + 1, so
-// 0 is the end of a list and the head of an empty bucket) without a
-// branch on whether the bucket was empty. A fine bucket that holds more than one entry
-// when it is reached becomes the run: its entries sorted so the minimum
-// is last, each pop taking the last and each push into that bucket
-// inserted in order. Path products tie often (equal edge weights), and
-// a run pops k tied entries in O(k log k), where scanning would take
-// O(k²).
+// 0 ends a list and heads an empty bucket), which links an entry without
+// a branch on whether its bucket was empty. A fine bucket that holds
+// more than one entry when it is reached becomes the run: its entries
+// sorted so the minimum is last, each pop taking the last and each push
+// into that bucket inserted in order. Path products tie often (equal
+// edge weights), and a run pops k tied entries in O(k log k), where
+// scanning would take O(k²).
 type frontier struct {
 	pool []entry
 	run  []entry

@@ -105,9 +105,10 @@ type Result struct {
 // row stamp) and 8 B per edge (the Calc's weight rows) — ≈1.2 MB at
 // 10 000 nodes and 64 000 edges — plus the heap (16 B per entry, a few
 // hundred entries per query), the Calc's frontier (10.5 KB of buckets
-// and bitmaps whatever θ is, and 16 B per push of its largest tree) and
-// the slab: 16 B per tree node of the largest query so far, ≈0.74 MB
-// for the 46 500 nodes a typical 10-seed query builds on that graph.
+// and bitmaps whatever θ is, and 16 B per push of its largest tree), a
+// 16 B slot per out-edge of the graph's widest node, and the slab:
+// 16 B per tree node of the largest query so far, ≈0.74 MB for the
+// 46 500 nodes a typical 10-seed query builds on that graph.
 //
 // Retention: a slab that grew past SlabKeep records per graph node
 // serves an outsized query (k near n) and Trim drops it, so an engine

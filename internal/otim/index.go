@@ -110,10 +110,9 @@ func BuildIndex(m *tic.Model, opt BuildOptions) (*Index, error) {
 	}
 
 	// Pass 1: σ̄max via MIOA under p̄ for every node. Each worker owns a
-	// mia.Calc weighed with p̄ once — its rows filled straight from the
-	// model's envelope by FillMaxProbs (the Dijkstra scratch is not
-	// shareable) — and a tree whose node slab it recycles; sigmaMax
-	// writes are disjoint per node.
+	// mia.Calc (the Dijkstra scratch is not shareable), weighed once with
+	// p̄ through FillMaxProbs, and a tree whose node slab it recycles;
+	// sigmaMax writes are disjoint per node.
 	workers := par.Resolve(opt.Workers)
 	calcs := make([]*mia.Calc, workers)
 	trees := make([]mia.Tree, workers)

@@ -5,12 +5,14 @@ import (
 	"testing"
 
 	"octopus/internal/graph"
+	"octopus/internal/obs"
 )
 
 // TestTargetedGolden pins the targeted-IM answer on a fixed corpus: the
 // exact seeds, their per-seed spreads and the audience spread, to the
-// bit. RR sampling, greedy coverage and the estimate must reproduce it
-// whatever shape the sampler's code takes.
+// bit, and the RR-sampling work (sets drawn, nodes reached, in-edges
+// examined). RR sampling, greedy coverage and the estimate must
+// reproduce it whatever shape the sampler's code takes.
 func TestTargetedGolden(t *testing.T) {
 	s, ds := testSystem(t)
 	var audience []graph.NodeID
@@ -22,7 +24,8 @@ func TestTargetedGolden(t *testing.T) {
 	if len(audience) != 94 {
 		t.Fatalf("audience has %d users, want 94: the corpus changed", len(audience))
 	}
-	res, err := s.DiscoverTargetedInfluencers([]string{"mining", "pattern"}, audience, 5, 3000, 21, nil)
+	cost := &obs.Cost{}
+	res, err := s.DiscoverTargetedInfluencers([]string{"mining", "pattern"}, audience, 5, 3000, 21, cost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,5 +51,8 @@ func TestTargetedGolden(t *testing.T) {
 	}
 	if bits := math.Float64bits(res.AudienceSpread); bits != 0x4052a0aec33e1f67 {
 		t.Errorf("audience spread = %#x (%v), want 0x4052a0aec33e1f67", bits, res.AudienceSpread)
+	}
+	if want := (obs.RISCost{Samples: 3000, Nodes: 12743, Edges: 42371}); cost.RIS != want {
+		t.Errorf("RIS work = %+v, want %+v", cost.RIS, want)
 	}
 }

@@ -707,14 +707,14 @@ func (s *System) DiscoverTargetedInfluencers(keywords []string, audience []graph
 	}
 	gamma, _ := s.words.InferGamma(keywords)
 	col := ris.GenerateTargeted(s.prop, gamma, audience, rrSamples, rng.New(seed), cost)
-	seeds, spread := col.SelectSeeds(k)
-	res := &TargetedResult{Gamma: gamma, AudienceSpread: spread}
-	for _, u := range seeds {
+	seeds, spreads, total := col.SelectSeeds(k)
+	res := &TargetedResult{Gamma: gamma, AudienceSpread: total}
+	for i, u := range seeds {
 		tt := s.dominantTopic(u)
 		res.Seeds = append(res.Seeds, InfluencerResult{
 			User:         u,
 			Name:         s.g.Name(u),
-			Spread:       col.EstimateSpread([]graph.NodeID{u}),
+			Spread:       spreads[i],
 			TopTopic:     tt,
 			TopTopicName: s.words.TopicName(tt),
 		})

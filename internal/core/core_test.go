@@ -192,6 +192,28 @@ func TestDiscoverTargetedValidation(t *testing.T) {
 	}
 }
 
+// TestTargetedAllocsFlatInSamples: a targeted request's allocations do
+// not grow with the RR sample count.
+func TestTargetedAllocsFlatInSamples(t *testing.T) {
+	s, ds := testSystem(t)
+	var audience []graph.NodeID
+	for u, mix := range ds.Mixtures {
+		if mix.Top(1)[0] == 0 {
+			audience = append(audience, graph.NodeID(u))
+		}
+	}
+	allocs := func(samples int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := s.DiscoverTargetedInfluencers([]string{"mining", "pattern"}, audience, 5, samples, 21, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(2_000), allocs(20_000); small != large {
+		t.Fatalf("allocations per request: %v at 2 000 samples, %v at 20 000", small, large)
+	}
+}
+
 func TestSuggestKeywords(t *testing.T) {
 	s, _ := testSystem(t)
 	// Find a user with a keyword pool.

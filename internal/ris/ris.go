@@ -7,9 +7,17 @@
 // the random set of nodes that can reach v in the graph where each edge e
 // is kept independently with probability p_e. For any seed set S,
 // n·E[S ∩ RR ≠ ∅] equals the influence spread σ(S).
+//
+// A request's RR sets live in one flat table (Collection), and every
+// estimate comes from coverage counts over it: a seed set's spread is
+// scale · (sets it covers) / (sets drawn), so a single seed's spread is
+// scale · (sets holding it) / (sets drawn), read off the inverted index
+// that SelectSeeds builds anyway.
 package ris
 
 import (
+	"slices"
+
 	"octopus/internal/graph"
 	"octopus/internal/obs"
 	"octopus/internal/rng"
@@ -18,75 +26,18 @@ import (
 )
 
 // Collection is a set of RR samples over a fixed graph and edge-weight
-// function. Immutable after generation.
+// function, held as one CSR table: RR set i is nodes[off[i]:off[i+1]],
+// its root first and then the nodes in the order the reverse BFS
+// reached them; a set holds each node at most once. Offsets are ints,
+// so no table size can overflow them. Immutable after generation.
 type Collection struct {
 	// n is the node-id space (graph node count) used for indexing.
 	n int
 	// scale is the estimate numerator: the size of the target universe
 	// RR roots were drawn from.
 	scale int
-	sets  [][]graph.NodeID
-}
-
-// NumNodes returns the root-universe size the estimates scale by.
-func (c *Collection) NumNodes() int { return c.scale }
-
-// Set returns the i-th RR set; callers must not modify it.
-func (c *Collection) Set(i int) []graph.NodeID { return c.sets[i] }
-
-// sampler carries reusable reverse-BFS state.
-type sampler struct {
-	g     *graph.Graph
-	stamp []uint32
-	epoch uint32
-	queue []graph.NodeID
-	// cost, when non-nil, accumulates sampling work (RR sets grown,
-	// nodes reached, in-edges examined).
-	cost *obs.Cost
-}
-
-func newSampler(g *graph.Graph) *sampler {
-	return &sampler{g: g, stamp: make([]uint32, g.NumNodes())}
-}
-
-// sampleRR grows one RR set rooted at root; prob returns the keep
-// probability of an edge id.
-func (s *sampler) sampleRR(root graph.NodeID, prob func(graph.EdgeID) float64, r *rng.Source) []graph.NodeID {
-	s.epoch++
-	if s.epoch == 0 {
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
-		s.epoch = 1
-	}
-	q := s.queue[:0]
-	s.stamp[root] = s.epoch
-	q = append(q, root)
-	var edges uint64
-	for i := 0; i < len(q); i++ {
-		v := q[i]
-		lo, hi := s.g.InSlots(v)
-		edges += uint64(hi - lo)
-		for slot := lo; slot < hi; slot++ {
-			u := s.g.InSrc(slot)
-			if s.stamp[u] == s.epoch {
-				continue
-			}
-			if r.Float64() < prob(s.g.InEdgeID(slot)) {
-				s.stamp[u] = s.epoch
-				q = append(q, u)
-			}
-		}
-	}
-	s.queue = q
-	if s.cost != nil {
-		s.cost.RIS.Samples++
-		s.cost.RIS.Nodes += uint64(len(q))
-		s.cost.RIS.Edges += edges
-	}
-	out := make([]graph.NodeID, len(q))
-	copy(out, q)
-	return out
+	off   []int
+	nodes []graph.NodeID
 }
 
 // GenerateTargeted draws count RR sets whose roots are sampled uniformly
@@ -94,99 +45,117 @@ func (s *sampler) sampleRR(root graph.NodeID, prob func(graph.EdgeID) float64, r
 // maximization (Li, Zhang, Tan, PVLDB 2015, reference [7] of the
 // OCTOPUS paper): maximizing influence *over a target audience* (for
 // example one community, or users interested in a product category)
-// rather than the whole network. For a collection built this way,
-// EstimateSpread approximates the expected number of activated TARGET
-// users scaled by |targets| instead of n. cost, when non-nil,
-// accumulates the sampling work.
+// rather than the whole network. Estimates over a collection built this
+// way approximate the expected number of activated TARGET users, scaled
+// by |targets| instead of n. An edge is kept with probability
+// m.EdgeProb(e, gamma). cost, when non-nil, accumulates the sampling
+// work (RR sets drawn, nodes reached, in-edges examined).
 func GenerateTargeted(m *tic.Model, gamma topic.Dist, targets []graph.NodeID,
 	count int, r *rng.Source, cost *obs.Cost) *Collection {
 
 	if len(targets) == 0 {
-		return &Collection{n: 0, scale: 0}
+		return &Collection{}
 	}
 	g := m.Graph()
-	s := newSampler(g)
-	s.cost = cost
-	prob := func(e graph.EdgeID) float64 { return m.EdgeProb(e, gamma) }
-	c := &Collection{n: g.NumNodes(), scale: len(targets), sets: make([][]graph.NodeID, 0, count)}
-	for i := 0; i < count; i++ {
+	n, count := g.NumNodes(), max(count, 0)
+	c := &Collection{n: n, scale: len(targets), off: make([]int, 1, count+1)}
+	// The reverse BFS queue is the set itself: a set appends its nodes
+	// to the table and one offset closes it. stamp[v] == i marks v as in
+	// set i. A set holds its root and at most n nodes, so with n free
+	// entries at a set boundary the table never grows inside a set;
+	// when room runs short it grows once to the total the sets so far
+	// project, plus a quarter, so its allocations do not grow with
+	// count.
+	nodes := make([]graph.NodeID, 0, count+n)
+	stamp := make([]int, n)
+	var edges uint64
+	for i := 1; i <= count; i++ {
+		if cap(nodes)-len(nodes) < n {
+			nodes = slices.Grow(nodes, int(float64(len(nodes))/float64(i-1)*float64(count-i+1)*1.25)+n)
+		}
 		root := targets[r.Intn(len(targets))]
-		c.sets = append(c.sets, s.sampleRR(root, prob, r))
+		stamp[root] = i
+		nodes = append(nodes, root)
+		for j := c.off[i-1]; j < len(nodes); j++ {
+			lo, hi := g.InSlots(nodes[j])
+			edges += uint64(hi - lo)
+			for slot := lo; slot < hi; slot++ {
+				u := g.InSrc(slot)
+				if stamp[u] != i && r.Float64() < m.EdgeProb(g.InEdgeID(slot), gamma) {
+					stamp[u] = i
+					nodes = append(nodes, u)
+				}
+			}
+		}
+		c.off = append(c.off, len(nodes))
+	}
+	c.nodes = nodes
+	if cost != nil {
+		cost.RIS.Samples += uint64(count)
+		cost.RIS.Nodes += uint64(len(nodes))
+		cost.RIS.Edges += edges
 	}
 	return c
 }
 
-// EstimateSpread returns the RIS estimate of σ(seeds): n · (covered
-// sets) / (total sets).
-func (c *Collection) EstimateSpread(seeds []graph.NodeID) float64 {
-	if len(c.sets) == 0 {
-		return 0
-	}
-	inSeed := make(map[graph.NodeID]bool, len(seeds))
-	for _, s := range seeds {
-		inSeed[s] = true
-	}
-	covered := 0
-	for _, set := range c.sets {
-		for _, v := range set {
-			if inSeed[v] {
-				covered++
-				break
-			}
-		}
-	}
-	return float64(c.scale) * float64(covered) / float64(len(c.sets))
-}
-
-// SelectSeeds greedily picks k seeds maximizing RR-set coverage and
-// returns them with the RIS spread estimate of the chosen set. Greedy
+// SelectSeeds greedily picks k seeds maximizing RR-set coverage. It
+// returns them in pick order with each seed's own spread estimate,
+// scale · (sets holding it) / (sets drawn), and the estimate of the
+// whole seed set, scale · (sets covered) / (sets drawn). Greedy
 // max-coverage gives the standard (1−1/e) guarantee on the sampled
-// universe. k is clamped to the node count.
-func (c *Collection) SelectSeeds(k int) ([]graph.NodeID, float64) {
-	if k <= 0 || len(c.sets) == 0 {
-		return nil, 0
+// universe. k is clamped to the node count; picking stops early once no
+// node covers a set left uncovered.
+func (c *Collection) SelectSeeds(k int) (seeds []graph.NodeID, spreads []float64, total float64) {
+	sets := len(c.off) - 1
+	if k <= 0 || sets <= 0 {
+		return nil, nil, 0
 	}
 	k = min(k, c.n)
-	// Inverted index: node -> RR set ids.
-	index := make([][]int32, c.n)
-	for si, set := range c.sets {
-		for _, v := range set {
-			index[v] = append(index[v], int32(si))
+	// Inverted index by counting sort: node v lies in the sets
+	// index[at[v]:at[v+1]], ascending. at[v+1] starts at v's first
+	// entry and the fill advances it to v's end, which is v+1's start.
+	deg := make([]int, c.n)
+	for _, v := range c.nodes {
+		deg[v]++
+	}
+	at := make([]int, c.n+1)
+	for v := 1; v < c.n; v++ {
+		at[v+1] = at[v] + deg[v-1]
+	}
+	index := make([]int, len(c.nodes))
+	for si := range sets {
+		for _, v := range c.nodes[c.off[si]:c.off[si+1]] {
+			index[at[v+1]] = si
+			at[v+1]++
 		}
 	}
-	deg := make([]int32, c.n)
-	for v := range index {
-		deg[v] = int32(len(index[v]))
-	}
-	coveredSet := make([]bool, len(c.sets))
-	seeds := make([]graph.NodeID, 0, k)
+	coveredSet := make([]bool, sets)
+	seeds, spreads = make([]graph.NodeID, 0, k), make([]float64, 0, k)
 	covered := 0
 	for len(seeds) < k {
-		best := graph.NodeID(-1)
-		var bestDeg int32 = -1
-		for v := 0; v < c.n; v++ {
-			if deg[v] > bestDeg {
-				bestDeg = deg[v]
-				best = graph.NodeID(v)
+		best, bestDeg := graph.NodeID(-1), -1
+		for v, d := range deg {
+			if d > bestDeg {
+				best, bestDeg = graph.NodeID(v), d
 			}
 		}
 		if best < 0 || bestDeg <= 0 {
 			break // nothing covers any remaining set
 		}
 		seeds = append(seeds, best)
-		for _, si := range index[best] {
+		spreads = append(spreads, float64(c.scale)*float64(at[best+1]-at[best])/float64(sets))
+		for _, si := range index[at[best]:at[best+1]] {
 			if coveredSet[si] {
 				continue
 			}
 			coveredSet[si] = true
 			covered++
 			// Decrement degree of every member of the newly covered set.
-			for _, u := range c.sets[si] {
+			for _, u := range c.nodes[c.off[si]:c.off[si+1]] {
 				deg[u]--
 			}
 		}
 		deg[best] = -1 // never pick again
 	}
-	spread := float64(c.scale) * float64(covered) / float64(len(c.sets))
-	return seeds, spread
+	return seeds, spreads, float64(c.scale) * float64(covered) / float64(sets)
 }

@@ -683,30 +683,53 @@ type TargetedResult struct {
 	AudienceSpread float64
 }
 
+const (
+	// defaultTargetedRRSamples is the RR sample count a targeted query
+	// draws when it names none.
+	defaultTargetedRRSamples = 20_000
+	// maxTargetedRRSamples bounds the RR sample count a targeted query
+	// may demand.
+	maxTargetedRRSamples = 200_000
+)
+
 // DiscoverTargetedInfluencers finds k seeds maximizing influence over a
 // target audience rather than the whole network — the targeted-IM
 // service of the advertising deployment (reference [7]: real-time
 // targeted influence maximization for online advertisements). Spread is
-// estimated with reverse-reachable sets rooted in the audience; the
-// RR-sampling work is accounted into cost (nil disables it).
+// estimated with reverse-reachable sets rooted in the audience; a user
+// listed more than once counts once. rrSamples ≤ 0 draws the default
+// 20 000 sets, and more than 200 000 is refused. The RR-sampling work is
+// accounted into cost (nil disables it).
 func (s *System) DiscoverTargetedInfluencers(keywords []string, audience []graph.NodeID,
 	k, rrSamples int, seed uint64, cost *obs.Cost) (*TargetedResult, error) {
+	if rrSamples > maxTargetedRRSamples {
+		// Unprefixed: it is the body of POST /api/im/targeted's 400.
+		return nil, fmt.Errorf("rrSamples %d exceeds limit %d", rrSamples, maxTargetedRRSamples)
+	}
 	if k <= 0 {
 		return nil, fmt.Errorf("core: k must be positive")
 	}
 	if len(audience) == 0 {
 		return nil, fmt.Errorf("core: empty target audience")
 	}
+	// Keep each member's first listing, in order: an audience without
+	// repeats is sampled exactly as given.
+	listed := make([]bool, s.g.NumNodes())
+	targets := make([]graph.NodeID, 0, len(audience))
 	for _, u := range audience {
 		if int(u) < 0 || int(u) >= s.g.NumNodes() {
 			return nil, fmt.Errorf("core: audience member %d out of range", u)
 		}
+		if !listed[u] {
+			listed[u] = true
+			targets = append(targets, u)
+		}
 	}
 	if rrSamples <= 0 {
-		rrSamples = 20000
+		rrSamples = defaultTargetedRRSamples
 	}
 	gamma, _ := s.words.InferGamma(keywords)
-	col := ris.GenerateTargeted(s.prop, gamma, audience, rrSamples, rng.New(seed), cost)
+	col := ris.GenerateTargeted(s.prop, gamma, targets, rrSamples, rng.New(seed), cost)
 	seeds, spreads, total := col.SelectSeeds(k)
 	res := &TargetedResult{Gamma: gamma, AudienceSpread: total}
 	for i, u := range seeds {

@@ -11,6 +11,7 @@ import (
 
 	"octopus/internal/datagen"
 	"octopus/internal/graph"
+	"octopus/internal/obs"
 	"octopus/internal/tags"
 )
 
@@ -189,6 +190,30 @@ func TestDiscoverTargetedValidation(t *testing.T) {
 	}
 	if _, err := s.DiscoverTargetedInfluencers([]string{"mining"}, []graph.NodeID{9999}, 3, 100, 1, nil); err == nil {
 		t.Fatal("out-of-range audience accepted")
+	}
+	if _, err := s.DiscoverTargetedInfluencers([]string{"mining"}, []graph.NodeID{0}, 3, 200_001, 1, nil); err == nil {
+		t.Fatal("rrSamples past the limit accepted")
+	}
+}
+
+// TestTargetedRepeatedAudience: an audience member listed several times
+// counts once, so [u,u,u,u] answers exactly as [u] — seeds, per-seed and
+// audience spreads, and the sampling work.
+func TestTargetedRepeatedAudience(t *testing.T) {
+	s, _ := testSystem(t)
+	for _, u := range []graph.NodeID{0, 5, 17} {
+		var once, repeated obs.Cost
+		want, err := s.DiscoverTargetedInfluencers([]string{"mining"}, []graph.NodeID{u}, 3, 2000, 4, &once)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.DiscoverTargetedInfluencers([]string{"mining"}, []graph.NodeID{u, u, u, u}, 3, 2000, 4, &repeated)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) || repeated != once {
+			t.Errorf("audience [%d ×4] = %+v (%+v), want %+v (%+v)", u, got, repeated.RIS, want, once.RIS)
+		}
 	}
 }
 

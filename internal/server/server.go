@@ -115,7 +115,6 @@ import (
 
 	"octopus/internal/actionlog"
 	"octopus/internal/core"
-	"octopus/internal/graph"
 	"octopus/internal/obs"
 	"octopus/internal/qcache"
 	"octopus/internal/repl"
@@ -562,10 +561,6 @@ func imSeeds(seeds []core.InfluencerResult) []imSeed {
 	return out
 }
 
-// maxTargetedRRSamples bounds the reverse-reachable sample count a
-// client may demand from POST /api/im/targeted.
-const maxTargetedRRSamples = 200_000
-
 type targetedRequest struct {
 	// Q is free text, tokenized like /api/im's q parameter. Keywords, if
 	// non-empty, is used verbatim instead.
@@ -608,11 +603,6 @@ func (s *Server) handleTargeted(sys *core.System, w http.ResponseWriter, r *http
 		writeErr(w, http.StatusBadRequest, errors.New("empty \"audience\" in body"))
 		return
 	}
-	if req.RRSamples > maxTargetedRRSamples {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("rrSamples %d exceeds limit %d", req.RRSamples, maxTargetedRRSamples))
-		return
-	}
 	k := req.K
 	if k == 0 {
 		k = 10
@@ -621,11 +611,7 @@ func (s *Server) handleTargeted(sys *core.System, w http.ResponseWriter, r *http
 	if seed == 0 {
 		seed = 1
 	}
-	audience := make([]graph.NodeID, len(req.Audience))
-	for i, u := range req.Audience {
-		audience[i] = u
-	}
-	res, err := sys.DiscoverTargetedInfluencers(keywords, audience, k, req.RRSamples, seed, costFrom(r))
+	res, err := sys.DiscoverTargetedInfluencers(keywords, req.Audience, k, req.RRSamples, seed, costFrom(r))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return

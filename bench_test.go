@@ -1,5 +1,5 @@
 // Benchmarks for the paper's scenarios and engine claims (E1–E3, E5,
-// E7–E11) as testing.B targets: per-operation numbers with allocation
+// E7–E12) as testing.B targets: per-operation numbers with allocation
 // profiles on one moderate 2 000-author world, so the suite completes
 // quickly. The claims each experiment once asserted are ordinary tests in
 // the packages (e.g. otim.TestQueryMatchesExhaustiveGreedy,
@@ -248,4 +248,22 @@ func hubNode(ds *datagen.Dataset) graph.NodeID {
 		}
 	}
 	return best
+}
+
+// E12 — targeted IM over a 500-user audience (every fourth author):
+// 20 000 RR samples, k=10.
+func BenchmarkE12Targeted(b *testing.B) {
+	sys, ds := benchWorld(b)
+	audience := make([]graph.NodeID, 0, 500)
+	for u := 0; u < ds.Graph.NumNodes() && len(audience) < 500; u += 4 {
+		audience = append(audience, graph.NodeID(u))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.DiscoverTargetedInfluencers([]string{"mining", "pattern"},
+			audience, 10, 20_000, 1, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -63,9 +63,9 @@ func GenerateTargeted(m *tic.Model, gamma topic.Dist, targets []graph.NodeID,
 	// to the table and one offset closes it. stamp[v] == i marks v as in
 	// set i. A set holds its root and at most n nodes, so with n free
 	// entries at a set boundary the table never grows inside a set;
-	// when room runs short it grows once to the total the sets so far
-	// project, plus a quarter, so its allocations do not grow with
-	// count.
+	// when room runs short it grows to the total the sets so far
+	// project, plus a quarter, so it typically grows once whatever
+	// count is.
 	nodes := make([]graph.NodeID, 0, count+n)
 	stamp := make([]int, n)
 	var edges uint64

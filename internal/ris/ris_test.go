@@ -101,10 +101,10 @@ func TestSelectSeedsZeroAndOverflow(t *testing.T) {
 	}
 }
 
-// TestSelectSeedsGreedyPrefix: a smaller k picks a prefix of a larger
-// k's seeds, with the same per-seed spreads, and the total never falls
-// as k grows.
-func TestSelectSeedsGreedyPrefix(t *testing.T) {
+// TestEstimateSpreadMonotone: the seed set's spread estimate never
+// falls as k grows, and a smaller k picks a prefix of a larger k's
+// seeds with the same per-seed spreads.
+func TestEstimateSpreadMonotone(t *testing.T) {
 	m, _ := hubGraph(t)
 	col := generateAll(m, topic.Dist{1}, 3000, rng.New(6))
 	f := func(seed uint64) bool {

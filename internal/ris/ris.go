@@ -57,7 +57,7 @@ func GenerateTargeted(m *tic.Model, gamma topic.Dist, targets []graph.NodeID,
 		return &Collection{}
 	}
 	g := m.Graph()
-	n, count := g.NumNodes(), max(count, 0)
+	n := g.NumNodes()
 	c := &Collection{n: n, scale: len(targets), off: make([]int, 1, count+1)}
 	// The reverse BFS queue is the set itself: a set appends its nodes
 	// to the table and one offset closes it. stamp[v] == i marks v as in
